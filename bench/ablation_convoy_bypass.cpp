@@ -41,6 +41,7 @@ namespace {
 
 struct ArmResult {
   double tput = 0;
+  double abort_rate = 0;             // aborted / (committed + aborted)
   double local_commit_wait_ms = -1;  // local-class stage mean; -1 = not attributed
   double local_e2e_ms = -1;
   double global_e2e_ms = -1;
@@ -68,6 +69,10 @@ ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ri
   const RunResult r = run_micro(setup, clients);
   ArmResult out;
   out.tput = r.throughput();
+  const double committed =
+      static_cast<double>(r.servers.committed_local + r.servers.committed_global);
+  const double aborted = static_cast<double>(r.servers.aborted);
+  out.abort_rate = committed + aborted > 0 ? aborted / (committed + aborted) : 0.0;
   out.bypassed = r.servers.bypassed_locals;
   out.parked = r.servers.parked_locals;
 #if SDUR_TRACE
@@ -192,9 +197,9 @@ int main(int argc, char** argv) {
       const ArmResult r = run_arm(setup, clients, ring);
       std::printf(
           "  %-8s tput=%8.0f tps  local commit_wait=%8.2f ms  local e2e=%7.1f ms  "
-          "global e2e=%7.1f ms  bypassed=%7llu  parked=%6llu\n",
+          "global e2e=%7.1f ms  aborts=%5.2f%%  bypassed=%7llu  parked=%6llu\n",
           bypass ? "bypass" : "off", r.tput, r.local_commit_wait_ms, r.local_e2e_ms,
-          r.global_e2e_ms, static_cast<unsigned long long>(r.bypassed),
+          r.global_e2e_ms, r.abort_rate * 100, static_cast<unsigned long long>(r.bypassed),
           static_cast<unsigned long long>(r.parked));
       rep.row()
           .str("label", bypass ? "bypass-zipf" : "off-zipf")
@@ -206,6 +211,7 @@ int main(int argc, char** argv) {
           .num("local_commit_wait_ms", r.local_commit_wait_ms)
           .num("local_e2e_ms", r.local_e2e_ms)
           .num("global_e2e_ms", r.global_e2e_ms)
+          .num("abort_rate", r.abort_rate)
           .num("bypassed_locals", static_cast<double>(r.bypassed))
           .num("parked_locals", static_cast<double>(r.parked));
     }

@@ -3,8 +3,8 @@
 // MVStore versions immediately and vacates the pending-list head, so the
 // transactions delivered behind it stop paying the cross-region vote
 // round trip; the votes later promote the versions (finalize) or undo
-// them in place (rollback — nothing can have observed them, because
-// reads serve only the stable prefix, which stalls below them).
+// them in place (rollback — nothing can have observed them, because no
+// read of a key is served at or above an unresolved writer of that key).
 //
 // The sweep runs each global-mix / conflict cell twice (speculation off
 // vs on) on WAN 1 with reorder_threshold = 0 — the configuration where

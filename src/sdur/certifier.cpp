@@ -172,6 +172,7 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   result.version = ++cc_;
   slots_.push_back(Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
   index_.insert(result.version, t.readset, t.write_keys);
+  unresolved_insert(result.version, t.write_keys);
   if (parallel()) window_->insert(result.version, t.readset, t.write_keys, result.cores);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
              PendingEntry{t, rt, result.version, 0, 0, false, true});
@@ -326,19 +327,19 @@ void Certifier::resolve(const PendingEntry& entry, bool committed) {
   resolve(entry.version, entry.tx.id, committed);
 }
 
-void Certifier::resolve(Version v, TxId owner, bool committed) {
+void Certifier::resolve(Version v, [[maybe_unused]] TxId owner, bool committed) {
   if (v < base_ || v > cc_) return;
+  Slot& target = slots_[static_cast<std::size_t>(v - base_)];
   // A slot is resolved exactly once, by the transaction that owns it.
-  SDUR_AUDIT_CHECK("certifier", "resolve-once",
-                   slots_[static_cast<std::size_t>(v - base_)].status == SlotStatus::kPending,
+  SDUR_AUDIT_CHECK("certifier", "resolve-once", target.status == SlotStatus::kPending,
                    "version " << v << " (tx " << owner << ") resolved twice");
-  SDUR_AUDIT_CHECK("certifier", "resolve-owner",
-                   slots_[static_cast<std::size_t>(v - base_)].txid == owner,
-                   "version " << v << " owned by tx "
-                              << slots_[static_cast<std::size_t>(v - base_)].txid
-                              << " resolved by tx " << owner);
-  slots_[static_cast<std::size_t>(v - base_)].status =
-      committed ? SlotStatus::kCommitted : SlotStatus::kAborted;
+  SDUR_AUDIT_CHECK("certifier", "resolve-owner", target.txid == owner,
+                   "version " << v << " owned by tx " << target.txid << " resolved by tx "
+                              << owner);
+  target.status = committed ? SlotStatus::kCommitted : SlotStatus::kAborted;
+  // Either way the slot no longer holds back its keys' read frontiers: a
+  // committed write is applied, an aborted one never will be.
+  unresolved_erase(v, target.write_keys);
   // Advance the stable prefix over contiguously resolved slots.
   SDUR_AUDIT(const Version stable_before = stable_);
   while (stable_ < cc_) {
@@ -346,8 +347,9 @@ void Certifier::resolve(Version v, TxId owner, bool committed) {
     if (s == nullptr || s->status == SlotStatus::kPending) break;
     ++stable_;
   }
-  // Reads are served at the stable version: it must never move backwards
-  // (a client could observe a snapshot that then grows a hole).
+  // Read-only snapshots are gossiped from the stable version: it must never
+  // move backwards (a client could observe a snapshot that then grows a
+  // hole).
   SDUR_AUDIT_CHECK("certifier", "stable-monotonic",
                    stable_ >= stable_before && stable_ <= cc_,
                    "stable prefix moved from " << stable_before << " to " << stable_
@@ -421,10 +423,13 @@ void Certifier::rebuild_window() {
   // — a pure function of the keysets, so every replica rebuilds identical
   // state.
   index_.clear();
+  unresolved_ws_.clear();
+  unresolved_bloom_ws_.clear();
   if (parallel()) window_->clear();
   for (Version v = base_; v <= cc_; ++v) {
     const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
     index_.insert(v, s.readset, s.write_keys);
+    if (s.status == SlotStatus::kPending) unresolved_insert(v, s.write_keys);
     if (parallel()) {
       window_->insert(v, s.readset, s.write_keys,
                       window_->partitioner().home_cores(s.readset, s.write_keys));
@@ -440,9 +445,72 @@ void Certifier::reset() {
   pl_.clear();
   pending_ids_.clear();
   index_.clear();
+  unresolved_ws_.clear();
+  unresolved_bloom_ws_.clear();
   pending_ws_.clear();
   bypass_watermark_ = 0;
   if (parallel()) window_->clear();
+}
+
+// --- Read frontier -------------------------------------------------------------
+
+void Certifier::unresolved_insert(Version v, const util::KeySet& write_keys) {
+  // Versions are inserted ascending (certification order; install rebuilds
+  // in version order), so every list stays sorted by appending.
+  if (write_keys.is_bloom()) {
+    if (!write_keys.empty()) unresolved_bloom_ws_.push_back(v);
+    return;
+  }
+  for (Key k : write_keys.keys()) unresolved_ws_[k].push_back(v);
+}
+
+void Certifier::unresolved_erase(Version v, const util::KeySet& write_keys) {
+  if (write_keys.is_bloom()) {
+    auto it = std::lower_bound(unresolved_bloom_ws_.begin(), unresolved_bloom_ws_.end(), v);
+    if (it != unresolved_bloom_ws_.end() && *it == v) unresolved_bloom_ws_.erase(it);
+    return;
+  }
+  for (Key k : write_keys.keys()) {
+    std::vector<Version>* writers = unresolved_ws_.find(k);
+    if (writers == nullptr) continue;
+    // Usually the front (in-order completion); bypass and speculation may
+    // resolve a newer writer first.
+    auto it = std::lower_bound(writers->begin(), writers->end(), v);
+    if (it != writers->end() && *it == v) writers->erase(it);
+    if (writers->empty()) unresolved_ws_.erase(k);
+  }
+}
+
+Version Certifier::read_frontier(Key k) const {
+  Version frontier = cc_;
+  if (const std::vector<Version>* writers = unresolved_ws_.find(k)) {
+    frontier = writers->front() - 1;
+  }
+  for (Version v : unresolved_bloom_ws_) {
+    if (v > frontier) break;
+    if (slots_[static_cast<std::size_t>(v - base_)].write_keys.may_contain(k)) {
+      frontier = v - 1;
+      break;
+    }
+  }
+  // The index must reproduce the window scan exactly: a frontier too high
+  // serves a value an unresolved writer can still change; too low only
+  // costs freshness, but would still mean the index lost track of a slot.
+  SDUR_AUDIT_CHECK("certifier", "read-frontier-equivalence", frontier == scan_frontier(k),
+                   "indexed read frontier " << frontier << " of key " << k
+                                            << " diverges from the window scan ("
+                                            << scan_frontier(k) << ", stable=" << stable_
+                                            << ", cc=" << cc_ << ")");
+  return frontier;
+}
+
+Version Certifier::scan_frontier(Key k) const {
+  // Every slot at or below stable is resolved, so the scan starts above it.
+  for (Version v = stable_ + 1; v <= cc_; ++v) {
+    const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
+    if (s.status == SlotStatus::kPending && s.write_keys.may_contain(k)) return v - 1;
+  }
+  return cc_;
 }
 
 }  // namespace sdur

@@ -26,9 +26,14 @@
 //     status-dependence would break determinism; the cost is an
 //     occasional conservative abort, retried with a fresh snapshot);
 //   * completion resolves the slot and applies the writes at the
-//     *pre-assigned* version; reads are served at the "stable" version —
-//     the largest v such that every slot <= v is resolved — so clients
-//     never observe a snapshot that could still grow a hole.
+//     *pre-assigned* version; a read of key k is served at k's "read
+//     frontier" — min(cc, v_k - 1) for the oldest unresolved slot v_k
+//     that writes k, or cc when none does — so no read observes a version
+//     that an unresolved writer of *that key* at or below it could still
+//     change. Unresolved slots that do not write k are irrelevant to its
+//     value. The frontier is never below the "stable" version (the
+//     largest v such that every slot <= v is resolved), which the
+//     read-only snapshot gossip still uses.
 //
 // A local transaction reordered before a pending global completes (and is
 // acknowledged) earlier but keeps its delivery-ordered version; this is
@@ -169,7 +174,8 @@ class Certifier {
   // --- Resolution ----------------------------------------------------------
   /// Resolves a completed transaction's slot (after the caller popped it
   /// from the pending list and, on commit, applied its writes at
-  /// entry.version). Advances the stable prefix.
+  /// entry.version). Advances the stable prefix and the read frontiers of
+  /// the keys the slot writes.
   void resolve(const PendingEntry& entry, bool committed);
   /// Same, for an entry the caller detached earlier (speculative global
   /// commit: the entry left the pending list at speculation time and is
@@ -178,9 +184,15 @@ class Certifier {
 
   /// Highest assigned version (certified, possibly unresolved).
   Version certified() const { return cc_; }
-  /// Highest version v such that all slots <= v are resolved; reads are
-  /// served at this snapshot.
+  /// Highest version v such that all slots <= v are resolved (the
+  /// read-only snapshot gossip serves this).
   Version stable() const { return stable_; }
+  /// Newest version at which key `k`'s value is final: min(cc, v_k - 1)
+  /// for the oldest unresolved slot v_k writing `k` (pending, P-DUR work in
+  /// flight, or speculated), else cc. Always in [stable, cc]. One probe of
+  /// the unresolved-writer index; audit builds cross-check it against a
+  /// scan of (stable, cc] ("read-frontier-equivalence").
+  Version read_frontier(Key k) const;
 
   /// True if a snapshot is still coverable by the window. Written without
   /// `st + 1` so st == INT64_MAX cannot overflow.
@@ -226,9 +238,19 @@ class Certifier {
   bool scan_conflict(const PartTx& t, Version st) const;
   /// Indexed strategy: key probes + bloom-suffix scan over slots_.
   bool indexed_conflict(const PartTx& t, Version st) const;
-  /// Rebuilds the per-core lanes and the key index from slots_ (after
-  /// install()).
+  /// Rebuilds the per-core lanes, the key index and the unresolved-writer
+  /// index from slots_ (after install()).
   void rebuild_window();
+
+  // --- Read frontier internals ---------------------------------------------
+  /// The reference read_frontier() must match: a scan of (stable, cc] for
+  /// the oldest unresolved slot that may write `k`.
+  Version scan_frontier(Key k) const;
+  /// Registers / unregisters unresolved slot `v` in the unresolved-writer
+  /// index (certification and resolution; resolution may run out of
+  /// version order under bypass and speculation).
+  void unresolved_insert(Version v, const util::KeySet& write_keys);
+  void unresolved_erase(Version v, const util::KeySet& write_keys);
 
   // --- Out-of-order local commit internals --------------------------------
   /// Bypass gate trigger: O(sets) probe of the pending-write index — does
@@ -268,6 +290,14 @@ class Certifier {
   /// Per-key last-writer / last-reader index over slots_, maintained on
   /// certification and eviction (see storage/cert_index.h).
   storage::CertIndex index_;
+  /// Read frontier: per key, the versions (ascending) of the unresolved
+  /// slots writing it. Probe-only, like index_ — never iterated, so hash
+  /// order cannot leak. A key's entry is erased once its last unresolved
+  /// writer resolves.
+  storage::FlatTable<std::vector<Version>> unresolved_ws_;
+  /// Unresolved slots whose write keys are bloom-encoded (ascending): they
+  /// cannot be key-indexed and are probed with may_contain().
+  std::vector<Version> unresolved_bloom_ws_;
   /// Bypass gate: newest pending writer per key over pl_ (readset slots
   /// unused — inserted empty). Maintained on certification and on every
   /// pending-list removal; rebuilt (version-ascending) on install. Only

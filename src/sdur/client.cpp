@@ -166,9 +166,15 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
       auto cb = std::move(it->second.cb);
       pending_reads_.erase(it);
       if (!read_only_) {
-        // First read at a partition fixes its snapshot (Algorithm 1, line 13).
+        // First read at a partition fixes its snapshot (Algorithm 1, line
+        // 13). Parallel first reads are each served at their own key's
+        // read frontier and may come back in any order: keep the lowest.
+        // Certification then covers every write above it, so a key served
+        // higher aborts the transaction if it changed in between, instead
+        // of escaping certification (a lost update).
         const PartitionId p = cfg_.partitioning->partition_of(resp.key);
-        if (tx_.snapshot_of(p) == kNoSnapshot) tx_.set_snapshot(p, resp.snapshot);
+        const Version st = tx_.snapshot_of(p);
+        if (st == kNoSnapshot || resp.snapshot < st) tx_.set_snapshot(p, resp.snapshot);
       }
       cb(resp.found, resp.value);
       break;

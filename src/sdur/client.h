@@ -2,8 +2,9 @@
 //
 // A client executes a transaction optimistically: reads go to a server of
 // the partition holding the key (the first read fixes the partition's
-// snapshot; later reads at that partition carry it, so the client sees a
-// consistent partition view), writes are buffered locally, and commit
+// snapshot — with parallel first reads, the lowest snapshot any of them
+// was served at; later reads at that partition carry it, so the client
+// sees a consistent partition view), writes are buffered locally, and commit
 // ships the whole transaction to a preferred server near the client, which
 // runs the termination protocol.
 //

@@ -162,31 +162,7 @@ void Deployment::start() {
 
 Server::Stats Deployment::total_stats() const {
   Server::Stats total;
-  for (const auto& s : servers_) {
-    const Server::Stats& st = s->stats();
-    total.delivered += st.delivered;
-    total.committed_local += st.committed_local;
-    total.committed_global += st.committed_global;
-    total.aborted += st.aborted;
-    total.stale_snapshot_aborts += st.stale_snapshot_aborts;
-    total.reordered += st.reordered;
-    total.ticks_sent += st.ticks_sent;
-    total.abort_requests_sent += st.abort_requests_sent;
-    total.reads_served += st.reads_served;
-    total.reads_routed += st.reads_routed;
-    total.reads_deferred += st.reads_deferred;
-    total.pdur_single_core += st.pdur_single_core;
-    total.pdur_cross_core += st.pdur_cross_core;
-    total.vote_batches_sent += st.vote_batches_sent;
-    total.votes_batched += st.votes_batched;
-    total.votes_piggybacked += st.votes_piggybacked;
-    total.stale_votes_dropped += st.stale_votes_dropped;
-    total.bypassed_locals += st.bypassed_locals;
-    total.parked_locals += st.parked_locals;
-    total.speculated_globals += st.speculated_globals;
-    total.spec_commits += st.spec_commits;
-    total.spec_aborts += st.spec_aborts;
-  }
+  for (const auto& s : servers_) total += s->stats();
   return total;
 }
 

@@ -151,7 +151,7 @@ Message VotePiggybackMsg::to_message() const {
 VotePiggybackMsg VotePiggybackMsg::decode(Reader& r) {
   VotePiggybackMsg m;
   m.inner_type = r.u16();
-  m.inner_payload = r.bytes();
+  r.bytes(m.inner_payload);
   m.batch.partition = r.u32();
   m.batch.votes = get_votes(r);
   return m;

@@ -109,7 +109,7 @@ struct VoteBatchMsg {
 /// wide-area messages.
 struct VotePiggybackMsg {
   sim::MsgType inner_type = 0;
-  std::string inner_payload;
+  util::Bytes inner_payload;
   VoteBatchMsg batch;
 
   sim::Message to_message() const;

@@ -14,6 +14,33 @@ constexpr std::size_t kOwnVoteMemory = 200'000;  // completed-vote history kept
 /// byte; nothing extra is needed.
 }  // namespace
 
+Server::Stats& Server::Stats::operator+=(const Stats& o) {
+  delivered += o.delivered;
+  committed_local += o.committed_local;
+  committed_global += o.committed_global;
+  aborted += o.aborted;
+  stale_snapshot_aborts += o.stale_snapshot_aborts;
+  reordered += o.reordered;
+  ticks_sent += o.ticks_sent;
+  abort_requests_sent += o.abort_requests_sent;
+  reads_served += o.reads_served;
+  reads_routed += o.reads_routed;
+  reads_deferred += o.reads_deferred;
+  reads_above_stable += o.reads_above_stable;
+  pdur_single_core += o.pdur_single_core;
+  pdur_cross_core += o.pdur_cross_core;
+  vote_batches_sent += o.vote_batches_sent;
+  votes_batched += o.votes_batched;
+  votes_piggybacked += o.votes_piggybacked;
+  stale_votes_dropped += o.stale_votes_dropped;
+  bypassed_locals += o.bypassed_locals;
+  parked_locals += o.parked_locals;
+  speculated_globals += o.speculated_globals;
+  spec_commits += o.spec_commits;
+  spec_aborts += o.spec_aborts;
+  return *this;
+}
+
 Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerConfig cfg,
                paxos::GroupConfig paxos_cfg, PartitioningPtr partitioning)
     : sim::Process(net, pid, "server-p" + std::to_string(cfg.partition) + "-" +
@@ -90,13 +117,11 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
       break;
     }
     case msgtype::kVotePiggyback: {
-      const auto env = VotePiggybackMsg::decode(r);
+      auto env = VotePiggybackMsg::decode(r);
       handle_vote_batch(env.batch);
       // Re-dispatch the carried message as if it arrived alone (Paxos
       // types route through the engine at the top of this function).
-      const sim::Message inner{
-          env.inner_type,
-          sim::Payload(util::Bytes(env.inner_payload.begin(), env.inner_payload.end()))};
+      const sim::Message inner{env.inner_type, sim::Payload(std::move(env.inner_payload))};
       on_message(inner, from);
       break;
     }
@@ -454,7 +479,7 @@ void Server::complete(const PendingEntry& e, Outcome outcome) {
     cert_.resolve(e, false);
     ++stats_.aborted;
   }
-  // Resolution may have advanced the stable prefix either way.
+  // Resolution may have advanced read frontiers either way.
   service_deferred_reads();
   votes_.erase(t.id);
   remember_outcome(t.id, outcome);
@@ -515,12 +540,11 @@ void Server::drain_in_order() {
     // may complete either (completion is in version order).
     if (!head.ready) break;
     if (!head.tx.is_global()) {
-      // Outstanding speculative versions never gate a local: reads only
-      // serve the stable prefix, which stalls below every unresolved
-      // speculative version, so the local's snapshot (and hence its
-      // status-blind verdict) cannot depend on how the specs resolve.
-      // Its writes land above theirs in version order; a later rollback
-      // erases mid-chain underneath them (see DESIGN.md).
+      // Outstanding speculative versions never gate a local: no read
+      // serves a key above an unresolved writer of that key, so nothing
+      // the local read depends on how the specs resolve (and its verdict
+      // is status-blind). Its writes land above theirs in version order;
+      // a later rollback erases mid-chain underneath them (see DESIGN.md).
       const PendingEntry e = cert_.pop_head();
       complete(e, Outcome::kCommit);
       continue;
@@ -624,9 +648,10 @@ bool Server::spec_sweep() {
   while (speculate_head()) progress = true;
   // Out-of-order finalize: each speculated global resolves the moment its
   // own votes complete — not behind earlier specs still waiting (slot
-  // resolution and the stable prefix keep reads safe regardless of the
-  // resolution order). The rescan after every resolution keeps iteration
-  // valid across the erase inside finalize/rollback; spec_ stays small.
+  // resolution and the per-key read frontier keep reads safe regardless
+  // of the resolution order). The rescan after every resolution keeps
+  // iteration valid across the erase inside finalize/rollback; spec_ stays
+  // small.
   bool resolved = true;
   while (resolved) {
     resolved = false;
@@ -656,8 +681,8 @@ void Server::finalize_spec(Version v) {
   SDUR_AUDIT_NOTE(now(), name() << " finalized speculated tx " << s.tx.id << " -> commit v"
                                 << s.version);
   // The writes are already in the store at s.version: promote them (drop
-  // the undo record) and resolve the slot so the stable prefix can cover
-  // them — only now can a read observe the versions.
+  // the undo record) and resolve the slot so its keys' read frontiers can
+  // pass it — only now can a read observe the versions.
   store_.promote(v);
   cert_.resolve(v, s.tx.id, true);
   ++stats_.spec_commits;
@@ -880,8 +905,7 @@ sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, s
   if (cur >= box.queue.size()) return m;
   VotePiggybackMsg env;
   env.inner_type = m.type;
-  const util::Bytes& b = m.payload.bytes();
-  env.inner_payload.assign(b.begin(), b.end());
+  env.inner_payload = m.payload.bytes();
   env.batch.partition = cfg_.partition;
   env.batch.votes.assign(box.queue.begin() + static_cast<std::ptrdiff_t>(cur), box.queue.end());
   stats_.votes_piggybacked += env.batch.votes.size();
@@ -936,22 +960,28 @@ void Server::schedule_read(std::uint64_t reqid, sim::ProcessId client, Key key,
 }
 
 void Server::answer_read(std::uint64_t reqid, sim::ProcessId client, Key key, Version snapshot) {
-  const Version st = snapshot < 0 ? cert_.stable() : snapshot;
-  if (st > cert_.stable()) {
-    // Snapshot from gossip that this replica has not reached yet; defer
-    // until enough commits have been applied.
+  // A first read at this partition is served at the key's read frontier:
+  // the newest version at which no unresolved writer of the key can still
+  // change its value. A read at a fixed snapshot (later reads of an update,
+  // every read-only read) waits only while the key has an unresolved
+  // writer at or below it, or while this replica has not certified up to
+  // the snapshot yet (a gossiped snapshot from a faster replica).
+  const Version frontier = cert_.read_frontier(key);
+  const Version st = snapshot < 0 ? frontier : snapshot;
+  if (st > frontier) {
     ++stats_.reads_deferred;
     deferred_reads_.push_back(DeferredRead{reqid, client, key, st});
     return;
   }
   ++stats_.reads_served;
-  // Snapshot visibility: a read is only served at a fully-resolved
-  // snapshot (st <= stable), and the returned version must be visible at
-  // that snapshot — otherwise the client could observe a snapshot that
-  // still grows a hole.
-  SDUR_AUDIT_CHECK("server", "read-snapshot-visible", st <= cert_.stable(),
+  if (st > cert_.stable()) ++stats_.reads_above_stable;
+  // Snapshot visibility, per key: no unresolved writer of this key sits at
+  // or below the snapshot, and the returned version must be visible at it —
+  // otherwise the client could observe a value that still changes under
+  // its snapshot (or speculative state that may roll back).
+  SDUR_AUDIT_CHECK("server", "read-snapshot-visible", st <= cert_.read_frontier(key),
                    name() << " serves key " << key << " at snapshot " << st
-                          << " above stable version " << cert_.stable());
+                          << " above its read frontier " << cert_.read_frontier(key));
   auto v = store_.get(key, st);
   SDUR_AUDIT_CHECK("server", "read-version-in-snapshot", !v || v->version <= st,
                    name() << " read of key " << key << " at snapshot " << st
@@ -967,7 +997,7 @@ void Server::answer_read(std::uint64_t reqid, sim::ProcessId client, Key key, Ve
 
 void Server::service_deferred_reads() {
   for (std::size_t i = 0; i < deferred_reads_.size();) {
-    if (deferred_reads_[i].snapshot <= cert_.stable()) {
+    if (deferred_reads_[i].snapshot <= cert_.read_frontier(deferred_reads_[i].key)) {
       const DeferredRead r = deferred_reads_[i];
       deferred_reads_.erase(deferred_reads_.begin() + static_cast<std::ptrdiff_t>(i));
       answer_read(r.reqid, r.client, r.key, r.snapshot);

@@ -11,8 +11,12 @@
 //    the reorder-threshold completion rule (Section IV-E);
 //  - the abort-request recovery path for transactions whose submitter
 //    failed between broadcasts (Section IV-F);
-//  - multiversion reads at a snapshot, read routing for non-local keys, and
-//    snapshot-counter gossip for global read-only snapshots;
+//  - multiversion reads: an update's first read at this partition is served
+//    at the key's read frontier (Certifier::read_frontier — fresh, yet
+//    never above an unresolved writer of that key), later reads at the
+//    transaction's fixed snapshot once the key is final there; read routing
+//    for non-local keys, and stable-prefix gossip for global read-only
+//    snapshots;
 //  - crash recovery: replaying the Paxos durable log rebuilds the replica
 //    deterministically.
 //
@@ -55,6 +59,7 @@ class Server : public sim::Process {
     std::uint64_t reads_served = 0;
     std::uint64_t reads_routed = 0;
     std::uint64_t reads_deferred = 0;
+    std::uint64_t reads_above_stable = 0;  // reads served above the stable prefix
     std::uint64_t pdur_single_core = 0;  // txns homed on one core (P-DUR fast path)
     std::uint64_t pdur_cross_core = 0;   // txns that paid the cross-core barrier
     std::uint64_t vote_batches_sent = 0;   // VoteBatchMsg flushes (per destination replica)
@@ -66,6 +71,10 @@ class Server : public sim::Process {
     std::uint64_t speculated_globals = 0;  // globals applied speculatively before their votes
     std::uint64_t spec_commits = 0;        // speculations finalized (versions promoted)
     std::uint64_t spec_aborts = 0;         // speculations rolled back on a remote abort vote
+
+    /// Field-wise sum (Deployment::total_stats). A new field must be added
+    /// here too; tests/deployment_test.cpp fails on any field left out.
+    Stats& operator+=(const Stats& o);
   };
 
   Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerConfig cfg,
@@ -85,7 +94,8 @@ class Server : public sim::Process {
   void load(Key k, std::string v) { store_.load(k, std::move(v)); }
 
   PartitionId partition() const { return cfg_.partition; }
-  /// Stable snapshot version: reads are served at this version.
+  /// Stable snapshot version (everything at or below it resolved): the
+  /// snapshot this replica gossips for read-only transactions.
   Version sc() const { return cert_.stable(); }
   /// Highest assigned (certified) version, possibly unresolved.
   Version certified() const { return cert_.certified(); }
@@ -132,9 +142,9 @@ class Server : public sim::Process {
   // as speculative MVStore versions immediately and leaves the pending
   // list; remote votes later finalize (promote + reply) or roll it back
   // (undo the versions mid-chain). No transaction ever depends on
-  // speculative state — reads serve only the stable prefix, which stalls
-  // below every unresolved speculative version — so there is nothing to
-  // cascade. See DESIGN.md "Speculative global commit".
+  // speculative state — no read of a key is served at or above an
+  // unresolved (e.g. speculative) writer of that key — so there is nothing
+  // to cascade. See DESIGN.md "Speculative global commit".
   /// One speculated global, keyed by its assigned version in spec_.
   struct SpecEntry {
     PartTx tx;

@@ -88,10 +88,11 @@ struct TechniqueConfig {
   /// certification passes, instead of parking the transaction in the
   /// pending window until the remote votes arrive; finalize (promote +
   /// reply) or roll back (mid-chain undo) when the votes land. No
-  /// cascade exists: reads only ever serve the stable prefix, which
-  /// stalls below unresolved speculative versions, so no transaction
-  /// can observe speculative state. Default off = bit-identical legacy
-  /// behaviour (golden-digest pinned in tests/speculation_test.cpp).
+  /// cascade exists: a read of a key is never served at or above an
+  /// unresolved writer of that key (the per-key read frontier, which is
+  /// the protocol's read path, not a knob), so no transaction can observe
+  /// speculative state. Default off = bit-identical legacy behaviour
+  /// (golden-digest pinned in tests/speculation_test.cpp).
   bool speculation = false;
 
   bool operator==(const TechniqueConfig&) const = default;

@@ -51,6 +51,13 @@ std::string Reader::bytes() {
   return out;
 }
 
+void Reader::bytes(Bytes& out) {
+  std::uint64_t n = varint();
+  need(n);
+  out.assign(data_ + pos_, data_ + pos_ + n);
+  pos_ += n;
+}
+
 void Reader::raw(void* out, std::size_t n) {
   need(n);
   std::memcpy(out, data_ + pos_, n);

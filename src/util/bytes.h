@@ -95,6 +95,9 @@ class Reader {
 
   std::uint64_t varint();
   std::string bytes();
+  /// Same wire format, decoded straight into a byte buffer (no string
+  /// round trip when the bytes become a message payload).
+  void bytes(Bytes& out);
 
   /// Reads n raw bytes without a length prefix.
   void raw(void* out, std::size_t n);

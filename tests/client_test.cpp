@@ -1,5 +1,6 @@
-// Client library tests (Algorithm 1): snapshot management, buffered
-// writes, parallel reads, read-only snapshot flow, deferred reads.
+// Client library tests (Algorithm 1): snapshot management (including the
+// lowest-snapshot rule for parallel first reads), buffered writes,
+// parallel reads, read-only snapshot flow, deferred reads.
 #include <gtest/gtest.h>
 
 #include "sdur/deployment.h"
@@ -168,6 +169,83 @@ TEST(Client, ReadOnlyDoesNotBlockOnConcurrentWriters) {
   });
   f.run_for(sim::sec(5));
   EXPECT_EQ(o, Outcome::kCommit);
+}
+
+/// Stands in for a partition's server: records read and commit requests
+/// and answers reads only when the test says so, at the snapshot it picks.
+struct ScriptedServer : sim::Process {
+  using sim::Process::Process;
+  std::vector<ReadReqMsg> reads;
+  std::optional<Transaction> committed;
+  void on_message(const sim::Message& m, sim::ProcessId) override {
+    util::Reader r(m.payload);
+    if (m.type == msgtype::kReadReq) reads.push_back(ReadReqMsg::decode(r));
+    if (m.type == msgtype::kCommitReq) committed = CommitReqMsg::decode(r).tx;
+  }
+};
+
+TEST(Client, ParallelFirstReadsKeepTheLowestSnapshot) {
+  // Two parallel first reads at one partition, served at different read
+  // frontiers (key 1 at 2, key 2 at 5); the higher reply lands first. The
+  // transaction must certify at 2: fixing it at 5 would let a write to
+  // key 1 at version 3..5 escape certification — a lost update.
+  Fixture f;
+  ScriptedServer server(f.dep->network(), 20'000, "scripted", sim::Location{0, 0});
+  ClientConfig cfg;
+  cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
+  cfg.read_server = {server.self()};
+  cfg.commit_server = {server.self()};
+  cfg.snapshot_server = server.self();
+  Client client(f.dep->network(), 20'001, sim::Location{0, 0}, cfg);
+
+  bool read_done = false;
+  client.begin();
+  client.read_many({1, 2}, [&](auto) {
+    read_done = true;
+    client.write(1, "x");
+    client.write(2, "y");
+    client.commit([](Outcome) {});
+  });
+  f.run_for(sim::msec(10));
+  ASSERT_EQ(server.reads.size(), 2u);
+  for (const ReadReqMsg& req : server.reads) EXPECT_EQ(req.snapshot, kNoSnapshot);
+
+  auto reply = [&](const ReadReqMsg& req, Version snapshot) {
+    server.send(client.self(),
+                ReadRespMsg{req.reqid, req.key, true, "v", snapshot}.to_message());
+    f.run_for(sim::msec(10));
+  };
+  reply(server.reads[1], 5);  // key 2, higher snapshot, first
+  reply(server.reads[0], 2);  // key 1, lower snapshot, second
+  ASSERT_TRUE(read_done);
+  ASSERT_TRUE(server.committed.has_value());
+  EXPECT_EQ(server.committed->snapshot_of(0), 2) << "certify at the lowest served snapshot";
+
+  // Certify the shipped transaction behind a write to key 1 at version 3.
+  auto certify = [](Version snapshot) {
+    Certifier cert(64);
+    for (Key k : {Key{50}, Key{51}, Key{1}, Key{52}, Key{53}}) {  // versions 1..5
+      PartTx w;
+      w.kind = PartTx::Kind::kTxn;
+      w.id = 100 + k;
+      w.involved = {0};
+      w.snapshot = cert.certified();
+      w.readset = util::KeySet::exact({k});
+      w.write_keys = util::KeySet::exact({k});
+      EXPECT_EQ(cert.process(w, 0, 0).outcome, Outcome::kCommit);
+    }
+    PartTx t;
+    t.kind = PartTx::Kind::kTxn;
+    t.id = 1;
+    t.involved = {0};
+    t.snapshot = snapshot;
+    t.readset = util::KeySet::exact({1, 2});
+    t.write_keys = util::KeySet::exact({1, 2});
+    return cert.process(t, 0, 0).outcome;
+  };
+  EXPECT_EQ(certify(server.committed->snapshot_of(0)), Outcome::kAbort)
+      << "the write to key 1 between the two snapshots must abort the transaction";
+  EXPECT_EQ(certify(5), Outcome::kCommit) << "the first-reply snapshot would have missed it";
 }
 
 TEST(Client, StatsCountReadsAndCommits) {

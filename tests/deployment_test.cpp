@@ -1,6 +1,11 @@
 // Deployment builder tests: server placement, leader location, routing
-// tables and delay estimates for the paper's LAN / WAN 1 / WAN 2 setups.
+// tables and delay estimates for the paper's LAN / WAN 1 / WAN 2 setups,
+// and the stats aggregation every report reads.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
+#include <type_traits>
 
 #include "sdur/deployment.h"
 
@@ -148,6 +153,28 @@ TEST(Deployment, IdenticalSeedsGiveIdenticalRuns) {
     return fp;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// Server::Stats is a flat record of uint64_t counters; viewed as an array,
+// a field-wise sum must reach every slot. A counter that total_stats (via
+// Stats::operator+=) forgets silently reads zero end to end.
+TEST(Deployment, StatsSumCoversEveryField) {
+  constexpr std::size_t kStatsFields = sizeof(Server::Stats) / sizeof(std::uint64_t);
+  static_assert(std::is_trivially_copyable_v<Server::Stats>);
+  static_assert(sizeof(Server::Stats) == kStatsFields * sizeof(std::uint64_t),
+                "Server::Stats must hold only uint64_t counters");
+  std::array<std::uint64_t, kStatsFields> distinct{};
+  for (std::size_t i = 0; i < kStatsFields; ++i) distinct[i] = i + 1;
+  Server::Stats one;
+  std::memcpy(static_cast<void*>(&one), distinct.data(), sizeof one);
+  Server::Stats total;
+  total += one;
+  total += one;
+  std::array<std::uint64_t, kStatsFields> summed{};
+  std::memcpy(summed.data(), &total, sizeof total);
+  for (std::size_t i = 0; i < kStatsFields; ++i) {
+    EXPECT_EQ(summed[i], 2 * (i + 1)) << "Server::Stats field #" << i << " is not summed";
+  }
 }
 
 }  // namespace

@@ -27,7 +27,9 @@ every delivery and every pending-head completion; the speculative
 global commit path (anything starting with `speculate`/`finalize`/
 `rollback`, under src/sdur/ and src/storage/: speculate_head,
 finalize_spec, rollback_spec, MVStore::rollback) runs per speculated
-global and per vote resolution. Under src/trace/ the
+global and per vote resolution; and the read frontier (anything
+containing `frontier` under src/sdur/: read_frontier, scan_frontier)
+runs once per served read. Under src/trace/ the
 span-emit path is hot: every
 instrumented protocol step calls Tracer::record_*/append per delivered
 transaction, and the tracer's zero-allocation-at-steady-state contract
@@ -77,6 +79,11 @@ def _is_hot(name: str, rel: str) -> bool:
     # audit_spec_floor is deliberately NOT hot: it throws by contract.
     if (rel.startswith(("src/sdur/", "src/storage/"))
             and name.startswith(("speculate", "finalize", "rollback"))):
+        return True
+    # The read frontier (src/sdur/): the certifier's unresolved-writer
+    # probe runs once per served or deferred read — see DESIGN.md
+    # "Per-key read frontier".
+    if rel.startswith("src/sdur/") and "frontier" in name:
         return True
     # The tracer's record/emit/append path runs once per instrumented
     # protocol step; its zero-alloc contract is load-bearing.
@@ -192,22 +199,23 @@ RULES = [
     Rule("hotpath-alloc",
          "no new/make_unique/make_shared in certify/conflicts_*/scan_after "
          "bodies, src/sdur/ handle_vote*/flush_votes* vote-exchange, "
-         "*bypass*/park*/unpark* out-of-order-commit and speculate*/"
-         "finalize*/rollback* speculation bodies (also src/storage/), or "
-         "src/trace/ record*/emit*/append* span-emit bodies",
+         "*bypass*/park*/unpark* out-of-order-commit, *frontier* read, and "
+         "speculate*/finalize*/rollback* speculation bodies (also "
+         "src/storage/), or src/trace/ record*/emit*/append* span-emit bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-alloc"),
          suggestion="preallocate outside the certification path (arena/ring "
                     "patterns, see storage/commit_window.h)"),
     Rule("hotpath-container-copy",
          "no container deep-copies (locals copy-initialized from lvalues, "
          "by-value container parameters) in hot certification, "
-         "vote-exchange, out-of-order-commit, or speculation bodies",
+         "vote-exchange, out-of-order-commit, read-frontier, or speculation "
+         "bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-container-copy"),
          suggestion="take const&, or reuse a scratch buffer owned by the caller"),
     Rule("hotpath-throw",
          "no throwing constructs in audit-off protocol hot paths "
-         "(certification, vote exchange, out-of-order commit, speculation, "
-         "and trace span-emit)",
+         "(certification, vote exchange, out-of-order commit, read frontier, "
+         "speculation, and trace span-emit)",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-throw"),
          suggestion="return a verdict, or guard the invariant with SDUR_AUDIT_CHECK "
                     "(compiled out in benchmark builds)"),

@@ -278,6 +278,12 @@ int main(int argc, char** argv) {
                   : static_cast<double>(r.net.bytes_sent) /
                         static_cast<double>(r.servers.committed_local + r.servers.committed_global));
 
+  std::printf("reads: served=%llu above-stable=%llu deferred=%llu routed=%llu\n",
+              static_cast<unsigned long long>(r.servers.reads_served),
+              static_cast<unsigned long long>(r.servers.reads_above_stable),
+              static_cast<unsigned long long>(r.servers.reads_deferred),
+              static_cast<unsigned long long>(r.servers.reads_routed));
+
   if (r.servers.bypassed_locals + r.servers.parked_locals > 0) {
     std::printf("ooo-bypass: bypassed=%llu parked=%llu\n",
                 static_cast<unsigned long long>(r.servers.bypassed_locals),
