@@ -5,10 +5,12 @@
 // (t.st, SC]?" once per delivered transaction. The legacy strategy scans
 // every window record; the indexed strategy (storage/cert_index.h) probes
 // a per-key last-writer/last-reader table — O(|rs| + |ws|) regardless of
-// window depth. This bench times both strategies on the same CommitWindow
-// through its public conflicts_scan() / conflicts_indexed() split (both
-// audit-free, so the numbers are meaningful even in SDUR_AUDIT builds,
-// where conflicts() itself re-runs the scan as a cross-check).
+// window depth. This bench times both strategies on storage::CommitWindow —
+// the class sdur::Certifier certifies against (its full-set window, and
+// every P-DUR lane) — through its public conflicts_scan() /
+// conflicts_indexed() split (both audit-free, so the numbers are
+// meaningful even in SDUR_AUDIT builds, where conflicts() itself re-runs
+// the scan as a cross-check).
 //
 // Sweeps window depth x set size x readset encoding (exact / bloom) x
 // local / global. Probe transactions use snapshot = window base - 1 (the
@@ -107,7 +109,7 @@ struct SweepPoint {
 int run_point(const SweepPoint& s, bool smoke) {
   std::mt19937_64 rng(0x5EED ^ (s.depth * 31 + s.set_size * 7 + (s.bloom ? 2 : 0) +
                                 (s.global ? 1 : 0)));
-  CommitWindow w(s.depth);
+  CommitWindow w;
   fill_window(w, s.depth, s.set_size, s.bloom, rng);
   const Version st = w.oldest() - 1;  // full-depth scans
 

@@ -41,6 +41,14 @@ class CorePartitioner {
     return out;
   }
 
+  /// Projection of a key set onto core `c`'s keys. Bloom sets are shared
+  /// whole (they cannot be enumerated); exact sets are filtered, preserving
+  /// the sorted order KeySet::exact expects.
+  util::KeySet project(const util::KeySet& s, CoreId c) const {
+    if (s.is_bloom()) return s;
+    return util::KeySet::exact(keys_of(s.keys(), c));
+  }
+
   /// Home cores of a transaction with readset `rs` and write keys `ws`:
   /// the cores owning at least one of its keys, sorted. A bloom readset
   /// homes the transaction on every core. Empty key sets yield {0} so

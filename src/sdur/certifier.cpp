@@ -7,12 +7,34 @@
 
 namespace sdur {
 
-const Certifier::Slot* Certifier::slot(Version v) const {
-  if (v < base_ || v > cc_) return nullptr;
-  return &slots_[static_cast<std::size_t>(v - base_)];
+namespace {
+
+/// One lane's vote: the window's indexed check, with the strategy instant
+/// (aux = `aux`) attributed to the current delivery via the tracer context
+/// the dispatcher set. A bloom probe set (or, for globals, a bloom write
+/// set) forces the window scan for that component; otherwise the key index
+/// answers.
+bool lane_vote(const storage::CommitWindow& lane, const util::KeySet& rs, const util::KeySet& ws,
+               bool global, Version st, [[maybe_unused]] std::uint64_t aux) {
+  SDUR_TRACE_STMT({
+    const bool scans = storage::CommitWindow::scans(rs) ||
+                       (global && storage::CommitWindow::scans(ws));
+    SDUR_TRACE_CONTEXT_INSTANT(scans ? trace::Point::kCertScanFallback
+                                     : trace::Point::kCertIndexProbe,
+                               aux);
+  });
+  return lane.conflicts(rs, ws, global, st);
 }
 
-bool Certifier::scan_conflict(const PartTx& t, Version st) const {
+}  // namespace
+
+const Certifier::Slot* Certifier::slot(Version v) const {
+  if (v < window_.base() || v > cc_) return nullptr;
+  return window_.find(v);
+}
+
+bool Certifier::lanes_conflict(const PartTx& t, Version st,
+                               const std::vector<pdur::CoreId>& cores) const {
   // Certify against every assigned version in (st, cc] — committed,
   // pending AND vote-aborted alike. Slot status must not influence the
   // decision: at the moment a transaction is delivered, different replicas
@@ -20,76 +42,23 @@ bool Certifier::scan_conflict(const PartTx& t, Version st) const {
   // times), so any status-dependence would break determinism. Treating a
   // later-aborted global as a conflict source is conservative (an
   // unnecessary abort, retried with a fresh snapshot), never wrong.
-  const Version from = std::max(st + 1, base_);
-  for (Version v = from; v <= cc_; ++v) {
-    const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
-    // ctest(t, t') (Algorithm 2, lines 46-47): a local transaction must
-    // not have read anything a later-serialized transaction wrote; a
-    // global transaction must additionally not write anything a
-    // later-serialized transaction read, so that cross-partition delivery
-    // orders cannot matter (Section III-B).
-    if (t.readset.intersects(s.write_keys)) return true;
-    if (t.is_global() && t.write_keys.intersects(s.readset)) return true;
+  if (!parallel()) {
+    // The serial model's single lane is the full-set window; aux is the
+    // window depth certified against.
+    const std::uint64_t depth = st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st);
+    return lane_vote(window_, t.readset, t.write_keys, t.is_global(), st, depth);
   }
-  return false;
-}
-
-bool Certifier::indexed_conflict(const PartTx& t, Version st) const {
-  if (st >= cc_) return false;  // nothing serialized after the snapshot
-  // Component A: rs(t) vs the write keys of every slot in (st, cc]. Write
-  // keys are always exact, so the last-writer index covers every slot; a
-  // bloom probe readset cannot drive key probes and falls back to the
-  // scan for this component.
-  if (t.readset.is_bloom() && !t.readset.empty()) {
-    const Version from = std::max(st + 1, base_);
-    for (Version v = from; v <= cc_; ++v) {
-      if (t.readset.intersects(slots_[static_cast<std::size_t>(v - base_)].write_keys)) {
-        return true;
-      }
-    }
-  } else {
-    if (index_.reads_conflict(t.readset, st)) return true;
-    const auto& bws = index_.bloom_write_versions();
-    for (auto it = std::upper_bound(bws.begin(), bws.end(), st); it != bws.end(); ++it) {
-      if (t.readset.intersects(slots_[static_cast<std::size_t>(*it - base_)].write_keys)) {
-        return true;
-      }
-    }
-  }
-  if (!t.is_global()) return false;
-  // Component B: ws(t) vs the readsets of slots in (st, cc] (Section
-  // III-B). Slots carrying bloom readsets cannot be key-indexed — scan
-  // only that suffix, preserving ablation_bloom semantics.
-  if (t.write_keys.is_bloom() && !t.write_keys.empty()) {
-    const Version from = std::max(st + 1, base_);
-    for (Version v = from; v <= cc_; ++v) {
-      if (t.write_keys.intersects(slots_[static_cast<std::size_t>(v - base_)].readset)) {
-        return true;
-      }
-    }
-    return false;
-  }
-  if (index_.writes_conflict(t.write_keys, st)) return true;
-  const auto& brs = index_.bloom_read_versions();
-  for (auto it = std::upper_bound(brs.begin(), brs.end(), st); it != brs.end(); ++it) {
-    if (t.write_keys.intersects(slots_[static_cast<std::size_t>(*it - base_)].readset)) {
+  // P-DUR: each home lane votes on its projection of t (aux = the lane); a
+  // lane holding nothing after st has nothing to vote on.
+  for (pdur::CoreId c : cores) {
+    const storage::CommitWindow& lane = lanes_[c];
+    if (lane.empty() || lane.newest() <= st) continue;
+    if (lane_vote(lane, part_.project(t.readset, c), part_.project(t.write_keys, c),
+                  t.is_global(), st, c)) {
       return true;
     }
   }
   return false;
-}
-
-bool Certifier::has_conflict(const PartTx& t, Version st) const {
-  const bool indexed = indexed_conflict(t, st);
-  // The index must reproduce the scan verdict bit for bit — same boolean
-  // on every delivery, or replicas running different strategies would
-  // diverge. Audit builds re-run the legacy scan in place.
-  SDUR_AUDIT_CHECK("certifier", "index-scan-equivalence", indexed == scan_conflict(t, st),
-                   "indexed certification verdict " << (indexed ? "conflict" : "clear")
-                                                    << " for tx " << t.id << " (st=" << st
-                                                    << ", window [" << base_ << ", " << cc_
-                                                    << "]) diverges from the window scan");
-  return indexed;
 }
 
 Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uint64_t dc) {
@@ -99,42 +68,24 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   // partition) serializes after everything certified so far; cc_ is
   // deterministic at a given delivery, unlike the stable prefix.
   const Version st = t.snapshot < 0 ? cc_ : t.snapshot;
-  if (st + 1 < base_) {
+  if (!window_.covers(st)) {
     result.stale_snapshot = true;
     return result;  // abort: snapshot predates the certification window
   }
-  if (parallel()) {
-    result.cores = window_->partitioner().home_cores(t.readset, t.write_keys);
-    if (!test_skip_conflict_check_ &&
-        window_->conflicts(t.readset, t.write_keys, t.is_global(), result.cores, st)) {
-      // The per-core decomposition must reach the exact verdict of the
-      // serial scan — P-DUR's correctness argument (a key is homed on
-      // exactly one core, so the union of per-core intersections equals
-      // the full intersection).
-      SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence", has_conflict(t, st),
-                       "parallel certifier aborts tx " << t.id << " (st=" << st
-                                                       << ") but serial scan finds no conflict");
-      return result;  // abort
-    }
-    if (!test_skip_conflict_check_) {
-      SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence", !has_conflict(t, st),
-                       "parallel certifier commits tx " << t.id << " (st=" << st
-                                                        << ") but serial scan finds a conflict");
-    }
-  } else if (!test_skip_conflict_check_) {
-    // Which strategy serves this check mirrors indexed_conflict: a bloom
-    // probe set (or, for globals, a bloom write-key set) forces the window
-    // scan for that component; otherwise the key index answers. aux is the
-    // window depth actually certified against.
-    SDUR_TRACE_STMT({
-      const bool scans = (t.readset.is_bloom() && !t.readset.empty()) ||
-                         (t.is_global() && t.write_keys.is_bloom() && !t.write_keys.empty());
-      const std::uint64_t depth = st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st);
-      SDUR_TRACE_CONTEXT_INSTANT(scans ? trace::Point::kCertScanFallback
-                                       : trace::Point::kCertIndexProbe,
-                                 depth);
-    });
-    if (has_conflict(t, st)) return result;  // abort
+  if (parallel()) result.cores = part_.home_cores(t.readset, t.write_keys);
+  if (!test_skip_conflict_check_) {
+    const bool conflict = lanes_conflict(t, st, result.cores);
+    // The per-core decomposition must reach the exact verdict of the
+    // full-set window — P-DUR's correctness argument (a key is homed on
+    // exactly one core, so the union of per-core intersections equals the
+    // full intersection).
+    SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence",
+                     !parallel() ||
+                         conflict == window_.conflicts(t.readset, t.write_keys, t.is_global(), st),
+                     "parallel certifier " << (conflict ? "aborts" : "commits") << " tx " << t.id
+                                           << " (st=" << st << ") but the full-set window "
+                                           << (conflict ? "finds no" : "finds a") << " conflict");
+    if (conflict) return result;  // abort
   }
 
   std::size_t position;
@@ -170,10 +121,10 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   result.position = position;
   result.reordered = position < pl_.size();
   result.version = ++cc_;
-  slots_.push_back(Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
-  index_.insert(result.version, t.readset, t.write_keys);
+  Slot slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys};
+  lanes_push(result.version, slot, result.cores);
+  window_.push(result.version, std::move(slot));
   unresolved_insert(result.version, t.write_keys);
-  if (parallel()) window_->insert(result.version, t.readset, t.write_keys, result.cores);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
              PendingEntry{t, rt, result.version, 0, 0, false, true});
   pending_ids_.insert(t.id);
@@ -181,14 +132,13 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // Park gate first (the new entry must not probe its own writes), then
     // register the entry's write keys in the pending-write index.
     if (!t.is_global()) park_on_insert(position, t, result);
-    pending_ws_.insert(result.version, util::KeySet(), t.write_keys);
-    if (parallel()) window_->pending_insert(result.version, t.write_keys);
+    pending_insert(result.version, t.write_keys);
   }
   // The window holds exactly one slot per assigned version in [base, cc]:
   // a gap would let a conflicting transaction escape certification.
   SDUR_AUDIT_CHECK("certifier", "window-contiguous",
-                   base_ + static_cast<Version>(slots_.size()) - 1 == cc_,
-                   "window [" << base_ << ", " << cc_ << "] holds " << slots_.size()
+                   window_.base() + static_cast<Version>(window_.size()) - 1 == cc_,
+                   "window [" << window_.base() << ", " << cc_ << "] holds " << window_.size()
                               << " slots after certifying tx " << t.id);
   return result;
 }
@@ -203,13 +153,20 @@ PendingEntry Certifier::pop_head() {
 
 // --- Out-of-order local commit (cfg.ooo_bypass) -------------------------------
 
-bool Certifier::pending_writes_conflict(const PartTx& t) const {
-  // O(sets) existence probe with snapshot 0: versions start at 1, so "some
-  // indexed pending writer newer than 0" is exactly "some pending entry
-  // writes a probed key". Pending write keys are always exact, so the
-  // index's bloom suffixes stay empty and no fallback scan is needed here.
-  return pending_ws_.reads_conflict(t.readset, 0) ||
-         pending_ws_.reads_conflict(t.write_keys, 0);
+void Certifier::pending_insert(Version v, const util::KeySet& write_keys) {
+  window_.pending_insert(v, write_keys);
+  for (pdur::CoreId c = 0; c < lanes_.size(); ++c) {
+    const util::KeySet ws_c = part_.project(write_keys, c);
+    if (!ws_c.empty()) lanes_[c].pending_insert(v, ws_c);
+  }
+}
+
+void Certifier::pending_evict(Version v, const util::KeySet& write_keys) {
+  window_.pending_evict(v, write_keys);
+  for (pdur::CoreId c = 0; c < lanes_.size(); ++c) {
+    const util::KeySet ws_c = part_.project(write_keys, c);
+    if (!ws_c.empty()) lanes_[c].pending_evict(v, ws_c);
+  }
 }
 
 Version Certifier::park_bound(std::size_t position, const PartTx& t) const {
@@ -236,23 +193,28 @@ Version Certifier::park_bound(std::size_t position, const PartTx& t) const {
 }
 
 void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& result) {
-  bool hit;
-  if (t.readset.is_bloom() && !t.readset.empty()) {
-    // A bloom probe readset cannot drive key probes; treat it as a hit and
-    // let the exact bound decide (mirrors the certification fallback).
-    hit = true;
-  } else if (parallel()) {
-    hit = window_->pending_writes_conflict(t.readset, t.write_keys, result.cores);
-    // The per-lane decomposition must reproduce the serial pending probe —
-    // a key is homed on exactly one core, so the union of lane hits equals
-    // the full-index hit.
+  // Gate trigger: does t read or write a key some pending entry will still
+  // write? Over-approximate (it also hits on rs(t) vs pending-local
+  // writes); park_bound is authoritative. A bloom probe readset cannot
+  // drive key probes; treat it as a hit and let the exact bound decide
+  // (mirrors the certification fallback).
+  bool hit = storage::CommitWindow::scans(t.readset);
+  if (!hit && !parallel()) {
+    hit = window_.pending_conflicts(t.readset, t.write_keys);
+  } else if (!hit) {
+    // Each home lane probes with the full sets: a lane's pending index only
+    // holds keys homed on it, so foreign probe keys miss by construction.
+    hit = std::any_of(result.cores.begin(), result.cores.end(), [&](pdur::CoreId c) {
+      return lanes_[c].pending_conflicts(t.readset, t.write_keys);
+    });
+    // The per-lane decomposition must reproduce the full-set probe — a key
+    // is homed on exactly one core, so the union of lane hits equals the
+    // full-index hit.
     SDUR_AUDIT_CHECK("pdur", "bypass-gate-equivalence",
-                     hit == pending_writes_conflict(t),
+                     hit == window_.pending_conflicts(t.readset, t.write_keys),
                      "per-lane pending-write probe for tx "
                          << t.id << " (" << (hit ? "hit" : "clear")
-                         << ") diverges from the serial pending-write index");
-  } else {
-    hit = pending_writes_conflict(t);
+                         << ") diverges from the full-set pending-write index");
   }
   // The trigger over-approximates the bound (it also hits on rs(t) vs
   // pending-local writes) but must cover it: a missed hit with a nonzero
@@ -268,8 +230,7 @@ void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& re
 void Certifier::unpark_on_removal(const PendingEntry& e) {
   // Per-key eviction order stays ascending: the gate itself forbids a
   // newer pending writer of a key completing before an older one.
-  pending_ws_.evict(e.version, util::KeySet(), e.tx.write_keys);
-  if (parallel()) window_->pending_evict(e.version, e.tx.write_keys);
+  pending_evict(e.version, e.tx.write_keys);
   if (e.tx.is_global() && e.version > bypass_watermark_) bypass_watermark_ = e.version;
 }
 
@@ -295,8 +256,8 @@ void Certifier::park_rebuild() {
   // restored pending list, so every replica recomputes identical state.
   // The watermark restarts at 0: completed globals left the list before
   // the checkpoint, so no restored local still waits on one.
-  pending_ws_.clear();
-  if (parallel()) window_->pending_clear();
+  window_.pending_clear();
+  for (storage::CommitWindow& lane : lanes_) lane.pending_clear();
   bypass_watermark_ = 0;
   // The pending-write index wants version-ascending inserts; pl_ is in
   // delivery/reorder order (leaped locals sit ahead of smaller versions).
@@ -304,10 +265,7 @@ void Certifier::park_rebuild() {
   for (std::size_t i = 0; i < pl_.size(); ++i) by_version[i] = i;
   std::sort(by_version.begin(), by_version.end(),
             [this](std::size_t a, std::size_t b) { return pl_[a].version < pl_[b].version; });
-  for (std::size_t i : by_version) {
-    pending_ws_.insert(pl_[i].version, util::KeySet(), pl_[i].tx.write_keys);
-    if (parallel()) window_->pending_insert(pl_[i].version, pl_[i].tx.write_keys);
-  }
+  for (std::size_t i : by_version) pending_insert(pl_[i].version, pl_[i].tx.write_keys);
   for (std::size_t i = 0; i < pl_.size(); ++i) {
     PendingEntry& e = pl_[i];
     e.park_until = e.tx.is_global() ? 0 : park_bound(i, e.tx);
@@ -328,18 +286,18 @@ void Certifier::resolve(const PendingEntry& entry, bool committed) {
 }
 
 void Certifier::resolve(Version v, [[maybe_unused]] TxId owner, bool committed) {
-  if (v < base_ || v > cc_) return;
-  Slot& target = slots_[static_cast<std::size_t>(v - base_)];
+  const Slot* target = slot(v);
+  if (target == nullptr) return;
   // A slot is resolved exactly once, by the transaction that owns it.
-  SDUR_AUDIT_CHECK("certifier", "resolve-once", target.status == SlotStatus::kPending,
+  SDUR_AUDIT_CHECK("certifier", "resolve-once", target->status == SlotStatus::kPending,
                    "version " << v << " (tx " << owner << ") resolved twice");
-  SDUR_AUDIT_CHECK("certifier", "resolve-owner", target.txid == owner,
-                   "version " << v << " owned by tx " << target.txid << " resolved by tx "
+  SDUR_AUDIT_CHECK("certifier", "resolve-owner", target->txid == owner,
+                   "version " << v << " owned by tx " << target->txid << " resolved by tx "
                               << owner);
-  target.status = committed ? SlotStatus::kCommitted : SlotStatus::kAborted;
+  window_.set_status(v, committed ? SlotStatus::kCommitted : SlotStatus::kAborted);
   // Either way the slot no longer holds back its keys' read frontiers: a
   // committed write is applied, an aborted one never will be.
-  unresolved_erase(v, target.write_keys);
+  unresolved_erase(v, target->writeset);
   // Advance the stable prefix over contiguously resolved slots.
   SDUR_AUDIT(const Version stable_before = stable_);
   while (stable_ < cc_) {
@@ -354,28 +312,25 @@ void Certifier::resolve(Version v, [[maybe_unused]] TxId owner, bool committed) 
                    stable_ >= stable_before && stable_ <= cc_,
                    "stable prefix moved from " << stable_before << " to " << stable_
                                                << " (cc=" << cc_ << ")");
-  // Evict old resolved slots beyond the window capacity.
-  while (slots_.size() > window_capacity_ && base_ <= stable_) {
-    const Slot& oldest = slots_.front();
-    index_.evict(base_, oldest.readset, oldest.write_keys);
-    slots_.pop_front();
-    ++base_;
-  }
-  if (parallel()) window_->evict_below(base_);
+  // Evict old resolved slots beyond the window capacity: the window keeps
+  // at least `window_capacity_` slots and every unresolved one.
+  window_.evict_below(std::min(stable_ + 1, cc_ + 1 - static_cast<Version>(window_capacity_)));
+  for (storage::CommitWindow& lane : lanes_) lane.evict_below(window_.base());
 }
 
 void Certifier::encode(util::Writer& w) const {
-  w.i64(base_);
+  w.i64(window_.base());
   w.i64(cc_);
   w.i64(stable_);
-  w.varint(slots_.size());
-  for (const Slot& s : slots_) {
+  w.varint(window_.size());
+  window_.scan_after(window_.base() - 1, [&w](Version, const Slot& s) {
     w.u64(s.txid);
     w.u8(s.global ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(s.status));
     s.readset.encode(w);
-    s.write_keys.encode(w);
-  }
+    s.writeset.encode(w);
+    return true;
+  });
   w.varint(pl_.size());
   for (const PendingEntry& e : pl_) {
     const util::Bytes tx = e.tx.encode();
@@ -386,10 +341,12 @@ void Certifier::encode(util::Writer& w) const {
 }
 
 void Certifier::install(util::Reader& r) {
-  base_ = r.i64();
+  const Version base = r.i64();
   cc_ = r.i64();
   stable_ = r.i64();
-  slots_.clear();
+  // The checkpoint carries the full keysets per slot; pushing them rebuilds
+  // the window's key index.
+  window_.clear(base);
   const std::uint64_t n = r.varint();
   for (std::uint64_t i = 0; i < n; ++i) {
     Slot s;
@@ -397,59 +354,63 @@ void Certifier::install(util::Reader& r) {
     s.global = r.u8() != 0;
     s.status = static_cast<SlotStatus>(r.u8());
     s.readset = util::KeySet::decode(r);
-    s.write_keys = util::KeySet::decode(r);
-    slots_.push_back(std::move(s));
+    s.writeset = util::KeySet::decode(r);
+    window_.push(base + static_cast<Version>(i), std::move(s));
   }
   pl_.clear();
   pending_ids_.clear();
   const std::uint64_t np = r.varint();
+  util::Bytes tx_bytes;
   for (std::uint64_t i = 0; i < np; ++i) {
-    const std::string tx_bytes = r.bytes();
+    r.bytes(tx_bytes);
     PendingEntry e;
-    e.tx = PartTx::decode(
-        util::Bytes(tx_bytes.begin(), tx_bytes.end()));
+    e.tx = PartTx::decode(tx_bytes);
     e.rt = r.u64();
     e.version = r.i64();
     pending_ids_.insert(e.tx.id);
     pl_.push_back(std::move(e));
   }
-  rebuild_window();
+  rebuild_lanes();
   if (ooo_bypass_) park_rebuild();
 }
 
-void Certifier::rebuild_window() {
-  // The checkpoint carries the full keysets per slot; the key index (and,
-  // in P-DUR mode, the per-core projections and home cores) are recomputed
-  // — a pure function of the keysets, so every replica rebuilds identical
-  // state.
-  index_.clear();
-  unresolved_ws_.clear();
-  unresolved_bloom_ws_.clear();
-  if (parallel()) window_->clear();
-  for (Version v = base_; v <= cc_; ++v) {
-    const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
-    index_.insert(v, s.readset, s.write_keys);
-    if (s.status == SlotStatus::kPending) unresolved_insert(v, s.write_keys);
-    if (parallel()) {
-      window_->insert(v, s.readset, s.write_keys,
-                      window_->partitioner().home_cores(s.readset, s.write_keys));
-    }
+void Certifier::lanes_push(Version v, const Slot& slot, const std::vector<pdur::CoreId>& cores) {
+  for (pdur::CoreId c : cores) {
+    Slot projected{slot.txid, slot.global, slot.status, part_.project(slot.readset, c),
+                   part_.project(slot.writeset, c)};
+    if (projected.readset.empty() && projected.writeset.empty()) continue;
+    lanes_[c].push(v, std::move(projected));
   }
 }
 
+void Certifier::rebuild_lanes() {
+  // The per-core projections and home cores and the unresolved-writer index
+  // are recomputed from the window's slots — a pure function of the
+  // keysets, so every replica rebuilds identical state.
+  unresolved_ws_.clear();
+  unresolved_bloom_ws_.clear();
+  for (storage::CommitWindow& lane : lanes_) lane.clear(window_.base());
+  window_.scan_after(window_.base() - 1, [this](Version v, const Slot& s) {
+    if (s.status == SlotStatus::kPending) unresolved_insert(v, s.writeset);
+    if (parallel()) lanes_push(v, s, part_.home_cores(s.readset, s.writeset));
+    return true;
+  });
+}
+
 void Certifier::reset() {
-  slots_.clear();
-  base_ = 1;
+  window_.clear(1);
+  window_.pending_clear();
+  for (storage::CommitWindow& lane : lanes_) {
+    lane.clear(1);
+    lane.pending_clear();
+  }
   cc_ = 0;
   stable_ = 0;
   pl_.clear();
   pending_ids_.clear();
-  index_.clear();
   unresolved_ws_.clear();
   unresolved_bloom_ws_.clear();
-  pending_ws_.clear();
   bypass_watermark_ = 0;
-  if (parallel()) window_->clear();
 }
 
 // --- Read frontier -------------------------------------------------------------
@@ -488,7 +449,7 @@ Version Certifier::read_frontier(Key k) const {
   }
   for (Version v : unresolved_bloom_ws_) {
     if (v > frontier) break;
-    if (slots_[static_cast<std::size_t>(v - base_)].write_keys.may_contain(k)) {
+    if (window_.find(v)->writeset.may_contain(k)) {
       frontier = v - 1;
       break;
     }
@@ -506,11 +467,13 @@ Version Certifier::read_frontier(Key k) const {
 
 Version Certifier::scan_frontier(Key k) const {
   // Every slot at or below stable is resolved, so the scan starts above it.
-  for (Version v = stable_ + 1; v <= cc_; ++v) {
-    const Slot& s = slots_[static_cast<std::size_t>(v - base_)];
-    if (s.status == SlotStatus::kPending && s.write_keys.may_contain(k)) return v - 1;
-  }
-  return cc_;
+  Version frontier = cc_;
+  window_.scan_after(stable_, [&](Version v, const Slot& s) {
+    if (s.status != SlotStatus::kPending || !s.writeset.may_contain(k)) return true;
+    frontier = v - 1;
+    return false;
+  });
+  return frontier;
 }
 
 }  // namespace sdur

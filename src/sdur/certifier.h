@@ -39,25 +39,30 @@
 // acknowledged) earlier but keeps its delivery-ordered version; this is
 // sound because reordering requires their read/write sets to be disjoint
 // in both directions, i.e. the two transactions commute.
-// P-DUR (src/pdur/, arXiv:1312.0742): constructed with cores > 1, the
-// certifier runs the parallel decomposition of the conflict check — every
-// core keeps a window over its own sub-partition of the keys and votes on
-// its slice; the transaction aborts iff any home core saw a conflict. The
-// decomposition is outcome-equivalent to the serial scan (a key lives on
-// exactly one core), version assignment stays on the shared
+//
+// ONE WINDOW (storage/commit_window.h). The slots live in a full-set
+// storage::CommitWindow, one record per assigned version, which also
+// holds the per-key index and the pending-write index. The serial model
+// certifies against it directly: it is the single lane. P-DUR
+// (arXiv:1312.0742), constructed with cores > 1, is the same check split
+// across cores: every core keeps another window holding the projections
+// of the versions that touched it, each home core votes on its slice,
+// and the transaction aborts iff any home lane saw a conflict. The
+// decomposition is outcome-equivalent to the full-set check (a key lives
+// on exactly one core), version assignment stays on the shared
 // delivery-ordered counter, and SDUR_AUDIT builds cross-check every
-// parallel verdict against the serial scan in place.
+// parallel verdict against the full-set window in place.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_set>
 #include <vector>
 
-#include "pdur/parallel_window.h"
+#include "pdur/core_partitioner.h"
 #include "sdur/transaction.h"
-#include "storage/cert_index.h"
+#include "storage/commit_window.h"
+#include "storage/flat_table.h"
 #include "util/bloom.h"
 
 namespace sdur {
@@ -89,18 +94,12 @@ struct PendingEntry {
 
 class Certifier {
  public:
-  enum class SlotStatus : std::uint8_t { kPending = 0, kCommitted = 1, kAborted = 2 };
+  using SlotStatus = storage::CommitStatus;
+  /// One certified transaction (a record of the full-set window), indexed
+  /// by its assigned version.
+  using Slot = storage::CommitRecord;
 
-  /// One certified transaction, indexed by its assigned version.
-  struct Slot {
-    TxId txid = 0;
-    bool global = false;
-    SlotStatus status = SlotStatus::kPending;
-    util::KeySet readset;
-    util::KeySet write_keys;
-  };
-
-  /// `cores > 1` switches certification to the P-DUR per-core windows;
+  /// `cores > 1` switches certification to the P-DUR per-core lanes;
   /// `cores == 1` (default) is the serial model, bit-identical to before.
   /// `ooo_bypass` arms the out-of-order local-commit gate (park bounds and
   /// the pending-write index); off (default) leaves every bypass structure
@@ -108,9 +107,9 @@ class Certifier {
   explicit Certifier(std::size_t window_capacity, std::uint32_t cores = 1,
                      bool ooo_bypass = false)
       : window_capacity_(window_capacity == 0 ? 1 : window_capacity),
-        ooo_bypass_(ooo_bypass) {
-    if (cores > 1) window_ = std::make_unique<pdur::ParallelWindow>(cores);
-  }
+        ooo_bypass_(ooo_bypass),
+        part_(cores),
+        lanes_(part_.cores() > 1 ? part_.cores() : 0, storage::CommitWindow(1)) {}
 
   struct Result {
     Outcome outcome = Outcome::kAbort;
@@ -197,9 +196,9 @@ class Certifier {
   /// True if a snapshot is still coverable by the window. Written without
   /// `st + 1` so st == INT64_MAX cannot overflow.
   bool covers(Version st) const {
-    return slots_.empty() || (st < 0 ? stable_ : st) >= base_ - 1;
+    return window_.empty() || window_.covers(st < 0 ? stable_ : st);
   }
-  std::size_t window_size() const { return slots_.size(); }
+  std::size_t window_size() const { return window_.size(); }
 
   /// Slot accessor for tests (version must be in (base-1, cc]).
   const Slot* slot(Version v) const;
@@ -228,19 +227,23 @@ class Certifier {
   void reset();
 
   /// P-DUR mode (cores > 1 at construction).
-  bool parallel() const { return window_ != nullptr; }
+  bool parallel() const { return !lanes_.empty(); }
 
  private:
-  /// Indexed conflict verdict (audit builds cross-check it against
-  /// scan_conflict in place).
-  bool has_conflict(const PartTx& t, Version st) const;
-  /// The legacy O(window) scan — the reference the index must match.
-  bool scan_conflict(const PartTx& t, Version st) const;
-  /// Indexed strategy: key probes + bloom-suffix scan over slots_.
-  bool indexed_conflict(const PartTx& t, Version st) const;
-  /// Rebuilds the per-core lanes, the key index and the unresolved-writer
-  /// index from slots_ (after install()).
-  void rebuild_window();
+  /// The certification verdict for `t` at snapshot `st`: the full-set
+  /// window's check in the serial model, else one vote per home lane in
+  /// `cores` (true iff any lane saw a conflict).
+  bool lanes_conflict(const PartTx& t, Version st, const std::vector<pdur::CoreId>& cores) const;
+  /// Inserts the projections of slot `v` into its home lanes `cores`
+  /// (none in the serial model).
+  void lanes_push(Version v, const Slot& slot, const std::vector<pdur::CoreId>& cores);
+  /// Registers / unregisters pending version `v`'s write keys in the
+  /// pending-write index of the window and of every lane they touch.
+  void pending_insert(Version v, const util::KeySet& write_keys);
+  void pending_evict(Version v, const util::KeySet& write_keys);
+  /// Rebuilds the lanes and the unresolved-writer index from the window's
+  /// slots (after install()).
+  void rebuild_lanes();
 
   // --- Read frontier internals ---------------------------------------------
   /// The reference read_frontier() must match: a scan of (stable, cc] for
@@ -253,12 +256,6 @@ class Certifier {
   void unresolved_erase(Version v, const util::KeySet& write_keys);
 
   // --- Out-of-order local commit internals --------------------------------
-  /// Bypass gate trigger: O(sets) probe of the pending-write index — does
-  /// `t` read or write a key some pending entry will still write? A bloom
-  /// probe readset cannot drive key probes; the caller treats it as a hit
-  /// and lets park_bound decide. Over-approximate (it also hits on
-  /// rs(t) vs pending-local writes); park_bound is authoritative.
-  bool pending_writes_conflict(const PartTx& t) const;
   /// Exact park bound for a local inserted at `position`: the largest
   /// version among conflicting pending entries ahead (globals contribute
   /// their version; write-conflicting locals their own park bound). 0 =
@@ -280,34 +277,30 @@ class Certifier {
   /// Out-of-order local commit armed (cfg.ooo_bypass). When false, no
   /// bypass structure is ever touched — the legacy paths are bit-identical.
   bool ooo_bypass_ = false;
-  std::deque<Slot> slots_;  // slot for version v at index v - base_
-  Version base_ = 1;        // version of slots_.front()
-  Version cc_ = 0;          // last assigned version
-  Version stable_ = 0;      // resolved prefix
+  /// The full-set window: one slot per assigned version in [base, cc],
+  /// the per-key index over them, and (under ooo_bypass_) the pending-write
+  /// index over pl_. The serial model's only lane; the P-DUR audit
+  /// reference.
+  storage::CommitWindow window_{1};
+  pdur::CorePartitioner part_;
+  /// P-DUR per-core lanes (empty in the serial model): projections of the
+  /// window's slots and of its pending writes, rebuilt from it on install().
+  std::vector<storage::CommitWindow> lanes_;
+  Version cc_ = 0;      // last assigned version
+  Version stable_ = 0;  // resolved prefix
   std::deque<PendingEntry> pl_;
   /// Ids of the entries in pl_, mirrored on every insert/pop/install/reset.
   std::unordered_set<TxId> pending_ids_;
-  /// Per-key last-writer / last-reader index over slots_, maintained on
-  /// certification and eviction (see storage/cert_index.h).
-  storage::CertIndex index_;
   /// Read frontier: per key, the versions (ascending) of the unresolved
-  /// slots writing it. Probe-only, like index_ — never iterated, so hash
-  /// order cannot leak. A key's entry is erased once its last unresolved
-  /// writer resolves.
+  /// slots writing it. Probe-only, like the window's index — never
+  /// iterated, so hash order cannot leak. A key's entry is erased once its
+  /// last unresolved writer resolves.
   storage::FlatTable<std::vector<Version>> unresolved_ws_;
   /// Unresolved slots whose write keys are bloom-encoded (ascending): they
   /// cannot be key-indexed and are probed with may_contain().
   std::vector<Version> unresolved_bloom_ws_;
-  /// Bypass gate: newest pending writer per key over pl_ (readset slots
-  /// unused — inserted empty). Maintained on certification and on every
-  /// pending-list removal; rebuilt (version-ascending) on install. Only
-  /// touched when ooo_bypass_ is set.
-  storage::CertIndex pending_ws_;
   /// Version of the newest completed global (see bypass_watermark()).
   Version bypass_watermark_ = 0;
-  /// P-DUR per-core windows; null in the serial model. Mirrors slots_
-  /// (projected per core), rebuilt from it on install().
-  std::unique_ptr<pdur::ParallelWindow> window_;
 };
 
 }  // namespace sdur

@@ -331,8 +331,8 @@ void Server::process_delivery(PartTx t) {
       Outcome vote = Outcome::kAbort;
       Certifier::Result res;
       SDUR_AUDIT(Version audit_version = 0);
-      // Certifier and ParallelWindow attribute their conflict-check
-      // instants to this delivery via the tracer context.
+      // The Certifier attributes its per-lane conflict-check instants to
+      // this delivery via the tracer context.
       SDUR_TRACE_SET_CONTEXT(trace_track_, t.id, now());
       if (!poisoned_.contains(t.id)) {
         res = cert_.process(t, rt, dc_);

@@ -33,14 +33,16 @@
 // the window drops its oldest record (the evicted record's sets are
 // re-presented, so a key's entry is erased exactly when its newest
 // reader/writer leaves the window), clear()+reinsert on checkpoint
-// install. Consumers (sdur::Certifier, storage::CommitWindow, the P-DUR
-// pdur::ParallelWindow lanes) compose these pieces and cross-check the
-// result against the legacy scan under SDUR_AUDIT
-// ("index-scan-equivalence").
+// install. Its one consumer, storage::CommitWindow (commit_window.h),
+// composes these pieces into the certification check and cross-checks the
+// result against the reference scan under SDUR_AUDIT
+// ("index-scan-equivalence"); sdur::Certifier certifies against such
+// windows (the full-set window, or one per P-DUR core), and each window
+// also keeps a second instance over the pending writes.
 //
 // DETERMINISM. The index is probe-only: no operation iterates the hash
-// table (tools/lint_determinism.py rule cert-index-iteration), so hash
-// order cannot leak into verdicts. The bloom suffix lists are kept in
+// table (tools/analyze rule cert-index-iteration), so hash order cannot
+// leak into verdicts. The bloom suffix lists are kept in
 // version order by construction.
 #pragma once
 

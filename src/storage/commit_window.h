@@ -1,32 +1,41 @@
-// Certification window: the recent committed-transaction list "DB" of
-// Algorithm 2.
+// Certification window: the recent certified-transaction list "DB" of
+// Algorithm 2, and the one structure every certification runs against.
 //
-// Certifying a delivered transaction t compares it against every
-// transaction committed after t's snapshot (DB[t.st[p]..SC]). Servers only
-// keep the last `capacity` records (the paper's prototype keeps the last K
-// bloom filters); a transaction whose snapshot predates the window can no
-// longer be certified and must abort.
+// Certifying a delivered transaction t compares it against every record
+// serialized after t's snapshot (DB[t.st..SC]). Records store both the
+// readset and writeset (as exact or bloom KeySets): local certification
+// needs the writesets, global certification additionally intersects
+// against the readsets (Section III-B).
 //
-// Records store both the readset and writeset (as exact or bloom KeySets):
-// local certification needs committed writesets, global certification
-// additionally intersects against committed readsets (Section III-B).
+// USERS. sdur::Certifier keeps one full-set window whose records carry its
+// slot metadata (txid, global, status), one record per assigned version —
+// contiguous, which the Certifier audits ("window-contiguous"). Serial
+// certification (one core) runs against that window directly. With P-DUR
+// (K > 1 cores, arXiv:1312.0742) every core keeps another window holding
+// only the projections of the versions that touched it: records ascend by
+// version, with gaps where a version did not touch the core. Lookups by
+// version are O(1) on a contiguous window and a binary search on a gapped
+// one.
 //
-// STORAGE. Records live in a ring-buffer arena sized to the capacity:
-// eviction recycles the oldest slot in place for the incoming record
-// instead of churning deque nodes, so a saturated window performs zero
-// container allocations per push.
+// BASE. base() is the window's floor: every record has version >= base,
+// and every record pushed below it was evicted. covers(st) asks whether a
+// snapshot st still sees every record serialized after it.
 //
 // CONFLICT CHECKS. conflicts() answers the certification question through
 // the per-key CertIndex (storage/cert_index.h) — O(|rs| + |ws|) probes
 // plus a scan of only the bloom-encoded suffix — with an SDUR_AUDIT
-// cross-check against the legacy full scan. conflicts_scan() and
-// conflicts_indexed() expose the two strategies separately for the
-// equivalence property tests and bench/cert_perf.
+// cross-check against the reference full scan, conflicts_scan().
+// conflicts_indexed() exposes the indexed strategy alone for
+// bench/cert_perf.
+//
+// PENDING WRITES. A second CertIndex holds the write keys of the
+// still-pending transactions (the out-of-order local-commit gate): an
+// existence probe answers "will some pending transaction still write a key
+// this transaction reads or writes?".
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <deque>
 
 #include "audit/audit.h"
 #include "storage/cert_index.h"
@@ -35,101 +44,121 @@
 
 namespace sdur::storage {
 
+/// Resolution state of a certified transaction (only the Certifier's
+/// full-set window tracks it).
+enum class CommitStatus : std::uint8_t { kPending = 0, kCommitted = 1, kAborted = 2 };
+
 struct CommitRecord {
   std::uint64_t txid = 0;
   bool global = false;
+  CommitStatus status = CommitStatus::kPending;
   util::KeySet readset;
   util::KeySet writeset;
 };
 
 class CommitWindow {
  public:
-  explicit CommitWindow(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {}
+  explicit CommitWindow(Version base = 0) : base_(base) {}
 
-  /// Appends the record for the commit that produced snapshot `version`.
-  /// Versions must be pushed in strictly increasing order.
+  /// Appends the record serialized at `version`. Versions must ascend
+  /// (gaps allowed) and may not predate base(); a push that does not
+  /// ascend throws std::logic_error.
   void push(Version version, CommitRecord rec);
 
-  /// Oldest / newest record versions in the window (0 if empty).
-  Version oldest() const { return count_ == 0 ? 0 : base_; }
-  Version newest() const {
-    return count_ == 0 ? 0 : base_ + static_cast<Version>(count_) - 1;
-  }
+  /// Drops every record with version < `base` and raises base() to it (a
+  /// lower `base` is a no-op).
+  void evict_below(Version base);
 
-  /// True if a transaction with snapshot `st` can still be certified, i.e.
-  /// every commit record in (st, newest] is in the window. Written without
-  /// `st + 1` so st == INT64_MAX cannot overflow.
-  bool covers(Version st) const { return count_ == 0 || st >= base_ - 1; }
+  /// Drops every record and resets the base (checkpoint install). The
+  /// pending-write index is left alone: see pending_clear().
+  void clear(Version base);
 
-  /// Invokes `fn(record)` for every commit with version in (st, newest],
-  /// stopping early if `fn` returns false. Returns false if it stopped
-  /// early, true otherwise. Precondition: covers(st) — violating it is an
-  /// audit violation (the scan then starts at the window base, silently
-  /// exempting the evicted records).
+  bool empty() const { return records_.empty(); }
+  std::size_t size() const { return records_.size(); }
+  Version base() const { return base_; }
+  /// Oldest / newest record versions (0 if empty).
+  Version oldest() const { return empty() ? 0 : records_.front().version; }
+  Version newest() const { return empty() ? 0 : records_.back().version; }
+
+  /// True if a transaction with snapshot `st` can still be certified: no
+  /// record serialized after `st` was evicted. Written without `st + 1` so
+  /// st == INT64_MAX cannot overflow.
+  bool covers(Version st) const { return st >= base_ - 1; }
+
+  /// The record at `version`, or nullptr if the window holds none there.
+  const CommitRecord* find(Version version) const;
+  /// Sets the status of the record at `version` (which must exist).
+  void set_status(Version version, CommitStatus status);
+
+  /// Invokes `fn(version, record)` for every record with version > st in
+  /// ascending order, stopping early if `fn` returns false. Returns false
+  /// if it stopped early, true otherwise. Precondition: covers(st) —
+  /// violating it is an audit violation (the evicted records are silently
+  /// exempt from the scan).
   template <typename Fn>
   bool scan_after(Version st, Fn&& fn) const {
-    if (count_ == 0 || st >= newest()) return true;
-    // st < newest <= INT64_MAX, so st + 1 cannot overflow here.
-    Version from = st + 1;
-    SDUR_AUDIT_CHECK("storage", "scan-covers-precondition", from >= base_,
+    if (empty() || st >= newest()) return true;
+    SDUR_AUDIT_CHECK("storage", "scan-covers-precondition", covers(st),
                      "scan_after(st=" << st << ") predates window base " << base_
                                       << ": evicted commits are exempt from this scan");
-    if (from < base_) from = base_;
-    for (Version v = from; v <= newest(); ++v) {
-      if (!fn(at(v))) return false;
+    // st < newest <= INT64_MAX, so st + 1 cannot overflow here.
+    const auto from = records_.begin() + static_cast<std::ptrdiff_t>(lower_index(st + 1));
+    for (auto it = from; it != records_.end(); ++it) {
+      if (!fn(it->version, it->rec)) return false;
     }
     return true;
   }
 
   /// Certification conflict check for a transaction with readset `rs`,
-  /// writeset `ws` and snapshot `st`: true iff some record in (st, newest]
-  /// wrote a key in `rs`, or — for a global transaction — read a key in
-  /// `ws` (Section III-B). Indexed; audit builds cross-check the verdict
-  /// against the legacy scan. Precondition: covers(st).
-  bool conflicts(const util::KeySet& rs, const util::KeySet& ws, bool global, Version st) const {
-    const bool indexed = conflicts_indexed(rs, ws, global, st);
-    SDUR_AUDIT_CHECK("storage", "index-scan-equivalence",
-                     indexed == conflicts_scan(rs, ws, global, st),
-                     "indexed certification verdict " << (indexed ? "conflict" : "clear")
-                                                      << " diverges from window scan (st=" << st
-                                                      << ", window [" << oldest() << ", "
-                                                      << newest() << "])");
-    return indexed;
-  }
+  /// writeset `ws` and snapshot `st`: true iff some record with version
+  /// > st wrote a key in `rs`, or — for a global transaction — read a key
+  /// in `ws` (Section III-B). Indexed; audit builds cross-check the verdict
+  /// against conflicts_scan(). Precondition: covers(st).
+  bool conflicts(const util::KeySet& rs, const util::KeySet& ws, bool global, Version st) const;
 
-  /// The legacy strategy: full scan of (st, newest].
+  /// The reference strategy: a full scan of the records after `st`.
   bool conflicts_scan(const util::KeySet& rs, const util::KeySet& ws, bool global,
-                      Version st) const {
-    bool hit = false;
-    scan_after(st, [&](const CommitRecord& r) {
-      if (rs.intersects(r.writeset) || (global && ws.intersects(r.readset))) {
-        hit = true;
-        return false;
-      }
-      return true;
-    });
-    return hit;
-  }
+                      Version st) const;
 
   /// The indexed strategy: key probes plus a scan over only the
   /// bloom-encoded suffix (bit-identical verdict to conflicts_scan).
   bool conflicts_indexed(const util::KeySet& rs, const util::KeySet& ws, bool global,
                          Version st) const;
 
-  std::size_t size() const { return count_; }
+  /// True when a probe set cannot drive key probes (a non-empty bloom
+  /// set), so its component of the check falls back to the window scan.
+  static bool scans(const util::KeySet& probe) { return probe.is_bloom() && !probe.empty(); }
+
   const CertIndex& index() const { return index_; }
 
- private:
-  const CommitRecord& at(Version v) const {
-    return ring_[(head_ + static_cast<std::size_t>(v - base_)) % ring_.size()];
-  }
+  // --- Pending writes (out-of-order local commit) -------------------------
+  /// Registers / unregisters the write keys of pending version `v`.
+  /// Versions are inserted ascending; evicted in the order the pending
+  /// transactions complete (ascending per key). Write keys are exact.
+  void pending_insert(Version v, const util::KeySet& write_keys);
+  void pending_evict(Version v, const util::KeySet& write_keys);
+  void pending_clear();
+  /// True iff some pending transaction writes a key of `rs` or `ws` (both
+  /// exact: a bloom readset cannot drive key probes, callers treat it as a
+  /// hit). Probe keys the index does not hold miss, so a window holding a
+  /// projection can be probed with the full sets.
+  bool pending_conflicts(const util::KeySet& rs, const util::KeySet& ws) const;
 
-  std::size_t capacity_;
-  std::vector<CommitRecord> ring_;  // arena; slot i reused as the window slides
-  std::size_t head_ = 0;            // ring index of the oldest record
-  std::size_t count_ = 0;
-  Version base_ = 0;  // version of the oldest record
+ private:
+  struct Entry {
+    Version version = 0;
+    CommitRecord rec;
+  };
+
+  /// Index of the first record with version >= `v` (size() if none).
+  std::size_t lower_index(Version v) const;
+  /// The record at `v`, which must exist.
+  const CommitRecord& at(Version v) const { return records_[lower_index(v)].rec; }
+
+  std::deque<Entry> records_;  // version-ascending
+  Version base_;
   CertIndex index_;
+  CertIndex pending_;  // write keys of the pending transactions (readsets empty)
 };
 
 }  // namespace sdur::storage

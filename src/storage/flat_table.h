@@ -13,9 +13,10 @@
 // order that depends on insertion history and must never leak into
 // protocol decisions or serialized state. Callers either sort what they
 // collect (MVStore::encode) or perform provably order-insensitive per-key
-// mutations (MVStore::gc). The certification index (cert_index.h) never
-// iterates at all — probes only — and tools/lint_determinism.py enforces
-// that (rule cert-index-iteration).
+// mutations (MVStore::gc). The certification index (cert_index.h) and
+// the window holding it (commit_window.h) never iterate at all — probes
+// only — and the static analyzer (tools/analyze, rule
+// cert-index-iteration) enforces that.
 #pragma once
 
 #include <cstdint>

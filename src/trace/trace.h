@@ -157,8 +157,8 @@ class Tracer {
 
   // --- Delivery context ----------------------------------------------------
   // The server sets the context while certifying a delivery so layers
-  // without a track id in their signatures (Certifier, ParallelWindow
-  // lanes) can attribute instants without widening any call chain.
+  // without a track id in their signatures (the Certifier's lane votes)
+  // can attribute instants without widening any call chain.
 
   void set_context(std::uint32_t track, std::uint64_t id, sim::Time t) {
     context_track_ = track;

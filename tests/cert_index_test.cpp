@@ -3,10 +3,13 @@
 //
 //  * CertIndex units: last-writer/last-reader tracking, eviction erasing
 //    exactly the entries whose newest owner left the window.
-//  * Randomized property: over chaotic histories of commit records (exact,
-//    bloom and mixed-mode windows, eviction pressure), every probe's
-//    indexed verdict equals the scan verdict bit for bit — via the public
-//    CommitWindow conflicts_scan()/conflicts_indexed() split.
+//  * Randomized property over the one certification window
+//    (storage::CommitWindow): for exact, bloom and mixed sets and 1/4/8
+//    cores, a contiguous full-set window and the gapped per-core lanes
+//    holding its projections answer every probe exactly like a brute-force
+//    reference — indexed, scanned, and through the audited conflicts() —
+//    under eviction and clear()+reinsert rebuilds; and a Certifier at the
+//    same core count certifies exactly what the reference decides.
 //  * Certifier chaos: a continuously-running certifier and one that is
 //    round-tripped through encode()/install() (index rebuilt from the
 //    checkpoint) stay verdict-identical; the in-place audit cross-check
@@ -14,9 +17,6 @@
 //  * Read frontier: the certifier's unresolved-writer index matches a
 //    model scan under out-of-order resolution and install, and a value
 //    served at a key's frontier never changes afterwards.
-//  * P-DUR lanes: the per-lane sub-indexes at 1/4/8 cores reproduce the
-//    serial full-set reference, with eviction and clear()+reinsert
-//    (checkpoint-install rebuild) in the loop.
 //  * Golden digest: an end-to-end simulated run (serial+bloom and P-DUR
 //    multi-core) digests replica state against pinned constants — the
 //    indexed engine must not change any simulated result.
@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "audit/auditor.h"
-#include "pdur/parallel_window.h"
+#include "pdur/core_partitioner.h"
 #include "sdur/certifier.h"
 #include "storage/cert_index.h"
 #include "storage/commit_window.h"
@@ -99,56 +99,6 @@ util::KeySet make_set(std::mt19937_64& rng, Mode mode, std::uint64_t key_space,
   return util::KeySet::exact(std::move(ks));
 }
 
-class CommitWindowProperty : public ::testing::TestWithParam<Mode> {};
-
-TEST_P(CommitWindowProperty, IndexedVerdictEqualsScanVerdict) {
-  const Mode mode = GetParam();
-  audit::Auditor::instance().reset();
-  std::mt19937_64 rng(0xC0FFEE ^ static_cast<std::uint64_t>(mode));
-
-  constexpr std::uint64_t kKeySpace = 96;  // small: plenty of collisions
-  CommitWindow w(48);                      // eviction pressure after 48 pushes
-  Version next = 1;
-  for (int round = 0; round < 600; ++round) {
-    // Push a record (readsets may be bloom; writesets stay exact, as in the
-    // protocol — but exercise bloom writesets too in mixed mode).
-    CommitRecord rec;
-    rec.txid = static_cast<std::uint64_t>(round);
-    rec.readset = make_set(rng, mode, kKeySpace, 6);
-    rec.writeset = make_set(rng, mode == Mode::kMixed ? Mode::kMixed : Mode::kExact,
-                            kKeySpace, 6);
-    w.push(next++, std::move(rec));
-
-    // Probe with snapshots across the whole covered range, including the
-    // exact window base and the empty suffix at newest.
-    for (int probe = 0; probe < 6; ++probe) {
-      const util::KeySet rs = make_set(rng, mode, kKeySpace, 6);
-      const util::KeySet ws = make_set(rng, Mode::kExact, kKeySpace, 6);
-      const bool global = (rng() & 1) != 0;
-      std::uniform_int_distribution<Version> st_dist(w.oldest() - 1, w.newest());
-      const Version st = st_dist(rng);
-      ASSERT_TRUE(w.covers(st));
-      const bool scan = w.conflicts_scan(rs, ws, global, st);
-      const bool indexed = w.conflicts_indexed(rs, ws, global, st);
-      ASSERT_EQ(scan, indexed)
-          << "mode=" << static_cast<int>(mode) << " round=" << round << " st=" << st
-          << " global=" << global << " window=[" << w.oldest() << "," << w.newest() << "]";
-      ASSERT_EQ(w.conflicts(rs, ws, global, st), scan);
-    }
-  }
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-}
-
-INSTANTIATE_TEST_SUITE_P(Modes, CommitWindowProperty,
-                         ::testing::Values(Mode::kExact, Mode::kBloom, Mode::kMixed),
-                         [](const auto& param_info) {
-                           switch (param_info.param) {
-                             case Mode::kExact: return "exact";
-                             case Mode::kBloom: return "bloom";
-                             default: return "mixed";
-                           }
-                         });
-
 }  // namespace
 }  // namespace sdur::storage
 
@@ -166,6 +116,142 @@ PartTx random_tx(std::mt19937_64& rng, TxId id, storage::Mode mode, std::uint64_
   t.write_keys = storage::make_set(rng, mode, key_space, 5, /*force_exact=*/true);
   return t;
 }
+
+/// Brute-force reference: the full (unprojected) sets of every record.
+struct RefRecord {
+  Version version;
+  util::KeySet rs;
+  util::KeySet ws;
+};
+
+bool reference_conflict(const std::vector<RefRecord>& recs, const util::KeySet& rs,
+                        const util::KeySet& ws, bool global, Version st) {
+  for (const RefRecord& r : recs) {
+    if (r.version <= st) continue;
+    if (rs.intersects(r.ws)) return true;
+    if (global && ws.intersects(r.rs)) return true;
+  }
+  return false;
+}
+
+/// One window, every way it is used: the contiguous full-set window (the
+/// serial certifier's) and the gapped per-core lanes holding its
+/// projections (P-DUR's) must both answer every probe exactly like the
+/// brute-force reference, whichever strategy serves it; and a Certifier
+/// built on them must certify exactly what the reference decides.
+class CommitWindowProperty : public ::testing::TestWithParam<storage::Mode> {};
+
+TEST_P(CommitWindowProperty, IndexedVerdictEqualsScanVerdict) {
+  const storage::Mode mode = GetParam();
+  // Record writesets may be bloom-encoded only in mixed mode.
+  const storage::Mode ws_mode =
+      mode == storage::Mode::kMixed ? storage::Mode::kMixed : storage::Mode::kExact;
+  audit::Auditor::instance().reset();
+  for (const pdur::CoreId cores : {1u, 4u, 8u}) {
+    std::mt19937_64 rng(0xC0FFEE ^ static_cast<std::uint64_t>(mode) ^ (cores << 8));
+    const pdur::CorePartitioner part(cores);
+    storage::CommitWindow full;
+    std::vector<storage::CommitWindow> lanes(cores);
+    std::vector<RefRecord> recs;  // exactly the records the windows hold
+    auto push = [&](const RefRecord& r) {
+      full.push(r.version, storage::CommitRecord{0, false, storage::CommitStatus::kPending,
+                                                 r.rs, r.ws});
+      for (pdur::CoreId c : part.home_cores(r.rs, r.ws)) {
+        storage::CommitRecord projected{0, false, storage::CommitStatus::kPending,
+                                        part.project(r.rs, c), part.project(r.ws, c)};
+        if (projected.readset.empty() && projected.writeset.empty()) continue;
+        lanes[c].push(r.version, std::move(projected));
+      }
+    };
+
+    constexpr std::uint64_t kKeySpace = 96;  // small: plenty of collisions
+    Version next = 1;
+    for (int round = 0; round < 400; ++round) {
+      recs.push_back(RefRecord{next++, storage::make_set(rng, mode, kKeySpace, 6),
+                               storage::make_set(rng, ws_mode, kKeySpace, 6)});
+      push(recs.back());
+      if (recs.size() > 48) {  // eviction pressure after 48 pushes
+        const Version base = recs.front().version + 1;
+        full.evict_below(base);
+        for (storage::CommitWindow& lane : lanes) lane.evict_below(base);
+        recs.erase(recs.begin());
+      }
+      if (round % 97 == 96) {  // checkpoint-install rebuild: clear + reinsert
+        const Version base = full.base();
+        full.clear(base);
+        for (storage::CommitWindow& lane : lanes) lane.clear(base);
+        for (const RefRecord& r : recs) push(r);
+      }
+      ASSERT_EQ(full.size(), recs.size());
+
+      // Probe with snapshots across the whole covered range, including the
+      // exact window base and the empty suffix at newest.
+      for (int probe = 0; probe < 6; ++probe) {
+        const util::KeySet rs = storage::make_set(rng, mode, kKeySpace, 6);
+        const util::KeySet ws = storage::make_set(rng, storage::Mode::kExact, kKeySpace, 6);
+        const bool global = (rng() & 1) != 0;
+        std::uniform_int_distribution<Version> st_dist(full.base() - 1, full.newest());
+        const Version st = st_dist(rng);
+        ASSERT_TRUE(full.covers(st));
+        const bool want = reference_conflict(recs, rs, ws, global, st);
+        const auto where = [&] {
+          return ::testing::Message() << "cores=" << cores << " mode=" << static_cast<int>(mode)
+                                      << " round=" << round << " st=" << st
+                                      << " global=" << global;
+        };
+        ASSERT_EQ(full.conflicts_scan(rs, ws, global, st), want) << where();
+        ASSERT_EQ(full.conflicts_indexed(rs, ws, global, st), want) << where();
+        ASSERT_EQ(full.conflicts(rs, ws, global, st), want) << where();
+        bool lanes_hit = false;
+        for (pdur::CoreId c : part.home_cores(rs, ws)) {
+          const util::KeySet rs_c = part.project(rs, c);
+          const util::KeySet ws_c = part.project(ws, c);
+          const bool scan = lanes[c].conflicts_scan(rs_c, ws_c, global, st);
+          ASSERT_EQ(lanes[c].conflicts_indexed(rs_c, ws_c, global, st), scan)
+              << where() << " lane=" << c;
+          ASSERT_EQ(lanes[c].conflicts(rs_c, ws_c, global, st), scan) << where() << " lane=" << c;
+          lanes_hit = lanes_hit || scan;
+        }
+        ASSERT_EQ(lanes_hit, want) << where();
+      }
+    }
+
+    // Certifier level: the same core count certifies exactly what the
+    // reference decides over every version it assigned.
+    Certifier cert(32, cores);
+    std::vector<RefRecord> certified;
+    std::uint64_t dc = 0;
+    for (int round = 0; round < 300; ++round) {
+      ++dc;
+      std::uniform_int_distribution<Version> st_dist(
+          std::max<Version>(0, cert.certified() - 40), cert.certified());
+      const PartTx t = random_tx(rng, dc, mode, 64, st_dist(rng));
+      const bool covered = cert.covers(t.snapshot);
+      const bool conflict =
+          reference_conflict(certified, t.readset, t.write_keys, t.is_global(), t.snapshot);
+      const auto res = cert.process(t, dc, dc);
+      ASSERT_EQ(res.stale_snapshot, !covered) << "cores=" << cores << " round=" << round;
+      ASSERT_EQ(res.outcome == Outcome::kCommit, covered && !conflict)
+          << "cores=" << cores << " mode=" << static_cast<int>(mode) << " round=" << round;
+      if (res.outcome == Outcome::kCommit) {
+        certified.push_back(RefRecord{res.version, t.readset, t.write_keys});
+      }
+      while (!cert.empty() && (rng() & 3) == 0) cert.resolve(cert.pop_head(), (rng() & 1) != 0);
+    }
+  }
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, CommitWindowProperty,
+                         ::testing::Values(storage::Mode::kExact, storage::Mode::kBloom,
+                                           storage::Mode::kMixed),
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
+                             case storage::Mode::kExact: return "exact";
+                             case storage::Mode::kBloom: return "bloom";
+                             default: return "mixed";
+                           }
+                         });
 
 /// A continuously-running certifier and one round-tripped through
 /// encode()/install() after every burst must issue identical verdicts for
@@ -336,80 +422,6 @@ TEST(CertifierReadFrontier, IndexMatchesModelAndServedValuesStayFinal) {
 
 }  // namespace
 }  // namespace sdur
-
-namespace sdur::pdur {
-namespace {
-
-/// Brute-force serial reference over the full (unprojected) record sets.
-struct RefRecord {
-  storage::Version version;
-  util::KeySet rs;
-  util::KeySet ws;
-};
-
-bool reference_conflict(const std::vector<RefRecord>& recs, const util::KeySet& rs,
-                        const util::KeySet& ws, bool global, storage::Version st) {
-  for (const RefRecord& r : recs) {
-    if (r.version <= st) continue;
-    if (rs.intersects(r.ws)) return true;
-    if (global && ws.intersects(r.rs)) return true;
-  }
-  return false;
-}
-
-class ParallelWindowIndex : public ::testing::TestWithParam<CoreId> {};
-
-TEST_P(ParallelWindowIndex, LaneSubIndexesMatchSerialReference) {
-  const CoreId cores = GetParam();
-  audit::Auditor::instance().reset();
-  for (const storage::Mode mode :
-       {storage::Mode::kExact, storage::Mode::kBloom, storage::Mode::kMixed}) {
-    std::mt19937_64 rng(0xFEED ^ (static_cast<std::uint64_t>(mode) << 8) ^ cores);
-    ParallelWindow w(cores);
-    std::vector<RefRecord> recs;
-    storage::Version base = 1;
-    storage::Version next = 1;
-    for (int round = 0; round < 300; ++round) {
-      const util::KeySet rs = storage::make_set(rng, mode, 64, 5);
-      const util::KeySet ws = storage::make_set(rng, mode, 64, 5, /*force_exact=*/true);
-      const storage::Version v = next++;
-      w.insert(v, rs, ws, w.partitioner().home_cores(rs, ws));
-      recs.push_back(RefRecord{v, rs, ws});
-
-      if (recs.size() > 40) {  // window eviction
-        base = recs.front().version + 1;
-        w.evict_below(base);
-        recs.erase(recs.begin());
-      }
-      if (round % 97 == 0) {  // checkpoint-install rebuild: clear + reinsert
-        w.clear();
-        for (const RefRecord& r : recs) {
-          w.insert(r.version, r.rs, r.ws, w.partitioner().home_cores(r.rs, r.ws));
-        }
-      }
-
-      for (int probe = 0; probe < 4; ++probe) {
-        const util::KeySet prs = storage::make_set(rng, mode, 64, 5);
-        const util::KeySet pws = storage::make_set(rng, mode, 64, 5, /*force_exact=*/true);
-        const bool global = (rng() & 1) != 0;
-        std::uniform_int_distribution<storage::Version> st_dist(base - 1, next - 1);
-        const storage::Version st = st_dist(rng);
-        const auto home = w.partitioner().home_cores(prs, pws);
-        ASSERT_EQ(w.conflicts(prs, pws, global, home, st),
-                  reference_conflict(recs, prs, pws, global, st))
-            << "cores=" << cores << " mode=" << static_cast<int>(mode) << " round=" << round
-            << " st=" << st;
-      }
-    }
-  }
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-}
-
-INSTANTIATE_TEST_SUITE_P(Cores, ParallelWindowIndex, ::testing::Values(1u, 4u, 8u),
-                         [](const auto& param_info) { return "c" + std::to_string(param_info.param); });
-
-}  // namespace
-}  // namespace sdur::pdur
 
 namespace sdur::workload {
 namespace {

@@ -19,7 +19,6 @@
 #include "audit/audit.h"
 #include "audit/auditor.h"
 #include "pdur/core_partitioner.h"
-#include "pdur/parallel_window.h"
 #include "sdur/certifier.h"
 #include "sdur/deployment.h"
 #include "sim/network.h"

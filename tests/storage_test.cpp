@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -87,30 +88,42 @@ TEST(MVStore, VersionsOfExposesOrder) {
 }
 
 CommitRecord rec(std::uint64_t id, std::vector<std::uint64_t> rs, std::vector<std::uint64_t> ws) {
-  return CommitRecord{id, false, util::KeySet::exact(std::move(rs)),
+  return CommitRecord{id, false, CommitStatus::kPending, util::KeySet::exact(std::move(rs)),
                       util::KeySet::exact(std::move(ws))};
 }
 
-TEST(CommitWindow, ScanAfterVisitsOnlyNewerCommits) {
-  CommitWindow w(10);
-  w.push(1, rec(101, {1}, {1}));
-  w.push(2, rec(102, {2}, {2}));
-  w.push(3, rec(103, {3}, {3}));
-
+/// Txids of the records after `st`, in scan order.
+std::vector<std::uint64_t> txids_after(const CommitWindow& w, Version st) {
   std::vector<std::uint64_t> seen;
-  w.scan_after(1, [&](const CommitRecord& r) {
+  w.scan_after(st, [&](Version, const CommitRecord& r) {
     seen.push_back(r.txid);
     return true;
   });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{102, 103}));
+  return seen;
+}
+
+/// A window holding versions 1..5 whose records before `base` were evicted.
+CommitWindow five_evicted_below(Version base) {
+  CommitWindow w;
+  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
+  w.evict_below(base);
+  return w;
+}
+
+TEST(CommitWindow, ScanAfterVisitsOnlyNewerCommits) {
+  CommitWindow w;
+  w.push(1, rec(101, {1}, {1}));
+  w.push(2, rec(102, {2}, {2}));
+  w.push(3, rec(103, {3}, {3}));
+  EXPECT_EQ(txids_after(w, 1), (std::vector<std::uint64_t>{102, 103}));
 }
 
 TEST(CommitWindow, ScanStopsEarly) {
-  CommitWindow w(10);
+  CommitWindow w;
   w.push(1, rec(101, {}, {}));
   w.push(2, rec(102, {}, {}));
   int visits = 0;
-  const bool complete = w.scan_after(0, [&](const CommitRecord&) {
+  const bool complete = w.scan_after(0, [&](Version, const CommitRecord&) {
     ++visits;
     return false;
   });
@@ -118,73 +131,72 @@ TEST(CommitWindow, ScanStopsEarly) {
   EXPECT_EQ(visits, 1);
 }
 
-TEST(CommitWindow, CapacityEvictsOldest) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(100 + static_cast<std::uint64_t>(v), {}, {}));
+TEST(CommitWindow, EvictBelowDropsOldest) {
+  CommitWindow w = five_evicted_below(3);
   EXPECT_EQ(w.size(), 3u);
+  EXPECT_EQ(w.base(), 3);
   EXPECT_EQ(w.oldest(), 3);
   EXPECT_EQ(w.newest(), 5);
+  w.evict_below(2);  // a lower bound is a no-op
+  EXPECT_EQ(w.base(), 3);
+  EXPECT_EQ(w.size(), 3u);
 }
 
 TEST(CommitWindow, CoversTracksEviction) {
-  CommitWindow w(3);
+  CommitWindow w = five_evicted_below(1);
   EXPECT_TRUE(w.covers(0));
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(1, {}, {}));
+  w.evict_below(3);
   EXPECT_TRUE(w.covers(2)) << "commits (2, 5] are all present";
   EXPECT_TRUE(w.covers(4));
   EXPECT_FALSE(w.covers(1)) << "commit at version 2 was evicted";
 }
 
-TEST(CommitWindow, NonContiguousPushThrows) {
-  CommitWindow w(10);
+TEST(CommitWindow, NonAscendingPushThrows) {
+  CommitWindow w;
   w.push(1, rec(1, {}, {}));
-  EXPECT_THROW(w.push(3, rec(2, {}, {})), std::logic_error);
+  EXPECT_THROW(w.push(1, rec(2, {}, {})), std::logic_error);
+  EXPECT_THROW(w.push(0, rec(2, {}, {})), std::logic_error);
+  // A gap is accepted (a P-DUR lane holds only the versions that touched
+  // its core); contiguity is the Certifier's own audit.
+  w.push(3, rec(3, {}, {}));
+  EXPECT_EQ(txids_after(w, 0), (std::vector<std::uint64_t>{1, 3}));
+  EXPECT_NE(w.find(3), nullptr);
+  EXPECT_EQ(w.find(2), nullptr);
+  // Below the base is evicted history: it throws even on an empty window.
+  CommitWindow evicted = five_evicted_below(6);
+  ASSERT_TRUE(evicted.empty());
+  EXPECT_THROW(evicted.push(5, rec(5, {}, {})), std::logic_error);
+  evicted.push(6, rec(6, {}, {}));
+  EXPECT_EQ(evicted.size(), 1u);
 }
 
 // --- Hardened covers()/scan_after() boundaries -------------------------------
 
 TEST(CommitWindow, EmptyWindowCoversEverySnapshot) {
-  CommitWindow w(4);
+  CommitWindow w;
   EXPECT_TRUE(w.covers(0));
   EXPECT_TRUE(w.covers(-1));
   EXPECT_TRUE(w.covers(std::numeric_limits<Version>::max()));
-  int visits = 0;
-  EXPECT_TRUE(w.scan_after(0, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  }));
-  EXPECT_EQ(visits, 0);
+  EXPECT_TRUE(txids_after(w, 0).empty());
 }
 
 TEST(CommitWindow, ExactBaseBoundary) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
+  CommitWindow w = five_evicted_below(3);
   // Window holds [3, 5]. st == base - 1 == 2 is the oldest coverable
   // snapshot: the scan must visit the whole window, starting at the base.
   ASSERT_EQ(w.oldest(), 3);
   EXPECT_TRUE(w.covers(2));
-  std::vector<std::uint64_t> seen;
-  w.scan_after(2, [&](const CommitRecord& r) {
-    seen.push_back(r.txid);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{3, 4, 5}));
+  EXPECT_EQ(txids_after(w, 2), (std::vector<std::uint64_t>{3, 4, 5}));
 }
 
 TEST(CommitWindow, PredatesWindowIsAnAuditViolation) {
   audit::Auditor::instance().reset();
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
+  CommitWindow w = five_evicted_below(3);
   ASSERT_FALSE(w.covers(1));
   ASSERT_TRUE(audit::Auditor::instance().clean());
-  // The scan still clamps to the base (callers must check covers() first),
-  // but the silent clamp is now an audited precondition violation.
-  int visits = 0;
-  w.scan_after(1, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  });
-  EXPECT_EQ(visits, 3);
+  // The scan still starts at the base (callers must check covers() first),
+  // but the silent clamp is an audited precondition violation.
+  EXPECT_EQ(txids_after(w, 1).size(), 3u);
 #if SDUR_AUDIT_ON
   EXPECT_FALSE(audit::Auditor::instance().clean());
   ASSERT_EQ(audit::Auditor::instance().violations().size(), 1u);
@@ -194,41 +206,38 @@ TEST(CommitWindow, PredatesWindowIsAnAuditViolation) {
 }
 
 TEST(CommitWindow, MaxSnapshotDoesNotOverflow) {
-  CommitWindow w(3);
-  for (Version v = 1; v <= 5; ++v) w.push(v, rec(static_cast<std::uint64_t>(v), {}, {}));
+  CommitWindow w = five_evicted_below(3);
   const Version huge = std::numeric_limits<Version>::max();
   // st >= newest: nothing to scan, and st + 1 must never be computed.
   EXPECT_TRUE(w.covers(huge));
-  int visits = 0;
-  EXPECT_TRUE(w.scan_after(huge, [&](const CommitRecord&) {
-    ++visits;
-    return true;
-  }));
-  EXPECT_EQ(visits, 0);
+  EXPECT_TRUE(txids_after(w, huge).empty());
   EXPECT_FALSE(w.conflicts_scan(util::KeySet::exact({1}), util::KeySet::exact({1}), true, huge));
   EXPECT_FALSE(w.conflicts_indexed(util::KeySet::exact({1}), util::KeySet::exact({1}), true, huge));
 }
 
-TEST(CommitWindow, ArenaRecyclingKeepsRecordsIntact) {
-  // Push far past capacity so every ring slot is recycled repeatedly, then
-  // check the surviving records are exactly the newest `capacity` ones.
-  CommitWindow w(4);
+TEST(CommitWindow, RepeatedEvictionKeepsRecordsIntact) {
+  // Slide the window far past its size so storage is freed and refilled
+  // repeatedly, then check the survivors are exactly the newest four.
+  CommitWindow w;
   for (Version v = 1; v <= 23; ++v) {
     w.push(v, rec(static_cast<std::uint64_t>(100 + v),
                   {static_cast<std::uint64_t>(v)}, {static_cast<std::uint64_t>(v)}));
+    w.evict_below(v - 3);
   }
   EXPECT_EQ(w.size(), 4u);
   EXPECT_EQ(w.oldest(), 20);
   EXPECT_EQ(w.newest(), 23);
-  std::vector<std::uint64_t> seen;
-  w.scan_after(w.oldest() - 1, [&](const CommitRecord& r) {
-    seen.push_back(r.txid);
-    return true;
-  });
-  EXPECT_EQ(seen, (std::vector<std::uint64_t>{120, 121, 122, 123}));
+  EXPECT_EQ(txids_after(w, w.oldest() - 1), (std::vector<std::uint64_t>{120, 121, 122, 123}));
   // The index tracked eviction: only the surviving writers conflict.
   EXPECT_FALSE(w.conflicts(util::KeySet::exact({19}), util::KeySet::exact({}), false, 19));
   EXPECT_TRUE(w.conflicts(util::KeySet::exact({21}), util::KeySet::exact({}), false, 19));
+  // clear() rebuilds from nothing at a new base.
+  w.clear(30);
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.index().key_count(), 0u);
+  EXPECT_FALSE(w.covers(28));
+  w.push(30, rec(130, {}, {21}));
+  EXPECT_TRUE(w.conflicts(util::KeySet::exact({21}), util::KeySet::exact({}), false, 29));
 }
 
 // --- FlatTable / VersionChain hot-path structures ----------------------------

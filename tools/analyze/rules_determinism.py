@@ -1,5 +1,5 @@
-"""Determinism rules, migrated from the legacy regex linter
-(tools/lint_determinism.py) onto the token model.
+"""Determinism rules, migrated from the legacy regex linter (since
+removed) onto the token model.
 
 The seven rules and their allowlist token forms are unchanged — an entry
 `<path>:<rule>:<token>` written for the legacy linter keeps working —
@@ -25,7 +25,7 @@ _CLOCKS = {"system_clock", "steady_clock", "high_resolution_clock"}
 _CLOCK_CALLS = {"gettimeofday", "clock_gettime", "localtime", "gmtime"}
 _MESSAGE_NAMES = {"m", "msg", "message"}
 _MEMBER_ACCESS = {".", "->", "::"}
-_CERT_INDEX_FILE = re.compile(r"(^|/)cert_index\.(?:h|cpp)$")
+_CERT_INDEX_FILE = re.compile(r"(^|/)(?:cert_index|commit_window)\.(?:h|cpp)$")
 _UNORDERED_TOKENS = {"unordered_map", "unordered_set",
                      "unordered_multimap", "unordered_multiset"}
 
@@ -164,12 +164,14 @@ def run_cert_index_iteration(ctx: Context):
                 continue
             if t.text == "for_each" and (n := _nxt(toks, i)) and n.text == "(":
                 yield Finding(m.rel, t.line, "cert-index-iteration", "for_each",
-                              "hash-order iteration in the certification index — the index is "
-                              "probe-only; per-key probes are fine, table walks are not")
+                              "hash-order iteration in the certification index or window — "
+                              "the indexes are probe-only; per-key probes are fine, table "
+                              "walks are not")
             elif t.text in _UNORDERED_TOKENS:
                 yield Finding(m.rel, t.line, "cert-index-iteration", t.text,
-                              f"`{t.text}` in the certification index — use the probe-only "
-                              "FlatTable (storage/flat_table.h); no iterable hash containers here")
+                              f"`{t.text}` in the certification index or window — use the "
+                              "probe-only FlatTable (storage/flat_table.h); no iterable hash "
+                              "containers here")
 
 
 RULES = [
@@ -204,8 +206,9 @@ RULES = [
          suggestion="capture with std::move; a copy re-counts the payload on "
                     "every scheduled delivery"),
     Rule("cert-index-iteration",
-         "(src/storage/cert_index.* only) any hash-order iteration in the "
-         "certification index, which is probe-only by contract",
+         "(src/storage/cert_index.* and commit_window.* only) any hash-order "
+         "iteration in the certification index or the window holding it, "
+         "which are probe-only by contract",
          run_cert_index_iteration,
          no_allowlist=True,
          suggestion="restructure as per-key probes; the rule accepts no allowlist "

@@ -15,8 +15,9 @@ out of the functions on that path:
                          report verdicts, not unwind.
 
 Hot functions are matched by name, per the certification call graph:
-`certify*`, anything containing `conflict` (conflicts_*, scan_conflict,
-indexed_conflict, has_conflict, reads_conflict, writes_conflict), and
+`certify*`, anything containing `conflict` (conflicts, conflicts_scan,
+conflicts_indexed, lanes_conflict, pending_conflicts, reads_conflict,
+writes_conflict), and
 `scan_after`. Under src/sdur/ the vote-exchange path is hot too:
 `handle_vote*` bodies run once per received vote (unicast, batch entry,
 or piggybacked ride) and `flush_votes*` once per batch window per
@@ -203,8 +204,9 @@ RULES = [
          "speculate*/finalize*/rollback* speculation bodies (also "
          "src/storage/), or src/trace/ record*/emit*/append* span-emit bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-alloc"),
-         suggestion="preallocate outside the certification path (arena/ring "
-                    "patterns, see storage/commit_window.h)"),
+         suggestion="preallocate outside the certification path (reuse a "
+                    "scratch buffer the caller owns, or a recycled slab like "
+                    "sim/simulator.h's callable slab)"),
     Rule("hotpath-container-copy",
          "no container deep-copies (locals copy-initialized from lvalues, "
          "by-value container parameters) in hot certification, "

@@ -15,23 +15,18 @@
 #   6. the test suite under -D_GLIBCXX_ASSERTIONS (hardened libstdc++);
 #   7. a -DSDUR_TRACE=OFF build: the tracing macros must compile to
 #      no-ops (the tracer-heavy tests plus the histogram suite run to
-#      prove the tree still builds and behaves without instrumentation);
-#   8. the test suite under ThreadSanitizer. The simulator is
-#      single-threaded, so this is a smoke pass over the protocol tests;
-#      the slow end-to-end suites are excluded unless SDUR_CHECK_FULL=1.
+#      prove the tree still builds and behaves without instrumentation).
 #
-# Build trees land in build-{werror,werror-release,asan,glibcxx,traceoff,
-# tsan}/ (see CMakePresets.json for the equivalent presets). Knobs:
+# There is no ThreadSanitizer stage: the simulator is single-threaded and
+# src/, tests/, bench/ and tools/ hold no threads, atomics or mutexes.
+#
+# Build trees land in build-{werror,werror-release,asan,glibcxx,traceoff}/
+# (see CMakePresets.json for the equivalent presets). Knobs:
 #   SDUR_CHECK_JOBS=N   parallelism (default: nproc)
-#   SDUR_CHECK_FULL=1   run every test (including the multi-minute
-#                       integration sweeps) in the TSan stage too
-#   SDUR_CHECK_SKIP_TSAN=1  skip the TSan stage entirely
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="${SDUR_CHECK_JOBS:-$(nproc)}"
-FULL="${SDUR_CHECK_FULL:-0}"
-SKIP_TSAN="${SDUR_CHECK_SKIP_TSAN:-0}"
 
 bold() { printf '\n\033[1m== %s ==\033[0m\n' "$*"; }
 
@@ -47,12 +42,12 @@ run_ctest() { # <dir> <extra ctest args...>
   (cd "$dir" && ctest --output-on-failure -j "$JOBS" "$@")
 }
 
-bold "1/8 static analysis"
+bold "1/7 static analysis"
 mkdir -p bench_json
 python3 tools/analyze --selftest
 python3 tools/analyze --json bench_json/ANALYZE.json
 
-bold "2/8 clang-format / clang-tidy (optional)"
+bold "2/7 clang-format / clang-tidy (optional)"
 if command -v clang-format >/dev/null 2>&1; then
   mapfile -t fmt_files < <(git ls-files '*.h' '*.cpp')
   clang-format --dry-run --Werror "${fmt_files[@]}"
@@ -67,28 +62,28 @@ else
   echo "clang-tidy not installed — skipped (config: .clang-tidy)"
 fi
 
-bold "3/8 -Werror compile (-Wall -Wextra -Wconversion -Wshadow)"
+bold "3/7 -Werror compile (-Wall -Wextra -Wconversion -Wshadow)"
 configure_and_build build-werror -DCMAKE_CXX_FLAGS=-Werror
 echo "warnings-clean"
 
-bold "4/8 -Werror Release compile, audit off (the benchmark configuration)"
+bold "4/7 -Werror Release compile, audit off (the benchmark configuration)"
 # perfbench and run_benches.sh compile Release with the audit hooks out:
 # optimizer-only warnings and audit-only variable uses show up only here.
 configure_and_build build-werror-release -DCMAKE_BUILD_TYPE=Release -DSDUR_AUDIT=OFF \
   -DCMAKE_CXX_FLAGS=-Werror
 echo "warnings-clean"
 
-bold "5/8 ASan + UBSan test suite"
+bold "5/7 ASan + UBSan test suite"
 configure_and_build build-asan -DSDUR_SANITIZE=asan
 ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1:detect_stack_use_after_return=1" \
 UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1" \
   run_ctest build-asan
 
-bold "6/8 _GLIBCXX_ASSERTIONS test suite"
+bold "6/7 _GLIBCXX_ASSERTIONS test suite"
 configure_and_build build-glibcxx -DSDUR_GLIBCXX_ASSERTIONS=ON
 run_ctest build-glibcxx
 
-bold "7/8 SDUR_TRACE=OFF build"
+bold "7/7 SDUR_TRACE=OFF build"
 # The tracing macros must vanish cleanly: the whole tree compiles with
 # SDUR_TRACE=0 and the trace/histogram tests still pass (the equivalence
 # test proves the simulation itself never depended on the tracer).
@@ -96,19 +91,5 @@ configure_and_build build-traceoff -DSDUR_TRACE=OFF
 # latency_breakdown_smoke / trace_json_parses are excluded: with the
 # instrumentation compiled out there is nothing to attribute or export.
 run_ctest build-traceoff -R 'Trace|Histogram'
-
-bold "8/8 TSan test suite"
-if [[ "$SKIP_TSAN" == "1" ]]; then
-  echo "skipped (SDUR_CHECK_SKIP_TSAN=1)"
-else
-  configure_and_build build-tsan -DSDUR_SANITIZE=tsan
-  tsan_args=()
-  if [[ "$FULL" != "1" ]]; then
-    # The sim is single-threaded; exclude the multi-minute end-to-end
-    # sweeps, which cannot race any more than the unit tests can.
-    tsan_args=(-E 'Integration\.|Sweep/|Torture')
-  fi
-  TSAN_OPTIONS="halt_on_error=1" run_ctest build-tsan "${tsan_args[@]}"
-fi
 
 bold "all checks passed"
