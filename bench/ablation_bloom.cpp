@@ -20,7 +20,7 @@ void run_case(bool bloom, std::size_t ops) {
   spec.partitions = 2;
   const std::uint64_t items = 100'000;
   spec.partitioning = MicroWorkload::make_partitioning(2, items);
-  spec.server.bloom_readsets = bloom;
+  spec.server.techniques.bloom_readsets = bloom;
 
   MicroConfig mc;
   mc.items_per_partition = items;

@@ -20,7 +20,7 @@ std::unique_ptr<Deployment> make_social_dep(DeploymentSpec::Kind kind, std::uint
   spec.kind = kind;
   spec.partitions = 2;
   spec.partitioning = SocialWorkload::make_partitioning(2);
-  spec.server.reorder_threshold = threshold;
+  spec.server.techniques.reorder_threshold = threshold;
   return std::make_unique<Deployment>(spec);
 }
 

@@ -24,7 +24,7 @@ Timings measure(DeploymentSpec::Kind kind, std::uint32_t reorder_threshold) {
   spec.kind = kind;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-  spec.server.reorder_threshold = reorder_threshold;
+  spec.server.techniques.reorder_threshold = reorder_threshold;
   spec.jitter = 0.0;
   Deployment dep(spec);
   for (Key k = 0; k < 10; ++k) dep.load(k, "a");

@@ -126,8 +126,7 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   window_.push(result.version, std::move(slot));
   unresolved_insert(result.version, t.write_keys);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
-             PendingEntry{t, rt, result.version, 0, 0, false, true});
-  pending_ids_.insert(t.id);
+             PendingEntry{t, rt, result.version});
   if (ooo_bypass_) {
     // Park gate first (the new entry must not probe its own writes), then
     // register the entry's write keys in the pending-write index.
@@ -146,12 +145,11 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
 PendingEntry Certifier::pop_head() {
   PendingEntry e = std::move(pl_.front());
   pl_.pop_front();
-  pending_ids_.erase(e.tx.id);
   if (ooo_bypass_) unpark_on_removal(e);
   return e;
 }
 
-// --- Out-of-order local commit (cfg.ooo_bypass) -------------------------------
+// --- Out-of-order local commit (techniques.ooo_bypass) ------------------------
 
 void Certifier::pending_insert(Version v, const util::KeySet& write_keys) {
   window_.pending_insert(v, write_keys);
@@ -245,7 +243,6 @@ std::size_t Certifier::next_bypassable(std::size_t from) const {
 PendingEntry Certifier::take_at(std::size_t pos) {
   PendingEntry e = std::move(pl_[pos]);
   pl_.erase(pl_.begin() + static_cast<std::ptrdiff_t>(pos));
-  pending_ids_.erase(e.tx.id);
   if (ooo_bypass_) unpark_on_removal(e);
   return e;
 }
@@ -358,7 +355,6 @@ void Certifier::install(util::Reader& r) {
     window_.push(base + static_cast<Version>(i), std::move(s));
   }
   pl_.clear();
-  pending_ids_.clear();
   const std::uint64_t np = r.varint();
   util::Bytes tx_bytes;
   for (std::uint64_t i = 0; i < np; ++i) {
@@ -367,7 +363,6 @@ void Certifier::install(util::Reader& r) {
     e.tx = PartTx::decode(tx_bytes);
     e.rt = r.u64();
     e.version = r.i64();
-    pending_ids_.insert(e.tx.id);
     pl_.push_back(std::move(e));
   }
   rebuild_lanes();
@@ -407,7 +402,6 @@ void Certifier::reset() {
   cc_ = 0;
   stable_ = 0;
   pl_.clear();
-  pending_ids_.clear();
   unresolved_ws_.clear();
   unresolved_bloom_ws_.clear();
   bypass_watermark_ = 0;

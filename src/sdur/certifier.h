@@ -56,7 +56,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 #include <vector>
 
 #include "pdur/core_partitioner.h"
@@ -67,22 +66,18 @@
 
 namespace sdur {
 
-/// A pending (certified, not yet completed) transaction. The trailing
-/// fields are server-side liveness bookkeeping the certifier ignores.
+/// A pending (certified, not yet completed) transaction.
 struct PendingEntry {
   PartTx tx;
   std::uint64_t rt = 0;  // reorder threshold: complete only once dc >= rt
   Version version = 0;   // version pre-assigned at certification
 
-  sim::Time delivered_at = 0;
-  sim::Time last_vote_resend = 0;
-  bool abort_requested = false;
   /// P-DUR: false while the transaction's simulated core work is still in
   /// flight; the pending list never completes an entry (not even a
   /// committed local) before its cores finished. Always true in the serial
   /// model.
   bool ready = true;
-  /// Out-of-order bypass (cfg.ooo_bypass): the completed-global watermark
+  /// Out-of-order bypass (techniques.ooo_bypass): the completed-global watermark
   /// this local must wait for before it may commit out of order — the
   /// largest version among pending entries ahead whose write set it
   /// conflicts with (inheriting the bound of conflicting pending locals).
@@ -143,17 +138,11 @@ class Certifier {
   PendingEntry& at(std::size_t i) { return pl_[i]; }
   PendingEntry pop_head();
 
-  /// O(1) membership test for the pending list, keyed by transaction id
-  /// (ids are unique in the list: the server's seen_ set dedups deliveries
-  /// upstream). Lets handle_vote decide "still pending?" without the
-  /// O(window) scan it used to run per incoming vote.
-  bool pending_contains(TxId id) const { return pending_ids_.count(id) != 0; }
-
   /// P-DUR: marks the pending entry holding version `v` ready (its core
   /// work completed). No-op if the entry already left the list.
   void mark_ready(Version v);
 
-  // --- Out-of-order local commit (cfg.ooo_bypass) -------------------------
+  // --- Out-of-order local commit (techniques.ooo_bypass) ------------------
   /// "No pending entry" sentinel for next_bypassable().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
   /// True when the bypass gate is armed.
@@ -166,8 +155,7 @@ class Certifier {
   /// unparked — eligible to commit past everything ahead of it — or npos.
   std::size_t next_bypassable(std::size_t from) const;
   /// Removes and returns the entry at `pos` (the bypass analogue of
-  /// pop_head: maintains the id set, the pending-write index and the
-  /// watermark).
+  /// pop_head: maintains the pending-write index and the watermark).
   PendingEntry take_at(std::size_t pos);
 
   // --- Resolution ----------------------------------------------------------
@@ -218,9 +206,7 @@ class Certifier {
   void test_skip_park_gate(bool v) { test_skip_park_gate_ = v; }
 
   /// Serializes the full certifier state (window slots + pending list)
-  /// into a checkpoint; install() replaces the state from one. Pending
-  /// entries lose their server-side liveness fields (votes are re-fetched
-  /// by the server's vote-request repair).
+  /// into a checkpoint; install() replaces the state from one.
   void encode(util::Writer& w) const;
   void install(util::Reader& r);
 
@@ -274,7 +260,7 @@ class Certifier {
   std::size_t window_capacity_;
   bool test_skip_conflict_check_ = false;
   bool test_skip_park_gate_ = false;
-  /// Out-of-order local commit armed (cfg.ooo_bypass). When false, no
+  /// Out-of-order local commit armed (techniques.ooo_bypass). When false, no
   /// bypass structure is ever touched — the legacy paths are bit-identical.
   bool ooo_bypass_ = false;
   /// The full-set window: one slot per assigned version in [base, cc],
@@ -289,8 +275,6 @@ class Certifier {
   Version cc_ = 0;      // last assigned version
   Version stable_ = 0;  // resolved prefix
   std::deque<PendingEntry> pl_;
-  /// Ids of the entries in pl_, mirrored on every insert/pop/install/reset.
-  std::unordered_set<TxId> pending_ids_;
   /// Read frontier: per key, the versions (ascending) of the unresolved
   /// slots writing it. Probe-only, like the window's index — never
   /// iterated, so hash order cannot leak. A key's entry is erased once its

@@ -2,10 +2,8 @@
 //
 // Technique knobs (reordering, delaying, bloom readsets, vote batching,
 // out-of-order commit, speculation) live in sdur::TechniqueConfig — the
-// single source of technique configuration (see technique_config.h).
-// ServerConfig embeds a TechniqueConfig and re-exports the historical
-// field names as references, so `cfg.ooo_bypass` and
-// `cfg.techniques.ooo_bypass` are the same storage.
+// single source of technique configuration (see technique_config.h) —
+// reached as `cfg.techniques.<knob>`.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +17,7 @@
 
 namespace sdur {
 
-/// Value members of ServerConfig. Split out so ServerConfig can add the
-/// legacy reference aliases while keeping copy/move assignment trivial to
-/// write (copy the base; the aliases always bind to the object's own
-/// `techniques`).
-struct ServerConfigData {
+struct ServerConfig {
   PartitionId partition = 0;
   PartitionId num_partitions = 1;
 
@@ -100,34 +94,8 @@ struct ServerConfigData {
   std::vector<sim::ProcessId> read_route;
 };
 
-struct ServerConfig : ServerConfigData {
-  // --- Legacy technique aliases --------------------------------------------
-  // Historical names for the TechniqueConfig knobs; same storage as
-  // `techniques.*`. New technique knobs must be added to TechniqueConfig,
-  // not here (analyzer rule `config-single-source`).
-  std::uint32_t& reorder_threshold = techniques.reorder_threshold;
-  bool& delaying_enabled = techniques.delaying_enabled;
-  sim::Time& fixed_delay = techniques.fixed_delay;
-  bool& bloom_readsets = techniques.bloom_readsets;
-  double& bloom_fp_rate = techniques.bloom_fp_rate;
-  bool& vote_batching = techniques.vote_batching;
-  sim::Time& vote_batch_interval = techniques.vote_batch_interval;
-  std::size_t& vote_batch_max = techniques.vote_batch_max;
-  bool& vote_piggyback = techniques.vote_piggyback;
-  bool& ooo_bypass = techniques.ooo_bypass;
-  bool& speculation = techniques.speculation;
-
-  ServerConfig() = default;
-  ServerConfig(const ServerConfig& o) : ServerConfigData(o) {}
-  ServerConfig(ServerConfig&& o) noexcept : ServerConfigData(std::move(o)) {}
-  ServerConfig& operator=(const ServerConfig& o) {
-    ServerConfigData::operator=(o);
-    return *this;
-  }
-  ServerConfig& operator=(ServerConfig&& o) noexcept {
-    ServerConfigData::operator=(std::move(o));
-    return *this;
-  }
-};
+/// Former name of ServerConfig's value members; perfbench/src/probes.cpp
+/// still spells it, and perfbench is kept unchanged.
+using ServerConfigData = ServerConfig;
 
 }  // namespace sdur

@@ -1,6 +1,7 @@
 #include "sdur/server.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "audit/audit.h"
 #include "util/logging.h"
@@ -8,7 +9,7 @@
 namespace sdur {
 
 namespace {
-constexpr std::size_t kOwnVoteMemory = 200'000;  // completed-vote history kept
+constexpr std::size_t kHistoryLength = 200'000;  // own votes / outcomes kept
 
 /// Paxos value kind for this server's abcast payloads is the PartTx kind
 /// byte; nothing extra is needed.
@@ -48,7 +49,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
                    loc),
       cfg_(std::move(cfg)),
       partitioning_(std::move(partitioning)),
-      cert_(cfg_.window_capacity, cfg_.pdur.cores, cfg_.ooo_bypass),
+      cert_(cfg_.window_capacity, cfg_.pdur.cores, cfg_.techniques.ooo_bypass),
       gsc_(cfg_.num_partitions, 0) {
   set_message_service_time(cfg_.message_service_time);
   trace_track_ = SDUR_TRACE_REGISTER(self(), name(), -1);
@@ -69,7 +70,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
       *this, std::move(paxos_cfg), std::make_unique<paxos::InMemoryDurableLog>(),
       [this](const paxos::Value& v) { adeliver(v); });
   engine_->set_install_handler([this](const paxos::Value& blob) { install_state(blob); });
-  if (batching() && cfg_.vote_piggyback) {
+  if (batching() && cfg_.techniques.vote_piggyback) {
     // Paxos engine traffic is intra-group today, but cross-partition
     // forwards relayed through the engine (leader changes) also pass here;
     // the wrapper is identity for same-partition destinations.
@@ -80,6 +81,10 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
 
 void Server::start() {
   engine_->start();
+  arm_timers();
+}
+
+void Server::arm_timers() {
   set_timer(cfg_.gossip_interval, [this] { gossip_tick(); });
   set_timer(cfg_.vote_resend_interval / 2, [this] { liveness_tick(); });
   if (cfg_.checkpoint_interval > 0) {
@@ -109,7 +114,8 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
       break;
     }
     case msgtype::kVote: {
-      handle_vote(VoteMsg::decode(r));
+      const auto msg = VoteMsg::decode(r);
+      if (handle_vote(msg.id, msg.partition, msg.vote)) drain_pending();
       break;
     }
     case msgtype::kVoteBatch: {
@@ -127,10 +133,8 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
     }
     case msgtype::kVoteRequest: {
       const auto msg = VoteRequestMsg::decode(r);
-      auto it = own_votes_.find(msg.id);
-      if (it != own_votes_.end()) {
-        send(from,
-             maybe_piggyback_pid(from, VoteMsg{msg.id, cfg_.partition, it->second}.to_message()));
+      if (const Outcome* v = own_votes_.find(msg.id)) {
+        send(from, maybe_piggyback_pid(from, VoteMsg{msg.id, cfg_.partition, *v}.to_message()));
       }
       break;
     }
@@ -155,21 +159,44 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
 
 // --- Submission (Algorithm 2, submit) ---------------------------------------
 
-void Server::remember_outcome(TxId id, Outcome o) {
-  auto [it, inserted] = outcomes_.try_emplace(id, o);
-  if (!inserted) return;
-  outcomes_order_.push_back(id);
-  while (outcomes_order_.size() > kOwnVoteMemory) {
-    outcomes_.erase(outcomes_order_.front());
-    outcomes_order_.pop_front();
+const Outcome* Server::History::find(TxId id) const {
+  const auto it = map.find(id);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+bool Server::History::record(TxId id, Outcome o) {
+  if (!map.try_emplace(id, o).second) return false;
+  order.push_back(id);
+  while (order.size() > kHistoryLength) {
+    map.erase(order.front());
+    order.pop_front();
+  }
+  return true;
+}
+
+void Server::History::encode(util::Writer& w) const {
+  w.varint(order.size());
+  for (TxId id : order) {
+    w.u64(id);
+    w.u8(static_cast<std::uint8_t>(map.at(id)));
+  }
+}
+
+void Server::History::install(util::Reader& r) {
+  *this = History{};
+  const std::uint64_t n = r.varint();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const TxId id = r.u64();
+    map[id] = static_cast<Outcome>(r.u8());
+    order.push_back(id);
   }
 }
 
 void Server::handle_commit_request(Transaction tx) {
   // Client retry after a lost outcome message: answer from memory; the
   // transaction must not run twice.
-  if (auto it = outcomes_.find(tx.id); it != outcomes_.end()) {
-    send(tx.client, OutcomeMsg{tx.id, it->second}.to_message());
+  if (const Outcome* o = outcomes_.find(tx.id)) {
+    send(tx.client, OutcomeMsg{tx.id, *o}.to_message());
     return;
   }
   // Duplicate commit request for a transaction still in flight here:
@@ -214,8 +241,9 @@ void Server::handle_commit_request(Transaction tx) {
   if (own_involved) {
     PartTx part = project(tx, cfg_.partition, involved);
     part.contact = contact;
-    const sim::Time delay = cfg_.fixed_delay > 0 ? cfg_.fixed_delay : max_remote_delay;
-    if (cfg_.delaying_enabled && involved.size() > 1 && delay > 0) {
+    const TechniqueConfig& tc = cfg_.techniques;
+    const sim::Time delay = tc.fixed_delay > 0 ? tc.fixed_delay : max_remote_delay;
+    if (tc.delaying_enabled && involved.size() > 1 && delay > 0) {
       // Section IV-D: delay the local broadcast of a global transaction by
       // the estimated time for the remote partitions to receive it.
       const paxos::Value value = part.encode();
@@ -238,8 +266,9 @@ PartTx Server::project(const Transaction& tx, PartitionId p,
   for (Key k : tx.readset) {
     if (partitioning_->partition_of(k) == p) rs.push_back(k);
   }
-  t.readset = cfg_.bloom_readsets ? util::KeySet::bloom(rs, cfg_.bloom_fp_rate)
-                                  : util::KeySet::exact(rs);
+  t.readset = cfg_.techniques.bloom_readsets
+                  ? util::KeySet::bloom(rs, cfg_.techniques.bloom_fp_rate)
+                  : util::KeySet::exact(rs);
   std::vector<Key> ws_keys;
   for (const auto& op : tx.writeset) {
     if (partitioning_->partition_of(op.key) == p) {
@@ -274,17 +303,21 @@ void Server::adeliver(const paxos::Value& value) {
   // Control values (ticks, abort requests) are nearly free to process.
   sim::Time cost = sim::usec(2);
   if (t.kind == PartTx::Kind::kTxn) {
-    // P-DUR: the dispatcher only routes the transaction to its home cores;
-    // certification + apply cost is charged on those cores instead.
-    cost = parallel() ? cfg_.pdur.dispatch_cost
-                      : cfg_.certification_cost +
-                            cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
+    cost = delivery_cost(t);
     // The mark's timestamp is the enqueue time; kTxCertified later carries
     // this same cost in its aux, letting export split the interval between
     // the two marks into CPU queue wait and charged service time.
     SDUR_TRACE_MARK(trace_track_, trace::Point::kTxDeliver, t.id, now(), 0);
   }
   enqueue_work(cost, [this, t = std::move(t)]() mutable { process_delivery(std::move(t)); });
+}
+
+sim::Time Server::delivery_cost(const PartTx& t) const {
+  // P-DUR: the dispatcher only routes the transaction to its home cores;
+  // certification + apply cost is charged on those cores instead.
+  return parallel() ? cfg_.pdur.dispatch_cost
+                    : cfg_.certification_cost +
+                          cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
 }
 
 void Server::process_delivery(PartTx t) {
@@ -298,7 +331,7 @@ void Server::process_delivery(PartTx t) {
     case PartTx::Kind::kSetThreshold:
       // Delivered through the same total order as transactions, so every
       // replica switches thresholds at the same delivery index.
-      cfg_.reorder_threshold = t.threshold;
+      cfg_.techniques.reorder_threshold = t.threshold;
       break;
 
     case PartTx::Kind::kAbortRequest: {
@@ -306,20 +339,10 @@ void Server::process_delivery(PartTx t) {
         // The transaction did reach this partition; our vote may have been
         // lost — resend it instead of aborting (Section IV-F: act on
         // whichever of {transaction, abort request} is delivered first).
-        auto it = own_votes_.find(t.id);
-        if (it != own_votes_.end()) {
-          PartTx stub;
-          stub.id = t.id;
-          stub.involved = t.involved;
-          send_vote_to_peers(stub, it->second);
-        }
+        if (const Outcome* v = own_votes_.find(t.id)) send_vote_to_peers(t.id, t.involved, *v);
       } else {
         poisoned_.insert(t.id);
-        PartTx stub;
-        stub.id = t.id;
-        stub.involved = t.involved;
-        record_own_vote(stub, Outcome::kAbort);
-        send_vote_to_peers(stub, Outcome::kAbort);
+        cast_own_vote(t.id, t.involved, Outcome::kAbort);
       }
       break;
     }
@@ -327,7 +350,7 @@ void Server::process_delivery(PartTx t) {
     case PartTx::Kind::kTxn: {
       if (seen_.contains(t.id)) break;  // duplicate after leader change
       seen_.insert(t.id);
-      const std::uint64_t rt = dc_ + cfg_.reorder_threshold;
+      const std::uint64_t rt = dc_ + cfg_.techniques.reorder_threshold;
       Outcome vote = Outcome::kAbort;
       Certifier::Result res;
       SDUR_AUDIT(Version audit_version = 0);
@@ -340,9 +363,9 @@ void Server::process_delivery(PartTx t) {
         if (res.stale_snapshot) ++stats_.stale_snapshot_aborts;
         if (res.reordered) ++stats_.reordered;
         if (vote == Outcome::kCommit) {
-          PendingEntry& inserted = cert_.at(res.position);
-          inserted.delivered_at = now();
-          inserted.last_vote_resend = now();
+          if (t.is_global()) {
+            enter_phase(t, Round::Phase::kPending, res.version).last_vote_resend = now();
+          }
           SDUR_AUDIT(audit_version = res.version);
           if (res.parked) {
             // Bypass gate: this local write-conflicts with a pending entry
@@ -350,7 +373,7 @@ void Server::process_delivery(PartTx t) {
             // park bound; the sweep releases it from drain_pending.
             ++stats_.parked_locals;
             SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxParked, t.id, now(),
-                               static_cast<std::uint64_t>(inserted.park_until));
+                               static_cast<std::uint64_t>(cert_.at(res.position).park_until));
           }
           // NOTE: park bounds are deliberately NOT cross-checked between
           // replicas. The bound is computed over the *pending* list, whose
@@ -362,14 +385,8 @@ void Server::process_delivery(PartTx t) {
         }
       }
       SDUR_TRACE_CLEAR_CONTEXT();
-      SDUR_TRACE_STMT({
-        const sim::Time charged =
-            parallel() ? cfg_.pdur.dispatch_cost
-                       : cfg_.certification_cost +
-                             cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
-        SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCertified, t.id, now(),
-                        trace::cert_aux(t.is_global(), vote == Outcome::kCommit, charged));
-      });
+      SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCertified, t.id, now(),
+                      trace::cert_aux(t.is_global(), vote == Outcome::kCommit, delivery_cost(t)));
       // Certification is a pure function of the delivered sequence: every
       // replica of this partition must reach the same verdict at this
       // delivery index. This holds in the P-DUR model too — the verdict is
@@ -397,30 +414,12 @@ void Server::process_delivery(PartTx t) {
         if (vote == Outcome::kCommit) {
           work += cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
         }
-        const Version version = res.version;
-        const std::vector<pdur::CoreId> cores = std::move(res.cores);
-        executor_->run(cores, work, [this, t = std::move(t), vote, version] {
+        executor_->run(res.cores, work, [this, t = std::move(t), vote, version = res.version] {
           finish_core_work(t, vote, version);
         });
         break;
       }
-      if (t.is_global()) {
-        record_own_vote(t, vote);
-        send_vote_to_peers(t, vote);
-      }
-      if (vote == Outcome::kAbort) {
-        // Failed certification: never entered the pending list, has no
-        // version slot — just account and answer the client.
-        ++stats_.aborted;
-        votes_.erase(t.id);
-        remember_outcome(t.id, Outcome::kAbort);
-        SDUR_AUDIT(audit::Oracle::instance().record_completion(
-            t.id, cfg_.partition, audit::Oracle::kAbort, t.involved, self(), now()));
-        if (t.contact == self() && t.client != 0) {
-          SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), 0);
-          send(t.client, OutcomeMsg{t.id, Outcome::kAbort}.to_message());
-        }
-      }
+      emit_verdict(t, vote);
       break;
     }
   }
@@ -433,26 +432,57 @@ void Server::finish_core_work(const PartTx& t, Outcome vote, Version version) {
   // fixed at dispatch; only now do its effects leave the replica.
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxReady, t.id, now(), 0);
   if (vote == Outcome::kCommit) cert_.mark_ready(version);
-  if (t.is_global()) {
-    record_own_vote(t, vote);
-    send_vote_to_peers(t, vote);
-  }
-  if (vote == Outcome::kAbort) {
-    ++stats_.aborted;
-    votes_.erase(t.id);
-    remember_outcome(t.id, Outcome::kAbort);
-    SDUR_AUDIT(audit::Oracle::instance().record_completion(
-        t.id, cfg_.partition, audit::Oracle::kAbort, t.involved, self(), now()));
-    if (t.contact == self() && t.client != 0) {
-      SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(), 0);
-      send(t.client, OutcomeMsg{t.id, Outcome::kAbort}.to_message());
-    }
-  }
+  emit_verdict(t, vote);
   drain_pending();
 }
 
-void Server::complete(const PendingEntry& e, Outcome outcome) {
-  const PartTx& t = e.tx;
+void Server::emit_verdict(const PartTx& t, Outcome vote) {
+  if (t.is_global()) cast_own_vote(t.id, t.involved, vote);
+  // A failed certification never entered the pending list and has no
+  // version slot: it completes at once.
+  if (vote == Outcome::kAbort) complete(t, Outcome::kAbort);
+}
+
+void Server::finalize(const PartTx& t, Version version, Outcome outcome) {
+  const auto round = rounds_.find(t.id);
+  const bool speculated =
+      round != rounds_.end() && round->second.phase == Round::Phase::kSpeculated;
+  const bool commit = outcome == Outcome::kCommit;
+  if (speculated) {
+    // The writes are already in the store at `version`: promote them (only
+    // now can a read observe them), or undo them mid-chain (entries behind
+    // the speculation may have committed at higher versions already).
+    if (commit) {
+      store_.promote(version);
+    } else {
+      store_.rollback(version);
+    }
+  } else if (commit) {
+    // Writes are applied at the version pre-assigned at certification;
+    // apply cost was already charged when the delivery was enqueued.
+    for (const auto& op : t.writes) store_.put(op.key, op.value, version);
+  }
+  cert_.resolve(version, t.id, commit);
+  if (commit) {
+    if (speculated) ++stats_.spec_commits;
+    ++(t.is_global() ? stats_.committed_global : stats_.committed_local);
+    if ((cert_.stable() & 0x3FFFF) == 0) {
+      store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
+    }
+  } else if (speculated) {
+    ++stats_.spec_aborts;
+    SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxSpecAbort, t.id, now(),
+                       static_cast<std::uint64_t>(version));
+  }
+  // Resolution may have advanced read frontiers either way.
+  service_deferred_reads();
+  // Missed-promotion guard: no speculative version may sit at or below the
+  // resolved floor (audited + throws on violation).
+  if (speculated) store_.audit_spec_floor(cert_.stable());
+  complete(t, outcome);
+}
+
+void Server::complete(const PartTx& t, Outcome outcome) {
   // 2PC safety and atomicity: the outcome must match every other replica's
   // and partition's, and a global commit requires a commit vote from every
   // involved partition (checked inside the oracle).
@@ -460,37 +490,25 @@ void Server::complete(const PendingEntry& e, Outcome outcome) {
       t.id, cfg_.partition,
       outcome == Outcome::kCommit ? audit::Oracle::kCommit : audit::Oracle::kAbort, t.involved,
       self(), now()));
-  SDUR_AUDIT_NOTE(now(), name() << " completed tx " << t.id << " -> " << to_string(outcome)
-                                << " v" << e.version);
-  if (outcome == Outcome::kCommit) {
-    // Writes are applied at the version pre-assigned at certification;
-    // apply cost was already charged when the delivery was enqueued.
-    for (const auto& op : t.writes) store_.put(op.key, op.value, e.version);
-    cert_.resolve(e, true);
-    if (t.is_global()) {
-      ++stats_.committed_global;
-    } else {
-      ++stats_.committed_local;
-    }
-    if ((cert_.stable() & 0x3FFFF) == 0) {
-      store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
-    }
-  } else {
-    cert_.resolve(e, false);
-    ++stats_.aborted;
-  }
-  // Resolution may have advanced read frontiers either way.
-  service_deferred_reads();
-  votes_.erase(t.id);
-  remember_outcome(t.id, outcome);
+  SDUR_AUDIT_NOTE(now(), name() << " completed tx " << t.id << " -> " << to_string(outcome));
+  if (outcome == Outcome::kAbort) ++stats_.aborted;
+  outcomes_.record(t.id, outcome);
+  const auto round = rounds_.find(t.id);
   if (t.contact == self() && t.client != 0) {
-    if (t.is_global()) {
+    if (round != rounds_.end() && round->second.phase != Round::Phase::kVoting) {
       // Certification verdict to all-votes-in + reorder threshold cleared.
-      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, t.id, e.delivered_at, now(), 0, -1);
+      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, t.id, round->second.delivered_at,
+                      now(), 0, -1);
     }
     SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, t.id, now(),
                     outcome == Outcome::kCommit ? 1 : 0);
     send(t.client, OutcomeMsg{t.id, outcome}.to_message());
+  }
+  // Closed last: `t` may be the round's own transaction. (kVoting rounds
+  // are never in round_order_; erasing their key is a no-op.)
+  if (round != rounds_.end()) {
+    round_order_.erase({round->second.phase, round->second.version});
+    rounds_.erase(round);
   }
 }
 
@@ -506,7 +524,8 @@ void Server::schedule_threshold_tick() {
   set_timer(cfg_.tick_interval, [this, dc_at_schedule] {
     tick_pending_ = false;
     const bool blocked = !cert_.empty() && cert_.head().ready && cert_.head().tx.is_global() &&
-                         has_all_votes(cert_.head()) && dc_ < cert_.head().rt;
+                         rounds_.at(cert_.head().tx.id).verdict() != Outcome::kUnknown &&
+                         dc_ < cert_.head().rt;
     if (!blocked) return;
     if (dc_ == dc_at_schedule) {
       // Genuinely idle: tick the whole deficit.
@@ -521,44 +540,43 @@ void Server::schedule_threshold_tick() {
 }
 
 void Server::drain_pending() {
-  // Legacy (speculation off): one in-order drain plus one bypass sweep —
-  // bit-identical to before the speculation refactor. With speculation on,
-  // a sweep that speculated or resolved something can unblock the in-order
-  // drain (the head changed), so the passes interleave until a fixpoint.
+  // Speculation off: one in-order drain plus one bypass sweep. With
+  // speculation on, a sweep that speculated or resolved something can
+  // unblock the in-order drain (the head changed), so the passes
+  // interleave until a fixpoint.
   bool progress = true;
   while (progress) {
     drain_in_order();
-    if (cfg_.ooo_bypass) bypass_sweep();
-    progress = cfg_.speculation && spec_sweep();
+    if (cfg_.techniques.ooo_bypass) bypass_sweep();
+    progress = cfg_.techniques.speculation && spec_sweep();
   }
 }
 
 void Server::drain_in_order() {
   while (!cert_.empty()) {
-    PendingEntry& head = cert_.head();
+    const PendingEntry& head = cert_.head();
     // P-DUR: the head's core work is still in flight — nothing behind it
     // may complete either (completion is in version order).
     if (!head.ready) break;
-    if (!head.tx.is_global()) {
-      // Outstanding speculative versions never gate a local: no read
-      // serves a key above an unresolved writer of that key, so nothing
-      // the local read depends on how the specs resolve (and its verdict
-      // is status-blind). Its writes land above theirs in version order;
-      // a later rollback erases mid-chain underneath them (see DESIGN.md).
-      const PendingEntry e = cert_.pop_head();
-      complete(e, Outcome::kCommit);
-      continue;
+    // A local commits at once. Outstanding speculative versions never gate
+    // it: no read serves a key above an unresolved writer of that key, so
+    // nothing the local read depends on how the specs resolve (and its
+    // verdict is status-blind). Its writes land above theirs in version
+    // order; a later rollback erases mid-chain underneath them (see
+    // DESIGN.md).
+    Outcome outcome = Outcome::kCommit;
+    if (head.tx.is_global()) {
+      outcome = rounds_.at(head.tx.id).verdict();
+      if (outcome == Outcome::kUnknown) break;  // spec_sweep may speculate it instead
+      if (dc_ < head.rt) {
+        // Vote-complete but threshold-blocked (line 29). If the partition
+        // goes idle the delivery counter would never advance; tick it.
+        schedule_threshold_tick();
+        break;
+      }
     }
-    if (!has_all_votes(head)) break;  // spec_sweep may speculate it instead
-    if (dc_ < head.rt) {
-      // Vote-complete but threshold-blocked (line 29). If the partition
-      // goes idle the delivery counter would never advance; tick it.
-      schedule_threshold_tick();
-      break;
-    }
-    const Outcome outcome = combined_outcome(head);
     const PendingEntry e = cert_.pop_head();
-    complete(e, outcome);
+    finalize(e.tx, e.version, outcome);
   }
 }
 
@@ -605,18 +623,19 @@ void Server::bypass_sweep() {
     ++stats_.bypassed_locals;
     SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxBypassed, e.tx.id, now(),
                        static_cast<std::uint64_t>(pos));
-    complete(e, Outcome::kCommit);
+    finalize(e.tx, e.version, Outcome::kCommit);
     pos = cert_.next_bypassable(pos);
   }
 }
 
-// --- Speculative global commit (cfg.techniques.speculation) -------------------
+// --- Speculative global commit (techniques.speculation) ------------------------
 
 bool Server::speculate_head() {
   if (cert_.empty()) return false;
-  PendingEntry& head = cert_.head();
+  const PendingEntry& head = cert_.head();
   if (!head.ready || !head.tx.is_global()) return false;
-  if (has_all_votes(head) && dc_ >= head.rt) return false;  // drain_in_order's job
+  // A vote-complete head past its threshold is drain_in_order's job.
+  if (rounds_.at(head.tx.id).verdict() != Outcome::kUnknown && dc_ >= head.rt) return false;
   PendingEntry e = cert_.pop_head();
   // Apply the writes as speculative versions immediately — the entry left
   // the pending list, so everything queued behind it completes without
@@ -625,18 +644,12 @@ bool Server::speculate_head() {
   // reordering exists to let locals complete ahead of a blocked global,
   // which is moot once the global vacated the head (see DESIGN.md).
   for (const auto& op : e.tx.writes) store_.put_speculative(op.key, op.value, e.version);
-  SpecEntry s;
-  s.version = e.version;
-  s.rt = e.rt;
-  s.delivered_at = e.delivered_at;
-  s.last_vote_resend = e.last_vote_resend;
-  s.abort_requested = e.abort_requested;
-  s.tx = std::move(e.tx);
-  spec_ids_[s.tx.id] = s.version;
+  Round& r = enter_phase(e.tx, Round::Phase::kSpeculated, e.version);
+  r.rt = e.rt;
+  r.tx = std::move(e.tx);
   ++stats_.speculated_globals;
-  SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, s.tx.id, now(), 1);
-  SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << s.tx.id << " v" << s.version);
-  spec_.emplace(s.version, std::move(s));
+  SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, r.tx.id, now(), 1);
+  SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << r.tx.id << " v" << r.version);
   return true;
 }
 
@@ -649,176 +662,130 @@ bool Server::spec_sweep() {
   // Out-of-order finalize: each speculated global resolves the moment its
   // own votes complete — not behind earlier specs still waiting (slot
   // resolution and the per-key read frontier keep reads safe regardless
-  // of the resolution order). The rescan after every resolution keeps
-  // iteration valid across the erase inside finalize/rollback; spec_ stays
-  // small.
-  bool resolved = true;
-  while (resolved) {
-    resolved = false;
-    for (const auto& [v, s] : spec_) {
-      if (!has_all_votes(s.tx)) continue;
-      if (combined_outcome(s.tx) == Outcome::kCommit) {
-        finalize_spec(v);
-      } else {
-        rollback_spec(v);
-      }
-      resolved = true;
-      progress = true;
-      break;
-    }
+  // of the resolution order). Finalizing changes no other round's votes,
+  // so one ascending pass finds every resolvable one.
+  for (auto it = speculated_begin(); it != round_order_.end();) {
+    Round& r = rounds_.at((it++)->second);  // advance first: finalize erases the entry
+    const Outcome verdict = r.verdict();
+    if (verdict == Outcome::kUnknown) continue;
+    finalize(r.tx, r.version, verdict);
+    progress = true;
   }
   return progress;
 }
 
-void Server::finalize_spec(Version v) {
-  auto it = spec_.find(v);
-  if (it == spec_.end()) return;
-  SpecEntry s = std::move(it->second);
-  spec_.erase(it);
-  spec_ids_.erase(s.tx.id);
-  SDUR_AUDIT(audit::Oracle::instance().record_completion(
-      s.tx.id, cfg_.partition, audit::Oracle::kCommit, s.tx.involved, self(), now()));
-  SDUR_AUDIT_NOTE(now(), name() << " finalized speculated tx " << s.tx.id << " -> commit v"
-                                << s.version);
-  // The writes are already in the store at s.version: promote them (drop
-  // the undo record) and resolve the slot so its keys' read frontiers can
-  // pass it — only now can a read observe the versions.
-  store_.promote(v);
-  cert_.resolve(v, s.tx.id, true);
-  ++stats_.spec_commits;
-  ++stats_.committed_global;
-  if ((cert_.stable() & 0x3FFFF) == 0) {
-    store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
-  }
-  service_deferred_reads();
-  votes_.erase(s.tx.id);
-  remember_outcome(s.tx.id, Outcome::kCommit);
-  if (s.tx.contact == self() && s.tx.client != 0) {
-    if (s.tx.is_global()) {
-      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, s.tx.id, s.delivered_at, now(), 0,
-                      -1);
-    }
-    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, s.tx.id, now(), 1);
-    send(s.tx.client, OutcomeMsg{s.tx.id, Outcome::kCommit}.to_message());
-  }
-  // Missed-promotion guard: no speculative version may sit at or below the
-  // resolved floor (audited + throws on violation).
-  store_.audit_spec_floor(cert_.stable());
+// --- Global termination ---------------------------------------------------------
+
+const Outcome* Server::Round::vote(PartitionId p) const {
+  const auto it = std::find_if(votes.begin(), votes.end(), [p](auto& e) { return e.first == p; });
+  return it == votes.end() ? nullptr : &it->second;
 }
 
-void Server::rollback_spec(Version v) {
-  auto it = spec_.find(v);
-  if (it == spec_.end()) return;
-  SpecEntry s = std::move(it->second);
-  spec_.erase(it);
-  spec_ids_.erase(s.tx.id);
-  SDUR_AUDIT(audit::Oracle::instance().record_completion(
-      s.tx.id, cfg_.partition, audit::Oracle::kAbort, s.tx.involved, self(), now()));
-  SDUR_AUDIT_NOTE(now(), name() << " rolled back speculated tx " << s.tx.id << " v" << s.version);
-  // Undo the speculative versions (mid-chain erase: entries behind the
-  // spec may have committed at higher versions already) and resolve the
-  // slot as aborted.
-  store_.rollback(v);
-  cert_.resolve(v, s.tx.id, false);
-  ++stats_.aborted;
-  ++stats_.spec_aborts;
-  SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxSpecAbort, s.tx.id, now(),
-                     static_cast<std::uint64_t>(s.version));
-  service_deferred_reads();
-  votes_.erase(s.tx.id);
-  remember_outcome(s.tx.id, Outcome::kAbort);
-  if (s.tx.contact == self() && s.tx.client != 0) {
-    if (s.tx.is_global()) {
-      SDUR_TRACE_SPAN(trace_track_, trace::Point::kVoteWait, s.tx.id, s.delivered_at, now(), 0,
-                      -1);
-    }
-    SDUR_TRACE_MARK(trace_track_, trace::Point::kTxCompleted, s.tx.id, now(), 0);
-    send(s.tx.client, OutcomeMsg{s.tx.id, Outcome::kAbort}.to_message());
+void Server::Round::add_vote(PartitionId p, Outcome v) {
+  const auto it = std::find_if(votes.begin(), votes.end(), [p](auto& e) { return e.first == p; });
+  if (it == votes.end()) {
+    votes.emplace_back(p, v);
+  } else if (it->second == Outcome::kUnknown) {
+    it->second = v;
   }
-  store_.audit_spec_floor(cert_.stable());
+}
+
+Outcome Server::Round::verdict() const {
+  Outcome combined = Outcome::kCommit;
+  for (PartitionId p : involved) {
+    const Outcome* v = vote(p);
+    if (v == nullptr) return Outcome::kUnknown;
+    if (*v == Outcome::kAbort) combined = Outcome::kAbort;
+  }
+  return combined;
+}
+
+Server::Round& Server::enter_phase(const PartTx& t, Round::Phase phase, Version version) {
+  Round& r = rounds_[t.id];
+  if (r.phase == Round::Phase::kVoting) {
+    r.involved = t.involved;
+    r.delivered_at = now();
+  }
+  round_order_.erase({r.phase, r.version});  // no-op for kVoting
+  r.phase = phase;
+  r.version = version;
+  round_order_.emplace(std::pair{phase, version}, t.id);
+  return r;
+}
+
+void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
+  if (r.verdict() != Outcome::kUnknown) return;
+  if (t_now - r.last_vote_resend >= cfg_.vote_resend_interval) {
+    r.last_vote_resend = t_now;
+    // Re-push our vote (it may have been lost) and pull the votes we are
+    // missing (the peers may have completed long ago, e.g. if this
+    // replica recovered from a crash and lost its vote table).
+    if (const Outcome* own = own_votes_.find(id)) send_vote_to_peers(id, r.involved, *own);
+    for (PartitionId part : r.involved) {
+      if (part == cfg_.partition || r.vote(part) != nullptr) continue;
+      const sim::Message req = VoteRequestMsg{id}.to_message();
+      const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
+      for (std::size_t j = 0; j < peers.size(); ++j) {
+        send(peers[j], maybe_piggyback(part, j, req));
+      }
+    }
+  }
+  if (!r.abort_requested && t_now - r.delivered_at >= cfg_.missing_vote_timeout &&
+      engine_->is_leader()) {
+    // Suspect the submitter crashed between broadcasts: ask the silent
+    // partitions to abort (or to resend their vote if they did deliver).
+    r.abort_requested = true;
+    ++stats_.abort_requests_sent;
+    for (PartitionId part : r.involved) {
+      if (part == cfg_.partition || r.vote(part) != nullptr) continue;
+      abcast(part, PartTx::make_abort_request(id, r.involved));
+    }
+  }
 }
 
 // --- Votes --------------------------------------------------------------------
 
-void Server::record_own_vote(const PartTx& t, Outcome v) {
-  auto [it, inserted] = own_votes_.try_emplace(t.id, v);
-  if (!inserted) return;
-  // One vote per (transaction, partition), identical across the
-  // partition's replicas — votes may only differ *between* partitions.
-  SDUR_AUDIT(audit::Oracle::instance().record_vote(
-      t.id, cfg_.partition,
-      v == Outcome::kCommit ? audit::Oracle::kCommit : audit::Oracle::kAbort, self(), now()));
-  own_votes_order_.push_back(t.id);
-  while (own_votes_order_.size() > kOwnVoteMemory) {
-    own_votes_.erase(own_votes_order_.front());
-    own_votes_order_.pop_front();
+void Server::cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v) {
+  if (own_votes_.record(id, v)) {
+    // One vote per (transaction, partition), identical across the
+    // partition's replicas — votes may only differ *between* partitions.
+    SDUR_AUDIT(audit::Oracle::instance().record_vote(
+        id, cfg_.partition, v == Outcome::kCommit ? audit::Oracle::kCommit : audit::Oracle::kAbort,
+        self(), now()));
+    // The round holds the own-partition vote too, so its verdict sees
+    // every partition's vote uniformly.
+    rounds_[id].add_vote(cfg_.partition, v);
   }
-  // Record into VOTES as well so has_all_votes sees the own-partition vote
-  // uniformly.
-  votes_[t.id][cfg_.partition] = v;
+  send_vote_to_peers(id, involved, v);
 }
 
-void Server::send_vote_to_peers(const PartTx& t, Outcome v) {
+void Server::send_vote_to_peers(TxId id, const std::vector<PartitionId>& involved, Outcome v) {
   if (batching()) {
-    for (PartitionId p : t.involved) {
+    for (PartitionId p : involved) {
       if (p == cfg_.partition) continue;
-      enqueue_vote(p, t.id, v);
+      enqueue_vote(p, id, v);
     }
     return;
   }
-  const VoteMsg vote{t.id, cfg_.partition, v};
-  const sim::Message msg = vote.to_message();
-  for (PartitionId p : t.involved) {
+  const sim::Message msg = VoteMsg{id, cfg_.partition, v}.to_message();
+  for (PartitionId p : involved) {
     if (p == cfg_.partition) continue;
     for (sim::ProcessId peer : cfg_.partition_servers[p]) send(peer, msg);
   }
 }
 
-bool Server::has_all_votes(const PartTx& t) const {
-  auto it = votes_.find(t.id);
-  if (it == votes_.end()) return false;
-  for (PartitionId part : t.involved) {
-    if (!it->second.contains(part)) return false;
-  }
-  return true;
-}
-
-bool Server::has_all_votes(const PendingEntry& p) const { return has_all_votes(p.tx); }
-
-Outcome Server::combined_outcome(const PartTx& t) const {
-  auto it = votes_.find(t.id);
-  if (it == votes_.end()) return Outcome::kAbort;
-  for (PartitionId part : t.involved) {
-    auto vit = it->second.find(part);
-    if (vit == it->second.end() || vit->second == Outcome::kAbort) return Outcome::kAbort;
-  }
-  return Outcome::kCommit;
-}
-
-Outcome Server::combined_outcome(const PendingEntry& p) const { return combined_outcome(p.tx); }
-
-bool Server::apply_vote(TxId id, PartitionId partition, Outcome vote) {
-  // Votes for transactions already completed here are stale; only keep
-  // votes for pending, speculated, or not-yet-delivered transactions. The
-  // certifier's id index answers "still pending?" in one hash probe — this
-  // used to be an O(pending) scan per incoming vote.
-  const bool completed =
-      seen_.contains(id) && !cert_.pending_contains(id) && !spec_ids_.contains(id);
-  if (completed) {
+bool Server::handle_vote(TxId id, PartitionId partition, Outcome vote) {
+  // A vote is stale once its transaction was delivered here and is neither
+  // pending nor speculated: it completed, or failed certification (P-DUR:
+  // with its epilogue still on the cores). Stale votes open no round.
+  const auto it = rounds_.find(id);
+  const bool live = it != rounds_.end() && it->second.phase != Round::Phase::kVoting;
+  if (!live && seen_.contains(id)) {
     ++stats_.stale_votes_dropped;
     return false;
   }
-  auto& entry = votes_[id];
-  auto [it, inserted] = entry.try_emplace(partition, vote);
-  if (!inserted && it->second == Outcome::kUnknown) it->second = vote;
+  rounds_[id].add_vote(partition, vote);
   return true;
-}
-
-void Server::handle_vote(const VoteMsg& m) {
-  // Stale votes skip the drain entirely (legacy early return): an extra
-  // drain_pending could arm the threshold tick at a different time and
-  // break cross-build determinism.
-  if (apply_vote(m.id, m.partition, m.vote)) drain_pending();
 }
 
 void Server::handle_vote_batch(const VoteBatchMsg& m) {
@@ -826,7 +793,7 @@ void Server::handle_vote_batch(const VoteBatchMsg& m) {
   // votes instead of running once per vote message.
   bool recorded = false;
   for (const VoteBatchEntry& e : m.votes) {
-    recorded = apply_vote(e.id, m.partition, e.vote) || recorded;
+    recorded = handle_vote(e.id, m.partition, e.vote) || recorded;
   }
   if (recorded) drain_pending();
 }
@@ -837,7 +804,7 @@ void Server::enqueue_vote(PartitionId p, TxId id, Outcome v) {
   if (p >= vote_outbox_.size()) return;
   VoteOutbox& box = vote_outbox_[p];
   box.queue.push_back(VoteBatchEntry{id, v});
-  if (box.queue.size() >= cfg_.vote_batch_max) {
+  if (box.queue.size() >= cfg_.techniques.vote_batch_max) {
     flush_votes_for(p);
     return;
   }
@@ -845,7 +812,7 @@ void Server::enqueue_vote(PartitionId p, TxId id, Outcome v) {
     // One timer serves every destination queue; epoch-guarded, so a crash
     // kills it and on_recover starts from an empty outbox.
     vote_flush_pending_ = true;
-    set_timer(cfg_.vote_batch_interval, [this] { flush_votes(); });
+    set_timer(cfg_.techniques.vote_batch_interval, [this] { flush_votes(); });
   }
 }
 
@@ -891,12 +858,11 @@ void Server::flush_votes_for(PartitionId p) {
     SDUR_TRACE_INSTANT(trace_track_, trace::Point::kVoteFlush, p, now(),
                        box.queue.size() - min_cursor);
   }
-  box.queue.clear();
-  std::fill(box.cursor.begin(), box.cursor.end(), 0);
+  box.clear();
 }
 
 sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, sim::Message m) {
-  if (!batching() || !cfg_.vote_piggyback) return m;
+  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
   if (m.type == msgtype::kVoteBatch || m.type == msgtype::kVotePiggyback) return m;
   if (p == cfg_.partition || p >= vote_outbox_.size()) return m;
   VoteOutbox& box = vote_outbox_[p];
@@ -917,14 +883,13 @@ sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, s
   bool all_caught_up = true;
   for (std::size_t c : box.cursor) all_caught_up = all_caught_up && c >= box.queue.size();
   if (all_caught_up) {
-    box.queue.clear();
-    std::fill(box.cursor.begin(), box.cursor.end(), 0);
+    box.clear();
   }
   return env.to_message();
 }
 
 sim::Message Server::maybe_piggyback_pid(sim::ProcessId to, sim::Message m) {
-  if (!batching() || !cfg_.vote_piggyback) return m;
+  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
   const auto it = peer_index_.find(to);
   if (it == peer_index_.end()) return m;
   return maybe_piggyback(it->second.first, it->second.second, std::move(m));
@@ -1025,74 +990,10 @@ void Server::gossip_tick() {
 }
 
 void Server::liveness_tick() {
+  // One pass over the delivered rounds in round_order_'s visit order; the
+  // order fixes the send order, which feeds the fabric's RNG.
   const sim::Time t_now = now();
-  for (std::size_t i = 0; i < cert_.size(); ++i) {
-    PendingEntry& p = cert_.at(i);
-    if (!p.tx.is_global() || has_all_votes(p)) continue;
-    if (t_now - p.last_vote_resend >= cfg_.vote_resend_interval) {
-      p.last_vote_resend = t_now;
-      // Re-push our vote (it may have been lost) and pull the votes we are
-      // missing (the peers may have completed long ago, e.g. if this
-      // replica recovered from a crash and lost its vote table).
-      auto it = own_votes_.find(p.tx.id);
-      if (it != own_votes_.end()) send_vote_to_peers(p.tx, it->second);
-      auto votes_it = votes_.find(p.tx.id);
-      for (PartitionId part : p.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        const sim::Message req = VoteRequestMsg{p.tx.id}.to_message();
-        const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
-        for (std::size_t j = 0; j < peers.size(); ++j) {
-          send(peers[j], maybe_piggyback(part, j, req));
-        }
-      }
-    }
-    if (!p.abort_requested && t_now - p.delivered_at >= cfg_.missing_vote_timeout &&
-        engine_->is_leader()) {
-      // Suspect the submitter crashed between broadcasts: ask the silent
-      // partitions to abort (or to resend their vote if they did deliver).
-      p.abort_requested = true;
-      ++stats_.abort_requests_sent;
-      auto votes_it = votes_.find(p.tx.id);
-      for (PartitionId part : p.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        abcast(part, PartTx::make_abort_request(p.tx.id, p.tx.involved));
-      }
-    }
-  }
-  // Speculated globals left the pending list but still await their votes:
-  // the same resend / vote-request / abort-request liveness applies.
-  for (auto& [v, s] : spec_) {
-    (void)v;
-    if (has_all_votes(s.tx)) continue;
-    if (t_now - s.last_vote_resend >= cfg_.vote_resend_interval) {
-      s.last_vote_resend = t_now;
-      auto it = own_votes_.find(s.tx.id);
-      if (it != own_votes_.end()) send_vote_to_peers(s.tx, it->second);
-      auto votes_it = votes_.find(s.tx.id);
-      for (PartitionId part : s.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        const sim::Message req = VoteRequestMsg{s.tx.id}.to_message();
-        const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
-        for (std::size_t j = 0; j < peers.size(); ++j) {
-          send(peers[j], maybe_piggyback(part, j, req));
-        }
-      }
-    }
-    if (!s.abort_requested && t_now - s.delivered_at >= cfg_.missing_vote_timeout &&
-        engine_->is_leader()) {
-      s.abort_requested = true;
-      ++stats_.abort_requests_sent;
-      auto votes_it = votes_.find(s.tx.id);
-      for (PartitionId part : s.tx.involved) {
-        if (part == cfg_.partition) continue;
-        if (votes_it != votes_.end() && votes_it->second.contains(part)) continue;
-        abcast(part, PartTx::make_abort_request(s.tx.id, s.tx.involved));
-      }
-    }
-  }
+  for (const auto& [key, id] : round_order_) chase_votes(id, rounds_.at(id), t_now);
   set_timer(cfg_.vote_resend_interval / 2, [this] { liveness_tick(); });
 }
 
@@ -1105,38 +1006,28 @@ paxos::Value Server::encode_state() const {
   w.u64(dc_);
   // Sets are serialized sorted so a checkpoint is a canonical function of
   // the replica's deterministic state, byte-identical across replicas.
-  std::vector<TxId> seen_ids(seen_.begin(), seen_.end());
-  std::sort(seen_ids.begin(), seen_ids.end());
-  w.varint(seen_ids.size());
-  for (TxId id : seen_ids) w.u64(id);
-  std::vector<TxId> poisoned_ids(poisoned_.begin(), poisoned_.end());
-  std::sort(poisoned_ids.begin(), poisoned_ids.end());
-  w.varint(poisoned_ids.size());
-  for (TxId id : poisoned_ids) w.u64(id);
-  w.varint(own_votes_order_.size());
-  for (TxId id : own_votes_order_) {
-    w.u64(id);
-    auto it = own_votes_.find(id);
-    w.u8(static_cast<std::uint8_t>(it == own_votes_.end() ? Outcome::kUnknown : it->second));
+  for (const std::unordered_set<TxId>* set : {&seen_, &poisoned_}) {
+    std::vector<TxId> ids(set->begin(), set->end());
+    std::sort(ids.begin(), ids.end());
+    w.varint(ids.size());
+    for (TxId id : ids) w.u64(id);
   }
-  w.varint(outcomes_order_.size());
-  for (TxId id : outcomes_order_) {
-    w.u64(id);
-    auto it = outcomes_.find(id);
-    w.u8(static_cast<std::uint8_t>(it == outcomes_.end() ? Outcome::kUnknown : it->second));
-  }
+  own_votes_.encode(w);
+  outcomes_.encode(w);
   // Speculative entries ride in the checkpoint only when the technique is
   // on: speculation-off blobs stay byte-identical to the legacy format
   // (golden-digest pinned). The store blob above already carries the
   // speculative versions inside the chains; this section lets install
   // re-mark them in the undo log.
-  if (cfg_.speculation) {
-    w.varint(spec_.size());
-    for (const auto& [v, s] : spec_) {
-      w.i64(v);
-      const util::Bytes tx = s.tx.encode();
+  if (cfg_.techniques.speculation) {
+    const auto first = speculated_begin();
+    w.varint(static_cast<std::uint64_t>(std::distance(first, round_order_.end())));
+    for (auto it = first; it != round_order_.end(); ++it) {
+      const Round& r = rounds_.at(it->second);
+      w.i64(r.version);
+      const util::Bytes tx = r.tx.encode();
       w.bytes(tx);
-      w.u64(s.rt);
+      w.u64(r.rt);
     }
   }
   return std::move(w).take();
@@ -1147,70 +1038,47 @@ void Server::install_state(const paxos::Value& blob) {
   store_.install(r);
   cert_.install(r);
   dc_ = r.u64();
-  seen_.clear();
-  const std::uint64_t nseen = r.varint();
-  for (std::uint64_t i = 0; i < nseen; ++i) seen_.insert(r.u64());
-  poisoned_.clear();
-  const std::uint64_t npois = r.varint();
-  for (std::uint64_t i = 0; i < npois; ++i) poisoned_.insert(r.u64());
-  own_votes_.clear();
-  own_votes_order_.clear();
-  const std::uint64_t nvotes = r.varint();
-  for (std::uint64_t i = 0; i < nvotes; ++i) {
-    const TxId id = r.u64();
-    const auto v = static_cast<Outcome>(r.u8());
-    own_votes_[id] = v;
-    own_votes_order_.push_back(id);
+  for (std::unordered_set<TxId>* set : {&seen_, &poisoned_}) {
+    set->clear();
+    const std::uint64_t n = r.varint();
+    for (std::uint64_t i = 0; i < n; ++i) set->insert(r.u64());
   }
-  outcomes_.clear();
-  outcomes_order_.clear();
-  const std::uint64_t nout = r.varint();
-  for (std::uint64_t i = 0; i < nout; ++i) {
-    const TxId id = r.u64();
-    const auto v = static_cast<Outcome>(r.u8());
-    outcomes_[id] = v;
-    outcomes_order_.push_back(id);
-  }
-  spec_.clear();
-  spec_ids_.clear();
-  if (cfg_.speculation) {
+  own_votes_.install(r);
+  outcomes_.install(r);
+  // Rounds reopen for the restored globals, seeded with our own votes;
+  // peer votes are re-fetched by the vote-request repair in liveness_tick.
+  rounds_.clear();
+  round_order_.clear();
+  auto reopen = [this](const PartTx& t, Round::Phase phase, Version v) -> Round& {
+    Round& round = enter_phase(t, phase, v);
+    if (const Outcome* own = own_votes_.find(t.id)) round.add_vote(cfg_.partition, *own);
+    return round;
+  };
+  if (cfg_.techniques.speculation) {
     const std::uint64_t nspec = r.varint();
-    for (std::uint64_t i = 0; i < nspec; ++i) {
-      SpecEntry s;
-      s.version = r.i64();
-      const std::string tx_bytes = r.bytes();
-      s.tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
-      s.rt = r.u64();
-      s.delivered_at = now();
-      s.last_vote_resend = 0;
-      s.abort_requested = false;
-      spec_ids_[s.tx.id] = s.version;
-      spec_.emplace(s.version, std::move(s));
-    }
-    // Re-mark the speculative versions in the freshly installed store so
-    // a later rollback still finds its undo records.
     std::vector<Key> spec_keys;
-    for (auto& [v, s] : spec_) {
+    for (std::uint64_t i = 0; i < nspec; ++i) {
+      const Version v = r.i64();
+      const std::string tx_bytes = r.bytes();
+      PartTx tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
+      // Re-mark the speculative versions in the freshly installed store so
+      // a later rollback still finds its undo records.
       spec_keys.clear();
-      for (const auto& op : s.tx.writes) {
+      for (const auto& op : tx.writes) {
         if (spec_keys.empty() || spec_keys.back() != op.key) spec_keys.push_back(op.key);
       }
       store_.mark_speculative(v, spec_keys);
+      Round& round = reopen(tx, Round::Phase::kSpeculated, v);
+      round.tx = std::move(tx);
+      round.rt = r.u64();
     }
   }
-  // Re-seed VOTES with our own votes; peer votes for still-pending globals
-  // are re-fetched by the vote-request repair in liveness_tick.
-  votes_.clear();
-  for (const auto& [id, v] : own_votes_) votes_[id][cfg_.partition] = v;
-  // Stamp fresh liveness bookkeeping on restored pending entries. Restored
-  // entries are ready: their core work happened before the checkpoint (the
-  // checkpoint itself carries the resulting state).
+  // Restored entries are ready: their core work happened before the
+  // checkpoint (the checkpoint itself carries the resulting state).
   for (std::size_t i = 0; i < cert_.size(); ++i) {
     PendingEntry& e = cert_.at(i);
-    e.delivered_at = now();
-    e.last_vote_resend = 0;
-    e.abort_requested = false;
     e.ready = true;
+    if (e.tx.is_global()) reopen(e.tx, Round::Phase::kPending, e.version);
   }
   drain_pending();
   service_deferred_reads();
@@ -1230,15 +1098,12 @@ void Server::on_recover() {
   store_.truncate_above(0);
   cert_.reset();
   dc_ = 0;
-  spec_.clear();
-  spec_ids_.clear();
-  votes_.clear();
+  rounds_.clear();
+  round_order_.clear();
   poisoned_.clear();
   seen_.clear();
-  own_votes_.clear();
-  own_votes_order_.clear();
-  outcomes_.clear();
-  outcomes_order_.clear();
+  own_votes_ = History{};
+  outcomes_ = History{};
   std::fill(gsc_.begin(), gsc_.end(), 0);
   last_gossiped_sc_ = -1;
   deferred_reads_.clear();
@@ -1246,20 +1111,13 @@ void Server::on_recover() {
   // The vote outbox is volatile: queued votes die with the replica (the
   // flush timer is epoch-guarded and never fires after a crash); recovery
   // replay re-votes, and the resend/vote-request repair covers the rest.
-  for (VoteOutbox& box : vote_outbox_) {
-    box.queue.clear();
-    std::fill(box.cursor.begin(), box.cursor.end(), 0);
-  }
+  for (VoteOutbox& box : vote_outbox_) box.clear();
   vote_flush_pending_ = false;
   stats_ = Stats{};
   // Replays the decided prefix through adeliver(), rebuilding SC/DC/window
   // deterministically, then rejoins the group as a follower.
   engine_->on_recover();
-  set_timer(cfg_.gossip_interval, [this] { gossip_tick(); });
-  set_timer(cfg_.vote_resend_interval / 2, [this] { liveness_tick(); });
-  if (cfg_.checkpoint_interval > 0) {
-    set_timer(cfg_.checkpoint_interval, [this] { checkpoint_tick(); });
-  }
+  arm_timers();
 }
 
 }  // namespace sdur

@@ -27,6 +27,7 @@
 // outcome.
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <memory>
@@ -100,7 +101,7 @@ class Server : public sim::Process {
   /// Highest assigned (certified) version, possibly unresolved.
   Version certified() const { return cert_.certified(); }
   std::uint64_t dc() const { return dc_; }
-  std::uint32_t reorder_threshold() const { return cfg_.reorder_threshold; }
+  std::uint32_t reorder_threshold() const { return cfg_.techniques.reorder_threshold; }
   std::size_t pending_count() const { return cert_.size(); }
   const Stats& stats() const { return stats_; }
   const storage::MVStore& store() const { return store_; }
@@ -125,72 +126,105 @@ class Server : public sim::Process {
 
   // --- Delivery (Algorithm 2, lines 15-33) ----------------------------------
   void adeliver(const paxos::Value& value);
+  /// CPU cost charged on the dispatcher for delivered transaction `t`.
+  sim::Time delivery_cost(const PartTx& t) const;
   void process_delivery(PartTx t);
-  void complete(const PendingEntry& e, Outcome outcome);
+  /// Emits a verdict: a global's own vote; a failed certification's
+  /// completion. P-DUR defers it until the core work finished.
+  void emit_verdict(const PartTx& t, Outcome vote);
+  /// Resolves `t`'s slot at `version` (a removed pending entry or a
+  /// speculated global), applies, promotes or undoes its writes and
+  /// completes it.
+  void finalize(const PartTx& t, Version version, Outcome outcome);
+  /// The completion epilogue of every transaction: audit record, abort
+  /// count, outcome history, client reply, closing the round.
+  void complete(const PartTx& t, Outcome outcome);
   void drain_pending();
-  /// Out-of-order local commit (cfg.ooo_bypass): after the in-order drain
-  /// stalls, commits every ready unparked local past the blocked prefix
-  /// (see DESIGN.md "Out-of-order local commit").
+  /// Out-of-order local commit (techniques.ooo_bypass): after the in-order
+  /// drain stalls, commits every ready unparked local past the blocked
+  /// prefix (see DESIGN.md "Out-of-order local commit").
   void bypass_sweep();
-  /// In-order head drain (the legacy drain_pending loop body); factored
-  /// out so the speculation sweep can interleave with it.
+  /// In-order head drain; factored out so the speculation sweep can
+  /// interleave with it.
   void drain_in_order();
   void schedule_threshold_tick();
 
-  // --- Speculative global commit (cfg.techniques.speculation) ---------------
+  // --- Speculative global commit (techniques.speculation) -------------------
   // A locally-certified global at the pending-list head applies its writes
-  // as speculative MVStore versions immediately and leaves the pending
-  // list; remote votes later finalize (promote + reply) or roll it back
-  // (undo the versions mid-chain). No transaction ever depends on
-  // speculative state — no read of a key is served at or above an
-  // unresolved (e.g. speculative) writer of that key — so there is nothing
-  // to cascade. See DESIGN.md "Speculative global commit".
-  /// One speculated global, keyed by its assigned version in spec_.
-  struct SpecEntry {
-    PartTx tx;
-    Version version = 0;
-    std::uint64_t rt = 0;             // delivery count at certification
-    sim::Time delivered_at = 0;
-    sim::Time last_vote_resend = 0;
-    bool abort_requested = false;
-  };
+  // as speculative MVStore versions and leaves the pending list; its votes
+  // later promote or roll them back. See DESIGN.md "Speculative global
+  // commit".
   /// Speculates the global at the pending-list head; true on progress.
   bool speculate_head();
-  /// Post-drain sweep: speculate eligible heads; true on any progress.
+  /// Post-drain sweep: speculate eligible heads, finalize speculated
+  /// globals whose votes are in; true on any progress.
   bool spec_sweep();
-  /// Votes complete with combined commit: promote versions, emit the
-  /// reply.
-  void finalize_spec(Version v);
-  /// Votes complete with an abort: undo the versions, reply abort.
-  void rollback_spec(Version v);
-  bool has_all_votes(const PartTx& t) const;
-  Outcome combined_outcome(const PartTx& t) const;
 
   // --- P-DUR multi-core replica (src/pdur/) ---------------------------------
   /// True when this replica models pdur.cores > 1 simulated cores.
   bool parallel() const { return cfg_.pdur.cores > 1; }
   /// Runs once a transaction's per-core work finished: releases the
-  /// pending entry, emits the deferred effects (votes, abort answers).
+  /// pending entry, emits the deferred verdict.
   void finish_core_work(const PartTx& t, Outcome vote, Version version);
 
+  // --- Global termination (see DESIGN.md "Global termination") --------------
+  /// One global transaction's termination at this replica (Algorithm 2's
+  /// vote exchange, Section IV-F's abort requests). Opened by its first
+  /// vote or its commit verdict; closed by complete().
+  struct Round {
+    enum class Phase : std::uint8_t {
+      kVoting,      // not certified to commit here (yet): collects votes only
+      kPending,     // certified to commit, waiting in the pending list
+      kSpeculated,  // out of the pending list, writes applied speculatively
+    };
+    Phase phase = Phase::kVoting;
+    /// Votes received per partition, this replica's own included.
+    std::vector<std::pair<PartitionId, Outcome>> votes;
+    /// Set on leaving kVoting.
+    std::vector<PartitionId> involved;
+    Version version = 0;
+    sim::Time delivered_at = 0;
+    sim::Time last_vote_resend = 0;
+    bool abort_requested = false;
+    /// kSpeculated: the transaction and its reorder threshold, moved out
+    /// of the pending list (checkpoints carry both).
+    PartTx tx;
+    std::uint64_t rt = 0;
+
+    /// Partition `p`'s vote, or null while it is missing.
+    const Outcome* vote(PartitionId p) const;
+    /// Records `p`'s vote; a repeat only replaces a kUnknown vote.
+    void add_vote(PartitionId p, Outcome v);
+    /// Delivered phases: kUnknown while an involved partition's vote is
+    /// missing, else commit iff no partition voted abort.
+    Outcome verdict() const;
+  };
+  /// Moves `t`'s round (opened if absent) into `phase` at `version` and
+  /// indexes it in round_order_; leaving kVoting stamps delivered_at.
+  Round& enter_phase(const PartTx& t, Round::Phase phase, Version version);
+  /// First speculated round in round_order_.
+  auto speculated_begin() const {
+    return round_order_.lower_bound({Round::Phase::kSpeculated, 0});  // versions start at 1
+  }
+  /// Liveness for a round missing votes: resend ours, request theirs and,
+  /// past missing_vote_timeout, have the leader request an abort.
+  void chase_votes(TxId id, Round& r, sim::Time t_now);
+
   // --- Votes ----------------------------------------------------------------
-  void record_own_vote(const PartTx& t, Outcome v);
-  void send_vote_to_peers(const PartTx& t, Outcome v);
-  bool has_all_votes(const PendingEntry& p) const;
-  Outcome combined_outcome(const PendingEntry& p) const;
-  void handle_vote(const VoteMsg& m);
-  /// Records one vote; returns false when the vote was stale (transaction
-  /// already completed here — dropped, exactly like the legacy early
-  /// return, so callers only drain_pending on recorded votes). The
-  /// stale-drop check is one probe of the certifier's id index instead of
-  /// the O(pending) scan handle_vote used to run per vote.
-  bool apply_vote(TxId id, PartitionId partition, Outcome vote);
+  /// Records this partition's vote (first one only) and sends it.
+  void cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v);
+  void send_vote_to_peers(TxId id, const std::vector<PartitionId>& involved, Outcome v);
+  /// Records one vote in its round; returns false when the vote was stale
+  /// (the transaction was delivered here and is neither pending nor
+  /// speculated). Callers drain_pending only on recorded votes: an extra
+  /// drain could arm the threshold tick at a different time.
+  bool handle_vote(TxId id, PartitionId partition, Outcome vote);
   void handle_vote_batch(const VoteBatchMsg& m);
 
   // --- Vote batching (see DESIGN.md "Vote exchange & batching") --------------
   /// Batching is a cross-partition optimization; single-partition
   /// deployments have no vote exchange to batch.
-  bool batching() const { return cfg_.vote_batching && cfg_.num_partitions > 1; }
+  bool batching() const { return cfg_.techniques.vote_batching && cfg_.num_partitions > 1; }
   /// Queues a vote for partition p; flushes at vote_batch_max, else arms
   /// one vote_batch_interval timer covering all destination queues.
   void enqueue_vote(PartitionId p, TxId id, Outcome v);
@@ -221,6 +255,8 @@ class Server : public sim::Process {
   void install_state(const paxos::Value& blob);
 
   // --- Timers -------------------------------------------------------------------
+  /// Arms the gossip, liveness and checkpoint timers (start and recovery).
+  void arm_timers();
   void gossip_tick();
   void liveness_tick();
   void checkpoint_tick();
@@ -232,25 +268,35 @@ class Server : public sim::Process {
   Certifier cert_;
   std::uint64_t dc_ = 0;  // delivered-transactions counter
 
-  /// VOTES: votes received per global transaction and partition.
-  std::unordered_map<TxId, std::unordered_map<PartitionId, Outcome>> votes_;
+  /// Open rounds by transaction id (the paper's VOTES, plus phases).
+  std::unordered_map<TxId, Round> rounds_;
+  /// Delivered rounds in liveness visit order: pending (pending-list
+  /// order is version order for globals), then speculated, by version.
+  std::map<std::pair<Round::Phase, Version>, TxId> round_order_;
   /// Abort requests delivered before their transaction.
   std::unordered_set<TxId> poisoned_;
   /// Delivered transaction ids (dedup across leader-change re-broadcasts).
   std::unordered_set<TxId> seen_;
-  /// Own votes for globals, kept after completion so they can be resent
-  /// (bounded FIFO).
-  std::unordered_map<TxId, Outcome> own_votes_;
-  std::deque<TxId> own_votes_order_;
-
+  /// A bounded FIFO history of per-transaction outcomes, carried in
+  /// checkpoints in insertion order.
+  struct History {
+    std::unordered_map<TxId, Outcome> map;
+    std::deque<TxId> order;
+    const Outcome* find(TxId id) const;
+    /// Records `o` unless `id` is present (evicting the oldest entry past
+    /// the bound); true when recorded.
+    bool record(TxId id, Outcome o);
+    void encode(util::Writer& w) const;
+    void install(util::Reader& r);
+  };
+  /// Own votes for globals, kept after completion so they can be resent.
+  History own_votes_;
   /// Final outcomes of completed transactions. Deterministic (every
   /// replica completes every transaction with the same outcome), so it is
   /// recorded on all replicas, carried in checkpoints, and used to answer
   /// duplicate commit requests (client retries after a lost outcome
-  /// message) without re-executing (bounded FIFO).
-  std::unordered_map<TxId, Outcome> outcomes_;
-  std::deque<TxId> outcomes_order_;
-  void remember_outcome(TxId id, Outcome o);
+  /// message) without re-executing.
+  History outcomes_;
 
   /// Latest known snapshot counters of all partitions (gossip).
   std::vector<Version> gsc_;
@@ -264,15 +310,6 @@ class Server : public sim::Process {
   };
   std::deque<DeferredRead> deferred_reads_;
 
-  /// Outstanding speculative entries by version (ordered: rollback and
-  /// the spec-floor audit walk from the lowest). Deterministic: contents
-  /// are a function of the delivered sequence plus vote outcomes, both
-  /// identical across the partition's replicas.
-  std::map<Version, SpecEntry> spec_;
-  /// TxId -> speculative version, so the vote path can find speculated
-  /// globals that already left the pending list.
-  std::unordered_map<TxId, Version> spec_ids_;
-
   /// Per-destination-partition vote outbox. `cursor[i]` is the queue
   /// prefix already carried to replica i of that partition by a piggyback
   /// (every replica of every involved partition needs every vote; votes
@@ -283,6 +320,10 @@ class Server : public sim::Process {
   struct VoteOutbox {
     std::vector<VoteBatchEntry> queue;
     std::vector<std::size_t> cursor;  // one per replica of the partition
+    void clear() {
+      queue.clear();
+      std::fill(cursor.begin(), cursor.end(), 0);
+    }
   };
   std::vector<VoteOutbox> vote_outbox_;
   bool vote_flush_pending_ = false;

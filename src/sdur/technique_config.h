@@ -4,8 +4,7 @@
 // readsets, vote batching, the out-of-order local commit, speculative
 // global commit — lives here, in one struct, with one canonical string
 // grammar. bench/common.h, tools/sdur_sim and the tests all build their
-// configs through this type; ServerConfig embeds it and re-exports the
-// historical field names as references so call sites keep compiling
+// configs through this type; ServerConfig embeds it as `techniques`
 // (enforced by the `config-single-source` analyzer rule: no technique
 // bool may be declared outside TechniqueConfig).
 //

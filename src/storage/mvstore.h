@@ -143,8 +143,8 @@ class MVStore {
   /// Bulk load at version 0 (initial database population).
   void load(Key k, std::string value) { put(k, std::move(value), 0); }
 
-  // --- Speculative versions (cfg.speculation; DESIGN.md "Speculative
-  // global commit") ---------------------------------------------------------
+  // --- Speculative versions (techniques.speculation; DESIGN.md
+  // "Speculative global commit") ---------------------------------------------
   // A speculative put is a normal chain insert plus an undo-log record
   // keyed by version: promote() discharges the record (the versions become
   // permanent), rollback() erases the version from every written key's

@@ -1,8 +1,9 @@
 // Fixture: technique-config single source. A plain `bool` data member
 // declared in a struct other than TechniqueConfig inside a
-// src/sdur/*config*.h header is a technique knob in the wrong place;
-// TechniqueConfig's own body, `bool&` reference aliases and
-// bool-returning function declarations must stay silent.
+// src/sdur/*config*.h header is a technique knob in the wrong place, and
+// so is a `bool&` alias re-exporting one under a second name;
+// TechniqueConfig's own body and bool-returning function declarations
+// must stay silent.
 
 namespace sdur {
 
@@ -19,8 +20,8 @@ struct ServerConfigData {
 };
 
 struct ServerConfig : ServerConfigData {
-  bool& delaying_enabled = techniques.delaying_enabled;  // negative: reference alias
-  bool& speculation = techniques.speculation;            // negative: reference alias
+  bool& delaying_enabled = techniques.delaying_enabled;  // positive: reference alias
+  bool& speculation = techniques.speculation;            // positive: reference alias
   bool eager_flush;                                      // positive: uninitialized knob
   bool has_quorum() const;                               // negative: function declaration
 };

@@ -439,12 +439,12 @@ std::uint64_t run_digest(bool bloom, std::uint32_t cores) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 80);
-  spec.server.reorder_threshold = 24;
-  spec.server.bloom_readsets = bloom;
+  spec.server.techniques.reorder_threshold = 24;
+  spec.server.techniques.bloom_readsets = bloom;
   // High fp rate so bloom false positives actually fire at this scale —
   // the run must diverge from the exact run through the bloom fallback
   // paths, not coincide with it.
-  if (bloom) spec.server.bloom_fp_rate = 0.02;
+  if (bloom) spec.server.techniques.bloom_fp_rate = 0.02;
   spec.server.pdur.cores = cores;
   spec.seed = 47;
   Deployment dep(spec);

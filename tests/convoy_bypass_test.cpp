@@ -1,5 +1,5 @@
 // Out-of-order local commit tests (see DESIGN.md "Out-of-order local
-// commit", cfg.ooo_bypass).
+// commit", techniques.ooo_bypass).
 //
 //  1. Unit coverage of the park gate: disjoint locals bypass pending
 //     globals, write/read-conflicting locals park until the completed-
@@ -12,7 +12,7 @@
 //     verdicts, versions, slot statuses and a final store byte-equal to
 //     the delivery-order serial reference. A single version regression in
 //     the store throws, so an unsound bypass cannot pass silently.
-//  3. Chaos convergence: the vote-batch chaos recipe (loss, follower
+//  3. Chaos convergence: the shared chaos recipe (loss, follower
 //     churn, checkpoints, reordering, 40% globals over 3 partitions) with
 //     ooo_bypass on converges with real bypasses happening.
 //  4. Golden pin: the same recipe with ooo_bypass off (the default)
@@ -27,12 +27,10 @@
 #include <unordered_map>
 
 #include "audit/audit.h"
+#include "chaos_recipe.h"
 #include "sdur/certifier.h"
 #include "storage/mvstore.h"
-#include "util/hash.h"
 #include "util/rng.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
 
 namespace sdur {
 namespace {
@@ -344,14 +342,8 @@ TEST(ConvoyBypass, SkippedParkGateIsCaughtByStoreVersionOrder) {
 
 namespace e2e {
 
-using workload::MicroConfig;
-using workload::MicroWorkload;
-using workload::RunConfig;
-using workload::RunResult;
-using workload::run_experiment;
-
-/// Frozen pre-bypass digest of the ooo_bypass-off chaos scenario below
-/// (identical to the vote_batch_test recipe); captured before the bypass
+/// Frozen pre-bypass digest of the shared chaos recipe with ooo_bypass off
+/// (the same run as vote_batch_test); captured before the bypass
 /// layer existed. Any drift means the default-off configuration is no
 /// longer the legacy protocol.
 /// Re-pinned once when reads moved from the stable prefix to the per-key
@@ -360,116 +352,16 @@ using workload::run_experiment;
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 
-std::uint64_t digest_writer(const util::Writer& w) {
-  const util::Bytes& b = w.data();
-  return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
+using chaos::ChaosOut;
 
-bool replicas_agree(Deployment& dep) {
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    util::Writer base;
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      util::Writer w;
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      s.store().encode(w);
-      if (rep == 0) {
-        base = std::move(w);
-      } else if (digest_writer(w) != digest_writer(base)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-struct ChaosOut {
-  std::uint64_t digest = 0;
-  std::uint64_t committed = 0;
-  Server::Stats stats;
-  bool agree = false;
-  std::size_t pending_total = 0;
-};
-
-/// The vote_batch_test chaos recipe (loss, follower churn, checkpoints,
-/// reordering, 40% globals over 3 partitions), parameterized on the
-/// bypass instead of batching. checkpoint_interval is short enough that
-/// park bounds get recomputed by installs while bypasses are happening.
+/// The shared chaos recipe (tests/chaos_recipe.h), bypass on or off.
 /// `reorder_threshold` defaults to the recipe's 24 (the golden pin needs
-/// the exact legacy configuration); the bypass-on run uses 0 — no leaping
-/// at all, so every out-of-order local commit is the sweep's doing.
+/// the exact legacy configuration); the technique-on run uses 0.
 ChaosOut run_chaos(bool ooo_bypass, std::uint32_t reorder_threshold = 24) {
-  DeploymentSpec spec;
-  spec.partitions = 3;
-  spec.partitioning = MicroWorkload::make_partitioning(3, 90);
-  spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = reorder_threshold;
-  spec.server.checkpoint_interval = sim::msec(500);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.ooo_bypass = ooo_bypass;
-  spec.seed = 17;
-  spec.client.read_retry_interval = sim::msec(300);
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.02);
-
-  RunConfig cfg;
-  cfg.clients = 10;
-  cfg.seed = 17;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 90;
-  mc.global_fraction = 0.4;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  util::Rng chaos(11);
-  for (sim::Time t = sim::sec(1); t < stop_at; t += sim::msec(600)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(3));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(400),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  ChaosOut out;
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);
-    }
-  }
-  const sim::NetworkStats& net = dep.network().stats();
-  w.u64(net.messages_sent);
-  w.u64(net.messages_delivered);
-  w.u64(net.messages_dropped);
-  w.u64(net.bytes_sent);
-  for (sim::MsgType t = 1; t < 50; ++t) {
-    w.u64(net.per_type_count.at(t));
-    w.u64(net.per_type_bytes.at(t));
-  }
-  w.u64(dep.simulator().events_processed());
-  w.i64(dep.simulator().now());
-  out.digest = digest_writer(w);
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-  out.stats = dep.total_stats();
-  out.agree = replicas_agree(dep);
-  for (Server* s : dep.servers()) out.pending_total += s->pending_count();
-  return out;
+  TechniqueConfig t;
+  t.reorder_threshold = reorder_threshold;
+  t.ooo_bypass = ooo_bypass;
+  return chaos::run_chaos(t);
 }
 
 TEST(ConvoyBypass, BypassOffMatchesLegacyGolden) {

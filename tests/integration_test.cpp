@@ -135,7 +135,9 @@ TEST(Integration, ReorderingReducesLocalTailLatencyInWan1) {
   auto run_with = [&](std::uint32_t threshold) {
     MicroWorkload wl(mc);
     auto dep = make_micro_dep(DeploymentSpec::Kind::kWan1, 2, mc.items_per_partition,
-                              [&](DeploymentSpec& s) { s.server.reorder_threshold = threshold; });
+                              [&](DeploymentSpec& s) {
+                                s.server.techniques.reorder_threshold = threshold;
+                              });
     RunConfig cfg;
     cfg.clients = 24;
     cfg.settle = sim::msec(1500);
@@ -259,7 +261,9 @@ TEST(Integration, DelayingKeepsGlobalLatencyComparable) {
   auto run_with = [&](bool delaying) {
     MicroWorkload wl(mc);
     auto dep = make_micro_dep(DeploymentSpec::Kind::kWan1, 2, mc.items_per_partition,
-                              [&](DeploymentSpec& s) { s.server.delaying_enabled = delaying; });
+                              [&](DeploymentSpec& s) {
+                                s.server.techniques.delaying_enabled = delaying;
+                              });
     RunConfig cfg;
     cfg.clients = 16;
     cfg.settle = sim::msec(1500);

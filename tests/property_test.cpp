@@ -47,9 +47,9 @@ TEST_P(SerializabilityProperty, HistoryIsSerializableAndReplicasAgree) {
   spec.kind = pc.kind;
   spec.partitions = pc.partitions;
   spec.partitioning = MicroWorkload::make_partitioning(pc.partitions, pc.items);
-  spec.server.reorder_threshold = pc.reorder_threshold;
-  spec.server.bloom_readsets = pc.bloom;
-  spec.server.delaying_enabled = pc.delaying;
+  spec.server.techniques.reorder_threshold = pc.reorder_threshold;
+  spec.server.techniques.bloom_readsets = pc.bloom;
+  spec.server.techniques.delaying_enabled = pc.delaying;
   spec.log_write_latency = sim::usec(300);
   spec.seed = pc.seed;
   Deployment dep(spec);

@@ -294,16 +294,18 @@ TEST(Server, CrashedContactMakesClientTimeout) {
   EXPECT_EQ(o, Outcome::kUnknown);
 }
 
-TEST(Server, AbortRequestResolvesHalfSubmittedGlobal) {
-  // The submitter's forward to partition 1 is lost (links blocked during
-  // submission); partition 0 delivers the transaction and waits for votes.
-  // After missing_vote_timeout the leader abcasts an abort request to the
-  // silent partition, which votes abort, aborting the transaction
-  // everywhere (Section IV-F).
+/// The submitter's forward to partition 1 is lost (links blocked during
+/// submission); partition 0 delivers the transaction and waits for votes.
+/// After missing_vote_timeout the leader abcasts an abort request to the
+/// silent partition, which votes abort, aborting the transaction
+/// everywhere (Section IV-F). With speculation on, partition 0 applies the
+/// global speculatively while it waits, and the abort rolls it back.
+void run_half_submitted_global(bool speculation) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
   spec.server.missing_vote_timeout = sim::msec(1500);
+  spec.server.techniques.speculation = speculation;
   Fixture f(spec);
   f.settle();
   Client& c = f.dep->add_client(0);
@@ -339,7 +341,22 @@ TEST(Server, AbortRequestResolvesHalfSubmittedGlobal) {
     EXPECT_EQ(f.dep->server(0, r).pending_count(), 0u);
     EXPECT_EQ(f.dep->server(1, r).pending_count(), 0u);
   }
+  if (speculation) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const Server& s = f.dep->server(0, r);
+      EXPECT_GT(s.stats().speculated_globals, 0u) << "replica " << r;
+      EXPECT_GT(s.stats().spec_aborts, 0u) << "replica " << r;
+      EXPECT_EQ(s.store().speculative_count(), 0u) << "replica " << r;
+      EXPECT_EQ(s.store().get_latest(1)->value, "a1") << "replica " << r;
+    }
+  }
   f.assert_replicas_converged();
+}
+
+TEST(Server, AbortRequestResolvesHalfSubmittedGlobal) { run_half_submitted_global(false); }
+
+TEST(Server, AbortRequestRollsBackHalfSubmittedSpeculatedGlobal) {
+  run_half_submitted_global(true);
 }
 
 TEST(Server, CrashedReplicaRecoversAndConverges) {
@@ -364,7 +381,7 @@ TEST(Server, DelayingEnabledGlobalStillCommits) {
   spec.kind = DeploymentSpec::Kind::kWan1;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-  spec.server.delaying_enabled = true;
+  spec.server.techniques.delaying_enabled = true;
   Fixture f(spec);
   f.sim().run_until(sim::sec(1));
   Client& c = f.dep->add_client(0);
@@ -376,7 +393,7 @@ TEST(Server, BloomCertificationCommitsAndConverges) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-  spec.server.bloom_readsets = true;
+  spec.server.techniques.bloom_readsets = true;
   Fixture f(spec);
   f.settle();
   Client& c = f.dep->add_client(0);

@@ -1,5 +1,5 @@
 // Speculative global commit tests (see DESIGN.md "Speculative global
-// commit", cfg.speculation).
+// commit", techniques.speculation).
 //
 //  1. Unit coverage of the MVStore speculative layer: put_speculative /
 //     promote / rollback (including mid-chain erase with later versions
@@ -15,7 +15,7 @@
 //     certification verdicts, versions, slot statuses and a final store
 //     equal to the delivery-order serial reference that waits for every
 //     vote. Vote-aborted globals roll back mid-chain under later writes.
-//  4. Chaos convergence: the vote-batch chaos recipe (loss, follower
+//  4. Chaos convergence: the shared chaos recipe (loss, follower
 //     churn, checkpoints, 40% globals over 3 partitions) with speculation
 //     on converges — replicas byte-equal, no outstanding speculative
 //     versions, real finalizes AND real rollbacks happened.
@@ -31,12 +31,10 @@
 #include <unordered_map>
 
 #include "audit/audit.h"
+#include "chaos_recipe.h"
 #include "sdur/certifier.h"
 #include "storage/mvstore.h"
-#include "util/hash.h"
 #include "util/rng.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
 
 namespace sdur {
 namespace {
@@ -297,14 +295,8 @@ TEST(SpecProperty, RandomizedEquivalenceWithAdversarialVotes) {
 
 namespace e2e {
 
-using workload::MicroConfig;
-using workload::MicroWorkload;
-using workload::RunConfig;
-using workload::RunResult;
-using workload::run_experiment;
-
-/// Frozen pre-speculation digest of the speculation-off chaos scenario
-/// below (identical recipe to vote_batch_test / convoy_bypass_test). Any
+/// Frozen pre-speculation digest of the shared chaos recipe with
+/// speculation off (the same run as vote_batch_test / convoy_bypass_test). Any
 /// drift means the default-off configuration is no longer the legacy
 /// protocol.
 /// Re-pinned once when reads moved from the stable prefix to the per-key
@@ -313,120 +305,16 @@ using workload::run_experiment;
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 
-std::uint64_t digest_writer(const util::Writer& w) {
-  const util::Bytes& b = w.data();
-  return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
+using chaos::ChaosOut;
 
-bool replicas_agree(Deployment& dep) {
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    util::Writer base;
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      util::Writer w;
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      s.store().encode(w);
-      if (rep == 0) {
-        base = std::move(w);
-      } else if (digest_writer(w) != digest_writer(base)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-struct ChaosOut {
-  std::uint64_t digest = 0;
-  std::uint64_t committed = 0;
-  Server::Stats stats;
-  bool agree = false;
-  std::size_t pending_total = 0;
-  std::size_t spec_outstanding = 0;
-};
-
-/// The vote_batch_test chaos recipe (loss, follower churn, checkpoints,
-/// 40% globals over 3 partitions), parameterized on speculation.
-/// checkpoint_interval is short enough that installs re-mark speculative
-/// versions while speculation is happening. `reorder_threshold` defaults
-/// to the recipe's 24 (the golden pin needs the exact legacy
-/// configuration); the speculation-on run uses 0 so the vote wait the
-/// speculation hides is undiluted.
+/// The shared chaos recipe (tests/chaos_recipe.h) with speculation on or off.
+/// `reorder_threshold` defaults to the recipe's 24 (the golden pin needs
+/// the exact legacy configuration); the technique-on run uses 0.
 ChaosOut run_chaos(bool speculation, std::uint32_t reorder_threshold = 24) {
-  DeploymentSpec spec;
-  spec.partitions = 3;
-  spec.partitioning = MicroWorkload::make_partitioning(3, 90);
-  spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = reorder_threshold;
-  spec.server.checkpoint_interval = sim::msec(500);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.speculation = speculation;
-  spec.seed = 17;
-  spec.client.read_retry_interval = sim::msec(300);
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.02);
-
-  RunConfig cfg;
-  cfg.clients = 10;
-  cfg.seed = 17;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 90;
-  mc.global_fraction = 0.4;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  util::Rng chaos(11);
-  for (sim::Time t = sim::sec(1); t < stop_at; t += sim::msec(600)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(3));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(400),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  ChaosOut out;
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);
-    }
-  }
-  const sim::NetworkStats& net = dep.network().stats();
-  w.u64(net.messages_sent);
-  w.u64(net.messages_delivered);
-  w.u64(net.messages_dropped);
-  w.u64(net.bytes_sent);
-  for (sim::MsgType t = 1; t < 50; ++t) {
-    w.u64(net.per_type_count.at(t));
-    w.u64(net.per_type_bytes.at(t));
-  }
-  w.u64(dep.simulator().events_processed());
-  w.i64(dep.simulator().now());
-  out.digest = digest_writer(w);
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-  out.stats = dep.total_stats();
-  out.agree = replicas_agree(dep);
-  for (Server* s : dep.servers()) {
-    out.pending_total += s->pending_count();
-    out.spec_outstanding += s->store().speculative_count();
-  }
-  return out;
+  TechniqueConfig t;
+  t.reorder_threshold = reorder_threshold;
+  t.speculation = speculation;
+  return chaos::run_chaos(t);
 }
 
 TEST(Speculation, SpeculationOffMatchesLegacyGolden) {

@@ -137,7 +137,7 @@ ChaosResult run_chaos(bool traced) {
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 60);
   spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = 48;
+  spec.server.techniques.reorder_threshold = 48;
   spec.server.checkpoint_interval = sim::msec(600);
   spec.server.missing_vote_timeout = sim::msec(1500);
   spec.seed = 31;

@@ -23,16 +23,16 @@
 
 #include <string_view>
 
+#include "chaos_recipe.h"
 #include "sdur/messages.h"
-#include "util/hash.h"
 #include "workload/driver.h"
 #include "workload/microbench.h"
 
 namespace sdur::workload {
 namespace {
 
-/// Frozen pre-PR digest of the batching-off chaos scenario below; captured
-/// on the commit preceding the batching layer. Any drift means the
+/// Frozen pre-batching digest of the shared chaos recipe with batching off;
+/// captured on the commit preceding the batching layer. Any drift means the
 /// default-off configuration is no longer the legacy protocol.
 /// Re-pinned once when reads moved from the stable prefix to the per-key
 /// read frontier (DESIGN.md "Per-key read frontier"): fresher snapshots
@@ -40,117 +40,16 @@ namespace {
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 
-std::uint64_t digest_writer(const util::Writer& w) {
-  const util::Bytes& b = w.data();
-  return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
+using chaos::ChaosOut;
+using chaos::replicas_agree;
 
-/// True when every replica of every partition ended at identical
-/// (sc, certified, store) state — the convergence bar for chaos runs.
-bool replicas_agree(Deployment& dep) {
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    util::Writer base;
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      util::Writer w;
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      s.store().encode(w);
-      if (rep == 0) {
-        base = std::move(w);
-      } else if (digest_writer(w) != digest_writer(base)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-struct ChaosOut {
-  std::uint64_t digest = 0;
-  std::uint64_t committed = 0;
-  Server::Stats stats;
-  sim::NetworkStats net;
-  bool agree = false;
-  std::size_t pending_total = 0;
-};
-
-/// Chaos scenario (loss, follower churn, checkpoints, reordering, 40%
-/// globals over 3 partitions). checkpoint_interval is short enough that
-/// recovering replicas install checkpoints/state transfers while batched
-/// and piggybacked votes are in flight.
+/// The shared chaos recipe (tests/chaos_recipe.h) at reorder threshold 24,
+/// vote batching on or off.
 ChaosOut run_chaos(bool batching) {
-  DeploymentSpec spec;
-  spec.partitions = 3;
-  spec.partitioning = MicroWorkload::make_partitioning(3, 90);
-  spec.log_write_latency = sim::usec(300);
-  spec.server.reorder_threshold = 24;
-  spec.server.checkpoint_interval = sim::msec(500);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.vote_batching = batching;
-  spec.seed = 17;
-  spec.client.read_retry_interval = sim::msec(300);
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.02);
-
-  RunConfig cfg;
-  cfg.clients = 10;
-  cfg.seed = 17;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 90;
-  mc.global_fraction = 0.4;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  util::Rng chaos(11);
-  for (sim::Time t = sim::sec(1); t < stop_at; t += sim::msec(600)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(3));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(400),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  ChaosOut out;
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);
-    }
-  }
-  const sim::NetworkStats& net = dep.network().stats();
-  w.u64(net.messages_sent);
-  w.u64(net.messages_delivered);
-  w.u64(net.messages_dropped);
-  w.u64(net.bytes_sent);
-  for (sim::MsgType t = 1; t < 50; ++t) {
-    w.u64(net.per_type_count.at(t));
-    w.u64(net.per_type_bytes.at(t));
-  }
-  w.u64(dep.simulator().events_processed());
-  w.i64(dep.simulator().now());
-  out.digest = digest_writer(w);
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-  out.stats = dep.total_stats();
-  out.net = net;
-  out.agree = replicas_agree(dep);
-  for (Server* s : dep.servers()) out.pending_total += s->pending_count();
-  return out;
+  TechniqueConfig t;
+  t.reorder_threshold = 24;
+  t.vote_batching = batching;
+  return chaos::run_chaos(t);
 }
 
 TEST(VoteBatch, BatchingOffMatchesLegacyGolden) {
@@ -195,9 +94,9 @@ CleanOut run_clean(bool batching, std::uint32_t clients = 12, sim::Time interval
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 120);
-  spec.server.reorder_threshold = 16;
-  spec.server.vote_batching = batching;
-  if (interval > 0) spec.server.vote_batch_interval = interval;
+  spec.server.techniques.reorder_threshold = 16;
+  spec.server.techniques.vote_batching = batching;
+  if (interval > 0) spec.server.techniques.vote_batch_interval = interval;
   spec.seed = 9;
   Deployment dep(spec);
 
@@ -269,7 +168,7 @@ void run_stale(bool batching) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.server.vote_batching = batching;
+  spec.server.techniques.vote_batching = batching;
   spec.seed = 21;
   Deployment dep(spec);
 
@@ -309,9 +208,9 @@ TEST(VoteBatch, ResendRepairsVotesLostWhilePartitioned) {
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 60);
-  spec.server.reorder_threshold = 8;
+  spec.server.techniques.reorder_threshold = 8;
   spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.vote_batching = true;
+  spec.server.techniques.vote_batching = true;
   spec.seed = 13;
   Deployment dep(spec);
 

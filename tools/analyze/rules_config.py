@@ -13,10 +13,10 @@ structurally:
                          are bools; a new one belongs in TechniqueConfig,
                          where the grammar, presets, validate() and the
                          format/parse round trip pick it up for free.
-                         ServerConfig's legacy names are reference
-                         aliases (`bool& ooo_bypass = techniques...`) —
-                         references are never flagged, nor are `bool`
-                         function declarations.
+                         A `bool&` member is flagged too: a reference
+                         re-exporting a TechniqueConfig knob under a
+                         second name is a second source. Only `bool`
+                         function declarations are exempt.
 
 Scope: headers under src/sdur/ whose name ends in `config.h` (config.h,
 technique_config.h). Other layers keep their own bools (pdur::Config is
@@ -32,8 +32,8 @@ _EXEMPT_STRUCTS = {"TechniqueConfig"}
 
 
 def _struct_bool_members(m):
-    """Yields (struct_name, name_token) for every plain-bool data member
-    of every struct/class body in the file, tracking nesting."""
+    """Yields (struct_name, name_token) for every `bool` or `bool&` data
+    member of every struct/class body in the file, tracking nesting."""
     toks = m.tokens
     n = len(toks)
     # Stack of (struct_name_or_None, entry_depth); None = non-struct brace.
@@ -67,9 +67,11 @@ def _struct_bool_members(m):
                 stack.pop()
         elif t.text == "bool" and stack and depth == stack[-1][1] + 1:
             # A member at the immediate body depth of the innermost
-            # struct. `bool& x` is a reference alias; `bool f(...)` a
-            # function; `bool x = ...;` / `bool x;` a data member.
+            # struct. `bool f(...)` is a function; `bool x = ...;`,
+            # `bool x;` and the reference `bool& x = ...;` data members.
             j = i + 1
+            if j < n and toks[j].text == "&":
+                j += 1
             if j < n and toks[j].kind == TOK_IDENT and toks[j].text != "operator":
                 name_tok = toks[j]
                 k = j + 1
@@ -91,14 +93,14 @@ def run_config_single_source(ctx: Context):
                 m.rel, tok.line, "config-single-source", tok.text,
                 f"bool knob `{tok.text}` declared in `{struct}` — technique "
                 f"toggles belong in TechniqueConfig (grammar/presets/validate "
-                f"pick them up); re-export legacy names as `bool&` aliases")
+                f"pick them up), reached as `techniques.{tok.text}`")
 
 
 RULES = [
     Rule("config-single-source",
-         "technique bool knobs in src/sdur/*config*.h must be declared "
-         "inside TechniqueConfig (references and functions exempt)",
+         "technique bool knobs in src/sdur/*config*.h, reference aliases "
+         "included, must be declared inside TechniqueConfig (functions exempt)",
          run_config_single_source,
-         suggestion="move the knob into TechniqueConfig and, if an old name "
-                    "must survive, alias it: `bool& name = techniques.name;`"),
+         suggestion="move the knob into TechniqueConfig and migrate callers to "
+                    "`cfg.techniques.name`; do not alias it under an old name"),
 ]

@@ -27,8 +27,9 @@ unpark_on_removal, next_bypassable, park_rebuild, bypass_sweep) runs on
 every delivery and every pending-head completion; the speculative
 global commit path (anything starting with `speculate`/`finalize`/
 `rollback`, under src/sdur/ and src/storage/: speculate_head,
-finalize_spec, rollback_spec, MVStore::rollback) runs per speculated
-global and per vote resolution; and the read frontier (anything
+MVStore::rollback, and Server::finalize, which resolves every
+certified transaction's slot) runs per speculated global and per
+completion; and the read frontier (anything
 containing `frontier` under src/sdur/: read_frontier, scan_frontier)
 runs once per served read. Under src/trace/ the
 span-emit path is hot: every
@@ -74,9 +75,10 @@ def _is_hot(name: str, rel: str) -> bool:
     if rel.startswith("src/sdur/") and ("bypass" in name or name.startswith(("park", "unpark"))):
         return True
     # The speculative-global-commit path (src/sdur/ + src/storage/):
-    # speculate* runs once per eligible pending-list head, finalize*/
-    # rollback* once per vote resolution (MVStore::rollback walks every
-    # written key's chain) — see DESIGN.md "Speculative global commit".
+    # speculate* runs once per eligible pending-list head, rollback* once
+    # per vote resolution (MVStore::rollback walks every written key's
+    # chain) and Server::finalize once per completed transaction — see
+    # DESIGN.md "Speculative global commit".
     # audit_spec_floor is deliberately NOT hot: it throws by contract.
     if (rel.startswith(("src/sdur/", "src/storage/"))
             and name.startswith(("speculate", "finalize", "rollback"))):

@@ -5,7 +5,7 @@
 //
 // Examples:
 //   sdur_sim --deployment wan1 --workload micro --global-pct 10 --clients 600
-//   sdur_sim --deployment wan2 --workload social --reorder 20 --auto-load
+//   sdur_sim --deployment wan2 --workload social --techniques reorder=20 --auto-load
 //   sdur_sim --deployment lan --partitions 8 --workload micro --seconds 20
 //            --zipf 0.99 --csv out.csv
 #include <cstdio>
@@ -39,9 +39,8 @@ struct Options {
   std::uint32_t clients = 64;
   bool auto_load = false;
   double load_fraction = 0.75;
-  /// All technique knobs live here (single source, see
-  /// sdur/technique_config.h); the individual flags below are sugar that
-  /// mutates this struct, and --techniques replaces it wholesale.
+  /// All technique knobs, set by --techniques (single source, see
+  /// sdur/technique_config.h).
   TechniqueConfig techniques;
   bool certified_ro = false;
   double zipf = 0.0;
@@ -66,20 +65,12 @@ void usage() {
       "  --zipf THETA                 key skew, micro (default 0 = uniform)\n"
       "  --clients N                  closed-loop clients (default 64)\n"
       "  --auto-load [FRACTION]       search the ~FRACTION-of-max operating point (0.75)\n"
-      "  --techniques STR             technique config string, e.g. 'geo' or\n"
-      "                               'reorder=24,bloom,speculation' (replaces any\n"
-      "                               earlier technique flags; see below)\n"
-      "  --reorder R                  reorder threshold (default 0 = baseline)\n"
-      "  --delay MS                   delaying technique: 0=estimated, >0 fixed ms\n"
-      "  --bloom                      bloom-filter readsets\n"
+      "  --techniques STR             technique config string: a preset (baseline,\n"
+      "                               geo, all-on) or items such as 'reorder=24,\n"
+      "                               delaying=40ms,bloom,vote-batch=200us,\n"
+      "                               ooo-bypass,speculation' (default baseline)\n"
       "  --certified-ro               certify read-only transactions (social)\n"
       "  --checkpoint MS              checkpoint interval (default off)\n"
-      "  --vote-batch [US]            batch cross-partition votes; optional flush\n"
-      "                               interval in microseconds (default 200)\n"
-      "  --ooo-bypass                 out-of-order local commit: conflict-free locals\n"
-      "                               bypass pending globals (default off)\n"
-      "  --speculate                  speculative global commit: apply locally-\n"
-      "                               certified globals before their votes\n"
       "  --breakdown                  print the per-stage latency attribution table\n"
       "                               with p50/p95/p99 columns (needs SDUR_TRACE=1)\n"
       "  --seconds S                  measurement window (default 10)\n"
@@ -116,23 +107,8 @@ bool parse(int argc, char** argv, Options& o) {
         std::fprintf(stderr, "bad --techniques: %s\n", err.c_str());
         return false;
       }
-    } else if (a == "--reorder") {
-      o.techniques.reorder_threshold = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (a == "--delay") {
-      const std::int64_t ms = std::atoll(need(i));
-      o.techniques.delaying_enabled = ms >= 0;
-      o.techniques.fixed_delay = ms > 0 ? sim::msec(ms) : 0;
-    } else if (a == "--bloom") o.techniques.bloom_readsets = true;
-    else if (a == "--certified-ro") o.certified_ro = true;
+    } else if (a == "--certified-ro") o.certified_ro = true;
     else if (a == "--checkpoint") o.checkpoint_ms = std::atoll(need(i));
-    else if (a == "--vote-batch") {
-      o.techniques.vote_batching = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') {
-        const std::int64_t us = std::atoll(argv[++i]);
-        if (us > 0) o.techniques.vote_batch_interval = sim::usec(us);
-      }
-    } else if (a == "--ooo-bypass") o.techniques.ooo_bypass = true;
-    else if (a == "--speculate") o.techniques.speculation = true;
     else if (a == "--breakdown") o.breakdown = true;
     else if (a == "--seconds") o.seconds = std::atof(need(i));
     else if (a == "--seed") o.seed = std::strtoull(need(i), nullptr, 10);
