@@ -121,9 +121,11 @@ ChaosOut run_chaos(const TechniqueConfig& techniques, std::uint32_t cores) {
 namespace {
 
 /// Every technique at once (the `all-on` preset), on serial and on P-DUR
-/// replicas: the combination converges under the same chaos.
-void expect_all_on_converges(std::uint32_t cores) {
+/// replicas: the combination converges under the same chaos, and its
+/// digest pins the completion order of every technique together.
+void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
+  EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
   EXPECT_EQ(r.spec_outstanding, 0u) << "no speculative version outlived its votes";
@@ -133,9 +135,9 @@ void expect_all_on_converges(std::uint32_t cores) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xa88ff8078a0b7e4cULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x9c71830cda639a1bULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

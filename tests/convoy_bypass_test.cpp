@@ -351,6 +351,9 @@ namespace e2e {
 /// commit 84 transactions here instead of 60.
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
+/// Digest of the bypass-on run: pins the out-of-order completion order,
+/// which feeds the send order and so the fabric RNG.
+constexpr std::uint64_t kBypassOnDigest = 0x86c604665ba521a0ULL;
 
 using chaos::ChaosOut;
 
@@ -376,6 +379,7 @@ TEST(ConvoyBypass, BypassOffMatchesLegacyGolden) {
 
 TEST(ConvoyBypass, BypassOnConvergesUnderChaosAndCheckpointInstalls) {
   const ChaosOut r = run_chaos(true, /*reorder_threshold=*/0);
+  EXPECT_EQ(r.digest, kBypassOnDigest) << "bypass completion order changed";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";

@@ -304,6 +304,9 @@ namespace e2e {
 /// commit 84 transactions here instead of 60.
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
+/// Digest of the speculation-on run: pins the speculation and finalize
+/// order, which feeds the send order and so the fabric RNG.
+constexpr std::uint64_t kSpeculationOnDigest = 0x62ddd684a7acef37ULL;
 
 using chaos::ChaosOut;
 
@@ -330,6 +333,7 @@ TEST(Speculation, SpeculationOffMatchesLegacyGolden) {
 
 TEST(Speculation, SpeculationOnConvergesUnderChaosAndCheckpointInstalls) {
   const ChaosOut r = run_chaos(true, /*reorder_threshold=*/0);
+  EXPECT_EQ(r.digest, kSpeculationOnDigest) << "speculative completion order changed";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";

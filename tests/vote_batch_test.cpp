@@ -39,6 +39,8 @@ namespace {
 /// commit 84 transactions here instead of 60.
 constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
+/// Digest of the batching-on run: pins the batch and piggyback send order.
+constexpr std::uint64_t kBatchingOnDigest = 0x1b0ed6331d4eba0bULL;
 
 using chaos::ChaosOut;
 using chaos::replicas_agree;
@@ -68,6 +70,7 @@ TEST(VoteBatch, BatchingOffMatchesLegacyGolden) {
 
 TEST(VoteBatch, BatchingOnConvergesUnderChaosAndCheckpointInstalls) {
   const ChaosOut r = run_chaos(true);
+  EXPECT_EQ(r.digest, kBatchingOnDigest) << "vote batch/piggyback send order changed";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
