@@ -15,7 +15,10 @@
 //   sdur_e2e      A message-heavy SDUR deployment (2 partitions, wide
 //                 writesets, 30% globals) driven by closed-loop clients.
 //                 The realistic mix: Paxos broadcast, vote fan-out,
-//                 certification, timers.
+//                 certification, timers. Runs twice: the `baseline`
+//                 techniques (row sdur_e2e) and `all-on` (row
+//                 sdur_e2e_all_on), whose completion loop also bypasses
+//                 locals and speculates globals.
 //
 // Results are printed and written to BENCH_harness_perf.json via the
 // shared reporter. `--smoke` runs a seconds-scale version for CTest.
@@ -52,9 +55,9 @@ void report_metrics(const FabricMetrics& m) {
   const double events_per_sec = static_cast<double>(m.events) / m.wall_sec;
   const double msgs_per_sec = static_cast<double>(m.messages_sent) / m.wall_sec;
   std::printf(
-      "  %-12s wall=%6.2fs  events=%10" PRIu64 " (%10.0f/s)  msgs=%9" PRIu64
+      "  %-15s wall=%6.2fs  events=%10" PRIu64 " (%10.0f/s)  msgs=%9" PRIu64
       " (%9.0f/s)\n"
-      "  %-12s payload deep-copies=%" PRIu64 " (%.1f MB)  shares=%" PRIu64
+      "  %-15s payload deep-copies=%" PRIu64 " (%.1f MB)  shares=%" PRIu64
       "  fn inline=%" PRIu64 "  fn heap=%" PRIu64 "\n",
       m.section, m.wall_sec, m.events, events_per_sec, m.messages_sent, msgs_per_sec, "",
       m.counters.payload_deep_copies,
@@ -162,8 +165,10 @@ FabricMetrics run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Tim
 
 // --- Section 2: message-heavy SDUR deployment --------------------------------
 
-FabricMetrics run_e2e(std::uint32_t clients, sim::Time measure) {
+FabricMetrics run_e2e(const char* section, const TechniqueConfig& techniques,
+                      std::uint32_t clients, sim::Time measure) {
   MicroSetup s;
+  s.techniques = techniques;
   s.kind = DeploymentSpec::Kind::kLan;  // dense event stream, high msg rate
   s.partitions = 2;
   s.global_fraction = 0.3;  // vote fan-out between partitions
@@ -189,16 +194,18 @@ FabricMetrics run_e2e(std::uint32_t clients, sim::Time measure) {
   const auto t0 = Clock::now();
   const RunResult r = workload::run_experiment(*dep, wl, cfg);
   FabricMetrics m;
-  m.section = "sdur_e2e";
+  m.section = section;
   m.wall_sec = seconds_since(t0);
   m.events = dep->simulator().events_processed();
   m.messages_sent = dep->network().stats().messages_sent;
   m.messages_delivered = dep->network().stats().messages_delivered;
   m.bytes_sent = dep->network().stats().bytes_sent;
   m.counters = sim::fabric_counters();
-  std::printf("  %-12s sim tput=%.0f tps (sanity: committed work was done)\n", "",
+  std::printf("  %-15s sim tput=%.0f tps (sanity: committed work was done)\n", "",
               r.throughput());
-  if (auto* rep = report()) rep->row().str("section", "sdur_e2e_sim").num("tput_tps", r.throughput());
+  if (auto* rep = report()) {
+    rep->row().str("section", std::string(section) + "_sim").num("tput_tps", r.throughput());
+  }
   return m;
 }
 
@@ -225,7 +232,13 @@ int main(int argc, char** argv) {
   {
     const sdur::sim::Time measure = smoke ? sdur::sim::msec(300) : sdur::sim::sec(4);
     const std::uint32_t clients = smoke ? 16 : 96;
-    report_metrics(run_e2e(clients, measure));
+    // (section, technique preset)
+    const std::pair<const char*, const char*> rows[] = {{"sdur_e2e", "baseline"},
+                                                        {"sdur_e2e_all_on", "all-on"}};
+    for (const auto& [section, preset] : rows) {
+      report_metrics(
+          run_e2e(section, *sdur::TechniqueConfig::preset(preset), clients, measure));
+    }
   }
   return 0;
 }

@@ -233,7 +233,7 @@ void Certifier::unpark_on_removal(const PendingEntry& e) {
 }
 
 std::size_t Certifier::next_bypassable(std::size_t from) const {
-  for (std::size_t k = from; k < pl_.size(); ++k) {
+  for (std::size_t k = from; ooo_bypass_ && k < pl_.size(); ++k) {
     const PendingEntry& e = pl_[k];
     if (e.ready && !e.tx.is_global() && e.park_until <= bypass_watermark_) return k;
   }
@@ -241,6 +241,33 @@ std::size_t Certifier::next_bypassable(std::size_t from) const {
 }
 
 PendingEntry Certifier::take_at(std::size_t pos) {
+  // Under the bypass gate, replay the strict delivery-order gate: nothing
+  // still ahead of a bypassed local may write-conflict with it (the store
+  // applies writes in version order), and any pending write it *read*
+  // must sit within its snapshot — the cross-replica race certification
+  // already admits: the read was served by a replica where that writer
+  // had completed. A bloom readset cannot be checked key-exactly, so its
+  // read clause is skipped (the park gate already treated it as a
+  // conservative hit).
+  SDUR_AUDIT({
+    const PendingEntry& local = pl_[pos];
+    for (std::size_t k = 0; ooo_bypass_ && k < pos; ++k) {
+      const PendingEntry& ahead = pl_[k];
+      SDUR_AUDIT_CHECK("certifier", "bypass-serial-equivalence",
+                       !local.tx.write_keys.intersects(ahead.tx.write_keys),
+                       "local tx " << local.tx.id << " (v" << local.version
+                                   << ") bypasses write-conflicting pending tx " << ahead.tx.id
+                                   << " (v" << ahead.version << ")");
+      SDUR_AUDIT_CHECK("certifier", "bypass-serial-equivalence",
+                       local.tx.readset.is_bloom() ||
+                           !local.tx.readset.intersects(ahead.tx.write_keys) ||
+                           ahead.version <= local.tx.snapshot,
+                       "local tx " << local.tx.id << " (v" << local.version
+                                   << ", st=" << local.tx.snapshot << ") bypasses pending tx "
+                                   << ahead.tx.id << " (v" << ahead.version
+                                   << ") whose write it read");
+    }
+  });
   PendingEntry e = std::move(pl_[pos]);
   pl_.erase(pl_.begin() + static_cast<std::ptrdiff_t>(pos));
   if (ooo_bypass_) unpark_on_removal(e);

@@ -145,17 +145,18 @@ class Certifier {
   // --- Out-of-order local commit (techniques.ooo_bypass) ------------------
   /// "No pending entry" sentinel for next_bypassable().
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  /// True when the bypass gate is armed.
-  bool ooo_bypass() const { return ooo_bypass_; }
   /// Version of the newest completed global; a parked local unparks once
   /// the watermark reaches its park bound. Globals complete at the head in
   /// ascending version order, so the watermark is monotone.
   Version bypass_watermark() const { return bypass_watermark_; }
   /// Index (>= `from`) of the first pending local that is ready and
-  /// unparked — eligible to commit past everything ahead of it — or npos.
+  /// unparked — eligible to commit past everything ahead of it — or npos
+  /// (always, unless the bypass gate is armed).
   std::size_t next_bypassable(std::size_t from) const;
   /// Removes and returns the entry at `pos` (the bypass analogue of
-  /// pop_head: maintains the pending-write index and the watermark).
+  /// pop_head: maintains the pending-write index and the watermark). With
+  /// the bypass gate armed, audit builds check that the entry may commit
+  /// past everything ahead ("bypass-serial-equivalence").
   PendingEntry take_at(std::size_t pos);
 
   // --- Resolution ----------------------------------------------------------

@@ -75,7 +75,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
     // forwards relayed through the engine (leader changes) also pass here;
     // the wrapper is identity for same-partition destinations.
     engine_->set_send_wrapper(
-        [this](sim::ProcessId to, sim::Message m) { return maybe_piggyback_pid(to, std::move(m)); });
+        [this](sim::ProcessId to, sim::Message m) { return maybe_piggyback(to, std::move(m)); });
   }
 }
 
@@ -134,7 +134,7 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
     case msgtype::kVoteRequest: {
       const auto msg = VoteRequestMsg::decode(r);
       if (const Outcome* v = own_votes_.find(msg.id)) {
-        send(from, maybe_piggyback_pid(from, VoteMsg{msg.id, cfg_.partition, *v}.to_message()));
+        send(from, maybe_piggyback(from, VoteMsg{msg.id, cfg_.partition, *v}.to_message()));
       }
       break;
     }
@@ -289,7 +289,7 @@ void Server::abcast(PartitionId p, const PartTx& t) {
   // Hand the value to the remote group's bootstrap contact; its engine
   // relays to the current leader if leadership moved.
   const sim::ProcessId target = cfg_.partition_servers[p].front();
-  send(target, maybe_piggyback_pid(target, paxos::Forward{std::move(value)}.to_message()));
+  send(target, maybe_piggyback(target, paxos::Forward{std::move(value)}.to_message()));
 }
 
 void Server::broadcast_reorder_threshold(std::uint32_t k) {
@@ -446,7 +446,7 @@ void Server::emit_verdict(const PartTx& t, Outcome vote) {
 void Server::finalize(const PartTx& t, Version version, Outcome outcome) {
   const auto round = rounds_.find(t.id);
   const bool speculated =
-      round != rounds_.end() && round->second.phase == Round::Phase::kSpeculated;
+      round != rounds_.end() && round->second.phase == Round::Phase::kSettled;
   const bool commit = outcome == Outcome::kCommit;
   if (speculated) {
     // The writes are already in the store at `version`: promote them (only
@@ -462,13 +462,15 @@ void Server::finalize(const PartTx& t, Version version, Outcome outcome) {
     // apply cost was already charged when the delivery was enqueued.
     for (const auto& op : t.writes) store_.put(op.key, op.value, version);
   }
+  const Version stable_before = cert_.stable();
   cert_.resolve(version, t.id, commit);
+  if (const auto horizon = storage::MVStore::gc_horizon(
+          stable_before, cert_.stable(), static_cast<Version>(cfg_.window_capacity))) {
+    store_.gc(*horizon);
+  }
   if (commit) {
     if (speculated) ++stats_.spec_commits;
     ++(t.is_global() ? stats_.committed_global : stats_.committed_local);
-    if ((cert_.stable() & 0x3FFFF) == 0) {
-      store_.gc(cert_.stable() - static_cast<Version>(cfg_.window_capacity));
-    }
   } else if (speculated) {
     ++stats_.spec_aborts;
     SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxSpecAbort, t.id, now(),
@@ -523,10 +525,8 @@ void Server::schedule_threshold_tick() {
   const std::uint64_t dc_at_schedule = dc_;
   set_timer(cfg_.tick_interval, [this, dc_at_schedule] {
     tick_pending_ = false;
-    const bool blocked = !cert_.empty() && cert_.head().ready && cert_.head().tx.is_global() &&
-                         rounds_.at(cert_.head().tx.id).verdict() != Outcome::kUnknown &&
-                         dc_ < cert_.head().rt;
-    if (!blocked) return;
+    Outcome outcome = Outcome::kUnknown;
+    if (head_stall(outcome) != Stall::kThreshold) return;
     if (dc_ == dc_at_schedule) {
       // Genuinely idle: tick the whole deficit.
       const std::uint64_t deficit = std::min<std::uint64_t>(cert_.head().rt - dc_, 256);
@@ -539,139 +539,86 @@ void Server::schedule_threshold_tick() {
   });
 }
 
+Server::Stall Server::head_stall(Outcome& outcome) const {
+  if (cert_.empty()) return Stall::kEmpty;
+  const PendingEntry& head = cert_.at(0);
+  // P-DUR: nothing behind an in-flight head may complete either
+  // (completion is in version order).
+  if (!head.ready) return Stall::kCores;
+  // A local commits at once. Outstanding speculative versions never gate
+  // it: no read serves a key above an unresolved writer of that key, so
+  // nothing the local read depends on how the specs resolve (and its
+  // verdict is status-blind). Its writes land above theirs in version
+  // order; a later rollback erases mid-chain underneath them (see
+  // DESIGN.md).
+  outcome = Outcome::kCommit;
+  if (!head.tx.is_global()) return Stall::kNone;
+  outcome = rounds_.at(head.tx.id).verdict();
+  if (outcome == Outcome::kUnknown) return Stall::kVotes;
+  return dc_ < head.rt ? Stall::kThreshold : Stall::kNone;
+}
+
 void Server::drain_pending() {
-  // Speculation off: one in-order drain plus one bypass sweep. With
-  // speculation on, a sweep that speculated or resolved something can
-  // unblock the in-order drain (the head changed), so the passes
-  // interleave until a fixpoint.
-  bool progress = true;
-  while (progress) {
-    drain_in_order();
-    if (cfg_.techniques.ooo_bypass) bypass_sweep();
-    progress = cfg_.techniques.speculation && spec_sweep();
-  }
-}
-
-void Server::drain_in_order() {
-  while (!cert_.empty()) {
-    const PendingEntry& head = cert_.head();
-    // P-DUR: the head's core work is still in flight — nothing behind it
-    // may complete either (completion is in version order).
-    if (!head.ready) break;
-    // A local commits at once. Outstanding speculative versions never gate
-    // it: no read serves a key above an unresolved writer of that key, so
-    // nothing the local read depends on how the specs resolve (and its
-    // verdict is status-blind). Its writes land above theirs in version
-    // order; a later rollback erases mid-chain underneath them (see
-    // DESIGN.md).
-    Outcome outcome = Outcome::kCommit;
-    if (head.tx.is_global()) {
-      outcome = rounds_.at(head.tx.id).verdict();
-      if (outcome == Outcome::kUnknown) break;  // spec_sweep may speculate it instead
-      if (dc_ < head.rt) {
-        // Vote-complete but threshold-blocked (line 29). If the partition
-        // goes idle the delivery counter would never advance; tick it.
-        schedule_threshold_tick();
-        break;
-      }
+  // Every pass keeps one fixed order, because completions send (replies,
+  // read answers) and send order feeds the fabric RNG: in-order head,
+  // threshold tick, bypassed locals, speculation. Only speculation can
+  // unblock the head again, so only its progress repeats the pass.
+  for (;;) {
+    Outcome outcome = Outcome::kUnknown;
+    Stall stall = head_stall(outcome);
+    for (; stall == Stall::kNone; stall = head_stall(outcome)) {
+      const PendingEntry e = cert_.pop_head();
+      finalize(e.tx, e.version, outcome);
     }
-    const PendingEntry e = cert_.pop_head();
-    finalize(e.tx, e.version, outcome);
+    // If the partition goes idle the delivery counter would never reach
+    // the threshold; tick it.
+    if (stall == Stall::kThreshold) schedule_threshold_tick();
+    // Out-of-order local commit (techniques.ooo_bypass) of every ready
+    // local whose park bound the completed-global watermark covers, front
+    // to back so that write-conflicting locals keep ascending version
+    // order (DESIGN.md "Out-of-order local commit"). The head is never
+    // bypassable, so `stall` still describes it.
+    for (std::size_t pos = cert_.next_bypassable(0); pos != Certifier::npos;
+         pos = cert_.next_bypassable(pos)) {
+      const PendingEntry e = cert_.take_at(pos);
+      ++stats_.bypassed_locals;
+      SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxBypassed, e.tx.id, now(),
+                         static_cast<std::uint64_t>(pos));
+      finalize(e.tx, e.version, Outcome::kCommit);
+    }
+    if (!cfg_.techniques.speculation) return;
+    bool progress = false;
+    // Chained speculation of global heads stalled on votes or on their
+    // threshold, in version order (MVStore requires per-key ascending
+    // puts): the entry leaves the pending list, so nothing behind it waits
+    // for its votes, and its threshold no longer matters (DESIGN.md
+    // "Speculative global commit").
+    for (; stall == Stall::kVotes || stall == Stall::kThreshold; stall = head_stall(outcome)) {
+      PendingEntry e = cert_.pop_head();
+      for (const auto& op : e.tx.writes) store_.put_speculative(op.key, op.value, e.version);
+      // A threshold-stalled head already knows its verdict: settled at once.
+      Round& r = enter_phase(
+          e.tx, stall == Stall::kThreshold ? Round::Phase::kSettled : Round::Phase::kSpeculated,
+          e.version);
+      r.rt = e.rt;
+      r.tx = std::move(e.tx);
+      ++stats_.speculated_globals;
+      SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, r.tx.id, now(), 1);
+      SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << r.tx.id << " v" << r.version);
+      progress = true;
+    }
+    // Settled speculations finalize in ascending version order, each the
+    // moment its own votes complete — not behind earlier ones still
+    // waiting (slot resolution and the per-key read frontier keep reads
+    // safe in any resolution order).
+    for (auto it = phase_begin(Round::Phase::kSettled); it != round_order_.end();
+         it = phase_begin(Round::Phase::kSettled)) {
+      const Round& r = rounds_.at(it->second);
+      finalize(r.tx, r.version, r.verdict());
+      progress = true;
+    }
+    if (!progress) return;
   }
-}
-
-void Server::bypass_sweep() {
-  // Out-of-order local commit: the in-order drain above stalled (head
-  // global waiting on votes or its threshold, or P-DUR head core work in
-  // flight) — commit every ready local whose park bound the
-  // completed-global watermark covers. Front-to-back order keeps
-  // write-conflicting locals in ascending version order; everything a
-  // swept local leaps is write-disjoint (and read-disjoint, bar
-  // snapshot-bottom blind writes whose projected readset is empty here),
-  // so the schedule stays equivalent to the delivery-order serial one.
-  // Sweep completions never unblock the head (votes and thresholds are
-  // untouched), so one pass after the drain suffices.
-  std::size_t pos = cert_.next_bypassable(0);
-  while (pos != Certifier::npos) {
-    // Replay the strict delivery-order gate: nothing still ahead of a
-    // swept local may write-conflict with it (the store applies writes in
-    // version order), and any pending write it *read* must sit within its
-    // snapshot — the cross-replica race certification already admits: the
-    // read was served by a replica where that writer had completed. A
-    // bloom readset cannot be checked key-exactly, so its read clause is
-    // skipped (the park gate already treated it as a conservative hit).
-    SDUR_AUDIT({
-      const PendingEntry& local = cert_.at(pos);
-      for (std::size_t k = 0; k < pos; ++k) {
-        const PendingEntry& ahead = cert_.at(k);
-        SDUR_AUDIT_CHECK("certifier", "bypass-serial-equivalence",
-                         !local.tx.write_keys.intersects(ahead.tx.write_keys),
-                         "local tx " << local.tx.id << " (v" << local.version
-                                     << ") bypasses write-conflicting pending tx " << ahead.tx.id
-                                     << " (v" << ahead.version << ")");
-        SDUR_AUDIT_CHECK("certifier", "bypass-serial-equivalence",
-                         local.tx.readset.is_bloom() ||
-                             !local.tx.readset.intersects(ahead.tx.write_keys) ||
-                             ahead.version <= local.tx.snapshot,
-                         "local tx " << local.tx.id << " (v" << local.version
-                                     << ", st=" << local.tx.snapshot
-                                     << ") bypasses pending tx " << ahead.tx.id << " (v"
-                                     << ahead.version << ") whose write it read");
-      }
-    });
-    const PendingEntry e = cert_.take_at(pos);
-    ++stats_.bypassed_locals;
-    SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxBypassed, e.tx.id, now(),
-                       static_cast<std::uint64_t>(pos));
-    finalize(e.tx, e.version, Outcome::kCommit);
-    pos = cert_.next_bypassable(pos);
-  }
-}
-
-// --- Speculative global commit (techniques.speculation) ------------------------
-
-bool Server::speculate_head() {
-  if (cert_.empty()) return false;
-  const PendingEntry& head = cert_.head();
-  if (!head.ready || !head.tx.is_global()) return false;
-  // A vote-complete head past its threshold is drain_in_order's job.
-  if (rounds_.at(head.tx.id).verdict() != Outcome::kUnknown && dc_ >= head.rt) return false;
-  PendingEntry e = cert_.pop_head();
-  // Apply the writes as speculative versions immediately — the entry left
-  // the pending list, so everything queued behind it completes without
-  // waiting for this global's votes (no head-of-line blocking). The
-  // reorder-threshold gate is deliberately skipped from here on:
-  // reordering exists to let locals complete ahead of a blocked global,
-  // which is moot once the global vacated the head (see DESIGN.md).
-  for (const auto& op : e.tx.writes) store_.put_speculative(op.key, op.value, e.version);
-  Round& r = enter_phase(e.tx, Round::Phase::kSpeculated, e.version);
-  r.rt = e.rt;
-  r.tx = std::move(e.tx);
-  ++stats_.speculated_globals;
-  SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSpeculated, r.tx.id, now(), 1);
-  SDUR_AUDIT_NOTE(now(), name() << " speculated global tx " << r.tx.id << " v" << r.version);
-  return true;
-}
-
-bool Server::spec_sweep() {
-  bool progress = false;
-  // Chained speculation: successive eligible global heads vacate in
-  // version order (MVStore requires per-key ascending puts, which the
-  // head-only rule guarantees).
-  while (speculate_head()) progress = true;
-  // Out-of-order finalize: each speculated global resolves the moment its
-  // own votes complete — not behind earlier specs still waiting (slot
-  // resolution and the per-key read frontier keep reads safe regardless
-  // of the resolution order). Finalizing changes no other round's votes,
-  // so one ascending pass finds every resolvable one.
-  for (auto it = speculated_begin(); it != round_order_.end();) {
-    Round& r = rounds_.at((it++)->second);  // advance first: finalize erases the entry
-    const Outcome verdict = r.verdict();
-    if (verdict == Outcome::kUnknown) continue;
-    finalize(r.tx, r.version, verdict);
-    progress = true;
-  }
-  return progress;
 }
 
 // --- Global termination ---------------------------------------------------------
@@ -679,15 +626,6 @@ bool Server::spec_sweep() {
 const Outcome* Server::Round::vote(PartitionId p) const {
   const auto it = std::find_if(votes.begin(), votes.end(), [p](auto& e) { return e.first == p; });
   return it == votes.end() ? nullptr : &it->second;
-}
-
-void Server::Round::add_vote(PartitionId p, Outcome v) {
-  const auto it = std::find_if(votes.begin(), votes.end(), [p](auto& e) { return e.first == p; });
-  if (it == votes.end()) {
-    votes.emplace_back(p, v);
-  } else if (it->second == Outcome::kUnknown) {
-    it->second = v;
-  }
 }
 
 Outcome Server::Round::verdict() const {
@@ -724,9 +662,8 @@ void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
     for (PartitionId part : r.involved) {
       if (part == cfg_.partition || r.vote(part) != nullptr) continue;
       const sim::Message req = VoteRequestMsg{id}.to_message();
-      const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[part];
-      for (std::size_t j = 0; j < peers.size(); ++j) {
-        send(peers[j], maybe_piggyback(part, j, req));
+      for (sim::ProcessId peer : cfg_.partition_servers[part]) {
+        send(peer, maybe_piggyback(peer, req));
       }
     }
   }
@@ -745,6 +682,20 @@ void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
 
 // --- Votes --------------------------------------------------------------------
 
+void Server::record_vote(TxId id, PartitionId partition, Outcome vote) {
+  Round& r = rounds_[id];
+  const auto it = std::find_if(r.votes.begin(), r.votes.end(),
+                               [partition](auto& e) { return e.first == partition; });
+  if (it == r.votes.end()) {
+    r.votes.emplace_back(partition, vote);
+  } else if (it->second == Outcome::kUnknown) {
+    it->second = vote;  // a repeat only replaces a kUnknown vote
+  }
+  if (r.phase == Round::Phase::kSpeculated && r.verdict() != Outcome::kUnknown) {
+    enter_phase(r.tx, Round::Phase::kSettled, r.version);
+  }
+}
+
 void Server::cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v) {
   if (own_votes_.record(id, v)) {
     // One vote per (transaction, partition), identical across the
@@ -754,7 +705,7 @@ void Server::cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Ou
         self(), now()));
     // The round holds the own-partition vote too, so its verdict sees
     // every partition's vote uniformly.
-    rounds_[id].add_vote(cfg_.partition, v);
+    record_vote(id, cfg_.partition, v);
   }
   send_vote_to_peers(id, involved, v);
 }
@@ -784,7 +735,7 @@ bool Server::handle_vote(TxId id, PartitionId partition, Outcome vote) {
     ++stats_.stale_votes_dropped;
     return false;
   }
-  rounds_[id].add_vote(partition, vote);
+  record_vote(id, partition, vote);
   return true;
 }
 
@@ -826,34 +777,28 @@ void Server::flush_votes() {
 void Server::flush_votes_for(PartitionId p) {
   VoteOutbox& box = vote_outbox_[p];
   if (box.queue.empty()) return;
+  // Each replica gets the suffix it is missing (piggybacks may already
+  // have carried prefixes to some). Replicas at the same cursor share one
+  // refcounted payload: it is re-encoded only when the cursor changes.
   const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[p];
   std::size_t min_cursor = box.queue.size();
-  bool uniform = true;
-  for (std::size_t c : box.cursor) {
-    min_cursor = std::min(min_cursor, c);
-    uniform = uniform && c == box.cursor.front();
+  std::size_t encoded_from = box.queue.size();
+  sim::Message msg;
+  scratch_batch_.partition = cfg_.partition;
+  for (std::size_t i = 0; i < box.cursor.size(); ++i) {
+    const std::size_t from = box.cursor[i];
+    if (from >= box.queue.size()) continue;
+    if (from != encoded_from) {
+      scratch_batch_.votes.assign(box.queue.begin() + static_cast<std::ptrdiff_t>(from),
+                                  box.queue.end());
+      msg = scratch_batch_.to_message();
+      encoded_from = from;
+    }
+    send(peers[i], msg);
+    ++stats_.vote_batches_sent;
+    min_cursor = std::min(min_cursor, from);
   }
   if (min_cursor < box.queue.size()) {
-    scratch_batch_.partition = cfg_.partition;
-    if (uniform) {
-      // Every replica is missing the same suffix: encode once, share the
-      // refcounted payload across the fan-out.
-      scratch_batch_.votes.assign(box.queue.begin() + static_cast<std::ptrdiff_t>(min_cursor),
-                                  box.queue.end());
-      const sim::Message msg = scratch_batch_.to_message();
-      for (sim::ProcessId peer : peers) send(peer, msg);
-      stats_.vote_batches_sent += peers.size();
-    } else {
-      // Piggybacks already carried prefixes to some replicas: send each
-      // replica only what it is missing.
-      for (std::size_t i = 0; i < peers.size() && i < box.cursor.size(); ++i) {
-        if (box.cursor[i] >= box.queue.size()) continue;
-        scratch_batch_.votes.assign(box.queue.begin() + static_cast<std::ptrdiff_t>(box.cursor[i]),
-                                    box.queue.end());
-        send(peers[i], scratch_batch_.to_message());
-        ++stats_.vote_batches_sent;
-      }
-    }
     stats_.votes_batched += box.queue.size() - min_cursor;
     SDUR_TRACE_INSTANT(trace_track_, trace::Point::kVoteFlush, p, now(),
                        box.queue.size() - min_cursor);
@@ -861,13 +806,13 @@ void Server::flush_votes_for(PartitionId p) {
   box.clear();
 }
 
-sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, sim::Message m) {
+sim::Message Server::maybe_piggyback(sim::ProcessId to, sim::Message m) {
   if (!batching() || !cfg_.techniques.vote_piggyback) return m;
   if (m.type == msgtype::kVoteBatch || m.type == msgtype::kVotePiggyback) return m;
-  if (p == cfg_.partition || p >= vote_outbox_.size()) return m;
-  VoteOutbox& box = vote_outbox_[p];
-  if (replica_index >= box.cursor.size()) return m;
-  std::size_t& cur = box.cursor[replica_index];
+  const auto peer = peer_index_.find(to);
+  if (peer == peer_index_.end() || peer->second.first == cfg_.partition) return m;
+  VoteOutbox& box = vote_outbox_[peer->second.first];
+  std::size_t& cur = box.cursor[peer->second.second];
   if (cur >= box.queue.size()) return m;
   VotePiggybackMsg env;
   env.inner_type = m.type;
@@ -875,24 +820,16 @@ sim::Message Server::maybe_piggyback(PartitionId p, std::size_t replica_index, s
   env.batch.partition = cfg_.partition;
   env.batch.votes.assign(box.queue.begin() + static_cast<std::ptrdiff_t>(cur), box.queue.end());
   stats_.votes_piggybacked += env.batch.votes.size();
-  SDUR_TRACE_INSTANT(trace_track_, trace::Point::kVotePiggyback, p, now(),
+  SDUR_TRACE_INSTANT(trace_track_, trace::Point::kVotePiggyback, peer->second.first, now(),
                      env.batch.votes.size());
   cur = box.queue.size();
   // If every replica now has the full queue, drop it (nothing left for the
   // interval flush to send).
-  bool all_caught_up = true;
-  for (std::size_t c : box.cursor) all_caught_up = all_caught_up && c >= box.queue.size();
-  if (all_caught_up) {
+  if (std::all_of(box.cursor.begin(), box.cursor.end(),
+                  [&box](std::size_t c) { return c >= box.queue.size(); })) {
     box.clear();
   }
   return env.to_message();
-}
-
-sim::Message Server::maybe_piggyback_pid(sim::ProcessId to, sim::Message m) {
-  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
-  const auto it = peer_index_.find(to);
-  if (it == peer_index_.end()) return m;
-  return maybe_piggyback(it->second.first, it->second.second, std::move(m));
 }
 
 // --- Reads ---------------------------------------------------------------------
@@ -980,10 +917,7 @@ void Server::gossip_tick() {
     const sim::Message msg = GossipSCMsg{cfg_.partition, cert_.stable()}.to_message();
     for (PartitionId p = 0; p < cfg_.num_partitions; ++p) {
       if (p == cfg_.partition) continue;
-      const std::vector<sim::ProcessId>& peers = cfg_.partition_servers[p];
-      for (std::size_t i = 0; i < peers.size(); ++i) {
-        send(peers[i], maybe_piggyback(p, i, msg));
-      }
+      for (sim::ProcessId peer : cfg_.partition_servers[p]) send(peer, maybe_piggyback(peer, msg));
     }
   }
   set_timer(cfg_.gossip_interval, [this] { gossip_tick(); });
@@ -1020,7 +954,7 @@ paxos::Value Server::encode_state() const {
   // speculative versions inside the chains; this section lets install
   // re-mark them in the undo log.
   if (cfg_.techniques.speculation) {
-    const auto first = speculated_begin();
+    const auto first = phase_begin(Round::Phase::kSpeculated);
     w.varint(static_cast<std::uint64_t>(std::distance(first, round_order_.end())));
     for (auto it = first; it != round_order_.end(); ++it) {
       const Round& r = rounds_.at(it->second);
@@ -1049,10 +983,9 @@ void Server::install_state(const paxos::Value& blob) {
   // peer votes are re-fetched by the vote-request repair in liveness_tick.
   rounds_.clear();
   round_order_.clear();
-  auto reopen = [this](const PartTx& t, Round::Phase phase, Version v) -> Round& {
-    Round& round = enter_phase(t, phase, v);
-    if (const Outcome* own = own_votes_.find(t.id)) round.add_vote(cfg_.partition, *own);
-    return round;
+  auto reopen = [this](const PartTx& t, Round::Phase phase, Version v) {
+    enter_phase(t, phase, v);
+    if (const Outcome* own = own_votes_.find(t.id)) record_vote(t.id, cfg_.partition, *own);
   };
   if (cfg_.techniques.speculation) {
     const std::uint64_t nspec = r.varint();
@@ -1068,9 +1001,11 @@ void Server::install_state(const paxos::Value& blob) {
         if (spec_keys.empty() || spec_keys.back() != op.key) spec_keys.push_back(op.key);
       }
       store_.mark_speculative(v, spec_keys);
-      Round& round = reopen(tx, Round::Phase::kSpeculated, v);
+      // The transaction goes in first: a vote that settles the round needs it.
+      Round& round = rounds_[tx.id];
       round.tx = std::move(tx);
       round.rt = r.u64();
+      reopen(round.tx, Round::Phase::kSpeculated, v);
     }
   }
   // Restored entries are ready: their core work happened before the

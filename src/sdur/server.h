@@ -139,26 +139,21 @@ class Server : public sim::Process {
   /// The completion epilogue of every transaction: audit record, abort
   /// count, outcome history, client reply, closing the round.
   void complete(const PartTx& t, Outcome outcome);
+  /// The one completion loop (see DESIGN.md "Completion"): in-order head
+  /// completions, the threshold tick, out-of-order locals
+  /// (techniques.ooo_bypass), then speculation of stalled global heads and
+  /// finalization of settled speculations (techniques.speculation).
   void drain_pending();
-  /// Out-of-order local commit (techniques.ooo_bypass): after the in-order
-  /// drain stalls, commits every ready unparked local past the blocked
-  /// prefix (see DESIGN.md "Out-of-order local commit").
-  void bypass_sweep();
-  /// In-order head drain; factored out so the speculation sweep can
-  /// interleave with it.
-  void drain_in_order();
+  /// Why the pending-list head cannot complete now (Algorithm 2, line 29).
+  enum class Stall : std::uint8_t {
+    kNone,       // it can: `outcome` is its completion outcome
+    kEmpty,      // no pending entry
+    kCores,      // P-DUR: its core work is still in flight
+    kVotes,      // a global missing votes
+    kThreshold,  // a vote-complete global below its reorder threshold
+  };
+  Stall head_stall(Outcome& outcome) const;
   void schedule_threshold_tick();
-
-  // --- Speculative global commit (techniques.speculation) -------------------
-  // A locally-certified global at the pending-list head applies its writes
-  // as speculative MVStore versions and leaves the pending list; its votes
-  // later promote or roll them back. See DESIGN.md "Speculative global
-  // commit".
-  /// Speculates the global at the pending-list head; true on progress.
-  bool speculate_head();
-  /// Post-drain sweep: speculate eligible heads, finalize speculated
-  /// globals whose votes are in; true on any progress.
-  bool spec_sweep();
 
   // --- P-DUR multi-core replica (src/pdur/) ---------------------------------
   /// True when this replica models pdur.cores > 1 simulated cores.
@@ -176,6 +171,7 @@ class Server : public sim::Process {
       kVoting,      // not certified to commit here (yet): collects votes only
       kPending,     // certified to commit, waiting in the pending list
       kSpeculated,  // out of the pending list, writes applied speculatively
+      kSettled,     // speculated with its verdict known: queued for finalize
     };
     Phase phase = Phase::kVoting;
     /// Votes received per partition, this replica's own included.
@@ -186,15 +182,13 @@ class Server : public sim::Process {
     sim::Time delivered_at = 0;
     sim::Time last_vote_resend = 0;
     bool abort_requested = false;
-    /// kSpeculated: the transaction and its reorder threshold, moved out
-    /// of the pending list (checkpoints carry both).
+    /// kSpeculated/kSettled: the transaction and its reorder threshold,
+    /// moved out of the pending list (checkpoints carry both).
     PartTx tx;
     std::uint64_t rt = 0;
 
     /// Partition `p`'s vote, or null while it is missing.
     const Outcome* vote(PartitionId p) const;
-    /// Records `p`'s vote; a repeat only replaces a kUnknown vote.
-    void add_vote(PartitionId p, Outcome v);
     /// Delivered phases: kUnknown while an involved partition's vote is
     /// missing, else commit iff no partition voted abort.
     Outcome verdict() const;
@@ -202,15 +196,19 @@ class Server : public sim::Process {
   /// Moves `t`'s round (opened if absent) into `phase` at `version` and
   /// indexes it in round_order_; leaving kVoting stamps delivered_at.
   Round& enter_phase(const PartTx& t, Round::Phase phase, Version version);
-  /// First speculated round in round_order_.
-  auto speculated_begin() const {
-    return round_order_.lower_bound({Round::Phase::kSpeculated, 0});  // versions start at 1
+  /// First round of `phase` (or a later phase) in round_order_.
+  auto phase_begin(Round::Phase phase) const {
+    return round_order_.lower_bound({phase, 0});  // versions start at 1
   }
   /// Liveness for a round missing votes: resend ours, request theirs and,
   /// past missing_vote_timeout, have the leader request an abort.
   void chase_votes(TxId id, Round& r, sim::Time t_now);
 
   // --- Votes ----------------------------------------------------------------
+  /// The one point where a vote enters a round. A vote that settles a
+  /// speculated round's verdict moves it to kSettled, where the completion
+  /// loop finds it without rescanning unsettled speculations.
+  void record_vote(TxId id, PartitionId partition, Outcome vote);
   /// Records this partition's vote (first one only) and sends it.
   void cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v);
   void send_vote_to_peers(TxId id, const std::vector<PartitionId>& involved, Outcome v);
@@ -230,13 +228,10 @@ class Server : public sim::Process {
   void enqueue_vote(PartitionId p, TxId id, Outcome v);
   void flush_votes();
   void flush_votes_for(PartitionId p);
-  /// Wraps a message headed to replica `replica_index` of partition `p` in
-  /// a VotePiggybackMsg carrying that replica's pending vote suffix;
-  /// returns the message unchanged when there is nothing to carry.
-  sim::Message maybe_piggyback(PartitionId p, std::size_t replica_index, sim::Message m);
-  /// Same, resolving an arbitrary destination process id (Paxos forwards,
-  /// vote-request replies) to its (partition, replica) coordinates.
-  sim::Message maybe_piggyback_pid(sim::ProcessId to, sim::Message m);
+  /// Wraps a message headed to server `to` in a VotePiggybackMsg carrying
+  /// that replica's pending vote suffix; returns the message unchanged
+  /// when there is nothing to carry.
+  sim::Message maybe_piggyback(sim::ProcessId to, sim::Message m);
 
   // --- Reads ------------------------------------------------------------------
   void handle_read(std::uint64_t reqid, sim::ProcessId client, Key key, Version snapshot);

@@ -116,6 +116,12 @@ void MVStore::gc(Version horizon) {
   });
 }
 
+std::optional<Version> MVStore::gc_horizon(Version before, Version after, Version keep) {
+  const Version boundary = after - after % kGcPeriod;  // newest multiple <= after
+  if (boundary <= before) return std::nullopt;
+  return boundary - keep;
+}
+
 void MVStore::encode(util::Writer& w) const {
   // Keys are serialized sorted so a checkpoint blob is a canonical function
   // of the store's contents — byte-identical across replicas regardless of

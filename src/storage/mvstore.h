@@ -184,6 +184,12 @@ class MVStore {
   /// unanswerable; the certification window bounds how old a snapshot can
   /// be anyway).
   void gc(Version horizon);
+  /// The GC cadence: when the resolved (stable) prefix moves from `before`
+  /// to `after` across a multiple B of kGcPeriod, the horizon B - `keep`,
+  /// else nullopt. Crossing, not landing on, B makes every replica prune
+  /// alike however vote timing batches the prefix's advance.
+  static constexpr Version kGcPeriod = Version{1} << 18;
+  static std::optional<Version> gc_horizon(Version before, Version after, Version keep);
 
   std::size_t key_count() const { return map_.size(); }
   std::size_t version_count() const { return versions_; }

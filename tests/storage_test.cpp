@@ -65,6 +65,23 @@ TEST(MVStore, GcKeepsNewestReadableAtHorizon) {
   EXPECT_FALSE(s.get(1, 1).has_value()) << "pre-horizon version was collected";
 }
 
+// The stable prefix may advance several versions in one resolution, and
+// which resolution lands where depends on vote timing; every replica must
+// still prune at the same horizon.
+TEST(MVStore, GcHorizonFiresOnEveryBoundaryCrossing) {
+  constexpr Version B = MVStore::kGcPeriod;
+  constexpr Version keep = 50'000;
+  // A jump over the boundary prunes, like a landing on it.
+  EXPECT_EQ(MVStore::gc_horizon(B - 3, B + 4, keep), B - keep);
+  // An abort (or any resolution) landing exactly on it prunes too.
+  EXPECT_EQ(MVStore::gc_horizon(B - 1, B, keep), B - keep);
+  EXPECT_EQ(MVStore::gc_horizon(2 * B - 1, 2 * B, keep), 2 * B - keep);
+  // No crossing: nothing to prune, including a move that starts on it.
+  EXPECT_FALSE(MVStore::gc_horizon(B + 1, B + 9, keep).has_value());
+  EXPECT_FALSE(MVStore::gc_horizon(B, B + 1, keep).has_value());
+  EXPECT_FALSE(MVStore::gc_horizon(0, B - 1, keep).has_value());
+}
+
 TEST(MVStore, TruncateAboveRollsBack) {
   MVStore s;
   s.load(1, "init");

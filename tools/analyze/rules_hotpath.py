@@ -20,16 +20,19 @@ conflicts_indexed, lanes_conflict, pending_conflicts, reads_conflict,
 writes_conflict), and
 `scan_after`. Under src/sdur/ the vote-exchange path is hot too:
 `handle_vote*` bodies run once per received vote (unicast, batch entry,
-or piggybacked ride) and `flush_votes*` once per batch window per
-destination partition; the out-of-order-commit gate (anything containing
-`bypass` or starting with `park`/`unpark`: park_on_insert, park_bound,
-unpark_on_removal, next_bypassable, park_rebuild, bypass_sweep) runs on
-every delivery and every pending-head completion; the speculative
-global commit path (anything starting with `speculate`/`finalize`/
-`rollback`, under src/sdur/ and src/storage/: speculate_head,
-MVStore::rollback, and Server::finalize, which resolves every
-certified transaction's slot) runs per speculated global and per
-completion; and the read frontier (anything
+or piggybacked ride), `record_vote*` once per vote entering a round, and
+`flush_votes*` once per batch window per destination partition; the
+completion loop (`drain*`: Server::drain_pending, which also bypasses
+locals and speculates globals, and `head_stall*`, its head check) runs
+after every delivery and every recorded vote; the out-of-order-commit
+gate (anything containing `bypass` or starting with `park`/`unpark`:
+park_on_insert, park_bound, unpark_on_removal, next_bypassable,
+park_rebuild) runs on every delivery and every pending-head completion;
+the speculative global commit path (anything starting with
+`speculate`/`finalize`/`rollback`, under src/sdur/ and src/storage/:
+MVStore::rollback, and Server::finalize, which resolves every certified
+transaction's slot) runs per speculated global and per completion; and
+the read frontier (anything
 containing `frontier` under src/sdur/: read_frontier, scan_frontier)
 runs once per served read. Under src/trace/ the
 span-emit path is hot: every
@@ -63,19 +66,26 @@ def _is_hot(name: str, rel: str) -> bool:
     if name == "scan_after" or name.startswith("certify") or "conflict" in name:
         return True
     # The vote delivery/flush path (src/sdur/): handle_vote* runs once per
-    # received vote (unicast, batch entry, or piggybacked ride) and
-    # flush_votes* once per batch window per destination partition — see
-    # DESIGN.md "Vote exchange & batching".
-    if rel.startswith("src/sdur/") and name.startswith(("handle_vote", "flush_votes")):
+    # received vote (unicast, batch entry, or piggybacked ride),
+    # record_vote* once per vote entering a round, and flush_votes* once
+    # per batch window per destination partition — see DESIGN.md "Vote
+    # exchange & batching".
+    if rel.startswith("src/sdur/") and name.startswith(
+            ("handle_vote", "record_vote", "flush_votes")):
+        return True
+    # The completion loop (src/sdur/): drain* and its head check run after
+    # every delivery and every recorded vote; the loop also hosts the
+    # bypass and speculation passes — see DESIGN.md "Completion".
+    if rel.startswith("src/sdur/") and name.startswith(("drain", "head_stall")):
         return True
     # The out-of-order local commit gate (src/sdur/): park_* and
     # unpark_* run per delivery / per pending removal, and the bypass
-    # probe/sweep per completion — see DESIGN.md "Out-of-order local
-    # commit".
+    # probe per completion — see DESIGN.md "Out-of-order local commit".
     if rel.startswith("src/sdur/") and ("bypass" in name or name.startswith(("park", "unpark"))):
         return True
     # The speculative-global-commit path (src/sdur/ + src/storage/):
-    # speculate* runs once per eligible pending-list head, rollback* once
+    # speculate* helpers run once per eligible pending-list head (the head
+    # speculation itself lives in drain_pending, above), rollback* once
     # per vote resolution (MVStore::rollback walks every written key's
     # chain) and Server::finalize once per completed transaction — see
     # DESIGN.md "Speculative global commit".
@@ -201,7 +211,8 @@ def run_hotpath_hygiene(ctx: Context):
 RULES = [
     Rule("hotpath-alloc",
          "no new/make_unique/make_shared in certify/conflicts_*/scan_after "
-         "bodies, src/sdur/ handle_vote*/flush_votes* vote-exchange, "
+         "bodies, src/sdur/ handle_vote*/record_vote*/flush_votes* "
+         "vote-exchange, drain*/head_stall* completion-loop, "
          "*bypass*/park*/unpark* out-of-order-commit, *frontier* read, and "
          "speculate*/finalize*/rollback* speculation bodies (also "
          "src/storage/), or src/trace/ record*/emit*/append* span-emit bodies",
@@ -212,14 +223,14 @@ RULES = [
     Rule("hotpath-container-copy",
          "no container deep-copies (locals copy-initialized from lvalues, "
          "by-value container parameters) in hot certification, "
-         "vote-exchange, out-of-order-commit, read-frontier, or speculation "
-         "bodies",
+         "vote-exchange, completion-loop, out-of-order-commit, "
+         "read-frontier, or speculation bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-container-copy"),
          suggestion="take const&, or reuse a scratch buffer owned by the caller"),
     Rule("hotpath-throw",
          "no throwing constructs in audit-off protocol hot paths "
-         "(certification, vote exchange, out-of-order commit, read frontier, "
-         "speculation, and trace span-emit)",
+         "(certification, vote exchange, completion loop, out-of-order "
+         "commit, read frontier, speculation, and trace span-emit)",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-throw"),
          suggestion="return a verdict, or guard the invariant with SDUR_AUDIT_CHECK "
                     "(compiled out in benchmark builds)"),
