@@ -6,8 +6,8 @@
 // every window record; the indexed strategy (storage/cert_index.h) probes
 // a per-key last-writer/last-reader table — O(|rs| + |ws|) regardless of
 // window depth. This bench times both strategies on storage::CommitWindow —
-// the class sdur::Certifier certifies against (its full-set window, and
-// every P-DUR lane) — through its public conflicts_scan() /
+// the one window sdur::Certifier certifies against, serial or P-DUR —
+// through its public conflicts_scan() /
 // conflicts_indexed() split (both audit-free, so the numbers are
 // meaningful even in SDUR_AUDIT builds, where conflicts() itself re-runs
 // the scan as a cross-check).

@@ -15,10 +15,12 @@
 //   sdur_e2e      A message-heavy SDUR deployment (2 partitions, wide
 //                 writesets, 30% globals) driven by closed-loop clients.
 //                 The realistic mix: Paxos broadcast, vote fan-out,
-//                 certification, timers. Runs twice: the `baseline`
-//                 techniques (row sdur_e2e) and `all-on` (row
+//                 certification, timers. Runs three times: the `baseline`
+//                 techniques (row sdur_e2e), `all-on` (row
 //                 sdur_e2e_all_on), whose completion loop also bypasses
-//                 locals and speculates globals.
+//                 locals and speculates globals, and `baseline` on 4 P-DUR
+//                 cores with 20% cross-core transactions (row
+//                 sdur_e2e_pdur4).
 //
 // Results are printed and written to BENCH_harness_perf.json via the
 // shared reporter. `--smoke` runs a seconds-scale version for CTest.
@@ -166,9 +168,11 @@ FabricMetrics run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Tim
 // --- Section 2: message-heavy SDUR deployment --------------------------------
 
 FabricMetrics run_e2e(const char* section, const TechniqueConfig& techniques,
-                      std::uint32_t clients, sim::Time measure) {
+                      std::uint32_t cores, std::uint32_t clients, sim::Time measure) {
   MicroSetup s;
   s.techniques = techniques;
+  s.pdur_cores = cores;
+  s.cross_core_fraction = cores > 1 ? 0.2 : 0.0;
   s.kind = DeploymentSpec::Kind::kLan;  // dense event stream, high msg rate
   s.partitions = 2;
   s.global_fraction = 0.3;  // vote fan-out between partitions
@@ -180,6 +184,8 @@ FabricMetrics run_e2e(const char* section, const TechniqueConfig& techniques,
   mc.global_fraction = s.global_fraction;
   mc.value_size = 256;  // wide writesets: payload cost matters
   mc.ops_per_txn = 8;
+  mc.cores = s.pdur_cores;
+  mc.cross_core_fraction = s.cross_core_fraction;
   MicroWorkload wl(mc);
   auto dep = make_micro_deployment(s);
 
@@ -232,12 +238,17 @@ int main(int argc, char** argv) {
   {
     const sdur::sim::Time measure = smoke ? sdur::sim::msec(300) : sdur::sim::sec(4);
     const std::uint32_t clients = smoke ? 16 : 96;
-    // (section, technique preset)
-    const std::pair<const char*, const char*> rows[] = {{"sdur_e2e", "baseline"},
-                                                        {"sdur_e2e_all_on", "all-on"}};
-    for (const auto& [section, preset] : rows) {
-      report_metrics(
-          run_e2e(section, *sdur::TechniqueConfig::preset(preset), clients, measure));
+    struct Row {
+      const char* section;
+      const char* preset;
+      std::uint32_t cores;
+    };
+    const Row rows[] = {{"sdur_e2e", "baseline", 1},
+                        {"sdur_e2e_all_on", "all-on", 1},
+                        {"sdur_e2e_pdur4", "baseline", 4}};
+    for (const Row& row : rows) {
+      report_metrics(run_e2e(row.section, *sdur::TechniqueConfig::preset(row.preset), row.cores,
+                             clients, measure));
     }
   }
   return 0;

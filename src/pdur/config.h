@@ -1,9 +1,9 @@
 // P-DUR (Parallel Deferred Update Replication) configuration.
 //
-// Knobs for the multi-core replica model (arXiv:1312.0742): how many
-// simulated cores a replica certifies/executes on, and the CPU cost model
-// for the intra-replica pipeline. See src/pdur/ and DESIGN.md ("Multi-core
-// replica model / P-DUR").
+// The multi-core replica model (arXiv:1312.0742): how many simulated cores
+// a replica certifies/executes on (the one knob), and the fixed CPU cost
+// model of the intra-replica pipeline. See src/pdur/ and DESIGN.md
+// ("Multi-core replicas (P-DUR)").
 #pragma once
 
 #include <cstdint>
@@ -11,6 +11,27 @@
 #include "sim/time.h"
 
 namespace sdur::pdur {
+
+/// Serial ingress cost per message when the P-DUR pipeline is active.
+/// The legacy model charges the whole per-message handling cost
+/// (ServerConfig::message_service_time) on the single CPU; P-DUR splits it
+/// into this cheap network/dispatch slice on core 0 plus the actual work
+/// charged on the owning core (reads: kReadCost; deliveries:
+/// certification/apply cost).
+inline constexpr sim::Time kIngressCost = sim::usec(5);
+
+/// Per-delivery serial dispatch cost on core 0 (decode + fan-out to home
+/// cores). This is P-DUR's residual serial fraction; it bounds the maximum
+/// speedup a la Amdahl.
+inline constexpr sim::Time kDispatchCost = sim::usec(3);
+
+/// Extra cost of the deterministic cross-core vote/barrier exchange paid by
+/// every transaction whose keys span more than one core (shared-memory
+/// synchronization in the paper's prototype).
+inline constexpr sim::Time kCrossCoreSyncCost = sim::usec(8);
+
+/// Cost of serving one multiversion read on the key's owning core.
+inline constexpr sim::Time kReadCost = sim::usec(10);
 
 struct Config {
   /// Number of simulated certification/execution cores per replica.
@@ -20,27 +41,6 @@ struct Config {
   /// transactions fan out to their home cores, and transactions spanning
   /// cores pay a deterministic vote/barrier step.
   std::uint32_t cores = 1;
-
-  /// Serial ingress cost per message when the P-DUR pipeline is active.
-  /// The legacy model charges the whole per-message handling cost
-  /// (ServerConfig::message_service_time) on the single CPU; P-DUR splits
-  /// it into this cheap network/dispatch slice on core 0 plus the actual
-  /// work charged on the owning core (reads: read_cost; deliveries:
-  /// certification/apply cost).
-  sim::Time ingress_cost = sim::usec(5);
-
-  /// Per-delivery serial dispatch cost on core 0 (decode + fan-out to home
-  /// cores). This is P-DUR's residual serial fraction; it bounds the
-  /// maximum speedup a la Amdahl.
-  sim::Time dispatch_cost = sim::usec(3);
-
-  /// Extra cost of the deterministic cross-core vote/barrier exchange paid
-  /// by every transaction whose keys span more than one core (shared-memory
-  /// synchronization in the paper's prototype).
-  sim::Time cross_core_sync_cost = sim::usec(8);
-
-  /// Cost of serving one multiversion read on the key's owning core.
-  sim::Time read_cost = sim::usec(10);
 };
 
 }  // namespace sdur::pdur

@@ -3,8 +3,8 @@
 // P-DUR splits a replica's database across K worker cores; every key has
 // exactly one home core, so conflicts can only arise between transactions
 // that share a core. The mapping is a pure function of the key (a hash),
-// identical on every replica, which keeps the parallel certification
-// decomposition deterministic.
+// identical on every replica, so every replica charges a transaction's
+// work to the same cores.
 //
 // Bloom-encoded readsets cannot be enumerated, so a transaction shipping a
 // bloom readset is conservatively homed on *all* cores (its reads could
@@ -29,24 +29,6 @@ class CorePartitioner {
 
   CoreId core_of(std::uint64_t key) const {
     return static_cast<CoreId>(util::mix64(key) % cores_);
-  }
-
-  /// Keys of `keys` homed on core `c` (order preserved; input sorted in ->
-  /// output sorted out).
-  std::vector<std::uint64_t> keys_of(const std::vector<std::uint64_t>& keys, CoreId c) const {
-    std::vector<std::uint64_t> out;
-    for (std::uint64_t k : keys) {
-      if (core_of(k) == c) out.push_back(k);
-    }
-    return out;
-  }
-
-  /// Projection of a key set onto core `c`'s keys. Bloom sets are shared
-  /// whole (they cannot be enumerated); exact sets are filtered, preserving
-  /// the sorted order KeySet::exact expects.
-  util::KeySet project(const util::KeySet& s, CoreId c) const {
-    if (s.is_bloom()) return s;
-    return util::KeySet::exact(keys_of(s.keys(), c));
   }
 
   /// Home cores of a transaction with readset `rs` and write keys `ws`:

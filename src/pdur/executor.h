@@ -30,11 +30,11 @@ namespace sdur::pdur {
 
 class Executor {
  public:
-  Executor(sim::Process& proc, const Config& cfg) : proc_(proc), cfg_(cfg), part_(cfg.cores) {
+  Executor(sim::Process& proc, const Config& cfg) : proc_(proc), part_(cfg.cores) {
     SDUR_TRACE_STMT({
       if (trace::Tracer::instance().enabled()) {
-        lane_tracks_.reserve(cfg_.cores);
-        for (std::uint32_t c = 0; c < cfg_.cores; ++c) {
+        lane_tracks_.reserve(part_.cores());
+        for (CoreId c = 0; c < part_.cores(); ++c) {
           lane_tracks_.push_back(SDUR_TRACE_REGISTER(
               proc_.id(), proc_.name() + "-core" + std::to_string(c),
               static_cast<std::int32_t>(c)));
@@ -46,14 +46,12 @@ class Executor {
   /// Schedules `work_cost` of certification/execution for a transaction
   /// homed on `cores`; `done` runs (epoch/crash-guarded) when every
   /// involved core has finished. Cross-core transactions additionally pay
-  /// cfg.cross_core_sync_cost under barrier semantics.
+  /// kCrossCoreSyncCost under barrier semantics.
   void run(const std::vector<CoreId>& cores, sim::Time work_cost, sim::UniqueFn done) {
     if (cores.size() > 1) {
-      ++cross_core_;
-      trace_lane_spans(cores.data(), cores.size(), work_cost + cfg_.cross_core_sync_cost);
-      proc_.enqueue_work_multi(cores, work_cost + cfg_.cross_core_sync_cost, std::move(done));
+      trace_lane_spans(cores.data(), cores.size(), work_cost + kCrossCoreSyncCost);
+      proc_.enqueue_work_multi(cores, work_cost + kCrossCoreSyncCost, std::move(done));
     } else {
-      ++single_core_;
       const CoreId c = cores.empty() ? 0 : cores.front();
       trace_lane_spans(&c, 1, work_cost);
       proc_.enqueue_work_on(c, work_cost, std::move(done));
@@ -67,14 +65,11 @@ class Executor {
       if (c < lane_tracks_.size()) {
         const sim::Time start = std::max(proc_.now(), proc_.core_free_at(c));
         trace::Tracer::instance().record_span(lane_tracks_[c], trace::Point::kLaneWork, 0,
-                                              start, start + cfg_.read_cost, key, proc_.now());
+                                              start, start + kReadCost, key, proc_.now());
       }
     });
-    proc_.enqueue_work_on(c, cfg_.read_cost, std::move(done));
+    proc_.enqueue_work_on(c, kReadCost, std::move(done));
   }
-
-  std::uint64_t single_core_txns() const { return single_core_; }
-  std::uint64_t cross_core_txns() const { return cross_core_; }
 
  private:
   /// Mirrors sim::Process's reservation math to record, at enqueue time,
@@ -109,10 +104,7 @@ class Executor {
   }
 
   sim::Process& proc_;
-  Config cfg_;
   CorePartitioner part_;
-  std::uint64_t single_core_ = 0;
-  std::uint64_t cross_core_ = 0;
   /// Per-core lane trace tracks (empty in untraced runs).
   std::vector<std::uint32_t> lane_tracks_;
 };

@@ -7,58 +7,9 @@
 
 namespace sdur {
 
-namespace {
-
-/// One lane's vote: the window's indexed check, with the strategy instant
-/// (aux = `aux`) attributed to the current delivery via the tracer context
-/// the dispatcher set. A bloom probe set (or, for globals, a bloom write
-/// set) forces the window scan for that component; otherwise the key index
-/// answers.
-bool lane_vote(const storage::CommitWindow& lane, const util::KeySet& rs, const util::KeySet& ws,
-               bool global, Version st, [[maybe_unused]] std::uint64_t aux) {
-  SDUR_TRACE_STMT({
-    const bool scans = storage::CommitWindow::scans(rs) ||
-                       (global && storage::CommitWindow::scans(ws));
-    SDUR_TRACE_CONTEXT_INSTANT(scans ? trace::Point::kCertScanFallback
-                                     : trace::Point::kCertIndexProbe,
-                               aux);
-  });
-  return lane.conflicts(rs, ws, global, st);
-}
-
-}  // namespace
-
 const Certifier::Slot* Certifier::slot(Version v) const {
   if (v < window_.base() || v > cc_) return nullptr;
   return window_.find(v);
-}
-
-bool Certifier::lanes_conflict(const PartTx& t, Version st,
-                               const std::vector<pdur::CoreId>& cores) const {
-  // Certify against every assigned version in (st, cc] — committed,
-  // pending AND vote-aborted alike. Slot status must not influence the
-  // decision: at the moment a transaction is delivered, different replicas
-  // may have resolved different prefixes (votes arrive at different
-  // times), so any status-dependence would break determinism. Treating a
-  // later-aborted global as a conflict source is conservative (an
-  // unnecessary abort, retried with a fresh snapshot), never wrong.
-  if (!parallel()) {
-    // The serial model's single lane is the full-set window; aux is the
-    // window depth certified against.
-    const std::uint64_t depth = st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st);
-    return lane_vote(window_, t.readset, t.write_keys, t.is_global(), st, depth);
-  }
-  // P-DUR: each home lane votes on its projection of t (aux = the lane); a
-  // lane holding nothing after st has nothing to vote on.
-  for (pdur::CoreId c : cores) {
-    const storage::CommitWindow& lane = lanes_[c];
-    if (lane.empty() || lane.newest() <= st) continue;
-    if (lane_vote(lane, part_.project(t.readset, c), part_.project(t.write_keys, c),
-                  t.is_global(), st, c)) {
-      return true;
-    }
-  }
-  return false;
 }
 
 Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uint64_t dc) {
@@ -74,18 +25,25 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   }
   if (parallel()) result.cores = part_.home_cores(t.readset, t.write_keys);
   if (!test_skip_conflict_check_) {
-    const bool conflict = lanes_conflict(t, st, result.cores);
-    // The per-core decomposition must reach the exact verdict of the
-    // full-set window — P-DUR's correctness argument (a key is homed on
-    // exactly one core, so the union of per-core intersections equals the
-    // full intersection).
-    SDUR_AUDIT_CHECK("pdur", "parallel-serial-equivalence",
-                     !parallel() ||
-                         conflict == window_.conflicts(t.readset, t.write_keys, t.is_global(), st),
-                     "parallel certifier " << (conflict ? "aborts" : "commits") << " tx " << t.id
-                                           << " (st=" << st << ") but the full-set window "
-                                           << (conflict ? "finds no" : "finds a") << " conflict");
-    if (conflict) return result;  // abort
+    // Certify against every assigned version in (st, cc] — committed,
+    // pending AND vote-aborted alike. Slot status must not influence the
+    // decision: at the moment a transaction is delivered, different
+    // replicas may have resolved different prefixes (votes arrive at
+    // different times), so any status-dependence would break determinism.
+    // Treating a later-aborted global as a conflict source is conservative
+    // (an unnecessary abort, retried with a fresh snapshot), never wrong.
+    // The strategy instant (aux = the window depth certified against) is
+    // attributed to the current delivery via the tracer context the
+    // dispatcher set: a bloom probe set (or, for globals, a bloom write
+    // set) forces the window scan for that component.
+    SDUR_TRACE_STMT({
+      const bool scans = storage::CommitWindow::scans(t.readset) ||
+                         (t.is_global() && storage::CommitWindow::scans(t.write_keys));
+      SDUR_TRACE_CONTEXT_INSTANT(
+          scans ? trace::Point::kCertScanFallback : trace::Point::kCertIndexProbe,
+          st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st));
+    });
+    if (window_.conflicts(t.readset, t.write_keys, t.is_global(), st)) return result;  // abort
   }
 
   std::size_t position;
@@ -121,9 +79,8 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   result.position = position;
   result.reordered = position < pl_.size();
   result.version = ++cc_;
-  Slot slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys};
-  lanes_push(result.version, slot, result.cores);
-  window_.push(result.version, std::move(slot));
+  window_.push(result.version,
+               Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
   unresolved_insert(result.version, t.write_keys);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
              PendingEntry{t, rt, result.version});
@@ -131,7 +88,7 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // Park gate first (the new entry must not probe its own writes), then
     // register the entry's write keys in the pending-write index.
     if (!t.is_global()) park_on_insert(position, t, result);
-    pending_insert(result.version, t.write_keys);
+    window_.pending_insert(result.version, t.write_keys);
   }
   // The window holds exactly one slot per assigned version in [base, cc]:
   // a gap would let a conflicting transaction escape certification.
@@ -150,22 +107,6 @@ PendingEntry Certifier::pop_head() {
 }
 
 // --- Out-of-order local commit (techniques.ooo_bypass) ------------------------
-
-void Certifier::pending_insert(Version v, const util::KeySet& write_keys) {
-  window_.pending_insert(v, write_keys);
-  for (pdur::CoreId c = 0; c < lanes_.size(); ++c) {
-    const util::KeySet ws_c = part_.project(write_keys, c);
-    if (!ws_c.empty()) lanes_[c].pending_insert(v, ws_c);
-  }
-}
-
-void Certifier::pending_evict(Version v, const util::KeySet& write_keys) {
-  window_.pending_evict(v, write_keys);
-  for (pdur::CoreId c = 0; c < lanes_.size(); ++c) {
-    const util::KeySet ws_c = part_.project(write_keys, c);
-    if (!ws_c.empty()) lanes_[c].pending_evict(v, ws_c);
-  }
-}
 
 Version Certifier::park_bound(std::size_t position, const PartTx& t) const {
   // Exact bound over the entries ahead. A pending global counts when t
@@ -196,24 +137,8 @@ void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& re
   // writes); park_bound is authoritative. A bloom probe readset cannot
   // drive key probes; treat it as a hit and let the exact bound decide
   // (mirrors the certification fallback).
-  bool hit = storage::CommitWindow::scans(t.readset);
-  if (!hit && !parallel()) {
-    hit = window_.pending_conflicts(t.readset, t.write_keys);
-  } else if (!hit) {
-    // Each home lane probes with the full sets: a lane's pending index only
-    // holds keys homed on it, so foreign probe keys miss by construction.
-    hit = std::any_of(result.cores.begin(), result.cores.end(), [&](pdur::CoreId c) {
-      return lanes_[c].pending_conflicts(t.readset, t.write_keys);
-    });
-    // The per-lane decomposition must reproduce the full-set probe — a key
-    // is homed on exactly one core, so the union of lane hits equals the
-    // full-index hit.
-    SDUR_AUDIT_CHECK("pdur", "bypass-gate-equivalence",
-                     hit == window_.pending_conflicts(t.readset, t.write_keys),
-                     "per-lane pending-write probe for tx "
-                         << t.id << " (" << (hit ? "hit" : "clear")
-                         << ") diverges from the full-set pending-write index");
-  }
+  const bool hit = storage::CommitWindow::scans(t.readset) ||
+                   window_.pending_conflicts(t.readset, t.write_keys);
   // The trigger over-approximates the bound (it also hits on rs(t) vs
   // pending-local writes) but must cover it: a missed hit with a nonzero
   // bound would let a conflicting local bypass.
@@ -228,7 +153,7 @@ void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& re
 void Certifier::unpark_on_removal(const PendingEntry& e) {
   // Per-key eviction order stays ascending: the gate itself forbids a
   // newer pending writer of a key completing before an older one.
-  pending_evict(e.version, e.tx.write_keys);
+  window_.pending_evict(e.version, e.tx.write_keys);
   if (e.tx.is_global() && e.version > bypass_watermark_) bypass_watermark_ = e.version;
 }
 
@@ -281,7 +206,6 @@ void Certifier::park_rebuild() {
   // The watermark restarts at 0: completed globals left the list before
   // the checkpoint, so no restored local still waits on one.
   window_.pending_clear();
-  for (storage::CommitWindow& lane : lanes_) lane.pending_clear();
   bypass_watermark_ = 0;
   // The pending-write index wants version-ascending inserts; pl_ is in
   // delivery/reorder order (leaped locals sit ahead of smaller versions).
@@ -289,7 +213,7 @@ void Certifier::park_rebuild() {
   for (std::size_t i = 0; i < pl_.size(); ++i) by_version[i] = i;
   std::sort(by_version.begin(), by_version.end(),
             [this](std::size_t a, std::size_t b) { return pl_[a].version < pl_[b].version; });
-  for (std::size_t i : by_version) pending_insert(pl_[i].version, pl_[i].tx.write_keys);
+  for (std::size_t i : by_version) window_.pending_insert(pl_[i].version, pl_[i].tx.write_keys);
   for (std::size_t i = 0; i < pl_.size(); ++i) {
     PendingEntry& e = pl_[i];
     e.park_until = e.tx.is_global() ? 0 : park_bound(i, e.tx);
@@ -339,7 +263,6 @@ void Certifier::resolve(Version v, [[maybe_unused]] TxId owner, bool committed) 
   // Evict old resolved slots beyond the window capacity: the window keeps
   // at least `window_capacity_` slots and every unresolved one.
   window_.evict_below(std::min(stable_ + 1, cc_ + 1 - static_cast<Version>(window_capacity_)));
-  for (storage::CommitWindow& lane : lanes_) lane.evict_below(window_.base());
 }
 
 void Certifier::encode(util::Writer& w) const {
@@ -392,29 +315,17 @@ void Certifier::install(util::Reader& r) {
     e.version = r.i64();
     pl_.push_back(std::move(e));
   }
-  rebuild_lanes();
+  rebuild_unresolved();
   if (ooo_bypass_) park_rebuild();
 }
 
-void Certifier::lanes_push(Version v, const Slot& slot, const std::vector<pdur::CoreId>& cores) {
-  for (pdur::CoreId c : cores) {
-    Slot projected{slot.txid, slot.global, slot.status, part_.project(slot.readset, c),
-                   part_.project(slot.writeset, c)};
-    if (projected.readset.empty() && projected.writeset.empty()) continue;
-    lanes_[c].push(v, std::move(projected));
-  }
-}
-
-void Certifier::rebuild_lanes() {
-  // The per-core projections and home cores and the unresolved-writer index
-  // are recomputed from the window's slots — a pure function of the
-  // keysets, so every replica rebuilds identical state.
+void Certifier::rebuild_unresolved() {
+  // Recomputed from the window's slots — a pure function of the restored
+  // state, so every replica rebuilds an identical index.
   unresolved_ws_.clear();
   unresolved_bloom_ws_.clear();
-  for (storage::CommitWindow& lane : lanes_) lane.clear(window_.base());
   window_.scan_after(window_.base() - 1, [this](Version v, const Slot& s) {
     if (s.status == SlotStatus::kPending) unresolved_insert(v, s.writeset);
-    if (parallel()) lanes_push(v, s, part_.home_cores(s.readset, s.writeset));
     return true;
   });
 }
@@ -422,10 +333,6 @@ void Certifier::rebuild_lanes() {
 void Certifier::reset() {
   window_.clear(1);
   window_.pending_clear();
-  for (storage::CommitWindow& lane : lanes_) {
-    lane.clear(1);
-    lane.pending_clear();
-  }
   cc_ = 0;
   stable_ = 0;
   pl_.clear();

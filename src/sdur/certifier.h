@@ -40,18 +40,15 @@
 // sound because reordering requires their read/write sets to be disjoint
 // in both directions, i.e. the two transactions commute.
 //
-// ONE WINDOW (storage/commit_window.h). The slots live in a full-set
+// ONE WINDOW (storage/commit_window.h). The slots live in one
 // storage::CommitWindow, one record per assigned version, which also
-// holds the per-key index and the pending-write index. The serial model
-// certifies against it directly: it is the single lane. P-DUR
-// (arXiv:1312.0742), constructed with cores > 1, is the same check split
-// across cores: every core keeps another window holding the projections
-// of the versions that touched it, each home core votes on its slice,
-// and the transaction aborts iff any home lane saw a conflict. The
-// decomposition is outcome-equivalent to the full-set check (a key lives
-// on exactly one core), version assignment stays on the shared
-// delivery-ordered counter, and SDUR_AUDIT builds cross-check every
-// parallel verdict against the full-set window in place.
+// holds the per-key index and the pending-write index; every
+// certification runs against it. P-DUR (arXiv:1312.0742), constructed
+// with cores > 1, splits that check across the transaction's home cores:
+// a key lives on exactly one core, so the per-core checks reach the
+// window's verdict. The split changes only where the simulated work is
+// charged (pdur::Executor), so the certifier reports the home cores and
+// decides exactly as the serial model does.
 #pragma once
 
 #include <cstdint>
@@ -94,8 +91,8 @@ class Certifier {
   /// by its assigned version.
   using Slot = storage::CommitRecord;
 
-  /// `cores > 1` switches certification to the P-DUR per-core lanes;
-  /// `cores == 1` (default) is the serial model, bit-identical to before.
+  /// `cores > 1` reports each transaction's P-DUR home cores
+  /// (Result::cores); `cores == 1` (default) is the serial model.
   /// `ooo_bypass` arms the out-of-order local-commit gate (park bounds and
   /// the pending-write index); off (default) leaves every bypass structure
   /// untouched — bit-identical legacy behavior.
@@ -103,8 +100,7 @@ class Certifier {
                      bool ooo_bypass = false)
       : window_capacity_(window_capacity == 0 ? 1 : window_capacity),
         ooo_bypass_(ooo_bypass),
-        part_(cores),
-        lanes_(part_.cores() > 1 ? part_.cores() : 0, storage::CommitWindow(1)) {}
+        part_(cores) {}
 
   struct Result {
     Outcome outcome = Outcome::kAbort;
@@ -214,23 +210,12 @@ class Certifier {
   void reset();
 
   /// P-DUR mode (cores > 1 at construction).
-  bool parallel() const { return !lanes_.empty(); }
+  bool parallel() const { return part_.cores() > 1; }
 
  private:
-  /// The certification verdict for `t` at snapshot `st`: the full-set
-  /// window's check in the serial model, else one vote per home lane in
-  /// `cores` (true iff any lane saw a conflict).
-  bool lanes_conflict(const PartTx& t, Version st, const std::vector<pdur::CoreId>& cores) const;
-  /// Inserts the projections of slot `v` into its home lanes `cores`
-  /// (none in the serial model).
-  void lanes_push(Version v, const Slot& slot, const std::vector<pdur::CoreId>& cores);
-  /// Registers / unregisters pending version `v`'s write keys in the
-  /// pending-write index of the window and of every lane they touch.
-  void pending_insert(Version v, const util::KeySet& write_keys);
-  void pending_evict(Version v, const util::KeySet& write_keys);
-  /// Rebuilds the lanes and the unresolved-writer index from the window's
-  /// slots (after install()).
-  void rebuild_lanes();
+  /// Rebuilds the unresolved-writer index from the window's slots (after
+  /// install()).
+  void rebuild_unresolved();
 
   // --- Read frontier internals ---------------------------------------------
   /// The reference read_frontier() must match: a scan of (stable, cc] for
@@ -249,7 +234,7 @@ class Certifier {
   /// nothing to wait for.
   Version park_bound(std::size_t position, const PartTx& t) const;
   /// Computes the park bound for a freshly certified local and stamps the
-  /// inserted entry (gate trigger + exact bound + audits).
+  /// inserted entry (gate trigger + exact bound + audit).
   void park_on_insert(std::size_t position, const PartTx& t, Result& result);
   /// Maintains the pending-write index and the completed-global watermark
   /// as `e` leaves the pending list (pop_head and take_at).
@@ -264,15 +249,11 @@ class Certifier {
   /// Out-of-order local commit armed (techniques.ooo_bypass). When false, no
   /// bypass structure is ever touched — the legacy paths are bit-identical.
   bool ooo_bypass_ = false;
-  /// The full-set window: one slot per assigned version in [base, cc],
-  /// the per-key index over them, and (under ooo_bypass_) the pending-write
-  /// index over pl_. The serial model's only lane; the P-DUR audit
-  /// reference.
+  /// The window: one slot per assigned version in [base, cc], the per-key
+  /// index over them, and (under ooo_bypass_) the pending-write index over
+  /// pl_.
   storage::CommitWindow window_{1};
   pdur::CorePartitioner part_;
-  /// P-DUR per-core lanes (empty in the serial model): projections of the
-  /// window's slots and of its pending writes, rebuilt from it on install().
-  std::vector<storage::CommitWindow> lanes_;
   Version cc_ = 0;      // last assigned version
   Version stable_ = 0;  // resolved prefix
   std::deque<PendingEntry> pl_;

@@ -57,7 +57,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
     // P-DUR replica: core 0 is the dispatcher (message ingress + delivery
     // fan-out); certification/execution work runs on the keys' home cores.
     set_core_count(cfg_.pdur.cores);
-    set_message_service_time(cfg_.pdur.ingress_cost);
+    set_message_service_time(pdur::kIngressCost);
     executor_ = std::make_unique<pdur::Executor>(*this, cfg_.pdur);
   }
   vote_outbox_.resize(cfg_.num_partitions);
@@ -315,7 +315,7 @@ void Server::adeliver(const paxos::Value& value) {
 sim::Time Server::delivery_cost(const PartTx& t) const {
   // P-DUR: the dispatcher only routes the transaction to its home cores;
   // certification + apply cost is charged on those cores instead.
-  return parallel() ? cfg_.pdur.dispatch_cost
+  return parallel() ? pdur::kDispatchCost
                     : cfg_.certification_cost +
                           cfg_.apply_cost_per_write * static_cast<sim::Time>(t.writes.size());
 }

@@ -6,11 +6,11 @@
 namespace sdur::storage {
 
 void CommitWindow::push(Version version, CommitRecord rec) {
-  // An out-of-order push would break every version-ordered structure here
-  // (the index, the bloom suffix lists, the binary searches); a record
-  // below the base would be evicted history reappearing.
-  if (version < base_ || (!empty() && version <= newest())) {
-    throw std::logic_error("CommitWindow::push: versions must ascend");
+  // A gap or an out-of-order push would break every version-ordered
+  // structure here (the index, the bloom suffix lists, the O(1) lookup by
+  // version); a record below the base would be evicted history reappearing.
+  if (empty() ? version < base_ : version != newest() + 1) {
+    throw std::logic_error("CommitWindow::push: versions must be contiguous");
   }
   index_.insert(version, rec.readset, rec.writeset);
   records_.push_back(Entry{version, std::move(rec)});
@@ -35,16 +35,7 @@ void CommitWindow::clear(Version base) {
 std::size_t CommitWindow::lower_index(Version v) const {
   if (empty() || v <= oldest()) return 0;
   if (v > newest()) return records_.size();
-  // Versions ascend without repeats, so version v sits at index
-  // v - oldest() or earlier; a contiguous window finds it right there.
-  const auto guess = static_cast<std::size_t>(v - oldest());
-  if (guess < records_.size() && records_[guess].version == v) return guess;
-  const auto end = records_.begin() + static_cast<std::ptrdiff_t>(
-                                          std::min(guess, records_.size()));
-  return static_cast<std::size_t>(
-      std::lower_bound(records_.begin(), end, v,
-                       [](const Entry& e, Version version) { return e.version < version; }) -
-      records_.begin());
+  return static_cast<std::size_t>(v - oldest());  // contiguous: v sits right there
 }
 
 const CommitRecord* CommitWindow::find(Version version) const {

@@ -7,15 +7,12 @@
 // needs the writesets, global certification additionally intersects
 // against the readsets (Section III-B).
 //
-// USERS. sdur::Certifier keeps one full-set window whose records carry its
-// slot metadata (txid, global, status), one record per assigned version —
-// contiguous, which the Certifier audits ("window-contiguous"). Serial
-// certification (one core) runs against that window directly. With P-DUR
-// (K > 1 cores, arXiv:1312.0742) every core keeps another window holding
-// only the projections of the versions that touched it: records ascend by
-// version, with gaps where a version did not touch the core. Lookups by
-// version are O(1) on a contiguous window and a binary search on a gapped
-// one.
+// USERS. sdur::Certifier keeps one window whose records carry its slot
+// metadata (txid, global, status), one record per assigned version. Every
+// certification runs against it, serial or P-DUR (arXiv:1312.0742: the
+// per-core split of the check is only a simulated cost). Versions are
+// contiguous — push() throws on a gap, and the Certifier audits it
+// ("window-contiguous") — so a lookup by version is one subtraction.
 //
 // BASE. base() is the window's floor: every record has version >= base,
 // and every record pushed below it was evicted. covers(st) asks whether a
@@ -60,9 +57,9 @@ class CommitWindow {
  public:
   explicit CommitWindow(Version base = 0) : base_(base) {}
 
-  /// Appends the record serialized at `version`. Versions must ascend
-  /// (gaps allowed) and may not predate base(); a push that does not
-  /// ascend throws std::logic_error.
+  /// Appends the record serialized at `version`, which must be newest()+1
+  /// (on an empty window: any version >= base()); any other push throws
+  /// std::logic_error.
   void push(Version version, CommitRecord rec);
 
   /// Drops every record with version < `base` and raises base() to it (a
@@ -140,8 +137,7 @@ class CommitWindow {
   void pending_clear();
   /// True iff some pending transaction writes a key of `rs` or `ws` (both
   /// exact: a bloom readset cannot drive key probes, callers treat it as a
-  /// hit). Probe keys the index does not hold miss, so a window holding a
-  /// projection can be probed with the full sets.
+  /// hit).
   bool pending_conflicts(const util::KeySet& rs, const util::KeySet& ws) const;
 
  private:
@@ -155,7 +151,7 @@ class CommitWindow {
   /// The record at `v`, which must exist.
   const CommitRecord& at(Version v) const { return records_[lower_index(v)].rec; }
 
-  std::deque<Entry> records_;  // version-ascending
+  std::deque<Entry> records_;  // contiguous versions, ascending
   Version base_;
   CertIndex index_;
   CertIndex pending_;  // write keys of the pending transactions (readsets empty)

@@ -2,7 +2,7 @@
 //
 // Records the full span chain of a transaction — client submit, commit
 // handling, atomic broadcast, delivery-queue wait, certification (index
-// probe vs. scan fallback, per P-DUR lane), vote exchange for globals,
+// probe vs. scan fallback), vote exchange for globals,
 // apply, client reply — as POD records stamped with *simulated* time, so
 // traces are bit-reproducible from the seed like everything else in the
 // simulation.
@@ -54,8 +54,8 @@ enum class Point : std::uint8_t {
   kLaneWork,      // P-DUR core lane: busy on one transaction's work
   kLaneWait,      // P-DUR core lane: rendezvous idle before a barrier
   // Instants.
-  kCertIndexProbe,    // certification served by the key index (aux: lane/depth)
-  kCertScanFallback,  // bloom sets forced the window/lane scan (aux: lane/depth)
+  kCertIndexProbe,    // certification served by the key index (aux: depth)
+  kCertScanFallback,  // bloom sets forced the window scan (aux: depth)
   kVoteFlush,         // vote batcher flushed a queue (id: dest partition, aux: votes)
   kVotePiggyback,     // pending votes rode an outgoing message (aux: votes)
   kTxBypassed,        // local committed past pending entries (aux: entries leaped)

@@ -1,6 +1,6 @@
 // P-DUR multi-core replica tests (src/pdur/, arXiv:1312.0742):
 //
-//  - the intra-replica sub-partitioner and per-core window primitives;
+//  - the intra-replica sub-partitioner;
 //  - the multi-core sim::Process cost model (per-core serial queues,
 //    cross-core barrier);
 //  - the central equivalence property: on the same seeded delivery
@@ -8,10 +8,10 @@
 //    serial certifier does (same outcome, position, version), for exact
 //    and bloom readsets alike — P-DUR changes where time is spent, never
 //    what is decided;
-//  - checkpoint install rebuilds the per-core windows;
+//  - a checkpoint round-trip keeps a multi-core certifier's decisions;
 //  - end-to-end: a multi-core deployment stays deterministic across
 //    repeat runs, keeps replicas byte-identical, and the online audit
-//    (including the in-place parallel-vs-serial cross-check) stays clean.
+//    stays clean.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,19 +42,6 @@ TEST(CorePartitioner, EveryKeyHasExactlyOneHomeCore) {
     EXPECT_LT(c, 4u);
     EXPECT_EQ(c, part.core_of(k));  // stable
   }
-}
-
-TEST(CorePartitioner, KeysOfFiltersToOwnCore) {
-  pdur::CorePartitioner part(3);
-  std::vector<std::uint64_t> keys;
-  for (Key k = 0; k < 200; ++k) keys.push_back(k);
-  std::size_t total = 0;
-  for (pdur::CoreId c = 0; c < 3; ++c) {
-    const auto mine = part.keys_of(keys, c);
-    total += mine.size();
-    for (std::uint64_t k : mine) EXPECT_EQ(part.core_of(k), c);
-  }
-  EXPECT_EQ(total, keys.size());  // the sub-partition is a partition
 }
 
 TEST(CorePartitioner, SpreadIsRoughlyUniform) {
@@ -221,8 +208,8 @@ void run_equivalence(std::uint32_t cores, bool bloom, std::uint64_t seed) {
     ASSERT_EQ(serial.certified(), par.certified());
     ASSERT_EQ(serial.stable(), par.stable());
   }
-  // The in-place parallel-vs-serial audit cross-check ran on every
-  // delivery above; it must not have tripped.
+  // The in-place index-vs-scan audit cross-check ran on every delivery
+  // above; it must not have tripped.
   EXPECT_EQ(audit::Auditor::instance().total_violations(), violations_before);
 }
 
@@ -251,8 +238,8 @@ TEST(ParallelCertification, InstallRebuildsPerCoreWindows) {
   ASSERT_EQ(a.certified(), b.certified());
   ASSERT_EQ(a.stable(), b.stable());
 
-  // Continue the identical history on both; the rebuilt windows must keep
-  // producing the decisions of the originals.
+  // Continue the identical history on both; the installed certifier must
+  // keep producing the decisions of the original.
   for (TxId id = 81; id <= 200; ++id) {
     const PartTx t = random_tx(rng, id, 24, false, a.certified());
     ++dc;

@@ -173,12 +173,13 @@ TEST(CommitWindow, NonAscendingPushThrows) {
   w.push(1, rec(1, {}, {}));
   EXPECT_THROW(w.push(1, rec(2, {}, {})), std::logic_error);
   EXPECT_THROW(w.push(0, rec(2, {}, {})), std::logic_error);
-  // A gap is accepted (a P-DUR lane holds only the versions that touched
-  // its core); contiguity is the Certifier's own audit.
-  w.push(3, rec(3, {}, {}));
-  EXPECT_EQ(txids_after(w, 0), (std::vector<std::uint64_t>{1, 3}));
-  EXPECT_NE(w.find(3), nullptr);
-  EXPECT_EQ(w.find(2), nullptr);
+  // A gap throws too: one record per version is what makes a lookup by
+  // version one subtraction.
+  EXPECT_THROW(w.push(3, rec(3, {}, {})), std::logic_error);
+  w.push(2, rec(2, {}, {}));
+  EXPECT_EQ(txids_after(w, 0), (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_NE(w.find(2), nullptr);
+  EXPECT_EQ(w.find(3), nullptr);
   // Below the base is evicted history: it throws even on an empty window.
   CommitWindow evicted = five_evicted_below(6);
   ASSERT_TRUE(evicted.empty());

@@ -12,8 +12,9 @@ i.e. each layer may include only the layers listed for it below. This
 refines the coarse sketch `util <- sim <- {storage, workload} <- paxos
 <- sdur <- pdur` with the facts of this codebase: `audit` is the
 cross-cutting invariant layer (includes only util, includable from any
-protocol layer); `pdur` sits *below* `sdur` (sdur::Certifier drives the
-per-core lanes, not the other way around); `trace` is the observability
+protocol layer); `pdur` sits *below* `sdur` (sdur::Certifier and
+sdur::Server use the core partitioner and the executor, not the other
+way around); `trace` is the observability
 layer — it sees util and sim (for sim::Time) and every protocol layer
 may include it, but `sim` itself must never depend on trace (the
 simulator's schedule cannot be influenced by whether tracing is
