@@ -3,6 +3,8 @@
 // wire codec and the latency histogram.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "sdur/certifier.h"
 #include "storage/mvstore.h"
 #include "util/bloom.h"
@@ -107,6 +109,21 @@ void BM_MVStoreSnapshotRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MVStoreSnapshotRead);
+
+// Initial population as every replica runs it at start-up: 100K keys of
+// 64 B into a fresh store, one load() per key (no reserve), the store's
+// own growth included.
+void BM_MVStoreLoad(benchmark::State& state) {
+  constexpr Key kKeys = 100'000;
+  const std::string value(64, 'x');
+  for (auto _ : state) {
+    storage::MVStore store;
+    for (Key k = 0; k < kKeys; ++k) store.load(k, value);
+    benchmark::DoNotOptimize(store.key_count());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kKeys));
+}
+BENCHMARK(BM_MVStoreLoad)->Unit(benchmark::kMillisecond);
 
 void BM_PartTxCodec(benchmark::State& state) {
   const PartTx t = bench_tx(42, 1, 2, 100, true);

@@ -1,17 +1,22 @@
 #!/bin/bash
 # Usage: run_benches.sh [bench-name ...]
-# With no arguments, runs every binary in build/bench/. With arguments,
-# runs only the named benches (basenames, e.g. `run_benches.sh
-# harness_perf cert_perf`) — handy for seeding the perf trajectory with
-# the hot-path benches without paying for the full figure suite.
-out=/root/repo/bench_output.txt
-json_dir=/root/repo/bench_json
+# Builds the `audit-off` preset (build-audit-off/: audit hooks compiled
+# out, so host timings are not inflated by the invariant audit) and runs
+# every binary in its bench/ directory. With arguments, runs only the named
+# benches (basenames, e.g. `run_benches.sh harness_perf cert_perf`) — handy
+# for seeding the perf trajectory with the hot-path benches without paying
+# for the full figure suite.
+repo=$(cd "$(dirname "$0")" && pwd)
+build="$repo/build-audit-off"
+out="$repo/bench_output.txt"
+json_dir="$repo/bench_json"
 mkdir -p "$json_dir"
+(cd "$repo" && cmake --preset audit-off >/dev/null && cmake --build --preset audit-off -j "$(nproc)") \
+  > "$out" 2>&1 || { echo "audit-off build failed; see $out" >&2; exit 1; }
 # Figure benches write machine-readable BENCH_<name>.json rows here
 # (see BenchReport in bench/common.h).
 export SDUR_BENCH_JSON_DIR="$json_dir"
-: > "$out"
-for b in /root/repo/build/bench/*; do
+for b in "$build"/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] || continue
   name=$(basename "$b")
   if [ "$#" -gt 0 ]; then
@@ -37,16 +42,23 @@ done
 # Fold this run's BENCH_*.json into bench_json/TRAJECTORY.json, keyed by
 # commit SHA, so perf numbers accumulate across PRs into one time series.
 # A filtered run folds only the selected benches (stale BENCH files from
-# other binaries must not be re-attributed to this commit).
-SDUR_BENCH_FILTER="$*" python3 - "$json_dir" <<'PY' >> "$out" 2>&1
-import json, os, pathlib, subprocess, sys
+# other binaries must not be re-attributed to this commit). Each folded
+# report is stamped with the build type and audit flag it was measured on.
+SDUR_BENCH_FILTER="$*" python3 - "$json_dir" "$repo" "$build" <<'PY' >> "$out" 2>&1
+import json, os, pathlib, re, subprocess, sys
 
-json_dir = pathlib.Path(sys.argv[1])
+json_dir, repo, build = pathlib.Path(sys.argv[1]), sys.argv[2], pathlib.Path(sys.argv[3])
 try:
-    sha = subprocess.run(["git", "-C", "/root/repo", "rev-parse", "HEAD"],
+    sha = subprocess.run(["git", "-C", repo, "rev-parse", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
 except Exception:
     sha = "unknown"
+
+cache = (build / "CMakeCache.txt").read_text()
+def cache_value(name):
+    m = re.search(rf"^{name}:[A-Z]+=(.*)$", cache, re.M)
+    return m.group(1) if m else "unknown"
+stamp = {"build_type": cache_value("CMAKE_BUILD_TYPE"), "audit": cache_value("SDUR_AUDIT")}
 
 traj_path = json_dir / "TRAJECTORY.json"
 trajectory = {}
@@ -68,9 +80,12 @@ for f in sorted(json_dir.glob("BENCH_*.json")):
     if selected and name not in selected and aliases.get(name) not in selected:
         continue
     try:
-        entry[name] = json.loads(f.read_text())
+        report = json.loads(f.read_text())
     except json.JSONDecodeError as e:
         print(f"skipping {f.name}: {e}")
+        continue
+    report["build"] = stamp
+    entry[name] = report
 
 trajectory[sha] = entry
 traj_path.write_text(json.dumps(trajectory, indent=1, sort_keys=True) + "\n")

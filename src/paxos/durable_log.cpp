@@ -10,7 +10,12 @@ void InMemoryDurableLog::save_promise(Ballot b) {
 }
 
 void InMemoryDurableLog::save_accepted(InstanceId inst, Ballot b, Value v) {
-  accepted_[inst] = LogRecord{b, std::move(v)};
+  LogRecord& rec = accepted_[inst];
+  // A decision sharing the old bytes keeps them if new ones replace them.
+  if (const auto d = decided_.find(inst); d != decided_.end() && !d->second && rec.value != v) {
+    d->second = std::move(rec.value);
+  }
+  rec = LogRecord{b, std::move(v)};
   ++writes_;
 }
 
@@ -21,14 +26,21 @@ std::optional<LogRecord> InMemoryDurableLog::load_accepted(InstanceId inst) cons
 }
 
 void InMemoryDurableLog::save_decided(InstanceId inst, Value v) {
-  decided_[inst] = std::move(v);
+  // The quorum path decides the bytes accepted here: share them.
+  const auto acc = accepted_.find(inst);
+  if (acc != accepted_.end() && acc->second.value == v) {
+    decided_[inst] = std::nullopt;
+  } else {
+    decided_[inst] = std::move(v);
+  }
   ++writes_;
 }
 
 std::optional<Value> InMemoryDurableLog::load_decided(InstanceId inst) const {
   auto it = decided_.find(inst);
   if (it == decided_.end()) return std::nullopt;
-  return it->second;
+  if (it->second) return it->second;
+  return accepted_.at(inst).value;
 }
 
 InstanceId InMemoryDurableLog::decided_prefix() const {

@@ -38,8 +38,8 @@ class DurableLog {
   virtual void save_accepted(InstanceId inst, Ballot b, Value v) = 0;
   virtual std::optional<LogRecord> load_accepted(InstanceId inst) const = 0;
 
-  /// Marks an instance decided (learner checkpoint used for catchup after
-  /// recovery).
+  /// Marks an instance decided with `v` (learner checkpoint used for
+  /// catchup after recovery).
   virtual void save_decided(InstanceId inst, Value v) = 0;
   virtual std::optional<Value> load_decided(InstanceId inst) const = 0;
   virtual InstanceId decided_prefix() const = 0;
@@ -87,8 +87,12 @@ class InMemoryDurableLog final : public DurableLog {
 
  private:
   Ballot promise_;
+  // One copy per instance: a decided instance holds its own bytes only
+  // when no accepted record here carries the same ones (a decision learned
+  // by catchup, or one whose accepted record was overwritten since);
+  // nullopt means "the bytes of accepted_[inst]".
   std::map<InstanceId, LogRecord> accepted_;
-  std::map<InstanceId, Value> decided_;
+  std::map<InstanceId, std::optional<Value>> decided_;
   std::optional<std::pair<Value, InstanceId>> checkpoint_;
   InstanceId truncated_below_ = 0;
   std::uint64_t writes_ = 0;

@@ -92,7 +92,7 @@ class Server : public sim::Process {
 
   /// Bulk-loads a key at version 0 (initial database population; done on
   /// every replica of the partition before start()).
-  void load(Key k, std::string v) { store_.load(k, std::move(v)); }
+  void load(Key k, std::string_view v) { store_.load(k, v); }
 
   PartitionId partition() const { return cfg_.partition; }
   /// Stable snapshot version (everything at or below it resolved): the

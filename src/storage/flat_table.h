@@ -8,15 +8,13 @@
 // one cache line in the common case instead of a bucket head plus a heap
 // node.
 //
-// DETERMINISM. The table deliberately exposes no iterators. The only way
-// to walk it is for_each(), which visits slots in hash/probe order — an
-// order that depends on insertion history and must never leak into
-// protocol decisions or serialized state. Callers either sort what they
-// collect (MVStore::encode) or perform provably order-insensitive per-key
-// mutations (MVStore::gc). The certification index (cert_index.h) and
-// the window holding it (commit_window.h) never iterate at all — probes
-// only — and the static analyzer (tools/analyze, rule
-// cert-index-iteration) enforces that.
+// DETERMINISM. The table exposes no iteration at all — only probes — so
+// its hash/probe order, which depends on insertion history, can never leak
+// into protocol decisions or serialized state. MVStore keeps only a
+// key -> chain-id index here and walks its dense chain vector instead
+// (encode() sorts by key); the certification index (cert_index.h) and the
+// window holding it (commit_window.h) probe only, and the static analyzer
+// (tools/analyze, rule cert-index-iteration) keeps any walk out of them.
 #pragma once
 
 #include <cstdint>
@@ -51,18 +49,22 @@ class FlatTable {
   V* find(KeyType k) { return const_cast<V*>(std::as_const(*this).find(k)); }
 
   /// Value for `k`, default-constructed and inserted if absent.
-  V& operator[](KeyType k) {
+  V& operator[](KeyType k) { return *try_emplace(k, V{}).first; }
+
+  /// Inserts `v` for `k` if absent. Returns the value now stored for `k`
+  /// and whether it was inserted (false: `k` was present, `v` unused).
+  std::pair<V*, bool> try_emplace(KeyType k, V v) {
     if (slots_.empty() || (size_ + 1) * 4 > slots_.size() * 3) grow();
     std::size_t i = bucket(k);
     while (slots_[i].used) {
-      if (slots_[i].key == k) return slots_[i].value;
+      if (slots_[i].key == k) return {&slots_[i].value, false};
       i = (i + 1) & mask();
     }
     slots_[i].used = true;
     slots_[i].key = k;
-    slots_[i].value = V{};
+    slots_[i].value = std::move(v);
     ++size_;
-    return slots_[i].value;
+    return {&slots_[i].value, true};
   }
 
   /// Removes `k`; returns false if absent. Backward-shift deletion keeps
@@ -105,22 +107,6 @@ class FlatTable {
     if (cap > slots_.size()) rehash(cap);
   }
 
-  /// Visits every (key, value) in HASH ORDER — see the determinism note in
-  /// the header comment. `fn(key, value)`; the mutable overload may change
-  /// values but must not insert or erase.
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (const Slot& s : slots_) {
-      if (s.used) fn(s.key, s.value);
-    }
-  }
-  template <typename Fn>
-  void for_each(Fn&& fn) {
-    for (Slot& s : slots_) {
-      if (s.used) fn(s.key, s.value);
-    }
-  }
-
  private:
   struct Slot {
     KeyType key = 0;
@@ -136,9 +122,13 @@ class FlatTable {
   void rehash(std::size_t cap) {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(cap, Slot{});
-    size_ = 0;
+    // Keys are unique, so each one just takes the first free slot on its
+    // probe path.
     for (Slot& s : old) {
-      if (s.used) (*this)[s.key] = std::move(s.value);
+      if (!s.used) continue;
+      std::size_t i = bucket(s.key);
+      while (slots_[i].used) i = (i + 1) & mask();
+      slots_[i] = std::move(s);
     }
   }
 

@@ -1,48 +1,114 @@
 #include "storage/mvstore.h"
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "audit/audit.h"
 
 namespace sdur::storage {
 
+std::string_view ValueArena::append(std::string_view v) {
+  if (v.empty()) return {};
+  if (v.size() > left_) {
+    const std::size_t n = std::max(v.size(), next_block_);
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(n));
+    cur_ = blocks_.back().get();
+    left_ = n;
+    capacity_ += n;
+    next_block_ = std::min(next_block_ * 2, kMaxBlock);
+  }
+  std::memcpy(cur_, v.data(), v.size());
+  const std::string_view out(cur_, v.size());
+  cur_ += v.size();
+  left_ -= v.size();
+  used_ += v.size();
+  return out;
+}
+
+void ValueArena::reset(std::size_t first_block) {
+  blocks_.clear();
+  cur_ = nullptr;
+  left_ = 0;
+  next_block_ = first_block == 0 ? kMinBlock : first_block;
+  capacity_ = 0;
+  used_ = 0;
+}
+
+std::size_t VersionChain::upper_bound(Version snapshot) const {
+  std::size_t lo = 0, hi = size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if ((*this)[mid].version <= snapshot) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void VersionChain::erase(std::size_t i) {
+  if (i == 0) {
+    first_ = rest_.front();
+    i = 1;
+  }
+  rest_.erase(rest_.begin() + static_cast<std::ptrdiff_t>(i - 1));
+}
+
+void VersionChain::drop_front(std::size_t n) {
+  first_ = rest_[n - 1];
+  rest_.erase(rest_.begin(), rest_.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
 std::optional<VersionedValue> MVStore::get(Key k, Version snapshot) const {
-  const VersionChain* chain = map_.find(k);
-  if (chain == nullptr || chain->empty()) return std::nullopt;
+  const VersionChain* chain = versions_of(k);
+  if (chain == nullptr) return std::nullopt;
   // First version with version > snapshot; the predecessor is the answer.
   const std::size_t pos = chain->upper_bound(snapshot);
   if (pos == 0) return std::nullopt;
-  return (*chain)[pos - 1];
+  const VersionRef& v = (*chain)[pos - 1];
+  return VersionedValue{v.version, std::string(v.value)};
 }
 
 std::optional<VersionedValue> MVStore::get_latest(Key k) const {
-  const VersionChain* chain = map_.find(k);
-  if (chain == nullptr || chain->empty()) return std::nullopt;
-  return chain->back();
+  const VersionChain* chain = versions_of(k);
+  if (chain == nullptr) return std::nullopt;
+  const VersionRef& v = chain->back();
+  return VersionedValue{v.version, std::string(v.value)};
 }
 
-void MVStore::put(Key k, std::string value, Version version) {
-  VersionChain& chain = map_[k];
+void MVStore::put(Key k, std::string_view value, Version version) {
+  if (chains_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("MVStore::put: more keys than 32-bit chain ids");
+  }
+  const auto [id, inserted] = index_.try_emplace(k, static_cast<std::uint32_t>(chains_.size()));
+  if (inserted) {
+    chains_.emplace_back(k, VersionRef{version, arena_.append(value)});
+    ++versions_;
+    return;
+  }
+  VersionChain& chain = chains_[*id];
   // Commits are applied in snapshot-counter order, so per-key versions are
   // non-decreasing; a regression means the apply order diverged from the
   // commit order.
-  SDUR_AUDIT_CHECK("storage", "version-order", chain.empty() || chain.back().version <= version,
+  VersionRef& last = chain.last();
+  SDUR_AUDIT_CHECK("storage", "version-order", last.version <= version,
                    "key " << k << " written at version " << version << " after version "
-                          << chain.back().version);
-  if (!chain.empty() && chain.back().version > version) {
-    throw std::logic_error("MVStore::put: version regression");
-  }
-  if (!chain.empty() && chain.back().version == version) {
-    chain.back().value = std::move(value);  // same-snapshot overwrite
+                          << last.version);
+  if (last.version > version) throw std::logic_error("MVStore::put: version regression");
+  if (last.version == version) {
+    last.value = arena_.append(value);  // same-snapshot overwrite
     return;
   }
-  chain.push_back(VersionedValue{version, std::move(value)});
+  chain.rest_.push_back(VersionRef{version, arena_.append(value)});
   ++versions_;
 }
 
-void MVStore::put_speculative(Key k, std::string value, Version version) {
-  put(k, std::move(value), version);
+void MVStore::put_speculative(Key k, std::string_view value, Version version) {
+  put(k, value, version);
   std::vector<Key>& ks = spec_log_[version];
   // A transaction may write the same key twice (same-version overwrite in
   // put); one undo record per key is enough.
@@ -58,19 +124,20 @@ std::size_t MVStore::rollback(Version version) {
   if (it == spec_log_.end()) return 0;
   std::size_t erased = 0;
   for (Key k : it->second) {
-    VersionChain* chain = map_.find(k);
-    if (chain == nullptr) continue;
+    const std::uint32_t* id = index_.find(k);
+    if (id == nullptr) continue;
+    VersionChain& chain = chains_[*id];
     // The entry sits at upper_bound(version) - 1 if present; later
-    // committed versions of the key may follow it, so close the gap.
-    std::size_t pos = chain->upper_bound(version);
-    if (pos == 0 || (*chain)[pos - 1].version != version) continue;
-    --pos;
-    for (std::size_t i = pos + 1; i < chain->size(); ++i)
-      (*chain)[i - 1] = std::move((*chain)[i]);
-    chain->pop_back();
+    // committed versions of the key may follow it.
+    const std::size_t pos = chain.upper_bound(version);
+    if (pos == 0 || chain[pos - 1].version != version) continue;
+    if (chain.size() == 1) {
+      erase_chain(*id);
+    } else {
+      chain.erase(pos - 1);
+    }
     --versions_;
     ++erased;
-    if (chain->empty()) map_.erase(k);
   }
   spec_log_.erase(it);
   return erased;
@@ -90,30 +157,32 @@ void MVStore::audit_spec_floor(Version floor) const {
 }
 
 void MVStore::truncate_above(Version horizon) {
-  // Collect first: erase() perturbs the probe layout mid-walk.
-  std::vector<Key> ks = keys();
-  for (Key k : ks) {
-    VersionChain& chain = *map_.find(k);
-    while (!chain.empty() && chain.back().version > horizon) {
-      chain.pop_back();
-      --versions_;
+  // Walk down so that swap-with-last only ever moves a chain already
+  // visited into the hole.
+  for (std::size_t id = chains_.size(); id-- > 0;) {
+    VersionChain& chain = chains_[id];
+    const std::size_t keep = chain.upper_bound(horizon);
+    versions_ -= chain.size() - keep;
+    if (keep == 0) {
+      erase_chain(id);
+    } else {
+      chain.truncate(keep);
     }
-    if (chain.empty()) map_.erase(k);
   }
   spec_log_.erase(spec_log_.upper_bound(horizon), spec_log_.end());
+  compact();
 }
 
 void MVStore::gc(Version horizon) {
-  map_.for_each([&](Key, VersionChain& chain) {
-    if (chain.size() <= 1) return;
+  for (VersionChain& chain : chains_) {
     // Keep the newest version <= horizon (still readable at the horizon)
     // and everything newer.
     const std::size_t pos = chain.upper_bound(horizon);
-    if (pos <= 1) return;
-    const std::size_t drop = pos - 1;
-    chain.drop_front(drop);
-    versions_ -= drop;
-  });
+    if (pos <= 1) continue;
+    chain.drop_front(pos - 1);
+    versions_ -= pos - 1;
+  }
+  compact();
 }
 
 std::optional<Version> MVStore::gc_horizon(Version before, Version after, Version keep) {
@@ -122,42 +191,75 @@ std::optional<Version> MVStore::gc_horizon(Version before, Version after, Versio
   return boundary - keep;
 }
 
+std::vector<Key> MVStore::keys() const {
+  std::vector<Key> out;
+  out.reserve(chains_.size());
+  for (const VersionChain& chain : chains_) out.push_back(chain.key_);
+  return out;
+}
+
+void MVStore::erase_chain(std::size_t id) {
+  index_.erase(chains_[id].key_);
+  if (id + 1 != chains_.size()) {
+    chains_[id] = std::move(chains_.back());
+    *index_.find(chains_[id].key_) = static_cast<std::uint32_t>(id);
+  }
+  chains_.pop_back();
+}
+
+void MVStore::compact() {
+  std::size_t live = 0;
+  for (const VersionChain& chain : chains_) {
+    for (const VersionRef& v : chain) live += v.value.size();
+  }
+  if (arena_.used() == live) return;
+  ValueArena fresh;
+  fresh.reset(live);
+  for (VersionChain& chain : chains_) {
+    chain.first_.value = fresh.append(chain.first_.value);
+    for (VersionRef& v : chain.rest_) v.value = fresh.append(v.value);
+  }
+  arena_ = std::move(fresh);
+}
+
 void MVStore::encode(util::Writer& w) const {
   // Keys are serialized sorted so a checkpoint blob is a canonical function
   // of the store's contents — byte-identical across replicas regardless of
-  // hash-table probe order.
-  std::vector<Key> ks = keys();
-  std::sort(ks.begin(), ks.end());
-  w.varint(ks.size());
-  for (Key k : ks) {
-    const VersionChain& chain = *map_.find(k);
+  // the order keys were inserted and erased in.
+  std::vector<std::pair<Key, std::uint32_t>> order;
+  order.reserve(chains_.size());
+  for (std::size_t id = 0; id < chains_.size(); ++id) {
+    order.emplace_back(chains_[id].key_, static_cast<std::uint32_t>(id));
+  }
+  std::sort(order.begin(), order.end());
+  w.varint(order.size());
+  for (const auto& [k, id] : order) {
+    const VersionChain& chain = chains_[id];
     w.u64(k);
     w.varint(chain.size());
-    for (std::size_t i = 0; i < chain.size(); ++i) {
-      w.i64(chain[i].version);
-      w.bytes(chain[i].value);
+    for (const VersionRef& v : chain) {
+      w.i64(v.version);
+      w.bytes(v.value);
     }
   }
 }
 
 void MVStore::install(util::Reader& r) {
-  map_.clear();
+  index_.clear();
+  chains_.clear();
+  arena_.reset();
   versions_ = 0;
   spec_log_.clear();  // the installer re-marks from its own spec records
   const std::uint64_t nkeys = r.varint();
-  map_.reserve(nkeys);
+  index_.reserve(nkeys);
+  chains_.reserve(nkeys);
   for (std::uint64_t i = 0; i < nkeys; ++i) {
     const Key k = r.u64();
     const std::uint64_t nv = r.varint();
-    VersionChain& chain = map_[k];
-    chain.reserve(nv);
     for (std::uint64_t j = 0; j < nv; ++j) {
-      VersionedValue vv;
-      vv.version = r.i64();
-      vv.value = r.bytes();
-      chain.push_back(std::move(vv));
+      const Version version = r.i64();
+      put(k, r.view(), version);
     }
-    versions_ += nv;
   }
 }
 

@@ -11,22 +11,35 @@
 // snapshot SC never observes t's writes.
 //
 // HOT PATH. get()/put() run once per read / per committed write across
-// every simulated server, so the store avoids std::unordered_map's
-// per-node allocations: keys live in an open-addressing flat table
-// (storage/flat_table.h) and each key's version chain keeps its first two
-// versions inline — most keys never see more than a couple of live
-// versions between GC horizons, so the common chain never touches the
-// heap. Chains spill into a vector past the inline slots.
+// every simulated server, and every replica loads its whole partition at
+// start-up, so each stored byte has one compact home:
+//   - an index FlatTable<std::uint32_t> (storage/flat_table.h) maps a key
+//     to its chain id — a 16 B slot, so growth rehashes small slots (and a
+//     store holds at most 2^32 keys; put() throws past that);
+//   - a dense std::vector of VersionChains, one per key, erased by
+//     swap-with-last plus one index fix-up;
+//   - a per-store, chunked, append-only value arena. A version is a
+//     {Version, std::string_view} into it, the first one held in the chain
+//     and only later ones spilled to a vector, so loading a key allocates
+//     nothing of its own.
+// Arena rule: bytes a version stops referencing (a rollback, a same-version
+// overwrite, a truncated or collected version) stay in the arena as garbage
+// until the next gc() or truncate_above(), which then copy the live values
+// into one fresh block sized to fit — after either, the arena holds exactly
+// the live value bytes. install() starts from an empty arena.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "storage/flat_table.h"
 #include "util/bytes.h"
-#include <map>
-#include <optional>
-#include <string>
-#include <vector>
 
 namespace sdur::storage {
 
@@ -34,66 +47,65 @@ using Key = std::uint64_t;
 /// A snapshot-counter value; version 0 is "initial load".
 using Version = std::int64_t;
 
+/// A version as reads return it: owns its bytes.
 struct VersionedValue {
   Version version = 0;
   std::string value;
 };
 
-/// A key's versions in ascending version order: `kInline` slots stored in
-/// place, the rest spilled to a heap vector. Indexable like a vector.
+/// A version as the store holds it: `value` views the store's arena and is
+/// valid until the store's next mutation that may compact it (gc(),
+/// truncate_above(), install()).
+struct VersionRef {
+  Version version = 0;
+  std::string_view value;
+};
+
+/// Append-only byte storage in blocks that never move, so a view into it
+/// stays valid until reset(). Blocks double from kMinBlock up to kMaxBlock;
+/// a value longer than the next block gets a block of its own size.
+class ValueArena {
+ public:
+  /// Copies `v` in and returns a view of the copy.
+  std::string_view append(std::string_view v);
+  /// Drops every block; starts the next one at `first_block` bytes.
+  void reset(std::size_t first_block = 0);
+
+  /// Bytes held by blocks (what the arena costs in memory).
+  std::size_t capacity() const { return capacity_; }
+  /// Bytes handed out by append() since the last reset().
+  std::size_t used() const { return used_; }
+
+ private:
+  static constexpr std::size_t kMinBlock = std::size_t{4} << 10;
+  static constexpr std::size_t kMaxBlock = std::size_t{1} << 20;
+
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* cur_ = nullptr;
+  std::size_t left_ = 0;
+  std::size_t next_block_ = kMinBlock;
+  std::size_t capacity_ = 0;
+  std::size_t used_ = 0;
+};
+
+/// A key's versions in ascending version order; never empty while in the
+/// store. Indexable like a vector and iterable in version order.
 class VersionChain {
  public:
-  static constexpr std::size_t kInline = 2;
+  VersionChain(Key key, VersionRef first) : key_(key), first_(first) {}
 
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return 1 + rest_.size(); }
 
-  const VersionedValue& operator[](std::size_t i) const {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-  VersionedValue& operator[](std::size_t i) {
-    return i < kInline ? inline_[i] : spill_[i - kInline];
-  }
-  const VersionedValue& front() const { return (*this)[0]; }
-  const VersionedValue& back() const { return (*this)[size_ - 1]; }
-  VersionedValue& back() { return (*this)[size_ - 1]; }
+  const VersionRef& operator[](std::size_t i) const { return i == 0 ? first_ : rest_[i - 1]; }
+  const VersionRef& front() const { return first_; }
+  const VersionRef& back() const { return rest_.empty() ? first_ : rest_.back(); }
 
-  void push_back(VersionedValue vv) {
-    if (size_ < kInline) {
-      inline_[size_] = std::move(vv);
-    } else {
-      spill_.push_back(std::move(vv));
-    }
-    ++size_;
-  }
-
-  void pop_back() {
-    --size_;
-    if (size_ >= kInline) {
-      spill_.pop_back();
-    } else {
-      inline_[size_] = VersionedValue{};
-    }
-  }
-
-  /// Drops the first `n` versions (GC of pre-horizon versions).
-  void drop_front(std::size_t n) {
-    if (n == 0) return;
-    for (std::size_t i = n; i < size_; ++i) (*this)[i - n] = std::move((*this)[i]);
-    for (std::size_t i = 0; i < n; ++i) pop_back();
-  }
-
-  void reserve(std::size_t n) {
-    if (n > kInline) spill_.reserve(n - kInline);
-  }
-
-  /// Read-only forward iteration in version order (inline slots first,
-  /// then the spill vector).
+  /// Read-only forward iteration in version order.
   class const_iterator {
    public:
     const_iterator(const VersionChain* chain, std::size_t i) : chain_(chain), i_(i) {}
-    const VersionedValue& operator*() const { return (*chain_)[i_]; }
-    const VersionedValue* operator->() const { return &(*chain_)[i_]; }
+    const VersionRef& operator*() const { return (*chain_)[i_]; }
+    const VersionRef* operator->() const { return &(*chain_)[i_]; }
     const_iterator& operator++() {
       ++i_;
       return *this;
@@ -106,26 +118,25 @@ class VersionChain {
     std::size_t i_;
   };
   const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, size_); }
+  const_iterator end() const { return const_iterator(this, size()); }
 
   /// Index of the first version > `snapshot` (== size() if none).
-  std::size_t upper_bound(Version snapshot) const {
-    std::size_t lo = 0, hi = size_;
-    while (lo < hi) {
-      const std::size_t mid = lo + (hi - lo) / 2;
-      if ((*this)[mid].version <= snapshot) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  }
+  std::size_t upper_bound(Version snapshot) const;
 
  private:
-  std::size_t size_ = 0;
-  VersionedValue inline_[kInline];
-  std::vector<VersionedValue> spill_;
+  friend class MVStore;
+
+  VersionRef& last() { return rest_.empty() ? first_ : rest_.back(); }
+  /// Removes version `i`; the chain must keep at least one.
+  void erase(std::size_t i);
+  /// Keeps the first `n` versions (1 <= n <= size()).
+  void truncate(std::size_t n) { rest_.resize(n - 1); }
+  /// Drops the first `n` versions (n < size()).
+  void drop_front(std::size_t n);
+
+  Key key_;
+  VersionRef first_;
+  std::vector<VersionRef> rest_;
 };
 
 class MVStore {
@@ -138,10 +149,10 @@ class MVStore {
 
   /// Installs `value` for `k` at `version`. Versions per key must be
   /// non-decreasing (commits are applied in snapshot-counter order).
-  void put(Key k, std::string value, Version version);
+  void put(Key k, std::string_view value, Version version);
 
   /// Bulk load at version 0 (initial database population).
-  void load(Key k, std::string value) { put(k, std::move(value), 0); }
+  void load(Key k, std::string_view value) { put(k, value, 0); }
 
   // --- Speculative versions (techniques.speculation; DESIGN.md
   // "Speculative global commit") ---------------------------------------------
@@ -153,7 +164,7 @@ class MVStore {
   // call these and pay nothing.
 
   /// put() plus an undo-log record for `version`.
-  void put_speculative(Key k, std::string value, Version version);
+  void put_speculative(Key k, std::string_view value, Version version);
 
   /// Makes every write at `version` permanent; returns the number of
   /// undo-log records discharged (0 if `version` was never speculative).
@@ -191,29 +202,39 @@ class MVStore {
   static constexpr Version kGcPeriod = Version{1} << 18;
   static std::optional<Version> gc_horizon(Version before, Version after, Version keep);
 
-  std::size_t key_count() const { return map_.size(); }
+  std::size_t key_count() const { return chains_.size(); }
   std::size_t version_count() const { return versions_; }
+  /// Bytes the value arena holds (live values plus garbage awaiting the
+  /// next gc(); see the arena rule in the header comment).
+  std::size_t arena_bytes() const { return arena_.capacity(); }
 
   /// Serializes the full store into a checkpoint / replaces it from one.
   void encode(util::Writer& w) const;
   void install(util::Reader& r);
 
-  /// All keys present in the store, in hash order — callers that care
-  /// about determinism must sort (encode() does).
-  std::vector<Key> keys() const {
-    std::vector<Key> out;
-    out.reserve(map_.size());
-    map_.for_each([&](Key k, const VersionChain&) { out.push_back(k); });
-    return out;
+  /// All keys present in the store, in chain order: insertion order,
+  /// except that erasing a key moves the last-inserted one into its place.
+  /// Every caller sorts (encode() does) or is order-insensitive.
+  std::vector<Key> keys() const;
+
+  /// All versions of a key in ascending version order (nullptr if absent;
+  /// invalidated by the next mutation). Used by tests (e.g. to recover the
+  /// per-key write order for the serializability checker).
+  const VersionChain* versions_of(Key k) const {
+    const std::uint32_t* id = index_.find(k);
+    return id == nullptr ? nullptr : &chains_[*id];
   }
 
-  /// All versions of a key in ascending version order (nullptr if absent).
-  /// Used by tests (e.g. to recover the per-key write order for the
-  /// serializability checker).
-  const VersionChain* versions_of(Key k) const { return map_.find(k); }
-
  private:
-  FlatTable<VersionChain> map_;
+  /// Removes chain `id` (swap-with-last, then one index fix-up).
+  void erase_chain(std::size_t id);
+  /// Copies every live value into one fresh block if the arena holds any
+  /// garbage, then frees the old blocks.
+  void compact();
+
+  FlatTable<std::uint32_t> index_;  // key -> position in chains_
+  std::vector<VersionChain> chains_;
+  ValueArena arena_;
   std::size_t versions_ = 0;
   /// Undo log: speculative version -> keys written at it (ascending
   /// version order; std::map so encode/iteration are deterministic).

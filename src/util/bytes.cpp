@@ -43,19 +43,21 @@ std::uint64_t Reader::varint() {
   }
 }
 
-std::string Reader::bytes() {
-  std::uint64_t n = varint();
-  need(n);
-  std::string out(reinterpret_cast<const char*>(data_ + pos_), n);
-  pos_ += n;
-  return out;
-}
+std::string Reader::bytes() { return std::string(view()); }
 
 void Reader::bytes(Bytes& out) {
   std::uint64_t n = varint();
   need(n);
   out.assign(data_ + pos_, data_ + pos_ + n);
   pos_ += n;
+}
+
+std::string_view Reader::view() {
+  std::uint64_t n = varint();
+  need(n);
+  std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
+  pos_ += n;
+  return out;
 }
 
 void Reader::raw(void* out, std::size_t n) {

@@ -98,6 +98,9 @@ class Reader {
   /// Same wire format, decoded straight into a byte buffer (no string
   /// round trip when the bytes become a message payload).
   void bytes(Bytes& out);
+  /// Same wire format, returned as a view into the buffer (valid while the
+  /// buffer is).
+  std::string_view view();
 
   /// Reads n raw bytes without a length prefix.
   void raw(void* out, std::size_t n);

@@ -14,7 +14,7 @@ std::string MicroWorkload::encode_value(TxId writer, std::size_t size) {
   return v;
 }
 
-TxId MicroWorkload::decode_writer(const std::string& value) {
+TxId MicroWorkload::decode_writer(std::string_view value) {
   if (value.size() < sizeof(TxId)) return 0;
   TxId id;
   std::memcpy(&id, value.data(), sizeof(TxId));

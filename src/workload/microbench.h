@@ -66,7 +66,7 @@ class MicroWorkload final : public Workload {
   /// Encodes a value; carries the writer's txid when a commit hook is set.
   static std::string encode_value(TxId writer, std::size_t size);
   /// Recovers the writer txid from a value (0 = initial load).
-  static TxId decode_writer(const std::string& value);
+  static TxId decode_writer(std::string_view value);
 
  private:
   MicroConfig cfg_;

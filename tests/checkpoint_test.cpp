@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "sdur/deployment.h"
 #include "workload/driver.h"
@@ -41,6 +42,55 @@ TEST(DurableLogCheckpoint, SaveLoadAndTruncate) {
   ASSERT_TRUE(cp.has_value());
   EXPECT_EQ(cp->second, 7u);
   EXPECT_EQ(cp->first, bytes_of("state"));
+}
+
+// The log keeps one copy of a decided instance: deciding the bytes accepted
+// here shares the accepted record's copy. The decided bytes must still come
+// back intact whatever happens to that record afterwards.
+TEST(DurableLogCheckpoint, DecidedBytesSurviveALaterAccept) {
+  InMemoryDurableLog log;
+  log.save_accepted(3, paxos::Ballot::make(1, 0), bytes_of("a"));
+  log.save_decided(3, bytes_of("a"));
+  EXPECT_EQ(log.load_decided(3), bytes_of("a"));
+  log.save_accepted(3, paxos::Ballot::make(2, 1), bytes_of("b"));
+  EXPECT_EQ(log.load_decided(3), bytes_of("a"));
+  EXPECT_EQ(log.load_accepted(3)->value, bytes_of("b"));
+  // Re-accepting the same bytes at a higher ballot changes nothing either.
+  log.save_accepted(4, paxos::Ballot::make(1, 0), bytes_of("c"));
+  log.save_decided(4, bytes_of("c"));
+  log.save_accepted(4, paxos::Ballot::make(3, 2), bytes_of("c"));
+  EXPECT_EQ(log.load_decided(4), bytes_of("c"));
+  EXPECT_EQ(log.decided_prefix(), 0u) << "instances 0-2 are undecided";
+}
+
+TEST(DurableLogCheckpoint, CatchupDecisionKeepsItsOwnBytes) {
+  InMemoryDurableLog log;
+  log.save_decided(0, bytes_of("x"));  // no accepted record at all
+  log.save_accepted(1, paxos::Ballot::make(1, 0), bytes_of("lost"));
+  log.save_decided(1, bytes_of("y"));  // another ballot's value was chosen
+  log.save_accepted(2, paxos::Ballot::make(1, 0), bytes_of("z"));
+  log.save_decided(2, bytes_of("z"));  // the accepted value, learned by catchup
+  EXPECT_EQ(log.load_decided(0), bytes_of("x"));
+  EXPECT_EQ(log.load_decided(1), bytes_of("y"));
+  EXPECT_EQ(log.load_accepted(1)->value, bytes_of("lost"));
+  EXPECT_EQ(log.load_decided(2), bytes_of("z"));
+  EXPECT_EQ(log.decided_prefix(), 3u);
+}
+
+TEST(DurableLogCheckpoint, DecidedBytesSurviveTruncation) {
+  InMemoryDurableLog log;
+  const auto value = [](paxos::InstanceId i) {
+    const std::string s = "v" + std::to_string(i);
+    return bytes_of(s.c_str());
+  };
+  for (paxos::InstanceId i = 0; i < 10; ++i) {
+    log.save_accepted(i, paxos::Ballot::make(1, 0), value(i));
+    log.save_decided(i, value(i));
+  }
+  log.truncate_below(4);
+  for (paxos::InstanceId i = 0; i < 4; ++i) EXPECT_FALSE(log.load_decided(i).has_value());
+  for (paxos::InstanceId i = 4; i < 10; ++i) EXPECT_EQ(log.load_decided(i), value(i)) << i;
+  EXPECT_EQ(log.decided_prefix(), 10u);
 }
 
 TEST(CertifierCheckpoint, EncodeInstallRoundTrip) {

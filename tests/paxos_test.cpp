@@ -203,11 +203,12 @@ TEST_F(PaxosGroup, RecoveryReplaysFromDurableLog) {
   for (std::uint64_t v = 1; v <= 10; ++v) propose_at(0, v);
   sim.run_until(sim::sec(1));
   ASSERT_EQ(hosts[2]->delivered.size(), 10u);
+  const std::vector<std::uint64_t> before = hosts[2]->delivered;
   hosts[2]->crash();
   sim.run_until(sim::sec(2));
   hosts[2]->recover();  // clears delivered, then replays
   sim.run_until(sim::sec(4));
-  EXPECT_EQ(hosts[2]->delivered.size(), 10u) << "full replay from the durable log";
+  EXPECT_EQ(hosts[2]->delivered, before) << "full replay of the same values from the durable log";
   assert_prefix_consistency();
 }
 

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -258,7 +260,7 @@ TEST(CommitWindow, RepeatedEvictionKeepsRecordsIntact) {
   EXPECT_TRUE(w.conflicts(util::KeySet::exact({21}), util::KeySet::exact({}), false, 29));
 }
 
-// --- FlatTable / VersionChain hot-path structures ----------------------------
+// --- FlatTable / chain / arena hot-path structures --------------------------
 
 TEST(FlatTable, InsertFindEraseAcrossGrowth) {
   FlatTable<int> t;
@@ -280,25 +282,106 @@ TEST(FlatTable, InsertFindEraseAcrossGrowth) {
   }
 }
 
-TEST(VersionChain, SpillsPastInlineSlots) {
+/// A reference model of a store: key -> version -> value.
+using Model = std::map<Key, std::map<Version, std::string>>;
+
+/// Every key of `model` reads its model value at every snapshot in
+/// [-1, max_snapshot], and the store holds no other key.
+void expect_matches(const MVStore& s, const Model& model, Version max_snapshot) {
+  EXPECT_EQ(s.key_count(), model.size());
+  for (const auto& [k, versions] : model) {
+    for (Version st = -1; st <= max_snapshot; ++st) {
+      const auto it = versions.upper_bound(st);
+      const auto got = s.get(k, st);
+      if (it == versions.begin()) {
+        EXPECT_FALSE(got.has_value()) << "key " << k << " snapshot " << st;
+      } else {
+        ASSERT_TRUE(got.has_value()) << "key " << k << " snapshot " << st;
+        EXPECT_EQ(got->version, std::prev(it)->first) << "key " << k << " snapshot " << st;
+        EXPECT_EQ(got->value, std::prev(it)->second) << "key " << k << " snapshot " << st;
+      }
+    }
+  }
+}
+
+/// Sum of the value bytes every chain references.
+std::size_t live_value_bytes(const MVStore& s) {
+  std::size_t live = 0;
+  for (Key k : s.keys()) {
+    for (const VersionRef& v : *s.versions_of(k)) live += v.value.size();
+  }
+  return live;
+}
+
+TEST(MVStore, RollbackEmptyingAMiddleChainKeepsEveryKeyReadable) {
   MVStore s;
-  for (Version v = 1; v <= 6; ++v) {
-    s.put(9, "v" + std::to_string(v), v);
+  Model model;
+  const auto put = [&](Key k, const std::string& v, Version version) {
+    s.put(k, v, version);
+    model[k][version] = v;
+  };
+  for (Key k = 0; k < 8; ++k) put(k, "init" + std::to_string(k), 0);
+  s.put_speculative(100, "spec", 3);  // a new key, in the middle of the chain vector
+  for (Key k = 200; k < 208; ++k) put(k, "late" + std::to_string(k), 2);
+  for (Key k = 0; k < 8; k += 2) {
+    for (Version v = 4; v <= 6; ++v) put(k, "v" + std::to_string(v), v);  // spilled chains
   }
-  const VersionChain* chain = s.versions_of(9);
-  ASSERT_NE(chain, nullptr);
-  ASSERT_EQ(chain->size(), 6u) << "inline slots plus spill";
-  for (Version v = 1; v <= 6; ++v) {
-    EXPECT_EQ(s.get(9, v)->value, "v" + std::to_string(v));
-  }
-  // GC across the inline/spill boundary.
+  EXPECT_EQ(s.rollback(3), 1u);
+  expect_matches(s, model, 7);
+  // The chain moved into the hole is still reachable for writes.
+  put(207, "after", 8);
+  put(100, "reborn", 9);
+  expect_matches(s, model, 10);
+  // GC drops several versions from the front of a spilled chain at once.
   s.gc(5);
-  EXPECT_EQ(s.get(9, 5)->value, "v5");
-  EXPECT_EQ(s.get(9, 6)->value, "v6");
-  EXPECT_FALSE(s.get(9, 3).has_value());
-  // Truncate back down into the inline region.
-  s.truncate_above(5);
-  EXPECT_EQ(s.get_latest(9)->value, "v5");
+  for (auto& [k, versions] : model) {
+    const auto keep = versions.upper_bound(5);
+    if (keep != versions.begin()) versions.erase(versions.begin(), std::prev(keep));
+  }
+  expect_matches(s, model, 10);
+}
+
+TEST(MVStore, TruncateAboveDropsSpeculativeNewKeysAndKeepsTheRest) {
+  MVStore s;
+  Model model;
+  for (Key k = 0; k < 4; ++k) {
+    s.load(k, "init" + std::to_string(k));
+    model[k][0] = "init" + std::to_string(k);
+  }
+  s.put_speculative(100, "spec", 1);
+  s.put_speculative(101, "spec", 1);
+  for (Key k = 4; k < 8; ++k) {
+    s.load(k, "init" + std::to_string(k));
+    model[k][0] = "init" + std::to_string(k);
+  }
+  s.put_speculative(5, "spec", 2);
+  s.put_speculative(102, "spec", 2);
+  s.put(1, "committed", 3);
+  s.truncate_above(0);
+  EXPECT_EQ(s.speculative_count(), 0u);
+  EXPECT_EQ(s.version_count(), 8u);
+  expect_matches(s, model, 4);
+  EXPECT_EQ(s.arena_bytes(), live_value_bytes(s)) << "truncation compacts the arena";
+}
+
+TEST(MVStore, ArenaStaysWithinTwiceLiveBytesAcrossGcCycles) {
+  constexpr Key kKeys = 256;
+  MVStore s;
+  for (Key k = 0; k < kKeys; ++k) s.load(k, std::string(64, 'a'));
+  for (Version cycle = 1; cycle <= 20; ++cycle) {
+    const std::string value(64, static_cast<char>('a' + cycle));
+    for (Key k = 0; k < kKeys; ++k) {
+      s.put(k, std::string(64, '?'), cycle);
+      s.put(k, value, cycle);  // same-version overwrite: garbage
+    }
+    s.put_speculative(kKeys, value, cycle + 1);
+    s.rollback(cycle + 1);  // rolled back: garbage
+    s.gc(cycle);
+    const std::size_t live = live_value_bytes(s);
+    EXPECT_EQ(live, kKeys * 64) << "one live version per key after gc";
+    EXPECT_LE(s.arena_bytes(), 2 * live) << "cycle " << cycle;
+    EXPECT_EQ(s.get_latest(kKeys - 1)->value, value);
+  }
 }
 
 TEST(MVStore, EncodeInstallRoundTripsFlatTable) {
@@ -322,6 +405,36 @@ TEST(MVStore, EncodeInstallRoundTripsFlatTable) {
   util::Writer w2;
   t.encode(w2);
   EXPECT_EQ(w1.data(), w2.data());
+}
+
+TEST(MVStore, EncodeInstallRoundTripsSpilledAndSpeculativeChains) {
+  MVStore s;
+  for (Key k = 0; k < 16; ++k) s.load(k, "init" + std::to_string(k));
+  for (Version v = 1; v <= 5; ++v) {
+    for (Key k = 0; k < 16; k += 3) s.put(k, "v" + std::to_string(v), v);  // spilled
+  }
+  std::vector<Key> spec_keys = {1, 3, 50, 51};
+  for (Key k : spec_keys) s.put_speculative(k, "spec", 6);
+  util::Writer w1;
+  s.encode(w1);
+
+  MVStore t;
+  util::Reader r(w1.data());
+  t.install(r);
+  EXPECT_EQ(t.version_count(), s.version_count());
+  EXPECT_EQ(t.versions_of(0)->size(), 6u);
+  util::Writer w2;
+  t.encode(w2);
+  EXPECT_EQ(w1.data(), w2.data());
+
+  // The installed copy resolves the speculation exactly like the original.
+  t.mark_speculative(6, spec_keys);
+  EXPECT_EQ(s.rollback(6), spec_keys.size());
+  EXPECT_EQ(t.rollback(6), spec_keys.size());
+  util::Writer a, b;
+  s.encode(a);
+  t.encode(b);
+  EXPECT_EQ(a.data(), b.data());
 }
 
 }  // namespace
