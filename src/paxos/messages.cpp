@@ -2,194 +2,15 @@
 
 namespace sdur::paxos {
 
-using sim::Message;
-using util::Reader;
-using util::Writer;
-
-namespace {
-void put_value(Writer& w, const Value& v) {
-  w.varint(v.size());
-  w.raw(v.data(), v.size());
-}
-
-Value get_value(Reader& r) {
-  const std::uint64_t n = r.varint();
-  Value v(n);
-  r.raw(v.data(), n);
-  return v;
-}
-}  // namespace
-
-Message Phase1A::to_message() const {
-  Writer w;
-  w.u64(ballot.n);
-  w.u64(low_instance);
-  return {msgtype::kPhase1A, std::move(w)};
-}
-
-Phase1A Phase1A::decode(Reader& r) {
-  Phase1A m;
-  m.ballot.n = r.u64();
-  m.low_instance = r.u64();
-  return m;
-}
-
-Message Phase1B::to_message() const {
-  Writer w;
-  w.u64(ballot.n);
-  w.u64(next_deliver);
-  w.varint(entries.size());
-  for (const auto& e : entries) {
-    w.u64(e.instance);
-    w.u64(e.ballot.n);
-    put_value(w, e.value);
-  }
-  return {msgtype::kPhase1B, std::move(w)};
-}
-
-Phase1B Phase1B::decode(Reader& r) {
-  Phase1B m;
-  m.ballot.n = r.u64();
-  m.next_deliver = r.u64();
-  const std::uint64_t n = r.varint();
-  m.entries.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AcceptedEntry e;
-    e.instance = r.u64();
-    e.ballot.n = r.u64();
-    e.value = get_value(r);
-    m.entries.push_back(std::move(e));
-  }
-  return m;
-}
-
-Message Phase2A::to_message() const {
-  Writer w;
-  w.u64(ballot.n);
-  w.u64(instance);
-  put_value(w, value);
-  return {msgtype::kPhase2A, std::move(w)};
-}
-
-Phase2A Phase2A::decode(Reader& r) {
-  Phase2A m;
-  m.ballot.n = r.u64();
-  m.instance = r.u64();
-  m.value = get_value(r);
-  return m;
-}
-
-Message Phase2B::to_message() const {
-  Writer w;
-  w.u64(ballot.n);
-  w.u64(instance);
-  w.u32(acceptor_index);
-  return {msgtype::kPhase2B, std::move(w)};
-}
-
-Phase2B Phase2B::decode(Reader& r) {
-  Phase2B m;
-  m.ballot.n = r.u64();
-  m.instance = r.u64();
-  m.acceptor_index = r.u32();
-  return m;
-}
-
-Message Nack::to_message() const {
-  Writer w;
-  w.u64(promised.n);
-  return {msgtype::kNack, std::move(w)};
-}
-
-Nack Nack::decode(Reader& r) {
-  Nack m;
-  m.promised.n = r.u64();
-  return m;
-}
-
-Message Heartbeat::to_message() const {
-  Writer w;
-  w.u64(ballot.n);
-  w.u64(decided_upto);
-  return {msgtype::kHeartbeat, std::move(w)};
-}
-
-Heartbeat Heartbeat::decode(Reader& r) {
-  Heartbeat m;
-  m.ballot.n = r.u64();
-  m.decided_upto = r.u64();
-  return m;
-}
-
-Message Forward::to_message() const {
-  Writer w;
-  put_value(w, value);
-  return {msgtype::kForward, std::move(w)};
-}
-
-Forward Forward::decode(Reader& r) {
-  Forward m;
-  m.value = get_value(r);
-  return m;
-}
-
-Message CatchupReq::to_message() const {
-  Writer w;
-  w.u64(from_instance);
-  return {msgtype::kCatchupReq, std::move(w)};
-}
-
-CatchupReq CatchupReq::decode(Reader& r) {
-  CatchupReq m;
-  m.from_instance = r.u64();
-  return m;
-}
-
-Message CatchupResp::to_message() const {
-  Writer w;
-  w.u64(first_instance);
-  w.varint(values.size());
-  for (const auto& v : values) put_value(w, v);
-  return {msgtype::kCatchupResp, std::move(w)};
-}
-
-CatchupResp CatchupResp::decode(Reader& r) {
-  CatchupResp m;
-  m.first_instance = r.u64();
-  const std::uint64_t n = r.varint();
-  m.values.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) m.values.push_back(get_value(r));
-  return m;
-}
-
-Message StateTransfer::to_message() const {
-  Writer w;
-  w.u64(resume_at);
-  put_value(w, app_state);
-  return {msgtype::kStateTransfer, std::move(w)};
-}
-
-StateTransfer StateTransfer::decode(Reader& r) {
-  StateTransfer m;
-  m.resume_at = r.u64();
-  m.app_state = get_value(r);
-  return m;
-}
-
 Value encode_batch(const std::vector<Value>& values) {
-  Writer w;
-  w.varint(values.size());
-  for (const auto& v : values) put_value(w, v);
+  util::Writer w;
+  util::encode(w, values);
   return std::move(w).take();
 }
 
 std::vector<Value> decode_batch(const Value& batch) {
-  Reader r(batch);
-  const std::uint64_t n = r.varint();
-  std::vector<Value> out;
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_value(r));
-  return out;
+  util::Reader r(batch);
+  return util::decode<std::vector<Value>>(r);
 }
 
 }  // namespace sdur::paxos

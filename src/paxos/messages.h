@@ -1,10 +1,12 @@
 // Paxos wire messages (tag range 1-19).
 //
-// All messages are encoded through util::Writer/Reader; the engine decodes
-// on receipt. Values are opaque byte strings supplied by the layer above
-// (SDUR encodes transactions into them).
+// Each struct lists its wire fields once, in wire order (fields()); the
+// encoder and decoder are both generated from that list (util/codec.h).
+// The engine decodes on receipt. Values are opaque byte strings supplied
+// by the layer above (SDUR encodes transactions into them).
 #pragma once
 
+#include <tuple>
 #include <vector>
 
 #include "paxos/types.h"
@@ -32,14 +34,17 @@ struct AcceptedEntry {
   InstanceId instance = 0;
   Ballot ballot;
   Value value;
+
+  static auto fields(auto& m) { return std::tie(m.instance, m.ballot, m.value); }
 };
 
 struct Phase1A {
   Ballot ballot;
   InstanceId low_instance = 0;  // report accepted entries >= this
 
-  sim::Message to_message() const;
-  static Phase1A decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.ballot, m.low_instance); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kPhase1A, *this); }
+  static Phase1A decode(util::Reader& r) { return util::decode<Phase1A>(r); }
 };
 
 struct Phase1B {
@@ -47,8 +52,9 @@ struct Phase1B {
   InstanceId next_deliver = 0;         // acceptor's decided prefix
   std::vector<AcceptedEntry> entries;  // accepted at >= low_instance
 
-  sim::Message to_message() const;
-  static Phase1B decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.ballot, m.next_deliver, m.entries); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kPhase1B, *this); }
+  static Phase1B decode(util::Reader& r) { return util::decode<Phase1B>(r); }
 };
 
 struct Phase2A {
@@ -56,8 +62,9 @@ struct Phase2A {
   InstanceId instance = 0;
   Value value;
 
-  sim::Message to_message() const;
-  static Phase2A decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.ballot, m.instance, m.value); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kPhase2A, *this); }
+  static Phase2A decode(util::Reader& r) { return util::decode<Phase2A>(r); }
 };
 
 struct Phase2B {
@@ -65,8 +72,9 @@ struct Phase2B {
   InstanceId instance = 0;
   std::uint32_t acceptor_index = 0;
 
-  sim::Message to_message() const;
-  static Phase2B decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.ballot, m.instance, m.acceptor_index); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kPhase2B, *this); }
+  static Phase2B decode(util::Reader& r) { return util::decode<Phase2B>(r); }
 };
 
 /// Rejection carrying the highest promised ballot, so a stale proposer can
@@ -74,39 +82,44 @@ struct Phase2B {
 struct Nack {
   Ballot promised;
 
-  sim::Message to_message() const;
-  static Nack decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.promised); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kNack, *this); }
+  static Nack decode(util::Reader& r) { return util::decode<Nack>(r); }
 };
 
 struct Heartbeat {
   Ballot ballot;
   InstanceId decided_upto = 0;  // leader's contiguous decided prefix
 
-  sim::Message to_message() const;
-  static Heartbeat decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.ballot, m.decided_upto); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kHeartbeat, *this); }
+  static Heartbeat decode(util::Reader& r) { return util::decode<Heartbeat>(r); }
 };
 
 /// A client value forwarded to the (believed) leader.
 struct Forward {
   Value value;
 
-  sim::Message to_message() const;
-  static Forward decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.value); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kForward, *this); }
+  static Forward decode(util::Reader& r) { return util::decode<Forward>(r); }
 };
 
 struct CatchupReq {
   InstanceId from_instance = 0;
 
-  sim::Message to_message() const;
-  static CatchupReq decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.from_instance); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kCatchupReq, *this); }
+  static CatchupReq decode(util::Reader& r) { return util::decode<CatchupReq>(r); }
 };
 
 struct CatchupResp {
   InstanceId first_instance = 0;
   std::vector<Value> values;  // decided values, contiguous from first_instance
 
-  sim::Message to_message() const;
-  static CatchupResp decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.first_instance, m.values); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kCatchupResp, *this); }
+  static CatchupResp decode(util::Reader& r) { return util::decode<CatchupResp>(r); }
 };
 
 /// A full application checkpoint shipped to a replica that fell behind a
@@ -116,8 +129,9 @@ struct StateTransfer {
   InstanceId resume_at = 0;
   Value app_state;
 
-  sim::Message to_message() const;
-  static StateTransfer decode(util::Reader& r);
+  static auto fields(auto& m) { return std::tie(m.resume_at, m.app_state); }
+  sim::Message to_message() const { return sim::encode_message(msgtype::kStateTransfer, *this); }
+  static StateTransfer decode(util::Reader& r) { return util::decode<StateTransfer>(r); }
 };
 
 /// Batch helpers: a Paxos value proposed by the leader is a batch of client

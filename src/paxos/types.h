@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "sim/time.h"
@@ -29,6 +30,7 @@ struct Ballot {
   std::uint32_t proposer_index() const { return static_cast<std::uint32_t>(n & 0xFF); }
   bool valid() const { return n != 0; }
 
+  static auto fields(auto& b) { return std::tie(b.n); }
   auto operator<=>(const Ballot&) const = default;
 };
 

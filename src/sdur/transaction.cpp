@@ -1,7 +1,5 @@
 #include "sdur/transaction.h"
 
-#include <algorithm>
-
 namespace sdur {
 
 const char* to_string(Outcome o) {
@@ -32,48 +30,6 @@ void Transaction::set_snapshot(PartitionId p, Version v) {
   snapshots.emplace_back(p, v);
 }
 
-void Transaction::encode(util::Writer& w) const {
-  w.u64(id);
-  w.u32(client);
-  w.varint(snapshots.size());
-  for (const auto& [p, v] : snapshots) {
-    w.u32(p);
-    w.i64(v);
-  }
-  w.varint(readset.size());
-  for (Key k : readset) w.u64(k);
-  w.varint(writeset.size());
-  for (const auto& op : writeset) {
-    w.u64(op.key);
-    w.bytes(op.value);
-  }
-}
-
-Transaction Transaction::decode(util::Reader& r) {
-  Transaction t;
-  t.id = r.u64();
-  t.client = r.u32();
-  const std::uint64_t ns = r.varint();
-  t.snapshots.reserve(ns);
-  for (std::uint64_t i = 0; i < ns; ++i) {
-    const PartitionId p = r.u32();
-    const Version v = r.i64();
-    t.snapshots.emplace_back(p, v);
-  }
-  const std::uint64_t nr = r.varint();
-  t.readset.reserve(nr);
-  for (std::uint64_t i = 0; i < nr; ++i) t.readset.push_back(r.u64());
-  const std::uint64_t nw = r.varint();
-  t.writeset.reserve(nw);
-  for (std::uint64_t i = 0; i < nw; ++i) {
-    WriteOp op;
-    op.key = r.u64();
-    op.value = r.bytes();
-    t.writeset.push_back(std::move(op));
-  }
-  return t;
-}
-
 util::Bytes PartTx::encode() const {
   util::Writer w;
   w.u8(static_cast<std::uint8_t>(kind));
@@ -84,22 +40,16 @@ util::Bytes PartTx::encode() const {
   }
   w.u64(id);
   if (kind == Kind::kAbortRequest) {
-    w.varint(involved.size());
-    for (PartitionId p : involved) w.u32(p);
+    util::encode(w, involved);
     return std::move(w).take();
   }
   w.u32(client);
   w.u32(contact);
-  w.varint(involved.size());
-  for (PartitionId p : involved) w.u32(p);
+  util::encode(w, involved);
   w.i64(snapshot);
   readset.encode(w);
   write_keys.encode(w);
-  w.varint(writes.size());
-  for (const auto& op : writes) {
-    w.u64(op.key);
-    w.bytes(op.value);
-  }
+  util::encode(w, writes);
   return std::move(w).take();
 }
 
@@ -114,27 +64,16 @@ PartTx PartTx::decode(const util::Bytes& value) {
   }
   t.id = r.u64();
   if (t.kind == Kind::kAbortRequest) {
-    const std::uint64_t np = r.varint();
-    t.involved.reserve(np);
-    for (std::uint64_t i = 0; i < np; ++i) t.involved.push_back(r.u32());
+    t.involved = util::decode<std::vector<PartitionId>>(r);
     return t;
   }
   t.client = r.u32();
   t.contact = r.u32();
-  const std::uint64_t np = r.varint();
-  t.involved.reserve(np);
-  for (std::uint64_t i = 0; i < np; ++i) t.involved.push_back(r.u32());
+  t.involved = util::decode<std::vector<PartitionId>>(r);
   t.snapshot = r.i64();
   t.readset = util::KeySet::decode(r);
   t.write_keys = util::KeySet::decode(r);
-  const std::uint64_t nw = r.varint();
-  t.writes.reserve(nw);
-  for (std::uint64_t i = 0; i < nw; ++i) {
-    WriteOp op;
-    op.key = r.u64();
-    op.value = r.bytes();
-    t.writes.push_back(std::move(op));
-  }
+  t.writes = util::decode<std::vector<WriteOp>>(r);
   return t;
 }
 

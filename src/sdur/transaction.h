@@ -15,12 +15,14 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/topology.h"
 #include "storage/mvstore.h"
 #include "util/bloom.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 
 namespace sdur {
 
@@ -39,6 +41,8 @@ const char* to_string(Outcome o);
 struct WriteOp {
   Key key = 0;
   std::string value;
+
+  static auto fields(auto& m) { return std::tie(m.key, m.value); }
 };
 
 /// Client-side view of an update transaction, shipped to the contact
@@ -54,8 +58,11 @@ struct Transaction {
   Version snapshot_of(PartitionId p) const;
   void set_snapshot(PartitionId p, Version v);
 
-  void encode(util::Writer& w) const;
-  static Transaction decode(util::Reader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.id, m.client, m.snapshots, m.readset, m.writeset);
+  }
+  void encode(util::Writer& w) const { util::encode(w, *this); }
+  static Transaction decode(util::Reader& r) { return util::decode<Transaction>(r); }
 };
 
 /// Per-partition projection of a transaction — the unit that is atomically

@@ -20,6 +20,7 @@
 
 #include "sim/fabric_stats.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 
 namespace sdur::sim {
 
@@ -103,5 +104,14 @@ struct Message {
   /// accounting.
   std::size_t wire_size() const { return payload.size() + 8; }
 };
+
+/// Encodes `m` through its field list (util/codec.h) into a message of
+/// type `type` — the body of every field-list message's to_message().
+template <class M>
+Message encode_message(MsgType type, const M& m) {
+  util::Writer w;
+  util::encode(w, m);
+  return {type, std::move(w)};
+}
 
 }  // namespace sdur::sim
