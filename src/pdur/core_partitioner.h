@@ -8,7 +8,8 @@
 //
 // Bloom-encoded readsets cannot be enumerated, so a transaction shipping a
 // bloom readset is conservatively homed on *all* cores (its reads could
-// touch any key). Write keys are always exact.
+// touch any key). Write keys are always exact: the certifier rejects a
+// bloom write set.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,7 @@ class CorePartitioner {
   /// callers always have a core to charge.
   std::vector<CoreId> home_cores(const util::KeySet& rs, const util::KeySet& ws) const {
     std::vector<bool> hit(cores_, false);
-    if ((rs.is_bloom() && !rs.empty()) || (ws.is_bloom() && !ws.empty())) {
+    if (rs.is_bloom() && !rs.empty()) {
       for (CoreId c = 0; c < cores_; ++c) hit[c] = true;
     } else {
       for (std::uint64_t k : rs.keys()) hit[core_of(k)] = true;

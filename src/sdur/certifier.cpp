@@ -1,6 +1,7 @@
 #include "sdur/certifier.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "audit/audit.h"
 #include "trace/trace.h"
@@ -13,6 +14,11 @@ const Certifier::Slot* Certifier::slot(Version v) const {
 }
 
 Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uint64_t dc) {
+  // The window, the unresolved-writer index and the bypass gate index
+  // write keys exactly (Server::project always builds them so).
+  if (t.write_keys.is_bloom()) {
+    throw std::invalid_argument("Certifier::process: write keys must be exact");
+  }
   Result result;
 
   // Snapshot bottom (a transaction that wrote without reading at this
@@ -34,15 +40,11 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // (an unnecessary abort, retried with a fresh snapshot), never wrong.
     // The strategy instant (aux = the window depth certified against) is
     // attributed to the current delivery via the tracer context the
-    // dispatcher set: a bloom probe set (or, for globals, a bloom write
-    // set) forces the window scan for that component.
-    SDUR_TRACE_STMT({
-      const bool scans = storage::CommitWindow::scans(t.readset) ||
-                         (t.is_global() && storage::CommitWindow::scans(t.write_keys));
-      SDUR_TRACE_CONTEXT_INSTANT(
-          scans ? trace::Point::kCertScanFallback : trace::Point::kCertIndexProbe,
-          st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st));
-    });
+    // dispatcher set: a bloom readset forces the window scan.
+    SDUR_TRACE_CONTEXT_INSTANT(storage::CommitWindow::scans(t.readset)
+                                   ? trace::Point::kCertScanFallback
+                                   : trace::Point::kCertIndexProbe,
+                               st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st));
     if (window_.conflicts(t.readset, t.write_keys, t.is_global(), st)) return result;  // abort
   }
 
@@ -81,15 +83,12 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
   result.version = ++cc_;
   window_.push(result.version,
                Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
-  unresolved_insert(result.version, t.write_keys);
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
              PendingEntry{t, rt, result.version});
-  if (ooo_bypass_) {
-    // Park gate first (the new entry must not probe its own writes), then
-    // register the entry's write keys in the pending-write index.
-    if (!t.is_global()) park_on_insert(position, t, result);
-    window_.pending_insert(result.version, t.write_keys);
-  }
+  // Park gate before registering t as an unresolved writer: t must not
+  // probe its own writes.
+  if (ooo_bypass_ && !t.is_global()) park_on_insert(position, t, result);
+  unresolved_insert(result.version, t.write_keys);
   // The window holds exactly one slot per assigned version in [base, cc]:
   // a gap would let a conflicting transaction escape certification.
   SDUR_AUDIT_CHECK("certifier", "window-contiguous",
@@ -131,19 +130,26 @@ Version Certifier::park_bound(std::size_t position, const PartTx& t) const {
   return bound;
 }
 
+bool Certifier::writes_unresolved(const util::KeySet& keys) const {
+  for (Key k : keys.keys()) {
+    if (unresolved_ws_.find(k) != nullptr) return true;
+  }
+  return false;
+}
+
 void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& result) {
-  // Gate trigger: does t read or write a key some pending entry will still
-  // write? Over-approximate (it also hits on rs(t) vs pending-local
-  // writes); park_bound is authoritative. A bloom probe readset cannot
-  // drive key probes; treat it as a hit and let the exact bound decide
-  // (mirrors the certification fallback).
-  const bool hit = storage::CommitWindow::scans(t.readset) ||
-                   window_.pending_conflicts(t.readset, t.write_keys);
-  // The trigger over-approximates the bound (it also hits on rs(t) vs
-  // pending-local writes) but must cover it: a missed hit with a nonzero
-  // bound would let a conflicting local bypass.
+  // Gate trigger: does t read or write a key some unresolved slot will
+  // still write? Every pending entry is unresolved, so the trigger covers
+  // the bound; it over-approximates it (it also hits on rs(t) vs
+  // pending-local writes and on writers already popped but not resolved,
+  // e.g. speculated globals), and park_bound is authoritative. A bloom
+  // readset cannot drive key probes; treat it as a hit and let the exact
+  // bound decide (mirrors the certification fallback).
+  const bool hit = storage::CommitWindow::scans(t.readset) || writes_unresolved(t.readset) ||
+                   writes_unresolved(t.write_keys);
+  // A missed hit with a nonzero bound would let a conflicting local bypass.
   SDUR_AUDIT_CHECK("certifier", "bypass-gate-coverage", hit || park_bound(position, t) == 0,
-                   "pending-write probe missed a nonzero park bound for tx " << t.id);
+                   "unresolved-writer probe missed a nonzero park bound for tx " << t.id);
   Version bound = hit ? park_bound(position, t) : 0;
   if (test_skip_park_gate_) bound = 0;
   pl_[position].park_until = bound;
@@ -151,9 +157,6 @@ void Certifier::park_on_insert(std::size_t position, const PartTx& t, Result& re
 }
 
 void Certifier::unpark_on_removal(const PendingEntry& e) {
-  // Per-key eviction order stays ascending: the gate itself forbids a
-  // newer pending writer of a key completing before an older one.
-  window_.pending_evict(e.version, e.tx.write_keys);
   if (e.tx.is_global() && e.version > bypass_watermark_) bypass_watermark_ = e.version;
 }
 
@@ -205,15 +208,7 @@ void Certifier::park_rebuild() {
   // restored pending list, so every replica recomputes identical state.
   // The watermark restarts at 0: completed globals left the list before
   // the checkpoint, so no restored local still waits on one.
-  window_.pending_clear();
   bypass_watermark_ = 0;
-  // The pending-write index wants version-ascending inserts; pl_ is in
-  // delivery/reorder order (leaped locals sit ahead of smaller versions).
-  std::vector<std::size_t> by_version(pl_.size());
-  for (std::size_t i = 0; i < pl_.size(); ++i) by_version[i] = i;
-  std::sort(by_version.begin(), by_version.end(),
-            [this](std::size_t a, std::size_t b) { return pl_[a].version < pl_[b].version; });
-  for (std::size_t i : by_version) window_.pending_insert(pl_[i].version, pl_[i].tx.write_keys);
   for (std::size_t i = 0; i < pl_.size(); ++i) {
     PendingEntry& e = pl_[i];
     e.park_until = e.tx.is_global() ? 0 : park_bound(i, e.tx);
@@ -323,7 +318,6 @@ void Certifier::rebuild_unresolved() {
   // Recomputed from the window's slots — a pure function of the restored
   // state, so every replica rebuilds an identical index.
   unresolved_ws_.clear();
-  unresolved_bloom_ws_.clear();
   window_.scan_after(window_.base() - 1, [this](Version v, const Slot& s) {
     if (s.status == SlotStatus::kPending) unresolved_insert(v, s.writeset);
     return true;
@@ -332,12 +326,10 @@ void Certifier::rebuild_unresolved() {
 
 void Certifier::reset() {
   window_.clear(1);
-  window_.pending_clear();
   cc_ = 0;
   stable_ = 0;
   pl_.clear();
   unresolved_ws_.clear();
-  unresolved_bloom_ws_.clear();
   bypass_watermark_ = 0;
 }
 
@@ -346,19 +338,10 @@ void Certifier::reset() {
 void Certifier::unresolved_insert(Version v, const util::KeySet& write_keys) {
   // Versions are inserted ascending (certification order; install rebuilds
   // in version order), so every list stays sorted by appending.
-  if (write_keys.is_bloom()) {
-    if (!write_keys.empty()) unresolved_bloom_ws_.push_back(v);
-    return;
-  }
   for (Key k : write_keys.keys()) unresolved_ws_[k].push_back(v);
 }
 
 void Certifier::unresolved_erase(Version v, const util::KeySet& write_keys) {
-  if (write_keys.is_bloom()) {
-    auto it = std::lower_bound(unresolved_bloom_ws_.begin(), unresolved_bloom_ws_.end(), v);
-    if (it != unresolved_bloom_ws_.end() && *it == v) unresolved_bloom_ws_.erase(it);
-    return;
-  }
   for (Key k : write_keys.keys()) {
     std::vector<Version>* writers = unresolved_ws_.find(k);
     if (writers == nullptr) continue;
@@ -374,13 +357,6 @@ Version Certifier::read_frontier(Key k) const {
   Version frontier = cc_;
   if (const std::vector<Version>* writers = unresolved_ws_.find(k)) {
     frontier = writers->front() - 1;
-  }
-  for (Version v : unresolved_bloom_ws_) {
-    if (v > frontier) break;
-    if (window_.find(v)->writeset.may_contain(k)) {
-      frontier = v - 1;
-      break;
-    }
   }
   // The index must reproduce the window scan exactly: a frontier too high
   // serves a value an unresolved writer can still change; too low only

@@ -42,8 +42,9 @@
 //
 // ONE WINDOW (storage/commit_window.h). The slots live in one
 // storage::CommitWindow, one record per assigned version, which also
-// holds the per-key index and the pending-write index; every
-// certification runs against it. P-DUR (arXiv:1312.0742), constructed
+// holds the per-key certification index; every certification runs
+// against it. Write keys are always exact: process() rejects a bloom
+// write set before any check. P-DUR (arXiv:1312.0742), constructed
 // with cores > 1, splits that check across the transaction's home cores:
 // a key lives on exactly one core, so the per-core checks reach the
 // window's verdict. The split changes only where the simulated work is
@@ -94,7 +95,7 @@ class Certifier {
   /// `cores > 1` reports each transaction's P-DUR home cores
   /// (Result::cores); `cores == 1` (default) is the serial model.
   /// `ooo_bypass` arms the out-of-order local-commit gate (park bounds and
-  /// the pending-write index); off (default) leaves every bypass structure
+  /// the watermark); off (default) leaves every bypass structure
   /// untouched — bit-identical legacy behavior.
   explicit Certifier(std::size_t window_capacity, std::uint32_t cores = 1,
                      bool ooo_bypass = false)
@@ -123,7 +124,8 @@ class Certifier {
 
   /// Certifies transaction `t` delivered with reorder threshold `rt` when
   /// the delivery counter is `dc`; on success assigns the next version and
-  /// inserts it into the pending list (Algorithm 2, reorder()).
+  /// inserts it into the pending list (Algorithm 2, reorder()). Throws
+  /// std::invalid_argument if `t.write_keys` is bloom-encoded.
   Result process(const PartTx& t, std::uint64_t rt, std::uint64_t dc);
 
   // --- Pending list -------------------------------------------------------
@@ -150,7 +152,7 @@ class Certifier {
   /// (always, unless the bypass gate is armed).
   std::size_t next_bypassable(std::size_t from) const;
   /// Removes and returns the entry at `pos` (the bypass analogue of
-  /// pop_head: maintains the pending-write index and the watermark). With
+  /// pop_head: maintains the watermark). With
   /// the bypass gate armed, audit builds check that the entry may commit
   /// past everything ahead ("bypass-serial-equivalence").
   PendingEntry take_at(std::size_t pos);
@@ -233,11 +235,13 @@ class Certifier {
   /// their version; write-conflicting locals their own park bound). 0 =
   /// nothing to wait for.
   Version park_bound(std::size_t position, const PartTx& t) const;
+  /// True iff some unresolved slot writes a key of `keys` (exact).
+  bool writes_unresolved(const util::KeySet& keys) const;
   /// Computes the park bound for a freshly certified local and stamps the
   /// inserted entry (gate trigger + exact bound + audit).
   void park_on_insert(std::size_t position, const PartTx& t, Result& result);
-  /// Maintains the pending-write index and the completed-global watermark
-  /// as `e` leaves the pending list (pop_head and take_at).
+  /// Maintains the completed-global watermark as `e` leaves the pending
+  /// list (pop_head and take_at).
   void unpark_on_removal(const PendingEntry& e);
   /// Recomputes every restored local's park bound after install() — a pure
   /// function of the restored pending list, so replicas agree.
@@ -249,22 +253,18 @@ class Certifier {
   /// Out-of-order local commit armed (techniques.ooo_bypass). When false, no
   /// bypass structure is ever touched — the legacy paths are bit-identical.
   bool ooo_bypass_ = false;
-  /// The window: one slot per assigned version in [base, cc], the per-key
-  /// index over them, and (under ooo_bypass_) the pending-write index over
-  /// pl_.
+  /// The window: one slot per assigned version in [base, cc] and the
+  /// per-key certification index over them.
   storage::CommitWindow window_{1};
   pdur::CorePartitioner part_;
   Version cc_ = 0;      // last assigned version
   Version stable_ = 0;  // resolved prefix
   std::deque<PendingEntry> pl_;
-  /// Read frontier: per key, the versions (ascending) of the unresolved
-  /// slots writing it. Probe-only, like the window's index — never
-  /// iterated, so hash order cannot leak. A key's entry is erased once its
-  /// last unresolved writer resolves.
+  /// Per key, the versions (ascending) of the unresolved slots writing it:
+  /// serves the read frontier and the bypass-gate trigger. Probe-only,
+  /// like the window's index — never iterated, so hash order cannot leak.
+  /// A key's entry is erased once its last unresolved writer resolves.
   storage::FlatTable<std::vector<Version>> unresolved_ws_;
-  /// Unresolved slots whose write keys are bloom-encoded (ascending): they
-  /// cannot be key-indexed and are probed with may_contain().
-  std::vector<Version> unresolved_bloom_ws_;
   /// Version of the newest completed global (see bypass_watermark()).
   Version bypass_watermark_ = 0;
 };

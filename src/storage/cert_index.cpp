@@ -4,8 +4,8 @@ namespace sdur::storage {
 
 namespace {
 
-/// A set participates in the key index iff it can be enumerated. Empty
-/// bloom sets are treated as exact: they intersect nothing either way.
+/// A readset participates in the key index iff it can be enumerated.
+/// Empty bloom sets are treated as exact: they intersect nothing either way.
 bool indexable(const util::KeySet& s) { return !s.is_bloom() || s.empty(); }
 
 }  // namespace
@@ -16,11 +16,7 @@ void CertIndex::insert(Version v, const util::KeySet& readset, const util::KeySe
   } else {
     bloom_rs_.push_back(v);
   }
-  if (indexable(writeset)) {
-    for (std::uint64_t k : writeset.keys()) table_[k].writer = v;
-  } else {
-    bloom_ws_.push_back(v);
-  }
+  for (std::uint64_t k : writeset.keys()) table_[k].writer = v;
 }
 
 void CertIndex::evict(Version v, const util::KeySet& readset, const util::KeySet& writeset) {
@@ -37,28 +33,22 @@ void CertIndex::evict(Version v, const util::KeySet& readset, const util::KeySet
   } else {
     while (!bloom_rs_.empty() && bloom_rs_.front() <= v) bloom_rs_.pop_front();
   }
-  if (indexable(writeset)) {
-    for (std::uint64_t k : writeset.keys()) {
-      Entry* e = table_.find(k);
-      if (e != nullptr && e->writer == v) {
-        e->writer = kNone;
-        if (e->reader == kNone) table_.erase(k);
-      }
+  for (std::uint64_t k : writeset.keys()) {
+    Entry* e = table_.find(k);
+    if (e != nullptr && e->writer == v) {
+      e->writer = kNone;
+      if (e->reader == kNone) table_.erase(k);
     }
-  } else {
-    while (!bloom_ws_.empty() && bloom_ws_.front() <= v) bloom_ws_.pop_front();
   }
 }
 
 void CertIndex::clear() {
   table_.clear();
   bloom_rs_.clear();
-  bloom_ws_.clear();
 }
 
 bool CertIndex::reads_conflict(const util::KeySet& readset, Version st) const {
   for (std::uint64_t k : readset.keys()) {
-    ++probes_;
     const Entry* e = table_.find(k);
     if (e != nullptr && e->writer > st) return true;
   }
@@ -67,7 +57,6 @@ bool CertIndex::reads_conflict(const util::KeySet& readset, Version st) const {
 
 bool CertIndex::writes_conflict(const util::KeySet& writeset, Version st) const {
   for (std::uint64_t k : writeset.keys()) {
-    ++probes_;
     const Entry* e = table_.find(k);
     if (e != nullptr && e->reader > st) return true;
   }

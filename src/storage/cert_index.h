@@ -19,13 +19,16 @@
 // an intersection with *some* record newer than st exists iff the newest
 // writer of *some* probed key is newer than st.
 //
-// Bloom-encoded sets cannot be enumerated into a key index. The index
-// keeps a per-mode strategy, preserving bit-identical verdicts:
+// Write sets are always exact (CommitWindow::push rejects a bloom one), so
+// every record's writeset feeds the key index. Readsets may be
+// bloom-encoded (Section V), and a bloom set cannot be enumerated into a
+// key index. The index keeps a per-mode strategy, preserving bit-identical
+// verdicts:
 //
-//   * records with an exact set feed the key index;
-//   * records with a bloom set are remembered in an ascending version list
-//     (the "bloom suffix"); the caller scans only those records with the
-//     original KeySet::intersects test;
+//   * records with an exact readset feed the key index;
+//   * records with a bloom readset are remembered in an ascending version
+//     list (the "bloom suffix"); the caller scans only those records with
+//     the original KeySet::intersects test;
 //   * a *probe* set that is bloom-encoded cannot drive key probes at all —
 //     the caller falls back to the legacy scan for that component.
 //
@@ -36,14 +39,13 @@
 // install. Its one consumer, storage::CommitWindow (commit_window.h),
 // composes these pieces into the certification check and cross-checks the
 // result against the reference scan under SDUR_AUDIT
-// ("index-scan-equivalence"); sdur::Certifier certifies against such
-// windows (the full-set window, or one per P-DUR core), and each window
-// also keeps a second instance over the pending writes.
+// ("index-scan-equivalence"); sdur::Certifier certifies against that one
+// window.
 //
 // DETERMINISM. The index is probe-only: no operation iterates the hash
 // table (tools/analyze rule cert-index-iteration), so hash order cannot
-// leak into verdicts. The bloom suffix lists are kept in
-// version order by construction.
+// leak into verdicts. The bloom suffix list is kept in version order by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,8 @@ namespace sdur::storage {
 class CertIndex {
  public:
   /// Registers the commit record for `v`. Versions must be inserted in
-  /// strictly increasing order (they are: window pushes are ordered).
+  /// strictly increasing order (they are: window pushes are ordered), and
+  /// `writeset` must be exact.
   void insert(Version v, const util::KeySet& readset, const util::KeySet& writeset);
 
   /// Unregisters the record for `v` as it leaves the window. Must be
@@ -68,9 +71,8 @@ class CertIndex {
 
   void clear();
 
-  /// Question A for an *exact* probe readset: true iff some indexed record
-  /// with version > st wrote one of `readset`'s keys. Records whose
-  /// writeset is bloom-encoded are not covered — scan bloom_write_versions().
+  /// Question A for an *exact* probe readset: true iff some record with
+  /// version > st wrote one of `readset`'s keys.
   bool reads_conflict(const util::KeySet& readset, Version st) const;
 
   /// Question B for an *exact* probe writeset: true iff some indexed
@@ -78,15 +80,12 @@ class CertIndex {
   /// readset is bloom-encoded are not covered — scan bloom_read_versions().
   bool writes_conflict(const util::KeySet& writeset, Version st) const;
 
-  /// Versions (ascending) of window records whose readset / writeset is
+  /// Versions (ascending) of window records whose readset is
   /// bloom-encoded: the suffix the caller must still scan exactly.
   const std::deque<Version>& bloom_read_versions() const { return bloom_rs_; }
-  const std::deque<Version>& bloom_write_versions() const { return bloom_ws_; }
 
   /// Distinct keys currently indexed (metrics / tests).
   std::size_t key_count() const { return table_.size(); }
-  /// Cumulative key probes served (cost metric for benches).
-  std::uint64_t probes() const { return probes_; }
 
  private:
   /// Sentinel "no record in the window reads/writes this key". All real
@@ -101,8 +100,6 @@ class CertIndex {
 
   FlatTable<Entry> table_;
   std::deque<Version> bloom_rs_;
-  std::deque<Version> bloom_ws_;
-  mutable std::uint64_t probes_ = 0;
 };
 
 }  // namespace sdur::storage

@@ -7,10 +7,13 @@ namespace sdur::storage {
 
 void CommitWindow::push(Version version, CommitRecord rec) {
   // A gap or an out-of-order push would break every version-ordered
-  // structure here (the index, the bloom suffix lists, the O(1) lookup by
+  // structure here (the index, the bloom suffix list, the O(1) lookup by
   // version); a record below the base would be evicted history reappearing.
   if (empty() ? version < base_ : version != newest() + 1) {
     throw std::logic_error("CommitWindow::push: versions must be contiguous");
+  }
+  if (rec.writeset.is_bloom()) {
+    throw std::invalid_argument("CommitWindow::push: writesets must be exact");
   }
   index_.insert(version, rec.readset, rec.writeset);
   records_.push_back(Entry{version, std::move(rec)});
@@ -77,50 +80,28 @@ bool CommitWindow::conflicts_scan(const util::KeySet& rs, const util::KeySet& ws
 bool CommitWindow::conflicts_indexed(const util::KeySet& rs, const util::KeySet& ws, bool global,
                                      Version st) const {
   if (empty() || st >= newest()) return false;
-  // Hit test of one component against the records after st: a bloom probe
-  // set scans them all; an exact one probes the key index (`probed`) and
-  // scans only the records whose set the index cannot hold (`bloom`).
-  const auto component = [&](const util::KeySet& probe, auto probed,
-                             const std::deque<Version>& bloom, auto hit) {
-    if (scans(probe)) {
-      return !scan_after(st, [&](Version, const CommitRecord& r) { return !hit(r); });
-    }
-    if (probed()) return true;
-    for (auto it = std::upper_bound(bloom.begin(), bloom.end(), st); it != bloom.end(); ++it) {
-      if (hit(at(*it))) return true;
-    }
-    return false;
+  // True iff some record after st is `hit`: the fallback for a bloom probe
+  // set, which cannot drive key probes.
+  const auto scan_hits = [&](auto hit) {
+    return !scan_after(st, [&](Version, const CommitRecord& r) { return !hit(r); });
   };
-  // Component A: rs vs the writesets.
-  if (component(
-          rs, [&] { return index_.reads_conflict(rs, st); }, index_.bloom_write_versions(),
-          [&](const CommitRecord& r) { return rs.intersects(r.writeset); })) {
+  // Component A: rs vs the writesets. Writesets are exact (push), so the
+  // key index holds every one of them.
+  if (scans(rs) ? scan_hits([&](const CommitRecord& r) { return rs.intersects(r.writeset); })
+                : index_.reads_conflict(rs, st)) {
     return true;
   }
   if (!global) return false;
-  // Component B: ws vs the readsets (global transactions only).
-  return component(
-      ws, [&] { return index_.writes_conflict(ws, st); }, index_.bloom_read_versions(),
-      [&](const CommitRecord& r) { return ws.intersects(r.readset); });
-}
-
-// --- Pending writes -------------------------------------------------------------
-
-void CommitWindow::pending_insert(Version v, const util::KeySet& write_keys) {
-  pending_.insert(v, util::KeySet(), write_keys);
-}
-
-void CommitWindow::pending_evict(Version v, const util::KeySet& write_keys) {
-  pending_.evict(v, util::KeySet(), write_keys);
-}
-
-void CommitWindow::pending_clear() { pending_.clear(); }
-
-bool CommitWindow::pending_conflicts(const util::KeySet& rs, const util::KeySet& ws) const {
-  // Snapshot 0 turns the last-writer probe into an existence probe
-  // (versions start at 1). Pending write keys are exact, so the index's
-  // bloom suffixes stay empty and no fallback scan is needed.
-  return pending_.reads_conflict(rs, 0) || pending_.reads_conflict(ws, 0);
+  // Component B: ws vs the readsets (global transactions only): key probes,
+  // then a scan of only the records whose readset is bloom-encoded.
+  const auto reads_ws = [&](const CommitRecord& r) { return ws.intersects(r.readset); };
+  if (scans(ws)) return scan_hits(reads_ws);
+  if (index_.writes_conflict(ws, st)) return true;
+  const std::deque<Version>& bloom = index_.bloom_read_versions();
+  for (auto it = std::upper_bound(bloom.begin(), bloom.end(), st); it != bloom.end(); ++it) {
+    if (reads_ws(at(*it))) return true;
+  }
+  return false;
 }
 
 }  // namespace sdur::storage

@@ -3,9 +3,10 @@
 //
 // Certifying a delivered transaction t compares it against every record
 // serialized after t's snapshot (DB[t.st..SC]). Records store both the
-// readset and writeset (as exact or bloom KeySets): local certification
-// needs the writesets, global certification additionally intersects
-// against the readsets (Section III-B).
+// readset (exact or bloom KeySet) and the writeset (always exact: push
+// rejects a bloom one): local certification needs the writesets, global
+// certification additionally intersects against the readsets (Section
+// III-B).
 //
 // USERS. sdur::Certifier keeps one window whose records carry its slot
 // metadata (txid, global, status), one record per assigned version. Every
@@ -20,15 +21,10 @@
 //
 // CONFLICT CHECKS. conflicts() answers the certification question through
 // the per-key CertIndex (storage/cert_index.h) — O(|rs| + |ws|) probes
-// plus a scan of only the bloom-encoded suffix — with an SDUR_AUDIT
-// cross-check against the reference full scan, conflicts_scan().
-// conflicts_indexed() exposes the indexed strategy alone for
-// bench/cert_perf.
-//
-// PENDING WRITES. A second CertIndex holds the write keys of the
-// still-pending transactions (the out-of-order local-commit gate): an
-// existence probe answers "will some pending transaction still write a key
-// this transaction reads or writes?".
+// plus a scan of only the records with a bloom-encoded readset — with an
+// SDUR_AUDIT cross-check against the reference full scan,
+// conflicts_scan(). conflicts_indexed() exposes the indexed strategy alone
+// for bench/cert_perf.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +55,15 @@ class CommitWindow {
 
   /// Appends the record serialized at `version`, which must be newest()+1
   /// (on an empty window: any version >= base()); any other push throws
-  /// std::logic_error.
+  /// std::logic_error. A bloom-encoded writeset throws
+  /// std::invalid_argument: the key index holds every writeset exactly.
   void push(Version version, CommitRecord rec);
 
   /// Drops every record with version < `base` and raises base() to it (a
   /// lower `base` is a no-op).
   void evict_below(Version base);
 
-  /// Drops every record and resets the base (checkpoint install). The
-  /// pending-write index is left alone: see pending_clear().
+  /// Drops every record and resets the base (checkpoint install).
   void clear(Version base);
 
   bool empty() const { return records_.empty(); }
@@ -117,8 +113,9 @@ class CommitWindow {
   bool conflicts_scan(const util::KeySet& rs, const util::KeySet& ws, bool global,
                       Version st) const;
 
-  /// The indexed strategy: key probes plus a scan over only the
-  /// bloom-encoded suffix (bit-identical verdict to conflicts_scan).
+  /// The indexed strategy: key probes plus a scan over only the records
+  /// with a bloom-encoded readset (bit-identical verdict to
+  /// conflicts_scan).
   bool conflicts_indexed(const util::KeySet& rs, const util::KeySet& ws, bool global,
                          Version st) const;
 
@@ -127,18 +124,6 @@ class CommitWindow {
   static bool scans(const util::KeySet& probe) { return probe.is_bloom() && !probe.empty(); }
 
   const CertIndex& index() const { return index_; }
-
-  // --- Pending writes (out-of-order local commit) -------------------------
-  /// Registers / unregisters the write keys of pending version `v`.
-  /// Versions are inserted ascending; evicted in the order the pending
-  /// transactions complete (ascending per key). Write keys are exact.
-  void pending_insert(Version v, const util::KeySet& write_keys);
-  void pending_evict(Version v, const util::KeySet& write_keys);
-  void pending_clear();
-  /// True iff some pending transaction writes a key of `rs` or `ws` (both
-  /// exact: a bloom readset cannot drive key probes, callers treat it as a
-  /// hit).
-  bool pending_conflicts(const util::KeySet& rs, const util::KeySet& ws) const;
 
  private:
   struct Entry {
@@ -154,7 +139,6 @@ class CommitWindow {
   std::deque<Entry> records_;  // contiguous versions, ascending
   Version base_;
   CertIndex index_;
-  CertIndex pending_;  // write keys of the pending transactions (readsets empty)
 };
 
 }  // namespace sdur::storage

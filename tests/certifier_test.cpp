@@ -4,7 +4,10 @@
 // version-assignment refinement described in certifier.h / DESIGN.md.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sdur/certifier.h"
+#include "storage/commit_window.h"
 
 namespace sdur {
 namespace {
@@ -271,6 +274,22 @@ TEST_F(CertifierTest, BloomReadsetsDetectConflicts) {
   PartTx t2 = make_tx(2, false, {}, {5}, 0);
   t2.readset = util::KeySet::bloom({5});
   EXPECT_EQ(deliver(t2).outcome, Outcome::kAbort) << "bloom rs vs exact committed ws";
+}
+
+TEST_F(CertifierTest, BloomWriteKeysAreRejected) {
+  // Write keys are exact by construction (Server::project): the window
+  // and the unresolved-writer index hold them key by key.
+  PartTx t = make_tx(1, false, {1}, {}, 0);
+  t.write_keys = util::KeySet::bloom({1});
+  EXPECT_THROW(deliver(t), std::invalid_argument);
+  EXPECT_EQ(cert.certified(), 0) << "rejected before any check";
+  EXPECT_TRUE(cert.empty());
+
+  storage::CommitWindow window;
+  storage::CommitRecord rec;
+  rec.writeset = util::KeySet::bloom({1});
+  EXPECT_THROW(window.push(1, std::move(rec)), std::invalid_argument);
+  EXPECT_TRUE(window.empty());
 }
 
 TEST_F(CertifierTest, ResolveAdvancesStableAndRecordsSlot) {

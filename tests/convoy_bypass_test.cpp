@@ -150,6 +150,27 @@ TEST_F(BypassTest, BloomReadsetParksConservatively) {
   EXPECT_EQ(cert.at(1).park_until, 1);
 }
 
+TEST_F(BypassTest, SpeculatedWriterDoesNotParkALocal) {
+  // A global speculated at the head leaves the pending list but stays an
+  // unresolved writer of key 5 until its votes arrive. A local reading
+  // key 5 hits the gate trigger, yet nothing pending ahead of it writes
+  // the key: the exact bound is 0 and the local bypasses the other global.
+  deliver(make_tx(1, true, {5}, {5}, 0), 0);
+  const PendingEntry speculated = cert.pop_head();
+  deliver(make_tx(2, true, {8}, {8}, 0), 0);
+  const auto r = deliver(make_tx(3, false, {5}, {6}, /*snapshot=*/1), 0);
+  ASSERT_EQ(r.outcome, Outcome::kCommit);
+  EXPECT_EQ(r.position, 1u);
+  EXPECT_FALSE(r.parked);
+  EXPECT_EQ(cert.at(1).park_until, 0);
+  EXPECT_EQ(cert.read_frontier(5), 0) << "the speculated writer is still unresolved";
+  ASSERT_EQ(cert.next_bypassable(0), 1u);
+  cert.resolve(cert.take_at(1), true);
+  cert.resolve(speculated, true);
+  cert.resolve(cert.pop_head(), true);
+  EXPECT_EQ(cert.stable(), 3);
+}
+
 TEST_F(BypassTest, InstallRecomputesParkBoundsFromRestoredList) {
   deliver(make_tx(1, true, {5}, {5}, 0), 0);
   deliver(make_tx(2, false, {}, {5}, 0), 0);   // parked until 1
