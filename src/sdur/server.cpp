@@ -70,7 +70,7 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
       *this, std::move(paxos_cfg), std::make_unique<paxos::InMemoryDurableLog>(),
       [this](const paxos::Value& v) { adeliver(v); });
   engine_->set_install_handler([this](const paxos::Value& blob) { install_state(blob); });
-  if (batching() && cfg_.techniques.vote_piggyback) {
+  if (batching()) {
     // Paxos engine traffic is intra-group today, but cross-partition
     // forwards relayed through the engine (leader changes) also pass here;
     // the wrapper is identity for same-partition destinations.
@@ -755,7 +755,7 @@ void Server::enqueue_vote(PartitionId p, TxId id, Outcome v) {
   if (p >= vote_outbox_.size()) return;
   VoteOutbox& box = vote_outbox_[p];
   box.queue.push_back(VoteBatchEntry{id, v});
-  if (box.queue.size() >= cfg_.techniques.vote_batch_max) {
+  if (box.queue.size() >= kVoteBatchMax) {
     flush_votes_for(p);
     return;
   }
@@ -807,7 +807,7 @@ void Server::flush_votes_for(PartitionId p) {
 }
 
 sim::Message Server::maybe_piggyback(sim::ProcessId to, sim::Message m) {
-  if (!batching() || !cfg_.techniques.vote_piggyback) return m;
+  if (!batching()) return m;
   if (m.type == msgtype::kVoteBatch || m.type == msgtype::kVotePiggyback) return m;
   const auto peer = peer_index_.find(to);
   if (peer == peer_index_.end() || peer->second.first == cfg_.partition) return m;

@@ -223,7 +223,10 @@ class Server : public sim::Process {
   /// Batching is a cross-partition optimization; single-partition
   /// deployments have no vote exchange to batch.
   bool batching() const { return cfg_.techniques.vote_batching && cfg_.num_partitions > 1; }
-  /// Queues a vote for partition p; flushes at vote_batch_max, else arms
+  /// Queue length per destination partition that triggers an immediate
+  /// flush.
+  static constexpr std::size_t kVoteBatchMax = 64;
+  /// Queues a vote for partition p; flushes at kVoteBatchMax, else arms
   /// one vote_batch_interval timer covering all destination queues.
   void enqueue_vote(PartitionId p, TxId id, Outcome v);
   void flush_votes();

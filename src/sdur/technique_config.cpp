@@ -116,8 +116,6 @@ std::string TechniqueConfig::validate() const {
   if (bloom_readsets && !(bloom_fp_rate > 0.0 && bloom_fp_rate < 1.0))
     return "bloom_fp_rate must be in (0, 1)";
   if (vote_batch_interval < 0) return "vote_batch_interval must be >= 0";
-  if (vote_batching && vote_batch_max == 0) return "vote_batch_max must be >= 1";
-  if (!vote_piggyback && !vote_batching) return "no-piggyback requires vote-batch";
   return "";
 }
 
@@ -146,9 +144,6 @@ std::string format_techniques(const TechniqueConfig& t) {
     emit(t.vote_batch_interval != defaults.vote_batch_interval
              ? "vote-batch=" + format_time(t.vote_batch_interval)
              : std::string("vote-batch"));
-    if (t.vote_batch_max != defaults.vote_batch_max)
-      emit("vote-batch-max=" + std::to_string(t.vote_batch_max));
-    if (!t.vote_piggyback) emit("no-piggyback");
   }
   if (t.ooo_bypass) emit("ooo-bypass");
   if (t.speculation) emit("speculation");
@@ -195,13 +190,6 @@ bool parse_techniques(std::string_view s, TechniqueConfig& out, std::string* err
       t.vote_batching = true;
       if (has_value && !parse_time(value, &t.vote_batch_interval))
         return fail(error, "bad duration in '" + std::string(token) + "' (use us/ms/s suffix)");
-    } else if (key == "vote-batch-max") {
-      unsigned long long n = 0;
-      if (!has_value || !parse_uint(value, &n))
-        return fail(error, "vote-batch-max needs a count, e.g. vote-batch-max=64");
-      t.vote_batch_max = static_cast<std::size_t>(n);
-    } else if (token == "no-piggyback") {
-      t.vote_piggyback = false;
     } else if (token == "ooo-bypass") {
       t.ooo_bypass = true;
     } else if (token == "speculation") {

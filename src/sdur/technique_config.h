@@ -16,9 +16,8 @@
 //   reorder=<N>                    reorder threshold R
 //   delaying[=<T>]                 delaying; optional fixed delay
 //   bloom[=<rate>]                 bloom readsets; optional fp rate
-//   vote-batch[=<T>]               vote batching; optional flush interval
-//   vote-batch-max=<N>             batch-size flush trigger
-//   no-piggyback                   disable vote piggybacking
+//   vote-batch[=<T>]               vote batching (with piggybacking);
+//                                  optional flush interval
 //   ooo-bypass                     out-of-order local commit
 //   speculation                    speculative global commit
 //
@@ -27,7 +26,6 @@
 // tests/technique_config_test.cpp).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -64,16 +62,14 @@ struct TechniqueConfig {
   // --- Vote batching (DESIGN.md "Vote exchange & batching") ---------------
   /// Coalesce outgoing votes per destination partition into VoteBatchMsg
   /// flushes instead of one VoteMsg unicast per transaction per remote
-  /// replica. Default off = bit-identical legacy vote exchange
-  /// (golden-digest pinned in tests/vote_batch_test.cpp).
+  /// replica, and ride pending votes on messages already going to the
+  /// destination partition's servers. A queue also flushes as soon as it
+  /// holds 64 votes (Server::kVoteBatchMax). Default off = bit-identical
+  /// legacy vote exchange (golden-digest pinned in
+  /// tests/vote_batch_test.cpp).
   bool vote_batching = false;
   /// Max time a queued vote waits before the batcher force-flushes.
   sim::Time vote_batch_interval = sim::usec(200);
-  /// Queue length per destination that triggers an immediate flush.
-  std::size_t vote_batch_max = 64;
-  /// Ride pending votes on messages already going to the destination
-  /// partition's servers. Only meaningful with vote_batching on.
-  bool vote_piggyback = true;
 
   // --- Out-of-order local commit (DESIGN.md section of the same name) -----
   /// Let a delivered local transaction certify and commit immediately,

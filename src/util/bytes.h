@@ -8,6 +8,11 @@
 // Encoding: little-endian fixed-width integers, LEB128 varints for counts,
 // and length-prefixed byte strings. Decoding is bounds-checked; a malformed
 // buffer throws CodecError rather than reading out of range.
+//
+// Message structs do not call these primitives by hand: each lists its
+// fields once and util/codec.h generates both codec halves from that
+// list. Hand-written formats (PartTx, KeySet, checkpoints) use them
+// directly.
 #pragma once
 
 #include <algorithm>

@@ -78,11 +78,9 @@ TEST(TechniqueConfig, DurationsAndValues) {
   TechniqueConfig t = parse_ok("delaying=40ms");
   EXPECT_TRUE(t.delaying_enabled);
   EXPECT_EQ(t.fixed_delay, sim::msec(40));
-  t = parse_ok("vote-batch=200us,vote-batch-max=16,no-piggyback");
+  t = parse_ok("vote-batch=200us");
   EXPECT_TRUE(t.vote_batching);
   EXPECT_EQ(t.vote_batch_interval, sim::usec(200));
-  EXPECT_EQ(t.vote_batch_max, 16u);
-  EXPECT_FALSE(t.vote_piggyback);
   t = parse_ok("bloom=0.001");
   EXPECT_TRUE(t.bloom_readsets);
   EXPECT_DOUBLE_EQ(t.bloom_fp_rate, 0.001);
@@ -103,7 +101,10 @@ TEST(TechniqueConfig, ParseErrorMessagesPinned) {
   EXPECT_EQ(parse_err("vote-batch=fast"),
             "bad duration in 'vote-batch=fast' (use us/ms/s suffix)");
   EXPECT_EQ(parse_err("bloom=tiny"), "bad rate in 'bloom=tiny'");
-  EXPECT_EQ(parse_err("vote-batch-max"), "vote-batch-max needs a count, e.g. vote-batch-max=64");
+  // Piggybacking and the flush size are constants, not knobs.
+  EXPECT_EQ(parse_err("vote-batch,no-piggyback"), "unknown technique token 'no-piggyback'");
+  EXPECT_EQ(parse_err("vote-batch,vote-batch-max=16"),
+            "unknown technique token 'vote-batch-max=16'");
   // A failed parse must leave the output untouched.
   TechniqueConfig t;
   t.reorder_threshold = 7;
@@ -123,15 +124,6 @@ TEST(TechniqueConfig, ValidateMessagesPinned) {
   EXPECT_EQ(t.validate(), "bloom_fp_rate must be in (0, 1)");
   t.bloom_fp_rate = 0.0;
   EXPECT_EQ(t.validate(), "bloom_fp_rate must be in (0, 1)");
-  t = TechniqueConfig{};
-  t.vote_batching = true;
-  t.vote_batch_max = 0;
-  EXPECT_EQ(t.validate(), "vote_batch_max must be >= 1");
-  t = TechniqueConfig{};
-  t.vote_piggyback = false;
-  EXPECT_EQ(t.validate(), "no-piggyback requires vote-batch");
-  t.vote_batching = true;
-  EXPECT_EQ(t.validate(), "");
 }
 
 // The core grammar contract: for every valid config, the canonical
@@ -155,8 +147,6 @@ TEST(TechniqueConfig, RandomizedFormatParseFixpoint) {
     if (coin()) {
       t.vote_batching = true;
       if (coin()) t.vote_batch_interval = sim::usec(1 + static_cast<sim::Time>(rng() % 5000));
-      if (coin()) t.vote_batch_max = 1 + rng() % 256;
-      if (coin()) t.vote_piggyback = false;
     }
     if (coin()) t.ooo_bypass = true;
     if (coin()) t.speculation = true;

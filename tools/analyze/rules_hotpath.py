@@ -16,8 +16,7 @@ out of the functions on that path:
 
 Hot functions are matched by name, per the certification call graph:
 `certify*`, anything containing `conflict` (conflicts, conflicts_scan,
-conflicts_indexed, pending_conflicts, reads_conflict, writes_conflict),
-and
+conflicts_indexed, reads_conflict, writes_conflict), and
 `scan_after`. Under src/sdur/ the vote-exchange path is hot too:
 `handle_vote*` bodies run once per received vote (unicast, batch entry,
 or piggybacked ride), `record_vote*` once per vote entering a round, and

@@ -1,10 +1,20 @@
 """Encode/decode wire-format symmetry.
 
-For every message codec pair defined in a wire-format file
-(src/*/messages.cpp, src/sdur/transaction.cpp), the ordered sequence of
-typed codec operations in the encoder must mirror the decoder — count,
-order, and width — so wire-format skew is caught at lint time instead of
-in a torture test.
+Scope: most wire structs state their fields once (`fields()`) and get
+both codec halves from src/util/codec.h, so they are symmetric by
+construction and have no codec bodies here to compare. This rule guards
+the hand-written codecs left in the files it scans — PartTx (its layout
+depends on its kind) and the Paxos batch helpers — and any new one.
+
+For every codec pair defined in a wire-format file (src/*/messages.cpp,
+src/sdur/transaction.cpp), the ordered sequence of typed codec
+operations in the encoder must mirror the decoder — count, order, and
+width — so wire-format skew is caught at lint time instead of in a
+torture test. Calls into the generic codec written as
+`util::encode(w, x)` / `x = util::decode<T>(r)` are not codec ops to this
+rule: their width comes from the field's type, the same on both sides.
+(The two-argument `util::decode(r, x)` would read as a sub-codec call
+with no encoder counterpart.)
 
 Pairing (within one file):
   Message X::to_message() const   <->  X X::decode(Reader&)
