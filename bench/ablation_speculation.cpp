@@ -1,10 +1,10 @@
 // Speculative global commit ablation (see DESIGN.md "Speculative global
-// commit"): a locally-certified global applies its writes as speculative
-// MVStore versions immediately and vacates the pending-list head, so the
+// commit"): a locally-certified global vacates the pending-list head
+// immediately, its writes held in its termination round, so the
 // transactions delivered behind it stop paying the cross-region vote
-// round trip; the votes later promote the versions (finalize) or undo
-// them in place (rollback — nothing can have observed them, because no
-// read of a key is served at or above an unresolved writer of that key).
+// round trip; the votes later commit it (finalize applies the writes at
+// its certified version) or abort it (nothing to undo — no read of a key
+// is served at or above an unresolved writer of that key).
 //
 // The sweep runs each global-mix / conflict cell twice (speculation off
 // vs on) on WAN 1 with reorder_threshold = 0 — the configuration where
@@ -13,7 +13,7 @@
 //   - the globals' commit_wait stage mean (ready -> speculated: with
 //     speculation on, the wait moves into the spec_window stage),
 //   - the globals' spec_window stage mean and local / global e2e means,
-//   - the speculation counters (speculated / finalized / rolled back).
+//   - the speculation counters (speculated / committed / aborted).
 //
 // The contended cell (small keyspace + Zipf skew, shared with
 // bench/ablation_convoy_bypass) shows the technique under frequent

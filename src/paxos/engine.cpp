@@ -36,7 +36,6 @@ PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
 }
 
 void PaxosEngine::start() {
-  started_ = true;
   last_leader_contact_ = ep_.current_time();
   if (cfg_.self_index == 0) start_campaign();
   ep_.start_timer(cfg_.heartbeat_interval / 2, [this] { tick(); });

@@ -220,7 +220,6 @@ class PaxosEngine {
   std::shared_ptr<const std::vector<Value>> decode_cache_vals_;
 
   Stats stats_;
-  bool started_ = false;
   bool test_accept_stale_ballots_ = false;
   /// Stable group identity for the audit oracle (hash of the member ids).
   std::uint64_t audit_group_ = 0;

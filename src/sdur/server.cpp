@@ -448,19 +448,18 @@ void Server::finalize(const PartTx& t, Version version, Outcome outcome) {
   const bool speculated =
       round != rounds_.end() && round->second.phase == Round::Phase::kSettled;
   const bool commit = outcome == Outcome::kCommit;
-  if (speculated) {
-    // The writes are already in the store at `version`: promote them (only
-    // now can a read observe them), or undo them mid-chain (entries behind
-    // the speculation may have committed at higher versions already).
-    if (commit) {
-      store_.promote(version);
-    } else {
-      store_.rollback(version);
-    }
-  } else if (commit) {
+  if (commit) {
     // Writes are applied at the version pre-assigned at certification;
-    // apply cost was already charged when the delivery was enqueued.
-    for (const auto& op : t.writes) store_.put(op.key, op.value, version);
+    // apply cost was already charged when the delivery was enqueued. A
+    // speculated global's writes may land below versions that entries
+    // behind it already committed.
+    for (const auto& op : t.writes) {
+      if (speculated) {
+        store_.insert(op.key, op.value, version);
+      } else {
+        store_.put(op.key, op.value, version);
+      }
+    }
   }
   const Version stable_before = cert_.stable();
   cert_.resolve(version, t.id, commit);
@@ -478,9 +477,6 @@ void Server::finalize(const PartTx& t, Version version, Outcome outcome) {
   }
   // Resolution may have advanced read frontiers either way.
   service_deferred_reads();
-  // Missed-promotion guard: no speculative version may sit at or below the
-  // resolved floor (audited + throws on violation).
-  if (speculated) store_.audit_spec_floor(cert_.stable());
   complete(t, outcome);
 }
 
@@ -545,12 +541,11 @@ Server::Stall Server::head_stall(Outcome& outcome) const {
   // P-DUR: nothing behind an in-flight head may complete either
   // (completion is in version order).
   if (!head.ready) return Stall::kCores;
-  // A local commits at once. Outstanding speculative versions never gate
-  // it: no read serves a key above an unresolved writer of that key, so
-  // nothing the local read depends on how the specs resolve (and its
-  // verdict is status-blind). Its writes land above theirs in version
-  // order; a later rollback erases mid-chain underneath them (see
-  // DESIGN.md).
+  // A local commits at once. Outstanding speculations never gate it: no
+  // read serves a key above an unresolved writer of that key, so nothing
+  // the local read depends on how they resolve (and its verdict is
+  // status-blind). A speculation that later commits inserts its writes
+  // below the local's in version order (see DESIGN.md).
   outcome = Outcome::kCommit;
   if (!head.tx.is_global()) return Stall::kNone;
   outcome = rounds_.at(head.tx.id).verdict();
@@ -589,13 +584,12 @@ void Server::drain_pending() {
     if (!cfg_.techniques.speculation) return;
     bool progress = false;
     // Chained speculation of global heads stalled on votes or on their
-    // threshold, in version order (MVStore requires per-key ascending
-    // puts): the entry leaves the pending list, so nothing behind it waits
-    // for its votes, and its threshold no longer matters (DESIGN.md
-    // "Speculative global commit").
+    // threshold: the entry leaves the pending list, its writes held in its
+    // round until finalize, so nothing behind it waits for its votes, and
+    // its threshold no longer matters (DESIGN.md "Speculative global
+    // commit").
     for (; stall == Stall::kVotes || stall == Stall::kThreshold; stall = head_stall(outcome)) {
       PendingEntry e = cert_.pop_head();
-      for (const auto& op : e.tx.writes) store_.put_speculative(op.key, op.value, e.version);
       // A threshold-stalled head already knows its verdict: settled at once.
       Round& r = enter_phase(
           e.tx, stall == Stall::kThreshold ? Round::Phase::kSettled : Round::Phase::kSpeculated,
@@ -880,7 +874,7 @@ void Server::answer_read(std::uint64_t reqid, sim::ProcessId client, Key key, Ve
   // Snapshot visibility, per key: no unresolved writer of this key sits at
   // or below the snapshot, and the returned version must be visible at it —
   // otherwise the client could observe a value that still changes under
-  // its snapshot (or speculative state that may roll back).
+  // its snapshot.
   SDUR_AUDIT_CHECK("server", "read-snapshot-visible", st <= cert_.read_frontier(key),
                    name() << " serves key " << key << " at snapshot " << st
                           << " above its read frontier " << cert_.read_frontier(key));
@@ -950,9 +944,8 @@ paxos::Value Server::encode_state() const {
   outcomes_.encode(w);
   // Speculative entries ride in the checkpoint only when the technique is
   // on: speculation-off blobs stay byte-identical to the legacy format
-  // (golden-digest pinned). The store blob above already carries the
-  // speculative versions inside the chains; this section lets install
-  // re-mark them in the undo log.
+  // (golden-digest pinned). Their writes are not in the store blob above;
+  // they travel here, with the transaction, until finalize applies them.
   if (cfg_.techniques.speculation) {
     const auto first = phase_begin(Round::Phase::kSpeculated);
     w.varint(static_cast<std::uint64_t>(std::distance(first, round_order_.end())));
@@ -989,18 +982,10 @@ void Server::install_state(const paxos::Value& blob) {
   };
   if (cfg_.techniques.speculation) {
     const std::uint64_t nspec = r.varint();
-    std::vector<Key> spec_keys;
     for (std::uint64_t i = 0; i < nspec; ++i) {
       const Version v = r.i64();
       const std::string tx_bytes = r.bytes();
       PartTx tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
-      // Re-mark the speculative versions in the freshly installed store so
-      // a later rollback still finds its undo records.
-      spec_keys.clear();
-      for (const auto& op : tx.writes) {
-        if (spec_keys.empty() || spec_keys.back() != op.key) spec_keys.push_back(op.key);
-      }
-      store_.mark_speculative(v, spec_keys);
       // The transaction goes in first: a vote that settles the round needs it.
       Round& round = rounds_[tx.id];
       round.tx = std::move(tx);

@@ -69,9 +69,9 @@ class Server : public sim::Process {
     std::uint64_t stale_votes_dropped = 0; // votes for already-completed transactions
     std::uint64_t bypassed_locals = 0;     // locals committed past pending entries (ooo_bypass)
     std::uint64_t parked_locals = 0;       // locals parked behind a pending write conflict
-    std::uint64_t speculated_globals = 0;  // globals applied speculatively before their votes
-    std::uint64_t spec_commits = 0;        // speculations finalized (versions promoted)
-    std::uint64_t spec_aborts = 0;         // speculations rolled back on a remote abort vote
+    std::uint64_t speculated_globals = 0;  // globals out of the pending list before their votes
+    std::uint64_t spec_commits = 0;        // speculations committed (writes applied at finalize)
+    std::uint64_t spec_aborts = 0;         // speculations aborted by a vote (nothing to undo)
 
     /// Field-wise sum (Deployment::total_stats). A new field must be added
     /// here too; tests/deployment_test.cpp fails on any field left out.
@@ -133,8 +133,7 @@ class Server : public sim::Process {
   /// completion. P-DUR defers it until the core work finished.
   void emit_verdict(const PartTx& t, Outcome vote);
   /// Resolves `t`'s slot at `version` (a removed pending entry or a
-  /// speculated global), applies, promotes or undoes its writes and
-  /// completes it.
+  /// speculated global), applies its writes on commit and completes it.
   void finalize(const PartTx& t, Version version, Outcome outcome);
   /// The completion epilogue of every transaction: audit record, abort
   /// count, outcome history, client reply, closing the round.
@@ -170,7 +169,7 @@ class Server : public sim::Process {
     enum class Phase : std::uint8_t {
       kVoting,      // not certified to commit here (yet): collects votes only
       kPending,     // certified to commit, waiting in the pending list
-      kSpeculated,  // out of the pending list, writes applied speculatively
+      kSpeculated,  // out of the pending list, writes held in `tx` until finalize
       kSettled,     // speculated with its verdict known: queued for finalize
     };
     Phase phase = Phase::kVoting;

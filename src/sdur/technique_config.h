@@ -79,15 +79,16 @@ struct TechniqueConfig {
   bool ooo_bypass = false;
 
   // --- Speculative global commit (DESIGN.md section of the same name) -----
-  /// Apply a global's writes as speculative versions as soon as local
-  /// certification passes, instead of parking the transaction in the
-  /// pending window until the remote votes arrive; finalize (promote +
-  /// reply) or roll back (mid-chain undo) when the votes land. No
-  /// cascade exists: a read of a key is never served at or above an
-  /// unresolved writer of that key (the per-key read frontier, which is
-  /// the protocol's read path, not a knob), so no transaction can observe
-  /// speculative state. Default off = bit-identical legacy behaviour
-  /// (golden-digest pinned in tests/speculation_test.cpp).
+  /// Take a global out of the pending window as soon as local
+  /// certification passes, instead of parking it there until the remote
+  /// votes arrive, so entries behind it need not wait; its writes stay in
+  /// its round until the votes land, when finalize applies them (commit)
+  /// or drops them (abort). No cascade exists: a read of a key is never
+  /// served at or above an unresolved writer of that key (the per-key
+  /// read frontier, which is the protocol's read path, not a knob), so no
+  /// transaction depends on how the speculation resolves. Default off =
+  /// bit-identical legacy behaviour (golden-digest pinned in
+  /// tests/speculation_test.cpp).
   bool speculation = false;
 
   bool operator==(const TechniqueConfig&) const = default;

@@ -50,12 +50,13 @@ std::size_t VersionChain::upper_bound(Version snapshot) const {
   return lo;
 }
 
-void VersionChain::erase(std::size_t i) {
+void VersionChain::insert(std::size_t i, VersionRef v) {
   if (i == 0) {
-    first_ = rest_.front();
-    i = 1;
+    rest_.insert(rest_.begin(), first_);
+    first_ = v;
+  } else {
+    rest_.insert(rest_.begin() + static_cast<std::ptrdiff_t>(i - 1), v);
   }
-  rest_.erase(rest_.begin() + static_cast<std::ptrdiff_t>(i - 1));
 }
 
 void VersionChain::drop_front(std::size_t n) {
@@ -107,53 +108,20 @@ void MVStore::put(Key k, std::string_view value, Version version) {
   ++versions_;
 }
 
-void MVStore::put_speculative(Key k, std::string_view value, Version version) {
-  put(k, value, version);
-  std::vector<Key>& ks = spec_log_[version];
-  // A transaction may write the same key twice (same-version overwrite in
-  // put); one undo record per key is enough.
-  if (ks.empty() || ks.back() != k) ks.push_back(k);
-}
-
-std::size_t MVStore::promote(Version version) {
-  return spec_log_.erase(version);
-}
-
-std::size_t MVStore::rollback(Version version) {
-  auto it = spec_log_.find(version);
-  if (it == spec_log_.end()) return 0;
-  std::size_t erased = 0;
-  for (Key k : it->second) {
-    const std::uint32_t* id = index_.find(k);
-    if (id == nullptr) continue;
-    VersionChain& chain = chains_[*id];
-    // The entry sits at upper_bound(version) - 1 if present; later
-    // committed versions of the key may follow it.
-    const std::size_t pos = chain.upper_bound(version);
-    if (pos == 0 || chain[pos - 1].version != version) continue;
-    if (chain.size() == 1) {
-      erase_chain(*id);
-    } else {
-      chain.erase(pos - 1);
-    }
-    --versions_;
-    ++erased;
+void MVStore::insert(Key k, std::string_view value, Version version) {
+  const std::uint32_t* id = index_.find(k);
+  if (id == nullptr || chains_[*id].back().version <= version) {
+    put(k, value, version);
+    return;
   }
-  spec_log_.erase(it);
-  return erased;
-}
-
-void MVStore::mark_speculative(Version version, const std::vector<Key>& ks) {
-  if (!ks.empty()) spec_log_[version] = ks;
-}
-
-void MVStore::audit_spec_floor(Version floor) const {
-  if (spec_log_.empty() || spec_log_.begin()->first > floor) return;
-  SDUR_AUDIT_CHECK("storage", "spec-floor", false,
-                   "speculative version " << spec_log_.begin()->first
-                                          << " at or below resolved floor " << floor
-                                          << " — a rollback or promote was missed");
-  throw std::logic_error("MVStore: speculative version below resolved floor");
+  VersionChain& chain = chains_[*id];
+  const std::size_t pos = chain.upper_bound(version);
+  if (pos > 0 && chain[pos - 1].version == version) {
+    chain.at(pos - 1).value = arena_.append(value);  // same-version overwrite
+    return;
+  }
+  chain.insert(pos, VersionRef{version, arena_.append(value)});
+  ++versions_;
 }
 
 void MVStore::truncate_above(Version horizon) {
@@ -169,7 +137,6 @@ void MVStore::truncate_above(Version horizon) {
       chain.truncate(keep);
     }
   }
-  spec_log_.erase(spec_log_.upper_bound(horizon), spec_log_.end());
   compact();
 }
 
@@ -249,7 +216,6 @@ void MVStore::install(util::Reader& r) {
   chains_.clear();
   arena_.reset();
   versions_ = 0;
-  spec_log_.clear();  // the installer re-marks from its own spec records
   const std::uint64_t nkeys = r.varint();
   index_.reserve(nkeys);
   chains_.reserve(nkeys);

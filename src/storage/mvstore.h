@@ -22,8 +22,8 @@
 //     {Version, std::string_view} into it, the first one held in the chain
 //     and only later ones spilled to a vector, so loading a key allocates
 //     nothing of its own.
-// Arena rule: bytes a version stops referencing (a rollback, a same-version
-// overwrite, a truncated or collected version) stay in the arena as garbage
+// Arena rule: bytes a version stops referencing (a same-version overwrite,
+// a truncated or collected version) stay in the arena as garbage
 // until the next gc() or truncate_above(), which then copy the live values
 // into one fresh block sized to fit — after either, the arena holds exactly
 // the live value bytes. install() starts from an empty arena.
@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -127,8 +126,9 @@ class VersionChain {
   friend class MVStore;
 
   VersionRef& last() { return rest_.empty() ? first_ : rest_.back(); }
-  /// Removes version `i`; the chain must keep at least one.
-  void erase(std::size_t i);
+  VersionRef& at(std::size_t i) { return i == 0 ? first_ : rest_[i - 1]; }
+  /// Inserts `v` before version `i` (i < size()).
+  void insert(std::size_t i, VersionRef v);
   /// Keeps the first `n` versions (1 <= n <= size()).
   void truncate(std::size_t n) { rest_.resize(n - 1); }
   /// Drops the first `n` versions (n < size()).
@@ -154,37 +154,17 @@ class MVStore {
   /// Bulk load at version 0 (initial database population).
   void load(Key k, std::string_view value) { put(k, value, 0); }
 
-  // --- Speculative versions (techniques.speculation; DESIGN.md
-  // "Speculative global commit") ---------------------------------------------
-  // A speculative put is a normal chain insert plus an undo-log record
-  // keyed by version: promote() discharges the record (the versions become
-  // permanent), rollback() erases the version from every written key's
-  // chain. Erasing mid-chain keeps per-key version order intact, so the
-  // version-order audit in put() stays authoritative. Legacy runs never
-  // call these and pay nothing.
+  /// Places `value` for `k` at `version` below any newer versions of the
+  /// key (a same-version write overwrites); put() when nothing newer
+  /// exists. A speculated global's writes land here once its votes commit
+  /// it, after later locals may already have written the key (DESIGN.md
+  /// "Speculative global commit").
+  void insert(Key k, std::string_view value, Version version);
 
-  /// put() plus an undo-log record for `version`.
-  void put_speculative(Key k, std::string_view value, Version version);
-
-  /// Makes every write at `version` permanent; returns the number of
-  /// undo-log records discharged (0 if `version` was never speculative).
-  std::size_t promote(Version version);
-
-  /// Erases every speculative write at `version` and discharges its
-  /// undo-log record; returns the number of chain entries removed.
-  std::size_t rollback(Version version);
-
-  /// Re-registers undo-log records without writing (checkpoint install:
-  /// the chains already carry the speculative versions).
-  void mark_speculative(Version version, const std::vector<Key>& ks);
-
-  /// Outstanding speculative versions.
-  std::size_t speculative_count() const { return spec_log_.size(); }
-
-  /// Every outstanding speculative version must be above `floor` — the
-  /// resolved (stable) prefix must never retain speculative state. A
-  /// violation means a rollback or promote was missed; audited and fatal.
-  void audit_spec_floor(Version floor) const;
+  /// Always 0: speculation never writes into the store before its votes.
+  /// perfbench/src/driver.cpp still calls it, and perfbench is kept
+  /// unchanged.
+  std::size_t speculative_count() const { return 0; }
 
   /// Drops every version newer than `horizon` (crash recovery rolls the
   /// store back to the initial load, then deliveries are replayed).
@@ -236,9 +216,6 @@ class MVStore {
   std::vector<VersionChain> chains_;
   ValueArena arena_;
   std::size_t versions_ = 0;
-  /// Undo log: speculative version -> keys written at it (ascending
-  /// version order; std::map so encode/iteration are deterministic).
-  std::map<Version, std::vector<Key>> spec_log_;
 };
 
 }  // namespace sdur::storage

@@ -60,8 +60,8 @@ enum class Point : std::uint8_t {
   kVotePiggyback,     // pending votes rode an outgoing message (aux: votes)
   kTxBypassed,        // local committed past pending entries (aux: entries leaped)
   kTxParked,          // local parked behind a pending conflict (aux: park bound)
-  kTxSpeculated,      // writes applied speculatively before the votes (aux: 1=global)
-  kTxSpecAbort,       // speculative versions rolled back (aux: version)
+  kTxSpeculated,      // global left the pending list before its votes (aux: 1=global)
+  kTxSpecAbort,       // speculated global aborted by its votes (aux: version)
   kPointCount,
 };
 

@@ -26,7 +26,7 @@ bool MVStore::speculate_slot(Version v) {
 }
 
 void MVStore::spec_floor_report(Version floor) const {
-  // Matches no hot pattern (the real audit_spec_floor throws by
+  // Matches no hot pattern (like an audit helper that throws by
   // contract and is deliberately not hot): identical constructs must
   // stay silent.
   KeySet copy = spec_log_.keys;  // negative: not a hot function

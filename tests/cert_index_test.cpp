@@ -268,7 +268,7 @@ TEST(CertifierIndex, InstallRebuildKeepsVerdicts) {
 }
 
 /// Read frontier: over random certify, out-of-order resolve (bypass,
-/// speculate then finalize/rollback) and install sequences, the indexed
+/// speculate then commit/abort) and install sequences, the indexed
 /// frontier equals a scan of an independent model of every certified
 /// slot, and a value served at its frontier never changes afterwards (no
 /// writer of the key at or below the frontier was still unresolved). The
@@ -355,7 +355,7 @@ TEST(CertifierReadFrontier, IndexMatchesModelAndServedValuesStayFinal) {
             }
             break;
           }
-          default:  // finalize or roll back any speculation
+          default:  // commit or abort any speculation
             if (!speculated.empty()) {
               const std::size_t i = static_cast<std::size_t>(rng() % speculated.size());
               const auto [v, id] = speculated[i];

@@ -113,7 +113,7 @@ ChaosOut run_chaos(const TechniqueConfig& techniques, std::uint32_t cores) {
   out.agree = replicas_agree(dep);
   for (Server* s : dep.servers()) {
     out.pending_total += s->pending_count();
-    out.spec_outstanding += s->store().speculative_count();
+    out.unresolved_slots += s->certified() - s->sc();
   }
   return out;
 }
@@ -123,21 +123,26 @@ namespace {
 /// Every technique at once (the `all-on` preset), on serial and on P-DUR
 /// replicas: the combination converges under the same chaos, and its
 /// digest pins the completion order of every technique together.
+/// Re-pinned once when speculated writes moved from the store into the
+/// round until finalize: checkpoints no longer carry unresolved speculated
+/// versions, so StateTransfer bytes shrank (serial 73351 -> 73300, four
+/// cores 158743 -> 158726); replica state and every other counter are
+/// unchanged.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
   EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
-  EXPECT_EQ(r.spec_outstanding, 0u) << "no speculative version outlived its votes";
+  EXPECT_EQ(r.unresolved_slots, 0) << "no speculation outlived its votes";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
 #if SDUR_AUDIT_ON
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xa88ff8078a0b7e4cULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x9c734f79a9405dc4ULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x9c71830cda639a1bULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x6c9fa6e45dcd1c0fULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

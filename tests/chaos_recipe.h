@@ -24,8 +24,9 @@ struct ChaosOut {
   /// Every partition's replicas ended byte-identical (replicas_agree).
   bool agree = false;
   std::size_t pending_total = 0;
-  /// Speculative versions left in the stores.
-  std::size_t spec_outstanding = 0;
+  /// Certified but unresolved version slots, summed over every replica
+  /// (certified() - sc()): a speculation or pending entry never resolved.
+  std::int64_t unresolved_slots = 0;
 };
 
 std::uint64_t digest_writer(const util::Writer& w);

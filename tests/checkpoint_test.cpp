@@ -5,8 +5,10 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "sdur/deployment.h"
+#include "util/bytes.h"
 #include "workload/driver.h"
 #include "workload/microbench.h"
 
@@ -141,11 +143,12 @@ TEST(CertifierCheckpoint, EncodeInstallRoundTrip) {
 struct CheckpointFixture {
   std::unique_ptr<Deployment> dep;
 
-  explicit CheckpointFixture(sim::Time checkpoint_interval) {
+  explicit CheckpointFixture(sim::Time checkpoint_interval, ServerConfig server = {}) {
     DeploymentSpec spec;
     spec.partitions = 2;
     spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
     spec.log_write_latency = sim::usec(200);
+    spec.server = std::move(server);
     spec.server.checkpoint_interval = checkpoint_interval;
     dep = std::make_unique<Deployment>(spec);
     for (Key k = 0; k < 50; ++k) dep->load(k, "a" + std::to_string(k));
@@ -244,6 +247,94 @@ TEST(ServerCheckpoint, LaggingReplicaGetsStateTransfer) {
   ASSERT_EQ(f.update(c, {40, 41}, "gen3"), Outcome::kCommit);
   f.run_for(sim::sec(2));
   EXPECT_EQ(lagger.store().get_latest(40)->value, "gen3");
+}
+
+/// Encoded store of a replica, for byte-for-byte comparison.
+util::Bytes store_bytes(const Server& s) {
+  util::Writer w;
+  s.store().encode(w);
+  return std::move(w).take();
+}
+
+TEST(ServerCheckpoint, StateTransferCarriesSpeculatedGlobalUntilItsVotesArrive) {
+  ServerConfig server;
+  server.techniques.speculation = true;
+  CheckpointFixture f(sim::msec(300), server);
+  f.run_for(sim::msec(400));
+
+  // Replica (0,2) is cut off, so it can only learn of the global from a
+  // state transfer.
+  Server& lagger = f.dep->server(0, 2);
+  f.dep->network().isolate(lagger.self());
+
+  Client& g = f.dep->add_client(0);
+  Outcome global = Outcome::kUnknown;
+  g.begin();
+  g.read_many({1, 1001}, [&](auto) {
+    g.write(1, "global");
+    g.write(1001, "global");
+    g.commit([&](Outcome o) { global = o; });
+  });
+  // Withhold partition 1's votes: the moment partition 1 decides the
+  // global, before it certifies and votes, cut it off from partition 0.
+  const auto p1_decided = [&] {
+    std::uint64_t n = 0;
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      n += f.dep->server(1, r).engine().stats().decided_instances;
+    }
+    return n;
+  };
+  const std::uint64_t decided_before = p1_decided();
+  for (int step = 0; step < 100000 && p1_decided() == decided_before; ++step) {
+    f.run_for(sim::usec(1));
+  }
+  ASSERT_GT(p1_decided(), decided_before);
+  for (std::uint32_t a = 0; a < 3; ++a) {
+    for (std::uint32_t b = 0; b < 3; ++b) {
+      f.dep->network().block_link(f.dep->server(0, a).self(), f.dep->server(1, b).self());
+    }
+  }
+  f.run_for(sim::msec(500));
+  Server& donor = f.dep->server(0, 0);
+  ASSERT_GT(donor.stats().speculated_globals, 0u);
+  ASSERT_LT(donor.sc(), donor.certified()) << "the speculated global's slot is unresolved";
+
+  // A blind write commits key 1 above the speculated global, then locals
+  // commit until checkpoints truncate the log past the global.
+  Client& c = f.dep->add_client(0);
+  Outcome blind = Outcome::kUnknown;
+  c.begin();
+  c.write(1, "blind");
+  c.commit([&](Outcome o) { blind = o; });
+  f.run_for(sim::msec(200));
+  ASSERT_EQ(blind, Outcome::kCommit);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(f.update(c, {static_cast<Key>(10 + i)}, "local"), Outcome::kCommit);
+  }
+  ASSERT_GT(donor.engine().log().first_retained(), 0u);
+
+  f.dep->network().heal(lagger.self());
+  f.run_for(sim::sec(3));
+  ASSERT_GT(lagger.engine().stats().state_transfers_installed, 0u);
+  EXPECT_LT(lagger.sc(), lagger.certified()) << "the installed global still waits on its votes";
+  EXPECT_EQ(store_bytes(lagger), store_bytes(donor)) << "no replica holds the global's writes";
+  EXPECT_EQ(global, Outcome::kUnknown);
+
+  f.dep->network().heal_all();
+  f.run_for(sim::sec(10));
+  EXPECT_EQ(global, Outcome::kCommit);
+  EXPECT_GT(lagger.stats().spec_commits, 0u) << "the installed round finalized the commit";
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    const Server& s = f.dep->server(0, r);
+    EXPECT_EQ(s.sc(), s.certified()) << "replica " << r;
+    EXPECT_EQ(store_bytes(s), store_bytes(lagger)) << "replica " << r;
+    // The global's write sits below the blind write that committed first.
+    const auto* chain = s.store().versions_of(1);
+    ASSERT_NE(chain, nullptr);
+    ASSERT_EQ(chain->size(), 3u) << "replica " << r;
+    EXPECT_EQ((*chain)[1].value, "global") << "replica " << r;
+    EXPECT_EQ(chain->back().value, "blind") << "replica " << r;
+  }
 }
 
 TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {

@@ -320,25 +320,37 @@ TEST(MVStore, RollbackEmptyingAMiddleChainKeepsEveryKeyReadable) {
     s.put(k, v, version);
     model[k][version] = v;
   };
+  const auto truncate_model_above = [&](Version horizon) {
+    for (auto it = model.begin(); it != model.end();) {
+      it->second.erase(it->second.upper_bound(horizon), it->second.end());
+      it = it->second.empty() ? model.erase(it) : std::next(it);
+    }
+  };
   for (Key k = 0; k < 8; ++k) put(k, "init" + std::to_string(k), 0);
-  s.put_speculative(100, "spec", 3);  // a new key, in the middle of the chain vector
+  put(100, "doomed", 3);  // a new key, in the middle of the chain vector
   for (Key k = 200; k < 208; ++k) put(k, "late" + std::to_string(k), 2);
   for (Key k = 0; k < 8; k += 2) {
     for (Version v = 4; v <= 6; ++v) put(k, "v" + std::to_string(v), v);  // spilled chains
   }
-  EXPECT_EQ(s.rollback(3), 1u);
+  // Rolling back to version 2 empties key 100's chain: the last chain is
+  // swapped into its hole.
+  s.truncate_above(2);
+  truncate_model_above(2);
   expect_matches(s, model, 7);
   // The chain moved into the hole is still reachable for writes.
   put(207, "after", 8);
   put(100, "reborn", 9);
-  expect_matches(s, model, 10);
+  for (Key k = 0; k < 8; k += 2) {
+    for (Version v = 10; v <= 12; ++v) put(k, "v" + std::to_string(v), v);
+  }
+  expect_matches(s, model, 13);
   // GC drops several versions from the front of a spilled chain at once.
-  s.gc(5);
+  s.gc(11);
   for (auto& [k, versions] : model) {
-    const auto keep = versions.upper_bound(5);
+    const auto keep = versions.upper_bound(11);
     if (keep != versions.begin()) versions.erase(versions.begin(), std::prev(keep));
   }
-  expect_matches(s, model, 10);
+  expect_matches(s, model, 13);
 }
 
 TEST(MVStore, TruncateAboveDropsSpeculativeNewKeysAndKeepsTheRest) {
@@ -348,20 +360,58 @@ TEST(MVStore, TruncateAboveDropsSpeculativeNewKeysAndKeepsTheRest) {
     s.load(k, "init" + std::to_string(k));
     model[k][0] = "init" + std::to_string(k);
   }
-  s.put_speculative(100, "spec", 1);
-  s.put_speculative(101, "spec", 1);
+  s.put(100, "new", 1);  // keys that exist only above the horizon
+  s.put(101, "new", 1);
   for (Key k = 4; k < 8; ++k) {
     s.load(k, "init" + std::to_string(k));
     model[k][0] = "init" + std::to_string(k);
   }
-  s.put_speculative(5, "spec", 2);
-  s.put_speculative(102, "spec", 2);
+  s.put(5, "new", 2);
+  s.put(102, "new", 2);
   s.put(1, "committed", 3);
   s.truncate_above(0);
-  EXPECT_EQ(s.speculative_count(), 0u);
   EXPECT_EQ(s.version_count(), 8u);
   expect_matches(s, model, 4);
   EXPECT_EQ(s.arena_bytes(), live_value_bytes(s)) << "truncation compacts the arena";
+}
+
+TEST(MVStore, InsertPlacesBelowNewerVersions) {
+  MVStore s;
+  Model model;
+  const auto put = [&](Key k, const std::string& v, Version version) {
+    s.put(k, v, version);
+    model[k][version] = v;
+  };
+  const auto insert = [&](Key k, const std::string& v, Version version) {
+    s.insert(k, v, version);
+    model[k][version] = v;
+  };
+  put(1, "a0", 0);
+  put(1, "a5", 5);
+  put(1, "a9", 9);
+  insert(1, "a3", 3);  // between older and newer versions
+  insert(1, "a7", 7);
+  put(2, "b4", 4);
+  insert(2, "b1", 1);  // at the front of a one-version chain
+  put(3, "c2", 2);
+  put(3, "c6", 6);
+  insert(3, "c1", 1);   // at the front of a spilled chain
+  insert(4, "d3", 3);   // an absent key
+  insert(1, "a5+", 5);  // same-version overwrite below a newer version
+  insert(3, "c1+", 1);  // same-version overwrite at the front
+  insert(2, "b4+", 4);  // same-version overwrite of the newest: put()
+  insert(1, "a10", 10);  // nothing newer: put()
+  expect_matches(s, model, 12);
+  std::size_t versions = 0;
+  for (const auto& [k, vs] : model) versions += vs.size();
+  EXPECT_EQ(s.version_count(), versions);
+
+  // put() stays strict: a regression below the newest version still throws.
+  audit::Auditor::instance().reset();
+  EXPECT_THROW(s.put(1, "late", 8), std::logic_error);
+  EXPECT_THROW(s.put(2, "late", 1), std::logic_error);
+  audit::Auditor::instance().reset();
+  expect_matches(s, model, 12);
 }
 
 TEST(MVStore, ArenaStaysWithinTwiceLiveBytesAcrossGcCycles) {
@@ -374,8 +424,6 @@ TEST(MVStore, ArenaStaysWithinTwiceLiveBytesAcrossGcCycles) {
       s.put(k, std::string(64, '?'), cycle);
       s.put(k, value, cycle);  // same-version overwrite: garbage
     }
-    s.put_speculative(kKeys, value, cycle + 1);
-    s.rollback(cycle + 1);  // rolled back: garbage
     s.gc(cycle);
     const std::size_t live = live_value_bytes(s);
     EXPECT_EQ(live, kKeys * 64) << "one live version per key after gc";
@@ -413,8 +461,6 @@ TEST(MVStore, EncodeInstallRoundTripsSpilledAndSpeculativeChains) {
   for (Version v = 1; v <= 5; ++v) {
     for (Key k = 0; k < 16; k += 3) s.put(k, "v" + std::to_string(v), v);  // spilled
   }
-  std::vector<Key> spec_keys = {1, 3, 50, 51};
-  for (Key k : spec_keys) s.put_speculative(k, "spec", 6);
   util::Writer w1;
   s.encode(w1);
 
@@ -426,15 +472,6 @@ TEST(MVStore, EncodeInstallRoundTripsSpilledAndSpeculativeChains) {
   util::Writer w2;
   t.encode(w2);
   EXPECT_EQ(w1.data(), w2.data());
-
-  // The installed copy resolves the speculation exactly like the original.
-  t.mark_speculative(6, spec_keys);
-  EXPECT_EQ(s.rollback(6), spec_keys.size());
-  EXPECT_EQ(t.rollback(6), spec_keys.size());
-  util::Writer a, b;
-  s.encode(a);
-  t.encode(b);
-  EXPECT_EQ(a.data(), b.data());
 }
 
 }  // namespace

@@ -29,8 +29,10 @@ park_on_insert, park_bound, unpark_on_removal, next_bypassable,
 park_rebuild) runs on every delivery and every pending-head completion;
 the speculative global commit path (anything starting with
 `speculate`/`finalize`/`rollback`, under src/sdur/ and src/storage/:
-MVStore::rollback, and Server::finalize, which resolves every certified
-transaction's slot) runs per speculated global and per completion; and
+Server::finalize, which resolves every certified transaction's slot and
+applies a committed speculation's writes; no rollback* function exists
+any more, the prefix stays so that one cannot return unchecked) runs
+per speculated global and per completion; and
 the read frontier (anything
 containing `frontier` under src/sdur/: read_frontier, scan_frontier)
 runs once per served read. Under src/trace/ the
@@ -84,11 +86,11 @@ def _is_hot(name: str, rel: str) -> bool:
         return True
     # The speculative-global-commit path (src/sdur/ + src/storage/):
     # speculate* helpers run once per eligible pending-list head (the head
-    # speculation itself lives in drain_pending, above), rollback* once
-    # per vote resolution (MVStore::rollback walks every written key's
-    # chain) and Server::finalize once per completed transaction — see
-    # DESIGN.md "Speculative global commit".
-    # audit_spec_floor is deliberately NOT hot: it throws by contract.
+    # speculation itself lives in drain_pending, above) and
+    # Server::finalize once per completed transaction — see DESIGN.md
+    # "Speculative global commit". rollback* matches nothing today (an
+    # aborted speculation has nothing to undo); a future undo path would
+    # run once per vote resolution.
     if (rel.startswith(("src/sdur/", "src/storage/"))
             and name.startswith(("speculate", "finalize", "rollback"))):
         return True

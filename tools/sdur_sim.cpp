@@ -267,7 +267,7 @@ int main(int argc, char** argv) {
   }
 
   if (r.servers.speculated_globals > 0) {
-    std::printf("speculation: speculated=%llu finalized=%llu rolled-back=%llu\n",
+    std::printf("speculation: speculated=%llu committed=%llu aborted=%llu\n",
                 static_cast<unsigned long long>(r.servers.speculated_globals),
                 static_cast<unsigned long long>(r.servers.spec_commits),
                 static_cast<unsigned long long>(r.servers.spec_aborts));
