@@ -39,9 +39,13 @@ int main() {
       std::snprintf(label, sizeof(label), "         globals");
       print_class_row(label, r, "global");
       if (threshold > 0) {
-        std::printf("  %-28s reordered=%llu of %llu local commits\n", "",
+        // Both counted at completion, summed over every replica.
+        const std::uint64_t locals = r.servers.committed_local;
+        std::printf("  %-28s reordered=%llu of %llu local commits (%.1f%%)\n", "",
                     static_cast<unsigned long long>(r.servers.reordered),
-                    static_cast<unsigned long long>(r.servers.committed_local));
+                    static_cast<unsigned long long>(locals),
+                    locals == 0 ? 0.0 : 100.0 * static_cast<double>(r.servers.reordered) /
+                                             static_cast<double>(locals));
       }
     }
   }

@@ -79,12 +79,11 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
 
   result.outcome = Outcome::kCommit;
   result.position = position;
-  result.reordered = position < pl_.size();
   result.version = ++cc_;
   window_.push(result.version,
                Slot{t.id, t.is_global(), SlotStatus::kPending, t.readset, t.write_keys});
   pl_.insert(pl_.begin() + static_cast<std::ptrdiff_t>(position),
-             PendingEntry{t, rt, result.version});
+             PendingEntry{t, rt, result.version, position < pl_.size()});
   // Park gate before registering t as an unresolved writer: t must not
   // probe its own writes.
   if (ooo_bypass_ && !t.is_global()) park_on_insert(position, t, result);

@@ -69,6 +69,9 @@ struct PendingEntry {
   PartTx tx;
   std::uint64_t rt = 0;  // reorder threshold: complete only once dc >= rt
   Version version = 0;   // version pre-assigned at certification
+  /// A local that leaped at least one pending global (counted when it
+  /// commits). Not serialized.
+  bool reordered = false;
 
   /// P-DUR: false while the transaction's simulated core work is still in
   /// flight; the pending list never completes an entry (not even a
@@ -109,8 +112,6 @@ class Certifier {
     std::size_t position = 0;
     /// Version assigned to the transaction (only when committed).
     Version version = 0;
-    /// True if a local transaction leaped at least one pending global.
-    bool reordered = false;
     /// True if the abort was caused by the snapshot falling out of the
     /// certification window.
     bool stale_snapshot = false;

@@ -14,7 +14,7 @@ Client::Client(sim::Network& net, sim::ProcessId pid, sim::Location loc, ClientC
 
 void Client::begin() {
   tx_ = Transaction{};
-  tx_.id = (static_cast<TxId>(self()) << 32) | next_seq_++;
+  tx_.id = make_tx_id(self(), next_seq_++);
   tx_.client = self();
   read_only_ = false;
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxBegin, tx_.id, now(), 0);

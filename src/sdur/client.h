@@ -84,7 +84,6 @@ class Client : public sim::Process {
 
   /// Id of the in-flight transaction.
   TxId current_txid() const { return tx_.id; }
-  bool read_only() const { return read_only_; }
 
   struct Stats {
     std::uint64_t reads = 0;
@@ -104,7 +103,7 @@ class Client : public sim::Process {
   ClientConfig cfg_;
   Transaction tx_;
   bool read_only_ = false;
-  std::uint64_t next_seq_ = 1;
+  std::uint32_t next_seq_ = 1;
   std::uint64_t next_reqid_ = 1;
 
   struct PendingRead {

@@ -9,7 +9,7 @@
 namespace sdur {
 
 namespace {
-constexpr std::size_t kHistoryLength = 200'000;  // own votes / outcomes kept
+constexpr std::size_t kHistoryLength = 200'000;  // outcomes kept
 
 /// Paxos value kind for this server's abcast payloads is the PartTx kind
 /// byte; nothing extra is needed.
@@ -39,6 +39,7 @@ Server::Stats& Server::Stats::operator+=(const Stats& o) {
   speculated_globals += o.speculated_globals;
   spec_commits += o.spec_commits;
   spec_aborts += o.spec_aborts;
+  late_first_deliveries += o.late_first_deliveries;
   return *this;
 }
 
@@ -133,7 +134,7 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
     }
     case msgtype::kVoteRequest: {
       const auto msg = VoteRequestMsg::decode(r);
-      if (const Outcome* v = own_votes_.find(msg.id)) {
+      if (const Outcome* v = own_vote(msg.id)) {
         send(from, maybe_piggyback(from, VoteMsg{msg.id, cfg_.partition, *v}.to_message()));
       }
       break;
@@ -159,37 +160,37 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
 
 // --- Submission (Algorithm 2, submit) ---------------------------------------
 
-const Outcome* Server::History::find(TxId id) const {
-  const auto it = map.find(id);
-  return it == map.end() ? nullptr : &it->second;
-}
-
-bool Server::History::record(TxId id, Outcome o) {
-  if (!map.try_emplace(id, o).second) return false;
-  order.push_back(id);
-  while (order.size() > kHistoryLength) {
-    map.erase(order.front());
-    order.pop_front();
+void Server::History::record(TxId id, Outcome o) {
+  if (!index.try_emplace(id, o).second) return;
+  if (ring.size() < kHistoryLength) {
+    ring.push_back(id);
+    return;
   }
-  return true;
+  index.erase(ring[oldest]);
+  ring[oldest] = id;
+  oldest = (oldest + 1) % ring.size();
 }
 
 void Server::History::encode(util::Writer& w) const {
-  w.varint(order.size());
-  for (TxId id : order) {
+  w.varint(ring.size());
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    const TxId id = ring[(oldest + i) % ring.size()];
     w.u64(id);
-    w.u8(static_cast<std::uint8_t>(map.at(id)));
+    w.u8(static_cast<std::uint8_t>(*index.find(id)));
   }
 }
 
 void Server::History::install(util::Reader& r) {
   *this = History{};
-  const std::uint64_t n = r.varint();
-  for (std::uint64_t i = 0; i < n; ++i) {
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
     const TxId id = r.u64();
-    map[id] = static_cast<Outcome>(r.u8());
-    order.push_back(id);
+    record(id, static_cast<Outcome>(r.u8()));
   }
+}
+
+bool Server::delivered(TxId id) const {
+  const auto s = sessions_.find(tx_client(id));
+  return outcomes_.find(id) != nullptr || (s != sessions_.end() && s->second.is_open(tx_seq(id)));
 }
 
 void Server::handle_commit_request(Transaction tx) {
@@ -202,7 +203,7 @@ void Server::handle_commit_request(Transaction tx) {
   // Duplicate commit request for a transaction still in flight here:
   // dropping it is safe — the original submission is still being driven
   // by the Paxos resubmission machinery.
-  if (seen_.contains(tx.id)) return;
+  if (delivered(tx.id)) return;
   // partitions(t): every partition with a non-bottom snapshot entry; since
   // there are no blind writes, written partitions were also read.
   std::vector<PartitionId> involved;
@@ -335,21 +336,29 @@ void Server::process_delivery(PartTx t) {
       break;
 
     case PartTx::Kind::kAbortRequest: {
-      if (seen_.contains(t.id)) {
+      if (delivered(t.id)) {
         // The transaction did reach this partition; our vote may have been
         // lost — resend it instead of aborting (Section IV-F: act on
         // whichever of {transaction, abort request} is delivered first).
-        if (const Outcome* v = own_votes_.find(t.id)) send_vote_to_peers(t.id, t.involved, *v);
+        if (const Outcome* v = own_vote(t.id)) send_vote_to_peers(t.id, t.involved, *v);
       } else {
-        poisoned_.insert(t.id);
+        // Raising the floor makes a later delivery of the transaction late.
+        Session& s = sessions_[tx_client(t.id)];
+        s.last = std::max(s.last, tx_seq(t.id));
         cast_own_vote(t.id, t.involved, Outcome::kAbort);
       }
       break;
     }
 
     case PartTx::Kind::kTxn: {
-      if (seen_.contains(t.id)) break;  // duplicate after leader change
-      seen_.insert(t.id);
+      if (delivered(t.id)) break;  // duplicate after leader change
+      // At or below the floor, the client moved on or an abort request came
+      // first: vote abort uncertified (dropping it would stall the others).
+      Session& s = sessions_[tx_client(t.id)];
+      const std::uint32_t seq = tx_seq(t.id);
+      const bool late = seq <= s.last;
+      s.last = std::max(s.last, seq);
+      s.open.push_back(seq);
       const std::uint64_t rt = dc_ + cfg_.techniques.reorder_threshold;
       Outcome vote = Outcome::kAbort;
       Certifier::Result res;
@@ -357,11 +366,12 @@ void Server::process_delivery(PartTx t) {
       // The Certifier attributes its per-lane conflict-check instants to
       // this delivery via the tracer context.
       SDUR_TRACE_SET_CONTEXT(trace_track_, t.id, now());
-      if (!poisoned_.contains(t.id)) {
+      if (late) {
+        ++stats_.late_first_deliveries;
+      } else {
         res = cert_.process(t, rt, dc_);
         vote = res.outcome;
         if (res.stale_snapshot) ++stats_.stale_snapshot_aborts;
-        if (res.reordered) ++stats_.reordered;
         if (vote == Outcome::kCommit) {
           if (t.is_global()) {
             enter_phase(t, Round::Phase::kPending, res.version).last_vote_resend = now();
@@ -491,6 +501,10 @@ void Server::complete(const PartTx& t, Outcome outcome) {
   SDUR_AUDIT_NOTE(now(), name() << " completed tx " << t.id << " -> " << to_string(outcome));
   if (outcome == Outcome::kAbort) ++stats_.aborted;
   outcomes_.record(t.id, outcome);
+  // (No session when a state transfer replaced the table mid P-DUR work.)
+  if (const auto s = sessions_.find(tx_client(t.id)); s != sessions_.end()) {
+    std::erase(s->second.open, tx_seq(t.id));
+  }
   const auto round = rounds_.find(t.id);
   if (t.contact == self() && t.client != 0) {
     if (round != rounds_.end() && round->second.phase != Round::Phase::kVoting) {
@@ -563,6 +577,7 @@ void Server::drain_pending() {
     Stall stall = head_stall(outcome);
     for (; stall == Stall::kNone; stall = head_stall(outcome)) {
       const PendingEntry e = cert_.pop_head();
+      if (e.reordered) ++stats_.reordered;
       finalize(e.tx, e.version, outcome);
     }
     // If the partition goes idle the delivery counter would never reach
@@ -577,6 +592,7 @@ void Server::drain_pending() {
          pos = cert_.next_bypassable(pos)) {
       const PendingEntry e = cert_.take_at(pos);
       ++stats_.bypassed_locals;
+      if (e.reordered) ++stats_.reordered;
       SDUR_TRACE_INSTANT(trace_track_, trace::Point::kTxBypassed, e.tx.id, now(),
                          static_cast<std::uint64_t>(pos));
       finalize(e.tx, e.version, Outcome::kCommit);
@@ -652,7 +668,7 @@ void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
     // Re-push our vote (it may have been lost) and pull the votes we are
     // missing (the peers may have completed long ago, e.g. if this
     // replica recovered from a crash and lost its vote table).
-    if (const Outcome* own = own_votes_.find(id)) send_vote_to_peers(id, r.involved, *own);
+    if (const Outcome* own = r.vote(cfg_.partition)) send_vote_to_peers(id, r.involved, *own);
     for (PartitionId part : r.involved) {
       if (part == cfg_.partition || r.vote(part) != nullptr) continue;
       const sim::Message req = VoteRequestMsg{id}.to_message();
@@ -690,8 +706,13 @@ void Server::record_vote(TxId id, PartitionId partition, Outcome vote) {
   }
 }
 
+const Outcome* Server::own_vote(TxId id) const {
+  const auto r = rounds_.find(id);
+  return r != rounds_.end() ? r->second.vote(cfg_.partition) : outcomes_.find(id);
+}
+
 void Server::cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v) {
-  if (own_votes_.record(id, v)) {
+  if (rounds_[id].vote(cfg_.partition) == nullptr) {
     // One vote per (transaction, partition), identical across the
     // partition's replicas — votes may only differ *between* partitions.
     SDUR_AUDIT(audit::Oracle::instance().record_vote(
@@ -725,7 +746,7 @@ bool Server::handle_vote(TxId id, PartitionId partition, Outcome vote) {
   // with its epilogue still on the cores). Stale votes open no round.
   const auto it = rounds_.find(id);
   const bool live = it != rounds_.end() && it->second.phase != Round::Phase::kVoting;
-  if (!live && seen_.contains(id)) {
+  if (!live && delivered(id)) {
     ++stats_.stale_votes_dropped;
     return false;
   }
@@ -932,30 +953,19 @@ paxos::Value Server::encode_state() const {
   store_.encode(w);
   cert_.encode(w);
   w.u64(dc_);
-  // Sets are serialized sorted so a checkpoint is a canonical function of
-  // the replica's deterministic state, byte-identical across replicas.
-  for (const std::unordered_set<TxId>* set : {&seen_, &poisoned_}) {
-    std::vector<TxId> ids(set->begin(), set->end());
-    std::sort(ids.begin(), ids.end());
-    w.varint(ids.size());
-    for (TxId id : ids) w.u64(id);
-  }
-  own_votes_.encode(w);
+  w.varint(sessions_.size());
+  for (const auto& entry : sessions_) util::encode(w, entry);  // client, last, open
   outcomes_.encode(w);
-  // Speculative entries ride in the checkpoint only when the technique is
-  // on: speculation-off blobs stay byte-identical to the legacy format
-  // (golden-digest pinned). Their writes are not in the store blob above;
-  // they travel here, with the transaction, until finalize applies them.
-  if (cfg_.techniques.speculation) {
-    const auto first = phase_begin(Round::Phase::kSpeculated);
-    w.varint(static_cast<std::uint64_t>(std::distance(first, round_order_.end())));
-    for (auto it = first; it != round_order_.end(); ++it) {
-      const Round& r = rounds_.at(it->second);
-      w.i64(r.version);
-      const util::Bytes tx = r.tx.encode();
-      w.bytes(tx);
-      w.u64(r.rt);
-    }
+  // Speculated globals: their writes are not in the store blob above; they
+  // travel here, with the transaction, until finalize applies them.
+  const auto first = phase_begin(Round::Phase::kSpeculated);
+  w.varint(static_cast<std::uint64_t>(std::distance(first, round_order_.end())));
+  for (auto it = first; it != round_order_.end(); ++it) {
+    const Round& r = rounds_.at(it->second);
+    w.i64(r.version);
+    const util::Bytes tx = r.tx.encode();
+    w.bytes(tx);
+    w.u64(r.rt);
   }
   return std::move(w).take();
 }
@@ -965,33 +975,29 @@ void Server::install_state(const paxos::Value& blob) {
   store_.install(r);
   cert_.install(r);
   dc_ = r.u64();
-  for (std::unordered_set<TxId>* set : {&seen_, &poisoned_}) {
-    set->clear();
-    const std::uint64_t n = r.varint();
-    for (std::uint64_t i = 0; i < n; ++i) set->insert(r.u64());
+  sessions_.clear();
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    sessions_.insert(util::decode<std::pair<sim::ProcessId, Session>>(r));
   }
-  own_votes_.install(r);
   outcomes_.install(r);
-  // Rounds reopen for the restored globals, seeded with our own votes;
-  // peer votes are re-fetched by the vote-request repair in liveness_tick.
+  // Rounds reopen for the restored globals, seeded with our own vote (a
+  // pending or speculated global was certified to commit here); peer
+  // votes are re-fetched by the vote-request repair in liveness_tick.
   rounds_.clear();
   round_order_.clear();
   auto reopen = [this](const PartTx& t, Round::Phase phase, Version v) {
     enter_phase(t, phase, v);
-    if (const Outcome* own = own_votes_.find(t.id)) record_vote(t.id, cfg_.partition, *own);
+    record_vote(t.id, cfg_.partition, Outcome::kCommit);
   };
-  if (cfg_.techniques.speculation) {
-    const std::uint64_t nspec = r.varint();
-    for (std::uint64_t i = 0; i < nspec; ++i) {
-      const Version v = r.i64();
-      const std::string tx_bytes = r.bytes();
-      PartTx tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
-      // The transaction goes in first: a vote that settles the round needs it.
-      Round& round = rounds_[tx.id];
-      round.tx = std::move(tx);
-      round.rt = r.u64();
-      reopen(round.tx, Round::Phase::kSpeculated, v);
-    }
+  for (std::uint64_t n = r.varint(); n > 0; --n) {
+    const Version v = r.i64();
+    const std::string tx_bytes = r.bytes();
+    PartTx tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
+    // The transaction goes in first: a vote that settles the round needs it.
+    Round& round = rounds_[tx.id];
+    round.tx = std::move(tx);
+    round.rt = r.u64();
+    reopen(round.tx, Round::Phase::kSpeculated, v);
   }
   // Restored entries are ready: their core work happened before the
   // checkpoint (the checkpoint itself carries the resulting state).
@@ -1020,9 +1026,7 @@ void Server::on_recover() {
   dc_ = 0;
   rounds_.clear();
   round_order_.clear();
-  poisoned_.clear();
-  seen_.clear();
-  own_votes_ = History{};
+  sessions_.clear();
   outcomes_ = History{};
   std::fill(gsc_.begin(), gsc_.end(), 0);
   last_gossiped_sc_ = -1;

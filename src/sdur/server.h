@@ -32,7 +32,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "paxos/engine.h"
 #include "pdur/executor.h"
@@ -41,6 +40,7 @@
 #include "sdur/messages.h"
 #include "sdur/partitioning.h"
 #include "sim/process.h"
+#include "storage/flat_table.h"
 #include "storage/mvstore.h"
 #include "trace/trace.h"
 
@@ -54,7 +54,7 @@ class Server : public sim::Process {
     std::uint64_t committed_global = 0;
     std::uint64_t aborted = 0;
     std::uint64_t stale_snapshot_aborts = 0;  // snapshot fell out of window
-    std::uint64_t reordered = 0;              // locals that leaped >=1 global
+    std::uint64_t reordered = 0;              // committed locals that leaped >=1 global
     std::uint64_t ticks_sent = 0;
     std::uint64_t abort_requests_sent = 0;
     std::uint64_t reads_served = 0;
@@ -72,6 +72,7 @@ class Server : public sim::Process {
     std::uint64_t speculated_globals = 0;  // globals out of the pending list before their votes
     std::uint64_t spec_commits = 0;        // speculations committed (writes applied at finalize)
     std::uint64_t spec_aborts = 0;         // speculations aborted by a vote (nothing to undo)
+    std::uint64_t late_first_deliveries = 0;  // first deliveries at or below the floor: abort
 
     /// Field-wise sum (Deployment::total_stats). A new field must be added
     /// here too; tests/deployment_test.cpp fails on any field left out.
@@ -107,6 +108,13 @@ class Server : public sim::Process {
   const storage::MVStore& store() const { return store_; }
   paxos::PaxosEngine& engine() { return *engine_; }
   const ServerConfig& config() const { return cfg_; }
+  /// Deduplication state sizes: clients with a session, outcomes kept.
+  std::size_t session_count() const { return sessions_.size(); }
+  std::size_t outcome_count() const { return outcomes_.ring.size(); }
+
+  /// Serializes the server's deterministic state (store, certifier,
+  /// sessions, outcomes, speculated rounds) into a checkpoint blob.
+  paxos::Value encode_state() const;
 
   /// TEST-ONLY access to the certifier, used by audit tests to inject a
   /// certification bug on a single replica (tests/audit_test.cpp).
@@ -208,6 +216,9 @@ class Server : public sim::Process {
   /// speculated round's verdict moves it to kSettled, where the completion
   /// loop finds it without rescanning unsettled speculations.
   void record_vote(TxId id, PartitionId partition, Outcome vote);
+  /// This partition's vote for `id`, or null: the round's while it is
+  /// open, the outcome once complete (abort for an aborted global).
+  const Outcome* own_vote(TxId id) const;
   /// Records this partition's vote (first one only) and sends it.
   void cast_own_vote(TxId id, const std::vector<PartitionId>& involved, Outcome v);
   void send_vote_to_peers(TxId id, const std::vector<PartitionId>& involved, Outcome v);
@@ -244,9 +255,6 @@ class Server : public sim::Process {
   void service_deferred_reads();
 
   // --- Checkpointing ----------------------------------------------------------
-  /// Serializes the server's deterministic state (store, certifier, dedup
-  /// and vote tables, counters) into a checkpoint blob.
-  paxos::Value encode_state() const;
   /// Replaces the server's state from a checkpoint blob (recovery / state
   /// transfer). Votes for pending globals are re-fetched via vote requests.
   void install_state(const paxos::Value& blob);
@@ -270,29 +278,37 @@ class Server : public sim::Process {
   /// Delivered rounds in liveness visit order: pending (pending-list
   /// order is version order for globals), then speculated, by version.
   std::map<std::pair<Round::Phase, Version>, TxId> round_order_;
-  /// Abort requests delivered before their transaction.
-  std::unordered_set<TxId> poisoned_;
-  /// Delivered transaction ids (dedup across leader-change re-broadcasts).
-  std::unordered_set<TxId> seen_;
-  /// A bounded FIFO history of per-transaction outcomes, carried in
-  /// checkpoints in insertion order.
+  // --- Deduplication (see DESIGN.md "Deduplication") ---------------------------
+  /// One client's transactions here: `last`, the highest seq delivered or
+  /// abort-requested here, and the seqs delivered here not complete yet.
+  struct Session {
+    std::uint32_t last = 0;
+    std::vector<std::uint32_t> open;
+    bool is_open(std::uint32_t seq) const { return std::ranges::count(open, seq) > 0; }
+    static auto fields(auto& m) { return std::tie(m.last, m.open); }
+  };
+  /// Sessions by tx_client(id), ordered so checkpoints encode them sorted.
+  std::map<sim::ProcessId, Session> sessions_;
+  /// True once `id` was delivered here: open in its session or complete.
+  bool delivered(TxId id) const;
+
+  /// The last kHistoryLength final outcomes: a ring in completion order
+  /// (the checkpoint order), indexed by a FlatTable.
   struct History {
-    std::unordered_map<TxId, Outcome> map;
-    std::deque<TxId> order;
-    const Outcome* find(TxId id) const;
-    /// Records `o` unless `id` is present (evicting the oldest entry past
-    /// the bound); true when recorded.
-    bool record(TxId id, Outcome o);
+    std::vector<TxId> ring;
+    std::size_t oldest = 0;  // ring index of the oldest entry once full
+    storage::FlatTable<Outcome> index;
+    const Outcome* find(TxId id) const { return index.find(id); }
+    /// Records `o` unless `id` is present, evicting the oldest entry past
+    /// the bound.
+    void record(TxId id, Outcome o);
     void encode(util::Writer& w) const;
     void install(util::Reader& r);
   };
-  /// Own votes for globals, kept after completion so they can be resent.
-  History own_votes_;
-  /// Final outcomes of completed transactions. Deterministic (every
-  /// replica completes every transaction with the same outcome), so it is
-  /// recorded on all replicas, carried in checkpoints, and used to answer
-  /// duplicate commit requests (client retries after a lost outcome
-  /// message) without re-executing.
+  /// Final outcomes of completed transactions. Every replica completes a
+  /// transaction with the same outcome, so checkpoints carry them; they
+  /// answer client retries after a lost outcome message and vote requests
+  /// after completion, and mark a transaction delivered.
   History outcomes_;
 
   /// Latest known snapshot counters of all partitions (gossip).

@@ -31,6 +31,12 @@ using storage::Version;
 using PartitionId = std::uint32_t;
 using TxId = std::uint64_t;
 
+/// A TxId is the submitting client's process id in the high 32 bits and
+/// that client's transaction sequence number in the low 32 bits.
+constexpr TxId make_tx_id(sim::ProcessId pid, std::uint32_t seq) { return (TxId{pid} << 32) | seq; }
+constexpr sim::ProcessId tx_client(TxId id) { return static_cast<sim::ProcessId>(id >> 32); }
+constexpr std::uint32_t tx_seq(TxId id) { return static_cast<std::uint32_t>(id); }
+
 /// Version value representing bottom (no read at that partition yet).
 constexpr Version kNoSnapshot = -1;
 

@@ -48,25 +48,6 @@ class Histogram {
   std::vector<std::uint64_t> buckets_;
 };
 
-/// Accumulates a named group of counters for an experiment run.
-struct Counters {
-  std::uint64_t committed = 0;
-  std::uint64_t aborted = 0;
-  std::uint64_t certification_aborts = 0;
-  std::uint64_t reordered = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t message_bytes = 0;
-
-  void merge(const Counters& o) {
-    committed += o.committed;
-    aborted += o.aborted;
-    certification_aborts += o.certification_aborts;
-    reordered += o.reordered;
-    messages += o.messages;
-    message_bytes += o.message_bytes;
-  }
-};
-
 /// Formats a microsecond value as milliseconds with one decimal ("32.6").
 std::string format_ms(std::int64_t micros);
 

@@ -62,12 +62,6 @@ std::uint64_t Recorder::total_committed() const {
   return n;
 }
 
-std::uint64_t Recorder::total_aborted() const {
-  std::uint64_t n = 0;
-  for (const auto& [cls, st] : classes_) n += st.aborted;
-  return n;
-}
-
 double RunResult::throughput(const std::string& cls) const {
   if (duration_sec <= 0) return 0;
   std::uint64_t n = 0;

@@ -29,7 +29,6 @@ class Recorder {
     begin_ = begin;
     end_ = end;
   }
-  sim::Time window_begin() const { return begin_; }
 
   void record(const std::string& cls, Outcome outcome, sim::Time latency, sim::Time now);
 
@@ -52,7 +51,6 @@ class Recorder {
   double throughput(const std::string& cls = "") const;
 
   std::uint64_t total_committed() const;
-  std::uint64_t total_aborted() const;
 
  private:
   sim::Time begin_ = 0;

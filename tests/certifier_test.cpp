@@ -52,7 +52,7 @@ TEST_F(CertifierTest, LocalCommitsOnFreshDatabase) {
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_EQ(r.position, 0u);
   EXPECT_EQ(r.version, 1);
-  EXPECT_FALSE(r.reordered);
+  EXPECT_FALSE(cert.at(r.position).reordered);
 }
 
 TEST_F(CertifierTest, LocalAbortsOnStaleRead) {
@@ -178,7 +178,7 @@ TEST_F(CertifierTest, LocalLeapsPendingGlobal) {
   const auto r = deliver(make_tx(2, false, {2}, {2}, 0), 10);
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_EQ(r.position, 0u) << "local should leap the pending global";
-  EXPECT_TRUE(r.reordered);
+  EXPECT_TRUE(cert.at(r.position).reordered);
   EXPECT_EQ(r.version, 2) << "versions stay delivery-ordered";
   EXPECT_EQ(cert.head().tx.id, 2u);
 }
@@ -188,7 +188,7 @@ TEST_F(CertifierTest, BaselineThresholdZeroNeverLeaps) {
   const auto r = deliver(make_tx(2, false, {2}, {2}, 0), 0);
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_EQ(r.position, 1u) << "with R=0 the global already reached its threshold";
-  EXPECT_FALSE(r.reordered);
+  EXPECT_FALSE(cert.at(r.position).reordered);
 }
 
 TEST_F(CertifierTest, NoLeapPastGlobalAtThreshold) {
@@ -197,12 +197,12 @@ TEST_F(CertifierTest, NoLeapPastGlobalAtThreshold) {
   // other replicas, so leaping would be non-deterministic.
   deliver(make_tx(1, true, {1}, {1}, 0), 2);
   const auto r2 = deliver(make_tx(2, false, {2}, {2}, 0), 2);  // dc=2 <= rt=3
-  EXPECT_TRUE(r2.reordered);
+  EXPECT_TRUE(cert.at(r2.position).reordered);
   const auto r3 = deliver(make_tx(3, false, {3}, {3}, 0), 2);  // dc=3 == rt: still ok
-  EXPECT_TRUE(r3.reordered);
+  EXPECT_TRUE(cert.at(r3.position).reordered);
   const auto r4 = deliver(make_tx(4, false, {4}, {4}, 0), 2);  // dc=4 > rt=3
   EXPECT_EQ(r4.outcome, Outcome::kCommit);
-  EXPECT_FALSE(r4.reordered) << "global passed its reorder threshold";
+  EXPECT_FALSE(cert.at(r4.position).reordered) << "global passed its reorder threshold";
   EXPECT_EQ(r4.position, cert.size() - 1);
 }
 
@@ -214,7 +214,7 @@ TEST_F(CertifierTest, LeapMustNotInvalidateGlobalVote) {
   const auto r = deliver(make_tx(2, false, {5, 6}, {5, 6}, 0), 10);
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_EQ(r.position, 1u) << "append allowed, leap forbidden";
-  EXPECT_FALSE(r.reordered);
+  EXPECT_FALSE(cert.at(r.position).reordered);
 }
 
 TEST_F(CertifierTest, StaleReadAgainstPendingGlobalAborts) {
@@ -241,7 +241,7 @@ TEST_F(CertifierTest, LeftmostValidPositionChosen) {
   const auto r = deliver(make_tx(3, false, {3}, {3}, 0), 50);
   EXPECT_EQ(r.outcome, Outcome::kCommit);
   EXPECT_EQ(r.position, 1u);
-  EXPECT_TRUE(r.reordered);
+  EXPECT_TRUE(cert.at(r.position).reordered);
   EXPECT_EQ(cert.at(0).tx.id, 1u);
   EXPECT_EQ(cert.at(1).tx.id, 3u);
   EXPECT_EQ(cert.at(2).tx.id, 2u);

@@ -394,5 +394,55 @@ TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {
   EXPECT_TRUE(checker.check(&why)) << why;
 }
 
+/// The deduplication state a checkpoint carries is bounded. On the
+/// sdur_sim defaults (LAN, 2 partitions, 64 closed-loop clients, 10%
+/// globals) with 5 s checkpoints, the bytes beside the store and the
+/// certifier sections are no larger at 120 s than at 60 s, when the
+/// outcome history is already full; every delivered id used to ride in
+/// every checkpoint. (The store is bounded by GC and the certifier by its
+/// window capacity; their bytes vary with the keys their slots hold.) One
+/// replica per partition keeps the two simulated minutes short: the state
+/// is per replica.
+TEST(ServerCheckpoint, DedupStateStaysBoundedUnderSteadyLoad) {
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.replicas = 1;
+  spec.partitioning = workload::MicroWorkload::make_partitioning(2, 100'000);
+  spec.server.checkpoint_interval = sim::sec(5);
+  Deployment dep(spec);
+
+  workload::RunConfig cfg;
+  cfg.clients = 64;
+  cfg.settle = sim::msec(1200);
+  cfg.warmup = sim::sec(1);
+  cfg.measure = sim::sec(120) - cfg.settle - cfg.warmup;
+  workload::MicroWorkload wl(workload::MicroConfig{});
+
+  auto dedup_bytes = [&dep, &cfg] {
+    std::vector<std::size_t> out;
+    for (Server* s : dep.servers()) {
+      util::Writer store;
+      s->store().encode(store);
+      util::Writer cert;
+      s->certifier_for_test().encode(cert);
+      out.push_back(s->encode_state().size() - store.data().size() - cert.data().size());
+      EXPECT_EQ(s->session_count(), cfg.clients) << s->name();
+    }
+    return out;
+  };
+  std::vector<std::size_t> at_60s;
+  dep.simulator().schedule_at(sim::sec(60), [&] {
+    for (Server* s : dep.servers()) EXPECT_EQ(s->outcome_count(), 200'000u) << s->name();
+    at_60s = dedup_bytes();
+  });
+  workload::run_experiment(dep, wl, cfg);
+  const std::vector<std::size_t> at_120s = dedup_bytes();
+
+  ASSERT_EQ(at_60s.size(), at_120s.size());
+  for (std::size_t i = 0; i < at_120s.size(); ++i) {
+    EXPECT_LE(at_120s[i], at_60s[i]) << dep.servers()[i]->name();
+  }
+}
+
 }  // namespace
 }  // namespace sdur

@@ -370,11 +370,17 @@ namespace e2e {
 /// Re-pinned once when reads moved from the stable prefix to the per-key
 /// read frontier (DESIGN.md "Per-key read frontier"): fresher snapshots
 /// commit 84 transactions here instead of 60.
-constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
+/// Re-pinned once when the checkpoint's dedup sections became the
+/// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
+/// replica state and every other counter are unchanged.
+constexpr std::uint64_t kLegacyDigest = 6737276438419678913ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 /// Digest of the bypass-on run: pins the out-of-order completion order,
 /// which feeds the send order and so the fabric RNG.
-constexpr std::uint64_t kBypassOnDigest = 0x86c604665ba521a0ULL;
+/// Re-pinned once for the session-table checkpoint format: StateTransfer
+/// bytes shrank (67995 -> 60699); replica state and every other counter
+/// are unchanged.
+constexpr std::uint64_t kBypassOnDigest = 0xe463e913f3dc0de4ULL;
 
 using chaos::ChaosOut;
 

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "audit/audit.h"
 #include "sdur/deployment.h"
 
 namespace sdur {
@@ -369,6 +370,84 @@ TEST(Server, AbortRequestResolvesHalfSubmittedGlobal) { run_half_submitted_globa
 
 TEST(Server, AbortRequestRollsBackHalfSubmittedSpeculatedGlobal) {
   run_half_submitted_global(true);
+}
+
+/// A client gives up on global s after its commit timeout and moves on.
+/// Its contact, partition 1's leader, holds its own partition's broadcast
+/// of s back for the fixed delay, so the client's next transaction s+1
+/// reaches partition 1 first. Partition 1 then delivers s below the
+/// client's floor: it votes abort without certifying, and every partition
+/// completes s as abort (certified, s would commit after its successor).
+TEST(Server, LateFirstDeliveryAbortsAtEveryPartition) {
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
+  spec.server.techniques.delaying_enabled = true;
+  spec.server.techniques.fixed_delay = sim::sec(2);
+  spec.client.commit_timeout = sim::sec(1);
+  Fixture f(spec);
+  f.settle();
+  Client& c = f.dep->add_client(1);
+
+  // Reading partition 1 first makes it the primary: the contact is there.
+  Outcome first = Outcome::kCommit;
+  c.begin();
+  c.read(1001, [&](bool, const std::string&) {
+    c.read(1, [&](bool, const std::string&) {
+      c.write(1001, "late");
+      c.write(1, "late");
+      c.commit([&](Outcome o) { first = o; });
+    });
+  });
+  f.run_for(sim::msec(1500));
+  ASSERT_EQ(first, Outcome::kUnknown) << "the client timed out on s";
+  EXPECT_EQ(f.update(c, {1002}, "next"), Outcome::kCommit) << "s+1, a local of partition 1";
+
+  EXPECT_EQ(f.read_latest(1, 1002), "next");
+  for (PartitionId p = 0; p < 2; ++p) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const Server& s = f.dep->server(p, r);
+      EXPECT_EQ(s.stats().aborted, 1u) << s.name() << " completes s as abort";
+      EXPECT_EQ(s.stats().late_first_deliveries, p == 1 ? 1u : 0u) << s.name();
+      EXPECT_EQ(s.pending_count(), 0u) << s.name();
+      EXPECT_EQ(s.sc(), s.certified()) << s.name();
+      EXPECT_EQ(s.store().get_latest(p == 0 ? 1 : 1001)->version, 0) << s.name();
+    }
+  }
+  f.assert_replicas_converged();
+#if SDUR_AUDIT_ON
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+#endif
+}
+
+/// The contact re-broadcasts a retried commit request it has not
+/// delivered yet, so with retries faster than a Paxos round the same
+/// TxId is decided several times at both partitions. Only the first
+/// delivery is certified and applied; the others are dropped.
+TEST(Server, DuplicateDeliveryIsCertifiedAndAppliedOnce) {
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
+  spec.client.commit_retry_interval = sim::usec(100);
+  Fixture f(spec);
+  f.settle();
+  Client& c = f.dep->add_client(0);
+  ASSERT_EQ(f.update(c, {1, 1001}, "once"), Outcome::kCommit);
+
+  for (PartitionId p = 0; p < 2; ++p) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const Server& s = f.dep->server(p, r);
+      EXPECT_GT(s.stats().delivered, 1u) << s.name() << " delivered a duplicate";
+      EXPECT_EQ(s.certified(), 1) << s.name() << " certified one transaction";
+      EXPECT_EQ(s.stats().committed_global, 1u) << s.name();
+      EXPECT_EQ(s.stats().aborted, 0u) << s.name();
+      EXPECT_EQ(s.store().versions_of(p == 0 ? 1 : 1001)->size(), 2u) << s.name();
+    }
+  }
+  f.assert_replicas_converged();
+#if SDUR_AUDIT_ON
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+#endif
 }
 
 TEST(Server, CrashedReplicaRecoversAndConverges) {

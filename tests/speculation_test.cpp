@@ -190,15 +190,19 @@ namespace e2e {
 /// Re-pinned once when reads moved from the stable prefix to the per-key
 /// read frontier (DESIGN.md "Per-key read frontier"): fresher snapshots
 /// commit 84 transactions here instead of 60.
-constexpr std::uint64_t kLegacyDigest = 171193667431517724ULL;
+/// Re-pinned once when the checkpoint's dedup sections became the
+/// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
+/// replica state and every other counter are unchanged.
+constexpr std::uint64_t kLegacyDigest = 6737276438419678913ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 /// Digest of the speculation-on run: pins the speculation and finalize
 /// order, which feeds the send order and so the fabric RNG.
 /// Re-pinned once when speculated writes moved from the store into the
 /// round until finalize: checkpoints no longer carry unresolved speculated
 /// versions, so StateTransfer bytes shrank (55915 -> 55847); replica
-/// state and every other counter are unchanged.
-constexpr std::uint64_t kSpeculationOnDigest = 0x8e15c73c253e5b2fULL;
+/// state and every other counter are unchanged. Re-pinned again for the
+/// session-table checkpoint format (55847 -> 49071), on the same terms.
+constexpr std::uint64_t kSpeculationOnDigest = 0x6fcc5c2b4e300422ULL;
 
 using chaos::ChaosOut;
 

@@ -8,6 +8,7 @@
 //   sdur_sim --deployment wan2 --workload social --techniques reorder=20 --auto-load
 //   sdur_sim --deployment lan --partitions 8 --workload micro --seconds 20
 //            --zipf 0.99 --csv out.csv
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -272,6 +273,17 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.servers.spec_commits),
                 static_cast<unsigned long long>(r.servers.spec_aborts));
   }
+
+  // Dedup state is per replica: print the largest.
+  std::size_t sessions = 0;
+  std::size_t outcomes = 0;
+  for (const Server* s : dep.servers()) {
+    sessions = std::max(sessions, s->session_count());
+    outcomes = std::max(outcomes, s->outcome_count());
+  }
+  std::printf("dedup: late-first-deliveries=%llu sessions=%zu outcomes=%zu (max per replica)\n",
+              static_cast<unsigned long long>(r.servers.late_first_deliveries), sessions,
+              outcomes);
 
   if (r.servers.votes_batched + r.servers.votes_piggybacked > 0) {
     std::printf("votes: batches=%llu batched=%llu piggybacked=%llu stale-dropped=%llu\n",
