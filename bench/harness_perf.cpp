@@ -43,42 +43,30 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-struct FabricMetrics {
-  const char* section;
-  double wall_sec = 0;
-  std::uint64_t events = 0;
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t bytes_sent = 0;
-  sim::FabricCounters counters;
-};
-
-void report_metrics(const FabricMetrics& m) {
-  const double events_per_sec = static_cast<double>(m.events) / m.wall_sec;
-  const double msgs_per_sec = static_cast<double>(m.messages_sent) / m.wall_sec;
-  std::printf(
-      "  %-15s wall=%6.2fs  events=%10" PRIu64 " (%10.0f/s)  msgs=%9" PRIu64
-      " (%9.0f/s)\n"
-      "  %-15s payload deep-copies=%" PRIu64 " (%.1f MB)  shares=%" PRIu64
-      "  fn inline=%" PRIu64 "  fn heap=%" PRIu64 "\n",
-      m.section, m.wall_sec, m.events, events_per_sec, m.messages_sent, msgs_per_sec, "",
-      m.counters.payload_deep_copies,
-      static_cast<double>(m.counters.payload_bytes_copied) / 1e6, m.counters.payload_shares,
-      m.counters.fn_inline, m.counters.fn_heap_allocs);
+/// Prints and exports one section's host rates, its network totals and
+/// the fabric counters it accumulated since the last reset.
+void report_metrics(const char* section, double wall_sec, std::uint64_t events,
+                    const sim::NetworkStats& net) {
+  const double events_per_sec = static_cast<double>(events) / wall_sec;
+  const double msgs_per_sec = static_cast<double>(net.messages_sent) / wall_sec;
+  std::printf("  %-15s wall=%6.2fs  events=%10" PRIu64 " (%10.0f/s)  msgs=%9" PRIu64
+              " (%9.0f/s)\n  %-15s",
+              section, wall_sec, events, events_per_sec, net.messages_sent, msgs_per_sec, "");
+  sim::fabric_counters().for_each([](const char* name, std::uint64_t v) {
+    std::printf(" %s=%" PRIu64, name, v);
+  });
+  std::printf("\n");
   if (auto* rep = report()) {
-    rep->row()
-        .str("section", m.section)
-        .num("wall_sec", m.wall_sec)
-        .num("events", static_cast<double>(m.events))
-        .num("events_per_sec", events_per_sec)
-        .num("messages_sent", static_cast<double>(m.messages_sent))
-        .num("messages_per_sec", msgs_per_sec)
-        .num("bytes_sent", static_cast<double>(m.bytes_sent))
-        .num("payload_deep_copies", static_cast<double>(m.counters.payload_deep_copies))
-        .num("payload_bytes_copied", static_cast<double>(m.counters.payload_bytes_copied))
-        .num("payload_shares", static_cast<double>(m.counters.payload_shares))
-        .num("fn_inline", static_cast<double>(m.counters.fn_inline))
-        .num("fn_heap_allocs", static_cast<double>(m.counters.fn_heap_allocs));
+    auto& row = rep->row()
+                    .str("section", section)
+                    .num("wall_sec", wall_sec)
+                    .num("events", static_cast<double>(events))
+                    .num("events_per_sec", events_per_sec)
+                    .num("messages_sent", static_cast<double>(net.messages_sent))
+                    .num("messages_per_sec", msgs_per_sec)
+                    .num("bytes_sent", static_cast<double>(net.bytes_sent));
+    sim::fabric_counters().for_each(
+        [&](const char* name, std::uint64_t v) { row.num(name, static_cast<double>(v)); });
   }
 }
 
@@ -134,7 +122,7 @@ class Hub : public sim::Process {
   std::uint64_t ticks_ = 0;
 };
 
-FabricMetrics run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Time horizon) {
+void run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Time horizon) {
   sim::Simulator sim;
   sim::Topology topo = sim::Topology::ec2_three_regions();
   topo.set_jitter(0.05);
@@ -154,21 +142,13 @@ FabricMetrics run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Tim
   const auto t0 = Clock::now();
   hub.start();
   sim.run();
-  FabricMetrics m;
-  m.section = "fabric_storm";
-  m.wall_sec = seconds_since(t0);
-  m.events = sim.events_processed();
-  m.messages_sent = net.stats().messages_sent;
-  m.messages_delivered = net.stats().messages_delivered;
-  m.bytes_sent = net.stats().bytes_sent;
-  m.counters = sim::fabric_counters();
-  return m;
+  report_metrics("fabric_storm", seconds_since(t0), sim.events_processed(), net.stats());
 }
 
 // --- Section 2: message-heavy SDUR deployment --------------------------------
 
-FabricMetrics run_e2e(const char* section, const TechniqueConfig& techniques,
-                      std::uint32_t cores, std::uint32_t clients, sim::Time measure) {
+void run_e2e(const char* section, const TechniqueConfig& techniques, std::uint32_t cores,
+             std::uint32_t clients, sim::Time measure) {
   MicroSetup s;
   s.techniques = techniques;
   s.pdur_cores = cores;
@@ -199,20 +179,13 @@ FabricMetrics run_e2e(const char* section, const TechniqueConfig& techniques,
   sim::fabric_counters().reset();
   const auto t0 = Clock::now();
   const RunResult r = workload::run_experiment(*dep, wl, cfg);
-  FabricMetrics m;
-  m.section = section;
-  m.wall_sec = seconds_since(t0);
-  m.events = dep->simulator().events_processed();
-  m.messages_sent = dep->network().stats().messages_sent;
-  m.messages_delivered = dep->network().stats().messages_delivered;
-  m.bytes_sent = dep->network().stats().bytes_sent;
-  m.counters = sim::fabric_counters();
+  const double wall_sec = seconds_since(t0);
   std::printf("  %-15s sim tput=%.0f tps (sanity: committed work was done)\n", "",
               r.throughput());
   if (auto* rep = report()) {
     rep->row().str("section", std::string(section) + "_sim").num("tput_tps", r.throughput());
   }
-  return m;
+  report_metrics(section, wall_sec, dep->simulator().events_processed(), dep->network().stats());
 }
 
 }  // namespace
@@ -233,7 +206,7 @@ int main(int argc, char** argv) {
   {
     // 16-way fan-out, 1 KB payloads, one broadcast per 100 simulated us.
     const sdur::sim::Time horizon = smoke ? sdur::sim::msec(200) : sdur::sim::sec(4);
-    report_metrics(run_storm(/*spokes=*/16, /*payload_size=*/1024, horizon));
+    run_storm(/*spokes=*/16, /*payload_size=*/1024, horizon);
   }
   {
     const sdur::sim::Time measure = smoke ? sdur::sim::msec(300) : sdur::sim::sec(4);
@@ -247,8 +220,8 @@ int main(int argc, char** argv) {
                         {"sdur_e2e_all_on", "all-on", 1},
                         {"sdur_e2e_pdur4", "baseline", 4}};
     for (const Row& row : rows) {
-      report_metrics(run_e2e(row.section, *sdur::TechniqueConfig::preset(row.preset), row.cores,
-                             clients, measure));
+      run_e2e(row.section, *sdur::TechniqueConfig::preset(row.preset), row.cores, clients,
+              measure);
     }
   }
   return 0;

@@ -38,8 +38,22 @@
 #include "paxos/types.h"
 #include "sim/endpoint.h"
 #include "trace/trace.h"
+#include "util/counters.h"
 
 namespace sdur::paxos {
+
+#define SDUR_PAXOS_COUNTER_LIST(X) \
+  X(proposed_batches)              \
+  X(decided_instances)             \
+  X(delivered_values)              \
+  X(leader_elections)              \
+  X(nacks)                         \
+  X(resends)                       \
+  X(checkpoints)                   \
+  X(state_transfers_sent)          \
+  X(state_transfers_installed)     \
+  X(decode_cache_hits)             \
+  X(decode_cache_misses)
 
 class PaxosEngine {
  public:
@@ -103,17 +117,7 @@ class PaxosEngine {
   const DurableLog& log() const { return *log_; }
 
   struct Stats {
-    std::uint64_t proposed_batches = 0;
-    std::uint64_t decided_instances = 0;
-    std::uint64_t delivered_values = 0;
-    std::uint64_t leader_elections = 0;
-    std::uint64_t nacks = 0;
-    std::uint64_t resends = 0;
-    std::uint64_t checkpoints = 0;
-    std::uint64_t state_transfers_sent = 0;
-    std::uint64_t state_transfers_installed = 0;
-    std::uint64_t decode_cache_hits = 0;
-    std::uint64_t decode_cache_misses = 0;
+    SDUR_COUNTERS(Stats, SDUR_PAXOS_COUNTER_LIST)
   };
   const Stats& stats() const { return stats_; }
 

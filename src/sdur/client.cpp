@@ -32,6 +32,7 @@ void Client::begin_read_only(ReadyCallback ready) {
 void Client::schedule_snapshot_retry(std::uint64_t reqid) {
   set_timer(cfg_.read_retry_interval, [this, reqid] {
     if (!pending_snapshots_.contains(reqid)) return;
+    ++stats_.read_retries;
     send(cfg_.snapshot_server, SnapshotReqMsg{reqid}.to_message());
     schedule_snapshot_retry(reqid);
   });
@@ -67,6 +68,7 @@ void Client::schedule_read_retry(std::uint64_t reqid) {
   set_timer(cfg_.read_retry_interval, [this, reqid] {
     auto it = pending_reads_.find(reqid);
     if (it == pending_reads_.end()) return;
+    ++stats_.read_retries;
     send(it->second.target, ReadReqMsg{reqid, it->second.key, it->second.snapshot}.to_message());
     schedule_read_retry(reqid);
   });

@@ -26,8 +26,16 @@
 #include "sdur/partitioning.h"
 #include "sim/process.h"
 #include "trace/trace.h"
+#include "util/counters.h"
 
 namespace sdur {
+
+#define SDUR_CLIENT_COUNTER_LIST(X)                                            \
+  X(reads)                                                                     \
+  X(commits_requested)                                                         \
+  X(commit_retries)                                                            \
+  X(timeouts)                                                                  \
+  X(read_retries) /* read and snapshot requests re-sent (no answer in time) */
 
 struct ClientConfig {
   PartitioningPtr partitioning;
@@ -86,10 +94,7 @@ class Client : public sim::Process {
   TxId current_txid() const { return tx_.id; }
 
   struct Stats {
-    std::uint64_t reads = 0;
-    std::uint64_t commits_requested = 0;
-    std::uint64_t commit_retries = 0;
-    std::uint64_t timeouts = 0;
+    SDUR_COUNTERS(Stats, SDUR_CLIENT_COUNTER_LIST)
   };
   const Stats& stats() const { return stats_; }
 

@@ -15,34 +15,6 @@ constexpr std::size_t kHistoryLength = 200'000;  // outcomes kept
 /// byte; nothing extra is needed.
 }  // namespace
 
-Server::Stats& Server::Stats::operator+=(const Stats& o) {
-  delivered += o.delivered;
-  committed_local += o.committed_local;
-  committed_global += o.committed_global;
-  aborted += o.aborted;
-  stale_snapshot_aborts += o.stale_snapshot_aborts;
-  reordered += o.reordered;
-  ticks_sent += o.ticks_sent;
-  abort_requests_sent += o.abort_requests_sent;
-  reads_served += o.reads_served;
-  reads_routed += o.reads_routed;
-  reads_deferred += o.reads_deferred;
-  reads_above_stable += o.reads_above_stable;
-  pdur_single_core += o.pdur_single_core;
-  pdur_cross_core += o.pdur_cross_core;
-  vote_batches_sent += o.vote_batches_sent;
-  votes_batched += o.votes_batched;
-  votes_piggybacked += o.votes_piggybacked;
-  stale_votes_dropped += o.stale_votes_dropped;
-  bypassed_locals += o.bypassed_locals;
-  parked_locals += o.parked_locals;
-  speculated_globals += o.speculated_globals;
-  spec_commits += o.spec_commits;
-  spec_aborts += o.spec_aborts;
-  late_first_deliveries += o.late_first_deliveries;
-  return *this;
-}
-
 Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerConfig cfg,
                paxos::GroupConfig paxos_cfg, PartitioningPtr partitioning)
     : sim::Process(net, pid, "server-p" + std::to_string(cfg.partition) + "-" +

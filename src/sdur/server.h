@@ -43,40 +43,42 @@
 #include "storage/flat_table.h"
 #include "storage/mvstore.h"
 #include "trace/trace.h"
+#include "util/counters.h"
 
 namespace sdur {
 
+#define SDUR_SERVER_COUNTER_LIST(X)                                                   \
+  X(delivered)                                                                        \
+  X(committed_local)                                                                  \
+  X(committed_global)                                                                 \
+  X(aborted)                                                                          \
+  X(stale_snapshot_aborts)  /* snapshot fell out of window */                         \
+  X(reordered)              /* committed locals that leaped >=1 global */             \
+  X(ticks_sent)                                                                       \
+  X(abort_requests_sent)                                                              \
+  X(reads_served)                                                                     \
+  X(reads_routed)                                                                     \
+  X(reads_deferred)                                                                   \
+  X(reads_above_stable)     /* reads served above the stable prefix */                \
+  X(pdur_single_core)       /* txns homed on one core (P-DUR fast path) */            \
+  X(pdur_cross_core)        /* txns that paid the cross-core barrier */               \
+  X(vote_batches_sent)      /* VoteBatchMsg flushes (per destination replica) */      \
+  X(votes_batched)          /* votes carried by explicit batch flushes */             \
+  X(votes_piggybacked)      /* votes that rode existing traffic for free */           \
+  X(stale_votes_dropped)    /* votes for already-completed transactions */            \
+  X(bypassed_locals)        /* locals committed past pending entries (ooo_bypass) */  \
+  X(parked_locals)          /* locals parked behind a pending write conflict */       \
+  X(speculated_globals)     /* globals out of the pending list before their votes */  \
+  X(spec_commits)           /* speculations committed (writes applied at finalize) */ \
+  X(spec_aborts)            /* speculations aborted by a vote (nothing to undo) */    \
+  X(late_first_deliveries)  /* first deliveries at or below the floor: abort */
+
 class Server : public sim::Process {
  public:
+  /// Per-replica counters, listed once in SDUR_SERVER_COUNTER_LIST: `+=`
+  /// (Deployment::total_stats) and `for_each` (sdur_sim) derive from it.
   struct Stats {
-    std::uint64_t delivered = 0;
-    std::uint64_t committed_local = 0;
-    std::uint64_t committed_global = 0;
-    std::uint64_t aborted = 0;
-    std::uint64_t stale_snapshot_aborts = 0;  // snapshot fell out of window
-    std::uint64_t reordered = 0;              // committed locals that leaped >=1 global
-    std::uint64_t ticks_sent = 0;
-    std::uint64_t abort_requests_sent = 0;
-    std::uint64_t reads_served = 0;
-    std::uint64_t reads_routed = 0;
-    std::uint64_t reads_deferred = 0;
-    std::uint64_t reads_above_stable = 0;  // reads served above the stable prefix
-    std::uint64_t pdur_single_core = 0;  // txns homed on one core (P-DUR fast path)
-    std::uint64_t pdur_cross_core = 0;   // txns that paid the cross-core barrier
-    std::uint64_t vote_batches_sent = 0;   // VoteBatchMsg flushes (per destination replica)
-    std::uint64_t votes_batched = 0;       // votes carried by explicit batch flushes
-    std::uint64_t votes_piggybacked = 0;   // votes that rode existing traffic for free
-    std::uint64_t stale_votes_dropped = 0; // votes for already-completed transactions
-    std::uint64_t bypassed_locals = 0;     // locals committed past pending entries (ooo_bypass)
-    std::uint64_t parked_locals = 0;       // locals parked behind a pending write conflict
-    std::uint64_t speculated_globals = 0;  // globals out of the pending list before their votes
-    std::uint64_t spec_commits = 0;        // speculations committed (writes applied at finalize)
-    std::uint64_t spec_aborts = 0;         // speculations aborted by a vote (nothing to undo)
-    std::uint64_t late_first_deliveries = 0;  // first deliveries at or below the floor: abort
-
-    /// Field-wise sum (Deployment::total_stats). A new field must be added
-    /// here too; tests/deployment_test.cpp fails on any field left out.
-    Stats& operator+=(const Stats& o);
+    SDUR_COUNTERS(Stats, SDUR_SERVER_COUNTER_LIST)
   };
 
   Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerConfig cfg,

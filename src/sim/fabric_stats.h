@@ -12,23 +12,19 @@
 // SDUR_FABRIC_COUNTERS=OFF).
 #pragma once
 
-#include <cstdint>
+#include "util/counters.h"
 
 namespace sdur::sim {
 
+#define SDUR_FABRIC_COUNTER_LIST(X)                                                   \
+  X(payload_deep_copies)  /* non-empty payloads copied: buffer not shareable */       \
+  X(payload_bytes_copied) /* bytes moved by those copies */                           \
+  X(payload_shares)       /* payload copies served by bumping a refcount */           \
+  X(fn_inline)            /* event-loop callables stored inline (no allocation) */    \
+  X(fn_heap_allocs)       /* callables over the inline buffer: one allocation each */
+
 struct FabricCounters {
-  /// Payload buffers duplicated byte-for-byte (copy of a non-empty
-  /// message payload that could not share its buffer).
-  std::uint64_t payload_deep_copies = 0;
-  /// Bytes moved by those duplications.
-  std::uint64_t payload_bytes_copied = 0;
-  /// Payload copies served by bumping a refcount instead of copying.
-  std::uint64_t payload_shares = 0;
-  /// Event-loop callables stored inline (no allocation).
-  std::uint64_t fn_inline = 0;
-  /// Event-loop callables that exceeded the inline buffer (one heap
-  /// allocation each).
-  std::uint64_t fn_heap_allocs = 0;
+  SDUR_COUNTERS(FabricCounters, SDUR_FABRIC_COUNTER_LIST)
 
   void reset() { *this = FabricCounters{}; }
 };

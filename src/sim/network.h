@@ -15,6 +15,7 @@
 #include "sim/message.h"
 #include "sim/simulator.h"
 #include "sim/topology.h"
+#include "util/counters.h"
 #include "util/rng.h"
 
 namespace sdur::sim {
@@ -41,11 +42,16 @@ class PerTypeCounters {
   std::array<std::uint64_t, kBuckets> v_{};
 };
 
+#define SDUR_NETWORK_COUNTER_LIST(X) \
+  X(messages_sent)                   \
+  X(messages_delivered)              \
+  X(messages_dropped)                \
+  X(bytes_sent)
+
+/// The scalar counters are listed once in SDUR_NETWORK_COUNTER_LIST; the
+/// per-type arrays stay outside it, so `+=` and `for_each` skip them.
 struct NetworkStats {
-  std::uint64_t messages_sent = 0;
-  std::uint64_t messages_delivered = 0;
-  std::uint64_t messages_dropped = 0;
-  std::uint64_t bytes_sent = 0;
+  SDUR_COUNTERS(NetworkStats, SDUR_NETWORK_COUNTER_LIST)
   PerTypeCounters per_type_count;
   PerTypeCounters per_type_bytes;
 

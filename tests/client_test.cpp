@@ -256,5 +256,22 @@ TEST(Client, StatsCountReadsAndCommits) {
   EXPECT_EQ(f.client->stats().timeouts, 0u);
 }
 
+TEST(Client, DroppedReadResponseIsRetriedAndCounted) {
+  Fixture f;
+  bool found = false;
+  f.client->begin();
+  f.client->read(1, [&](bool ok, const std::string&) { found = ok; });
+  // The request is already in flight; cutting the client off drops the
+  // server's response, so only the retry can answer the read.
+  f.dep->network().isolate(f.client->self());
+  f.run_for(sim::sec(1));
+  EXPECT_FALSE(found);
+  EXPECT_EQ(f.client->stats().read_retries, 0u);
+  f.dep->network().heal(f.client->self());
+  f.run_for(sim::sec(3));
+  EXPECT_TRUE(found);
+  EXPECT_EQ(f.client->stats().read_retries, 1u);
+}
+
 }  // namespace
 }  // namespace sdur

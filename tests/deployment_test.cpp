@@ -1,13 +1,18 @@
 // Deployment builder tests: server placement, leader location, routing
 // tables and delay estimates for the paper's LAN / WAN 1 / WAN 2 setups,
-// and the stats aggregation every report reads.
+// and the counter lists every report sums and prints.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstring>
+#include <set>
+#include <string>
 #include <type_traits>
+#include <vector>
 
 #include "sdur/deployment.h"
+#include "sim/fabric_stats.h"
 
 namespace sdur {
 namespace {
@@ -155,26 +160,76 @@ TEST(Deployment, IdenticalSeedsGiveIdenticalRuns) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// Server::Stats is a flat record of uint64_t counters; viewed as an array,
-// a field-wise sum must reach every slot. A counter that total_stats (via
-// Stats::operator+=) forgets silently reads zero end to end.
-TEST(Deployment, StatsSumCoversEveryField) {
-  constexpr std::size_t kStatsFields = sizeof(Server::Stats) / sizeof(std::uint64_t);
-  static_assert(std::is_trivially_copyable_v<Server::Stats>);
-  static_assert(sizeof(Server::Stats) == kStatsFields * sizeof(std::uint64_t),
-                "Server::Stats must hold only uint64_t counters");
-  std::array<std::uint64_t, kStatsFields> distinct{};
-  for (std::size_t i = 0; i < kStatsFields; ++i) distinct[i] = i + 1;
-  Server::Stats one;
-  std::memcpy(static_cast<void*>(&one), distinct.data(), sizeof one);
-  Server::Stats total;
-  total += one;
-  total += one;
-  std::array<std::uint64_t, kStatsFields> summed{};
-  std::memcpy(summed.data(), &total, sizeof total);
-  for (std::size_t i = 0; i < kStatsFields; ++i) {
-    EXPECT_EQ(summed[i], 2 * (i + 1)) << "Server::Stats field #" << i << " is not summed";
+// Every counter struct is a run of uint64_t slots in list order
+// (NetworkStats keeps its two per-type arrays after them). A counter
+// declared outside its SDUR_COUNTERS list would be a slot that `+=` never
+// sums and `for_each` never names: it reads zero end to end.
+template <class S>
+constexpr std::size_t counter_slots() {
+  if constexpr (std::is_same_v<S, sim::NetworkStats>) {
+    static_assert(sizeof(S) == offsetof(S, per_type_count) + 2 * sizeof(sim::PerTypeCounters),
+                  "NetworkStats: counters after the per-type arrays");
+    return offsetof(S, per_type_count) / sizeof(std::uint64_t);
+  } else {
+    static_assert(sizeof(S) % sizeof(std::uint64_t) == 0, "a counter struct holds uint64_t only");
+    return sizeof(S) / sizeof(std::uint64_t);
   }
+}
+
+/// An S whose slot i holds i + 1.
+template <class S>
+S distinct_counters() {
+  static_assert(std::is_trivially_copyable_v<S>);
+  std::array<std::uint64_t, counter_slots<S>()> distinct{};
+  for (std::size_t i = 0; i < distinct.size(); ++i) distinct[i] = i + 1;
+  S s;
+  std::memcpy(static_cast<void*>(&s), distinct.data(), sizeof distinct);
+  return s;
+}
+
+template <class S>
+void expect_sum_covers_every_slot(const char* what) {
+  const S one = distinct_counters<S>();
+  S total;
+  total += one;
+  total += one;
+  std::array<std::uint64_t, counter_slots<S>()> summed{};
+  std::memcpy(summed.data(), static_cast<const void*>(&total), sizeof summed);
+  for (std::size_t i = 0; i < summed.size(); ++i) {
+    EXPECT_EQ(summed[i], 2 * (i + 1)) << what << " slot #" << i << " is not summed";
+  }
+}
+
+template <class S>
+void expect_visit_names_every_slot_in_order(const char* what) {
+  std::vector<std::string> names;
+  std::vector<std::uint64_t> values;
+  distinct_counters<S>().for_each([&](const char* name, std::uint64_t v) {
+    names.emplace_back(name);
+    values.push_back(v);
+  });
+  EXPECT_EQ(names.size(), counter_slots<S>()) << what;
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size())
+      << what << " names a counter twice";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(values[i], i + 1) << what << " visits " << names[i] << " out of declaration order";
+  }
+}
+
+TEST(Deployment, StatsSumCoversEveryField) {
+  expect_sum_covers_every_slot<Server::Stats>("Server::Stats");
+  expect_sum_covers_every_slot<Client::Stats>("Client::Stats");
+  expect_sum_covers_every_slot<paxos::PaxosEngine::Stats>("PaxosEngine::Stats");
+  expect_sum_covers_every_slot<sim::NetworkStats>("NetworkStats");
+  expect_sum_covers_every_slot<sim::FabricCounters>("FabricCounters");
+}
+
+TEST(Deployment, StatsVisitNamesEverySlotInOrder) {
+  expect_visit_names_every_slot_in_order<Server::Stats>("Server::Stats");
+  expect_visit_names_every_slot_in_order<Client::Stats>("Client::Stats");
+  expect_visit_names_every_slot_in_order<paxos::PaxosEngine::Stats>("PaxosEngine::Stats");
+  expect_visit_names_every_slot_in_order<sim::NetworkStats>("NetworkStats");
+  expect_visit_names_every_slot_in_order<sim::FabricCounters>("FabricCounters");
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 //   sdur_sim --deployment lan --partitions 8 --workload micro --seconds 20
 //            --zipf 0.99 --csv out.csv
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -16,6 +18,7 @@
 #include <string>
 
 #include "sdur/technique_config.h"
+#include "sim/fabric_stats.h"
 #include "trace/export.h"
 #include "trace/trace.h"
 #include "util/logging.h"
@@ -80,6 +83,22 @@ void usage() {
       "  --verbose                    log leader elections etc.\n");
 }
 
+[[noreturn]] void bad_flag(const std::string& flag, const std::string& why) {
+  std::fprintf(stderr, "bad %s: %s\n", flag.c_str(), why.c_str());
+  std::exit(2);
+}
+
+/// Parses all of `v` as one finite T (an unsigned T takes no minus sign);
+/// anything else, overflow included, exits 2.
+template <class T>
+void parse_number(const std::string& flag, const char* v, T& out) {
+  const char* end = v + std::strlen(v);
+  const auto [stop, ec] = std::from_chars(v, end, out);
+  bool ok = ec == std::errc{} && stop == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) bad_flag(flag, "cannot parse '" + std::string(v) + "'");
+}
+
 bool parse(int argc, char** argv, Options& o) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -91,17 +110,17 @@ bool parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--deployment") o.deployment = need(i);
-    else if (a == "--partitions") o.partitions = static_cast<PartitionId>(std::atoi(need(i)));
-    else if (a == "--replicas") o.replicas = static_cast<std::uint32_t>(std::atoi(need(i)));
+    else if (a == "--partitions") parse_number(a, need(i), o.partitions);
+    else if (a == "--replicas") parse_number(a, need(i), o.replicas);
     else if (a == "--workload") o.workload = need(i);
-    else if (a == "--global-pct") o.global_pct = std::atof(need(i));
-    else if (a == "--items") o.items = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--users") o.users = std::strtoull(need(i), nullptr, 10);
-    else if (a == "--zipf") o.zipf = std::atof(need(i));
-    else if (a == "--clients") o.clients = static_cast<std::uint32_t>(std::atoi(need(i)));
+    else if (a == "--global-pct") parse_number(a, need(i), o.global_pct);
+    else if (a == "--items") parse_number(a, need(i), o.items);
+    else if (a == "--users") parse_number(a, need(i), o.users);
+    else if (a == "--zipf") parse_number(a, need(i), o.zipf);
+    else if (a == "--clients") parse_number(a, need(i), o.clients);
     else if (a == "--auto-load") {
       o.auto_load = true;
-      if (i + 1 < argc && argv[i + 1][0] != '-') o.load_fraction = std::atof(argv[++i]);
+      if (i + 1 < argc && argv[i + 1][0] != '-') parse_number(a, need(i), o.load_fraction);
     } else if (a == "--techniques") {
       std::string err;
       if (!parse_techniques(need(i), o.techniques, &err)) {
@@ -109,10 +128,10 @@ bool parse(int argc, char** argv, Options& o) {
         return false;
       }
     } else if (a == "--certified-ro") o.certified_ro = true;
-    else if (a == "--checkpoint") o.checkpoint_ms = std::atoll(need(i));
+    else if (a == "--checkpoint") parse_number(a, need(i), o.checkpoint_ms);
     else if (a == "--breakdown") o.breakdown = true;
-    else if (a == "--seconds") o.seconds = std::atof(need(i));
-    else if (a == "--seed") o.seed = std::strtoull(need(i), nullptr, 10);
+    else if (a == "--seconds") parse_number(a, need(i), o.seconds);
+    else if (a == "--seed") parse_number(a, need(i), o.seed);
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--verbose") o.verbose = true;
     else if (a == "--help" || a == "-h") {
@@ -123,7 +142,24 @@ bool parse(int argc, char** argv, Options& o) {
       return false;
     }
   }
+  if (o.partitions < 1) bad_flag("--partitions", "must be at least 1");
+  if (o.replicas < 1) bad_flag("--replicas", "must be at least 1");
+  if (o.items < 1) bad_flag("--items", "must be at least 1");
+  if (o.users < 1) bad_flag("--users", "must be at least 1");
+  if (o.seconds <= 0) bad_flag("--seconds", "must be above 0");
+  if (o.load_fraction <= 0 || o.load_fraction > 1) bad_flag("--auto-load", "must be in (0, 1]");
   return true;
+}
+
+/// Prints one `group: name=value ...` line, every counter of the struct's
+/// list in declaration order.
+template <class Counters>
+void print_counters(const char* group, const Counters& c) {
+  std::printf("%s:", group);
+  c.for_each([](const char* name, std::uint64_t v) {
+    std::printf(" %s=%llu", name, static_cast<unsigned long long>(v));
+  });
+  std::printf("\n");
 }
 
 DeploymentSpec::Kind kind_of(const std::string& s) {
@@ -223,6 +259,8 @@ int main(int argc, char** argv) {
   }
 #endif
 
+  // The fabric line counts the measured deployment only, not the probes.
+  sim::fabric_counters().reset();
   Deployment dep(make_spec());
   auto wl = make_workload();
   const RunResult r = run_experiment(dep, *wl, cfg);
@@ -239,40 +277,16 @@ int main(int argc, char** argv) {
                 static_cast<double>(st.latency.percentile(99)) / 1000.0,
                 st.latency.mean() / 1000.0, static_cast<unsigned long long>(st.aborted));
   }
-  std::printf("\nservers: delivered=%llu committed=%llu(local)+%llu(global) aborted=%llu "
-              "reordered=%llu ticks=%llu\n",
-              static_cast<unsigned long long>(r.servers.delivered),
-              static_cast<unsigned long long>(r.servers.committed_local),
-              static_cast<unsigned long long>(r.servers.committed_global),
-              static_cast<unsigned long long>(r.servers.aborted),
-              static_cast<unsigned long long>(r.servers.reordered),
-              static_cast<unsigned long long>(r.servers.ticks_sent));
-  std::printf("network: %llu msgs, %.1f MB (%.0f B/committed-txn)\n",
-              static_cast<unsigned long long>(r.net.messages_sent),
-              static_cast<double>(r.net.bytes_sent) / 1e6,
-              r.servers.committed_local + r.servers.committed_global == 0
-                  ? 0.0
-                  : static_cast<double>(r.net.bytes_sent) /
-                        static_cast<double>(r.servers.committed_local + r.servers.committed_global));
-
-  std::printf("reads: served=%llu above-stable=%llu deferred=%llu routed=%llu\n",
-              static_cast<unsigned long long>(r.servers.reads_served),
-              static_cast<unsigned long long>(r.servers.reads_above_stable),
-              static_cast<unsigned long long>(r.servers.reads_deferred),
-              static_cast<unsigned long long>(r.servers.reads_routed));
-
-  if (r.servers.bypassed_locals + r.servers.parked_locals > 0) {
-    std::printf("ooo-bypass: bypassed=%llu parked=%llu\n",
-                static_cast<unsigned long long>(r.servers.bypassed_locals),
-                static_cast<unsigned long long>(r.servers.parked_locals));
-  }
-
-  if (r.servers.speculated_globals > 0) {
-    std::printf("speculation: speculated=%llu committed=%llu aborted=%llu\n",
-                static_cast<unsigned long long>(r.servers.speculated_globals),
-                static_cast<unsigned long long>(r.servers.spec_commits),
-                static_cast<unsigned long long>(r.servers.spec_aborts));
-  }
+  paxos::PaxosEngine::Stats paxos;
+  for (Server* s : dep.servers()) paxos += s->engine().stats();
+  Client::Stats clients;
+  for (const Client* c : dep.clients()) clients += c->stats();
+  std::printf("\n");
+  print_counters("servers", r.servers);
+  print_counters("paxos", paxos);
+  print_counters("clients", clients);
+  print_counters("network", r.net);
+  print_counters("fabric", sim::fabric_counters());
 
   // Dedup state is per replica: print the largest.
   std::size_t sessions = 0;
@@ -281,17 +295,7 @@ int main(int argc, char** argv) {
     sessions = std::max(sessions, s->session_count());
     outcomes = std::max(outcomes, s->outcome_count());
   }
-  std::printf("dedup: late-first-deliveries=%llu sessions=%zu outcomes=%zu (max per replica)\n",
-              static_cast<unsigned long long>(r.servers.late_first_deliveries), sessions,
-              outcomes);
-
-  if (r.servers.votes_batched + r.servers.votes_piggybacked > 0) {
-    std::printf("votes: batches=%llu batched=%llu piggybacked=%llu stale-dropped=%llu\n",
-                static_cast<unsigned long long>(r.servers.vote_batches_sent),
-                static_cast<unsigned long long>(r.servers.votes_batched),
-                static_cast<unsigned long long>(r.servers.votes_piggybacked),
-                static_cast<unsigned long long>(r.servers.stale_votes_dropped));
-  }
+  std::printf("dedup: sessions=%zu outcomes=%zu (max per replica)\n", sessions, outcomes);
 
 #if SDUR_TRACE
   if (o.breakdown) {
