@@ -17,8 +17,8 @@ void run_case(std::size_t max_batch, std::size_t pipeline) {
   spec.partitions = 2;
   const std::uint64_t items = 20'000;
   spec.partitioning = MicroWorkload::make_partitioning(2, items);
-  spec.max_batch = max_batch;
-  spec.pipeline_window = pipeline;
+  spec.paxos.max_batch = max_batch;
+  spec.paxos.pipeline_window = pipeline;
 
   MicroConfig mc;
   mc.items_per_partition = items;

@@ -53,12 +53,14 @@ struct ArmResult {
   std::uint64_t rolled_back = 0;
 };
 
+#if SDUR_TRACE
 std::size_t stage_index(std::string_view name) {
   for (std::size_t s = 0; s < trace::Breakdown::kStages; ++s) {
     if (std::string_view(trace::Breakdown::stage_name(s)) == name) return s;
   }
   return trace::Breakdown::kStages;  // unreachable: the stage table names both
 }
+#endif
 
 ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ring) {
 #if SDUR_TRACE

@@ -54,12 +54,14 @@ struct ArmResult {
   std::uint64_t chains = 0;
 };
 
+#if SDUR_TRACE
 std::size_t commit_wait_stage() {
   for (std::size_t s = 0; s < trace::Breakdown::kStages; ++s) {
     if (std::string_view(trace::Breakdown::stage_name(s)) == "commit_wait") return s;
   }
   return trace::Breakdown::kStages;  // unreachable: the stage table names it
 }
+#endif
 
 ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ring) {
 #if SDUR_TRACE

@@ -214,6 +214,16 @@ inline std::unique_ptr<Deployment> make_micro_deployment(const MicroSetup& s) {
   return std::make_unique<Deployment>(spec);
 }
 
+inline MicroConfig micro_config(const MicroSetup& s) {
+  MicroConfig mc;
+  mc.items_per_partition = s.items_per_partition;
+  mc.global_fraction = s.global_fraction;
+  mc.zipf_theta = s.zipf;
+  mc.cores = s.pdur_cores;
+  mc.cross_core_fraction = s.cross_core_fraction;
+  return mc;
+}
+
 inline RunConfig probe_config() {
   RunConfig cfg;
   cfg.settle = sim::msec(1200);
@@ -234,26 +244,15 @@ inline RunConfig final_config(std::uint32_t clients) {
 /// Finds the ~75%-of-max client count for a microbenchmark setup.
 inline std::uint32_t find_clients(const MicroSetup& s, std::uint32_t start = 16,
                                   std::uint32_t max = 2048) {
-  MicroConfig mc;
-  mc.items_per_partition = s.items_per_partition;
-  mc.global_fraction = s.global_fraction;
-  mc.zipf_theta = s.zipf;
-  mc.cores = s.pdur_cores;
-  mc.cross_core_fraction = s.cross_core_fraction;
   return workload::find_operating_point(
       [&] { return make_micro_deployment(s); },
-      [&] { return std::make_unique<MicroWorkload>(mc); }, probe_config(), 0.75, start, max);
+      [&] { return std::make_unique<MicroWorkload>(micro_config(s)); }, probe_config(), 0.75,
+      start, max);
 }
 
 /// Runs the microbenchmark at a given client count.
 inline RunResult run_micro(const MicroSetup& s, std::uint32_t clients) {
-  MicroConfig mc;
-  mc.items_per_partition = s.items_per_partition;
-  mc.global_fraction = s.global_fraction;
-  mc.zipf_theta = s.zipf;
-  mc.cores = s.pdur_cores;
-  mc.cross_core_fraction = s.cross_core_fraction;
-  MicroWorkload wl(mc);
+  MicroWorkload wl(micro_config(s));
   auto dep = make_micro_deployment(s);
   return workload::run_experiment(*dep, wl, final_config(clients));
 }

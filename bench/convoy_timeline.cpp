@@ -16,10 +16,7 @@ void run_case(const char* label, std::uint32_t threshold) {
   setup.global_fraction = 0.01;
   setup.techniques.reorder_threshold = threshold;
 
-  MicroConfig mc;
-  mc.items_per_partition = setup.items_per_partition;
-  mc.global_fraction = setup.global_fraction;
-  MicroWorkload wl(mc);
+  MicroWorkload wl(micro_config(setup));
   auto dep = make_micro_deployment(setup);
   RunConfig cfg = final_config(100);  // light load: isolate the convoy, not queueing
   cfg.timeline_bucket = sim::msec(100);

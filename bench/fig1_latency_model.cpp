@@ -32,7 +32,7 @@ struct Probe {
     spec.kind = kind;
     spec.partitions = 2;
     spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-    spec.log_write_latency = sim::usec(50);  // isolate message delays
+    spec.paxos.log_write_latency = sim::usec(50);  // isolate message delays
     spec.jitter = 0.0;
     dep = std::make_unique<Deployment>(spec);
     for (Key k = 0; k < 10; ++k) dep->load(k, "a");

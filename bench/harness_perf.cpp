@@ -159,13 +159,9 @@ void run_e2e(const char* section, const TechniqueConfig& techniques, std::uint32
   s.items_per_partition = 20'000;
   s.seed = 5;
 
-  MicroConfig mc;
-  mc.items_per_partition = s.items_per_partition;
-  mc.global_fraction = s.global_fraction;
+  MicroConfig mc = micro_config(s);
   mc.value_size = 256;  // wide writesets: payload cost matters
   mc.ops_per_txn = 8;
-  mc.cores = s.pdur_cores;
-  mc.cross_core_fraction = s.cross_core_fraction;
   MicroWorkload wl(mc);
   auto dep = make_micro_deployment(s);
 

@@ -29,6 +29,7 @@
 using namespace sdur;
 using namespace sdur::bench;
 
+#if SDUR_TRACE
 namespace {
 
 /// Runs one traced configuration and returns the attribution. The tracer
@@ -107,6 +108,7 @@ bool emit_class(BenchReport& rep, const std::string& label, const std::string& c
 }
 
 }  // namespace
+#endif  // SDUR_TRACE
 
 int main(int argc, char** argv) {
 #if !SDUR_TRACE

@@ -93,7 +93,7 @@ int main() {
   spec.kind = DeploymentSpec::Kind::kLan;
   spec.partitions = kPartitions;
   spec.partitioning = std::make_shared<RangePartitioning>(kPartitions, kAccountsPerPartition);
-  spec.log_write_latency = sim::usec(500);
+  spec.paxos.log_write_latency = sim::usec(500);
   Deployment dep(spec);
 
   const Key total_accounts = kPartitions * kAccountsPerPartition;

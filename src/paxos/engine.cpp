@@ -12,6 +12,14 @@ namespace sdur::paxos {
 namespace {
 constexpr std::size_t kMaxCatchupValues = 256;
 constexpr std::uint32_t kBehindHeartbeatsBeforeCatchup = 3;
+/// Followers this far behind the leader's decided prefix request catchup
+/// at once, without waiting for kBehindHeartbeatsBeforeCatchup.
+constexpr InstanceId kCatchupThreshold = 8;
+/// Leader heartbeat period and follower election timeout. The timeout
+/// must exceed the worst round-trip inside the group (inter-region in the
+/// WAN 2 deployment).
+constexpr Time kHeartbeatInterval = sim::msec(100);
+constexpr Time kElectionTimeout = sim::msec(600);
 
 std::uint64_t value_hash(const Value& v) {
   return sdur::util::fnv1a(
@@ -38,7 +46,7 @@ PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
 void PaxosEngine::start() {
   last_leader_contact_ = ep_.current_time();
   if (cfg_.self_index == 0) start_campaign();
-  ep_.start_timer(cfg_.heartbeat_interval / 2, [this] { tick(); });
+  ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });
 }
 
 ProcessId PaxosEngine::leader_hint() const {
@@ -68,8 +76,8 @@ void PaxosEngine::send_to(ProcessId to, const sim::Message& m) {
 
 Time PaxosEngine::election_deadline() const {
   // Staggered by member index so candidates do not duel.
-  return last_leader_contact_ + cfg_.election_timeout +
-         static_cast<Time>(cfg_.self_index) * (cfg_.election_timeout / 4);
+  return last_leader_contact_ + kElectionTimeout +
+         static_cast<Time>(cfg_.self_index) * (kElectionTimeout / 4);
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
@@ -189,7 +197,7 @@ void PaxosEngine::become_leader() {
     auto it = best.find(inst);
     Value v = it != best.end() ? it->second.value : encode_batch({});
     std::vector<std::uint64_t> hashes;
-    for (const Value& x : *decoded_batch(v)) hashes.push_back(value_hash(x));
+    for (const Value& x : decode_batch(v)) hashes.push_back(value_hash(x));
     open_instance(inst, std::move(v), std::move(hashes));
   }
   // If the quorum's decided prefix is ahead of ours (we recovered from far
@@ -249,7 +257,7 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
     }
     if (m.decided_upto > next_deliver_) {
       ++behind_heartbeats_;
-      if (m.decided_upto > next_deliver_ + cfg_.catchup_threshold ||
+      if (m.decided_upto > next_deliver_ + kCatchupThreshold ||
           behind_heartbeats_ >= kBehindHeartbeatsBeforeCatchup) {
         behind_heartbeats_ = 0;
         send_to(from, CatchupReq{next_deliver_}.to_message());
@@ -287,17 +295,6 @@ bool PaxosEngine::value_in_flight(std::uint64_t hash) const {
     }
   }
   return false;
-}
-
-std::shared_ptr<const std::vector<Value>> PaxosEngine::decoded_batch(const Value& batch) {
-  if (decode_cache_vals_ && decode_cache_key_ == batch) {
-    ++stats_.decode_cache_hits;
-    return decode_cache_vals_;
-  }
-  ++stats_.decode_cache_misses;
-  decode_cache_key_ = batch;
-  decode_cache_vals_ = std::make_shared<const std::vector<Value>>(decode_batch(batch));
-  return decode_cache_vals_;
 }
 
 void PaxosEngine::on_forward(Forward m, ProcessId from) {
@@ -442,10 +439,10 @@ void PaxosEngine::try_deliver() {
   while (true) {
     auto it = undelivered_.find(next_deliver_);
     if (it == undelivered_.end()) break;
-    // Hold the decoded batch by shared_ptr: a deliver_ callback can reenter
-    // the engine and rotate the cache, which must not invalidate this loop.
-    const auto batch = decoded_batch(it->second);
-    for (const Value& v : *batch) {
+    // Decode into a local: a deliver_ callback can reenter the engine, and
+    // the values it iterates must not depend on engine state.
+    const std::vector<Value> batch = decode_batch(it->second);
+    for (const Value& v : batch) {
       ++stats_.delivered_values;
       auto sub = submitted_.find(value_hash(v));
       if (sub != submitted_.end() && --sub->second.count == 0) submitted_.erase(sub);
@@ -519,7 +516,7 @@ void PaxosEngine::tick() {
   if (role_ == Role::kLeader) {
     broadcast(Heartbeat{promised_, next_deliver_}.to_message());
     // Re-drive instances whose acknowledgements got lost.
-    const Time resend_after = cfg_.election_timeout / 2;
+    const Time resend_after = kElectionTimeout / 2;
     for (auto& [inst, oi] : open_) {
       if (now - oi.proposed_at >= resend_after) {
         oi.proposed_at = now;
@@ -536,13 +533,13 @@ void PaxosEngine::tick() {
   // instance (then the instance resend above re-drives it and resubmitting
   // would only create duplicates).
   for (auto& [hash, sub] : submitted_) {
-    if (now - sub.submitted_at < cfg_.election_timeout) continue;
+    if (now - sub.submitted_at < kElectionTimeout) continue;
     sub.submitted_at = now;
     if (value_in_flight(hash)) continue;
     ++stats_.resends;
     on_forward(Forward{sub.value}, ep_.self());
   }
-  ep_.start_timer(cfg_.heartbeat_interval / 2, [this] { tick(); });
+  ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });
 }
 
 // --- Recovery ----------------------------------------------------------------
@@ -556,8 +553,6 @@ void PaxosEngine::on_recover() {
   undelivered_.clear();
   submitted_.clear();
   behind_heartbeats_ = 0;
-  decode_cache_key_.clear();
-  decode_cache_vals_.reset();
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
   leader_hint_ = 0;
@@ -578,7 +573,7 @@ void PaxosEngine::on_recover() {
     undelivered_[inst] = std::move(*v);
   }
   try_deliver();
-  ep_.start_timer(cfg_.heartbeat_interval / 2, [this] { tick(); });
+  ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });
 }
 
 }  // namespace sdur::paxos

@@ -51,9 +51,7 @@ namespace sdur::paxos {
   X(resends)                       \
   X(checkpoints)                   \
   X(state_transfers_sent)          \
-  X(state_transfers_installed)     \
-  X(decode_cache_hits)             \
-  X(decode_cache_misses)
+  X(state_transfers_installed)
 
 class PaxosEngine {
  public:
@@ -152,13 +150,6 @@ class PaxosEngine {
   std::uint32_t member_index(ProcessId pid) const;
   Time election_deadline() const;
 
-  /// Decode-once batch cache. A batch value is parsed many times on the
-  /// hot path (delivery, leader re-proposal hashing); this memoizes the
-  /// last decode keyed by the exact batch bytes. Returns a shared_ptr so
-  /// callers stay valid even if a reentrant call (deliver_ callback
-  /// scheduling more work) replaces the cache entry mid-iteration.
-  std::shared_ptr<const std::vector<Value>> decoded_batch(const Value& batch);
-
   sim::Endpoint& ep_;
   GroupConfig cfg_;
   std::unique_ptr<DurableLog> log_;
@@ -215,13 +206,6 @@ class PaxosEngine {
   std::unordered_map<ProcessId, std::uint32_t> index_of_;
   /// Lifecycle trace track of this engine (kNoTrack in untraced runs).
   std::uint32_t trace_track_ = trace::kNoTrack;
-
-  // Single-entry decode cache (see decoded_batch()). Batches deliver in
-  // instance order, so one entry captures the common decode-again pattern
-  // (leader: open-time hashing then delivery; every replica: repeated
-  // decides of the same bytes after catchup/resend overlap).
-  Value decode_cache_key_;
-  std::shared_ptr<const std::vector<Value>> decode_cache_vals_;
 
   Stats stats_;
   bool test_accept_stale_ballots_ = false;

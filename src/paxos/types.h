@@ -37,8 +37,9 @@ struct Ballot {
 /// Static configuration of one Paxos group (one database partition).
 struct GroupConfig {
   /// Process ids of the group members, in index order. The proposer index
-  /// of a ballot indexes into this vector.
-  std::vector<ProcessId> members;
+  /// of a ballot indexes into this vector. (The `{}` lets a designated
+  /// initializer such as DeploymentSpec's template leave it out cleanly.)
+  std::vector<ProcessId> members{};
   std::uint32_t self_index = 0;
 
   /// Latency of a synchronous write to the durable log (Berkeley DB in the
@@ -46,18 +47,9 @@ struct GroupConfig {
   /// this much.
   Time log_write_latency = sim::usec(500);
 
-  /// Leader heartbeat period and follower election timeout. The timeout
-  /// must exceed the worst round-trip inside the group (inter-region in
-  /// the WAN 2 deployment).
-  Time heartbeat_interval = sim::msec(100);
-  Time election_timeout = sim::msec(600);
-
   /// Batching and pipelining at the leader.
   std::size_t max_batch = 64;
   std::size_t pipeline_window = 64;
-
-  /// Followers this far behind the leader's decided prefix request catchup.
-  InstanceId catchup_threshold = 8;
 
   std::size_t quorum() const { return members.size() / 2 + 1; }
 };

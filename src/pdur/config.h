@@ -14,7 +14,7 @@ namespace sdur::pdur {
 
 /// Serial ingress cost per message when the P-DUR pipeline is active.
 /// The legacy model charges the whole per-message handling cost
-/// (ServerConfig::message_service_time) on the single CPU; P-DUR splits it
+/// (kMessageServiceTime in sdur/server.cpp) on the single CPU; P-DUR splits it
 /// into this cheap network/dispatch slice on core 0 plus the actual work
 /// charged on the owning core (reads: kReadCost; deliveries:
 /// certification/apply cost).

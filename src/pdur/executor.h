@@ -43,17 +43,18 @@ class Executor {
     });
   }
 
-  /// Schedules `work_cost` of certification/execution for a transaction
-  /// homed on `cores`; `done` runs (epoch/crash-guarded) when every
+  /// Schedules `work_cost` of certification/execution for transaction
+  /// `txid` homed on `cores`; `done` runs (epoch/crash-guarded) when every
   /// involved core has finished. Cross-core transactions additionally pay
   /// kCrossCoreSyncCost under barrier semantics.
-  void run(const std::vector<CoreId>& cores, sim::Time work_cost, sim::UniqueFn done) {
+  void run(std::uint64_t txid, const std::vector<CoreId>& cores, sim::Time work_cost,
+           sim::UniqueFn done) {
     if (cores.size() > 1) {
-      trace_lane_spans(cores.data(), cores.size(), work_cost + kCrossCoreSyncCost);
+      trace_lane_spans(txid, cores.data(), cores.size(), work_cost + kCrossCoreSyncCost);
       proc_.enqueue_work_multi(cores, work_cost + kCrossCoreSyncCost, std::move(done));
     } else {
       const CoreId c = cores.empty() ? 0 : cores.front();
-      trace_lane_spans(&c, 1, work_cost);
+      trace_lane_spans(txid, &c, 1, work_cost);
       proc_.enqueue_work_on(c, work_cost, std::move(done));
     }
   }
@@ -76,7 +77,7 @@ class Executor {
   /// when each involved lane will rendezvous (kLaneWait) and run
   /// (kLaneWork). Purely observational: the process performs the identical
   /// computation when the work is enqueued right after.
-  void trace_lane_spans(const CoreId* cores, std::size_t n, sim::Time cost) {
+  void trace_lane_spans(std::uint64_t txid, const CoreId* cores, std::size_t n, sim::Time cost) {
 #if SDUR_TRACE
     if (lane_tracks_.empty()) return;
     auto& tracer = trace::Tracer::instance();
@@ -84,7 +85,6 @@ class Executor {
     const sim::Time t_now = proc_.now();
     sim::Time start = t_now;
     for (std::size_t i = 0; i < n; ++i) start = std::max(start, proc_.core_free_at(cores[i]));
-    const std::uint64_t txid = tracer.context_id();
     for (std::size_t i = 0; i < n; ++i) {
       const CoreId c = cores[i];
       if (c >= lane_tracks_.size()) continue;
@@ -97,6 +97,7 @@ class Executor {
                          t_now);
     }
 #else
+    (void)txid;
     (void)cores;
     (void)n;
     (void)cost;

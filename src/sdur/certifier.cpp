@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "audit/audit.h"
-#include "trace/trace.h"
 
 namespace sdur {
 
@@ -38,13 +37,6 @@ Certifier::Result Certifier::process(const PartTx& t, std::uint64_t rt, std::uin
     // different times), so any status-dependence would break determinism.
     // Treating a later-aborted global as a conflict source is conservative
     // (an unnecessary abort, retried with a fresh snapshot), never wrong.
-    // The strategy instant (aux = the window depth certified against) is
-    // attributed to the current delivery via the tracer context the
-    // dispatcher set: a bloom readset forces the window scan.
-    SDUR_TRACE_CONTEXT_INSTANT(storage::CommitWindow::scans(t.readset)
-                                   ? trace::Point::kCertScanFallback
-                                   : trace::Point::kCertIndexProbe,
-                               st >= cc_ ? 0 : static_cast<std::uint64_t>(cc_ - st));
     if (window_.conflicts(t.readset, t.write_keys, t.is_global(), st)) return result;  // abort
   }
 

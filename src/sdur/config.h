@@ -4,6 +4,11 @@
 // out-of-order commit, speculation) live in sdur::TechniqueConfig — the
 // single source of technique configuration (see technique_config.h) —
 // reached as `cfg.techniques.<knob>`.
+//
+// Only settings that some caller varies are fields here. The serial CPU
+// cost model (per-message, per-certification and per-write costs) and the
+// vote-resend and no-op-tick periods are constants beside their reader in
+// server.cpp; the P-DUR costs are constants in pdur/config.h.
 #pragma once
 
 #include <cstdint>
@@ -44,18 +49,10 @@ struct ServerConfig {
 
   // --- Liveness -----------------------------------------------------------
 
-  /// Resend this partition's vote for a stuck pending global (lost votes).
-  sim::Time vote_resend_interval = sim::msec(500);
-
   /// After this long with missing votes, suspect the submitter crashed
   /// before broadcasting to every partition and atomically broadcast an
   /// abort request to the silent partitions (Section IV-F).
   sim::Time missing_vote_timeout = sim::msec(3000);
-
-  /// When a vote-complete global is blocked only by its reorder threshold
-  /// and the partition is idle, broadcast no-op ticks at this period to
-  /// advance the delivery counter (implementation addition; see DESIGN.md).
-  sim::Time tick_interval = sim::msec(2);
 
   // --- Checkpointing --------------------------------------------------------
 
@@ -65,18 +62,6 @@ struct ServerConfig {
   /// length. Replicas that fall behind the truncation point receive the
   /// checkpoint via state transfer. 0 disables checkpointing.
   sim::Time checkpoint_interval = 0;
-
-  // --- CPU cost model -------------------------------------------------------
-
-  /// CPU cost charged per delivered transaction (certification +
-  /// bookkeeping). Calibrated so a replica group saturates at a few
-  /// thousand transactions per second, the ballpark of the paper's EC2
-  /// medium instances (single core, 2012).
-  sim::Time certification_cost = sim::usec(90);
-  /// Additional CPU cost per written item at apply time.
-  sim::Time apply_cost_per_write = sim::usec(10);
-  /// Base per-message handling cost.
-  sim::Time message_service_time = sim::usec(15);
 
   /// P-DUR multi-core replica model (src/pdur/). pdur.cores > 1 enables
   /// per-core parallel certification/execution; 1 keeps the legacy serial

@@ -30,14 +30,6 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
 
   const sim::Topology& topo = net_->topology();
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
-    paxos::GroupConfig group;
-    group.members = partition_servers[p];
-    group.log_write_latency = spec_.log_write_latency;
-    group.heartbeat_interval = spec_.heartbeat_interval;
-    group.election_timeout = spec_.election_timeout;
-    group.max_batch = spec_.max_batch;
-    group.pipeline_window = spec_.pipeline_window;
-
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
       const sim::Location loc = server_location(p, r);
       ServerConfig cfg = spec_.server;
@@ -57,7 +49,8 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
         cfg.partition_delay_estimate.push_back(
             q == p ? 0 : topo.region_delay(loc.region, home_region(q)));
       }
-      paxos::GroupConfig g = group;
+      paxos::GroupConfig g = spec_.paxos;
+      g.members = partition_servers[p];
       g.self_index = r;
       servers_.push_back(std::make_unique<Server>(*net_, server_pid(p, r), loc, std::move(cfg),
                                                   std::move(g), spec_.partitioning));

@@ -42,12 +42,10 @@ struct DeploymentSpec {
   /// is filled in by the builder.
   ClientConfig client;
 
-  /// Paxos knobs applied to every group.
-  sim::Time log_write_latency = sim::msec(4);  // BDB-style synchronous log write
-  sim::Time heartbeat_interval = sim::msec(100);
-  sim::Time election_timeout = sim::msec(600);
-  std::size_t max_batch = 64;
-  std::size_t pipeline_window = 64;
+  /// Template for every Paxos group (log write latency, batching,
+  /// pipelining); members and self index are filled in by the builder.
+  /// The 4 ms log write models a BDB-style synchronous write.
+  paxos::GroupConfig paxos{.log_write_latency = sim::msec(4)};
 
   double jitter = 0.05;
   std::uint64_t seed = 1;

@@ -155,26 +155,6 @@ class Tracer {
     append(Record{t, t, t, id, aux, track, p, Kind::kInstant, 0});
   }
 
-  // --- Delivery context ----------------------------------------------------
-  // The server sets the context while certifying a delivery so layers
-  // without a track id in their signatures (the Certifier's lane votes)
-  // can attribute instants without widening any call chain.
-
-  void set_context(std::uint32_t track, std::uint64_t id, sim::Time t) {
-    context_track_ = track;
-    context_id_ = id;
-    context_time_ = t;
-  }
-  void clear_context() { context_track_ = kNoTrack; }
-  std::uint64_t context_id() const { return context_id_; }
-  sim::Time context_time() const { return context_time_; }
-
-  void record_context_instant(Point p, std::uint64_t aux = 0) {
-    if (!enabled_ || context_track_ == kNoTrack) return;
-    append(Record{context_time_, context_time_, context_time_, context_id_, aux,
-                  context_track_, p, Kind::kInstant, 0});
-  }
-
   // --- Introspection / export ----------------------------------------------
 
   std::size_t track_count() const { return tracks_.size(); }
@@ -210,9 +190,6 @@ class Tracer {
   std::uint64_t dropped_ = 0;
   std::uint64_t heap_allocations_ = 0;
   std::vector<Track> tracks_;
-  std::uint32_t context_track_ = kNoTrack;
-  std::uint64_t context_id_ = 0;
-  sim::Time context_time_ = 0;
 };
 
 }  // namespace sdur::trace
@@ -229,11 +206,6 @@ class Tracer {
   ::sdur::trace::Tracer::instance().record_mark((track), (point), (id_), (t), (aux))
 #define SDUR_TRACE_SPAN(track, point, id_, t0, t1, aux, ts) \
   ::sdur::trace::Tracer::instance().record_span((track), (point), (id_), (t0), (t1), (aux), (ts))
-#define SDUR_TRACE_SET_CONTEXT(track, id_, t) \
-  ::sdur::trace::Tracer::instance().set_context((track), (id_), (t))
-#define SDUR_TRACE_CLEAR_CONTEXT() ::sdur::trace::Tracer::instance().clear_context()
-#define SDUR_TRACE_CONTEXT_INSTANT(point, aux) \
-  ::sdur::trace::Tracer::instance().record_context_instant((point), (aux))
 #define SDUR_TRACE_INSTANT(track, point, id_, t, aux) \
   ::sdur::trace::Tracer::instance().record_instant((track), (point), (id_), (t), (aux))
 /// Compiles `...` in traced builds only (for instrumentation that needs
@@ -243,9 +215,6 @@ class Tracer {
 #define SDUR_TRACE_REGISTER(pid, name_, lane) (::sdur::trace::kNoTrack)
 #define SDUR_TRACE_MARK(track, point, id_, t, aux) ((void)0)
 #define SDUR_TRACE_SPAN(track, point, id_, t0, t1, aux, ts) ((void)0)
-#define SDUR_TRACE_SET_CONTEXT(track, id_, t) ((void)0)
-#define SDUR_TRACE_CLEAR_CONTEXT() ((void)0)
-#define SDUR_TRACE_CONTEXT_INSTANT(point, aux) ((void)0)
 #define SDUR_TRACE_INSTANT(track, point, id_, t, aux) ((void)0)
 #define SDUR_TRACE_STMT(...)
 #endif

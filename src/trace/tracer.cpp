@@ -89,9 +89,6 @@ void Tracer::reset() {
   appended_ = 0;
   dropped_ = 0;
   heap_allocations_ = 0;
-  context_track_ = kNoTrack;
-  context_id_ = 0;
-  context_time_ = 0;
 }
 
 void Tracer::clear_records() {

@@ -40,7 +40,7 @@ void run_small_lan(PartitionId partitions, double global_fraction,
   spec.kind = DeploymentSpec::Kind::kLan;
   spec.partitions = partitions;
   spec.partitioning = MicroWorkload::make_partitioning(partitions, kItems);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.seed = 31;
   Deployment dep(spec);
   if (sabotage) sabotage(dep);

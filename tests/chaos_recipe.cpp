@@ -45,7 +45,7 @@ ChaosOut run_chaos(const TechniqueConfig& techniques, std::uint32_t cores) {
   DeploymentSpec spec;
   spec.partitions = 3;
   spec.partitioning = MicroWorkload::make_partitioning(3, 90);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.server.techniques = techniques;
   spec.server.pdur.cores = cores;
   spec.server.checkpoint_interval = sim::msec(500);

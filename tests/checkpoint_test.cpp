@@ -147,7 +147,7 @@ struct CheckpointFixture {
     DeploymentSpec spec;
     spec.partitions = 2;
     spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-    spec.log_write_latency = sim::usec(200);
+    spec.paxos.log_write_latency = sim::usec(200);
     spec.server = std::move(server);
     spec.server.checkpoint_interval = checkpoint_interval;
     dep = std::make_unique<Deployment>(spec);
@@ -341,7 +341,7 @@ TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = workload::MicroWorkload::make_partitioning(2, 50);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.server.checkpoint_interval = sim::msec(400);
   Deployment dep(spec);
 

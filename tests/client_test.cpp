@@ -16,7 +16,7 @@ struct Fixture {
     DeploymentSpec spec;
     spec.partitions = 3;
     spec.partitioning = std::make_shared<RangePartitioning>(3, 100);
-    spec.log_write_latency = sim::usec(200);
+    spec.paxos.log_write_latency = sim::usec(200);
     dep = std::make_unique<Deployment>(spec);
     for (Key k = 0; k < 300; ++k) dep->load(k, "v" + std::to_string(k));
     dep->start();

@@ -120,6 +120,30 @@ TEST(Deployment, ManyPartitionsGetDistinctGroups) {
   EXPECT_EQ(dep.partition_count(), 8u);
 }
 
+TEST(Deployment, PaxosTemplateReachesEveryEngine) {
+  DeploymentSpec spec = spec_for(DeploymentSpec::Kind::kWan1);
+  spec.paxos.max_batch = 8;
+  spec.paxos.pipeline_window = 4;
+  spec.paxos.log_write_latency = sim::msec(1);
+  Deployment dep(spec);
+  for (PartitionId p = 0; p < 2; ++p) {
+    std::vector<sim::ProcessId> members;
+    for (std::uint32_t r = 0; r < 3; ++r) members.push_back(dep.server(p, r).self());
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const paxos::GroupConfig& g = dep.server(p, r).engine().config();
+      EXPECT_EQ(g.max_batch, 8u);
+      EXPECT_EQ(g.pipeline_window, 4u);
+      EXPECT_EQ(g.log_write_latency, sim::msec(1));
+      EXPECT_EQ(g.members, members) << "partition " << p;
+      EXPECT_EQ(g.self_index, r) << "partition " << p;
+    }
+  }
+  // The deployment template models a BDB-style synchronous write; a bare
+  // group keeps the faster default.
+  EXPECT_EQ(DeploymentSpec{}.paxos.log_write_latency, sim::msec(4));
+  EXPECT_EQ(paxos::GroupConfig{}.log_write_latency, sim::usec(500));
+}
+
 // Whole-run determinism: two deployments driven by identical seeds produce
 // bit-identical end states — the foundation for reproducible experiments.
 TEST(Deployment, IdenticalSeedsGiveIdenticalRuns) {

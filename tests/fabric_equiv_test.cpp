@@ -205,7 +205,7 @@ ChaosResult run_chaos(bool sharing) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.server.techniques.reorder_threshold = 48;
   spec.server.checkpoint_interval = sim::msec(600);
   spec.server.missing_vote_timeout = sim::msec(1500);

@@ -15,7 +15,7 @@ struct Fixture {
     DeploymentSpec spec;
     spec.partitions = 2;
     spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
-    spec.log_write_latency = sim::usec(200);
+    spec.paxos.log_write_latency = sim::usec(200);
     spec.server.gossip_interval = sim::msec(5);
     dep = std::make_unique<Deployment>(spec);
     for (Key k = 0; k < 20; ++k) dep->load(k, "a");

@@ -16,7 +16,7 @@ std::unique_ptr<Deployment> make_micro_dep(DeploymentSpec::Kind kind, PartitionI
   spec.kind = kind;
   spec.partitions = partitions;
   spec.partitioning = MicroWorkload::make_partitioning(partitions, items);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   if (tweak) tweak(spec);
   return std::make_unique<Deployment>(spec);
 }
@@ -163,7 +163,7 @@ TEST(Integration, SocialWorkloadAllOperationClasses) {
   spec.kind = DeploymentSpec::Kind::kLan;
   spec.partitions = 2;
   spec.partitioning = SocialWorkload::make_partitioning(2);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   auto dep = std::make_unique<Deployment>(spec);
 
   RunConfig cfg;

@@ -50,7 +50,7 @@ TEST_P(SerializabilityProperty, HistoryIsSerializableAndReplicasAgree) {
   spec.server.techniques.reorder_threshold = pc.reorder_threshold;
   spec.server.techniques.bloom_readsets = pc.bloom;
   spec.server.techniques.delaying_enabled = pc.delaying;
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.seed = pc.seed;
   Deployment dep(spec);
 

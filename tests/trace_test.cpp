@@ -20,8 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "trace/export.h"
@@ -136,7 +138,7 @@ ChaosResult run_chaos(bool traced) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   spec.server.techniques.reorder_threshold = 48;
   spec.server.checkpoint_interval = sim::msec(600);
   spec.server.missing_vote_timeout = sim::msec(1500);
@@ -353,6 +355,34 @@ TEST(TraceInvariants, PdurLanesRecordWorkAndCertInstants) {
   EXPECT_TRUE(saw_lane_work);
   EXPECT_TRUE(saw_cert_instant);
   EXPECT_TRUE(saw_ready) << "P-DUR core completion is marked";
+
+  // Attribution: a cert instant shares its track, id and time with its
+  // delivery's kTxCertified mark, and the delivery's lane work (recorded
+  // at enqueue, the certification time) carries that delivery's id on a
+  // lane of the same replica. Lane work with id 0 is a read.
+  ASSERT_EQ(tr.records_dropped(), 0u) << "ring too small to check attribution";
+  std::set<std::tuple<std::uint32_t, std::uint64_t, sim::Time>> certified;
+  std::set<std::tuple<std::uint64_t, std::uint64_t, sim::Time>> certified_by_pid, lane_work;
+  for (const trace::Record& r : tr.records()) {
+    if (r.point == trace::Point::kTxCertified) {
+      certified.emplace(r.track, r.id, r.ts);
+      certified_by_pid.emplace(tr.track(r.track).pid, r.id, r.ts);
+    }
+    if (r.point == trace::Point::kLaneWork && r.id != 0) {
+      lane_work.emplace(tr.track(r.track).pid, r.id, r.ts);
+    }
+  }
+  std::size_t cert_instants = 0;
+  for (const trace::Record& r : tr.records()) {
+    if (r.point != trace::Point::kCertIndexProbe && r.point != trace::Point::kCertScanFallback) {
+      continue;
+    }
+    ++cert_instants;
+    EXPECT_TRUE(certified.contains({r.track, r.id, r.ts}))
+        << "cert instant for tx " << r.id << " at " << r.ts << " has no kTxCertified mark";
+  }
+  EXPECT_GT(cert_instants, 50u);
+  EXPECT_EQ(lane_work, certified_by_pid) << "every delivery's lane work carries its id";
 
   const trace::Breakdown b = trace::build_breakdown(tr);
   ASSERT_GT(b.local.chains, 50u);

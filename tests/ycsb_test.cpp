@@ -15,7 +15,7 @@ TEST(Ycsb, MixesProduceExpectedClassRatios) {
   DeploymentSpec spec;
   spec.partitions = 2;
   spec.partitioning = YcsbWorkload::make_partitioning(2, yc.records_per_partition);
-  spec.log_write_latency = sim::usec(300);
+  spec.paxos.log_write_latency = sim::usec(300);
   Deployment dep(spec);
   YcsbWorkload wl(yc);
 

@@ -13,9 +13,11 @@
 #      SDUR_AUDIT=OFF), where optimizer-only warnings surface;
 #   5. the test suite under AddressSanitizer + UndefinedBehaviorSanitizer;
 #   6. the test suite under -D_GLIBCXX_ASSERTIONS (hardened libstdc++);
-#   7. a -DSDUR_TRACE=OFF build: the tracing macros must compile to
-#      no-ops (the tracer-heavy tests plus the histogram suite run to
-#      prove the tree still builds and behaves without instrumentation).
+#   7. a -Werror build with both instrumentation switches off
+#      (-DSDUR_TRACE=OFF -DSDUR_FABRIC_COUNTERS=OFF): the tracing and
+#      fabric-counter macros must compile to no-ops without warnings, and
+#      the tracer, histogram, fabric-equivalence, CLI, bench-harness and
+#      deployment tests still pass without instrumentation.
 #
 # There is no ThreadSanitizer stage: the simulator is single-threaded and
 # src/, tests/, bench/ and tools/ hold no threads, atomics or mutexes.
@@ -83,13 +85,15 @@ bold "6/7 _GLIBCXX_ASSERTIONS test suite"
 configure_and_build build-glibcxx -DSDUR_GLIBCXX_ASSERTIONS=ON
 run_ctest build-glibcxx
 
-bold "7/7 SDUR_TRACE=OFF build"
-# The tracing macros must vanish cleanly: the whole tree compiles with
-# SDUR_TRACE=0 and the trace/histogram tests still pass (the equivalence
-# test proves the simulation itself never depended on the tracer).
-configure_and_build build-traceoff -DSDUR_TRACE=OFF
+bold "7/7 SDUR_TRACE=OFF SDUR_FABRIC_COUNTERS=OFF -Werror build"
+# The instrumentation macros must vanish cleanly: the whole tree compiles
+# warning-free with SDUR_TRACE=0 and SDUR_FABRIC_COUNTERS=0, and the tests
+# below still pass (the equivalence tests prove the simulation itself never
+# depended on the tracer or the fabric counters).
+configure_and_build build-traceoff -DSDUR_TRACE=OFF -DSDUR_FABRIC_COUNTERS=OFF \
+  -DCMAKE_CXX_FLAGS=-Werror
 # latency_breakdown_smoke / trace_json_parses are excluded: with the
 # instrumentation compiled out there is nothing to attribute or export.
-run_ctest build-traceoff -R 'Trace|Histogram'
+run_ctest build-traceoff -R 'Trace|Histogram|FabricEquiv|cli_|harness|Deployment'
 
 bold "all checks passed"
