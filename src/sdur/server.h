@@ -110,9 +110,11 @@ class Server : public sim::Process {
   const storage::MVStore& store() const { return store_; }
   paxos::PaxosEngine& engine() { return *engine_; }
   const ServerConfig& config() const { return cfg_; }
-  /// Deduplication state sizes: clients with a session, outcomes kept.
+  /// Deduplication state sizes: clients with a session, outcomes kept,
+  /// open rounds (transactions voted on here and not complete).
   std::size_t session_count() const { return sessions_.size(); }
   std::size_t outcome_count() const { return outcomes_.ring.size(); }
+  std::size_t round_count() const { return rounds_.size(); }
 
   /// Serializes the server's deterministic state (store, certifier,
   /// sessions, outcomes, speculated rounds) into a checkpoint blob.

@@ -373,14 +373,20 @@ namespace e2e {
 /// Re-pinned once when the checkpoint's dedup sections became the
 /// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
 /// replica state and every other counter are unchanged.
-constexpr std::uint64_t kLegacyDigest = 6737276438419678913ULL;
+/// Re-pinned once when an abort request for an undelivered transaction
+/// began completing it: the aborted id enters the checkpointed outcome
+/// history, so StateTransfer bytes grew (86110 -> 86119, same 17
+/// transfers); replica state and every message count are unchanged.
+constexpr std::uint64_t kLegacyDigest = 16990329189409236137ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 /// Digest of the bypass-on run: pins the out-of-order completion order,
 /// which feeds the send order and so the fabric RNG.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer
 /// bytes shrank (67995 -> 60699); replica state and every other counter
-/// are unchanged.
-constexpr std::uint64_t kBypassOnDigest = 0xe463e913f3dc0de4ULL;
+/// are unchanged. Re-pinned again when abort requests began completing
+/// undelivered transactions (60699 -> 60708, the aborted id in the
+/// outcome history), on the same terms.
+constexpr std::uint64_t kBypassOnDigest = 0xabf07137f5f7dd7cULL;
 
 using chaos::ChaosOut;
 

@@ -193,7 +193,11 @@ namespace e2e {
 /// Re-pinned once when the checkpoint's dedup sections became the
 /// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
 /// replica state and every other counter are unchanged.
-constexpr std::uint64_t kLegacyDigest = 6737276438419678913ULL;
+/// Re-pinned once when an abort request for an undelivered transaction
+/// began completing it: the aborted id enters the checkpointed outcome
+/// history, so StateTransfer bytes grew (86110 -> 86119, same 17
+/// transfers); replica state and every message count are unchanged.
+constexpr std::uint64_t kLegacyDigest = 16990329189409236137ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 /// Digest of the speculation-on run: pins the speculation and finalize
 /// order, which feeds the send order and so the fabric RNG.
@@ -201,8 +205,10 @@ constexpr std::uint64_t kLegacyCommitted = 84;
 /// round until finalize: checkpoints no longer carry unresolved speculated
 /// versions, so StateTransfer bytes shrank (55915 -> 55847); replica
 /// state and every other counter are unchanged. Re-pinned again for the
-/// session-table checkpoint format (55847 -> 49071), on the same terms.
-constexpr std::uint64_t kSpeculationOnDigest = 0x6fcc5c2b4e300422ULL;
+/// session-table checkpoint format (55847 -> 49071), on the same terms,
+/// and when abort requests began completing undelivered transactions
+/// (49071 -> 49089, the aborted ids in the outcome history).
+constexpr std::uint64_t kSpeculationOnDigest = 0xe8148c80246273f6ULL;
 
 using chaos::ChaosOut;
 

@@ -40,7 +40,11 @@ namespace {
 /// Re-pinned once when the checkpoint's dedup sections became the
 /// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
 /// replica state and every other counter are unchanged.
-constexpr std::uint64_t kLegacyDigest = 6737276438419678913ULL;
+/// Re-pinned once when an abort request for an undelivered transaction
+/// began completing it: the aborted id enters the checkpointed outcome
+/// history, so StateTransfer bytes grew (86110 -> 86119, same 17
+/// transfers); replica state and every message count are unchanged.
+constexpr std::uint64_t kLegacyDigest = 16990329189409236137ULL;
 constexpr std::uint64_t kLegacyCommitted = 84;
 /// Digest of the batching-on run: pins the batch and piggyback send order.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer

@@ -291,11 +291,14 @@ int main(int argc, char** argv) {
   // Dedup state is per replica: print the largest.
   std::size_t sessions = 0;
   std::size_t outcomes = 0;
+  std::size_t rounds = 0;
   for (const Server* s : dep.servers()) {
     sessions = std::max(sessions, s->session_count());
     outcomes = std::max(outcomes, s->outcome_count());
+    rounds = std::max(rounds, s->round_count());
   }
-  std::printf("dedup: sessions=%zu outcomes=%zu (max per replica)\n", sessions, outcomes);
+  std::printf("dedup: sessions=%zu outcomes=%zu rounds=%zu (max per replica)\n", sessions,
+              outcomes, rounds);
 
 #if SDUR_TRACE
   if (o.breakdown) {
