@@ -25,20 +25,23 @@ void Client::begin_read_only(ReadyCallback ready) {
   read_only_ = true;
   const std::uint64_t reqid = next_reqid_++;
   pending_snapshots_[reqid] = std::move(ready);
-  send(cfg_.snapshot_server, SnapshotReqMsg{reqid}.to_message());
-  schedule_snapshot_retry(reqid);
+  send(server(cfg_.home, 0), SnapshotReqMsg{reqid}.to_message());
+  schedule_snapshot_retry(reqid, 1);
 }
 
-void Client::schedule_snapshot_retry(std::uint64_t reqid) {
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
+void Client::schedule_snapshot_retry(std::uint64_t reqid, std::uint32_t attempt) {
+  set_timer(cfg_.read_retry_interval, [this, reqid, attempt] {
     if (!pending_snapshots_.contains(reqid)) return;
     ++stats_.read_retries;
-    send(cfg_.snapshot_server, SnapshotReqMsg{reqid}.to_message());
-    schedule_snapshot_retry(reqid);
+    send(server(cfg_.home, attempt), SnapshotReqMsg{reqid}.to_message());
+    schedule_snapshot_retry(reqid, attempt + 1);
   });
 }
 
-sim::ProcessId Client::read_target(PartitionId p) const { return cfg_.read_server.at(p); }
+sim::ProcessId Client::server(PartitionId p, std::uint32_t attempt) const {
+  const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
+  return replicas[attempt % replicas.size()];
+}
 
 void Client::read(Key k, ReadCallback cb) {
   ++stats_.reads;
@@ -54,23 +57,24 @@ void Client::read(Key k, ReadCallback cb) {
   }
   const PartitionId p = cfg_.partitioning->partition_of(k);
   const std::uint64_t reqid = next_reqid_++;
-  const sim::ProcessId target = read_target(p);
   const Version snapshot = tx_.snapshot_of(p);
-  pending_reads_[reqid] = PendingRead{std::move(cb), target, k, snapshot};
-  send(target, ReadReqMsg{reqid, k, snapshot}.to_message());
-  schedule_read_retry(reqid);
+  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot};
+  send(server(p, 0), ReadReqMsg{reqid, k, snapshot}.to_message());
+  schedule_read_retry(reqid, 1);
 }
 
-void Client::schedule_read_retry(std::uint64_t reqid) {
-  // Reads are idempotent; retries cover lost requests or responses. Note
-  // the retried request carries the original snapshot, so the answer is
-  // the same value either way.
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
+void Client::schedule_read_retry(std::uint64_t reqid, std::uint32_t attempt) {
+  // Reads are idempotent; retries cover lost requests or responses and a
+  // crashed replica. The retried request carries the original snapshot, so
+  // any replica of the partition answers with the same value. (A first
+  // read carries none; whichever answer arrives first fixes it.)
+  set_timer(cfg_.read_retry_interval, [this, reqid, attempt] {
     auto it = pending_reads_.find(reqid);
     if (it == pending_reads_.end()) return;
     ++stats_.read_retries;
-    send(it->second.target, ReadReqMsg{reqid, it->second.key, it->second.snapshot}.to_message());
-    schedule_read_retry(reqid);
+    const PendingRead& r = it->second;
+    send(server(r.partition, attempt), ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
+    schedule_read_retry(reqid, attempt + 1);
   });
 }
 
@@ -130,14 +134,14 @@ void Client::commit(CommitCallback cb) {
   }
   pending_commit_ = std::move(cb);
   pending_commit_txid_ = tx_.id;
-  const sim::ProcessId contact = cfg_.commit_server.at(primary);
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSubmit, tx_.id, now(), 0);
-  send(contact, CommitReqMsg{tx_}.to_message());
+  send(server(primary, 0), CommitReqMsg{tx_}.to_message());
 
   const TxId txid = tx_.id;
-  // Retry loop: requests and outcomes can be lost; the contact remembers
-  // outcomes, so retries are idempotent.
-  schedule_commit_retry(contact, txid, cfg_.commit_retry_interval);
+  // Retry loop: requests and outcomes can be lost and contacts crash; the
+  // servers remember outcomes and drop duplicate deliveries, so retries
+  // through any replica are idempotent.
+  schedule_commit_retry(primary, txid, 1);
   set_timer(cfg_.commit_timeout, [this, txid] {
     if (pending_commit_ && pending_commit_txid_ == txid) {
       ++stats_.timeouts;
@@ -148,12 +152,12 @@ void Client::commit(CommitCallback cb) {
   });
 }
 
-void Client::schedule_commit_retry(sim::ProcessId contact, TxId txid, sim::Time delay) {
-  set_timer(delay, [this, contact, txid, delay] {
+void Client::schedule_commit_retry(PartitionId primary, TxId txid, std::uint32_t attempt) {
+  set_timer(cfg_.commit_retry_interval, [this, primary, txid, attempt] {
     if (!pending_commit_ || pending_commit_txid_ != txid) return;
     ++stats_.commit_retries;
-    send(contact, CommitReqMsg{tx_}.to_message());
-    schedule_commit_retry(contact, txid, delay);
+    send(server(primary, attempt), CommitReqMsg{tx_}.to_message());
+    schedule_commit_retry(primary, txid, attempt + 1);
   });
 }
 

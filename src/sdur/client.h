@@ -5,8 +5,9 @@
 // snapshot — with parallel first reads, the lowest snapshot any of them
 // was served at; later reads at that partition carry it, so the client
 // sees a consistent partition view), writes are buffered locally, and commit
-// ships the whole transaction to a preferred server near the client, which
-// runs the termination protocol.
+// ships the whole transaction to the nearest replica of the partition it
+// touched first, which runs the termination protocol. A request that goes
+// unanswered is retried at the partition's next replica.
 //
 // Read-only transactions (Section III-A) first obtain a globally
 // consistent snapshot vector (built asynchronously by servers via gossip)
@@ -39,25 +40,28 @@ namespace sdur {
 
 struct ClientConfig {
   PartitioningPtr partitioning;
-  /// Per partition: the server this client sends reads to (nearest replica).
-  std::vector<sim::ProcessId> read_server;
-  /// Per partition: the preferred server commit requests go to when that
-  /// partition is the transaction's primary.
-  std::vector<sim::ProcessId> commit_server;
-  /// Server answering global-snapshot requests (nearest server overall).
-  sim::ProcessId snapshot_server = 0;
-  /// Safety timeout for commit outcomes (a crashed contact would otherwise
-  /// block the client forever). Expired commits report Outcome::kUnknown.
+  /// Per partition: its replicas, nearest first, ties broken by replica
+  /// index. Attempt i of a read, snapshot or commit request to partition p
+  /// goes to servers[p][i % servers[p].size()], and every new request
+  /// starts at the nearest replica again: a retry fails over without
+  /// moving the client onto a far replica for good (DESIGN.md "Failover").
+  std::vector<std::vector<sim::ProcessId>> servers;
+  /// The client's home partition: its replicas answer snapshot requests.
+  PartitionId home = 0;
+  /// Safety timeout for commit outcomes (a partition that stays without a
+  /// live majority would otherwise block the client forever). Expired
+  /// commits report Outcome::kUnknown.
   sim::Time commit_timeout = sim::sec(120);
 
   /// Commit requests are re-sent at this period until the outcome arrives
-  /// (the server remembers outcomes, so retries are idempotent). Covers
-  /// lost request or outcome messages.
-  sim::Time commit_retry_interval = sim::sec(5);
+  /// (the servers remember outcomes and drop duplicate deliveries, so
+  /// retries are idempotent). Covers lost request or outcome messages and
+  /// a crashed contact.
+  sim::Time commit_retry_interval = sim::msec(500);
 
   /// Read and snapshot requests are re-sent at this period until answered
   /// (both are idempotent).
-  sim::Time read_retry_interval = sim::sec(2);
+  sim::Time read_retry_interval = sim::msec(200);
 };
 
 class Client : public sim::Process {
@@ -102,8 +106,9 @@ class Client : public sim::Process {
   void on_message(const sim::Message& m, sim::ProcessId from) override;
 
  private:
-  sim::ProcessId read_target(PartitionId p) const;
-  void schedule_commit_retry(sim::ProcessId contact, TxId txid, sim::Time delay);
+  /// The replica that attempt `attempt` of a request to partition p goes to.
+  sim::ProcessId server(PartitionId p, std::uint32_t attempt) const;
+  void schedule_commit_retry(PartitionId primary, TxId txid, std::uint32_t attempt);
 
   ClientConfig cfg_;
   Transaction tx_;
@@ -113,14 +118,14 @@ class Client : public sim::Process {
 
   struct PendingRead {
     ReadCallback cb;
-    sim::ProcessId target;
+    PartitionId partition;
     Key key;
     Version snapshot;
   };
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   std::unordered_map<std::uint64_t, ReadyCallback> pending_snapshots_;
-  void schedule_read_retry(std::uint64_t reqid);
-  void schedule_snapshot_retry(std::uint64_t reqid);
+  void schedule_read_retry(std::uint64_t reqid, std::uint32_t attempt);
+  void schedule_snapshot_retry(std::uint64_t reqid, std::uint32_t attempt);
   CommitCallback pending_commit_;
   TxId pending_commit_txid_ = 0;
 

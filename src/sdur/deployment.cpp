@@ -1,5 +1,7 @@
 #include "sdur/deployment.h"
 
+#include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 namespace sdur {
@@ -40,7 +42,7 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
       // server's region.
       cfg.read_route.clear();
       for (PartitionId q = 0; q < spec_.partitions; ++q) {
-        cfg.read_route.push_back(server_pid(q, nearest_replica(q, loc.region)));
+        cfg.read_route.push_back(replicas_by_distance(q, loc.region).front());
       }
       // Delay estimates (Section IV-D): one-way delay from this server's
       // region to the target partition's leader region.
@@ -93,19 +95,18 @@ sim::Location Deployment::server_location(PartitionId p, std::uint32_t replica) 
   return {0, 0};
 }
 
-std::uint32_t Deployment::nearest_replica(PartitionId p, std::uint16_t region) const {
+std::vector<sim::ProcessId> Deployment::replicas_by_distance(PartitionId p,
+                                                             std::uint16_t region) const {
   const sim::Topology& topo = net_->topology();
-  std::uint32_t best = 0;
-  sim::Time best_delay = sim::kNever;
-  for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
-    const sim::Location loc = server_location(p, r);
-    const sim::Time d = topo.region_delay(region, loc.region);
-    if (d < best_delay) {
-      best_delay = d;
-      best = r;
-    }
-  }
-  return best;
+  std::vector<std::uint32_t> order(spec_.replicas);
+  std::iota(order.begin(), order.end(), 0);
+  std::ranges::stable_sort(order, {}, [&](std::uint32_t r) {
+    return topo.region_delay(region, server_location(p, r).region);
+  });
+  std::vector<sim::ProcessId> pids;
+  pids.reserve(order.size());
+  for (std::uint32_t r : order) pids.push_back(server_pid(p, r));
+  return pids;
 }
 
 Server& Deployment::server(PartitionId p, std::uint32_t replica) {
@@ -122,17 +123,13 @@ std::vector<Server*> Deployment::servers() {
 Client& Deployment::add_client(PartitionId home) {
   const sim::Location loc{home_region(home), 0};
   ClientConfig cfg = spec_.client;
-  cfg.read_server.clear();
-  cfg.commit_server.clear();
   cfg.partitioning = spec_.partitioning;
+  cfg.home = home;
+  cfg.servers.clear();
+  // The home partition's nearest replica is its leader, replica 0.
   for (PartitionId q = 0; q < spec_.partitions; ++q) {
-    cfg.read_server.push_back(server_pid(q, nearest_replica(q, loc.region)));
-    // Preferred server: the home partition's leader when committing there;
-    // the nearest replica otherwise.
-    cfg.commit_server.push_back(q == home ? server_pid(q, 0)
-                                          : server_pid(q, nearest_replica(q, loc.region)));
+    cfg.servers.push_back(replicas_by_distance(q, loc.region));
   }
-  cfg.snapshot_server = cfg.commit_server[home];
   clients_.push_back(std::make_unique<Client>(*net_, next_client_pid_++, loc, std::move(cfg)));
   return *clients_.back();
 }

@@ -12,8 +12,8 @@
 //
 // Partition p's home region alternates EU / US-EAST (the paper's two
 // partitions have EU and US-EAST homes); clients are placed in their home
-// partition's region and are routed to the nearest replica of every
-// partition, with the home partition's leader as their preferred server.
+// partition's region and reach every partition through its replicas in
+// nearest-first order (the home partition's nearest is its leader).
 #pragma once
 
 #include <memory>
@@ -70,7 +70,7 @@ class Deployment {
   std::uint32_t replica_count() const { return spec_.replicas; }
 
   /// Creates a client homed on partition `home` (placed in that
-  /// partition's region, preferring its leader for commits).
+  /// partition's region, every partition's replicas listed nearest first).
   Client& add_client(PartitionId home);
   std::vector<Client*> clients();
 
@@ -100,8 +100,9 @@ class Deployment {
   sim::ProcessId server_pid(PartitionId p, std::uint32_t replica) const {
     return 1 + p * spec_.replicas + replica;
   }
-  /// Nearest replica of partition p to the given region.
-  std::uint32_t nearest_replica(PartitionId p, std::uint16_t region) const;
+  /// Partition p's replicas, nearest to `region` first, ties broken by
+  /// replica index.
+  std::vector<sim::ProcessId> replicas_by_distance(PartitionId p, std::uint16_t region) const;
 
   DeploymentSpec spec_;
   sim::Simulator sim_;

@@ -194,10 +194,12 @@ void Server::handle_commit_request(Transaction tx) {
     send(tx.client, OutcomeMsg{tx.id, *o}.to_message());
     return;
   }
-  // Duplicate commit request for a transaction still in flight here:
-  // dropping it is safe — the original submission is still being driven
-  // by the Paxos resubmission machinery.
-  if (delivered(tx.id)) return;
+  // Retry for a transaction still in flight here: the submission reached
+  // this partition, so at most a forward to another partition was lost.
+  if (delivered(tx.id)) {
+    reforward_missing_parts(tx);
+    return;
+  }
   // partitions(t): every partition with a non-bottom snapshot entry; since
   // there are no blind writes, written partitions were also read.
   std::vector<PartitionId> involved;
@@ -246,6 +248,27 @@ void Server::handle_commit_request(Transaction tx) {
     } else {
       abcast(cfg_.partition, part);
     }
+  }
+}
+
+void Server::reforward_missing_parts(const Transaction& tx) {
+  const auto it = rounds_.find(tx.id);
+  if (it == rounds_.end() || it->second.phase == Round::Phase::kVoting) return;
+  Round& r = it->second;
+  // The first forward went to replica 0 (abcast), which may have crashed
+  // with it; each re-forward tries the next replica. The copy carries the
+  // same TxId, so a partition that already has the part drops it as a
+  // duplicate. Its contact is this replica: nobody there replies, and the
+  // client's retries are answered from `outcomes_`.
+  const std::uint32_t next = ++r.reforwards;
+  for (PartitionId p : r.involved) {
+    if (p == cfg_.partition || r.vote(p) != nullptr) continue;
+    PartTx part = project(tx, p, r.involved);
+    part.contact = self();
+    const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
+    const sim::ProcessId target = replicas[next % replicas.size()];
+    send(target, maybe_piggyback(target, paxos::Forward{part.encode()}.to_message()));
+    ++stats_.reforwards;
   }
 }
 
@@ -342,6 +365,7 @@ void Server::process_delivery(PartTx t) {
         // (No client reply: an abort request has no contact.)
         Session& s = sessions_[tx_client(t.id)];
         s.last = std::max(s.last, tx_seq(t.id));
+        ++stats_.abort_request_aborts;
         cast_own_vote(t.id, t.involved, Outcome::kAbort);
         complete(t, Outcome::kAbort);
       }
@@ -379,6 +403,7 @@ void Server::process_delivery(PartTx t) {
                                  : static_cast<std::uint64_t>(cc - t.snapshot));
         }
         vote = res.outcome;
+        if (vote == Outcome::kAbort) ++stats_.cert_aborts;
         if (res.stale_snapshot) ++stats_.stale_snapshot_aborts;
         if (vote == Outcome::kCommit) {
           if (t.is_global()) {

@@ -51,7 +51,9 @@ namespace sdur {
   X(delivered)                                                                        \
   X(committed_local)                                                                  \
   X(committed_global)                                                                 \
-  X(aborted)                                                                          \
+  X(aborted)                /* every abort completion, the next two included */       \
+  X(cert_aborts)            /* failed certification here */                           \
+  X(abort_request_aborts)   /* completed by an abort request */                       \
   X(stale_snapshot_aborts)  /* snapshot fell out of window */                         \
   X(reordered)              /* committed locals that leaped >=1 global */             \
   X(ticks_sent)                                                                       \
@@ -71,7 +73,8 @@ namespace sdur {
   X(speculated_globals)     /* globals out of the pending list before their votes */  \
   X(spec_commits)           /* speculations committed (writes applied at finalize) */ \
   X(spec_aborts)            /* speculations aborted by a vote (nothing to undo) */    \
-  X(late_first_deliveries)  /* first deliveries at or below the floor: abort */
+  X(late_first_deliveries)  /* first deliveries at or below the floor: abort */       \
+  X(reforwards)             /* missing parts re-forwarded on a commit retry */
 
 class Server : public sim::Process {
  public:
@@ -131,6 +134,10 @@ class Server : public sim::Process {
  private:
   // --- Submission ---------------------------------------------------------
   void handle_commit_request(Transaction tx);
+  /// A commit retry for a global delivered here whose round lacks a
+  /// partition's vote: re-forwards that partition's part to its next
+  /// replica (DESIGN.md "Failover").
+  void reforward_missing_parts(const Transaction& tx);
   PartTx project(const Transaction& tx, PartitionId p,
                  const std::vector<PartitionId>& involved) const;
   /// Sends an encoded PartTx into partition p's atomic broadcast.
@@ -193,6 +200,8 @@ class Server : public sim::Process {
     sim::Time delivered_at = 0;
     sim::Time last_vote_resend = 0;
     bool abort_requested = false;
+    /// Re-forwards made for this round; picks the replica the next goes to.
+    std::uint32_t reforwards = 0;
     /// kSpeculated/kSettled: the transaction and its reorder threshold,
     /// moved out of the pending list (checkpoints carry both).
     PartTx tx;

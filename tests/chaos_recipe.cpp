@@ -129,7 +129,9 @@ namespace {
 /// cores 158743 -> 158726); replica state and every other counter are
 /// unchanged. Re-pinned again when the checkpoint's dedup sections became
 /// the per-client session table (73300 -> 65697, 158726 -> 141689), on the
-/// same terms.
+/// same terms. Re-pinned once more when retries began failing over to the
+/// partition's other replicas: the message schedule, and with it the
+/// fabric RNG stream, changed.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
@@ -142,9 +144,9 @@ void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x961bb975d08b26a7ULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x3a73ea1882c7b722ULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0xbd5c7fe8bf7ba5f1ULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0xcbc34d7a4bd7f6eULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

@@ -12,8 +12,9 @@ struct Fixture {
   std::unique_ptr<Deployment> dep;
   Client* client = nullptr;
 
-  Fixture() {
+  explicit Fixture(ClientConfig client_cfg = {}) {
     DeploymentSpec spec;
+    spec.client = std::move(client_cfg);
     spec.partitions = 3;
     spec.partitioning = std::make_shared<RangePartitioning>(3, 100);
     spec.paxos.log_write_latency = sim::usec(200);
@@ -171,6 +172,34 @@ TEST(Client, ReadOnlyDoesNotBlockOnConcurrentWriters) {
   EXPECT_EQ(o, Outcome::kCommit);
 }
 
+/// Reads, snapshots and commits fail over: with partition 0's replica 0
+/// (the home partition's nearest replica, its leader) crashed, each
+/// request's second attempt reaches replica 1, which answers it.
+TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
+  Fixture f;
+  f.dep->server(0, 0).crash();
+
+  std::string value;
+  f.client->begin();
+  f.client->read(1, [&](bool, const std::string& v) { value = v; });
+  f.run_for(sim::msec(300));
+  EXPECT_EQ(value, "v1");
+  EXPECT_EQ(f.client->stats().read_retries, 1u) << "one read retry";
+
+  bool ready = false;
+  f.client->begin_read_only([&] { ready = true; });
+  f.run_for(sim::msec(300));
+  EXPECT_TRUE(ready);
+  EXPECT_EQ(f.client->stats().read_retries, 2u) << "one snapshot retry";
+
+  // The commit waits for partition 0 to elect a new leader.
+  EXPECT_EQ(f.update({2, 102}, "failed-over"), Outcome::kCommit);
+  EXPECT_GE(f.client->stats().commit_retries, 1u);
+  EXPECT_EQ(f.client->stats().timeouts, 0u);
+  EXPECT_EQ(f.dep->server(0, 1).store().get_latest(2)->value, "failed-over");
+  EXPECT_EQ(f.dep->server(1, 0).store().get_latest(102)->value, "failed-over");
+}
+
 /// Stands in for a partition's server: records read and commit requests
 /// and answers reads only when the test says so, at the snapshot it picks.
 struct ScriptedServer : sim::Process {
@@ -184,6 +213,81 @@ struct ScriptedServer : sim::Process {
   }
 };
 
+/// Records which replica each read, snapshot and commit request reaches,
+/// in arrival order, and answers none of them.
+struct SilentReplica : sim::Process {
+  struct Arrival {
+    sim::MsgType type;
+    sim::ProcessId replica;
+    std::uint64_t reqid;  // reads and snapshots
+  };
+  SilentReplica(sim::Network& net, sim::ProcessId pid, std::vector<Arrival>& arrivals)
+      : sim::Process(net, pid, "silent-" + std::to_string(pid), sim::Location{0, 0}),
+        log(arrivals) {}
+  std::vector<Arrival>& log;
+  void on_message(const sim::Message& m, sim::ProcessId) override {
+    util::Reader r(m.payload);
+    std::uint64_t reqid = 0;
+    if (m.type == msgtype::kReadReq) reqid = ReadReqMsg::decode(r).reqid;
+    if (m.type == msgtype::kSnapshotReq) reqid = SnapshotReqMsg::decode(r).reqid;
+    log.push_back({m.type, self(), reqid});
+  }
+};
+
+TEST(Client, AttemptsRotateThroughThePartitionsReplicas) {
+  Fixture f;
+  std::vector<SilentReplica::Arrival> log;
+  SilentReplica a(f.dep->network(), 20'000, log);
+  SilentReplica b(f.dep->network(), 20'001, log);
+  SilentReplica c(f.dep->network(), 20'002, log);
+  ClientConfig cfg;
+  cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
+  cfg.servers = {{a.self(), b.self(), c.self()}};
+  Client client(f.dep->network(), 20'010, sim::Location{0, 0}, cfg);
+
+  // Attempt i of a request goes to servers[0][i % 3], every 200 ms for
+  // reads and snapshots, every 500 ms for commits. Each phase answers its
+  // request at the end, so its retries stop.
+  auto expect_attempts = [&](sim::MsgType type, std::vector<sim::ProcessId> order) {
+    ASSERT_EQ(log.size(), order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(log[i].type, type) << "attempt " << i;
+      EXPECT_EQ(log[i].replica, order[i]) << "attempt " << i;
+    }
+  };
+  auto answer_read = [&](Key k) {
+    b.send(client.self(), ReadRespMsg{log.back().reqid, k, true, "v", 0}.to_message());
+    f.run_for(sim::msec(10));
+    log.clear();
+  };
+  client.begin();
+  client.read(1, [](bool, const std::string&) {});
+  f.run_for(sim::msec(850));
+  expect_attempts(msgtype::kReadReq, {a.self(), b.self(), c.self(), a.self(), b.self()});
+  EXPECT_EQ(client.stats().read_retries, 4u);
+  answer_read(1);
+
+  // A new request starts at the nearest replica again.
+  client.read(2, [](bool, const std::string&) {});
+  f.run_for(sim::msec(250));
+  expect_attempts(msgtype::kReadReq, {a.self(), b.self()});
+  answer_read(2);
+
+  client.begin_read_only([] {});
+  f.run_for(sim::msec(450));
+  expect_attempts(msgtype::kSnapshotReq, {a.self(), b.self(), c.self()});
+  b.send(client.self(), SnapshotRespMsg{log.back().reqid, {0}}.to_message());
+  f.run_for(sim::msec(10));
+  log.clear();
+
+  client.begin();
+  client.write(3, "x");
+  client.commit([](Outcome) {});
+  f.run_for(sim::msec(1600));
+  expect_attempts(msgtype::kCommitReq, {a.self(), b.self(), c.self(), a.self()});
+  EXPECT_EQ(client.stats().commit_retries, 3u);
+}
+
 TEST(Client, ParallelFirstReadsKeepTheLowestSnapshot) {
   // Two parallel first reads at one partition, served at different read
   // frontiers (key 1 at 2, key 2 at 5); the higher reply lands first. The
@@ -193,9 +297,7 @@ TEST(Client, ParallelFirstReadsKeepTheLowestSnapshot) {
   ScriptedServer server(f.dep->network(), 20'000, "scripted", sim::Location{0, 0});
   ClientConfig cfg;
   cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
-  cfg.read_server = {server.self()};
-  cfg.commit_server = {server.self()};
-  cfg.snapshot_server = server.self();
+  cfg.servers = {{server.self()}};
   Client client(f.dep->network(), 20'001, sim::Location{0, 0}, cfg);
 
   bool read_done = false;
@@ -257,7 +359,9 @@ TEST(Client, StatsCountReadsAndCommits) {
 }
 
 TEST(Client, DroppedReadResponseIsRetriedAndCounted) {
-  Fixture f;
+  ClientConfig slow_retries;
+  slow_retries.read_retry_interval = sim::sec(2);
+  Fixture f(slow_retries);
   bool found = false;
   f.client->begin();
   f.client->read(1, [&](bool ok, const std::string&) { found = ok; });

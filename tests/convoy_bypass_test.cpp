@@ -377,8 +377,13 @@ namespace e2e {
 /// began completing it: the aborted id enters the checkpointed outcome
 /// history, so StateTransfer bytes grew (86110 -> 86119, same 17
 /// transfers); replica state and every message count are unchanged.
-constexpr std::uint64_t kLegacyDigest = 16990329189409236137ULL;
-constexpr std::uint64_t kLegacyCommitted = 84;
+/// Re-pinned once when retries began failing over (DESIGN.md "Failover"):
+/// attempt i of a request goes to the partition's replica i % 3, and a
+/// commit retry at a replica that delivered a global re-forwards a missing
+/// part. Under the recipe's loss and follower crashes the message schedule
+/// changes, and with it the fabric RNG stream: 98 commits instead of 84.
+constexpr std::uint64_t kLegacyDigest = 9171676300142997589ULL;
+constexpr std::uint64_t kLegacyCommitted = 98;
 /// Digest of the bypass-on run: pins the out-of-order completion order,
 /// which feeds the send order and so the fabric RNG.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer
@@ -386,7 +391,9 @@ constexpr std::uint64_t kLegacyCommitted = 84;
 /// are unchanged. Re-pinned again when abort requests began completing
 /// undelivered transactions (60699 -> 60708, the aborted id in the
 /// outcome history), on the same terms.
-constexpr std::uint64_t kBypassOnDigest = 0xabf07137f5f7dd7cULL;
+/// Re-pinned once when retries began failing over, on the legacy pin's
+/// terms.
+constexpr std::uint64_t kBypassOnDigest = 0xeb6d58254d24f143ULL;
 
 using chaos::ChaosOut;
 

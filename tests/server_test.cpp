@@ -297,11 +297,14 @@ TEST(Server, CrashedContactMakesClientTimeout) {
 
 /// The submitter's forward to partition 1 is lost (links blocked during
 /// submission); partition 0 delivers the transaction and waits for votes.
+/// The client is cut off right after its commit request, so no retry can
+/// re-forward the lost part (see ReforwardOnRetryCompletesHalfSubmittedGlobal).
 /// After missing_vote_timeout the leader abcasts an abort request to the
 /// silent partition, which votes abort, aborting the transaction
 /// everywhere (Section IV-F). With speculation on, partition 0 takes the
 /// global out of its pending list while it waits, and the abort drops its
-/// writes, which never reached the store.
+/// writes, which never reached the store. Once the client is back, a retry
+/// learns the outcome.
 void run_half_submitted_global(bool speculation) {
   DeploymentSpec spec;
   spec.partitions = 2;
@@ -328,9 +331,11 @@ void run_half_submitted_global(bool speculation) {
     c.write(1, "half");
     c.write(1001, "half");
     c.commit([&](Outcome out) { o = out; });
+    f.dep->network().isolate(c.self());
   });
-  // Let the submission happen (forward to P1 dropped), then heal so the
-  // abort request can flow.
+  // Let the submission happen (forward to P1 dropped), then heal the
+  // servers so the abort request can flow; the client stays cut off until
+  // the abort completed.
   f.run_for(sim::msec(500));
   if (speculation) {
     // The global waits on its missing vote outside the pending list, its
@@ -344,7 +349,10 @@ void run_half_submitted_global(bool speculation) {
     }
   }
   f.dep->network().heal_all();
-  f.run_for(sim::sec(10));
+  f.dep->network().isolate(c.self());
+  f.run_for(sim::sec(3));
+  f.dep->network().heal(c.self());
+  f.run_for(sim::sec(7));
 
   EXPECT_EQ(o, Outcome::kAbort);
   EXPECT_EQ(f.read_latest(0, 1), "a1") << "no partial application at partition 0";
@@ -356,6 +364,8 @@ void run_half_submitted_global(bool speculation) {
     // The abort request closes the round it opens at partition 1.
     EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "partition 0 replica " << r;
     EXPECT_EQ(f.dep->server(1, r).round_count(), 0u) << "partition 1 replica " << r;
+    EXPECT_EQ(f.dep->server(1, r).stats().abort_request_aborts, 1u) << "replica " << r;
+    EXPECT_EQ(f.dep->server(1, r).stats().cert_aborts, 0u) << "replica " << r;
   }
   if (speculation) {
     for (std::uint32_t r = 0; r < 3; ++r) {
@@ -373,6 +383,59 @@ TEST(Server, AbortRequestResolvesHalfSubmittedGlobal) { run_half_submitted_globa
 
 TEST(Server, AbortRequestRollsBackHalfSubmittedSpeculatedGlobal) {
   run_half_submitted_global(true);
+}
+
+/// The same half-submitted global, but the client keeps retrying: its
+/// second attempt reaches replica 1 of partition 0, which delivered the
+/// global and still lacks partition 1's vote. That replica re-forwards
+/// partition 1's part to partition 1's replica 1, and the global commits
+/// before any abort request.
+TEST(Server, ReforwardOnRetryCompletesHalfSubmittedGlobal) {
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
+  spec.server.missing_vote_timeout = sim::msec(1500);
+  Fixture f(spec);
+  f.settle();
+  Client& c = f.dep->add_client(0);
+
+  const sim::ProcessId contact = f.dep->server(0, 0).self();
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    f.dep->network().block_link(contact, f.dep->server(1, r).self());
+  }
+  Outcome o = Outcome::kUnknown;
+  c.begin();
+  c.read_many({1, 1001}, [&](auto) {
+    c.write(1, "retried");
+    c.write(1001, "retried");
+    c.commit([&](Outcome out) { o = out; });
+  });
+  // Past the first retry (500 ms): partition 1 has the part by now.
+  f.run_for(sim::msec(700));
+  EXPECT_EQ(f.dep->server(0, 1).stats().reforwards, 1u) << "one missing part, one re-forward";
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(f.dep->server(1, r).stats().delivered, 1u) << "partition 1 replica " << r;
+  }
+  // The contact still misses partition 1's vote; its vote requests pull it
+  // once the links are back.
+  f.dep->network().heal_all();
+  f.run_for(sim::sec(5));
+
+  EXPECT_EQ(o, Outcome::kCommit);
+  EXPECT_EQ(f.read_latest(0, 1), "retried");
+  EXPECT_EQ(f.read_latest(1, 1001), "retried");
+  for (PartitionId p = 0; p < 2; ++p) {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      const Server& s = f.dep->server(p, r);
+      EXPECT_EQ(s.stats().committed_global, 1u) << s.name();
+      EXPECT_EQ(s.stats().abort_requests_sent, 0u) << s.name();
+      EXPECT_EQ(s.round_count(), 0u) << s.name();
+    }
+  }
+  f.assert_replicas_converged();
+#if SDUR_AUDIT_ON
+  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
+#endif
 }
 
 /// A client gives up on global s after its commit timeout and moves on.

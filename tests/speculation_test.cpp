@@ -197,8 +197,13 @@ namespace e2e {
 /// began completing it: the aborted id enters the checkpointed outcome
 /// history, so StateTransfer bytes grew (86110 -> 86119, same 17
 /// transfers); replica state and every message count are unchanged.
-constexpr std::uint64_t kLegacyDigest = 16990329189409236137ULL;
-constexpr std::uint64_t kLegacyCommitted = 84;
+/// Re-pinned once when retries began failing over (DESIGN.md "Failover"):
+/// attempt i of a request goes to the partition's replica i % 3, and a
+/// commit retry at a replica that delivered a global re-forwards a missing
+/// part. Under the recipe's loss and follower crashes the message schedule
+/// changes, and with it the fabric RNG stream: 98 commits instead of 84.
+constexpr std::uint64_t kLegacyDigest = 9171676300142997589ULL;
+constexpr std::uint64_t kLegacyCommitted = 98;
 /// Digest of the speculation-on run: pins the speculation and finalize
 /// order, which feeds the send order and so the fabric RNG.
 /// Re-pinned once when speculated writes moved from the store into the
@@ -208,7 +213,9 @@ constexpr std::uint64_t kLegacyCommitted = 84;
 /// session-table checkpoint format (55847 -> 49071), on the same terms,
 /// and when abort requests began completing undelivered transactions
 /// (49071 -> 49089, the aborted ids in the outcome history).
-constexpr std::uint64_t kSpeculationOnDigest = 0xe8148c80246273f6ULL;
+/// Re-pinned once when retries began failing over, on the legacy pin's
+/// terms.
+constexpr std::uint64_t kSpeculationOnDigest = 0xf1fe1ca3b956d70cULL;
 
 using chaos::ChaosOut;
 

@@ -8,6 +8,7 @@
 //   sdur_sim --deployment wan2 --workload social --techniques reorder=20 --auto-load
 //   sdur_sim --deployment lan --partitions 8 --workload micro --seconds 20
 //            --zipf 0.99 --csv out.csv
+//   sdur_sim --deployment wan1 --crash 0:0@0.5+2   (partition 0's leader down 2 s)
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -16,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "sdur/technique_config.h"
 #include "sim/fabric_stats.h"
@@ -31,6 +33,15 @@ using namespace sdur;
 using namespace sdur::workload;
 
 namespace {
+
+/// --crash P:R@SEC[+DOWN]: replica R of partition P crashes SEC seconds
+/// into the measurement window and, with DOWN, recovers DOWN seconds later.
+struct Crash {
+  PartitionId partition = 0;
+  std::uint32_t replica = 0;
+  double at = 0;
+  double down = 0;  // 0: never recovers
+};
 
 struct Options {
   std::string deployment = "lan";
@@ -54,6 +65,7 @@ struct Options {
   bool breakdown = false;
   std::string csv;
   bool verbose = false;
+  std::vector<Crash> crashes;
 };
 
 void usage() {
@@ -80,6 +92,9 @@ void usage() {
       "  --seconds S                  measurement window (default 10)\n"
       "  --seed N                     RNG seed (default 1)\n"
       "  --csv FILE                   dump per-class latency CDFs as CSV\n"
+      "  --crash P:R@SEC[+DOWN]       crash replica R of partition P SEC seconds into\n"
+      "                               the measured window; recover DOWN seconds later\n"
+      "                               (repeatable; default never recovers)\n"
       "  --verbose                    log leader elections etc.\n");
 }
 
@@ -97,6 +112,27 @@ void parse_number(const std::string& flag, const char* v, T& out) {
   bool ok = ec == std::errc{} && stop == end;
   if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
   if (!ok) bad_flag(flag, "cannot parse '" + std::string(v) + "'");
+}
+
+/// Parses P:R@SEC[+DOWN]; a malformed value exits 2.
+Crash parse_crash(const std::string& flag, const std::string& v) {
+  const std::size_t colon = v.find(':');
+  const std::size_t at = v.find('@');
+  const std::size_t plus = v.find('+');
+  if (colon == std::string::npos || at == std::string::npos || at < colon ||
+      (plus != std::string::npos && plus < at)) {
+    bad_flag(flag, "expected P:R@SEC[+DOWN], got '" + v + "'");
+  }
+  Crash c;
+  parse_number(flag, v.substr(0, colon).c_str(), c.partition);
+  parse_number(flag, v.substr(colon + 1, at - colon - 1).c_str(), c.replica);
+  parse_number(flag, v.substr(at + 1, plus - at - 1).c_str(), c.at);
+  if (plus != std::string::npos) {
+    parse_number(flag, v.substr(plus + 1).c_str(), c.down);
+    if (c.down <= 0) bad_flag(flag, "DOWN must be above 0");
+  }
+  if (c.at < 0) bad_flag(flag, "SEC must not be negative");
+  return c;
 }
 
 bool parse(int argc, char** argv, Options& o) {
@@ -134,6 +170,7 @@ bool parse(int argc, char** argv, Options& o) {
     else if (a == "--seed") parse_number(a, need(i), o.seed);
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--verbose") o.verbose = true;
+    else if (a == "--crash") o.crashes.push_back(parse_crash(a, need(i)));
     else if (a == "--help" || a == "-h") {
       usage();
       std::exit(0);
@@ -148,6 +185,12 @@ bool parse(int argc, char** argv, Options& o) {
   if (o.users < 1) bad_flag("--users", "must be at least 1");
   if (o.seconds <= 0) bad_flag("--seconds", "must be above 0");
   if (o.load_fraction <= 0 || o.load_fraction > 1) bad_flag("--auto-load", "must be in (0, 1]");
+  for (const Crash& c : o.crashes) {
+    if (c.partition >= o.partitions || c.replica >= o.replicas) {
+      bad_flag("--crash", "no replica " + std::to_string(c.replica) + " of partition " +
+                              std::to_string(c.partition));
+    }
+  }
   return true;
 }
 
@@ -263,11 +306,30 @@ int main(int argc, char** argv) {
   sim::fabric_counters().reset();
   Deployment dep(make_spec());
   auto wl = make_workload();
+  const sim::Time window = dep.simulator().now() + cfg.settle + cfg.warmup;
+  for (const Crash& c : o.crashes) {
+    Server& victim = dep.server(c.partition, c.replica);
+    const auto at = window + static_cast<sim::Time>(c.at * 1e6);
+    dep.simulator().schedule_at(at, [&victim] { victim.crash(); });
+    if (c.down > 0) {
+      dep.simulator().schedule_at(at + static_cast<sim::Time>(c.down * 1e6),
+                                  [&victim] { victim.recover(); });
+    }
+  }
   const RunResult r = run_experiment(dep, *wl, cfg);
 
   std::printf("\n%s / %s: %u partitions x %u replicas, %u clients, %.1fs measured [%s]\n",
               o.deployment.c_str(), o.workload.c_str(), o.partitions, o.replicas, cfg.clients,
               o.seconds, format_techniques(o.techniques).c_str());
+  for (const Crash& c : o.crashes) {
+    std::printf("crash: partition %u replica %u at %.3fs of the window, ", c.partition, c.replica,
+                c.at);
+    if (c.down > 0) {
+      std::printf("recovers %.3fs later\n", c.down);
+    } else {
+      std::printf("never recovers\n");
+    }
+  }
   std::printf("%-16s %10s %10s %10s %10s %10s\n", "class", "tput(tps)", "p50(ms)", "p99(ms)",
               "avg(ms)", "aborts");
   for (const auto& [cls, st] : r.classes) {
