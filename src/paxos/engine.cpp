@@ -25,6 +25,13 @@ std::uint64_t value_hash(const Value& v) {
   return sdur::util::fnv1a(
       std::string_view(reinterpret_cast<const char*>(v.data()), v.size()));
 }
+
+/// The leadership a replica that has heard no leader forwards to
+/// (leader_hint()'s fallback): the proposer of its promised ballot, else
+/// member 0, which campaigns at round 1. Its heartbeat needs no re-drive.
+Ballot first_forward_target(Ballot promised) {
+  return std::max(promised, Ballot::make(1, 0));
+}
 }
 
 PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
@@ -33,6 +40,7 @@ PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
   for (std::uint32_t i = 0; i < cfg_.members.size(); ++i) index_of_[cfg_.members[i]] = i;
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
+  redriven_for_ = first_forward_target(promised_);
   trace_track_ = SDUR_TRACE_REGISTER(ep_.self(), "paxos-" + std::to_string(ep_.self()), -1);
   // Group identity for the cross-replica audit oracle: every member hashes
   // the same member list, and distinct groups have distinct member sets.
@@ -216,6 +224,12 @@ void PaxosEngine::become_leader() {
   }
   next_instance_ = std::max(next_instance_, quorum_decided);
   promises_.clear();
+  // Values this replica forwarded to the previous leader go first, ahead of
+  // those buffered during the election.
+  redriven_for_ = promised_;
+  std::vector<Value> stranded = stranded_submissions(promised_);
+  pending_.insert(pending_.begin(), std::make_move_iterator(stranded.begin()),
+                  std::make_move_iterator(stranded.end()));
   broadcast(Heartbeat{promised_, next_deliver_}.to_message());
   maybe_propose();
 }
@@ -250,7 +264,14 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
         promised_.proposer_index() != cfg_.self_index) {
       step_down(m.ballot);
     }
-    // Flush any values buffered while leaderless.
+    // A new leader: first re-drive what went to the old one, then flush
+    // any values buffered while leaderless.
+    if (m.ballot > redriven_for_) {
+      redriven_for_ = m.ballot;
+      for (Value& v : stranded_submissions(m.ballot)) {
+        send_to(from, Forward{std::move(v)}.to_message());
+      }
+    }
     if (!pending_.empty()) {
       for (auto& v : pending_) send_to(from, Forward{std::move(v)}.to_message());
       pending_.clear();
@@ -277,7 +298,11 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
 
 void PaxosEngine::propose(Value v) {
   auto& entry = submitted_[value_hash(v)];
-  if (entry.count == 0) entry.value = v;
+  if (entry.count == 0) {
+    entry.value = v;
+    entry.order = next_submit_order_++;
+  }
+  entry.sent_under = promised_;
   ++entry.count;
   entry.submitted_at = ep_.current_time();
   on_forward(Forward{std::move(v)}, ep_.self());
@@ -295,6 +320,25 @@ bool PaxosEngine::value_in_flight(std::uint64_t hash) const {
     }
   }
   return false;
+}
+
+std::vector<Value> PaxosEngine::stranded_submissions(Ballot leader) {
+  const Time now = ep_.current_time();
+  std::vector<const SubmittedValue*> stranded;
+  for (auto& [hash, sub] : submitted_) {
+    // Sent under `leader` or later: it went to that leader or a candidate
+    // that queued it, not to a dead one.
+    if (sub.sent_under >= leader || value_in_flight(hash)) continue;
+    sub.sent_under = promised_;
+    sub.submitted_at = now;
+    ++stats_.resends;
+    stranded.push_back(&sub);
+  }
+  std::ranges::sort(stranded, {}, &SubmittedValue::order);
+  std::vector<Value> values;
+  values.reserve(stranded.size());
+  for (const SubmittedValue* sub : stranded) values.push_back(sub->value);
+  return values;
 }
 
 void PaxosEngine::on_forward(Forward m, ProcessId from) {
@@ -537,6 +581,7 @@ void PaxosEngine::tick() {
     sub.submitted_at = now;
     if (value_in_flight(hash)) continue;
     ++stats_.resends;
+    sub.sent_under = promised_;
     on_forward(Forward{sub.value}, ep_.self());
   }
   ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });
@@ -555,6 +600,7 @@ void PaxosEngine::on_recover() {
   behind_heartbeats_ = 0;
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
+  redriven_for_ = first_forward_target(promised_);
   leader_hint_ = 0;
   last_leader_contact_ = ep_.current_time();
   // Restore the latest checkpoint (if any), then redeliver the decided

@@ -147,6 +147,11 @@ class PaxosEngine {
   /// All engine sends funnel through here so send_wrapper_ sees each one.
   void send_to(ProcessId to, const sim::Message& m);
   bool value_in_flight(std::uint64_t hash) const;
+  /// Values submitted here and last sent under a ballot below `leader`
+  /// that are neither queued nor in an open instance here (forwarded to a
+  /// leader that may have died with them), oldest first; marks them sent
+  /// under the current ballot and restarts their resend clock.
+  std::vector<Value> stranded_submissions(Ballot leader);
   std::uint32_t member_index(ProcessId pid) const;
   Time election_deadline() const;
 
@@ -197,10 +202,17 @@ class PaxosEngine {
     Value value;
     Time submitted_at = 0;
     std::uint32_t count = 0;  // identical values in flight (e.g. ticks)
+    std::uint64_t order = 0;  // submission order of the first copy
+    Ballot sent_under;        // promised ballot when last forwarded or queued
   };
   /// Ordered: tick() re-proposes in iteration order, which must not depend
   /// on hashing/allocation.
   std::map<std::uint64_t, SubmittedValue> submitted_;
+  std::uint64_t next_submit_order_ = 0;
+  /// The newest leader ballot this replica re-drove its stranded
+  /// submissions for: becoming leader, or a heartbeat at a higher ballot,
+  /// re-drives them at once instead of at the next resend.
+  Ballot redriven_for_;
   std::uint32_t behind_heartbeats_ = 0;
 
   std::unordered_map<ProcessId, std::uint32_t> index_of_;

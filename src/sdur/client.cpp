@@ -24,23 +24,47 @@ void Client::begin_read_only(ReadyCallback ready) {
   begin();
   read_only_ = true;
   const std::uint64_t reqid = next_reqid_++;
-  pending_snapshots_[reqid] = std::move(ready);
-  send(server(cfg_.home, 0), SnapshotReqMsg{reqid}.to_message());
-  schedule_snapshot_retry(reqid, 1);
+  const sim::ProcessId target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
+  pending_snapshots_[reqid] = PendingSnapshot{std::move(ready), target};
+  schedule_snapshot_retry(reqid);
 }
 
-void Client::schedule_snapshot_retry(std::uint64_t reqid, std::uint32_t attempt) {
-  set_timer(cfg_.read_retry_interval, [this, reqid, attempt] {
-    if (!pending_snapshots_.contains(reqid)) return;
+void Client::schedule_snapshot_retry(std::uint64_t reqid) {
+  set_timer(cfg_.read_retry_interval, [this, reqid] {
+    auto it = pending_snapshots_.find(reqid);
+    if (it == pending_snapshots_.end()) return;
     ++stats_.read_retries;
-    send(server(cfg_.home, attempt), SnapshotReqMsg{reqid}.to_message());
-    schedule_snapshot_retry(reqid, attempt + 1);
+    ++misses_[it->second.target];
+    it->second.target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
+    schedule_snapshot_retry(reqid);
   });
 }
 
-sim::ProcessId Client::server(PartitionId p, std::uint32_t attempt) const {
+std::size_t Client::replica_index(PartitionId p) const {
+  if (misses_.empty()) return 0;
   const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
-  return replicas[attempt % replicas.size()];
+  auto misses = [this](sim::ProcessId pid) {
+    const auto it = misses_.find(pid);
+    return it == misses_.end() ? 0u : it->second;
+  };
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < replicas.size(); ++i) {
+    if (misses(replicas[i]) < misses(replicas[best])) best = i;
+  }
+  return best;
+}
+
+sim::ProcessId Client::send_request(PartitionId p, const sim::Message& m) {
+  const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
+  const sim::ProcessId target = replicas[replica_index(p)];
+  send(target, m);
+  // The nearest replica loses only with misses: probe it, so its first
+  // answer after a recovery clears them and brings the client back.
+  if (target != replicas.front()) {
+    ++stats_.probes;
+    send(replicas.front(), m);
+  }
+  return target;
 }
 
 void Client::read(Key k, ReadCallback cb) {
@@ -58,23 +82,25 @@ void Client::read(Key k, ReadCallback cb) {
   const PartitionId p = cfg_.partitioning->partition_of(k);
   const std::uint64_t reqid = next_reqid_++;
   const Version snapshot = tx_.snapshot_of(p);
-  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot};
-  send(server(p, 0), ReadReqMsg{reqid, k, snapshot}.to_message());
-  schedule_read_retry(reqid, 1);
+  const sim::ProcessId target = send_request(p, ReadReqMsg{reqid, k, snapshot}.to_message());
+  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot, target};
+  schedule_read_retry(reqid);
 }
 
-void Client::schedule_read_retry(std::uint64_t reqid, std::uint32_t attempt) {
-  // Reads are idempotent; retries cover lost requests or responses and a
-  // crashed replica. The retried request carries the original snapshot, so
-  // any replica of the partition answers with the same value. (A first
-  // read carries none; whichever answer arrives first fixes it.)
-  set_timer(cfg_.read_retry_interval, [this, reqid, attempt] {
+void Client::schedule_read_retry(std::uint64_t reqid) {
+  // Reads are idempotent; retries (and probe copies) cover lost requests
+  // or responses and a crashed replica. The retried request carries the
+  // original snapshot, so any replica of the partition answers with the
+  // same value. (A first read carries none; whichever answer arrives first
+  // fixes it.)
+  set_timer(cfg_.read_retry_interval, [this, reqid] {
     auto it = pending_reads_.find(reqid);
     if (it == pending_reads_.end()) return;
     ++stats_.read_retries;
-    const PendingRead& r = it->second;
-    send(server(r.partition, attempt), ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
-    schedule_read_retry(reqid, attempt + 1);
+    PendingRead& r = it->second;
+    ++misses_[r.target];
+    r.target = send_request(r.partition, ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
+    schedule_read_retry(reqid);
   });
 }
 
@@ -135,13 +161,15 @@ void Client::commit(CommitCallback cb) {
   pending_commit_ = std::move(cb);
   pending_commit_txid_ = tx_.id;
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSubmit, tx_.id, now(), 0);
-  send(server(primary, 0), CommitReqMsg{tx_}.to_message());
+  const std::size_t first = replica_index(primary);
+  send(cfg_.servers[primary][first], CommitReqMsg{tx_}.to_message());
 
   const TxId txid = tx_.id;
   // Retry loop: requests and outcomes can be lost and contacts crash; the
   // servers remember outcomes and drop duplicate deliveries, so retries
-  // through any replica are idempotent.
-  schedule_commit_retry(primary, txid, 1);
+  // through any replica are idempotent. They charge no miss: a live
+  // contact is slow to answer while its partition elects a leader.
+  schedule_commit_retry(primary, txid, first + 1);
   set_timer(cfg_.commit_timeout, [this, txid] {
     if (pending_commit_ && pending_commit_txid_ == txid) {
       ++stats_.timeouts;
@@ -152,17 +180,18 @@ void Client::commit(CommitCallback cb) {
   });
 }
 
-void Client::schedule_commit_retry(PartitionId primary, TxId txid, std::uint32_t attempt) {
-  set_timer(cfg_.commit_retry_interval, [this, primary, txid, attempt] {
+void Client::schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica) {
+  set_timer(cfg_.commit_retry_interval, [this, primary, txid, replica] {
     if (!pending_commit_ || pending_commit_txid_ != txid) return;
     ++stats_.commit_retries;
-    send(server(primary, attempt), CommitReqMsg{tx_}.to_message());
-    schedule_commit_retry(primary, txid, attempt + 1);
+    const std::vector<sim::ProcessId>& replicas = cfg_.servers[primary];
+    send(replicas[replica % replicas.size()], CommitReqMsg{tx_}.to_message());
+    schedule_commit_retry(primary, txid, replica + 1);
   });
 }
 
 void Client::on_message(const sim::Message& m, sim::ProcessId from) {
-  (void)from;
+  if (!misses_.empty()) misses_.erase(from);  // the replica is alive
   util::Reader r(m.payload);
   switch (m.type) {
     case msgtype::kReadResp: {
@@ -189,7 +218,7 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
       const auto resp = SnapshotRespMsg::decode(r);
       auto it = pending_snapshots_.find(resp.reqid);
       if (it == pending_snapshots_.end()) return;
-      auto ready = std::move(it->second);
+      auto ready = std::move(it->second.ready);
       pending_snapshots_.erase(it);
       for (PartitionId p = 0; p < resp.snapshot.size(); ++p) {
         tx_.set_snapshot(p, resp.snapshot[p]);

@@ -5,9 +5,11 @@
 // snapshot — with parallel first reads, the lowest snapshot any of them
 // was served at; later reads at that partition carry it, so the client
 // sees a consistent partition view), writes are buffered locally, and commit
-// ships the whole transaction to the nearest replica of the partition it
-// touched first, which runs the termination protocol. A request that goes
-// unanswered is retried at the partition's next replica.
+// ships the whole transaction to a replica of the partition it touched
+// first, which runs the termination protocol. Requests go to the nearest
+// replica that has not missed more answers than the others; an unanswered
+// read or snapshot charges its replica a miss and is retried, a commit
+// retry goes to the partition's next replica.
 //
 // Read-only transactions (Section III-A) first obtain a globally
 // consistent snapshot vector (built asynchronously by servers via gossip)
@@ -36,15 +38,18 @@ namespace sdur {
   X(commits_requested)                                                         \
   X(commit_retries)                                                            \
   X(timeouts)                                                                  \
-  X(read_retries) /* read and snapshot requests re-sent (no answer in time) */
+  X(read_retries) /* read and snapshot requests re-sent (no answer in time) */ \
+  X(probes)       /* read and snapshot copies to a nearest replica with misses */
 
 struct ClientConfig {
   PartitioningPtr partitioning;
   /// Per partition: its replicas, nearest first, ties broken by replica
-  /// index. Attempt i of a read, snapshot or commit request to partition p
-  /// goes to servers[p][i % servers[p].size()], and every new request
-  /// starts at the nearest replica again: a retry fails over without
-  /// moving the client onto a far replica for good (DESIGN.md "Failover").
+  /// index. A request to partition p goes to the replica of servers[p]
+  /// with the fewest misses (read and snapshot timeouts since it last sent
+  /// this client anything), nearest first on ties; commit retries rotate
+  /// through servers[p] from there. While servers[p]'s nearest replica has
+  /// misses, reads and snapshots also send it a copy, so its first answer
+  /// brings the client back (DESIGN.md "Failover").
   std::vector<std::vector<sim::ProcessId>> servers;
   /// The client's home partition: its replicas answer snapshot requests.
   PartitionId home = 0;
@@ -106,9 +111,15 @@ class Client : public sim::Process {
   void on_message(const sim::Message& m, sim::ProcessId from) override;
 
  private:
-  /// The replica that attempt `attempt` of a request to partition p goes to.
-  sim::ProcessId server(PartitionId p, std::uint32_t attempt) const;
-  void schedule_commit_retry(PartitionId primary, TxId txid, std::uint32_t attempt);
+  /// Index in cfg_.servers[p] of the replica with the fewest misses,
+  /// nearest first on ties.
+  std::size_t replica_index(PartitionId p) const;
+  /// Sends a read or snapshot request to partition p's replica_index, plus
+  /// a probe copy to the nearest replica when that one has misses; returns
+  /// the replica a timeout charges.
+  sim::ProcessId send_request(PartitionId p, const sim::Message& m);
+  /// The next commit retry goes to cfg_.servers[primary][replica % n].
+  void schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica);
 
   ClientConfig cfg_;
   Transaction tx_;
@@ -116,16 +127,25 @@ class Client : public sim::Process {
   std::uint32_t next_seq_ = 1;
   std::uint64_t next_reqid_ = 1;
 
+  /// Read and snapshot timeouts per replica since its last message to this
+  /// client; replicas without misses are absent.
+  std::unordered_map<sim::ProcessId, std::uint32_t> misses_;
+
   struct PendingRead {
     ReadCallback cb;
     PartitionId partition;
     Key key;
     Version snapshot;
+    sim::ProcessId target;  // the replica the latest attempt went to
   };
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
-  std::unordered_map<std::uint64_t, ReadyCallback> pending_snapshots_;
-  void schedule_read_retry(std::uint64_t reqid, std::uint32_t attempt);
-  void schedule_snapshot_retry(std::uint64_t reqid, std::uint32_t attempt);
+  struct PendingSnapshot {
+    ReadyCallback ready;
+    sim::ProcessId target;
+  };
+  std::unordered_map<std::uint64_t, PendingSnapshot> pending_snapshots_;
+  void schedule_read_retry(std::uint64_t reqid);
+  void schedule_snapshot_retry(std::uint64_t reqid);
   CommitCallback pending_commit_;
   TxId pending_commit_txid_ = 0;
 

@@ -187,6 +187,17 @@ bool Server::delivered(TxId id) const {
   return outcomes_.find(id) != nullptr || (s != sessions_.end() && s->second.is_open(tx_seq(id)));
 }
 
+void Server::raise_floor(sim::ProcessId client, Session& s, std::uint32_t seq) {
+  // Only kVoting rounds are missing from round_order_.
+  if (rounds_.size() > round_order_.size()) {
+    for (std::uint32_t q = s.last + 1; q < seq; ++q) {
+      const auto it = rounds_.find(make_tx_id(client, q));
+      if (it != rounds_.end() && it->second.phase == Round::Phase::kVoting) rounds_.erase(it);
+    }
+  }
+  s.last = std::max(s.last, seq);
+}
+
 void Server::handle_commit_request(Transaction tx) {
   // Client retry after a lost outcome message: answer from memory; the
   // transaction must not run twice.
@@ -265,9 +276,7 @@ void Server::reforward_missing_parts(const Transaction& tx) {
     if (p == cfg_.partition || r.vote(p) != nullptr) continue;
     PartTx part = project(tx, p, r.involved);
     part.contact = self();
-    const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
-    const sim::ProcessId target = replicas[next % replicas.size()];
-    send(target, maybe_piggyback(target, paxos::Forward{part.encode()}.to_message()));
+    forward(p, next, part);
     ++stats_.reforwards;
   }
 }
@@ -299,15 +308,19 @@ PartTx Server::project(const Transaction& tx, PartitionId p,
 }
 
 void Server::abcast(PartitionId p, const PartTx& t) {
-  paxos::Value value = t.encode();
   if (p == cfg_.partition) {
-    engine_->propose(std::move(value));
+    engine_->propose(t.encode());
     return;
   }
   // Hand the value to the remote group's bootstrap contact; its engine
   // relays to the current leader if leadership moved.
-  const sim::ProcessId target = cfg_.partition_servers[p].front();
-  send(target, maybe_piggyback(target, paxos::Forward{std::move(value)}.to_message()));
+  forward(p, 0, t);
+}
+
+void Server::forward(PartitionId p, std::uint32_t k, const PartTx& t) {
+  const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
+  const sim::ProcessId target = replicas[k % replicas.size()];
+  send(target, maybe_piggyback(target, paxos::Forward{t.encode()}.to_message()));
 }
 
 void Server::broadcast_reorder_threshold(std::uint32_t k) {
@@ -363,8 +376,7 @@ void Server::process_delivery(PartTx t) {
         // its round closes, later votes are stale, `outcomes_` answers
         // vote requests and retries, and a later delivery is a duplicate.
         // (No client reply: an abort request has no contact.)
-        Session& s = sessions_[tx_client(t.id)];
-        s.last = std::max(s.last, tx_seq(t.id));
+        raise_floor(tx_client(t.id), sessions_[tx_client(t.id)], tx_seq(t.id));
         ++stats_.abort_request_aborts;
         cast_own_vote(t.id, t.involved, Outcome::kAbort);
         complete(t, Outcome::kAbort);
@@ -379,7 +391,7 @@ void Server::process_delivery(PartTx t) {
       Session& s = sessions_[tx_client(t.id)];
       const std::uint32_t seq = tx_seq(t.id);
       const bool late = seq <= s.last;
-      s.last = std::max(s.last, seq);
+      raise_floor(tx_client(t.id), s, seq);
       s.open.push_back(seq);
       const std::uint64_t rt = dc_ + cfg_.techniques.reorder_threshold;
       Outcome vote = Outcome::kAbort;
@@ -709,15 +721,18 @@ void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
       }
     }
   }
-  if (!r.abort_requested && t_now - r.delivered_at >= cfg_.missing_vote_timeout &&
-      engine_->is_leader()) {
+  if (t_now - r.delivered_at >= cfg_.missing_vote_timeout && engine_->is_leader() &&
+      (r.abort_requests == 0 || t_now - r.last_abort_request >= kVoteResendInterval)) {
     // Suspect the submitter crashed between broadcasts: ask the silent
     // partitions to abort (or to resend their vote if they did deliver).
-    r.abort_requested = true;
+    // The first request goes to replica 0, as abcast does; each resend to
+    // the next replica, since the one asked before may have crashed.
+    r.last_abort_request = t_now;
+    const std::uint32_t k = r.abort_requests++;
     ++stats_.abort_requests_sent;
     for (PartitionId part : r.involved) {
       if (part == cfg_.partition || r.vote(part) != nullptr) continue;
-      abcast(part, PartTx::make_abort_request(id, r.involved));
+      forward(part, k, PartTx::make_abort_request(id, r.involved));
     }
   }
 }
@@ -773,12 +788,16 @@ void Server::send_vote_to_peers(TxId id, const std::vector<PartitionId>& involve
 }
 
 bool Server::handle_vote(TxId id, PartitionId partition, Outcome vote) {
-  // A vote is stale once its transaction was delivered here and is neither
-  // pending nor speculated: it completed, or failed certification (P-DUR:
-  // with its epilogue still on the cores). Stale votes open no round.
+  // A vote is stale unless its transaction is pending or speculated here,
+  // or undelivered and above its client's floor. Delivered, it completed
+  // or failed certification (P-DUR: with its epilogue still on the cores);
+  // undelivered at or below the floor, a first delivery would take the
+  // late path and vote abort uncertified. Stale votes open no round.
   const auto it = rounds_.find(id);
   const bool live = it != rounds_.end() && it->second.phase != Round::Phase::kVoting;
-  if (!live && delivered(id)) {
+  const auto s = sessions_.find(tx_client(id));
+  const bool floored = s != sessions_.end() && tx_seq(id) <= s->second.last;
+  if (!live && (floored || outcomes_.find(id) != nullptr)) {
     ++stats_.stale_votes_dropped;
     return false;
   }

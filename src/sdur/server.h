@@ -67,7 +67,7 @@ namespace sdur {
   X(vote_batches_sent)      /* VoteBatchMsg flushes (per destination replica) */      \
   X(votes_batched)          /* votes carried by explicit batch flushes */             \
   X(votes_piggybacked)      /* votes that rode existing traffic for free */           \
-  X(stale_votes_dropped)    /* votes for already-completed transactions */            \
+  X(stale_votes_dropped)    /* votes for transactions delivered or late here */       \
   X(bypassed_locals)        /* locals committed past pending entries (ooo_bypass) */  \
   X(parked_locals)          /* locals parked behind a pending write conflict */       \
   X(speculated_globals)     /* globals out of the pending list before their votes */  \
@@ -142,6 +142,9 @@ class Server : public sim::Process {
                  const std::vector<PartitionId>& involved) const;
   /// Sends an encoded PartTx into partition p's atomic broadcast.
   void abcast(PartitionId p, const PartTx& t);
+  /// Forwards `t` to replica k % n of remote partition p, whose engine
+  /// relays it to the partition's leader.
+  void forward(PartitionId p, std::uint32_t k, const PartTx& t);
 
   // --- Delivery (Algorithm 2, lines 15-33) ----------------------------------
   void adeliver(const paxos::Value& value);
@@ -199,8 +202,10 @@ class Server : public sim::Process {
     Version version = 0;
     sim::Time delivered_at = 0;
     sim::Time last_vote_resend = 0;
-    bool abort_requested = false;
-    /// Re-forwards made for this round; picks the replica the next goes to.
+    /// Abort requests and re-forwards sent for this round; each count picks
+    /// the replica its next message goes to.
+    std::uint32_t abort_requests = 0;
+    sim::Time last_abort_request = 0;
     std::uint32_t reforwards = 0;
     /// kSpeculated/kSettled: the transaction and its reorder threshold,
     /// moved out of the pending list (checkpoints carry both).
@@ -221,7 +226,8 @@ class Server : public sim::Process {
     return round_order_.lower_bound({phase, 0});  // versions start at 1
   }
   /// Liveness for a round missing votes: resend ours, request theirs and,
-  /// past missing_vote_timeout, have the leader request an abort.
+  /// past missing_vote_timeout, have the leader request an abort, again
+  /// every resend period at the silent partition's next replica.
   void chase_votes(TxId id, Round& r, sim::Time t_now);
 
   // --- Votes ----------------------------------------------------------------
@@ -304,6 +310,10 @@ class Server : public sim::Process {
   std::map<sim::ProcessId, Session> sessions_;
   /// True once `id` was delivered here: open in its session or complete.
   bool delivered(TxId id) const;
+  /// Raises `s.last` (client `client`'s session) to `seq`. The seqs it
+  /// skips were never delivered here and would take the late path, so the
+  /// votes collected for them decide nothing: their kVoting rounds close.
+  void raise_floor(sim::ProcessId client, Session& s, std::uint32_t seq);
 
   /// The last kHistoryLength final outcomes: a ring in completion order
   /// (the checkpoint order), indexed by a FlatTable.

@@ -131,7 +131,9 @@ namespace {
 /// the per-client session table (73300 -> 65697, 158726 -> 141689), on the
 /// same terms. Re-pinned once more when retries began failing over to the
 /// partition's other replicas: the message schedule, and with it the
-/// fabric RNG stream, changed.
+/// fabric RNG stream, changed. Re-pinned once more when clients began
+/// choosing replicas by miss count: a read lost to the recipe's 2% loss
+/// moves the client's next requests, with probe copies, on the same terms.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
@@ -144,9 +146,9 @@ void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x3a73ea1882c7b722ULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xac3f513bb5e7dc77ULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0xcbc34d7a4bd7f6eULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0xee104742a3e7f912ULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

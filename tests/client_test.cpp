@@ -173,8 +173,9 @@ TEST(Client, ReadOnlyDoesNotBlockOnConcurrentWriters) {
 }
 
 /// Reads, snapshots and commits fail over: with partition 0's replica 0
-/// (the home partition's nearest replica, its leader) crashed, each
-/// request's second attempt reaches replica 1, which answers it.
+/// (the home partition's nearest replica, its leader) crashed, the read's
+/// retry reaches replica 1, which answers it, and later requests go to
+/// replica 1 at once, with a probe copy to replica 0.
 TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
   Fixture f;
   f.dep->server(0, 0).crash();
@@ -188,9 +189,10 @@ TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
 
   bool ready = false;
   f.client->begin_read_only([&] { ready = true; });
-  f.run_for(sim::msec(300));
-  EXPECT_TRUE(ready);
-  EXPECT_EQ(f.client->stats().read_retries, 2u) << "one snapshot retry";
+  f.run_for(sim::msec(50));
+  EXPECT_TRUE(ready) << "answered by replica 1 without a retry";
+  EXPECT_EQ(f.client->stats().read_retries, 1u);
+  EXPECT_EQ(f.client->stats().probes, 2u) << "the read's retry and the snapshot probed replica 0";
 
   // The commit waits for partition 0 to elect a new leader.
   EXPECT_EQ(f.update({2, 102}, "failed-over"), Outcome::kCommit);
@@ -214,78 +216,227 @@ struct ScriptedServer : sim::Process {
 };
 
 /// Records which replica each read, snapshot and commit request reaches,
-/// in arrival order, and answers none of them.
-struct SilentReplica : sim::Process {
+/// in arrival order. Silent by default; with `answers` set it answers each
+/// read, snapshot and commit request at once.
+struct RecordingReplica : sim::Process {
   struct Arrival {
     sim::MsgType type;
     sim::ProcessId replica;
     std::uint64_t reqid;  // reads and snapshots
   };
-  SilentReplica(sim::Network& net, sim::ProcessId pid, std::vector<Arrival>& arrivals)
-      : sim::Process(net, pid, "silent-" + std::to_string(pid), sim::Location{0, 0}),
+  RecordingReplica(sim::Network& net, sim::ProcessId pid, std::vector<Arrival>& arrivals)
+      : sim::Process(net, pid, "replica-" + std::to_string(pid), sim::Location{0, 0}),
         log(arrivals) {}
   std::vector<Arrival>& log;
-  void on_message(const sim::Message& m, sim::ProcessId) override {
+  bool answers = false;
+  void on_message(const sim::Message& m, sim::ProcessId from) override {
     util::Reader r(m.payload);
     std::uint64_t reqid = 0;
-    if (m.type == msgtype::kReadReq) reqid = ReadReqMsg::decode(r).reqid;
-    if (m.type == msgtype::kSnapshotReq) reqid = SnapshotReqMsg::decode(r).reqid;
+    if (m.type == msgtype::kReadReq) {
+      const ReadReqMsg req = ReadReqMsg::decode(r);
+      reqid = req.reqid;
+      if (answers) send(from, ReadRespMsg{req.reqid, req.key, true, "v", 0}.to_message());
+    }
+    if (m.type == msgtype::kSnapshotReq) {
+      reqid = SnapshotReqMsg::decode(r).reqid;
+      if (answers) send(from, SnapshotRespMsg{reqid, {0}}.to_message());
+    }
+    if (m.type == msgtype::kCommitReq) {
+      const TxId id = CommitReqMsg::decode(r).tx.id;
+      if (answers) send(from, OutcomeMsg{id, Outcome::kCommit}.to_message());
+    }
     log.push_back({m.type, self(), reqid});
   }
 };
 
-TEST(Client, AttemptsRotateThroughThePartitionsReplicas) {
+/// A client of one partition whose replicas are a, b and c, nearest
+/// first, all recording into `log`.
+struct ReplicaSet {
   Fixture f;
-  std::vector<SilentReplica::Arrival> log;
-  SilentReplica a(f.dep->network(), 20'000, log);
-  SilentReplica b(f.dep->network(), 20'001, log);
-  SilentReplica c(f.dep->network(), 20'002, log);
-  ClientConfig cfg;
-  cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
-  cfg.servers = {{a.self(), b.self(), c.self()}};
-  Client client(f.dep->network(), 20'010, sim::Location{0, 0}, cfg);
+  std::vector<RecordingReplica::Arrival> log;
+  RecordingReplica a{f.dep->network(), 20'000, log};
+  RecordingReplica b{f.dep->network(), 20'001, log};
+  RecordingReplica c{f.dep->network(), 20'002, log};
+  Client client{f.dep->network(), 20'010, sim::Location{0, 0}, [this] {
+                  ClientConfig cfg;
+                  cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
+                  cfg.servers = {{a.self(), b.self(), c.self()}};
+                  return cfg;
+                }()};
+  std::uint64_t last_reqid = 0;
 
-  // Attempt i of a request goes to servers[0][i % 3], every 200 ms for
-  // reads and snapshots, every 500 ms for commits. Each phase answers its
-  // request at the end, so its retries stop.
-  auto expect_attempts = [&](sim::MsgType type, std::vector<sim::ProcessId> order) {
-    ASSERT_EQ(log.size(), order.size());
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      EXPECT_EQ(log[i].type, type) << "attempt " << i;
-      EXPECT_EQ(log[i].replica, order[i]) << "attempt " << i;
+  /// Runs for `t`, then expects the requests that arrived meanwhile to be
+  /// of `type` and to have reached exactly `replicas` (in any order: a
+  /// probe copy travels alongside its request), and clears the log.
+  void expect_wave(sim::Time t, sim::MsgType type, std::vector<sim::ProcessId> replicas) {
+    f.run_for(t);
+    std::vector<sim::ProcessId> got;
+    for (const RecordingReplica::Arrival& arrival : log) {
+      EXPECT_EQ(arrival.type, type);
+      got.push_back(arrival.replica);
     }
-  };
-  auto answer_read = [&](Key k) {
-    b.send(client.self(), ReadRespMsg{log.back().reqid, k, true, "v", 0}.to_message());
+    std::ranges::sort(got);
+    std::ranges::sort(replicas);
+    EXPECT_EQ(got, replicas);
+    if (!log.empty()) last_reqid = log.back().reqid;
+    log.clear();
+  }
+  /// `from` sends the client `m`; any message clears the sender's misses.
+  void reply(RecordingReplica& from, const sim::Message& m) {
+    from.send(client.self(), m);
     f.run_for(sim::msec(10));
     log.clear();
-  };
-  client.begin();
-  client.read(1, [](bool, const std::string&) {});
-  f.run_for(sim::msec(850));
-  expect_attempts(msgtype::kReadReq, {a.self(), b.self(), c.self(), a.self(), b.self()});
-  EXPECT_EQ(client.stats().read_retries, 4u);
-  answer_read(1);
+  }
+  void answer_read(RecordingReplica& from, Key k) {
+    reply(from, ReadRespMsg{last_reqid, k, true, "v", 0}.to_message());
+  }
+  /// A message that answers nothing.
+  void hear_from(RecordingReplica& from) { reply(from, OutcomeMsg{0, Outcome::kAbort}.to_message()); }
+};
 
-  // A new request starts at the nearest replica again.
-  client.read(2, [](bool, const std::string&) {});
-  f.run_for(sim::msec(250));
-  expect_attempts(msgtype::kReadReq, {a.self(), b.self()});
-  answer_read(2);
+constexpr sim::Time kFirst = sim::msec(10);    // the first attempt arrives
+constexpr sim::Time kRead = sim::msec(200);    // read and snapshot retry period
+constexpr sim::Time kCommit = sim::msec(500);  // commit retry period
 
-  client.begin_read_only([] {});
-  f.run_for(sim::msec(450));
-  expect_attempts(msgtype::kSnapshotReq, {a.self(), b.self(), c.self()});
-  b.send(client.self(), SnapshotRespMsg{log.back().reqid, {0}}.to_message());
-  f.run_for(sim::msec(10));
-  log.clear();
+TEST(Client, AttemptsRotateThroughThePartitionsReplicas) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self(), c = s.c.self();
 
-  client.begin();
-  client.write(3, "x");
-  client.commit([](Outcome) {});
-  f.run_for(sim::msec(1600));
-  expect_attempts(msgtype::kCommitReq, {a.self(), b.self(), c.self(), a.self()});
-  EXPECT_EQ(client.stats().commit_retries, 3u);
+  // Each timeout charges the replica a miss, so a read's attempts go a, b,
+  // c, a, b every 200 ms; while a has misses, each also probes a.
+  s.client.begin();
+  s.client.read(1, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+  s.expect_wave(kRead, msgtype::kReadReq, {c, a});
+  s.expect_wave(kRead, msgtype::kReadReq, {a});  // one miss each: nearest
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+  EXPECT_EQ(s.client.stats().read_retries, 4u);
+  EXPECT_EQ(s.client.stats().probes, 3u);
+  s.answer_read(s.b, 1);
+
+  // A new request goes to the replica with the fewest misses: b, which
+  // answered; after b's next timeout, b again, nearer than c.
+  s.client.read(2, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {b, a});
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+  s.answer_read(s.b, 2);
+
+  // Once every replica was heard from, snapshots rotate the same way.
+  s.hear_from(s.a);
+  s.hear_from(s.c);
+  s.client.begin_read_only([] {});
+  s.expect_wave(kFirst, msgtype::kSnapshotReq, {a});
+  s.expect_wave(kRead, msgtype::kSnapshotReq, {b, a});
+  s.expect_wave(kRead, msgtype::kSnapshotReq, {c, a});
+  s.reply(s.b, SnapshotRespMsg{s.last_reqid, {0}}.to_message());
+
+  // Commit attempts rotate a, b, c, a every 500 ms.
+  s.hear_from(s.a);
+  s.client.begin();
+  s.client.write(3, "x");
+  s.client.commit([](Outcome) {});
+  s.expect_wave(kFirst, msgtype::kCommitReq, {a});
+  s.expect_wave(kCommit, msgtype::kCommitReq, {b});
+  s.expect_wave(kCommit, msgtype::kCommitReq, {c});
+  s.expect_wave(kCommit, msgtype::kCommitReq, {a});
+  EXPECT_EQ(s.client.stats().commit_retries, 3u);
+}
+
+TEST(Client, NextRequestSkipsAReplicaThatTimedOut) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self();
+  s.b.answers = s.c.answers = true;
+  bool done = false;
+  s.client.begin();
+  s.client.read(1, [&](bool, const std::string&) { done = true; });
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+  ASSERT_TRUE(done);
+
+  // Reads, a commit's first attempt and snapshots all go to b.
+  done = false;
+  s.client.read(2, [&](bool, const std::string&) { done = true; });
+  s.expect_wave(kFirst, msgtype::kReadReq, {b, a});
+  EXPECT_TRUE(done) << "answered without a retry";
+  Outcome outcome = Outcome::kUnknown;
+  s.client.write(2, "x");
+  s.client.commit([&](Outcome o) { outcome = o; });
+  s.expect_wave(kFirst, msgtype::kCommitReq, {b});
+  EXPECT_EQ(outcome, Outcome::kCommit);
+  s.client.begin_read_only([] {});
+  s.expect_wave(kFirst, msgtype::kSnapshotReq, {b, a});
+  EXPECT_EQ(s.client.stats().read_retries, 1u);
+}
+
+TEST(Client, AReplyFromTheReplicaRestoresIt) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self();
+  s.b.answers = true;
+  s.client.begin();
+  s.client.read(1, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+
+  // a is back: its answer to the next probe copy clears its miss.
+  s.a.answers = true;
+  s.client.read(2, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {b, a});
+  s.client.read(3, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  EXPECT_EQ(s.client.stats().probes, 2u);
+}
+
+TEST(Client, ProbeCopyGoesToTheNearestReplicaWhileItHasMisses) {
+  ReplicaSet s;
+  s.b.answers = true;
+  s.client.begin();
+  s.client.read(1, [](bool, const std::string&) {});
+  s.f.run_for(sim::msec(250));
+  EXPECT_EQ(s.client.stats().probes, 1u) << "the retry probed a";
+  s.log.clear();
+
+  // Every read and snapshot request probes a; none probes b or c.
+  for (Key k = 2; k < 5; ++k) s.client.read(k, [](bool, const std::string&) {});
+  s.client.begin_read_only([] {});
+  s.f.run_for(sim::msec(10));
+  std::size_t to_a = 0, to_b = 0;
+  for (const RecordingReplica::Arrival& arrival : s.log) {
+    to_a += arrival.replica == s.a.self();
+    to_b += arrival.replica == s.b.self();
+  }
+  EXPECT_EQ(to_a, 4u) << "one probe per request";
+  EXPECT_EQ(to_b, 4u);
+  EXPECT_EQ(s.log.size(), 8u) << "c is never asked";
+  EXPECT_EQ(s.client.stats().probes, 5u);
+  EXPECT_EQ(s.client.stats().read_retries, 1u);
+}
+
+TEST(Client, CommitRetriesChargeNoMiss) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self(), c = s.c.self();
+  s.client.begin();
+  s.client.write(1, "x");
+  s.client.commit([](Outcome) {});
+  s.f.run_for(sim::msec(1600));  // attempts at a, b, c, a
+  EXPECT_EQ(s.client.stats().commit_retries, 3u);
+  s.reply(s.a, OutcomeMsg{s.client.current_txid(), Outcome::kCommit}.to_message());
+
+  // No replica has a miss: the next read goes to a alone.
+  s.client.begin();
+  s.client.read(1, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  EXPECT_EQ(s.client.stats().probes, 0u);
+
+  // A read timeout does charge a: the next commit starts at b, and its
+  // retries rotate on from there.
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a});
+  s.answer_read(s.b, 1);
+  s.client.write(1, "y");
+  s.client.commit([](Outcome) {});
+  s.expect_wave(kFirst, msgtype::kCommitReq, {b});
+  s.expect_wave(kCommit, msgtype::kCommitReq, {c});
+  s.expect_wave(kCommit, msgtype::kCommitReq, {a});
 }
 
 TEST(Client, ParallelFirstReadsKeepTheLowestSnapshot) {

@@ -151,6 +151,52 @@ TEST_F(PaxosGroup, LeaderCrashFailsOver) {
   assert_prefix_consistency();
 }
 
+TEST_F(PaxosGroup, SubmissionsLostWithTheLeaderAreRedrivenOnceANewOneIsKnown) {
+  sim.run_until(sim::msec(200));
+  hosts[0]->crash();
+  // Both followers still believe in member 0 and forward to it: all lost.
+  for (std::uint64_t v = 1; v <= 4; ++v) propose_at(2, v);
+  for (std::uint64_t v = 11; v <= 13; ++v) propose_at(1, v);
+  // Member 1 campaigns and member 2 hears of it: values submitted now go
+  // to the candidate, which buffers them until it wins.
+  auto candidate_known = [&] {
+    return hosts[1]->engine().leader_hint() == 2 && hosts[2]->engine().leader_hint() == 2;
+  };
+  while (!candidate_known() && sim.now() < sim::sec(3)) sim.run_until(sim.now() + sim::usec(10));
+  ASSERT_FALSE(hosts[1]->engine().is_leader());
+  propose_at(1, 14);
+  propose_at(2, 5);
+  sim::Time elected = 0;
+  while (elected == 0 && sim.now() < sim::sec(3)) {
+    sim.run_until(sim.now() + sim::usec(100));
+    if (hosts[1]->engine().is_leader()) elected = sim.now();
+  }
+  ASSERT_NE(elected, 0) << "member 1 takes over";
+  // Member 1 re-drives its lost values on election, ahead of the buffered
+  // one; member 2 on the new leader's first heartbeat (separate forwards,
+  // which the network may reorder). Both well within the 600 ms resend.
+  // Value 5 went to the candidate, not the dead leader: it is not
+  // re-driven, so nothing is delivered twice.
+  sim.run_until(elected + sim::msec(50));
+  auto only = [](const std::vector<std::uint64_t>& delivered, std::uint64_t lo,
+                 std::uint64_t hi) {
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t v : delivered) {
+      if (v >= lo && v <= hi) out.push_back(v);
+    }
+    return out;
+  };
+  for (int i = 1; i < kN; ++i) {
+    EXPECT_EQ(hosts[i]->delivered.size(), 9u) << "host " << i;
+    EXPECT_EQ(only(hosts[i]->delivered, 11, 14), (std::vector<std::uint64_t>{11, 12, 13, 14}))
+        << "member 1's values in submission order, host " << i;
+    std::vector<std::uint64_t> of_member2 = only(hosts[i]->delivered, 1, 5);
+    std::ranges::sort(of_member2);
+    EXPECT_EQ(of_member2, (std::vector<std::uint64_t>{1, 2, 3, 4, 5})) << "host " << i;
+  }
+  assert_prefix_consistency();
+}
+
 TEST_F(PaxosGroup, MinorityCrashKeepsDelivering) {
   sim.run_until(sim::msec(200));
   hosts[2]->crash();

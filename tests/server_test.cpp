@@ -385,6 +385,113 @@ TEST(Server, AbortRequestRollsBackHalfSubmittedSpeculatedGlobal) {
   run_half_submitted_global(true);
 }
 
+/// The half-submitted global again, with the client cut off for good and
+/// partition 1's replica 0 down for good: the contact's forward and the
+/// leader's first abort request both go to that replica and are lost. The
+/// abort request is re-sent every vote-resend period (500 ms) to the next
+/// replica, so the global resolves within missing_vote_timeout plus two
+/// resend periods.
+TEST(Server, AbortRequestIsResentToTheNextReplica) {
+  DeploymentSpec spec;
+  spec.partitions = 2;
+  spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
+  spec.server.missing_vote_timeout = sim::msec(1500);
+  Fixture f(spec);
+  f.settle();
+  f.dep->server(1, 0).crash();
+  f.run_for(sim::sec(2));  // partition 1 elects a new leader
+  Client& c = f.dep->add_client(0);
+
+  Outcome o = Outcome::kUnknown;
+  sim::Time committed_at = 0;
+  c.begin();
+  c.read_many({1, 1001}, [&](auto) {
+    c.write(1, "half");
+    c.write(1001, "half");
+    c.commit([&](Outcome out) { o = out; });
+    committed_at = f.sim().now();
+    f.dep->network().isolate(c.self());
+  });
+  f.run_for(sim::msec(500));
+  ASSERT_NE(committed_at, 0);
+  EXPECT_EQ(f.dep->server(0, 0).pending_count(), 1u) << "waiting for partition 1's vote";
+  f.sim().run_until(committed_at + spec.server.missing_vote_timeout + sim::msec(2 * 500));
+
+  EXPECT_GE(f.dep->server(0, 0).stats().abort_requests_sent, 2u) << "sent, then re-sent";
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(f.dep->server(0, r).pending_count(), 0u) << "partition 0 replica " << r;
+    EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "partition 0 replica " << r;
+    if (r == 0) continue;
+    EXPECT_EQ(f.dep->server(1, r).stats().abort_request_aborts, 1u) << "replica " << r;
+    EXPECT_EQ(f.dep->server(1, r).round_count(), 0u) << "partition 1 replica " << r;
+  }
+  f.dep->network().heal(c.self());
+  f.run_for(sim::sec(2));
+  EXPECT_EQ(o, Outcome::kAbort) << "a retry learns the outcome";
+  EXPECT_EQ(f.read_latest(0, 1), "a1");
+}
+
+/// A global that partition 1 aborts at certification while its partition-0
+/// part is lost: the client learns the abort from its partition-1 contact
+/// and moves on, so nothing re-sends the part. A vote for it opens a round
+/// at partition 0 only until the client's next transaction there raises
+/// its floor; after that, a vote for it opens none (a late delivery would
+/// vote abort without certification anyway).
+TEST(Server, VotesForAGlobalThisPartitionNeverDeliversLeaveNoRound) {
+  Fixture f;
+  f.settle();
+  Client& c = f.dep->add_client(0);
+  Client& other = f.dep->add_client(1);
+
+  // The transaction touches partition 1 first, so its contact is there.
+  c.begin();
+  c.read(1001, [](bool, const std::string&) {});
+  f.run_for(sim::msec(50));
+  c.read(1, [](bool, const std::string&) {});
+  f.run_for(sim::msec(50));
+  ASSERT_EQ(f.update(other, {1001}, "other"), Outcome::kCommit);
+
+  // Partition 1 can no longer reach partition 0: the contact's forward
+  // of the partition-0 part and partition 1's abort votes are lost.
+  for (std::uint32_t a = 0; a < 3; ++a) {
+    for (std::uint32_t b = 0; b < 3; ++b) {
+      f.dep->network().block_link(f.dep->server(1, a).self(), f.dep->server(0, b).self());
+    }
+  }
+  const TxId lost = c.current_txid();
+  Outcome o = Outcome::kUnknown;
+  c.write(1, "lost");
+  c.write(1001, "lost");
+  c.commit([&](Outcome out) { o = out; });
+  f.run_for(sim::msec(300));
+  ASSERT_EQ(o, Outcome::kAbort) << "1001 changed since the snapshot";
+  f.dep->network().heal_all();
+
+  auto vote_at_partition0 = [&] {
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      other.send(f.dep->server(0, r).self(), VoteMsg{lost, 1, Outcome::kAbort}.to_message());
+    }
+    f.run_for(sim::msec(10));
+  };
+  vote_at_partition0();
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(f.dep->server(0, r).round_count(), 1u) << "replica " << r << ": a live id";
+  }
+  ASSERT_EQ(f.update(c, {2}, "next"), Outcome::kCommit);
+  std::vector<std::uint64_t> dropped;
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "replica " << r << ": floor raised";
+    dropped.push_back(f.dep->server(0, r).stats().stale_votes_dropped);
+  }
+  vote_at_partition0();
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "replica " << r;
+    EXPECT_EQ(f.dep->server(0, r).stats().stale_votes_dropped, dropped[r] + 1) << "replica " << r;
+  }
+  EXPECT_EQ(f.read_latest(0, 1), "a1");
+  EXPECT_EQ(f.read_latest(0, 2), "next");
+}
+
 /// The same half-submitted global, but the client keeps retrying: its
 /// second attempt reaches replica 1 of partition 0, which delivered the
 /// global and still lacks partition 1's vote. That replica re-forwards

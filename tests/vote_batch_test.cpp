@@ -49,15 +49,23 @@ namespace {
 /// commit retry at a replica that delivered a global re-forwards a missing
 /// part. Under the recipe's loss and follower crashes the message schedule
 /// changes, and with it the fabric RNG stream: 98 commits instead of 84.
-constexpr std::uint64_t kLegacyDigest = 9171676300142997589ULL;
-constexpr std::uint64_t kLegacyCommitted = 98;
+/// Re-pinned once when clients began choosing replicas by miss count
+/// (DESIGN.md "Failover"): a read lost to the recipe's 2% loss charges
+/// its replica a miss, so the client's next requests go to another replica
+/// with a probe copy to the nearest one, and the message schedule and the
+/// fabric RNG stream change: 86 commits instead of 98. (Over 24 reseeded
+/// runs of this recipe the commits summed 2155 before and 2181 after.)
+constexpr std::uint64_t kLegacyDigest = 2532473628568723102ULL;
+constexpr std::uint64_t kLegacyCommitted = 86;
 /// Digest of the batching-on run: pins the batch and piggyback send order.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer
 /// bytes shrank (49700 -> 45876); replica state and every other counter
 /// are unchanged.
 /// Re-pinned once when retries began failing over, on the legacy pin's
 /// terms.
-constexpr std::uint64_t kBatchingOnDigest = 0x8f3b68a8eee06d21ULL;
+/// Re-pinned once when clients began choosing replicas by miss count, on
+/// the legacy pin's terms.
+constexpr std::uint64_t kBatchingOnDigest = 0x89a98eeba4c60818ULL;
 
 using chaos::ChaosOut;
 using chaos::replicas_agree;
