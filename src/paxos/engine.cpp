@@ -15,11 +15,17 @@ constexpr std::uint32_t kBehindHeartbeatsBeforeCatchup = 3;
 /// Followers this far behind the leader's decided prefix request catchup
 /// at once, without waiting for kBehindHeartbeatsBeforeCatchup.
 constexpr InstanceId kCatchupThreshold = 8;
-/// Leader heartbeat period and follower election timeout. The timeout
-/// must exceed the worst round-trip inside the group (inter-region in the
-/// WAN 2 deployment).
+/// Leader heartbeat period; the leader heartbeats on every tick, which
+/// runs at half this period.
 constexpr Time kHeartbeatInterval = sim::msec(100);
+/// Election timeout of a group without a known member delay (built by
+/// hand): it exceeds the worst round trip of the WAN 2 deployment. Every
+/// group re-sends open instances at half this period and re-drives
+/// undelivered submissions at this period.
 constexpr Time kElectionTimeout = sim::msec(600);
+/// A follower that has heard no leader for this long (two heartbeats
+/// missed) parks forwards instead of relaying them to its leader.
+constexpr Time kLeaderSuspectAfter = kHeartbeatInterval;
 
 std::uint64_t value_hash(const Value& v) {
   return sdur::util::fnv1a(
@@ -37,6 +43,14 @@ Ballot first_forward_target(Ballot promised) {
 PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
                          std::unique_ptr<DurableLog> log, DeliverFn deliver)
     : ep_(endpoint), cfg_(std::move(config)), log_(std::move(log)), deliver_(std::move(deliver)) {
+  // With the members' worst one-way delay d known, the timeout is four
+  // heartbeats plus a round trip. A candidate campaigns up to one tick
+  // past its deadline, its Phase 1A takes up to d to reach the next one,
+  // whose last leader contact may be d older: a stagger of 2d plus a tick
+  // lets the next candidate hear it before its own deadline.
+  const Time d = cfg_.member_delay;
+  election_timeout_ = d > 0 ? 2 * kHeartbeatInterval + 2 * d : kElectionTimeout;
+  election_stagger_ = d > 0 ? 2 * d + kHeartbeatInterval / 2 : kElectionTimeout / 4;
   for (std::uint32_t i = 0; i < cfg_.members.size(); ++i) index_of_[cfg_.members[i]] = i;
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
@@ -84,8 +98,8 @@ void PaxosEngine::send_to(ProcessId to, const sim::Message& m) {
 
 Time PaxosEngine::election_deadline() const {
   // Staggered by member index so candidates do not duel.
-  return last_leader_contact_ + kElectionTimeout +
-         static_cast<Time>(cfg_.self_index) * (kElectionTimeout / 4);
+  return last_leader_contact_ + election_timeout_ +
+         static_cast<Time>(cfg_.self_index) * election_stagger_;
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
@@ -348,12 +362,29 @@ void PaxosEngine::on_forward(Forward m, ProcessId from) {
     maybe_propose();
     return;
   }
+  // A candidate keeps buffering, and so does a follower whose leader is
+  // suspect: relayed to a dead leader, the value would be lost. A leader's
+  // heartbeat flushes the buffer, and become_leader proposes it.
   const ProcessId hint = leader_hint();
-  if (hint != ep_.self()) {
-    for (auto& v : pending_) send_to(hint, Forward{std::move(v)}.to_message());
-    pending_.clear();
+  if (hint == ep_.self()) return;
+  if (leader_suspect()) {
+    ++stats_.forwards_parked;
+    return;
   }
-  // Otherwise keep buffering until a leader is known (flushed on heartbeat).
+  for (auto& v : pending_) {
+    // A parked submission of this replica goes to `hint` now: a heartbeat
+    // at this ballot must not re-drive it.
+    if (const auto sub = submitted_.find(value_hash(v)); sub != submitted_.end()) {
+      sub->second.sent_under = promised_;
+    }
+    send_to(hint, Forward{std::move(v)}.to_message());
+  }
+  pending_.clear();
+}
+
+bool PaxosEngine::leader_suspect() const {
+  return role_ == Role::kFollower &&
+         ep_.current_time() - last_leader_contact_ >= kLeaderSuspectAfter;
 }
 
 void PaxosEngine::maybe_propose() {
@@ -575,14 +606,18 @@ void PaxosEngine::tick() {
   // (lost forward, or a leader crashed with them in flight) — unless the
   // value is already in this replica's own pending queue or an open
   // instance (then the instance resend above re-drives it and resubmitting
-  // would only create duplicates).
-  for (auto& [hash, sub] : submitted_) {
-    if (now - sub.submitted_at < kElectionTimeout) continue;
-    sub.submitted_at = now;
-    if (value_in_flight(hash)) continue;
-    ++stats_.resends;
-    sub.sent_under = promised_;
-    on_forward(Forward{sub.value}, ep_.self());
+  // would only create duplicates). A candidate, and a follower whose
+  // leader is suspect, wait instead: the next leader's election or first
+  // heartbeat re-drives them in submission order.
+  if (role_ != Role::kCandidate && !leader_suspect()) {
+    for (auto& [hash, sub] : submitted_) {
+      if (now - sub.submitted_at < kElectionTimeout) continue;
+      sub.submitted_at = now;
+      if (value_in_flight(hash)) continue;
+      ++stats_.resends;
+      sub.sent_under = promised_;
+      on_forward(Forward{sub.value}, ep_.self());
+    }
   }
   ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });
 }

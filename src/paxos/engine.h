@@ -6,9 +6,17 @@
 // order, tolerating f < n/2 crash failures.
 //
 // Protocol structure (classic Multi-Paxos with a stable leader):
-//  - Leader election: the leader sends heartbeats; a follower that misses
-//    them starts Phase 1 with a higher ballot (staggered by member index
-//    to avoid dueling candidates).
+//  - Leader election: the leader heartbeats every 50 ms; a follower that
+//    hears no leader for the election timeout starts Phase 1 with a higher
+//    ballot, staggered by member index so candidates do not duel. Both
+//    derive from the group's worst one-way member delay d
+//    (GroupConfig::member_delay): a timeout of 200 ms + 2d, four
+//    heartbeats plus a round trip, and a stagger of 2d + 50 ms, so the
+//    next candidate hears a Phase 1A sent up to a tick late. A group
+//    built without d keeps 600 ms and 150 ms.
+//  - Forwarding: a follower relays submitted values to its leader; once it
+//    has missed two heartbeats it parks them until a leader's heartbeat
+//    instead of relaying them to a leader that may be dead.
 //  - Phase 1 runs once per leadership change over all instances >= the
 //    candidate's decided prefix; the new leader re-proposes the
 //    highest-ballot accepted value per instance and fills gaps with no-ops.
@@ -51,7 +59,8 @@ namespace sdur::paxos {
   X(resends)                       \
   X(checkpoints)                   \
   X(state_transfers_sent)          \
-  X(state_transfers_installed)
+  X(state_transfers_installed)     \
+  X(forwards_parked)
 
 class PaxosEngine {
  public:
@@ -113,6 +122,9 @@ class PaxosEngine {
   Ballot current_ballot() const { return promised_; }
   const GroupConfig& config() const { return cfg_; }
   const DurableLog& log() const { return *log_; }
+  /// Election timing derived from GroupConfig::member_delay.
+  Time election_timeout() const { return election_timeout_; }
+  Time election_stagger() const { return election_stagger_; }
 
   struct Stats {
     SDUR_COUNTERS(Stats, SDUR_PAXOS_COUNTER_LIST)
@@ -147,6 +159,8 @@ class PaxosEngine {
   /// All engine sends funnel through here so send_wrapper_ sees each one.
   void send_to(ProcessId to, const sim::Message& m);
   bool value_in_flight(std::uint64_t hash) const;
+  /// A follower that has heard no leader for kLeaderSuspectAfter.
+  bool leader_suspect() const;
   /// Values submitted here and last sent under a ballot below `leader`
   /// that are neither queued nor in an open instance here (forwarded to a
   /// leader that may have died with them), oldest first; marks them sent
@@ -167,6 +181,8 @@ class PaxosEngine {
   Ballot highest_seen_;      // highest ballot observed anywhere
   ProcessId leader_hint_ = 0;
   Time last_leader_contact_ = 0;
+  Time election_timeout_ = 0;
+  Time election_stagger_ = 0;
 
   // Candidate state. Ordered so that become_leader()'s scan (and its
   // catchup-target tie-break) is independent of hashing/allocation.

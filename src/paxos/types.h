@@ -51,6 +51,12 @@ struct GroupConfig {
   std::size_t max_batch = 64;
   std::size_t pipeline_window = 64;
 
+  /// Worst one-way delay between two members, jitter included. The
+  /// deployment builder fills it in from its topology, like `members`, and
+  /// the engine derives its election timeout and stagger from it. Zero, as
+  /// in groups built by hand, keeps the fixed 600 ms timeout.
+  Time member_delay = 0;
+
   std::size_t quorum() const { return members.size() / 2 + 1; }
 };
 

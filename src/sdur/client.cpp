@@ -34,29 +34,15 @@ void Client::schedule_snapshot_retry(std::uint64_t reqid) {
     auto it = pending_snapshots_.find(reqid);
     if (it == pending_snapshots_.end()) return;
     ++stats_.read_retries;
-    ++misses_[it->second.target];
+    chooser_.miss(it->second.target);
     it->second.target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
     schedule_snapshot_retry(reqid);
   });
 }
 
-std::size_t Client::replica_index(PartitionId p) const {
-  if (misses_.empty()) return 0;
-  const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
-  auto misses = [this](sim::ProcessId pid) {
-    const auto it = misses_.find(pid);
-    return it == misses_.end() ? 0u : it->second;
-  };
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < replicas.size(); ++i) {
-    if (misses(replicas[i]) < misses(replicas[best])) best = i;
-  }
-  return best;
-}
-
 sim::ProcessId Client::send_request(PartitionId p, const sim::Message& m) {
   const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
-  const sim::ProcessId target = replicas[replica_index(p)];
+  const sim::ProcessId target = replicas[chooser_.pick(replicas)];
   send(target, m);
   // The nearest replica loses only with misses: probe it, so its first
   // answer after a recovery clears them and brings the client back.
@@ -98,7 +84,7 @@ void Client::schedule_read_retry(std::uint64_t reqid) {
     if (it == pending_reads_.end()) return;
     ++stats_.read_retries;
     PendingRead& r = it->second;
-    ++misses_[r.target];
+    chooser_.miss(r.target);
     r.target = send_request(r.partition, ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
     schedule_read_retry(reqid);
   });
@@ -159,9 +145,9 @@ void Client::commit(CommitCallback cb) {
     primary = cfg_.partitioning->partition_of(tx_.writeset.front().key);
   }
   pending_commit_ = std::move(cb);
-  pending_commit_txid_ = tx_.id;
+  committing_ = tx_;
   SDUR_TRACE_MARK(trace_track_, trace::Point::kTxSubmit, tx_.id, now(), 0);
-  const std::size_t first = replica_index(primary);
+  const std::size_t first = chooser_.pick(cfg_.servers[primary]);
   send(cfg_.servers[primary][first], CommitReqMsg{tx_}.to_message());
 
   const TxId txid = tx_.id;
@@ -171,7 +157,7 @@ void Client::commit(CommitCallback cb) {
   // contact is slow to answer while its partition elects a leader.
   schedule_commit_retry(primary, txid, first + 1);
   set_timer(cfg_.commit_timeout, [this, txid] {
-    if (pending_commit_ && pending_commit_txid_ == txid) {
+    if (pending_commit_ && committing_.id == txid) {
       ++stats_.timeouts;
       auto cb2 = std::move(pending_commit_);
       pending_commit_ = nullptr;
@@ -182,16 +168,16 @@ void Client::commit(CommitCallback cb) {
 
 void Client::schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica) {
   set_timer(cfg_.commit_retry_interval, [this, primary, txid, replica] {
-    if (!pending_commit_ || pending_commit_txid_ != txid) return;
+    if (!pending_commit_ || committing_.id != txid) return;
     ++stats_.commit_retries;
     const std::vector<sim::ProcessId>& replicas = cfg_.servers[primary];
-    send(replicas[replica % replicas.size()], CommitReqMsg{tx_}.to_message());
+    send(replicas[replica % replicas.size()], CommitReqMsg{committing_}.to_message());
     schedule_commit_retry(primary, txid, replica + 1);
   });
 }
 
 void Client::on_message(const sim::Message& m, sim::ProcessId from) {
-  if (!misses_.empty()) misses_.erase(from);  // the replica is alive
+  chooser_.heard(from, now());
   util::Reader r(m.payload);
   switch (m.type) {
     case msgtype::kReadResp: {
@@ -228,7 +214,7 @@ void Client::on_message(const sim::Message& m, sim::ProcessId from) {
     }
     case msgtype::kOutcome: {
       const auto out = OutcomeMsg::decode(r);
-      if (!pending_commit_ || out.id != pending_commit_txid_) return;
+      if (!pending_commit_ || out.id != committing_.id) return;
       SDUR_TRACE_MARK(trace_track_, trace::Point::kTxOutcome, out.id, now(),
                       static_cast<std::uint64_t>(out.outcome));
       auto cb = std::move(pending_commit_);

@@ -28,6 +28,7 @@
 #include "sdur/messages.h"
 #include "sdur/partitioning.h"
 #include "sim/process.h"
+#include "sim/replica_chooser.h"
 #include "trace/trace.h"
 #include "util/counters.h"
 
@@ -111,14 +112,11 @@ class Client : public sim::Process {
   void on_message(const sim::Message& m, sim::ProcessId from) override;
 
  private:
-  /// Index in cfg_.servers[p] of the replica with the fewest misses,
-  /// nearest first on ties.
-  std::size_t replica_index(PartitionId p) const;
   /// Sends a read or snapshot request to partition p's replica_index, plus
   /// a probe copy to the nearest replica when that one has misses; returns
   /// the replica a timeout charges.
   sim::ProcessId send_request(PartitionId p, const sim::Message& m);
-  /// The next commit retry goes to cfg_.servers[primary][replica % n].
+  /// The next commit retry sends committing_ to cfg_.servers[primary][replica % n].
   void schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica);
 
   ClientConfig cfg_;
@@ -127,9 +125,8 @@ class Client : public sim::Process {
   std::uint32_t next_seq_ = 1;
   std::uint64_t next_reqid_ = 1;
 
-  /// Read and snapshot timeouts per replica since its last message to this
-  /// client; replicas without misses are absent.
-  std::unordered_map<sim::ProcessId, std::uint32_t> misses_;
+  /// Read and snapshot timeouts charge misses; nothing else does.
+  sim::ReplicaChooser chooser_;
 
   struct PendingRead {
     ReadCallback cb;
@@ -147,7 +144,8 @@ class Client : public sim::Process {
   void schedule_read_retry(std::uint64_t reqid);
   void schedule_snapshot_retry(std::uint64_t reqid);
   CommitCallback pending_commit_;
-  TxId pending_commit_txid_ = 0;
+  /// What commit() sent: its retries re-send it whatever begin() did since.
+  Transaction committing_;
 
   std::uint32_t trace_track_ = trace::kNoTrack;
   Stats stats_;

@@ -32,6 +32,14 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
 
   const sim::Topology& topo = net_->topology();
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
+    // The worst one-way delay between two replicas, before jitter.
+    sim::Time member_delay = 0;
+    for (std::uint32_t a = 0; a < spec_.replicas; ++a) {
+      for (std::uint32_t b = 0; b < spec_.replicas; ++b) {
+        member_delay = std::max(member_delay, topo.region_delay(server_location(p, a).region,
+                                                                server_location(p, b).region));
+      }
+    }
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
       const sim::Location loc = server_location(p, r);
       ServerConfig cfg = spec_.server;
@@ -54,6 +62,8 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
       paxos::GroupConfig g = spec_.paxos;
       g.members = partition_servers[p];
       g.self_index = r;
+      g.member_delay =
+          static_cast<sim::Time>(static_cast<double>(member_delay) * (1.0 + spec_.jitter));
       servers_.push_back(std::make_unique<Server>(*net_, server_pid(p, r), loc, std::move(cfg),
                                                   std::move(g), spec_.partitioning));
     }

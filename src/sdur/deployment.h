@@ -43,7 +43,8 @@ struct DeploymentSpec {
   ClientConfig client;
 
   /// Template for every Paxos group (log write latency, batching,
-  /// pipelining); members and self index are filled in by the builder.
+  /// pipelining); members, self index and member delay are filled in by
+  /// the builder.
   /// The 4 ms log write models a BDB-style synchronous write.
   paxos::GroupConfig paxos{.log_write_latency = sim::msec(4)};
 

@@ -88,6 +88,8 @@ void Server::arm_timers() {
 }
 
 void Server::on_message(const sim::Message& m, sim::ProcessId from) {
+  const auto peer = peer_index_.find(from);
+  if (peer != peer_index_.end() && peer->second.first != cfg_.partition) chooser_.heard(from, now());
   if (paxos::PaxosEngine::handles(m.type)) {
     engine_->handle_message(m, from);
     return;
@@ -266,17 +268,16 @@ void Server::reforward_missing_parts(const Transaction& tx) {
   const auto it = rounds_.find(tx.id);
   if (it == rounds_.end() || it->second.phase == Round::Phase::kVoting) return;
   Round& r = it->second;
-  // The first forward went to replica 0 (abcast), which may have crashed
-  // with it; each re-forward tries the next replica. The copy carries the
-  // same TxId, so a partition that already has the part drops it as a
-  // duplicate. Its contact is this replica: nobody there replies, and the
-  // client's retries are answered from `outcomes_`.
-  const std::uint32_t next = ++r.reforwards;
+  // The replica chosen now (the one that lost the part, unless silence
+  // moved the choice already) takes a miss. A partition that has the part
+  // drops the copy as a duplicate. Its contact is this replica: nobody
+  // there replies, and the client's retries are answered from `outcomes_`.
   for (PartitionId p : r.involved) {
     if (p == cfg_.partition || r.vote(p) != nullptr) continue;
     PartTx part = project(tx, p, r.involved);
     part.contact = self();
-    forward(p, next, part);
+    chooser_.miss(replica_for(p));
+    abcast(p, part);
     ++stats_.reforwards;
   }
 }
@@ -312,15 +313,18 @@ void Server::abcast(PartitionId p, const PartTx& t) {
     engine_->propose(t.encode());
     return;
   }
-  // Hand the value to the remote group's bootstrap contact; its engine
-  // relays to the current leader if leadership moved.
-  forward(p, 0, t);
+  // A remote partition's replica relays the value to its leader.
+  const sim::ProcessId target = replica_for(p);
+  send(target, maybe_piggyback(target, paxos::Forward{t.encode()}.to_message()));
 }
 
-void Server::forward(PartitionId p, std::uint32_t k, const PartTx& t) {
+sim::ProcessId Server::replica_for(PartitionId p) const {
+  // Under load every replica gossips each gossip_interval: one silent for
+  // ten of them plus the one-way delay has most likely crashed.
+  const sim::Time delay =
+      p < cfg_.partition_delay_estimate.size() ? cfg_.partition_delay_estimate[p] : 0;
   const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
-  const sim::ProcessId target = replicas[k % replicas.size()];
-  send(target, maybe_piggyback(target, paxos::Forward{t.encode()}.to_message()));
+  return replicas[chooser_.pick(replicas, now(), 10 * cfg_.gossip_interval + delay)];
 }
 
 void Server::broadcast_reorder_threshold(std::uint32_t k) {
@@ -722,18 +726,18 @@ void Server::chase_votes(TxId id, Round& r, sim::Time t_now) {
     }
   }
   if (t_now - r.delivered_at >= cfg_.missing_vote_timeout && engine_->is_leader() &&
-      (r.abort_requests == 0 || t_now - r.last_abort_request >= kVoteResendInterval)) {
+      (r.last_abort_request == 0 || t_now - r.last_abort_request >= kVoteResendInterval)) {
     // Suspect the submitter crashed between broadcasts: ask the silent
     // partitions to abort (or to resend their vote if they did deliver).
-    // The first request goes to replica 0, as abcast does; each resend to
-    // the next replica, since the one asked before may have crashed.
-    r.last_abort_request = t_now;
-    const std::uint32_t k = r.abort_requests++;
+    // A resend charges the replica asked before a miss: it may have
+    // crashed with the request.
     ++stats_.abort_requests_sent;
     for (PartitionId part : r.involved) {
       if (part == cfg_.partition || r.vote(part) != nullptr) continue;
-      forward(part, k, PartTx::make_abort_request(id, r.involved));
+      if (r.last_abort_request != 0) chooser_.miss(replica_for(part));
+      abcast(part, PartTx::make_abort_request(id, r.involved));
     }
+    r.last_abort_request = t_now;
   }
 }
 

@@ -40,6 +40,7 @@
 #include "sdur/messages.h"
 #include "sdur/partitioning.h"
 #include "sim/process.h"
+#include "sim/replica_chooser.h"
 #include "storage/flat_table.h"
 #include "storage/mvstore.h"
 #include "trace/trace.h"
@@ -135,16 +136,17 @@ class Server : public sim::Process {
   // --- Submission ---------------------------------------------------------
   void handle_commit_request(Transaction tx);
   /// A commit retry for a global delivered here whose round lacks a
-  /// partition's vote: re-forwards that partition's part to its next
-  /// replica (DESIGN.md "Failover").
+  /// partition's vote: charges that partition's chosen replica a miss and
+  /// re-forwards the part (DESIGN.md "Failover").
   void reforward_missing_parts(const Transaction& tx);
   PartTx project(const Transaction& tx, PartitionId p,
                  const std::vector<PartitionId>& involved) const;
-  /// Sends an encoded PartTx into partition p's atomic broadcast.
+  /// Sends an encoded PartTx into partition p's atomic broadcast: through
+  /// this replica's engine, or to replica_for(p) of a remote partition.
   void abcast(PartitionId p, const PartTx& t);
-  /// Forwards `t` to replica k % n of remote partition p, whose engine
-  /// relays it to the partition's leader.
-  void forward(PartitionId p, std::uint32_t k, const PartTx& t);
+  /// The replica of remote partition p that chooser_ picks; replica 0,
+  /// the bootstrap leader, while every replica is alike.
+  sim::ProcessId replica_for(PartitionId p) const;
 
   // --- Delivery (Algorithm 2, lines 15-33) ----------------------------------
   void adeliver(const paxos::Value& value);
@@ -202,11 +204,7 @@ class Server : public sim::Process {
     Version version = 0;
     sim::Time delivered_at = 0;
     sim::Time last_vote_resend = 0;
-    /// Abort requests and re-forwards sent for this round; each count picks
-    /// the replica its next message goes to.
-    std::uint32_t abort_requests = 0;
-    sim::Time last_abort_request = 0;
-    std::uint32_t reforwards = 0;
+    sim::Time last_abort_request = 0;  // 0: none sent
     /// kSpeculated/kSettled: the transaction and its reorder threshold,
     /// moved out of the pending list (checkpoints carry both).
     PartTx tx;
@@ -227,7 +225,7 @@ class Server : public sim::Process {
   }
   /// Liveness for a round missing votes: resend ours, request theirs and,
   /// past missing_vote_timeout, have the leader request an abort, again
-  /// every resend period at the silent partition's next replica.
+  /// every resend period, charging the replica asked before a miss.
   void chase_votes(TxId id, Round& r, sim::Time t_now);
 
   // --- Votes ----------------------------------------------------------------
@@ -369,6 +367,8 @@ class Server : public sim::Process {
   /// Destination pid -> (partition, replica index), for piggybacking on
   /// unicasts addressed by process id.
   std::unordered_map<sim::ProcessId, std::pair<PartitionId, std::size_t>> peer_index_;
+  /// Picks the replica of a remote partition that forwards go to.
+  sim::ReplicaChooser chooser_;
 
   std::unique_ptr<paxos::PaxosEngine> engine_;
   /// P-DUR core executor; null in the serial (cores == 1) model.

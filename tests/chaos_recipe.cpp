@@ -134,6 +134,9 @@ namespace {
 /// fabric RNG stream, changed. Re-pinned once more when clients began
 /// choosing replicas by miss count: a read lost to the recipe's 2% loss
 /// moves the client's next requests, with probe copies, on the same terms.
+/// Re-pinned once more when contacts began choosing a remote partition's
+/// replica by silence: under the 2% loss a lost vote can leave replica 0
+/// silent while another replica was heard, on the same terms.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
@@ -146,9 +149,9 @@ void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xac3f513bb5e7dc77ULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xc255ad84c72369d0ULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0xee104742a3e7f912ULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x2c4dc64ad4953fd1ULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

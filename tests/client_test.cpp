@@ -222,7 +222,7 @@ struct RecordingReplica : sim::Process {
   struct Arrival {
     sim::MsgType type;
     sim::ProcessId replica;
-    std::uint64_t reqid;  // reads and snapshots
+    std::uint64_t reqid;  // reads and snapshots; the TxId of commits
   };
   RecordingReplica(sim::Network& net, sim::ProcessId pid, std::vector<Arrival>& arrivals)
       : sim::Process(net, pid, "replica-" + std::to_string(pid), sim::Location{0, 0}),
@@ -243,6 +243,7 @@ struct RecordingReplica : sim::Process {
     }
     if (m.type == msgtype::kCommitReq) {
       const TxId id = CommitReqMsg::decode(r).tx.id;
+      reqid = id;
       if (answers) send(from, OutcomeMsg{id, Outcome::kCommit}.to_message());
     }
     log.push_back({m.type, self(), reqid});
@@ -437,6 +438,26 @@ TEST(Client, CommitRetriesChargeNoMiss) {
   s.expect_wave(kFirst, msgtype::kCommitReq, {b});
   s.expect_wave(kCommit, msgtype::kCommitReq, {c});
   s.expect_wave(kCommit, msgtype::kCommitReq, {a});
+}
+
+/// A retry re-sends the transaction commit() sent, even after begin()
+/// replaced it with the next one, which nobody asked to commit.
+TEST(Client, CommitRetriesResendTheTransactionCommitSent) {
+  ReplicaSet s;
+  s.client.begin();
+  s.client.write(1, "x");
+  const TxId committed = s.client.current_txid();
+  s.client.commit([](Outcome) {});
+  s.f.run_for(kFirst);
+  s.client.begin();
+  s.client.write(2, "y");
+  s.f.run_for(2 * kCommit);
+  std::vector<TxId> sent;
+  for (const RecordingReplica::Arrival& arrival : s.log) {
+    if (arrival.type == msgtype::kCommitReq) sent.push_back(arrival.reqid);
+  }
+  EXPECT_EQ(sent, (std::vector<TxId>{committed, committed, committed}));
+  EXPECT_NE(s.client.current_txid(), committed);
 }
 
 TEST(Client, ParallelFirstReadsKeepTheLowestSnapshot) {

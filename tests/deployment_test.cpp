@@ -125,6 +125,7 @@ TEST(Deployment, PaxosTemplateReachesEveryEngine) {
   spec.paxos.max_batch = 8;
   spec.paxos.pipeline_window = 4;
   spec.paxos.log_write_latency = sim::msec(1);
+  spec.paxos.member_delay = sim::sec(9);  // derived from the topology instead
   Deployment dep(spec);
   for (PartitionId p = 0; p < 2; ++p) {
     std::vector<sim::ProcessId> members;
@@ -136,6 +137,8 @@ TEST(Deployment, PaxosTemplateReachesEveryEngine) {
       EXPECT_EQ(g.log_write_latency, sim::msec(1));
       EXPECT_EQ(g.members, members) << "partition " << p;
       EXPECT_EQ(g.self_index, r) << "partition " << p;
+      // EU <-> US-EAST, the farthest pair of a WAN 1 group, with 5% jitter.
+      EXPECT_EQ(g.member_delay, sim::usec(47'250)) << "partition " << p;
     }
   }
   // The deployment template models a BDB-style synchronous write; a bare

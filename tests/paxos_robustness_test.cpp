@@ -1,8 +1,10 @@
 // Additional Paxos robustness tests: duplicated/reordered messages, stale
-// proposers, forward buffering while leaderless, and ballot arithmetic.
+// proposers, forward buffering while leaderless, ballot arithmetic, and the
+// election timing that deployments derive from their member delays.
 #include <gtest/gtest.h>
 
 #include "paxos/engine.h"
+#include "sdur/deployment.h"
 #include "sim/process.h"
 
 namespace sdur::paxos {
@@ -123,6 +125,44 @@ TEST(PaxosRobustness, ValuesProposedWhileLeaderlessAreBuffered) {
   EXPECT_EQ(g.hosts[2]->delivered, (std::vector<std::uint64_t>{42}));
 }
 
+TEST(PaxosRobustness, ForwardWhileTheLeaderIsSuspectIsParkedUntilTheNextLeader) {
+  Group g;
+  g.hosts[0]->crash();
+  g.run_for(sim::msec(150));  // host 2 has missed two heartbeats
+  // A value forwarded to host 2 (a remote partition's part, say): relayed
+  // to the dead leader it would be lost, and nobody here re-drives it.
+  g.net->send(g.hosts[1]->self(), g.hosts[2]->self(), Forward{int_value(7)}.to_message());
+  g.run_for(sim::msec(10));
+  EXPECT_EQ(g.hosts[2]->engine().stats().forwards_parked, 1u);
+
+  while (!g.hosts[1]->engine().is_leader() && g.sim.now() < sim::sec(3)) {
+    EXPECT_TRUE(g.hosts[1]->delivered.empty());
+    g.run_for(sim::msec(1));
+  }
+  ASSERT_TRUE(g.hosts[1]->engine().is_leader());
+  g.run_for(sim::msec(20));  // its first heartbeat flushes host 2's buffer
+  for (int h : {1, 2}) EXPECT_EQ(g.hosts[h]->delivered, (std::vector<std::uint64_t>{7})) << h;
+  g.run_for(sim::sec(3));
+  for (int h : {1, 2}) EXPECT_EQ(g.hosts[h]->delivered, (std::vector<std::uint64_t>{7})) << h;
+}
+
+TEST(PaxosRobustness, ParkedSubmissionRelayedToTheCandidateIsDeliveredOnce) {
+  Group g;
+  g.hosts[0]->crash();
+  g.run_for(sim::msec(150));
+  g.hosts[2]->engine().propose(int_value(1));  // parked: the leader is suspect
+  // Host 1 campaigns; once host 2 has promised it, a second submission
+  // relays both values to the candidate. The candidate's first heartbeat
+  // must not re-drive value 1 as if it had gone to the dead leader.
+  while (g.hosts[2]->engine().leader_hint() != g.hosts[1]->self() && g.sim.now() < sim::sec(3)) {
+    g.run_for(sim::usec(10));
+  }
+  ASSERT_FALSE(g.hosts[1]->engine().is_leader());
+  g.hosts[2]->engine().propose(int_value(2));
+  g.run_for(sim::sec(2));
+  for (int h : {1, 2}) EXPECT_EQ(g.hosts[h]->delivered, (std::vector<std::uint64_t>{1, 2})) << h;
+}
+
 TEST(PaxosRobustness, LeaderChangePreservesPrefix) {
   Group g;
   for (std::uint64_t v = 1; v <= 5; ++v) g.hosts[0]->engine().propose(int_value(v));
@@ -190,6 +230,71 @@ TEST(PaxosRobustness, SelfContainedGroupOfFive) {
   EXPECT_EQ(hosts[0]->delivered.size(), 10u);
   EXPECT_EQ(hosts[1]->delivered.size(), 10u);
   EXPECT_EQ(hosts[2]->delivered.size(), 10u);
+}
+
+/// A one-partition deployment of `kind`, started and run for a second.
+std::unique_ptr<Deployment> started(DeploymentSpec::Kind kind, double jitter = 0.05) {
+  DeploymentSpec spec;
+  spec.kind = kind;
+  spec.partitions = 1;
+  spec.partitioning = std::make_shared<RangePartitioning>(1, 100);
+  spec.jitter = jitter;
+  auto dep = std::make_unique<Deployment>(spec);
+  dep->start();
+  dep->run_until(sim::sec(1));
+  return dep;
+}
+
+/// Member 1 replaces a crashed leader within its election deadline plus
+/// its stagger plus one Phase-1 round trip. The deadline runs from the
+/// last heartbeat, one delay after the crash at worst, and is checked once
+/// per tick (50 ms). Member 2, one stagger later, never campaigns.
+void expect_fast_failover(DeploymentSpec::Kind kind, sim::Time member_delay) {
+  const std::unique_ptr<Deployment> dep = started(kind);
+  const PaxosEngine& next = dep->server(0, 1).engine();
+  ASSERT_EQ(next.config().member_delay, member_delay);
+  EXPECT_LT(next.election_timeout(), sim::msec(600)) << "faster than a hand-built group";
+  EXPECT_GE(next.election_stagger(), 2 * member_delay + sim::msec(50))
+      << "a Phase 1A sent a tick late still outruns the next candidate";
+
+  const sim::Time crashed_at = dep->simulator().now();
+  dep->server(0, 0).crash();
+  while (!next.is_leader() && dep->simulator().now() < crashed_at + sim::sec(3)) {
+    dep->run_until(dep->simulator().now() + sim::msec(1));
+  }
+  ASSERT_TRUE(next.is_leader());
+  const sim::Time d = member_delay;
+  const sim::Time round_trip = 2 * d + dep->spec().paxos.log_write_latency;
+  EXPECT_LE(dep->simulator().now() - crashed_at,
+            d + next.election_timeout() + sim::msec(50) + next.election_stagger() + round_trip);
+  EXPECT_EQ(next.stats().leader_elections, 1u);
+  EXPECT_EQ(dep->server(0, 2).engine().stats().leader_elections, 0u) << "no duel";
+}
+
+TEST(PaxosFailover, Wan1LeaderIsReplacedWithinTheDerivedDeadline) {
+  expect_fast_failover(DeploymentSpec::Kind::kWan1, sim::usec(47'250));  // 45 ms + 5%
+}
+
+TEST(PaxosFailover, Wan2LeaderIsReplacedWithinTheDerivedDeadline) {
+  expect_fast_failover(DeploymentSpec::Kind::kWan2, sim::usec(89'250));  // 85 ms + 5%
+}
+
+TEST(PaxosFailover, LanLeaderIsReplacedWithinTheDerivedDeadline) {
+  expect_fast_failover(DeploymentSpec::Kind::kLan, sim::usec(1'050));  // 1 ms + 5%
+}
+
+TEST(PaxosFailover, JitteredFaultFreeGroupsElectOneLeader) {
+  for (const auto kind : {DeploymentSpec::Kind::kLan, DeploymentSpec::Kind::kWan1,
+                          DeploymentSpec::Kind::kWan2}) {
+    const std::unique_ptr<Deployment> dep = started(kind, 0.3);
+    dep->run_until(sim::sec(10));
+    std::uint64_t elections = 0;
+    for (std::uint32_t r = 0; r < 3; ++r) {
+      elections += dep->server(0, r).engine().stats().leader_elections;
+    }
+    EXPECT_EQ(elections, 1u) << "kind " << static_cast<int>(kind);
+    EXPECT_TRUE(dep->server(0, 0).engine().is_leader());
+  }
 }
 
 }  // namespace

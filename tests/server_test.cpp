@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "audit/audit.h"
 #include "sdur/deployment.h"
@@ -429,6 +430,45 @@ TEST(Server, AbortRequestIsResentToTheNextReplica) {
   f.run_for(sim::sec(2));
   EXPECT_EQ(o, Outcome::kAbort) << "a retry learns the outcome";
   EXPECT_EQ(f.read_latest(0, 1), "a1");
+}
+
+/// Partition 1's replica 0 crashes while partition 1 stays busy, so its
+/// live replicas gossip to partition 0 every 10 ms and replica 0 falls
+/// silent there. A global's contact forwards partition 1's part to replica
+/// 1 instead, and the global commits without a retry or a re-forward.
+TEST(Server, ForwardsSkipASilentReplica) {
+  Fixture f;
+  f.settle();
+  f.dep->server(1, 0).crash();
+  Client& busy = f.dep->add_client(1);
+  bool stop = false;
+  std::function<void()> next = [&] {
+    if (stop) return;
+    busy.begin();
+    busy.read(1001, [&](bool, const std::string&) {
+      busy.write(1001, "busy");
+      busy.commit([&](Outcome) { next(); });
+    });
+  };
+  next();
+  f.run_for(sim::sec(2));  // partition 1 has a new leader and serves the loop
+  ASSERT_GT(f.dep->server(1, 1).stats().committed_local, 10u);
+
+  Client& c = f.dep->add_client(0);
+  Outcome o = Outcome::kUnknown;
+  c.begin();
+  c.read_many({1, 1002}, [&](auto) {
+    c.write(1, "global");
+    c.write(1002, "global");
+    c.commit([&](Outcome out) { o = out; });
+  });
+  f.run_for(sim::msec(400));
+  stop = true;
+  EXPECT_EQ(o, Outcome::kCommit) << "within the first commit retry period";
+  EXPECT_EQ(c.stats().commit_retries, 0u);
+  for (Server* s : f.dep->servers()) EXPECT_EQ(s->stats().reforwards, 0u) << s->name();
+  f.run_for(sim::sec(1));
+  EXPECT_EQ(f.dep->server(1, 1).store().get_latest(1002)->value, "global");
 }
 
 /// A global that partition 1 aborts at certification while its partition-0
