@@ -97,9 +97,13 @@ void PaxosEngine::send_to(ProcessId to, const sim::Message& m) {
 }
 
 Time PaxosEngine::election_deadline() const {
-  // Staggered by member index so candidates do not duel.
-  return last_leader_contact_ + election_timeout_ +
-         static_cast<Time>(cfg_.self_index) * election_stagger_;
+  // Staggered by rank after the last leader, its successor first, so
+  // candidates do not duel; by member index while nothing is promised.
+  const auto n = static_cast<std::uint32_t>(cfg_.members.size());
+  const std::uint32_t rank =
+      promised_.valid() ? (cfg_.self_index + n - 1 - promised_.proposer_index() % n) % n
+                        : cfg_.self_index;
+  return last_leader_contact_ + election_timeout_ + static_cast<Time>(rank) * election_stagger_;
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
@@ -130,7 +134,7 @@ void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
       on_catchup_req(CatchupReq::decode(r), from);
       break;
     case msgtype::kCatchupResp:
-      on_catchup_resp(CatchupResp::decode(r));
+      on_catchup_resp(CatchupResp::decode(r), from);
       break;
     case msgtype::kStateTransfer:
       on_state_transfer(StateTransfer::decode(r));
@@ -195,6 +199,7 @@ void PaxosEngine::on_phase1b(const Phase1B& m, ProcessId from) {
 void PaxosEngine::become_leader() {
   role_ = Role::kLeader;
   leader_hint_ = ep_.self();
+  caught_up_ = true;
   SDUR_INFO("paxos") << "leader self=" << ep_.self() << " ballot=" << promised_.n;
 
   // Re-propose the highest-ballot accepted value for every instance at or
@@ -233,9 +238,7 @@ void PaxosEngine::become_leader() {
       most_advanced = cfg_.members[idx];
     }
   }
-  if (quorum_decided > next_deliver_) {
-    send_to(most_advanced, CatchupReq{next_deliver_}.to_message());
-  }
+  if (quorum_decided > next_deliver_) request_catchup(most_advanced, next_deliver_);
   next_instance_ = std::max(next_instance_, quorum_decided);
   promises_.clear();
   // Values this replica forwarded to the previous leader go first, ahead of
@@ -290,12 +293,16 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
       for (auto& v : pending_) send_to(from, Forward{std::move(v)}.to_message());
       pending_.clear();
     }
+    if (m.decided_upto <= next_deliver_ + kCatchupThreshold) caught_up_ = true;
     if (m.decided_upto > next_deliver_) {
       ++behind_heartbeats_;
-      if (m.decided_upto > next_deliver_ + kCatchupThreshold ||
-          behind_heartbeats_ >= kBehindHeartbeatsBeforeCatchup) {
+      // A request in flight is not repeated: its full reply asks for the
+      // next chunk itself.
+      if ((m.decided_upto > next_deliver_ + kCatchupThreshold ||
+           behind_heartbeats_ >= kBehindHeartbeatsBeforeCatchup) &&
+          ep_.current_time() >= catchup_expires_) {
         behind_heartbeats_ = 0;
-        send_to(from, CatchupReq{next_deliver_}.to_message());
+        request_catchup(from, next_deliver_);
       }
     } else {
       behind_heartbeats_ = 0;
@@ -546,6 +553,7 @@ void PaxosEngine::on_state_transfer(const StateTransfer& m) {
                                                           << next_deliver_ << " to "
                                                           << m.resume_at);
   ++stats_.state_transfers_installed;
+  catchup_expires_ = 0;
   install_(m.app_state);
   // The checkpoint subsumes our log prefix: persist it and resume from the
   // transfer point.
@@ -578,9 +586,21 @@ void PaxosEngine::on_catchup_req(const CatchupReq& m, ProcessId from) {
   if (!resp.values.empty()) send_to(from, resp.to_message());
 }
 
-void PaxosEngine::on_catchup_resp(const CatchupResp& m) {
+void PaxosEngine::request_catchup(ProcessId to, InstanceId from_instance) {
+  // A reply not back within the election timeout, four heartbeats plus a
+  // round trip, was lost: the next heartbeat may ask again.
+  catchup_expires_ = ep_.current_time() + election_timeout_;
+  send_to(to, CatchupReq{from_instance}.to_message());
+}
+
+void PaxosEngine::on_catchup_resp(const CatchupResp& m, ProcessId from) {
+  catchup_expires_ = 0;
   for (std::size_t i = 0; i < m.values.size(); ++i) {
     decide(m.first_instance + i, m.values[i]);
+  }
+  // A full reply leaves more behind it: ask for the next chunk at once.
+  if (m.values.size() == kMaxCatchupValues) {
+    request_catchup(from, m.first_instance + m.values.size());
   }
 }
 
@@ -633,6 +653,8 @@ void PaxosEngine::on_recover() {
   undelivered_.clear();
   submitted_.clear();
   behind_heartbeats_ = 0;
+  catchup_expires_ = 0;
+  caught_up_ = false;
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
   redriven_for_ = first_forward_target(promised_);

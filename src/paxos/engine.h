@@ -8,12 +8,13 @@
 // Protocol structure (classic Multi-Paxos with a stable leader):
 //  - Leader election: the leader heartbeats every 50 ms; a follower that
 //    hears no leader for the election timeout starts Phase 1 with a higher
-//    ballot, staggered by member index so candidates do not duel. Both
+//    ballot, staggered by rank so candidates do not duel. Both
 //    derive from the group's worst one-way member delay d
 //    (GroupConfig::member_delay): a timeout of 200 ms + 2d, four
 //    heartbeats plus a round trip, and a stagger of 2d + 50 ms, so the
 //    next candidate hears a Phase 1A sent up to a tick late. A group
-//    built without d keeps 600 ms and 150 ms.
+//    built without d keeps 600 ms and 150 ms. Candidates rank after the
+//    proposer of the promised ballot, the last leader's successor first.
 //  - Forwarding: a follower relays submitted values to its leader; once it
 //    has missed two heartbeats it parks them until a leader's heartbeat
 //    instead of relaying them to a leader that may be dead.
@@ -26,7 +27,8 @@
 //    broadcast Phase 2B to *all* members so every replica learns a decision
 //    two message delays after the proposal (this is the 4-delta local
 //    termination path of the paper's Figure 1).
-//  - Lagging replicas catch up from the leader's decided log.
+//  - Lagging replicas catch up from the leader's decided log, one request
+//    outstanding at a time; a full reply asks for the next chunk at once.
 //
 // Values are opaque bytes. Delivery is exactly-ordered but, as with any
 // forwarding-based broadcast, a value can be delivered more than once after
@@ -116,6 +118,10 @@ class PaxosEngine {
   void test_accept_stale_ballots(bool v) { test_accept_stale_ballots_ = v; }
 
   bool is_leader() const { return role_ == Role::kLeader; }
+  /// False from on_recover() until a leader's heartbeat shows this
+  /// replica's delivered prefix within kCatchupThreshold of the leader's,
+  /// or until it leads: a replica still replaying the log it missed.
+  bool caught_up() const { return caught_up_; }
   /// Process id of the believed leader (self if leading).
   ProcessId leader_hint() const;
   InstanceId next_deliver() const { return next_deliver_; }
@@ -143,7 +149,10 @@ class PaxosEngine {
   void on_heartbeat(const Heartbeat& m, ProcessId from);
   void on_forward(Forward m, ProcessId from);
   void on_catchup_req(const CatchupReq& m, ProcessId from);
-  void on_catchup_resp(const CatchupResp& m);
+  void on_catchup_resp(const CatchupResp& m, ProcessId from);
+  /// Asks `to` for the decided values from `from_instance` on; at most one
+  /// request is outstanding (catchup_expires_).
+  void request_catchup(ProcessId to, InstanceId from_instance);
   void on_state_transfer(const StateTransfer& m);
 
   void start_campaign();
@@ -230,6 +239,9 @@ class PaxosEngine {
   /// re-drives them at once instead of at the next resend.
   Ballot redriven_for_;
   std::uint32_t behind_heartbeats_ = 0;
+  /// While the clock is below it, a catch-up request is outstanding.
+  Time catchup_expires_ = 0;
+  bool caught_up_ = true;
 
   std::unordered_map<ProcessId, std::uint32_t> index_of_;
   /// Lifecycle trace track of this engine (kNoTrack in untraced runs).

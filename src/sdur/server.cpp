@@ -28,6 +28,12 @@ constexpr sim::Time kApplyCostPerWrite = sim::usec(10);
 /// the liveness pass runs at half this period.
 constexpr sim::Time kVoteResendInterval = sim::msec(500);
 
+/// A contact re-forwards a remote part whose vote is still missing this
+/// long after a round trip to its partition, if the replica the part went
+/// to was silent this long too: nothing it sent after the part reached it
+/// arrived. Under load a live replica gossips every gossip_interval.
+constexpr sim::Time kPartResendSlack = sim::msec(100);
+
 /// When a vote-complete global is blocked only by its reorder threshold
 /// and the partition is idle, broadcast no-op ticks at this period to
 /// advance the delivery counter (implementation addition; see DESIGN.md).
@@ -97,10 +103,14 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
   util::Reader r(m.payload);
   switch (m.type) {
     case msgtype::kCommitReq: {
+      // A recovered replica still replaying what it missed answers no
+      // client: it would hold the request until it caught up.
+      if (!engine_->caught_up()) break;
       handle_commit_request(CommitReqMsg::decode(r).tx);
       break;
     }
     case msgtype::kReadReq: {
+      if (!engine_->caught_up()) break;
       const auto msg = ReadReqMsg::decode(r);
       handle_read(msg.reqid, from, msg.key, msg.snapshot);
       break;
@@ -141,6 +151,7 @@ void Server::on_message(const sim::Message& m, sim::ProcessId from) {
       break;
     }
     case msgtype::kSnapshotReq: {
+      if (!engine_->caught_up()) break;
       const auto msg = SnapshotReqMsg::decode(r);
       SnapshotRespMsg resp;
       resp.reqid = msg.reqid;
@@ -238,18 +249,27 @@ void Server::handle_commit_request(Transaction tx) {
   const sim::ProcessId contact =
       own_involved ? self() : cfg_.partition_servers[involved.front()].front();
 
+  // The contact keeps the transaction to resend a remote part lost on the
+  // way (watch_part).
+  std::shared_ptr<const Transaction> kept;
+  if (own_involved && involved.size() > 1) {
+    kept = std::make_shared<const Transaction>(std::move(tx));
+  }
+  const Transaction& t = kept ? *kept : tx;
+
   sim::Time max_remote_delay = 0;
   for (PartitionId p : involved) {
     if (p == cfg_.partition) continue;
-    PartTx part = project(tx, p, involved);
+    PartTx part = project(t, p, involved);
     part.contact = contact;
-    abcast(p, part);
+    const sim::ProcessId target = abcast(p, part);
+    if (kept) watch_part(kept, p, target);
     if (p < cfg_.partition_delay_estimate.size()) {
       max_remote_delay = std::max(max_remote_delay, cfg_.partition_delay_estimate[p]);
     }
   }
   if (own_involved) {
-    PartTx part = project(tx, cfg_.partition, involved);
+    PartTx part = project(t, cfg_.partition, involved);
     part.contact = contact;
     const TechniqueConfig& tc = cfg_.techniques;
     const sim::Time delay = tc.fixed_delay > 0 ? tc.fixed_delay : max_remote_delay;
@@ -267,19 +287,52 @@ void Server::handle_commit_request(Transaction tx) {
 void Server::reforward_missing_parts(const Transaction& tx) {
   const auto it = rounds_.find(tx.id);
   if (it == rounds_.end() || it->second.phase == Round::Phase::kVoting) return;
-  Round& r = it->second;
-  // The replica chosen now (the one that lost the part, unless silence
-  // moved the choice already) takes a miss. A partition that has the part
-  // drops the copy as a duplicate. Its contact is this replica: nobody
-  // there replies, and the client's retries are answered from `outcomes_`.
+  const Round& r = it->second;
   for (PartitionId p : r.involved) {
     if (p == cfg_.partition || r.vote(p) != nullptr) continue;
-    PartTx part = project(tx, p, r.involved);
-    part.contact = self();
-    chooser_.miss(replica_for(p));
-    abcast(p, part);
+    // The replica chosen now (the one that lost the part, unless silence
+    // moved the choice already) takes the miss.
+    reforward_part(tx, r.involved, p, replica_for(p));
     ++stats_.reforwards;
   }
+}
+
+sim::ProcessId Server::reforward_part(const Transaction& tx,
+                                      const std::vector<PartitionId>& involved, PartitionId p,
+                                      sim::ProcessId lost_at) {
+  // A partition that has the part drops the copy as a duplicate. Its
+  // contact is this replica: nobody there replies, and the client's
+  // retries are answered from `outcomes_`.
+  PartTx part = project(tx, p, involved);
+  part.contact = self();
+  chooser_.miss(lost_at);
+  return abcast(p, part);
+}
+
+void Server::watch_part(std::shared_ptr<const Transaction> tx, PartitionId p,
+                        sim::ProcessId sent_to) {
+  const sim::Time delay =
+      p < cfg_.partition_delay_estimate.size() ? cfg_.partition_delay_estimate[p] : 0;
+  set_timer(2 * delay + kPartResendSlack, [this, tx = std::move(tx), p, sent_to]() mutable {
+    const auto it = rounds_.find(tx->id);
+    if (it == rounds_.end() || it->second.phase == Round::Phase::kVoting) {
+      // Not delivered here yet: wait for it. Delivered with no open round,
+      // it completed (or failed certification) and needs no part.
+      const auto s = sessions_.find(tx_client(tx->id));
+      if (s != sessions_.end() && tx_seq(tx->id) <= s->second.last) return;
+    } else {
+      const Round& r = it->second;
+      if (r.verdict() != Outcome::kUnknown) return;
+      // Heard within the slack, the replica sent something after the part
+      // reached it: it is alive, and its partition orders the part, only
+      // slowly. No copy.
+      if (r.vote(p) == nullptr && now() - chooser_.heard_at(sent_to) >= kPartResendSlack) {
+        sent_to = reforward_part(*tx, r.involved, p, sent_to);
+        ++stats_.timed_reforwards;
+      }
+    }
+    watch_part(std::move(tx), p, sent_to);
+  });
 }
 
 PartTx Server::project(const Transaction& tx, PartitionId p,
@@ -308,14 +361,15 @@ PartTx Server::project(const Transaction& tx, PartitionId p,
   return t;
 }
 
-void Server::abcast(PartitionId p, const PartTx& t) {
+sim::ProcessId Server::abcast(PartitionId p, const PartTx& t) {
   if (p == cfg_.partition) {
     engine_->propose(t.encode());
-    return;
+    return self();
   }
   // A remote partition's replica relays the value to its leader.
   const sim::ProcessId target = replica_for(p);
   send(target, maybe_piggyback(target, paxos::Forward{t.encode()}.to_message()));
+  return target;
 }
 
 sim::ProcessId Server::replica_for(PartitionId p) const {

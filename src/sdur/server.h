@@ -75,7 +75,8 @@ namespace sdur {
   X(spec_commits)           /* speculations committed (writes applied at finalize) */ \
   X(spec_aborts)            /* speculations aborted by a vote (nothing to undo) */    \
   X(late_first_deliveries)  /* first deliveries at or below the floor: abort */       \
-  X(reforwards)             /* missing parts re-forwarded on a commit retry */
+  X(reforwards)             /* missing parts re-forwarded on a commit retry */        \
+  X(timed_reforwards)       /* missing parts the contact re-sent on its timer */
 
 class Server : public sim::Process {
  public:
@@ -139,11 +140,21 @@ class Server : public sim::Process {
   /// partition's vote: charges that partition's chosen replica a miss and
   /// re-forwards the part (DESIGN.md "Failover").
   void reforward_missing_parts(const Transaction& tx);
+  /// Charges `lost_at` a miss and re-forwards `tx`'s part for remote
+  /// partition p, named from this replica; returns the replica it went to.
+  sim::ProcessId reforward_part(const Transaction& tx, const std::vector<PartitionId>& involved,
+                                PartitionId p, sim::ProcessId lost_at);
+  /// The contact's own resend of part p, last sent to `sent_to`: every
+  /// 2·δ_p + 100 ms, while `tx`'s round here lacks p's vote and nothing
+  /// came from `sent_to` for the last 100 ms, re-forwards it; stops at the
+  /// verdict or completion (DESIGN.md "Failover").
+  void watch_part(std::shared_ptr<const Transaction> tx, PartitionId p, sim::ProcessId sent_to);
   PartTx project(const Transaction& tx, PartitionId p,
                  const std::vector<PartitionId>& involved) const;
   /// Sends an encoded PartTx into partition p's atomic broadcast: through
   /// this replica's engine, or to replica_for(p) of a remote partition.
-  void abcast(PartitionId p, const PartTx& t);
+  /// Returns the replica it went to.
+  sim::ProcessId abcast(PartitionId p, const PartTx& t);
   /// The replica of remote partition p that chooser_ picks; replica 0,
   /// the bootstrap leader, while every replica is alike.
   sim::ProcessId replica_for(PartitionId p) const;

@@ -36,6 +36,11 @@ class ReplicaChooser {
     }
     return best;
   }
+  /// When a message from `pid` last arrived (0: never).
+  Time heard_at(ProcessId pid) const {
+    const auto it = peers_.find(pid);
+    return it == peers_.end() ? 0 : it->second.heard_at;
+  }
   /// `pid` left a request unanswered.
   void miss(ProcessId pid) { ++peers_[pid].misses; }
   /// A message from `pid` arrived at `now`.

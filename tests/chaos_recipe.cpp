@@ -137,6 +137,10 @@ namespace {
 /// Re-pinned once more when contacts began choosing a remote partition's
 /// replica by silence: under the 2% loss a lost vote can leave replica 0
 /// silent while another replica was heard, on the same terms.
+/// Re-pinned once more when recovered replicas began answering clients
+/// only once caught up and contacts began re-sending a remote part on
+/// their own timer: recovering followers drop probe copies while they
+/// replay, and a part lost to the loss goes out again, on the same terms.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
@@ -149,9 +153,9 @@ void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0xc255ad84c72369d0ULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x13f07297717b83b8ULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x2c4dc64ad4953fd1ULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x1cd8bd1c66c8b1dcULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

@@ -175,7 +175,9 @@ TEST(Client, ReadOnlyDoesNotBlockOnConcurrentWriters) {
 /// Reads, snapshots and commits fail over: with partition 0's replica 0
 /// (the home partition's nearest replica, its leader) crashed, the read's
 /// retry reaches replica 1, which answers it, and later requests go to
-/// replica 1 at once, with a probe copy to replica 0.
+/// replica 1 at once, with a probe copy to replica 0. The global's
+/// contact, partition 1's replica 0, forwards partition 0's part to the
+/// dead replica 0 and re-forwards it on its own timer: no commit retry.
 TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
   Fixture f;
   f.dep->server(0, 0).crash();
@@ -194,9 +196,9 @@ TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
   EXPECT_EQ(f.client->stats().read_retries, 1u);
   EXPECT_EQ(f.client->stats().probes, 2u) << "the read's retry and the snapshot probed replica 0";
 
-  // The commit waits for partition 0 to elect a new leader.
   EXPECT_EQ(f.update({2, 102}, "failed-over"), Outcome::kCommit);
-  EXPECT_GE(f.client->stats().commit_retries, 1u);
+  EXPECT_EQ(f.dep->server(1, 0).stats().timed_reforwards, 1u);
+  EXPECT_EQ(f.client->stats().commit_retries, 0u);
   EXPECT_EQ(f.client->stats().timeouts, 0u);
   EXPECT_EQ(f.dep->server(0, 1).store().get_latest(2)->value, "failed-over");
   EXPECT_EQ(f.dep->server(1, 0).store().get_latest(102)->value, "failed-over");

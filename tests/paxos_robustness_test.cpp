@@ -1,6 +1,7 @@
 // Additional Paxos robustness tests: duplicated/reordered messages, stale
-// proposers, forward buffering while leaderless, ballot arithmetic, and the
-// election timing that deployments derive from their member delays.
+// proposers, forward buffering while leaderless, ballot arithmetic, catch-up
+// of a far-behind follower, the election timing that deployments derive
+// from their member delays, and the successor-first candidate order.
 #include <gtest/gtest.h>
 
 #include "paxos/engine.h"
@@ -31,9 +32,18 @@ class Host : public sim::Process {
   }
   PaxosEngine& engine() { return *engine_; }
   std::vector<std::uint64_t> delivered;
+  /// When a heartbeat from another member last arrived.
+  sim::Time last_heartbeat_at = 0;
+  /// When this host's own Phase 1As arrived back: one per campaign.
+  std::vector<sim::Time> campaigns;
+  /// Catch-up requests this host received.
+  std::size_t catchup_requests = 0;
 
  protected:
   void on_message(const sim::Message& m, sim::ProcessId from) override {
+    if (m.type == msgtype::kHeartbeat && from != self()) last_heartbeat_at = now();
+    if (m.type == msgtype::kPhase1A && from == self()) campaigns.push_back(now());
+    if (m.type == msgtype::kCatchupReq) ++catchup_requests;
     if (PaxosEngine::handles(m.type)) engine_->handle_message(m, from);
   }
   void on_recover() override {
@@ -245,10 +255,11 @@ std::unique_ptr<Deployment> started(DeploymentSpec::Kind kind, double jitter = 0
   return dep;
 }
 
-/// Member 1 replaces a crashed leader within its election deadline plus
-/// its stagger plus one Phase-1 round trip. The deadline runs from the
-/// last heartbeat, one delay after the crash at worst, and is checked once
-/// per tick (50 ms). Member 2, one stagger later, never campaigns.
+/// Member 1, the crashed leader's successor, replaces it within its
+/// election deadline plus one Phase-1 round trip: it ranks first, so no
+/// stagger applies. The deadline runs from the last heartbeat, one delay
+/// after the crash at worst, and is checked once per tick (50 ms). Member
+/// 2, one stagger later, never campaigns.
 void expect_fast_failover(DeploymentSpec::Kind kind, sim::Time member_delay) {
   const std::unique_ptr<Deployment> dep = started(kind);
   const PaxosEngine& next = dep->server(0, 1).engine();
@@ -266,7 +277,7 @@ void expect_fast_failover(DeploymentSpec::Kind kind, sim::Time member_delay) {
   const sim::Time d = member_delay;
   const sim::Time round_trip = 2 * d + dep->spec().paxos.log_write_latency;
   EXPECT_LE(dep->simulator().now() - crashed_at,
-            d + next.election_timeout() + sim::msec(50) + next.election_stagger() + round_trip);
+            d + next.election_timeout() + sim::msec(50) + round_trip);
   EXPECT_EQ(next.stats().leader_elections, 1u);
   EXPECT_EQ(dep->server(0, 2).engine().stats().leader_elections, 0u) << "no duel";
 }
@@ -295,6 +306,97 @@ TEST(PaxosFailover, JitteredFaultFreeGroupsElectOneLeader) {
     EXPECT_EQ(elections, 1u) << "kind " << static_cast<int>(kind);
     EXPECT_TRUE(dep->server(0, 0).engine().is_leader());
   }
+}
+
+/// The first campaign of `h` after `after`, measured from the heartbeat it
+/// last heard before it: its election deadline, up to one tick late.
+sim::Time campaign_delay(const Host& h, sim::Time after) {
+  for (sim::Time t : h.campaigns) {
+    if (t > after) return t - h.last_heartbeat_at;
+  }
+  return -1;
+}
+
+/// Leader 0 crashes: member 1, its successor, campaigns at the election
+/// timeout T after its last heartbeat, not one stagger later as its index
+/// would put it, and member 2 never campaigns. (A hand-built group: T =
+/// 600 ms, stagger 150 ms.)
+TEST(PaxosFailover, SuccessorOfTheDeadLeaderCampaignsAtTheTimeout) {
+  Group g;
+  const PaxosEngine& next = g.hosts[1]->engine();
+  const sim::Time crashed_at = g.sim.now();
+  g.hosts[0]->crash();
+  g.run_for(sim::sec(2));
+  ASSERT_TRUE(next.is_leader());
+  const sim::Time delay = campaign_delay(*g.hosts[1], crashed_at);
+  EXPECT_GE(delay, next.election_timeout());
+  EXPECT_LT(delay, next.election_timeout() + sim::msec(50)) << "no stagger for the successor";
+  EXPECT_TRUE(g.hosts[2]->campaigns.empty()) << "no duel";
+}
+
+/// Member 1 leads and crashes: member 2, its successor, campaigns first,
+/// at the timeout, and member 0 (recovered, ranked second) never does.
+TEST(PaxosFailover, NextMemberAfterTheDeadLeaderCampaignsFirst) {
+  Group g;
+  g.hosts[0]->crash();
+  g.run_for(sim::sec(2));
+  ASSERT_TRUE(g.hosts[1]->engine().is_leader());
+  g.hosts[0]->recover();
+  g.run_for(sim::sec(1));
+
+  const sim::Time crashed_at = g.sim.now();
+  g.hosts[1]->crash();
+  g.run_for(sim::sec(2));
+  const PaxosEngine& next = g.hosts[2]->engine();
+  ASSERT_TRUE(next.is_leader());
+  const sim::Time delay = campaign_delay(*g.hosts[2], crashed_at);
+  EXPECT_GE(delay, next.election_timeout());
+  EXPECT_LT(delay, next.election_timeout() + sim::msec(50)) << "no stagger for the successor";
+  EXPECT_EQ(campaign_delay(*g.hosts[0], crashed_at), -1) << "member 0 ranks second: no duel";
+}
+
+/// A follower in another region (45 ms away, so a catch-up round trip
+/// spans two heartbeats) misses 1500 instances. It catches up with one
+/// request per 256-value chunk: a full reply asks for the next chunk at
+/// once, and heartbeats do not repeat the request in flight. It answers
+/// as caught up only once it is.
+TEST(PaxosRobustness, FarBehindFollowerCatchesUpOneRequestPerChunk) {
+  sim::Simulator sim;
+  sim::Network net(sim, sim::Topology::ec2_three_regions(), 11);
+  GroupConfig cfg;
+  cfg.members = {1, 2, 3};
+  cfg.log_write_latency = sim::usec(200);
+  const sim::Location locs[] = {{sim::kEU, 0}, {sim::kEU, 1}, {sim::kUSEast, 2}};
+  std::vector<std::unique_ptr<Host>> hosts;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    GroupConfig c = cfg;
+    c.self_index = i;
+    hosts.push_back(std::make_unique<Host>(net, i + 1, locs[i], std::move(c)));
+  }
+  for (auto& h : hosts) h->engine().start();
+  sim.run_until(sim::msec(200));
+
+  hosts[2]->crash();
+  // One value per instance: fewer than pipeline_window proposals at once
+  // never share a batch.
+  constexpr std::uint64_t kValues = 1500;
+  for (std::uint64_t v = 0; v < kValues; ++v) {
+    hosts[0]->engine().propose(int_value(v));
+    if (v % 50 == 49) sim.run_until(sim.now() + sim::msec(10));
+  }
+  sim.run_until(sim.now() + sim::sec(1));
+  ASSERT_EQ(hosts[0]->delivered.size(), kValues);
+
+  hosts[2]->recover();
+  const PaxosEngine& follower = hosts[2]->engine();
+  EXPECT_FALSE(follower.caught_up());
+  const InstanceId gap = hosts[0]->engine().next_deliver() - follower.next_deliver();
+  ASSERT_GE(gap, kValues);
+  sim.run_until(sim.now() + sim::sec(3));
+
+  EXPECT_EQ(follower.next_deliver(), hosts[0]->engine().next_deliver());
+  EXPECT_TRUE(follower.caught_up());
+  EXPECT_LE(hosts[0]->catchup_requests, (gap + 255) / 256 + 1);
 }
 
 }  // namespace

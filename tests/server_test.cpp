@@ -296,9 +296,32 @@ TEST(Server, CrashedContactMakesClientTimeout) {
   EXPECT_EQ(o, Outcome::kUnknown);
 }
 
-/// The submitter's forward to partition 1 is lost (links blocked during
-/// submission); partition 0 delivers the transaction and waits for votes.
-/// The client is cut off right after its commit request, so no retry can
+/// A client of partition 0 whose requests go to partition 0's replica 1
+/// first: its globals have a contact that is not partition 0's leader, so
+/// the leader's abort requests flow while the contact is cut off.
+std::unique_ptr<Client> follower_contact_client(Deployment& dep) {
+  ClientConfig cfg = dep.spec().client;
+  cfg.partitioning = dep.spec().partitioning;
+  cfg.home = 0;
+  for (PartitionId q = 0; q < dep.partition_count(); ++q) {
+    cfg.servers.push_back({dep.server(q, 0).self(), dep.server(q, 1).self(),
+                           dep.server(q, 2).self()});
+  }
+  std::swap(cfg.servers[0][0], cfg.servers[0][1]);
+  return std::make_unique<Client>(dep.network(), 40'000, sim::Location{0, 0}, std::move(cfg));
+}
+
+/// Blocks every link between `pid` and partition p's replicas.
+void cut_off(Deployment& dep, sim::ProcessId pid, PartitionId p) {
+  for (std::uint32_t r = 0; r < dep.replica_count(); ++r) {
+    dep.network().block_link(pid, dep.server(p, r).self());
+  }
+}
+
+/// The submitter, partition 0's replica 1, is cut off from partition 1
+/// until the global resolved, so its forward and its own re-forwards are
+/// lost; partition 0 delivers the transaction and waits for votes. The
+/// client is cut off right after its commit request, so no retry can
 /// re-forward the lost part (see ReforwardOnRetryCompletesHalfSubmittedGlobal).
 /// After missing_vote_timeout the leader abcasts an abort request to the
 /// silent partition, which votes abort, aborting the transaction
@@ -314,29 +337,25 @@ void run_half_submitted_global(bool speculation) {
   spec.server.techniques.speculation = speculation;
   Fixture f(spec);
   f.settle();
-  Client& c = f.dep->add_client(0);
-
-  // Cut the contact (P0 leader, pid of server(0,0)) off from all P1 servers.
-  const sim::ProcessId contact = f.dep->server(0, 0).self();
-  for (std::uint32_t r = 0; r < 3; ++r) {
-    f.dep->network().block_link(contact, f.dep->server(1, r).self());
-  }
+  const std::unique_ptr<Client> client = follower_contact_client(*f.dep);
+  Client& c = *client;
+  cut_off(*f.dep, f.dep->server(0, 1).self(), 1);
 
   Outcome o = Outcome::kUnknown;
   c.begin();
-  // Read only from P0 so the execution phase doesn't need P1... but the
-  // transaction must involve P1: read via another replica is fine since
-  // client reads go to the nearest replica (server(1,0))... which is the
-  // blocked leader only for the contact. Client->server(1,0) is not blocked.
-  c.read_many({1, 1001}, [&](auto) {
-    c.write(1, "half");
-    c.write(1001, "half");
-    c.commit([&](Outcome out) { o = out; });
-    f.dep->network().isolate(c.self());
+  // Key 1 first: partition 0, read first, takes the commit request. The
+  // client's own links are intact, so it reads key 1001 from partition 1.
+  c.read(1, [&](bool, const std::string&) {
+    c.read(1001, [&](bool, const std::string&) {
+      c.write(1, "half");
+      c.write(1001, "half");
+      c.commit([&](Outcome out) { o = out; });
+      f.dep->network().isolate(c.self());
+    });
   });
-  // Let the submission happen (forward to P1 dropped), then heal the
-  // servers so the abort request can flow; the client stays cut off until
-  // the abort completed.
+  // Let the submission happen (forward to P1 dropped) and the leader's
+  // abort request resolve the global, then heal the contact; the client
+  // stays cut off until the contact learned the abort too.
   f.run_for(sim::msec(500));
   if (speculation) {
     // The global waits on its missing vote outside the pending list, its
@@ -349,6 +368,7 @@ void run_half_submitted_global(bool speculation) {
       EXPECT_LT(s.sc(), s.certified()) << "replica " << r;
     }
   }
+  f.run_for(sim::sec(2));
   f.dep->network().heal_all();
   f.dep->network().isolate(c.self());
   f.run_for(sim::sec(3));
@@ -356,6 +376,8 @@ void run_half_submitted_global(bool speculation) {
   f.run_for(sim::sec(7));
 
   EXPECT_EQ(o, Outcome::kAbort);
+  EXPECT_GT(f.dep->server(0, 1).stats().timed_reforwards, 0u)
+      << "the contact's own copies were lost";
   EXPECT_EQ(f.read_latest(0, 1), "a1") << "no partial application at partition 0";
   EXPECT_EQ(f.read_latest(1, 1001), "b1001");
   EXPECT_GT(f.dep->server(0, 0).stats().abort_requests_sent, 0u);
@@ -386,12 +408,13 @@ TEST(Server, AbortRequestRollsBackHalfSubmittedSpeculatedGlobal) {
   run_half_submitted_global(true);
 }
 
-/// The half-submitted global again, with the client cut off for good and
-/// partition 1's replica 0 down for good: the contact's forward and the
-/// leader's first abort request both go to that replica and are lost. The
-/// abort request is re-sent every vote-resend period (500 ms) to the next
-/// replica, so the global resolves within missing_vote_timeout plus two
-/// resend periods.
+/// The half-submitted global again, with the client cut off for good,
+/// partition 1's replica 0 down for good and the contact, partition 0's
+/// replica 1, cut off from partition 1: the leader's first abort request
+/// goes to the dead replica and is lost. The abort request is re-sent
+/// every vote-resend period (500 ms) to the next replica, so the global
+/// resolves within missing_vote_timeout plus two resend periods; the
+/// contact learns the outcome once its links are back.
 TEST(Server, AbortRequestIsResentToTheNextReplica) {
   DeploymentSpec spec;
   spec.partitions = 2;
@@ -401,17 +424,21 @@ TEST(Server, AbortRequestIsResentToTheNextReplica) {
   f.settle();
   f.dep->server(1, 0).crash();
   f.run_for(sim::sec(2));  // partition 1 elects a new leader
-  Client& c = f.dep->add_client(0);
+  const std::unique_ptr<Client> client = follower_contact_client(*f.dep);
+  Client& c = *client;
+  cut_off(*f.dep, f.dep->server(0, 1).self(), 1);
 
   Outcome o = Outcome::kUnknown;
   sim::Time committed_at = 0;
   c.begin();
-  c.read_many({1, 1001}, [&](auto) {
-    c.write(1, "half");
-    c.write(1001, "half");
-    c.commit([&](Outcome out) { o = out; });
-    committed_at = f.sim().now();
-    f.dep->network().isolate(c.self());
+  c.read(1, [&](bool, const std::string&) {
+    c.read(1001, [&](bool, const std::string&) {
+      c.write(1, "half");
+      c.write(1001, "half");
+      c.commit([&](Outcome out) { o = out; });
+      committed_at = f.sim().now();
+      f.dep->network().isolate(c.self());
+    });
   });
   f.run_for(sim::msec(500));
   ASSERT_NE(committed_at, 0);
@@ -420,14 +447,18 @@ TEST(Server, AbortRequestIsResentToTheNextReplica) {
 
   EXPECT_GE(f.dep->server(0, 0).stats().abort_requests_sent, 2u) << "sent, then re-sent";
   for (std::uint32_t r = 0; r < 3; ++r) {
-    EXPECT_EQ(f.dep->server(0, r).pending_count(), 0u) << "partition 0 replica " << r;
-    EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "partition 0 replica " << r;
+    if (r != 1) {
+      EXPECT_EQ(f.dep->server(0, r).pending_count(), 0u) << "partition 0 replica " << r;
+      EXPECT_EQ(f.dep->server(0, r).round_count(), 0u) << "partition 0 replica " << r;
+    }
     if (r == 0) continue;
     EXPECT_EQ(f.dep->server(1, r).stats().abort_request_aborts, 1u) << "replica " << r;
     EXPECT_EQ(f.dep->server(1, r).round_count(), 0u) << "partition 1 replica " << r;
   }
-  f.dep->network().heal(c.self());
+  f.dep->network().heal_all();
   f.run_for(sim::sec(2));
+  EXPECT_EQ(f.dep->server(0, 1).pending_count(), 0u) << "the contact pulled the abort vote";
+  EXPECT_EQ(f.dep->server(0, 1).round_count(), 0u) << "the contact pulled the abort vote";
   EXPECT_EQ(o, Outcome::kAbort) << "a retry learns the outcome";
   EXPECT_EQ(f.read_latest(0, 1), "a1");
 }
@@ -469,6 +500,57 @@ TEST(Server, ForwardsSkipASilentReplica) {
   for (Server* s : f.dep->servers()) EXPECT_EQ(s->stats().reforwards, 0u) << s->name();
   f.run_for(sim::sec(1));
   EXPECT_EQ(f.dep->server(1, 1).store().get_latest(1002)->value, "global");
+}
+
+/// Partition 1's leader crashes just before a global's commit request, and
+/// partition 1 is idle, so the contact forwards its part to the dead
+/// replica. With commit retries 120 s apart, only the contact can resend
+/// it: 2·δ + 100 ms after the request it charges the dead replica a miss
+/// and re-forwards the part to replica 1, which parks it until it wins the
+/// election. The global commits within that period plus the election
+/// time, with no client retry and no abort request.
+TEST(Server, ContactReforwardsAPartLostWithACrashedLeader) {
+  DeploymentSpec spec;
+  spec.client.commit_retry_interval = sim::sec(120);
+  Fixture f(spec);
+  f.settle();
+  Client& c = f.dep->add_client(0);
+
+  Outcome o = Outcome::kUnknown;
+  sim::Time done_at = 0;
+  bool read = false;
+  c.begin();
+  c.read(1, [&](bool, const std::string&) {
+    c.read(1001, [&](bool, const std::string&) { read = true; });
+  });
+  f.run_for(sim::msec(100));
+  ASSERT_TRUE(read);
+  f.dep->server(1, 0).crash();
+  const sim::Time committed_at = f.sim().now();
+  c.write(1, "resent");
+  c.write(1001, "resent");
+  c.commit([&](Outcome out) {
+    o = out;
+    done_at = f.sim().now();
+  });
+  f.run_for(sim::sec(2));
+
+  ASSERT_EQ(o, Outcome::kCommit);
+  const Server& contact = f.dep->server(0, 0);
+  const paxos::PaxosEngine& next = f.dep->server(1, 1).engine();
+  const sim::Time resend = 2 * contact.config().partition_delay_estimate[1] + sim::msec(100);
+  const sim::Time election = next.config().member_delay + next.election_timeout() +
+                             sim::msec(50) + 2 * next.config().member_delay +
+                             f.dep->spec().paxos.log_write_latency;
+  EXPECT_LE(done_at - committed_at, resend + election + sim::msec(10));
+  EXPECT_TRUE(next.is_leader());
+  EXPECT_GE(contact.stats().timed_reforwards, 1u);
+  EXPECT_EQ(c.stats().commit_retries, 0u);
+  for (Server* s : f.dep->servers()) {
+    EXPECT_EQ(s->stats().reforwards, 0u) << s->name();
+    EXPECT_EQ(s->stats().abort_requests_sent, 0u) << s->name();
+  }
+  EXPECT_EQ(f.dep->server(1, 1).store().get_latest(1001)->value, "resent");
 }
 
 /// A global that partition 1 aborts at certification while its partition-0
@@ -661,6 +743,69 @@ TEST(Server, DuplicateDeliveryIsCertifiedAndAppliedOnce) {
 #if SDUR_AUDIT_ON
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 #endif
+}
+
+/// Partition 0's replica 2 misses a few hundred commits while down. Once
+/// recovered, it drops every read, snapshot and commit request until a
+/// leader's heartbeat shows it caught up, so a client's probe cannot bring
+/// the client back to a replica that would hold its requests; from then on
+/// it answers.
+TEST(Server, RecoveredReplicaAnswersNoClientUntilCaughtUp) {
+  Fixture f;
+  f.settle();
+  Server& replica = f.dep->server(0, 2);
+  replica.crash();
+  Client& busy = f.dep->add_client(0);
+  std::uint32_t commits = 0;
+  std::function<void()> next = [&] {
+    if (commits == 300) return;
+    busy.begin();
+    busy.read(3, [&](bool, const std::string&) {
+      busy.write(3, "busy");
+      busy.commit([&](Outcome) {
+        ++commits;
+        next();
+      });
+    });
+  };
+  next();
+  f.run_for(sim::sec(5));
+  ASSERT_EQ(commits, 300u);
+
+  struct Probe : sim::Process {
+    using sim::Process::Process;
+    std::size_t answers = 0;
+    void on_message(const sim::Message& m, sim::ProcessId) override {
+      if (m.type == msgtype::kReadResp || m.type == msgtype::kSnapshotResp ||
+          m.type == msgtype::kOutcome) {
+        ++answers;
+      }
+    }
+    /// A read, a snapshot request and an empty transaction's commit.
+    void ask(sim::ProcessId server, std::uint32_t seq) {
+      send(server, ReadReqMsg{seq, 3, kNoSnapshot}.to_message());
+      send(server, SnapshotReqMsg{seq}.to_message());
+      Transaction tx;
+      tx.id = make_tx_id(self(), seq);
+      tx.client = self();
+      send(server, CommitReqMsg{tx}.to_message());
+    }
+  } probe(f.dep->network(), 20'000, "probe", sim::Location{0, 0});
+
+  replica.recover();
+  ASSERT_FALSE(replica.engine().caught_up());
+  probe.ask(replica.self(), 1);
+  while (!replica.engine().caught_up() && f.sim().now() < sim::sec(20)) {
+    f.run_for(sim::msec(1));
+    ASSERT_EQ(probe.answers, 0u) << "answered before catching up";
+  }
+  ASSERT_TRUE(replica.engine().caught_up());
+  EXPECT_EQ(replica.store().get_latest(3)->value, "busy");
+  f.run_for(sim::msec(50));
+  EXPECT_EQ(probe.answers, 0u) << "the early requests were dropped, not held";
+  probe.ask(replica.self(), 2);
+  f.run_for(sim::msec(50));
+  EXPECT_EQ(probe.answers, 3u);
 }
 
 TEST(Server, CrashedReplicaRecoversAndConverges) {
