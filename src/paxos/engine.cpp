@@ -24,8 +24,12 @@ constexpr Time kHeartbeatInterval = sim::msec(100);
 /// undelivered submissions at this period.
 constexpr Time kElectionTimeout = sim::msec(600);
 /// A follower that has heard no leader for this long (two heartbeats
-/// missed) parks forwards instead of relaying them to its leader.
+/// missed) parks forwards instead of relaying them to its leader, and
+/// starts to count down to its campaign.
 constexpr Time kLeaderSuspectAfter = kHeartbeatInterval;
+/// Part of a follower's suspicion margin beside its link's jitter: the
+/// receiver's CPU queue delays a heartbeat by a few milliseconds at most.
+constexpr Time kSuspectSlack = sim::msec(5);
 
 std::uint64_t value_hash(const Value& v) {
   return sdur::util::fnv1a(
@@ -43,12 +47,13 @@ Ballot first_forward_target(Ballot promised) {
 PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
                          std::unique_ptr<DurableLog> log, DeliverFn deliver)
     : ep_(endpoint), cfg_(std::move(config)), log_(std::move(log)), deliver_(std::move(deliver)) {
-  // With the members' worst one-way delay d known, the timeout is four
-  // heartbeats plus a round trip. A candidate campaigns up to one tick
-  // past its deadline, its Phase 1A takes up to d to reach the next one,
-  // whose last leader contact may be d older: a stagger of 2d plus a tick
-  // lets the next candidate hear it before its own deadline.
-  const Time d = cfg_.member_delay;
+  // With the members' worst one-way delay d known, a candidate's timeout
+  // is four heartbeats plus a round trip, which covers its Phase 1. The
+  // next candidate's last leader contact may be d older than the first
+  // one's, and the first one's Phase 1A takes up to d to reach it: a
+  // stagger of 2d plus a tick lets it hear the Phase 1A before its own
+  // deadline.
+  const Time d = cfg_.member_delay();
   election_timeout_ = d > 0 ? 2 * kHeartbeatInterval + 2 * d : kElectionTimeout;
   election_stagger_ = d > 0 ? 2 * d + kHeartbeatInterval / 2 : kElectionTimeout / 4;
   for (std::uint32_t i = 0; i < cfg_.members.size(); ++i) index_of_[cfg_.members[i]] = i;
@@ -96,14 +101,35 @@ void PaxosEngine::send_to(ProcessId to, const sim::Message& m) {
   ep_.send_message(to, m);
 }
 
-Time PaxosEngine::election_deadline() const {
-  // Staggered by rank after the last leader, its successor first, so
-  // candidates do not duel; by member index while nothing is promised.
+std::uint32_t PaxosEngine::last_leader_index() const {
+  // Member 0 campaigns first, at round 1.
   const auto n = static_cast<std::uint32_t>(cfg_.members.size());
-  const std::uint32_t rank =
-      promised_.valid() ? (cfg_.self_index + n - 1 - promised_.proposer_index() % n) % n
-                        : cfg_.self_index;
-  return last_leader_contact_ + election_timeout_ + static_cast<Time>(rank) * election_stagger_;
+  return promised_.valid() ? promised_.proposer_index() % n : 0;
+}
+
+Time PaxosEngine::suspicion_timeout() const {
+  const auto jitter = static_cast<Time>(
+      static_cast<double>(cfg_.delay(last_leader_index(), cfg_.self_index)) * cfg_.jitter);
+  return kLeaderSuspectAfter + kSuspectSlack + jitter;
+}
+
+Time PaxosEngine::election_deadline() const {
+  // Candidates rank by their delay to the last leader, nearest first, and
+  // in successor order on ties; the last leader itself ranks last. They
+  // campaign one stagger apart, so they do not duel.
+  const auto n = static_cast<std::uint32_t>(cfg_.members.size());
+  const std::uint32_t leader = last_leader_index();
+  auto order = [&](std::uint32_t i) {
+    return std::pair{i == leader ? sim::kNever : cfg_.delay(leader, i), (i + n - 1 - leader) % n};
+  };
+  Time rank = 0;
+  for (std::uint32_t i = 0; i < n; ++i) rank += order(i) < order(cfg_.self_index) ? 1 : 0;
+  // A follower that heard from a leader campaigns once that leader is
+  // suspect; one that last heard a candidate, and a candidate, wait out
+  // the election timeout, which covers the candidate's Phase 1.
+  const Time wait =
+      role_ == Role::kFollower && heard_leader_ ? suspicion_timeout() : election_timeout_;
+  return last_leader_contact_ + wait + rank * election_stagger_;
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
@@ -156,6 +182,7 @@ void PaxosEngine::start_campaign() {
   promises_.clear();
   leader_hint_ = ep_.self();
   last_leader_contact_ = ep_.current_time();
+  heard_leader_ = false;
   ++stats_.leader_elections;
   SDUR_DEBUG("paxos") << "campaign ballot=" << ballot.n << " self=" << ep_.self();
   broadcast(Phase1A{ballot, next_deliver_}.to_message());
@@ -179,6 +206,7 @@ void PaxosEngine::on_phase1a(const Phase1A& m, ProcessId from) {
     }
   }
   last_leader_contact_ = ep_.current_time();
+  heard_leader_ = false;
   Phase1B reply{m.ballot, next_deliver_, {}};
   for (auto& [inst, rec] : log_->accepted_from(std::min(m.low_instance, next_deliver_))) {
     reply.entries.push_back(AcceptedEntry{inst, rec.ballot, rec.value});
@@ -199,6 +227,7 @@ void PaxosEngine::on_phase1b(const Phase1B& m, ProcessId from) {
 void PaxosEngine::become_leader() {
   role_ = Role::kLeader;
   leader_hint_ = ep_.self();
+  elected_at_ = ep_.current_time();
   caught_up_ = true;
   SDUR_INFO("paxos") << "leader self=" << ep_.self() << " ballot=" << promised_.n;
 
@@ -259,6 +288,7 @@ void PaxosEngine::step_down(Ballot seen) {
   promises_.clear();
   open_.clear();
   last_leader_contact_ = ep_.current_time();
+  heard_leader_ = false;
 }
 
 void PaxosEngine::on_nack(const Nack& m) {
@@ -281,6 +311,7 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
         promised_.proposer_index() != cfg_.self_index) {
       step_down(m.ballot);
     }
+    heard_leader_ = true;
     // A new leader: first re-drive what went to the old one, then flush
     // any values buffered while leaderless.
     if (m.ballot > redriven_for_) {
@@ -440,6 +471,7 @@ void PaxosEngine::on_phase2a(Phase2A m, ProcessId from) {
   if (from != ep_.self()) {
     leader_hint_ = from;
     last_leader_contact_ = ep_.current_time();
+    heard_leader_ = true;
   }
   if (m.instance < next_deliver_) {
     // Already decided and delivered here: the proposer is a stale leader
@@ -537,10 +569,11 @@ void PaxosEngine::try_deliver() {
 
 // --- Catchup ----------------------------------------------------------------
 
-void PaxosEngine::save_checkpoint(Value app_state) {
+void PaxosEngine::save_checkpoint(Value app_state, InstanceId covered_upto) {
+  if (covered_upto < log_->first_retained()) return;
   ++stats_.checkpoints;
-  log_->save_checkpoint(app_state, next_deliver_);
-  log_->truncate_below(next_deliver_);
+  log_->save_checkpoint(app_state, covered_upto);
+  log_->truncate_below(covered_upto);
 }
 
 void PaxosEngine::on_state_transfer(const StateTransfer& m) {
@@ -619,8 +652,14 @@ void PaxosEngine::tick() {
         broadcast(Phase2A{promised_, inst, oi.value}.to_message());
       }
     }
-  } else if (now >= election_deadline()) {
+  } else if (const Time deadline = election_deadline(); now >= deadline) {
     start_campaign();
+  } else if (deadline < now + kHeartbeatInterval / 2) {
+    // Campaign at the deadline itself rather than at the next tick; a
+    // leader heard from meanwhile moves the deadline on.
+    ep_.start_timer(deadline - now, [this] {
+      if (role_ != Role::kLeader && ep_.current_time() >= election_deadline()) start_campaign();
+    });
   }
   // Re-drive values submitted here that still have not been delivered
   // (lost forward, or a leader crashed with them in flight) — unless the
@@ -660,6 +699,7 @@ void PaxosEngine::on_recover() {
   redriven_for_ = first_forward_target(promised_);
   leader_hint_ = 0;
   last_leader_contact_ = ep_.current_time();
+  heard_leader_ = false;
   // Restore the latest checkpoint (if any), then redeliver the decided
   // tail so the application rebuilds its state deterministically; anything
   // beyond the contiguous prefix comes via catchup.

@@ -6,15 +6,18 @@
 // order, tolerating f < n/2 crash failures.
 //
 // Protocol structure (classic Multi-Paxos with a stable leader):
-//  - Leader election: the leader heartbeats every 50 ms; a follower that
-//    hears no leader for the election timeout starts Phase 1 with a higher
-//    ballot, staggered by rank so candidates do not duel. Both
-//    derive from the group's worst one-way member delay d
-//    (GroupConfig::member_delay): a timeout of 200 ms + 2d, four
-//    heartbeats plus a round trip, and a stagger of 2d + 50 ms, so the
-//    next candidate hears a Phase 1A sent up to a tick late. A group
-//    built without d keeps 600 ms and 150 ms. Candidates rank after the
-//    proposer of the promised ballot, the last leader's successor first.
+//  - Leader election: the leader heartbeats every 50 ms. A follower
+//    suspects it once two heartbeats are missed, plus its link's jitter
+//    and a 5 ms slack, and campaigns then (Phase 1 with a higher ballot)
+//    from a timer at that very deadline. Candidates rank by their delay
+//    to the last leader, successor order on ties, and rank r campaigns r
+//    staggers later, so candidates do not duel. A candidate re-campaigns,
+//    and a follower that last heard a candidate campaigns, only after the
+//    election timeout, which covers a Phase 1 round trip. Both derive from
+//    the group's worst one-way member delay d (GroupConfig::member_delay()):
+//    a timeout of 200 ms + 2d and a stagger of 2d + 50 ms, so the next
+//    candidate hears a Phase 1A before its own deadline. A group built
+//    without delays keeps 600 ms and 150 ms.
 //  - Forwarding: a follower relays submitted values to its leader; once it
 //    has missed two heartbeats it parks them until a leader's heartbeat
 //    instead of relaying them to a leader that may be dead.
@@ -106,10 +109,12 @@ class PaxosEngine {
   using SendWrapper = std::function<sim::Message(ProcessId, sim::Message)>;
   void set_send_wrapper(SendWrapper fn) { send_wrapper_ = std::move(fn); }
 
-  /// Persists `app_state` as a checkpoint covering everything delivered so
-  /// far and truncates the log below it. Lagging replicas that request
-  /// truncated instances receive the checkpoint instead.
-  void save_checkpoint(Value app_state);
+  /// Persists `app_state`, the application state once every instance
+  /// below `covered_upto` is applied, as a checkpoint and truncates the
+  /// log below it; a no-op if a state transfer moved the log past it.
+  /// Lagging replicas that request truncated instances receive the
+  /// checkpoint instead.
+  void save_checkpoint(Value app_state, InstanceId covered_upto);
 
   /// TEST-ONLY fault injection: when set, the acceptor skips the
   /// promised-ballot guard in Phase 2A and accepts values at stale
@@ -128,9 +133,15 @@ class PaxosEngine {
   Ballot current_ballot() const { return promised_; }
   const GroupConfig& config() const { return cfg_; }
   const DurableLog& log() const { return *log_; }
-  /// Election timing derived from GroupConfig::member_delay.
+  /// Election timing derived from GroupConfig::member_delay(): a
+  /// candidate's re-campaign timeout, and the stagger between ranks.
   Time election_timeout() const { return election_timeout_; }
   Time election_stagger() const { return election_stagger_; }
+  /// How long after its last leader contact a follower ranked first
+  /// campaigns: two missed heartbeats plus its link's jitter and a slack.
+  Time suspicion_timeout() const;
+  /// When this replica last became leader (0: never).
+  Time elected_at() const { return elected_at_; }
 
   struct Stats {
     SDUR_COUNTERS(Stats, SDUR_PAXOS_COUNTER_LIST)
@@ -176,6 +187,9 @@ class PaxosEngine {
   /// under the current ballot and restarts their resend clock.
   std::vector<Value> stranded_submissions(Ballot leader);
   std::uint32_t member_index(ProcessId pid) const;
+  /// Member index of the proposer of the promised ballot (member 0 while
+  /// nothing is promised).
+  std::uint32_t last_leader_index() const;
   Time election_deadline() const;
 
   sim::Endpoint& ep_;
@@ -190,6 +204,10 @@ class PaxosEngine {
   Ballot highest_seen_;      // highest ballot observed anywhere
   ProcessId leader_hint_ = 0;
   Time last_leader_contact_ = 0;
+  /// The last contact came from a leader (a heartbeat or Phase 2A), not
+  /// from a candidate or this replica's own campaign.
+  bool heard_leader_ = false;
+  Time elected_at_ = 0;
   Time election_timeout_ = 0;
   Time election_stagger_ = 0;
 

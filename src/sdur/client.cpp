@@ -5,6 +5,12 @@
 
 namespace sdur {
 
+namespace {
+/// Read and snapshot retry period of a client built without
+/// ClientConfig::round_trips.
+constexpr sim::Time kDefaultReadRetry = sim::msec(200);
+}  // namespace
+
 Client::Client(sim::Network& net, sim::ProcessId pid, sim::Location loc, ClientConfig cfg)
     : sim::Process(net, pid, "client-" + std::to_string(pid), loc), cfg_(std::move(cfg)) {
   // Clients do negligible local work per message.
@@ -25,19 +31,45 @@ void Client::begin_read_only(ReadyCallback ready) {
   read_only_ = true;
   const std::uint64_t reqid = next_reqid_++;
   const sim::ProcessId target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
-  pending_snapshots_[reqid] = PendingSnapshot{std::move(ready), target};
+  pending_snapshots_[reqid] = PendingSnapshot{std::move(ready), target, now()};
   schedule_snapshot_retry(reqid);
 }
 
 void Client::schedule_snapshot_retry(std::uint64_t reqid) {
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
+  const sim::ProcessId target = pending_snapshots_.at(reqid).target;
+  set_timer(read_retry_period(cfg_.home, target), [this, reqid] {
     auto it = pending_snapshots_.find(reqid);
     if (it == pending_snapshots_.end()) return;
     ++stats_.read_retries;
-    chooser_.miss(it->second.target);
-    it->second.target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
+    PendingSnapshot& s = it->second;
+    s.target = resend_request(cfg_.home, s.target, s.sent_at, SnapshotReqMsg{reqid}.to_message());
+    s.sent_at = now();
     schedule_snapshot_retry(reqid);
   });
+}
+
+sim::Time Client::round_trip(PartitionId p, sim::ProcessId replica) const {
+  if (p >= cfg_.round_trips.size()) return 0;
+  const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
+  const auto i = static_cast<std::size_t>(std::ranges::find(replicas, replica) - replicas.begin());
+  return i < cfg_.round_trips[p].size() ? cfg_.round_trips[p][i] : 0;
+}
+
+sim::Time Client::read_retry_period(PartitionId p, sim::ProcessId replica) const {
+  const sim::Time rtt = round_trip(p, replica);
+  return rtt > 0 ? rtt + kReadRetrySlack : kDefaultReadRetry;
+}
+
+sim::ProcessId Client::resend_request(PartitionId p, sim::ProcessId target, sim::Time sent_at,
+                                      const sim::Message& m) {
+  // A message that left `target` before the request reached it proves
+  // nothing about the request: it may have crashed in between.
+  if (chooser_.heard_at(target) > sent_at + round_trip(p, target)) {
+    send(target, m);
+    return target;
+  }
+  chooser_.miss(target);
+  return send_request(p, m);
 }
 
 sim::ProcessId Client::send_request(PartitionId p, const sim::Message& m) {
@@ -69,7 +101,7 @@ void Client::read(Key k, ReadCallback cb) {
   const std::uint64_t reqid = next_reqid_++;
   const Version snapshot = tx_.snapshot_of(p);
   const sim::ProcessId target = send_request(p, ReadReqMsg{reqid, k, snapshot}.to_message());
-  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot, target};
+  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot, target, now()};
   schedule_read_retry(reqid);
 }
 
@@ -79,13 +111,15 @@ void Client::schedule_read_retry(std::uint64_t reqid) {
   // original snapshot, so any replica of the partition answers with the
   // same value. (A first read carries none; whichever answer arrives first
   // fixes it.)
-  set_timer(cfg_.read_retry_interval, [this, reqid] {
+  const PendingRead& pending = pending_reads_.at(reqid);
+  set_timer(read_retry_period(pending.partition, pending.target), [this, reqid] {
     auto it = pending_reads_.find(reqid);
     if (it == pending_reads_.end()) return;
     ++stats_.read_retries;
     PendingRead& r = it->second;
-    chooser_.miss(r.target);
-    r.target = send_request(r.partition, ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
+    r.target = resend_request(r.partition, r.target, r.sent_at,
+                              ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
+    r.sent_at = now();
     schedule_read_retry(reqid);
   });
 }

@@ -7,9 +7,11 @@
 // sees a consistent partition view), writes are buffered locally, and commit
 // ships the whole transaction to a replica of the partition it touched
 // first, which runs the termination protocol. Requests go to the nearest
-// replica that has not missed more answers than the others; an unanswered
-// read or snapshot charges its replica a miss and is retried, a commit
-// retry goes to the partition's next replica.
+// replica that has not missed more answers than the others. A read or
+// snapshot still unanswered after its round trip plus a slack is retried;
+// it charges its replica a miss unless that replica was heard from since
+// the request reached it. A commit retry goes to the partition's next
+// replica.
 //
 // Read-only transactions (Section III-A) first obtain a globally
 // consistent snapshot vector (built asynchronously by servers via gossip)
@@ -65,10 +67,17 @@ struct ClientConfig {
   /// a crashed contact.
   sim::Time commit_retry_interval = sim::msec(500);
 
-  /// Read and snapshot requests are re-sent at this period until answered
-  /// (both are idempotent).
-  sim::Time read_retry_interval = sim::msec(200);
+  /// Per partition, in the order of `servers`: the round trip to each
+  /// replica, jitter included. Deployment fills it in from its topology,
+  /// like `servers`. A read or snapshot request waits one round trip to its
+  /// replica plus kReadRetrySlack for the answer before it is re-sent (both
+  /// are idempotent); a client built without round trips waits 200 ms.
+  std::vector<std::vector<sim::Time>> round_trips{};
 };
+
+/// What a read or snapshot request's retry period allows beyond the round
+/// trip: the replica's CPU queue and its network jitter.
+inline constexpr sim::Time kReadRetrySlack = sim::msec(20);
 
 class Client : public sim::Process {
  public:
@@ -103,6 +112,10 @@ class Client : public sim::Process {
   /// Id of the in-flight transaction.
   TxId current_txid() const { return tx_.id; }
 
+  /// The retry period of a read or snapshot request sent to `replica` of
+  /// partition p: its round trip plus kReadRetrySlack.
+  sim::Time read_retry_period(PartitionId p, sim::ProcessId replica) const;
+
   struct Stats {
     SDUR_COUNTERS(Stats, SDUR_CLIENT_COUNTER_LIST)
   };
@@ -116,6 +129,15 @@ class Client : public sim::Process {
   /// a probe copy to the nearest replica when that one has misses; returns
   /// the replica a timeout charges.
   sim::ProcessId send_request(PartitionId p, const sim::Message& m);
+  /// Re-sends an unanswered request that went to `target` at `sent_at`:
+  /// to `target` again if a message it sent after the request reached it
+  /// arrived (it is alive and holds the request, e.g. a read deferred
+  /// until its snapshot is applied), else through send_request after
+  /// charging `target` a miss. Returns the replica it went to.
+  sim::ProcessId resend_request(PartitionId p, sim::ProcessId target, sim::Time sent_at,
+                                const sim::Message& m);
+  /// ClientConfig::round_trips for `replica` of partition p (0: unknown).
+  sim::Time round_trip(PartitionId p, sim::ProcessId replica) const;
   /// The next commit retry sends committing_ to cfg_.servers[primary][replica % n].
   void schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica);
 
@@ -134,11 +156,13 @@ class Client : public sim::Process {
     Key key;
     Version snapshot;
     sim::ProcessId target;  // the replica the latest attempt went to
+    sim::Time sent_at;      // when it went
   };
   std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   struct PendingSnapshot {
     ReadyCallback ready;
     sim::ProcessId target;
+    sim::Time sent_at;
   };
   std::unordered_map<std::uint64_t, PendingSnapshot> pending_snapshots_;
   void schedule_read_retry(std::uint64_t reqid);

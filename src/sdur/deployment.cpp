@@ -32,12 +32,15 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
 
   const sim::Topology& topo = net_->topology();
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
-    // The worst one-way delay between two replicas, before jitter.
-    sim::Time member_delay = 0;
+    // One-way delays between the replicas, before jitter.
+    std::vector<std::vector<sim::Time>> member_delays(spec_.replicas,
+                                                      std::vector<sim::Time>(spec_.replicas, 0));
     for (std::uint32_t a = 0; a < spec_.replicas; ++a) {
       for (std::uint32_t b = 0; b < spec_.replicas; ++b) {
-        member_delay = std::max(member_delay, topo.region_delay(server_location(p, a).region,
-                                                                server_location(p, b).region));
+        if (a != b) {
+          member_delays[a][b] = topo.region_delay(server_location(p, a).region,
+                                                  server_location(p, b).region);
+        }
       }
     }
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
@@ -62,8 +65,8 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
       paxos::GroupConfig g = spec_.paxos;
       g.members = partition_servers[p];
       g.self_index = r;
-      g.member_delay =
-          static_cast<sim::Time>(static_cast<double>(member_delay) * (1.0 + spec_.jitter));
+      g.member_delays = member_delays;
+      g.jitter = spec_.jitter;
       servers_.push_back(std::make_unique<Server>(*net_, server_pid(p, r), loc, std::move(cfg),
                                                   std::move(g), spec_.partitioning));
     }
@@ -136,9 +139,17 @@ Client& Deployment::add_client(PartitionId home) {
   cfg.partitioning = spec_.partitioning;
   cfg.home = home;
   cfg.servers.clear();
+  cfg.round_trips.clear();
   // The home partition's nearest replica is its leader, replica 0.
+  const sim::Topology& topo = net_->topology();
   for (PartitionId q = 0; q < spec_.partitions; ++q) {
     cfg.servers.push_back(replicas_by_distance(q, loc.region));
+    std::vector<sim::Time>& round_trips = cfg.round_trips.emplace_back();
+    for (sim::ProcessId pid : cfg.servers.back()) {
+      const sim::Time one_way = topo.region_delay(loc.region, topo.location(pid).region);
+      round_trips.push_back(
+          static_cast<sim::Time>(2.0 * static_cast<double>(one_way) * (1.0 + spec_.jitter)));
+    }
   }
   clients_.push_back(std::make_unique<Client>(*net_, next_client_pid_++, loc, std::move(cfg)));
   return *clients_.back();

@@ -1122,8 +1122,12 @@ void Server::install_state(const paxos::Value& blob) {
 void Server::checkpoint_tick() {
   // Pending transactions serialize into the checkpoint too (their peer
   // votes are re-fetched on install), so checkpoints can be taken under
-  // load; pending lists stay short in practice.
-  engine_->save_checkpoint(encode_state());
+  // load; pending lists stay short in practice. The checkpoint covers
+  // what was delivered by now, and the deliveries still queued on the CPU
+  // run before its state is encoded.
+  enqueue_work(0, [this, upto = engine_->next_deliver()] {
+    engine_->save_checkpoint(encode_state(), upto);
+  });
   set_timer(cfg_.checkpoint_interval, [this] { checkpoint_tick(); });
 }
 

@@ -51,7 +51,6 @@ ChaosOut run_chaos(const TechniqueConfig& techniques, std::uint32_t cores) {
   spec.server.checkpoint_interval = sim::msec(500);
   spec.server.missing_vote_timeout = sim::msec(1500);
   spec.seed = 17;
-  spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
   Deployment dep(spec);
   dep.network().set_loss_rate(0.02);
@@ -141,6 +140,11 @@ namespace {
 /// only once caught up and contacts began re-sending a remote part on
 /// their own timer: recovering followers drop probe copies while they
 /// replay, and a part lost to the loss goes out again, on the same terms.
+/// Re-pinned once more when reads began retrying after one round trip
+/// plus a slack, followers began campaigning from a timer at their
+/// suspicion deadline and checkpoints began covering only applied
+/// deliveries: a read lost to the loss goes out again sooner, on the same
+/// terms.
 void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
   const ChaosOut r = run_chaos(*TechniqueConfig::preset("all-on"), cores);
   EXPECT_EQ(r.digest, digest) << "all-on completion order changed";
@@ -153,9 +157,9 @@ void expect_all_on_converges(std::uint32_t cores, std::uint64_t digest) {
 #endif
 }
 
-TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x13f07297717b83b8ULL); }
+TEST(ChaosRecipe, AllOnConvergesSerial) { expect_all_on_converges(1, 0x1c7d3bb580e7869dULL); }
 
-TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x1cd8bd1c66c8b1dcULL); }
+TEST(ChaosRecipe, AllOnConvergesFourCores) { expect_all_on_converges(4, 0x476306b19b564d75ULL); }
 
 }  // namespace
 }  // namespace sdur::chaos

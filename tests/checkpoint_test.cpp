@@ -7,6 +7,7 @@
 #include <string>
 #include <utility>
 
+#include "audit/auditor.h"
 #include "sdur/deployment.h"
 #include "util/bytes.h"
 #include "workload/driver.h"
@@ -362,7 +363,10 @@ TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {
   workload::MicroWorkload wl(mc);
 
   // Crash and recover a replica mid-run so recovery uses a checkpoint
-  // while traffic continues.
+  // while traffic continues. A checkpoint that claimed deliveries still
+  // queued on the CPU would make the recovered replica skip them, and it
+  // would certify against another state than its peers.
+  const std::uint64_t violations_before = audit::Auditor::instance().total_violations();
   dep.simulator().schedule_at(sim::sec(3), [&] { dep.server(0, 1).crash(); });
   dep.simulator().schedule_at(sim::sec(4), [&] { dep.server(0, 1).recover(); });
 
@@ -392,6 +396,8 @@ TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {
   }
   std::string why;
   EXPECT_TRUE(checker.check(&why)) << why;
+  EXPECT_EQ(audit::Auditor::instance().total_violations(), violations_before)
+      << audit::Auditor::instance().summary();
 }
 
 /// The deduplication state a checkpoint carries is bounded. On the

@@ -204,6 +204,35 @@ TEST(Client, CrashedNearestReplicaFailsOverToTheNext) {
   EXPECT_EQ(f.dep->server(1, 0).store().get_latest(102)->value, "failed-over");
 }
 
+/// A read that failed over to a replica in another region waits for that
+/// replica's round trip, not the nearest one's: a US-EAST client of WAN 1
+/// whose nearest partition-0 replica (the away one) crashed retries once,
+/// to the EU (94.5 ms round trip), and is answered there without timing
+/// out on it.
+TEST(Client, FailedOverReadWaitsForTheFartherReplicasRoundTrip) {
+  DeploymentSpec spec;
+  spec.kind = DeploymentSpec::Kind::kWan1;
+  spec.partitions = 2;
+  spec.partitioning = std::make_shared<RangePartitioning>(2, 100);
+  spec.paxos.log_write_latency = sim::usec(200);
+  Deployment dep(spec);
+  for (Key k = 0; k < 200; ++k) dep.load(k, "v" + std::to_string(k));
+  dep.start();
+  Client& client = dep.add_client(1);
+  dep.run_until(sim::sec(1));
+  Server& away = dep.server(0, 2);
+  ASSERT_EQ(client.read_retry_period(0, away.self()), 2 * sim::usec(1'050) + kReadRetrySlack);
+  away.crash();
+
+  std::string value;
+  client.begin();
+  client.read(1, [&](bool, const std::string& v) { value = v; });
+  dep.run_until(dep.simulator().now() + sim::msec(400));
+  EXPECT_EQ(value, "v1");
+  EXPECT_EQ(client.stats().read_retries, 1u) << "no timeout on the live EU replica";
+  EXPECT_EQ(client.stats().probes, 1u);
+}
+
 /// Stands in for a partition's server: records read and commit requests
 /// and answers reads only when the test says so, at the snapshot it picks.
 struct ScriptedServer : sim::Process {
@@ -442,6 +471,56 @@ TEST(Client, CommitRetriesChargeNoMiss) {
   s.expect_wave(kCommit, msgtype::kCommitReq, {a});
 }
 
+/// A read the replica holds (deferred there until its snapshot is applied)
+/// while the replica answers other requests is re-sent to it alone, and
+/// charges it no miss: the next read goes there too, without a probe. Once
+/// the replica falls silent, the next retries move on. (The client knows
+/// no round trips, so any message since the request left counts.)
+TEST(Client, RetryToAReplicaHeardFromSinceChargesNoMiss) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self();
+  s.client.begin();
+  s.client.read(1, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.hear_from(s.a);
+  s.expect_wave(kRead, msgtype::kReadReq, {a});
+  EXPECT_EQ(s.client.stats().read_retries, 1u);
+  EXPECT_EQ(s.client.stats().probes, 0u);
+
+  s.client.read(2, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  EXPECT_EQ(s.client.stats().probes, 0u) << "a has no miss";
+
+  // Silent since: both reads' retries charge a and go to b, probing a.
+  s.expect_wave(kRead, msgtype::kReadReq, {b, a, b, a});
+  EXPECT_EQ(s.client.stats().read_retries, 3u);
+  EXPECT_EQ(s.client.stats().probes, 2u);
+}
+
+/// A message the replica sent before the request could reach it proves
+/// nothing about the request (the replica may have crashed in between):
+/// with a 50 ms round trip to each replica, an answer heard 10 ms after
+/// the read left does not keep the retry at the replica.
+TEST(Client, ReplyOlderThanTheRoundTripStillChargesAMiss) {
+  ReplicaSet s;
+  const sim::ProcessId a = s.a.self(), b = s.b.self();
+  Client client{s.f.dep->network(), 20'011, sim::Location{0, 0}, [&] {
+                  ClientConfig cfg;
+                  cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
+                  cfg.servers = {{a, b, s.c.self()}};
+                  cfg.round_trips = {{sim::msec(50), sim::msec(50), sim::msec(50)}};
+                  return cfg;
+                }()};
+  ASSERT_EQ(client.read_retry_period(0, a), sim::msec(50) + kReadRetrySlack);
+  client.begin();
+  client.read(1, [](bool, const std::string&) {});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.a.send(client.self(), OutcomeMsg{0, Outcome::kAbort}.to_message());
+  s.expect_wave(client.read_retry_period(0, a), msgtype::kReadReq, {b, a});
+  EXPECT_EQ(client.stats().read_retries, 1u);
+  EXPECT_EQ(client.stats().probes, 1u);
+}
+
 /// A retry re-sends the transaction commit() sent, even after begin()
 /// replaced it with the next one, which nobody asked to commit.
 TEST(Client, CommitRetriesResendTheTransactionCommitSent) {
@@ -533,22 +612,55 @@ TEST(Client, StatsCountReadsAndCommits) {
 }
 
 TEST(Client, DroppedReadResponseIsRetriedAndCounted) {
-  ClientConfig slow_retries;
-  slow_retries.read_retry_interval = sim::sec(2);
-  Fixture f(slow_retries);
+  Fixture f;
+  const sim::Time period = f.client->read_retry_period(0, f.dep->server(0, 0).self());
   bool found = false;
   f.client->begin();
   f.client->read(1, [&](bool ok, const std::string&) { found = ok; });
-  // The request is already in flight; cutting the client off drops the
-  // server's response, so only the retry can answer the read.
+  // The request is already in flight; cutting the client off until just
+  // before the retry drops the server's response, so only the retry can
+  // answer the read.
   f.dep->network().isolate(f.client->self());
-  f.run_for(sim::sec(1));
+  f.run_for(period - sim::msec(1));
   EXPECT_FALSE(found);
   EXPECT_EQ(f.client->stats().read_retries, 0u);
   f.dep->network().heal(f.client->self());
-  f.run_for(sim::sec(3));
+  f.run_for(sim::sec(1));
   EXPECT_TRUE(found);
   EXPECT_EQ(f.client->stats().read_retries, 1u);
+}
+
+/// With its nearest replica crashed, a client's read and a fresh client's
+/// snapshot are answered by the next replica one retry period later: the
+/// round trip to the dead replica plus kReadRetrySlack, not 200 ms.
+TEST(Client, CrashedNearestReplicaIsLeftWithinTheRetryPeriod) {
+  Fixture f;
+  Server& nearest = f.dep->server(0, 0);
+  nearest.crash();
+  const sim::Time period = f.client->read_retry_period(0, nearest.self());
+  ASSERT_LT(period, sim::msec(30));
+  // The next replica is one region away: its answer takes a round trip of
+  // 2.1 ms at most, and a few microseconds of service.
+  const sim::Time answer = sim::msec(3);
+
+  sim::Time start = f.dep->simulator().now();
+  sim::Time read_after = 0;
+  f.client->begin();
+  f.client->read(1, [&](bool, const std::string&) {
+    read_after = f.dep->simulator().now() - start;
+  });
+  f.run_for(sim::msec(100));
+  EXPECT_GT(read_after, period);
+  EXPECT_LE(read_after, period + answer);
+
+  Client& fresh = f.dep->add_client(0);
+  start = f.dep->simulator().now();
+  sim::Time ready_after = 0;
+  fresh.begin_read_only([&] { ready_after = f.dep->simulator().now() - start; });
+  f.run_for(sim::msec(100));
+  EXPECT_GT(ready_after, period);
+  EXPECT_LE(ready_after, period + answer);
+  EXPECT_EQ(fresh.stats().read_retries, 1u);
 }
 
 }  // namespace

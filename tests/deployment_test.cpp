@@ -125,7 +125,9 @@ TEST(Deployment, PaxosTemplateReachesEveryEngine) {
   spec.paxos.max_batch = 8;
   spec.paxos.pipeline_window = 4;
   spec.paxos.log_write_latency = sim::msec(1);
-  spec.paxos.member_delay = sim::sec(9);  // derived from the topology instead
+  // Delays are derived from the topology instead.
+  spec.paxos.member_delays = {{0, sim::sec(9)}, {sim::sec(9), 0}};
+  spec.paxos.jitter = 3;
   Deployment dep(spec);
   for (PartitionId p = 0; p < 2; ++p) {
     std::vector<sim::ProcessId> members;
@@ -138,13 +140,34 @@ TEST(Deployment, PaxosTemplateReachesEveryEngine) {
       EXPECT_EQ(g.members, members) << "partition " << p;
       EXPECT_EQ(g.self_index, r) << "partition " << p;
       // EU <-> US-EAST, the farthest pair of a WAN 1 group, with 5% jitter.
-      EXPECT_EQ(g.member_delay, sim::usec(47'250)) << "partition " << p;
+      EXPECT_EQ(g.member_delay(), sim::usec(47'250)) << "partition " << p;
+      EXPECT_EQ(g.jitter, 0.05);
+      EXPECT_EQ(g.delay(0, 1), sim::msec(1)) << "two home replicas, one region";
+      EXPECT_EQ(g.delay(1, 2), sim::msec(45)) << "home and away";
+      EXPECT_EQ(g.delay(r, r), 0);
     }
   }
   // The deployment template models a BDB-style synchronous write; a bare
   // group keeps the faster default.
   EXPECT_EQ(DeploymentSpec{}.paxos.log_write_latency, sim::msec(4));
   EXPECT_EQ(paxos::GroupConfig{}.log_write_latency, sim::usec(500));
+}
+
+/// A client waits for a replica's read or snapshot answer one round trip,
+/// jitter included, plus kReadRetrySlack: an EU client of WAN 1 waits
+/// 22.1 ms for partition 0's EU replicas and 114.5 ms for its US-EAST one.
+TEST(Deployment, ClientReadRetryFollowsTheRoundTrip) {
+  DeploymentSpec spec = spec_for(DeploymentSpec::Kind::kWan1);
+  spec.client.round_trips = {{sim::sec(9)}};  // derived from the topology instead
+  Deployment dep(spec);
+  const Client& c = dep.add_client(0);
+  const sim::Time near = 2 * sim::usec(1'050) + kReadRetrySlack;
+  EXPECT_EQ(c.read_retry_period(0, dep.server(0, 0).self()), near);
+  EXPECT_EQ(c.read_retry_period(0, dep.server(0, 1).self()), near);
+  EXPECT_EQ(c.read_retry_period(0, dep.server(0, 2).self()),
+            2 * sim::usec(47'250) + kReadRetrySlack);
+  // Partition 1's nearest replica to the EU is its away replica.
+  EXPECT_EQ(c.read_retry_period(1, dep.server(1, 2).self()), near);
 }
 
 // Whole-run determinism: two deployments driven by identical seeds produce

@@ -1,8 +1,10 @@
 // Additional Paxos robustness tests: duplicated/reordered messages, stale
 // proposers, forward buffering while leaderless, ballot arithmetic, catch-up
 // of a far-behind follower, the election timing that deployments derive
-// from their member delays, and the successor-first candidate order.
+// from their member delays, and the nearest-first candidate order.
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "paxos/engine.h"
 #include "sdur/deployment.h"
@@ -135,10 +137,18 @@ TEST(PaxosRobustness, ValuesProposedWhileLeaderlessAreBuffered) {
   EXPECT_EQ(g.hosts[2]->delivered, (std::vector<std::uint64_t>{42}));
 }
 
+/// Runs `g` until host 2 has missed two heartbeats of the crashed leader:
+/// host 1, the successor, campaigns some 5 ms later.
+void run_until_host2_suspects(Group& g) {
+  g.run_for(sim::msec(5));  // heartbeats in flight land
+  g.sim.run_until(g.hosts[2]->last_heartbeat_at + sim::msec(101));
+  ASSERT_TRUE(g.hosts[1]->campaigns.empty());
+}
+
 TEST(PaxosRobustness, ForwardWhileTheLeaderIsSuspectIsParkedUntilTheNextLeader) {
   Group g;
   g.hosts[0]->crash();
-  g.run_for(sim::msec(150));  // host 2 has missed two heartbeats
+  run_until_host2_suspects(g);
   // A value forwarded to host 2 (a remote partition's part, say): relayed
   // to the dead leader it would be lost, and nobody here re-drives it.
   g.net->send(g.hosts[1]->self(), g.hosts[2]->self(), Forward{int_value(7)}.to_message());
@@ -159,7 +169,7 @@ TEST(PaxosRobustness, ForwardWhileTheLeaderIsSuspectIsParkedUntilTheNextLeader) 
 TEST(PaxosRobustness, ParkedSubmissionRelayedToTheCandidateIsDeliveredOnce) {
   Group g;
   g.hosts[0]->crash();
-  g.run_for(sim::msec(150));
+  run_until_host2_suspects(g);
   g.hosts[2]->engine().propose(int_value(1));  // parked: the leader is suspect
   // Host 1 campaigns; once host 2 has promised it, a second submission
   // relays both values to the candidate. The candidate's first heartbeat
@@ -255,29 +265,28 @@ std::unique_ptr<Deployment> started(DeploymentSpec::Kind kind, double jitter = 0
   return dep;
 }
 
-/// Member 1, the crashed leader's successor, replaces it within its
-/// election deadline plus one Phase-1 round trip: it ranks first, so no
-/// stagger applies. The deadline runs from the last heartbeat, one delay
-/// after the crash at worst, and is checked once per tick (50 ms). Member
-/// 2, one stagger later, never campaigns.
+/// Member 1, the crashed leader's successor and its nearest member,
+/// replaces it within its suspicion timeout plus one Phase-1 round trip:
+/// it ranks first, so no stagger applies. The timeout runs from the last
+/// heartbeat, one delay after the crash at worst. Member 2, one stagger
+/// later, never campaigns.
 void expect_fast_failover(DeploymentSpec::Kind kind, sim::Time member_delay) {
   const std::unique_ptr<Deployment> dep = started(kind);
   const PaxosEngine& next = dep->server(0, 1).engine();
-  ASSERT_EQ(next.config().member_delay, member_delay);
+  ASSERT_EQ(next.config().member_delay(), member_delay);
   EXPECT_LT(next.election_timeout(), sim::msec(600)) << "faster than a hand-built group";
+  EXPECT_LT(next.suspicion_timeout(), next.election_timeout());
   EXPECT_GE(next.election_stagger(), 2 * member_delay + sim::msec(50))
-      << "a Phase 1A sent a tick late still outruns the next candidate";
+      << "the next candidate hears the first one's Phase 1A before its own deadline";
 
   const sim::Time crashed_at = dep->simulator().now();
   dep->server(0, 0).crash();
-  while (!next.is_leader() && dep->simulator().now() < crashed_at + sim::sec(3)) {
-    dep->run_until(dep->simulator().now() + sim::msec(1));
-  }
+  dep->run_until(crashed_at + sim::sec(3));
   ASSERT_TRUE(next.is_leader());
   const sim::Time d = member_delay;
   const sim::Time round_trip = 2 * d + dep->spec().paxos.log_write_latency;
-  EXPECT_LE(dep->simulator().now() - crashed_at,
-            d + next.election_timeout() + sim::msec(50) + round_trip);
+  const sim::Time service = sim::msec(1);  // message handling along the way
+  EXPECT_LE(next.elected_at() - crashed_at, d + next.suspicion_timeout() + round_trip + service);
   EXPECT_EQ(next.stats().leader_elections, 1u);
   EXPECT_EQ(dep->server(0, 2).engine().stats().leader_elections, 0u) << "no duel";
 }
@@ -309,7 +318,7 @@ TEST(PaxosFailover, JitteredFaultFreeGroupsElectOneLeader) {
 }
 
 /// The first campaign of `h` after `after`, measured from the heartbeat it
-/// last heard before it: its election deadline, up to one tick late.
+/// last heard before it: its election deadline.
 sim::Time campaign_delay(const Host& h, sim::Time after) {
   for (sim::Time t : h.campaigns) {
     if (t > after) return t - h.last_heartbeat_at;
@@ -317,25 +326,31 @@ sim::Time campaign_delay(const Host& h, sim::Time after) {
   return -1;
 }
 
-/// Leader 0 crashes: member 1, its successor, campaigns at the election
-/// timeout T after its last heartbeat, not one stagger later as its index
-/// would put it, and member 2 never campaigns. (A hand-built group: T =
-/// 600 ms, stagger 150 ms.)
+/// Leader 0 crashes: member 1, its successor, campaigns at its suspicion
+/// timeout after its last heartbeat (two heartbeats and a 5 ms slack),
+/// from a timer at that deadline rather than at the next tick, not one
+/// stagger later as its index would put it, and member 2 never
+/// campaigns. (A hand-built group: no member delays, so no jitter margin,
+/// and a stagger of 150 ms.)
 TEST(PaxosFailover, SuccessorOfTheDeadLeaderCampaignsAtTheTimeout) {
   Group g;
   const PaxosEngine& next = g.hosts[1]->engine();
+  EXPECT_EQ(next.suspicion_timeout(), sim::msec(105));
   const sim::Time crashed_at = g.sim.now();
   g.hosts[0]->crash();
   g.run_for(sim::sec(2));
   ASSERT_TRUE(next.is_leader());
   const sim::Time delay = campaign_delay(*g.hosts[1], crashed_at);
-  EXPECT_GE(delay, next.election_timeout());
-  EXPECT_LT(delay, next.election_timeout() + sim::msec(50)) << "no stagger for the successor";
+  EXPECT_GE(delay, next.suspicion_timeout());
+  EXPECT_LT(delay, next.suspicion_timeout() + sim::msec(1)) << "no stagger, no tick";
   EXPECT_TRUE(g.hosts[2]->campaigns.empty()) << "no duel";
 }
 
-/// Member 1 leads and crashes: member 2, its successor, campaigns first,
-/// at the timeout, and member 0 (recovered, ranked second) never does.
+/// Member 1 leads and crashes. Without member delays the candidates tie
+/// on their delay to it, so member 2, its successor, campaigns first, at
+/// its suspicion timeout, and member 0 (recovered, ranked second) never
+/// does. (With delays known the nearest member goes first:
+/// NearestMemberToTheDeadLeaderCampaignsFirst.)
 TEST(PaxosFailover, NextMemberAfterTheDeadLeaderCampaignsFirst) {
   Group g;
   g.hosts[0]->crash();
@@ -350,9 +365,91 @@ TEST(PaxosFailover, NextMemberAfterTheDeadLeaderCampaignsFirst) {
   const PaxosEngine& next = g.hosts[2]->engine();
   ASSERT_TRUE(next.is_leader());
   const sim::Time delay = campaign_delay(*g.hosts[2], crashed_at);
-  EXPECT_GE(delay, next.election_timeout());
-  EXPECT_LT(delay, next.election_timeout() + sim::msec(50)) << "no stagger for the successor";
+  EXPECT_GE(delay, next.suspicion_timeout());
+  EXPECT_LT(delay, next.suspicion_timeout() + sim::msec(1)) << "no stagger for the successor";
   EXPECT_EQ(campaign_delay(*g.hosts[0], crashed_at), -1) << "member 0 ranks second: no duel";
+}
+
+/// Three members placed at `locs` in the paper's three regions, their
+/// delays known as a deployment fills them in, with a slow durable log
+/// (20 ms a write), started and run for a second: member 0 leads.
+struct GeoGroup {
+  sim::Simulator sim;
+  sim::Network net{sim, sim::Topology::ec2_three_regions(), 5};
+  std::vector<std::unique_ptr<Host>> hosts;
+
+  explicit GeoGroup(const std::array<sim::Location, 3>& locs) {
+    GroupConfig cfg;
+    cfg.members = {1, 2, 3};
+    cfg.log_write_latency = sim::msec(20);
+    cfg.member_delays.assign(3, std::vector<sim::Time>(3, 0));
+    for (std::uint32_t a = 0; a < 3; ++a) {
+      for (std::uint32_t b = 0; b < 3; ++b) {
+        if (a == b) continue;
+        cfg.member_delays[a][b] = net.topology().region_delay(locs[a].region, locs[b].region);
+      }
+    }
+    cfg.jitter = 0.05;
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      GroupConfig c = cfg;
+      c.self_index = i;
+      hosts.push_back(std::make_unique<Host>(net, i + 1, locs[i], std::move(c)));
+    }
+    for (auto& h : hosts) h->engine().start();
+    sim.run_until(sim::sec(1));
+  }
+  void run_for(sim::Time t) { sim.run_until(sim.now() + t); }
+  std::uint64_t elections() const {
+    std::uint64_t n = 0;
+    for (const auto& h : hosts) n += h->engine().stats().leader_elections;
+    return n;
+  }
+};
+
+/// Shaped like a WAN 1 partition: members 0 and 1 in the EU, 1 ms apart,
+/// member 2 in US-EAST, 45 ms away.
+constexpr std::array<sim::Location, 3> kWan1Shape{
+    {{sim::kEU, 0}, {sim::kEU, 1}, {sim::kUSEast, 2}}};
+
+/// Leader 0 dies: member 1 campaigns at its suspicion timeout, and its
+/// Phase 1 needs member 2's promise, a round trip of 90 ms plus a 20 ms
+/// log write, longer than the suspicion timeout. The candidate waits out
+/// its election timeout instead: one campaign, one new leader, no restart
+/// mid-Phase-1.
+TEST(PaxosFailover, Wan1ShapedGroupElectsOnceThroughTheAwayMember) {
+  GeoGroup g(kWan1Shape);
+  ASSERT_EQ(g.elections(), 1u);
+  const PaxosEngine& next = g.hosts[1]->engine();
+  const sim::Time crashed_at = g.sim.now();
+  g.hosts[0]->crash();
+  g.sim.run_until(crashed_at + sim::sec(3));
+  ASSERT_TRUE(next.is_leader());
+  ASSERT_EQ(g.hosts[1]->campaigns.size(), 1u) << "no restart mid-Phase-1";
+  EXPECT_GT(next.elected_at() - g.hosts[1]->campaigns.front(), next.suspicion_timeout())
+      << "the Phase 1 outlasts the suspicion timeout";
+  EXPECT_TRUE(g.hosts[2]->campaigns.empty());
+  EXPECT_EQ(g.elections(), 2u);
+}
+
+/// Member 1 leads and dies: member 0, 1 ms from it, campaigns first, ahead
+/// of member 2, its successor by index but 45 ms away in the other region.
+TEST(PaxosFailover, NearestMemberToTheDeadLeaderCampaignsFirst) {
+  GeoGroup g(kWan1Shape);
+  g.hosts[0]->crash();
+  g.run_for(sim::sec(2));
+  ASSERT_TRUE(g.hosts[1]->engine().is_leader());
+  g.hosts[0]->recover();
+  g.run_for(sim::sec(1));
+
+  const sim::Time crashed_at = g.sim.now();
+  g.hosts[1]->crash();
+  g.sim.run_until(crashed_at + sim::sec(3));
+  const PaxosEngine& next = g.hosts[0]->engine();
+  ASSERT_TRUE(next.is_leader());
+  const sim::Time delay = campaign_delay(*g.hosts[0], crashed_at);
+  EXPECT_GE(delay, next.suspicion_timeout());
+  EXPECT_LT(delay, next.suspicion_timeout() + sim::msec(1)) << "no stagger for the nearest";
+  EXPECT_EQ(campaign_delay(*g.hosts[2], crashed_at), -1) << "member 2 ranks second: no duel";
 }
 
 /// A follower in another region (45 ms away, so a catch-up round trip
@@ -397,6 +494,24 @@ TEST(PaxosRobustness, FarBehindFollowerCatchesUpOneRequestPerChunk) {
   EXPECT_EQ(follower.next_deliver(), hosts[0]->engine().next_deliver());
   EXPECT_TRUE(follower.caught_up());
   EXPECT_LE(hosts[0]->catchup_requests, (gap + 255) / 256 + 1);
+}
+
+/// Leader 0 in US-WEST dies. Member 1 in US-EAST, nearest to it,
+/// campaigns; member 2 in the EU promises it, and ranks first after it (45
+/// ms from it, against 50 for the dead member 0). Member 1's Phase 1 takes
+/// 90 ms plus a 20 ms log write, so its first heartbeat reaches member 2
+/// after member 2's suspicion timeout would have run out. Having heard a
+/// candidate, not a leader, member 2 waits out the election timeout: no
+/// second campaign.
+TEST(PaxosFailover, FollowerThatPromisedACandidateWaitsOutItsPhase1) {
+  GeoGroup g({{{sim::kUSWest, 0}, {sim::kUSEast, 1}, {sim::kEU, 2}}});
+  ASSERT_EQ(g.elections(), 1u);
+  g.hosts[0]->crash();
+  g.run_for(sim::sec(3));
+  ASSERT_TRUE(g.hosts[1]->engine().is_leader());
+  EXPECT_EQ(g.hosts[1]->campaigns.size(), 1u);
+  EXPECT_TRUE(g.hosts[2]->campaigns.empty()) << "no duel";
+  EXPECT_EQ(g.elections(), 2u);
 }
 
 }  // namespace

@@ -539,8 +539,8 @@ TEST(Server, ContactReforwardsAPartLostWithACrashedLeader) {
   const Server& contact = f.dep->server(0, 0);
   const paxos::PaxosEngine& next = f.dep->server(1, 1).engine();
   const sim::Time resend = 2 * contact.config().partition_delay_estimate[1] + sim::msec(100);
-  const sim::Time election = next.config().member_delay + next.election_timeout() +
-                             sim::msec(50) + 2 * next.config().member_delay +
+  const sim::Time election = next.config().member_delay() + next.election_timeout() +
+                             sim::msec(50) + 2 * next.config().member_delay() +
                              f.dep->spec().paxos.log_write_latency;
   EXPECT_LE(done_at - committed_at, resend + election + sim::msec(10));
   EXPECT_TRUE(next.is_leader());

@@ -227,8 +227,21 @@ namespace e2e {
 /// when nothing came from its replica in the last 100 ms, so the message
 /// schedule and the fabric RNG stream change: 100 commits instead of 85
 /// (94 with the recovery changes alone).
-constexpr std::uint64_t kLegacyDigest = 12646123901373216579ULL;
-constexpr std::uint64_t kLegacyCommitted = 100;
+/// Re-pinned once when reads began retrying after one round trip plus
+/// 20 ms (the recipe's own 300 ms went with the setting), a retry to a
+/// replica heard from since the request reached it charged it no miss,
+/// checkpoints began covering only applied deliveries, and followers
+/// began campaigning from a timer at their suspicion deadline: under the
+/// 2% loss a lost read goes out again some 280 ms sooner, and a follower
+/// that lost a heartbeat arms a timer that fires without campaigning (the
+/// run still holds one election per partition), so the message schedule,
+/// the event count and the fabric RNG stream change: 118 commits instead
+/// of 100. A scratch build with those four changes undone gave back every
+/// earlier pin. Over 24 runs reseeded 1..24 the commits summed 2307
+/// before and 2455 after; one of the 24 (seed 8) held a fourth election,
+/// two heartbeats lost in a row.
+constexpr std::uint64_t kLegacyDigest = 6145334633699082793ULL;
+constexpr std::uint64_t kLegacyCommitted = 118;
 /// Digest of the speculation-on run: pins the speculation and finalize
 /// order, which feeds the send order and so the fabric RNG.
 /// Re-pinned once when speculated writes moved from the store into the
@@ -247,7 +260,11 @@ constexpr std::uint64_t kLegacyCommitted = 100;
 /// Re-pinned once when recovered replicas began answering clients only
 /// once caught up and contacts began re-sending a remote part on their own
 /// timer, on the legacy pin's terms.
-constexpr std::uint64_t kSpeculationOnDigest = 0xff79e8f2eed2a1cfULL;
+/// Re-pinned once when reads began retrying after one round trip plus a
+/// slack, followers began campaigning from a timer at their suspicion
+/// deadline and checkpoints began covering only applied deliveries, on
+/// the legacy pin's terms.
+constexpr std::uint64_t kSpeculationOnDigest = 0x9af848ba57054446ULL;
 
 using chaos::ChaosOut;
 

@@ -32,7 +32,6 @@ TEST(Torture, LossCrashesCheckpointsAndReorderingStaySerializable) {
   spec.seed = 31;
   // Aggressive client retries: loss is frequent here, and retry latency
   // dominates progress otherwise.
-  spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
   Deployment dep(spec);
   dep.network().set_loss_rate(0.03);

@@ -143,7 +143,6 @@ ChaosResult run_chaos(bool traced) {
   spec.server.checkpoint_interval = sim::msec(600);
   spec.server.missing_vote_timeout = sim::msec(1500);
   spec.seed = 31;
-  spec.client.read_retry_interval = sim::msec(300);
   spec.client.commit_retry_interval = sim::msec(800);
   Deployment dep(spec);
   dep.network().set_loss_rate(0.03);

@@ -307,9 +307,12 @@ int main(int argc, char** argv) {
   Deployment dep(make_spec());
   auto wl = make_workload();
   const sim::Time window = dep.simulator().now() + cfg.settle + cfg.warmup;
+  auto crash_time = [window](const Crash& c) {
+    return window + static_cast<sim::Time>(c.at * 1e6);
+  };
   for (const Crash& c : o.crashes) {
     Server& victim = dep.server(c.partition, c.replica);
-    const auto at = window + static_cast<sim::Time>(c.at * 1e6);
+    const sim::Time at = crash_time(c);
     dep.simulator().schedule_at(at, [&victim] { victim.crash(); });
     if (c.down > 0) {
       dep.simulator().schedule_at(at + static_cast<sim::Time>(c.down * 1e6),
@@ -325,9 +328,25 @@ int main(int argc, char** argv) {
     std::printf("crash: partition %u replica %u at %.3fs of the window, ", c.partition, c.replica,
                 c.at);
     if (c.down > 0) {
-      std::printf("recovers %.3fs later\n", c.down);
+      std::printf("recovers %.3fs later", c.down);
     } else {
-      std::printf("never recovers\n");
+      std::printf("never recovers");
+    }
+    // Takeover: from the crash to the first election in the partition after it.
+    sim::Time elected = sim::kNever;
+    std::uint32_t leader = 0;
+    for (std::uint32_t rep = 0; rep < o.replicas; ++rep) {
+      const sim::Time t = dep.server(c.partition, rep).engine().elected_at();
+      if (t > crash_time(c) && t < elected) {
+        elected = t;
+        leader = rep;
+      }
+    }
+    if (elected == sim::kNever) {
+      std::printf(", no leader change\n");
+    } else {
+      std::printf(", takeover %.1f ms (replica %u leads)\n", sim::to_ms(elected - crash_time(c)),
+                  leader);
     }
   }
   std::printf("%-16s %10s %10s %10s %10s %10s\n", "class", "tput(tps)", "p50(ms)", "p99(ms)",
