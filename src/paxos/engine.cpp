@@ -18,11 +18,9 @@ constexpr InstanceId kCatchupThreshold = 8;
 /// Leader heartbeat period; the leader heartbeats on every tick, which
 /// runs at half this period.
 constexpr Time kHeartbeatInterval = sim::msec(100);
-/// Election timeout of a group without a known member delay (built by
-/// hand): it exceeds the worst round trip of the WAN 2 deployment. Every
-/// group re-sends open instances at half this period and re-drives
-/// undelivered submissions at this period.
-constexpr Time kElectionTimeout = sim::msec(600);
+/// A leader re-sends an open instance's Phase 2A after half this period,
+/// and a replica re-drives a submission still undelivered after it.
+constexpr Time kResendPeriod = sim::msec(600);
 /// A follower that has heard no leader for this long (two heartbeats
 /// missed) parks forwards instead of relaying them to its leader, and
 /// starts to count down to its campaign.
@@ -47,15 +45,6 @@ Ballot first_forward_target(Ballot promised) {
 PaxosEngine::PaxosEngine(sim::Endpoint& endpoint, GroupConfig config,
                          std::unique_ptr<DurableLog> log, DeliverFn deliver)
     : ep_(endpoint), cfg_(std::move(config)), log_(std::move(log)), deliver_(std::move(deliver)) {
-  // With the members' worst one-way delay d known, a candidate's timeout
-  // is four heartbeats plus a round trip, which covers its Phase 1. The
-  // next candidate's last leader contact may be d older than the first
-  // one's, and the first one's Phase 1A takes up to d to reach it: a
-  // stagger of 2d plus a tick lets it hear the Phase 1A before its own
-  // deadline.
-  const Time d = cfg_.member_delay();
-  election_timeout_ = d > 0 ? 2 * kHeartbeatInterval + 2 * d : kElectionTimeout;
-  election_stagger_ = d > 0 ? 2 * d + kHeartbeatInterval / 2 : kElectionTimeout / 4;
   for (std::uint32_t i = 0; i < cfg_.members.size(); ++i) index_of_[cfg_.members[i]] = i;
   promised_ = log_->load_promise();
   highest_seen_ = promised_;
@@ -107,9 +96,30 @@ std::uint32_t PaxosEngine::last_leader_index() const {
   return promised_.valid() ? promised_.proposer_index() % n : 0;
 }
 
+Time PaxosEngine::delay(std::uint32_t i, std::uint32_t j) const {
+  return ep_.topology().distance(cfg_.members[i], cfg_.members[j]);
+}
+
+Time PaxosEngine::member_delay() const {
+  Time worst = 0;
+  for (std::uint32_t i = 0; i < cfg_.members.size(); ++i) {
+    for (std::uint32_t j = 0; j < cfg_.members.size(); ++j) worst = std::max(worst, delay(i, j));
+  }
+  return static_cast<Time>(static_cast<double>(worst) * (1.0 + ep_.topology().jitter()));
+}
+
+// A candidate's timeout is four heartbeats plus a round trip at the worst
+// member delay d, which covers its Phase 1. The next candidate's last
+// leader contact may be d older than the first one's, and the first one's
+// Phase 1A takes up to d to reach it: a stagger of 2d plus a tick lets it
+// hear the Phase 1A before its own deadline.
+Time PaxosEngine::election_timeout() const { return 2 * kHeartbeatInterval + 2 * member_delay(); }
+
+Time PaxosEngine::election_stagger() const { return 2 * member_delay() + kHeartbeatInterval / 2; }
+
 Time PaxosEngine::suspicion_timeout() const {
-  const auto jitter = static_cast<Time>(
-      static_cast<double>(cfg_.delay(last_leader_index(), cfg_.self_index)) * cfg_.jitter);
+  const Time d = delay(last_leader_index(), cfg_.self_index);
+  const auto jitter = static_cast<Time>(static_cast<double>(d) * ep_.topology().jitter());
   return kLeaderSuspectAfter + kSuspectSlack + jitter;
 }
 
@@ -120,7 +130,7 @@ Time PaxosEngine::election_deadline() const {
   const auto n = static_cast<std::uint32_t>(cfg_.members.size());
   const std::uint32_t leader = last_leader_index();
   auto order = [&](std::uint32_t i) {
-    return std::pair{i == leader ? sim::kNever : cfg_.delay(leader, i), (i + n - 1 - leader) % n};
+    return std::pair{i == leader ? sim::kNever : delay(leader, i), (i + n - 1 - leader) % n};
   };
   Time rank = 0;
   for (std::uint32_t i = 0; i < n; ++i) rank += order(i) < order(cfg_.self_index) ? 1 : 0;
@@ -128,8 +138,8 @@ Time PaxosEngine::election_deadline() const {
   // suspect; one that last heard a candidate, and a candidate, wait out
   // the election timeout, which covers the candidate's Phase 1.
   const Time wait =
-      role_ == Role::kFollower && heard_leader_ ? suspicion_timeout() : election_timeout_;
-  return last_leader_contact_ + wait + rank * election_stagger_;
+      role_ == Role::kFollower && heard_leader_ ? suspicion_timeout() : election_timeout();
+  return last_leader_contact_ + wait + rank * election_stagger();
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
@@ -622,7 +632,7 @@ void PaxosEngine::on_catchup_req(const CatchupReq& m, ProcessId from) {
 void PaxosEngine::request_catchup(ProcessId to, InstanceId from_instance) {
   // A reply not back within the election timeout, four heartbeats plus a
   // round trip, was lost: the next heartbeat may ask again.
-  catchup_expires_ = ep_.current_time() + election_timeout_;
+  catchup_expires_ = ep_.current_time() + election_timeout();
   send_to(to, CatchupReq{from_instance}.to_message());
 }
 
@@ -644,7 +654,7 @@ void PaxosEngine::tick() {
   if (role_ == Role::kLeader) {
     broadcast(Heartbeat{promised_, next_deliver_}.to_message());
     // Re-drive instances whose acknowledgements got lost.
-    const Time resend_after = kElectionTimeout / 2;
+    const Time resend_after = kResendPeriod / 2;
     for (auto& [inst, oi] : open_) {
       if (now - oi.proposed_at >= resend_after) {
         oi.proposed_at = now;
@@ -670,7 +680,7 @@ void PaxosEngine::tick() {
   // heartbeat re-drives them in submission order.
   if (role_ != Role::kCandidate && !leader_suspect()) {
     for (auto& [hash, sub] : submitted_) {
-      if (now - sub.submitted_at < kElectionTimeout) continue;
+      if (now - sub.submitted_at < kResendPeriod) continue;
       sub.submitted_at = now;
       if (value_in_flight(hash)) continue;
       ++stats_.resends;

@@ -14,10 +14,10 @@
 //    staggers later, so candidates do not duel. A candidate re-campaigns,
 //    and a follower that last heard a candidate campaigns, only after the
 //    election timeout, which covers a Phase 1 round trip. Both derive from
-//    the group's worst one-way member delay d (GroupConfig::member_delay()):
-//    a timeout of 200 ms + 2d and a stagger of 2d + 50 ms, so the next
-//    candidate hears a Phase 1A before its own deadline. A group built
-//    without delays keeps 600 ms and 150 ms.
+//    the group's worst one-way member delay d, jitter included, which the
+//    engine reads from its endpoint's topology: a timeout of 200 ms + 2d
+//    and a stagger of 2d + 50 ms, so the next candidate hears a Phase 1A
+//    before its own deadline.
 //  - Forwarding: a follower relays submitted values to its leader; once it
 //    has missed two heartbeats it parks them until a leader's heartbeat
 //    instead of relaying them to a leader that may be dead.
@@ -133,10 +133,11 @@ class PaxosEngine {
   Ballot current_ballot() const { return promised_; }
   const GroupConfig& config() const { return cfg_; }
   const DurableLog& log() const { return *log_; }
-  /// Election timing derived from GroupConfig::member_delay(): a
-  /// candidate's re-campaign timeout, and the stagger between ranks.
-  Time election_timeout() const { return election_timeout_; }
-  Time election_stagger() const { return election_stagger_; }
+  /// Election timing derived from the members' worst one-way delay in the
+  /// endpoint's topology: a candidate's re-campaign timeout, and the
+  /// stagger between ranks.
+  Time election_timeout() const;
+  Time election_stagger() const;
   /// How long after its last leader contact a follower ranked first
   /// campaigns: two missed heartbeats plus its link's jitter and a slack.
   Time suspicion_timeout() const;
@@ -187,6 +188,11 @@ class PaxosEngine {
   /// under the current ballot and restarts their resend clock.
   std::vector<Value> stranded_submissions(Ballot leader);
   std::uint32_t member_index(ProcessId pid) const;
+  /// Base one-way delay from member i to member j (0 when i == j), at the
+  /// region granularity of sim::Topology::distance().
+  Time delay(std::uint32_t i, std::uint32_t j) const;
+  /// Worst one-way delay between two members, jitter included.
+  Time member_delay() const;
   /// Member index of the proposer of the promised ballot (member 0 while
   /// nothing is promised).
   std::uint32_t last_leader_index() const;
@@ -208,8 +214,6 @@ class PaxosEngine {
   /// from a candidate or this replica's own campaign.
   bool heard_leader_ = false;
   Time elected_at_ = 0;
-  Time election_timeout_ = 0;
-  Time election_stagger_ = 0;
 
   // Candidate state. Ordered so that become_leader()'s scan (and its
   // catchup-target tie-break) is independent of hashing/allocation.

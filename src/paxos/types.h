@@ -1,7 +1,6 @@
 // Core Paxos types.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <tuple>
 #include <vector>
@@ -35,7 +34,9 @@ struct Ballot {
   auto operator<=>(const Ballot&) const = default;
 };
 
-/// Static configuration of one Paxos group (one database partition).
+/// Static configuration of one Paxos group (one database partition). The
+/// distances between members are not configuration: the engine reads them
+/// from its endpoint's topology.
 struct GroupConfig {
   /// Process ids of the group members, in index order. The proposer index
   /// of a ballot indexes into this vector. (The `{}` lets a designated
@@ -51,29 +52,6 @@ struct GroupConfig {
   /// Batching and pipelining at the leader.
   std::size_t max_batch = 64;
   std::size_t pipeline_window = 64;
-
-  /// One-way delay between members before jitter (member_delays[i][j]
-  /// from member i to member j), and the jitter that scales every delay by
-  /// U[1, 1 + jitter]. The deployment builder fills both in from its
-  /// topology, like `members`; the engine derives its election timing and
-  /// its candidate order from them. Left empty, as in groups built by
-  /// hand, the election timeout stays at a fixed 600 ms and candidates
-  /// rank by index after the last leader.
-  std::vector<std::vector<Time>> member_delays{};
-  double jitter = 0;
-
-  /// Base delay from member i to member j (0 when not known).
-  Time delay(std::uint32_t i, std::uint32_t j) const {
-    return i < member_delays.size() && j < member_delays[i].size() ? member_delays[i][j] : 0;
-  }
-  /// Worst one-way delay between two members, jitter included.
-  Time member_delay() const {
-    Time worst = 0;
-    for (const auto& row : member_delays) {
-      for (Time t : row) worst = std::max(worst, t);
-    }
-    return static_cast<Time>(static_cast<double>(worst) * (1.0 + jitter));
-  }
 
   std::size_t quorum() const { return members.size() / 2 + 1; }
 };

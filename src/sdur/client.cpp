@@ -5,12 +5,6 @@
 
 namespace sdur {
 
-namespace {
-/// Read and snapshot retry period of a client built without
-/// ClientConfig::round_trips.
-constexpr sim::Time kDefaultReadRetry = sim::msec(200);
-}  // namespace
-
 Client::Client(sim::Network& net, sim::ProcessId pid, sim::Location loc, ClientConfig cfg)
     : sim::Process(net, pid, "client-" + std::to_string(pid), loc), cfg_(std::move(cfg)) {
   // Clients do negligible local work per message.
@@ -31,45 +25,18 @@ void Client::begin_read_only(ReadyCallback ready) {
   read_only_ = true;
   const std::uint64_t reqid = next_reqid_++;
   const sim::ProcessId target = send_request(cfg_.home, SnapshotReqMsg{reqid}.to_message());
-  pending_snapshots_[reqid] = PendingSnapshot{std::move(ready), target, now()};
-  schedule_snapshot_retry(reqid);
+  pending_snapshots_[reqid] = PendingSnapshot{{cfg_.home, target, now()}, std::move(ready)};
+  schedule_retry(pending_snapshots_, reqid);
 }
 
-void Client::schedule_snapshot_retry(std::uint64_t reqid) {
-  const sim::ProcessId target = pending_snapshots_.at(reqid).target;
-  set_timer(read_retry_period(cfg_.home, target), [this, reqid] {
-    auto it = pending_snapshots_.find(reqid);
-    if (it == pending_snapshots_.end()) return;
-    ++stats_.read_retries;
-    PendingSnapshot& s = it->second;
-    s.target = resend_request(cfg_.home, s.target, s.sent_at, SnapshotReqMsg{reqid}.to_message());
-    s.sent_at = now();
-    schedule_snapshot_retry(reqid);
-  });
+sim::Time Client::round_trip(sim::ProcessId replica) const {
+  const sim::Topology& topo = topology();
+  return static_cast<sim::Time>(2.0 * static_cast<double>(topo.distance(self(), replica)) *
+                                (1.0 + topo.jitter()));
 }
 
-sim::Time Client::round_trip(PartitionId p, sim::ProcessId replica) const {
-  if (p >= cfg_.round_trips.size()) return 0;
-  const std::vector<sim::ProcessId>& replicas = cfg_.servers.at(p);
-  const auto i = static_cast<std::size_t>(std::ranges::find(replicas, replica) - replicas.begin());
-  return i < cfg_.round_trips[p].size() ? cfg_.round_trips[p][i] : 0;
-}
-
-sim::Time Client::read_retry_period(PartitionId p, sim::ProcessId replica) const {
-  const sim::Time rtt = round_trip(p, replica);
-  return rtt > 0 ? rtt + kReadRetrySlack : kDefaultReadRetry;
-}
-
-sim::ProcessId Client::resend_request(PartitionId p, sim::ProcessId target, sim::Time sent_at,
-                                      const sim::Message& m) {
-  // A message that left `target` before the request reached it proves
-  // nothing about the request: it may have crashed in between.
-  if (chooser_.heard_at(target) > sent_at + round_trip(p, target)) {
-    send(target, m);
-    return target;
-  }
-  chooser_.miss(target);
-  return send_request(p, m);
+sim::Time Client::read_retry_period(sim::ProcessId replica) const {
+  return round_trip(replica) + kReadRetrySlack;
 }
 
 sim::ProcessId Client::send_request(PartitionId p, const sim::Message& m) {
@@ -101,26 +68,37 @@ void Client::read(Key k, ReadCallback cb) {
   const std::uint64_t reqid = next_reqid_++;
   const Version snapshot = tx_.snapshot_of(p);
   const sim::ProcessId target = send_request(p, ReadReqMsg{reqid, k, snapshot}.to_message());
-  pending_reads_[reqid] = PendingRead{std::move(cb), p, k, snapshot, target, now()};
-  schedule_read_retry(reqid);
+  pending_reads_[reqid] = PendingRead{{p, target, now()}, k, snapshot, std::move(cb)};
+  schedule_retry(pending_reads_, reqid);
 }
 
-void Client::schedule_read_retry(std::uint64_t reqid) {
-  // Reads are idempotent; retries (and probe copies) cover lost requests
-  // or responses and a crashed replica. The retried request carries the
-  // original snapshot, so any replica of the partition answers with the
-  // same value. (A first read carries none; whichever answer arrives first
-  // fixes it.)
-  const PendingRead& pending = pending_reads_.at(reqid);
-  set_timer(read_retry_period(pending.partition, pending.target), [this, reqid] {
-    auto it = pending_reads_.find(reqid);
-    if (it == pending_reads_.end()) return;
+template <class Pending>
+void Client::schedule_retry(std::unordered_map<std::uint64_t, Pending>& pending,
+                            std::uint64_t reqid) {
+  // Reads and snapshot requests are idempotent; retries (and probe copies)
+  // cover lost requests or responses and a crashed replica. A retried read
+  // carries the original snapshot, so any replica of the partition answers
+  // with the same value. (A first read carries none; whichever answer
+  // arrives first fixes it.)
+  set_timer(read_retry_period(pending.at(reqid).attempt.target), [this, &pending, reqid] {
+    auto it = pending.find(reqid);
+    if (it == pending.end()) return;
     ++stats_.read_retries;
-    PendingRead& r = it->second;
-    r.target = resend_request(r.partition, r.target, r.sent_at,
-                              ReadReqMsg{reqid, r.key, r.snapshot}.to_message());
+    Attempt& r = it->second.attempt;
+    const sim::Message m = it->second.request(reqid);
+    // A message from the replica that left it after the request arrived
+    // shows it alive and holding the request (e.g. a read deferred until
+    // its snapshot is applied): re-send it there alone. One that left
+    // before proves nothing, as the replica may have crashed in between:
+    // charge it a miss and choose again.
+    if (chooser_.heard_at(r.target) > r.sent_at + round_trip(r.target)) {
+      send(r.target, m);
+    } else {
+      chooser_.miss(r.target);
+      r.target = send_request(r.partition, m);
+    }
     r.sent_at = now();
-    schedule_read_retry(reqid);
+    schedule_retry(pending, reqid);
   });
 }
 

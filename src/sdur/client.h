@@ -66,13 +66,6 @@ struct ClientConfig {
   /// retries are idempotent). Covers lost request or outcome messages and
   /// a crashed contact.
   sim::Time commit_retry_interval = sim::msec(500);
-
-  /// Per partition, in the order of `servers`: the round trip to each
-  /// replica, jitter included. Deployment fills it in from its topology,
-  /// like `servers`. A read or snapshot request waits one round trip to its
-  /// replica plus kReadRetrySlack for the answer before it is re-sent (both
-  /// are idempotent); a client built without round trips waits 200 ms.
-  std::vector<std::vector<sim::Time>> round_trips{};
 };
 
 /// What a read or snapshot request's retry period allows beyond the round
@@ -112,9 +105,9 @@ class Client : public sim::Process {
   /// Id of the in-flight transaction.
   TxId current_txid() const { return tx_.id; }
 
-  /// The retry period of a read or snapshot request sent to `replica` of
-  /// partition p: its round trip plus kReadRetrySlack.
-  sim::Time read_retry_period(PartitionId p, sim::ProcessId replica) const;
+  /// The retry period of a read or snapshot request sent to `replica`: the
+  /// round trip to it plus kReadRetrySlack.
+  sim::Time read_retry_period(sim::ProcessId replica) const;
 
   struct Stats {
     SDUR_COUNTERS(Stats, SDUR_CLIENT_COUNTER_LIST)
@@ -129,15 +122,9 @@ class Client : public sim::Process {
   /// a probe copy to the nearest replica when that one has misses; returns
   /// the replica a timeout charges.
   sim::ProcessId send_request(PartitionId p, const sim::Message& m);
-  /// Re-sends an unanswered request that went to `target` at `sent_at`:
-  /// to `target` again if a message it sent after the request reached it
-  /// arrived (it is alive and holds the request, e.g. a read deferred
-  /// until its snapshot is applied), else through send_request after
-  /// charging `target` a miss. Returns the replica it went to.
-  sim::ProcessId resend_request(PartitionId p, sim::ProcessId target, sim::Time sent_at,
-                                const sim::Message& m);
-  /// ClientConfig::round_trips for `replica` of partition p (0: unknown).
-  sim::Time round_trip(PartitionId p, sim::ProcessId replica) const;
+  /// The round trip to `replica` at the topology's region granularity,
+  /// jitter included.
+  sim::Time round_trip(sim::ProcessId replica) const;
   /// The next commit retry sends committing_ to cfg_.servers[primary][replica % n].
   void schedule_commit_retry(PartitionId primary, TxId txid, std::size_t replica);
 
@@ -150,23 +137,33 @@ class Client : public sim::Process {
   /// Read and snapshot timeouts charge misses; nothing else does.
   sim::ReplicaChooser chooser_;
 
-  struct PendingRead {
-    ReadCallback cb;
-    PartitionId partition;
-    Key key;
-    Version snapshot;
-    sim::ProcessId target;  // the replica the latest attempt went to
-    sim::Time sent_at;      // when it went
-  };
-  std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
-  struct PendingSnapshot {
-    ReadyCallback ready;
+  /// Where the latest attempt of an unanswered read or snapshot request
+  /// went, and when.
+  struct Attempt {
+    PartitionId partition;  // the partition asked (home for a snapshot)
     sim::ProcessId target;
     sim::Time sent_at;
   };
+  struct PendingRead {
+    Attempt attempt;
+    Key key;
+    Version snapshot;
+    ReadCallback cb;
+    sim::Message request(std::uint64_t reqid) const {
+      return ReadReqMsg{reqid, key, snapshot}.to_message();
+    }
+  };
+  struct PendingSnapshot {
+    Attempt attempt;
+    ReadyCallback ready;
+    sim::Message request(std::uint64_t reqid) const { return SnapshotReqMsg{reqid}.to_message(); }
+  };
+  std::unordered_map<std::uint64_t, PendingRead> pending_reads_;
   std::unordered_map<std::uint64_t, PendingSnapshot> pending_snapshots_;
-  void schedule_read_retry(std::uint64_t reqid);
-  void schedule_snapshot_retry(std::uint64_t reqid);
+  /// Re-sends pending[reqid] once its replica's read_retry_period() has
+  /// passed without an answer, and so on after each re-send.
+  template <class Pending>
+  void schedule_retry(std::unordered_map<std::uint64_t, Pending>& pending, std::uint64_t reqid);
   CommitCallback pending_commit_;
   /// What commit() sent: its retries re-send it whatever begin() did since.
   Transaction committing_;

@@ -5,10 +5,13 @@
 // single source of technique configuration (see technique_config.h) —
 // reached as `cfg.techniques.<knob>`.
 //
-// Only settings that some caller varies are fields here. The serial CPU
-// cost model (per-message, per-certification and per-write costs) and the
-// vote-resend and no-op-tick periods are constants beside their reader in
-// server.cpp; the P-DUR costs are constants in pdur/config.h.
+// Only settings that some caller varies are fields here. Distances are
+// not settings: the delaying technique's estimates and read routing come
+// from the server's topology (Server::delay_estimate, read_replica). The
+// serial CPU cost model (per-message, per-certification and per-write
+// costs) and the vote-resend and no-op-tick periods are constants beside
+// their reader in server.cpp; the P-DUR costs are constants in
+// pdur/config.h.
 #pragma once
 
 #include <cstdint>
@@ -28,11 +31,6 @@ struct ServerConfig {
 
   /// Optional protocol techniques and their sub-knobs.
   TechniqueConfig techniques;
-
-  /// Estimated one-way delay from this partition to every partition
-  /// (indexed by partition id; entry for own partition = 0). Used by the
-  /// delaying technique; filled in by the deployment builder.
-  std::vector<sim::Time> partition_delay_estimate;
 
   // --- Certification ------------------------------------------------------
 
@@ -73,10 +71,6 @@ struct ServerConfig {
   /// For every partition, the server process ids of its replica group,
   /// ordered so index 0 is the bootstrap Paxos leader.
   std::vector<std::vector<sim::ProcessId>> partition_servers;
-
-  /// For every partition, the replica this server routes reads to (the
-  /// nearest replica of that partition). Empty = use partition_servers[p][0].
-  std::vector<sim::ProcessId> read_route;
 };
 
 /// Former name of ServerConfig's value members; perfbench/src/probes.cpp

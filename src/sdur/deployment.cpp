@@ -1,7 +1,5 @@
 #include "sdur/deployment.h"
 
-#include <algorithm>
-#include <numeric>
 #include <stdexcept>
 
 namespace sdur {
@@ -22,53 +20,25 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
   }
   net_ = std::make_unique<sim::Network>(sim_, topology_for(spec_), spec_.seed);
 
-  // Routing tables shared by all servers.
-  std::vector<std::vector<sim::ProcessId>> partition_servers(spec_.partitions);
+  partition_servers_.resize(spec_.partitions);
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
-      partition_servers[p].push_back(server_pid(p, r));
+      partition_servers_[p].push_back(server_pid(p, r));
     }
   }
 
-  const sim::Topology& topo = net_->topology();
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
-    // One-way delays between the replicas, before jitter.
-    std::vector<std::vector<sim::Time>> member_delays(spec_.replicas,
-                                                      std::vector<sim::Time>(spec_.replicas, 0));
-    for (std::uint32_t a = 0; a < spec_.replicas; ++a) {
-      for (std::uint32_t b = 0; b < spec_.replicas; ++b) {
-        if (a != b) {
-          member_delays[a][b] = topo.region_delay(server_location(p, a).region,
-                                                  server_location(p, b).region);
-        }
-      }
-    }
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
-      const sim::Location loc = server_location(p, r);
       ServerConfig cfg = spec_.server;
       cfg.partition = p;
       cfg.num_partitions = spec_.partitions;
-      cfg.partition_servers = partition_servers;
-      // Reads route to the replica of the target partition closest to this
-      // server's region.
-      cfg.read_route.clear();
-      for (PartitionId q = 0; q < spec_.partitions; ++q) {
-        cfg.read_route.push_back(replicas_by_distance(q, loc.region).front());
-      }
-      // Delay estimates (Section IV-D): one-way delay from this server's
-      // region to the target partition's leader region.
-      cfg.partition_delay_estimate.clear();
-      for (PartitionId q = 0; q < spec_.partitions; ++q) {
-        cfg.partition_delay_estimate.push_back(
-            q == p ? 0 : topo.region_delay(loc.region, home_region(q)));
-      }
+      cfg.partition_servers = partition_servers_;
       paxos::GroupConfig g = spec_.paxos;
-      g.members = partition_servers[p];
+      g.members = partition_servers_[p];
       g.self_index = r;
-      g.member_delays = member_delays;
-      g.jitter = spec_.jitter;
-      servers_.push_back(std::make_unique<Server>(*net_, server_pid(p, r), loc, std::move(cfg),
-                                                  std::move(g), spec_.partitioning));
+      servers_.push_back(std::make_unique<Server>(*net_, server_pid(p, r), server_location(p, r),
+                                                  std::move(cfg), std::move(g),
+                                                  spec_.partitioning));
     }
   }
 }
@@ -108,20 +78,6 @@ sim::Location Deployment::server_location(PartitionId p, std::uint32_t replica) 
   return {0, 0};
 }
 
-std::vector<sim::ProcessId> Deployment::replicas_by_distance(PartitionId p,
-                                                             std::uint16_t region) const {
-  const sim::Topology& topo = net_->topology();
-  std::vector<std::uint32_t> order(spec_.replicas);
-  std::iota(order.begin(), order.end(), 0);
-  std::ranges::stable_sort(order, {}, [&](std::uint32_t r) {
-    return topo.region_delay(region, server_location(p, r).region);
-  });
-  std::vector<sim::ProcessId> pids;
-  pids.reserve(order.size());
-  for (std::uint32_t r : order) pids.push_back(server_pid(p, r));
-  return pids;
-}
-
 Server& Deployment::server(PartitionId p, std::uint32_t replica) {
   return *servers_.at(p * spec_.replicas + replica);
 }
@@ -139,17 +95,9 @@ Client& Deployment::add_client(PartitionId home) {
   cfg.partitioning = spec_.partitioning;
   cfg.home = home;
   cfg.servers.clear();
-  cfg.round_trips.clear();
   // The home partition's nearest replica is its leader, replica 0.
-  const sim::Topology& topo = net_->topology();
   for (PartitionId q = 0; q < spec_.partitions; ++q) {
-    cfg.servers.push_back(replicas_by_distance(q, loc.region));
-    std::vector<sim::Time>& round_trips = cfg.round_trips.emplace_back();
-    for (sim::ProcessId pid : cfg.servers.back()) {
-      const sim::Time one_way = topo.region_delay(loc.region, topo.location(pid).region);
-      round_trips.push_back(
-          static_cast<sim::Time>(2.0 * static_cast<double>(one_way) * (1.0 + spec_.jitter)));
-    }
+    cfg.servers.push_back(net_->topology().nearest_first(loc.region, partition_servers_[q]));
   }
   clients_.push_back(std::make_unique<Client>(*net_, next_client_pid_++, loc, std::move(cfg)));
   return *clients_.back();

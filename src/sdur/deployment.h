@@ -33,19 +33,17 @@ struct DeploymentSpec {
   std::uint32_t replicas = 3;
   PartitioningPtr partitioning;  // required
 
-  /// Template for per-server settings (reordering, delaying, bloom, CPU
-  /// costs...). Partition ids, routing tables and delay estimates are
-  /// filled in by the builder.
+  /// Template for per-server settings (techniques, windows, periods);
+  /// the builder fills in partition ids and routing tables.
   ServerConfig server;
 
-  /// Template for per-client settings (timeouts, retry intervals); routing
-  /// is filled in by the builder.
+  /// Template for per-client settings (commit timeout and retry
+  /// interval); the builder fills in the partitioning, home and routing.
   ClientConfig client;
 
   /// Template for every Paxos group (log write latency, batching,
-  /// pipelining); members, self index and member delay are filled in by
-  /// the builder.
-  /// The 4 ms log write models a BDB-style synchronous write.
+  /// pipelining); the builder fills in members and self index. The 4 ms
+  /// log write models a BDB-style synchronous write.
   paxos::GroupConfig paxos{.log_write_latency = sim::msec(4)};
 
   double jitter = 0.05;
@@ -101,13 +99,12 @@ class Deployment {
   sim::ProcessId server_pid(PartitionId p, std::uint32_t replica) const {
     return 1 + p * spec_.replicas + replica;
   }
-  /// Partition p's replicas, nearest to `region` first, ties broken by
-  /// replica index.
-  std::vector<sim::ProcessId> replicas_by_distance(PartitionId p, std::uint16_t region) const;
 
   DeploymentSpec spec_;
   sim::Simulator sim_;
   std::unique_ptr<sim::Network> net_;
+  /// Every partition's server pids, replica 0 (the bootstrap leader) first.
+  std::vector<std::vector<sim::ProcessId>> partition_servers_;
   std::vector<std::unique_ptr<Server>> servers_;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::shared_ptr<void>> retained_;

@@ -264,9 +264,7 @@ void Server::handle_commit_request(Transaction tx) {
     part.contact = contact;
     const sim::ProcessId target = abcast(p, part);
     if (kept) watch_part(kept, p, target);
-    if (p < cfg_.partition_delay_estimate.size()) {
-      max_remote_delay = std::max(max_remote_delay, cfg_.partition_delay_estimate[p]);
-    }
+    max_remote_delay = std::max(max_remote_delay, delay_estimate(p));
   }
   if (own_involved) {
     PartTx part = project(t, cfg_.partition, involved);
@@ -311,9 +309,8 @@ sim::ProcessId Server::reforward_part(const Transaction& tx,
 
 void Server::watch_part(std::shared_ptr<const Transaction> tx, PartitionId p,
                         sim::ProcessId sent_to) {
-  const sim::Time delay =
-      p < cfg_.partition_delay_estimate.size() ? cfg_.partition_delay_estimate[p] : 0;
-  set_timer(2 * delay + kPartResendSlack, [this, tx = std::move(tx), p, sent_to]() mutable {
+  const sim::Time period = 2 * delay_estimate(p) + kPartResendSlack;
+  set_timer(period, [this, tx = std::move(tx), p, sent_to]() mutable {
     const auto it = rounds_.find(tx->id);
     if (it == rounds_.end() || it->second.phase == Round::Phase::kVoting) {
       // Not delivered here yet: wait for it. Delivered with no open round,
@@ -375,10 +372,17 @@ sim::ProcessId Server::abcast(PartitionId p, const PartTx& t) {
 sim::ProcessId Server::replica_for(PartitionId p) const {
   // Under load every replica gossips each gossip_interval: one silent for
   // ten of them plus the one-way delay has most likely crashed.
-  const sim::Time delay =
-      p < cfg_.partition_delay_estimate.size() ? cfg_.partition_delay_estimate[p] : 0;
   const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
-  return replicas[chooser_.pick(replicas, now(), 10 * cfg_.gossip_interval + delay)];
+  return replicas[chooser_.pick(replicas, now(), 10 * cfg_.gossip_interval + delay_estimate(p))];
+}
+
+sim::Time Server::delay_estimate(PartitionId p) const {
+  return p == cfg_.partition ? 0 : topology().distance(self(), cfg_.partition_servers[p].front());
+}
+
+sim::ProcessId Server::read_replica(PartitionId p) const {
+  const std::uint16_t region = topology().location(self()).region;
+  return topology().nearest_first(region, cfg_.partition_servers[p]).front();
 }
 
 void Server::broadcast_reorder_threshold(std::uint32_t k) {
@@ -965,9 +969,7 @@ void Server::handle_read(std::uint64_t reqid, sim::ProcessId client, Key key, Ve
     // single server — route the read; the remote server answers the client
     // directly.
     ++stats_.reads_routed;
-    const sim::ProcessId target =
-        p < cfg_.read_route.size() ? cfg_.read_route[p] : cfg_.partition_servers[p].front();
-    send(target, ReadRoutedMsg{reqid, client, key, snapshot}.to_message());
+    send(read_replica(p), ReadRoutedMsg{reqid, client, key, snapshot}.to_message());
     return;
   }
   schedule_read(reqid, client, key, snapshot);

@@ -115,6 +115,13 @@ class Server : public sim::Process {
   const storage::MVStore& store() const { return store_; }
   paxos::PaxosEngine& engine() { return *engine_; }
   const ServerConfig& config() const { return cfg_; }
+  /// The delay estimate of Section IV-D: the one-way delay from this
+  /// replica to partition p's replica 0, which sits in p's home region
+  /// (0 for this partition).
+  sim::Time delay_estimate(PartitionId p) const;
+  /// The replica of partition p this server routes reads to: its nearest,
+  /// lowest index on ties.
+  sim::ProcessId read_replica(PartitionId p) const;
   /// Deduplication state sizes: clients with a session, outcomes kept,
   /// open rounds (transactions voted on here and not complete).
   std::size_t session_count() const { return sessions_.size(); }

@@ -20,6 +20,9 @@ class Endpoint {
   /// This endpoint's process id.
   virtual ProcessId self() const = 0;
 
+  /// Where every process sits, and how far apart they are.
+  virtual const Topology& topology() const = 0;
+
   /// Current time (virtual time in the simulator).
   virtual Time current_time() const = 0;
 

@@ -107,6 +107,7 @@ class Process : public Endpoint {
 
   // --- Endpoint interface (delegates to the methods above) ---------------
   ProcessId self() const override { return id_; }
+  const Topology& topology() const override { return net_.topology(); }
   Time current_time() const override { return now(); }
   void send_message(ProcessId to, Message m) override { send(to, std::move(m)); }
   void start_timer(Time delay, UniqueFn fn) override { set_timer(delay, std::move(fn)); }

@@ -1,5 +1,6 @@
 #include "sim/topology.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace sdur::sim {
@@ -49,6 +50,18 @@ Time Topology::region_delay(std::uint16_t from, std::uint16_t to) const {
     throw std::out_of_range("region out of range");
   }
   return inter_region_[from][to];
+}
+
+Time Topology::distance(ProcessId from, ProcessId to) const {
+  if (from == to) return 0;
+  return region_delay(location(from).region, location(to).region);
+}
+
+std::vector<ProcessId> Topology::nearest_first(std::uint16_t region,
+                                               std::vector<ProcessId> pids) const {
+  std::ranges::stable_sort(
+      pids, {}, [&](ProcessId pid) { return region_delay(region, location(pid).region); });
+  return pids;
 }
 
 Time Topology::base_delay(ProcessId from, ProcessId to) const {

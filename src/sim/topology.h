@@ -51,6 +51,7 @@ class Topology {
   void set_intra_region(Time t) { intra_region_ = t; }
   /// Multiplicative jitter: delays are scaled by U[1, 1+jitter].
   void set_jitter(double jitter) { jitter_ = jitter; }
+  double jitter() const { return jitter_; }
 
   void place(ProcessId pid, Location loc);
   Location location(ProcessId pid) const;
@@ -63,6 +64,15 @@ class Topology {
 
   /// Base one-way delay between two regions (delta if equal).
   Time region_delay(std::uint16_t from, std::uint16_t to) const;
+
+  /// Distance between two placed processes as the system model states it
+  /// (Section IV-A): 0 to itself, delta within a region, Delta across
+  /// regions. Protocol timeouts derive from it; base_delay() is finer.
+  Time distance(ProcessId from, ProcessId to) const;
+
+  /// `pids`, placed processes, nearest to `region` first; ties keep their
+  /// order.
+  std::vector<ProcessId> nearest_first(std::uint16_t region, std::vector<ProcessId> pids) const;
 
   std::size_t region_count() const { return inter_region_.size(); }
   Time intra_region() const { return intra_region_; }

@@ -221,7 +221,7 @@ TEST(Client, FailedOverReadWaitsForTheFartherReplicasRoundTrip) {
   Client& client = dep.add_client(1);
   dep.run_until(sim::sec(1));
   Server& away = dep.server(0, 2);
-  ASSERT_EQ(client.read_retry_period(0, away.self()), 2 * sim::usec(1'050) + kReadRetrySlack);
+  ASSERT_EQ(client.read_retry_period(away.self()), 2 * sim::usec(1'050) + kReadRetrySlack);
   away.crash();
 
   std::string value;
@@ -326,8 +326,10 @@ struct ReplicaSet {
   void hear_from(RecordingReplica& from) { reply(from, OutcomeMsg{0, Outcome::kAbort}.to_message()); }
 };
 
-constexpr sim::Time kFirst = sim::msec(10);    // the first attempt arrives
-constexpr sim::Time kRead = sim::msec(200);    // read and snapshot retry period
+constexpr sim::Time kFirst = sim::msec(5);  // the first attempt arrives
+// Read and snapshot retry period: the round trip within the region, 5%
+// jitter included, plus the slack.
+constexpr sim::Time kRead = 2 * sim::usec(1'050) + kReadRetrySlack;
 constexpr sim::Time kCommit = sim::msec(500);  // commit retry period
 
 TEST(Client, AttemptsRotateThroughThePartitionsReplicas) {
@@ -335,7 +337,8 @@ TEST(Client, AttemptsRotateThroughThePartitionsReplicas) {
   const sim::ProcessId a = s.a.self(), b = s.b.self(), c = s.c.self();
 
   // Each timeout charges the replica a miss, so a read's attempts go a, b,
-  // c, a, b every 200 ms; while a has misses, each also probes a.
+  // c, a, b every 22.1 ms; while a has misses, each also probes a.
+  ASSERT_EQ(s.client.read_retry_period(a), kRead);
   s.client.begin();
   s.client.read(1, [](bool, const std::string&) {});
   s.expect_wave(kFirst, msgtype::kReadReq, {a});
@@ -474,8 +477,8 @@ TEST(Client, CommitRetriesChargeNoMiss) {
 /// A read the replica holds (deferred there until its snapshot is applied)
 /// while the replica answers other requests is re-sent to it alone, and
 /// charges it no miss: the next read goes there too, without a probe. Once
-/// the replica falls silent, the next retries move on. (The client knows
-/// no round trips, so any message since the request left counts.)
+/// the replica falls silent, the next retries move on. (A message counts
+/// once it arrives more than the 2.1 ms round trip after the request left.)
 TEST(Client, RetryToAReplicaHeardFromSinceChargesNoMiss) {
   ReplicaSet s;
   const sim::ProcessId a = s.a.self(), b = s.b.self();
@@ -499,8 +502,9 @@ TEST(Client, RetryToAReplicaHeardFromSinceChargesNoMiss) {
 
 /// A message the replica sent before the request could reach it proves
 /// nothing about the request (the replica may have crashed in between):
-/// with a 50 ms round trip to each replica, an answer heard 10 ms after
-/// the read left does not keep the retry at the replica.
+/// with a 2.1 ms round trip to each replica, a message the replica sent as
+/// the read left, heard a quarter millisecond later, does not keep the
+/// retry at the replica.
 TEST(Client, ReplyOlderThanTheRoundTripStillChargesAMiss) {
   ReplicaSet s;
   const sim::ProcessId a = s.a.self(), b = s.b.self();
@@ -508,15 +512,14 @@ TEST(Client, ReplyOlderThanTheRoundTripStillChargesAMiss) {
                   ClientConfig cfg;
                   cfg.partitioning = std::make_shared<RangePartitioning>(1, 100);
                   cfg.servers = {{a, b, s.c.self()}};
-                  cfg.round_trips = {{sim::msec(50), sim::msec(50), sim::msec(50)}};
                   return cfg;
                 }()};
-  ASSERT_EQ(client.read_retry_period(0, a), sim::msec(50) + kReadRetrySlack);
+  ASSERT_EQ(client.read_retry_period(a), kRead);
   client.begin();
   client.read(1, [](bool, const std::string&) {});
-  s.expect_wave(kFirst, msgtype::kReadReq, {a});
   s.a.send(client.self(), OutcomeMsg{0, Outcome::kAbort}.to_message());
-  s.expect_wave(client.read_retry_period(0, a), msgtype::kReadReq, {b, a});
+  s.expect_wave(kFirst, msgtype::kReadReq, {a});
+  s.expect_wave(client.read_retry_period(a), msgtype::kReadReq, {b, a});
   EXPECT_EQ(client.stats().read_retries, 1u);
   EXPECT_EQ(client.stats().probes, 1u);
 }
@@ -613,7 +616,7 @@ TEST(Client, StatsCountReadsAndCommits) {
 
 TEST(Client, DroppedReadResponseIsRetriedAndCounted) {
   Fixture f;
-  const sim::Time period = f.client->read_retry_period(0, f.dep->server(0, 0).self());
+  const sim::Time period = f.client->read_retry_period(f.dep->server(0, 0).self());
   bool found = false;
   f.client->begin();
   f.client->read(1, [&](bool ok, const std::string&) { found = ok; });
@@ -632,12 +635,12 @@ TEST(Client, DroppedReadResponseIsRetriedAndCounted) {
 
 /// With its nearest replica crashed, a client's read and a fresh client's
 /// snapshot are answered by the next replica one retry period later: the
-/// round trip to the dead replica plus kReadRetrySlack, not 200 ms.
+/// round trip to the dead replica plus kReadRetrySlack.
 TEST(Client, CrashedNearestReplicaIsLeftWithinTheRetryPeriod) {
   Fixture f;
   Server& nearest = f.dep->server(0, 0);
   nearest.crash();
-  const sim::Time period = f.client->read_retry_period(0, nearest.self());
+  const sim::Time period = f.client->read_retry_period(nearest.self());
   ASSERT_LT(period, sim::msec(30));
   // The next replica is one region away: its answer takes a round trip of
   // 2.1 ms at most, and a few microseconds of service.

@@ -273,8 +273,8 @@ std::unique_ptr<Deployment> started(DeploymentSpec::Kind kind, double jitter = 0
 void expect_fast_failover(DeploymentSpec::Kind kind, sim::Time member_delay) {
   const std::unique_ptr<Deployment> dep = started(kind);
   const PaxosEngine& next = dep->server(0, 1).engine();
-  ASSERT_EQ(next.config().member_delay(), member_delay);
-  EXPECT_LT(next.election_timeout(), sim::msec(600)) << "faster than a hand-built group";
+  ASSERT_EQ(next.election_timeout(), sim::msec(200) + 2 * member_delay);
+  EXPECT_LT(next.election_timeout(), sim::msec(600)) << "faster than the resend period";
   EXPECT_LT(next.suspicion_timeout(), next.election_timeout());
   EXPECT_GE(next.election_stagger(), 2 * member_delay + sim::msec(50))
       << "the next candidate hears the first one's Phase 1A before its own deadline";
@@ -330,12 +330,12 @@ sim::Time campaign_delay(const Host& h, sim::Time after) {
 /// timeout after its last heartbeat (two heartbeats and a 5 ms slack),
 /// from a timer at that deadline rather than at the next tick, not one
 /// stagger later as its index would put it, and member 2 never
-/// campaigns. (A hand-built group: no member delays, so no jitter margin,
-/// and a stagger of 150 ms.)
+/// campaigns. (A LAN group: a jitter margin of 5% of 1 ms, and a stagger
+/// of 52.1 ms.)
 TEST(PaxosFailover, SuccessorOfTheDeadLeaderCampaignsAtTheTimeout) {
   Group g;
   const PaxosEngine& next = g.hosts[1]->engine();
-  EXPECT_EQ(next.suspicion_timeout(), sim::msec(105));
+  EXPECT_EQ(next.suspicion_timeout(), sim::usec(105'050));
   const sim::Time crashed_at = g.sim.now();
   g.hosts[0]->crash();
   g.run_for(sim::sec(2));
@@ -346,10 +346,10 @@ TEST(PaxosFailover, SuccessorOfTheDeadLeaderCampaignsAtTheTimeout) {
   EXPECT_TRUE(g.hosts[2]->campaigns.empty()) << "no duel";
 }
 
-/// Member 1 leads and crashes. Without member delays the candidates tie
-/// on their delay to it, so member 2, its successor, campaigns first, at
-/// its suspicion timeout, and member 0 (recovered, ranked second) never
-/// does. (With delays known the nearest member goes first:
+/// Member 1 leads and crashes. In one region the candidates tie on their
+/// delay to it, so member 2, its successor, campaigns first, at its
+/// suspicion timeout, and member 0 (recovered, ranked second) never does.
+/// (Across regions the nearest member goes first:
 /// NearestMemberToTheDeadLeaderCampaignsFirst.)
 TEST(PaxosFailover, NextMemberAfterTheDeadLeaderCampaignsFirst) {
   Group g;
@@ -370,26 +370,26 @@ TEST(PaxosFailover, NextMemberAfterTheDeadLeaderCampaignsFirst) {
   EXPECT_EQ(campaign_delay(*g.hosts[0], crashed_at), -1) << "member 0 ranks second: no duel";
 }
 
-/// Three members placed at `locs` in the paper's three regions, their
-/// delays known as a deployment fills them in, with a slow durable log
-/// (20 ms a write), started and run for a second: member 0 leads.
+/// The paper's three regions with link jitter `jitter`.
+sim::Topology ec2_jittered(double jitter) {
+  sim::Topology t = sim::Topology::ec2_three_regions();
+  t.set_jitter(jitter);
+  return t;
+}
+
+/// Three members placed at `locs` in the paper's three regions, with a
+/// slow durable log (20 ms a write), started and run for a second: member
+/// 0 leads.
 struct GeoGroup {
   sim::Simulator sim;
-  sim::Network net{sim, sim::Topology::ec2_three_regions(), 5};
+  sim::Network net;
   std::vector<std::unique_ptr<Host>> hosts;
 
-  explicit GeoGroup(const std::array<sim::Location, 3>& locs) {
+  explicit GeoGroup(const std::array<sim::Location, 3>& locs, double jitter = 0.05)
+      : net(sim, ec2_jittered(jitter), 5) {
     GroupConfig cfg;
     cfg.members = {1, 2, 3};
     cfg.log_write_latency = sim::msec(20);
-    cfg.member_delays.assign(3, std::vector<sim::Time>(3, 0));
-    for (std::uint32_t a = 0; a < 3; ++a) {
-      for (std::uint32_t b = 0; b < 3; ++b) {
-        if (a == b) continue;
-        cfg.member_delays[a][b] = net.topology().region_delay(locs[a].region, locs[b].region);
-      }
-    }
-    cfg.jitter = 0.05;
     for (std::uint32_t i = 0; i < 3; ++i) {
       GroupConfig c = cfg;
       c.self_index = i;
@@ -429,6 +429,16 @@ TEST(PaxosFailover, Wan1ShapedGroupElectsOnceThroughTheAwayMember) {
       << "the Phase 1 outlasts the suspicion timeout";
   EXPECT_TRUE(g.hosts[2]->campaigns.empty());
   EXPECT_EQ(g.elections(), 2u);
+}
+
+/// A follower's suspicion margin is its link's jitter spread: at 30%
+/// jitter, 0.3 ms beside the leader and 13.5 ms 45 ms away.
+TEST(PaxosFailover, SuspicionTimeoutCoversTheLinksJitter) {
+  GeoGroup g(kWan1Shape, 0.3);
+  ASSERT_TRUE(g.hosts[0]->engine().is_leader());
+  EXPECT_EQ(g.hosts[0]->engine().suspicion_timeout(), sim::msec(105)) << "no link to itself";
+  EXPECT_EQ(g.hosts[1]->engine().suspicion_timeout(), sim::msec(105) + sim::usec(300));
+  EXPECT_EQ(g.hosts[2]->engine().suspicion_timeout(), sim::msec(105) + sim::usec(13'500));
 }
 
 /// Member 1 leads and dies: member 0, 1 ms from it, campaigns first, ahead

@@ -538,10 +538,11 @@ TEST(Server, ContactReforwardsAPartLostWithACrashedLeader) {
   ASSERT_EQ(o, Outcome::kCommit);
   const Server& contact = f.dep->server(0, 0);
   const paxos::PaxosEngine& next = f.dep->server(1, 1).engine();
-  const sim::Time resend = 2 * contact.config().partition_delay_estimate[1] + sim::msec(100);
-  const sim::Time election = next.config().member_delay() + next.election_timeout() +
-                             sim::msec(50) + 2 * next.config().member_delay() +
-                             f.dep->spec().paxos.log_write_latency;
+  const sim::Time resend = 2 * contact.delay_estimate(1) + sim::msec(100);
+  // The group's worst member delay d, from its election timeout 200 ms + 2d.
+  const sim::Time d = (next.election_timeout() - sim::msec(200)) / 2;
+  const sim::Time election =
+      d + next.election_timeout() + sim::msec(50) + 2 * d + f.dep->spec().paxos.log_write_latency;
   EXPECT_LE(done_at - committed_at, resend + election + sim::msec(10));
   EXPECT_TRUE(next.is_leader());
   EXPECT_GE(contact.stats().timed_reforwards, 1u);

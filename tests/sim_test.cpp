@@ -98,6 +98,24 @@ TEST(Topology, ProcessDelaysByPlacement) {
   EXPECT_EQ(t.base_delay(1, 4), msec(85));         // EU -> US-WEST
 }
 
+/// Protocol timeouts see the system model's two distances, not the
+/// datacenter-level base delay: 0 to itself, delta within a region.
+TEST(Topology, DistanceIsRegionGranular) {
+  Topology t = Topology::ec2_three_regions();
+  t.place(1, {kEU, 0});
+  t.place(2, {kEU, 0});
+  t.place(3, {kEU, 1});
+  t.place(4, {kUSEast, 0});
+  t.place(5, {kUSWest, 0});
+  EXPECT_EQ(t.distance(1, 1), 0);
+  EXPECT_EQ(t.distance(1, 2), t.intra_region()) << "same datacenter";
+  EXPECT_EQ(t.distance(1, 3), t.intra_region());
+  EXPECT_EQ(t.distance(4, 1), msec(45));
+  // From US-EAST: 4 (delta), then 1 and 3 (45 ms, in their given order),
+  // then 5 (50 ms).
+  EXPECT_EQ(t.nearest_first(kUSEast, {5, 1, 4, 3}), (std::vector<ProcessId>{4, 1, 3, 5}));
+}
+
 TEST(Topology, JitterBoundedAndDeterministic) {
   Topology t = Topology::ec2_three_regions();
   t.set_jitter(0.1);

@@ -205,6 +205,34 @@ void print_counters(const char* group, const Counters& c) {
   std::printf("\n");
 }
 
+/// One `timing:` line per partition, in ms, as the deployment derives it
+/// from its topology while replica 0 leads (DESIGN.md "Failover"): each
+/// replica's suspicion timeout, the election timeout T and stagger S, and
+/// replica 0's delay estimate to each partition.
+std::string derived_timing(Deployment& dep) {
+  std::string out;
+  auto ms = [&out](const char* sep, sim::Time t) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s%.2f", sep, sim::to_ms(t));
+    out += buf;
+  };
+  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
+    out += "timing: partition " + std::to_string(p) + " suspicion=";
+    for (std::uint32_t r = 0; r < dep.replica_count(); ++r) {
+      ms(r == 0 ? "" : "/", dep.server(p, r).engine().suspicion_timeout());
+    }
+    Server& leader = dep.server(p, 0);
+    ms(" T=", leader.engine().election_timeout());
+    ms(" S=", leader.engine().election_stagger());
+    out += " delay_estimate=";
+    for (PartitionId q = 0; q < dep.partition_count(); ++q) {
+      ms(q == 0 ? "" : "/", leader.delay_estimate(q));
+    }
+    out += " ms\n";
+  }
+  return out;
+}
+
 DeploymentSpec::Kind kind_of(const std::string& s) {
   if (s == "lan") return DeploymentSpec::Kind::kLan;
   if (s == "wan1") return DeploymentSpec::Kind::kWan1;
@@ -319,11 +347,13 @@ int main(int argc, char** argv) {
                                   [&victim] { victim.recover(); });
     }
   }
+  const std::string timing = derived_timing(dep);
   const RunResult r = run_experiment(dep, *wl, cfg);
 
   std::printf("\n%s / %s: %u partitions x %u replicas, %u clients, %.1fs measured [%s]\n",
               o.deployment.c_str(), o.workload.c_str(), o.partitions, o.replicas, cfg.clients,
               o.seconds, format_techniques(o.techniques).c_str());
+  std::printf("%s", timing.c_str());
   for (const Crash& c : o.crashes) {
     std::printf("crash: partition %u replica %u at %.3fs of the window, ", c.partition, c.replica,
                 c.at);
