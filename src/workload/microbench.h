@@ -43,11 +43,11 @@ struct MicroConfig {
 
   /// When set, written values encode the writing transaction id and every
   /// commit is reported here — used by the serializability property tests.
-  std::function<void(TxId, std::vector<std::pair<Key, TxId>>, std::vector<Key>)> commit_hook;
+  std::function<void(TxId, std::vector<std::pair<Key, TxId>>, std::vector<Key>)> commit_hook{};
 
   /// Sessions stop starting new transactions once this returns false
   /// (lets tests quiesce the system before inspecting state).
-  std::function<bool()> keep_running;
+  std::function<bool()> keep_running{};
 };
 
 class MicroWorkload final : public Workload {

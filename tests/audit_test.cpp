@@ -5,7 +5,9 @@
 // replica (breaking certification determinism) and a Paxos acceptor that
 // accepts Phase 2A below its promise (breaking acceptor safety). Both must
 // produce structured violation reports. The negative test asserts a healthy
-// contended run stays clean — the audit layer must not cry wolf.
+// contended run stays clean — the audit layer must not cry wolf. The same
+// injected certifier bug must also fail the scenario runner's replica
+// convergence check, in every build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,17 +15,41 @@
 #include "audit/audit.h"
 #include "paxos/engine.h"
 #include "sim/process.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
-
-#if SDUR_AUDIT_ON
+#include "workload/scenario.h"
 
 namespace sdur {
 namespace {
 
-using workload::MicroConfig;
-using workload::MicroWorkload;
-using workload::RunConfig;
+/// A small contended LAN workload, drained for 5 s.
+workload::Scenario small_lan(PartitionId partitions, double global_fraction) {
+  workload::Scenario sc;
+  sc.spec.kind = DeploymentSpec::Kind::kLan;
+  sc.spec.partitions = partitions;
+  sc.spec.paxos.log_write_latency = sim::usec(300);
+  sc.spec.seed = 31;
+  sc.run = {.clients = 12, .warmup = sim::msec(200), .measure = sim::sec(2), .seed = 31};
+  sc.micro.items_per_partition = 30;  // tiny keyspace -> real conflicts
+  sc.micro.global_fraction = global_fraction;
+  sc.drain = sim::sec(5);
+  return sc;
+}
+
+/// Replica 1 of partition 0 skips its conflict check: it commits
+/// transactions the other replicas abort.
+void skip_conflict_check_on_replica_1(Deployment& dep) {
+  dep.server(0, 1).certifier_for_test().test_skip_conflict_check(true);
+}
+
+TEST(ScenarioChecks, SkippedConflictCheckBreaksConvergence) {
+  const workload::ScenarioResult r =
+      workload::run_scenario(small_lan(1, 0.0), skip_conflict_check_on_replica_1);
+  EXPECT_FALSE(r.agree) << "the divergent replica went unnoticed";
+  EXPECT_EQ(r.new_violations > 0, SDUR_AUDIT_ON == 1);
+  // Later tests in this process start from a clean auditor.
+  SDUR_AUDIT(audit::Auditor::instance().reset());
+}
+
+#if SDUR_AUDIT_ON
 
 bool has_violation(const char* invariant) {
   const auto& vs = audit::Auditor::instance().violations();
@@ -31,41 +57,10 @@ bool has_violation(const char* invariant) {
                      [&](const audit::Violation& v) { return v.invariant == invariant; });
 }
 
-/// Runs a small contended LAN workload. `sabotage` is applied after the
-/// deployment is built (auditor freshly reset) but before any traffic.
-void run_small_lan(PartitionId partitions, double global_fraction,
-                   const std::function<void(Deployment&)>& sabotage) {
-  constexpr std::uint64_t kItems = 30;  // tiny keyspace -> real conflicts
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kLan;
-  spec.partitions = partitions;
-  spec.partitioning = MicroWorkload::make_partitioning(partitions, kItems);
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.seed = 31;
-  Deployment dep(spec);
-  if (sabotage) sabotage(dep);
-
-  RunConfig cfg;
-  cfg.clients = 12;
-  cfg.seed = 31;
-  cfg.settle = sim::msec(800);
-  cfg.warmup = sim::msec(200);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = kItems;
-  mc.global_fraction = global_fraction;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-  workload::run_experiment(dep, wl, cfg);
-  dep.run_until(dep.simulator().now() + sim::sec(5));  // drain in-flight work
-}
-
 TEST(Audit, CleanRunReportsNoViolations) {
   // Two partitions with a global mix exercises every audited path: Paxos
   // decisions, certification, vote exchange, completion, reads.
-  run_small_lan(2, 0.3, nullptr);
+  workload::run_scenario(small_lan(2, 0.3));
   EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
 }
 
@@ -73,9 +68,7 @@ TEST(Audit, InjectedCertificationBugIsDetected) {
   // Replica 1 of the single partition skips its conflict check: it commits
   // transactions the other replicas abort, so its (delivery index -> vote)
   // function diverges — exactly what certification determinism forbids.
-  run_small_lan(1, 0.0, [](Deployment& dep) {
-    dep.server(0, 1).certifier_for_test().test_skip_conflict_check(true);
-  });
+  workload::run_scenario(small_lan(1, 0.0), skip_conflict_check_on_replica_1);
   const auto& auditor = audit::Auditor::instance();
   EXPECT_FALSE(auditor.clean()) << "buggy certifier went undetected";
   EXPECT_TRUE(has_violation("certification-determinism")) << auditor.summary();
@@ -160,13 +153,11 @@ TEST(Audit, AuditorCollectsContextAndResets) {
   EXPECT_TRUE(a.violations().empty());
 }
 
-}  // namespace
-}  // namespace sdur
-
 #else  // !SDUR_AUDIT_ON
 
-namespace sdur {
 TEST(Audit, DisabledBuild) { GTEST_SKIP() << "built with SDUR_AUDIT=OFF; audit hooks compiled out"; }
-}  // namespace sdur
 
 #endif  // SDUR_AUDIT_ON
+
+}  // namespace
+}  // namespace sdur

@@ -34,9 +34,7 @@
 #include "sdur/certifier.h"
 #include "storage/cert_index.h"
 #include "storage/commit_window.h"
-#include "util/hash.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
+#include "workload/scenario.h"
 
 namespace sdur::storage {
 namespace {
@@ -407,46 +405,19 @@ namespace {
 /// when reads moved from the stable prefix to the per-key read frontier
 /// (fresher snapshots, so different verdicts — by design).
 std::uint64_t run_digest(bool bloom, std::uint32_t cores) {
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, 80);
-  spec.server.techniques.reorder_threshold = 24;
-  spec.server.techniques.bloom_readsets = bloom;
+  Scenario sc;
+  sc.spec.partitions = 2;
+  sc.spec.server.techniques.reorder_threshold = 24;
+  sc.spec.server.techniques.bloom_readsets = bloom;
   // High fp rate so bloom false positives actually fire at this scale —
   // the run must diverge from the exact run through the bloom fallback
   // paths, not coincide with it.
-  if (bloom) spec.server.techniques.bloom_fp_rate = 0.02;
-  spec.server.pdur.cores = cores;
-  spec.seed = 47;
-  Deployment dep(spec);
-
-  RunConfig cfg;
-  cfg.clients = 12;
-  cfg.seed = 47;
-  cfg.warmup = sim::msec(300);
-  cfg.measure = sim::msec(1500);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 80;
-  mc.global_fraction = 0.25;
-  mc.cores = cores;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-  run_experiment(dep, wl, cfg);
-
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);  // sorts keys: deterministic bytes
-    }
-  }
-  const util::Bytes& b = w.data();
-  return util::fnv1a(std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
+  if (bloom) sc.spec.server.techniques.bloom_fp_rate = 0.02;
+  sc.spec.server.pdur.cores = cores;
+  sc.spec.seed = 47;
+  sc.run = {.clients = 12, .warmup = sim::msec(300), .measure = sim::msec(1500), .seed = 47};
+  sc.micro = {.items_per_partition = 80, .global_fraction = 0.25};
+  return state_digest(*run_scenario(sc).dep);
 }
 
 TEST(CertIndexGolden, EndToEndResultsUnchanged) {

@@ -7,11 +7,9 @@
 #include <string>
 #include <utility>
 
-#include "audit/auditor.h"
 #include "sdur/deployment.h"
 #include "util/bytes.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
+#include "workload/scenario.h"
 
 namespace sdur {
 namespace {
@@ -339,65 +337,26 @@ TEST(ServerCheckpoint, StateTransferCarriesSpeculatedGlobalUntilItsVotesArrive) 
 }
 
 TEST(ServerCheckpoint, WorkloadWithCheckpointsStaysSerializableAndConverges) {
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = workload::MicroWorkload::make_partitioning(2, 50);
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.server.checkpoint_interval = sim::msec(400);
-  Deployment dep(spec);
-
-  workload::SerializabilityChecker checker;
-  workload::RunConfig cfg;
-  cfg.clients = 12;
-  cfg.warmup = sim::msec(500);
-  cfg.measure = sim::sec(5);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  workload::MicroConfig mc;
-  mc.items_per_partition = 50;
-  mc.global_fraction = 0.3;
-  mc.commit_hook = [&](TxId id, std::vector<std::pair<Key, TxId>> reads, std::vector<Key> writes) {
-    checker.add_committed(id, std::move(reads), std::move(writes));
-  };
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  workload::MicroWorkload wl(mc);
-
+  workload::Scenario sc;
+  sc.spec.partitions = 2;
+  sc.spec.paxos.log_write_latency = sim::usec(300);
+  sc.spec.server.checkpoint_interval = sim::msec(400);
+  sc.run = {.clients = 12, .warmup = sim::msec(500), .measure = sim::sec(5)};
+  sc.micro = {.items_per_partition = 50, .global_fraction = 0.3};
   // Crash and recover a replica mid-run so recovery uses a checkpoint
   // while traffic continues. A checkpoint that claimed deliveries still
   // queued on the CPU would make the recovered replica skip them, and it
   // would certify against another state than its peers.
-  const std::uint64_t violations_before = audit::Auditor::instance().total_violations();
-  dep.simulator().schedule_at(sim::sec(3), [&] { dep.server(0, 1).crash(); });
-  dep.simulator().schedule_at(sim::sec(4), [&] { dep.server(0, 1).recover(); });
+  sc.faults.crashes = {{.partition = 0, .replica = 1, .at = sim::sec(3), .down = sim::sec(1)}};
+  sc.drain = sim::sec(20);
+  sc.history = true;
+  const workload::ScenarioResult r = workload::run_scenario(sc);
 
-  workload::run_experiment(dep, wl, cfg);
-  dep.run_until(dep.simulator().now() + sim::sec(20));
-
-  for (Server* s : dep.servers()) ASSERT_EQ(s->pending_count(), 0u) << s->name();
-  ASSERT_GT(dep.server(0, 0).engine().stats().checkpoints, 0u);
-
-  for (PartitionId p = 0; p < 2; ++p) {
-    Server& ref = dep.server(p, 0);
-    for (Key k : ref.store().keys()) {
-      const auto* versions = ref.store().versions_of(k);
-      std::vector<TxId> order;
-      for (const auto& vv : *versions) {
-        if (vv.version == 0) continue;
-        order.push_back(workload::MicroWorkload::decode_writer(vv.value));
-      }
-      checker.set_key_order(k, order);
-      for (std::uint32_t rep = 1; rep < 3; ++rep) {
-        auto latest_ref = ref.store().get_latest(k);
-        auto latest_other = dep.server(p, rep).store().get_latest(k);
-        ASSERT_TRUE(latest_other.has_value());
-        ASSERT_EQ(latest_ref->value, latest_other->value) << "key " << k;
-      }
-    }
-  }
-  std::string why;
-  EXPECT_TRUE(checker.check(&why)) << why;
-  EXPECT_EQ(audit::Auditor::instance().total_violations(), violations_before)
-      << audit::Auditor::instance().summary();
+  ASSERT_TRUE(r.drained);
+  ASSERT_GT(r.dep->server(0, 0).engine().stats().checkpoints, 0u);
+  EXPECT_TRUE(r.agree);
+  EXPECT_TRUE(r.serializable) << r.why;
+  EXPECT_EQ(r.new_violations, 0u);
 }
 
 /// The deduplication state a checkpoint carries is bounded. On the

@@ -12,12 +12,11 @@
 //     verdicts, versions, slot statuses and a final store byte-equal to
 //     the delivery-order serial reference. A single version regression in
 //     the store throws, so an unsound bypass cannot pass silently.
-//  3. Chaos convergence: the shared chaos recipe (loss, follower
-//     churn, checkpoints, reordering, 40% globals over 3 partitions) with
-//     ooo_bypass on converges with real bypasses happening.
-//  4. Golden pin: the same recipe with ooo_bypass off (the default)
-//     reproduces the pre-bypass digest bit-for-bit — the bypass layer is
-//     provably inert when disabled.
+//  3. Chaos convergence: the chaos recipe (workload::chaos_recipe: loss,
+//     follower churn, checkpoints, 40% globals over 3 partitions) with
+//     ooo_bypass on converges with real bypasses happening. With it off
+//     the recipe reproduces the legacy digest bit-for-bit
+//     (tests/legacy_golden.h).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,10 +26,11 @@
 #include <unordered_map>
 
 #include "audit/audit.h"
-#include "chaos_recipe.h"
+#include "legacy_golden.h"
 #include "sdur/certifier.h"
 #include "storage/mvstore.h"
 #include "util/rng.h"
+#include "workload/scenario.h"
 
 namespace sdur {
 namespace {
@@ -359,69 +359,10 @@ TEST(ConvoyBypass, SkippedParkGateIsCaughtByStoreVersionOrder) {
 #endif
 }
 
-// --- End-to-end chaos + golden pin -------------------------------------------
+// --- End-to-end chaos --------------------------------------------------------
 
 namespace e2e {
 
-/// Frozen pre-bypass digest of the shared chaos recipe with ooo_bypass off
-/// (the same run as vote_batch_test); captured before the bypass
-/// layer existed. Any drift means the default-off configuration is no
-/// longer the legacy protocol.
-/// Re-pinned once when reads moved from the stable prefix to the per-key
-/// read frontier (DESIGN.md "Per-key read frontier"): fresher snapshots
-/// commit 84 transactions here instead of 60.
-/// Re-pinned once when the checkpoint's dedup sections became the
-/// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
-/// replica state and every other counter are unchanged.
-/// Re-pinned once when an abort request for an undelivered transaction
-/// began completing it: the aborted id enters the checkpointed outcome
-/// history, so StateTransfer bytes grew (86110 -> 86119, same 17
-/// transfers); replica state and every message count are unchanged.
-/// Re-pinned once when retries began failing over (DESIGN.md "Failover"):
-/// attempt i of a request goes to the partition's replica i % 3, and a
-/// commit retry at a replica that delivered a global re-forwards a missing
-/// part. Under the recipe's loss and follower crashes the message schedule
-/// changes, and with it the fabric RNG stream: 98 commits instead of 84.
-/// Re-pinned once when clients began choosing replicas by miss count
-/// (DESIGN.md "Failover"): a read lost to the recipe's 2% loss charges
-/// its replica a miss, so the client's next requests go to another replica
-/// with a probe copy to the nearest one, and the message schedule and the
-/// fabric RNG stream change: 86 commits instead of 98. (Over 24 reseeded
-/// runs of this recipe the commits summed 2155 before and 2181 after.)
-/// Re-pinned once when contacts began choosing a remote partition's replica
-/// by silence (DESIGN.md "Failover"): a contact that heard another replica
-/// of a partition within ten gossip periods but nothing from replica 0
-/// forwards to that replica. Under the recipe's 2% loss a partition whose
-/// head stalls stops gossiping and a lost vote leaves replica 0 silent, so
-/// one forward goes to replica 1, which relays it (at 1.17 s), and the
-/// message schedule and the fabric RNG stream change: 85 commits instead
-/// of 86. (Over 24 runs reseeded 1..24 the commits summed 2209 before and
-/// 2331 after.) The derived election timing and forward parking move
-/// nothing here: the recipe crashes no leader.
-/// Re-pinned once when recovered replicas began answering clients only
-/// once caught up, catch-up kept one request outstanding, and contacts
-/// began re-sending a remote part on their own timer (DESIGN.md
-/// "Failover"): the recipe's recovering followers drop the clients' probe
-/// copies while they replay and ask for each catch-up chunk once, and a
-/// part lost to the 2% loss goes out again 2·δ + 100 ms after it was sent
-/// when nothing came from its replica in the last 100 ms, so the message
-/// schedule and the fabric RNG stream change: 100 commits instead of 85
-/// (94 with the recovery changes alone).
-/// Re-pinned once when reads began retrying after one round trip plus
-/// 20 ms (the recipe's own 300 ms went with the setting), a retry to a
-/// replica heard from since the request reached it charged it no miss,
-/// checkpoints began covering only applied deliveries, and followers
-/// began campaigning from a timer at their suspicion deadline: under the
-/// 2% loss a lost read goes out again some 280 ms sooner, and a follower
-/// that lost a heartbeat arms a timer that fires without campaigning (the
-/// run still holds one election per partition), so the message schedule,
-/// the event count and the fabric RNG stream change: 118 commits instead
-/// of 100. A scratch build with those four changes undone gave back every
-/// earlier pin. Over 24 runs reseeded 1..24 the commits summed 2307
-/// before and 2455 after; one of the 24 (seed 8) held a fourth election,
-/// two heartbeats lost in a row.
-constexpr std::uint64_t kLegacyDigest = 6145334633699082793ULL;
-constexpr std::uint64_t kLegacyCommitted = 118;
 /// Digest of the bypass-on run: pins the out-of-order completion order,
 /// which feeds the send order and so the fabric RNG.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer
@@ -429,8 +370,8 @@ constexpr std::uint64_t kLegacyCommitted = 118;
 /// are unchanged. Re-pinned again when abort requests began completing
 /// undelivered transactions (60699 -> 60708, the aborted id in the
 /// outcome history), on the same terms.
-/// Re-pinned once when retries began failing over, on the legacy pin's
-/// terms.
+/// Re-pinned once when retries began failing over, on the terms of the
+/// legacy pin (tests/legacy_golden.h).
 /// Re-pinned once when clients began choosing replicas by miss count, on
 /// the legacy pin's terms.
 /// Re-pinned once when contacts began choosing a remote partition's replica
@@ -444,42 +385,27 @@ constexpr std::uint64_t kLegacyCommitted = 118;
 /// the legacy pin's terms.
 constexpr std::uint64_t kBypassOnDigest = 0xb5e16827e42a9cadULL;
 
-using chaos::ChaosOut;
-
-/// The shared chaos recipe (tests/chaos_recipe.h), bypass on or off.
-/// `reorder_threshold` defaults to the recipe's 24 (the golden pin needs
-/// the exact legacy configuration); the technique-on run uses 0.
-ChaosOut run_chaos(bool ooo_bypass, std::uint32_t reorder_threshold = 24) {
-  TechniqueConfig t;
-  t.reorder_threshold = reorder_threshold;
-  t.ooo_bypass = ooo_bypass;
-  return chaos::run_chaos(t);
-}
-
 TEST(ConvoyBypass, BypassOffMatchesLegacyGolden) {
-  const ChaosOut r = run_chaos(false);
-  EXPECT_EQ(r.digest, kLegacyDigest)
-      << "ooo_bypass=false must stay bit-identical to the pre-bypass protocol";
-  EXPECT_EQ(r.committed, kLegacyCommitted);
+  const workload::ScenarioResult r = workload::run_legacy_golden();
   // The bypass layer is fully inert when off.
-  EXPECT_EQ(r.stats.bypassed_locals, 0u);
-  EXPECT_EQ(r.stats.parked_locals, 0u);
+  const Server::Stats st = r.dep->total_stats();
+  EXPECT_EQ(st.bypassed_locals, 0u);
+  EXPECT_EQ(st.parked_locals, 0u);
 }
 
 TEST(ConvoyBypass, BypassOnConvergesUnderChaosAndCheckpointInstalls) {
-  const ChaosOut r = run_chaos(true, /*reorder_threshold=*/0);
+  const workload::ScenarioResult r =
+      workload::run_scenario(workload::chaos_recipe(TechniqueConfig{.ooo_bypass = true}));
   EXPECT_EQ(r.digest, kBypassOnDigest) << "bypass completion order changed";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
-  EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
-  EXPECT_GT(r.stats.bypassed_locals, 0u)
+  EXPECT_TRUE(r.drained) << "every pending global resolved after heal";
+  EXPECT_GT(r.dep->total_stats().bypassed_locals, 0u)
       << "locals really committed past pending globals under chaos";
-#if SDUR_AUDIT_ON
   // The run's bypass decisions were cross-checked in place: lane-index
   // gate equivalence, sweep serial-equivalence, park-gate determinism
   // across replicas and crash-replay.
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-#endif
+  EXPECT_EQ(r.new_violations, 0u);
 }
 
 }  // namespace e2e

@@ -22,7 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -30,19 +29,7 @@
 #include "sim/message.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
-#include "util/hash.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
-
-namespace {
-
-std::uint64_t digest_writer(const sdur::util::Writer& w) {
-  const sdur::util::Bytes& b = w.data();
-  return sdur::util::fnv1a(
-      std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
-
-}  // namespace
+#include "workload/scenario.h"
 
 namespace sdur::sim {
 namespace {
@@ -174,7 +161,7 @@ TEST(FabricEquiv, LossJitterRngStreamMatchesGolden) {
   w.u64(sim.events_processed());
   w.i64(sim.now());
 
-  const std::uint64_t digest = digest_writer(w);
+  const std::uint64_t digest = workload::hash_of(w);
   constexpr std::uint64_t kGolden = 0x202415a40579d692ULL;
   EXPECT_EQ(digest, kGolden) << "RNG stream digest changed: 0x" << std::hex << digest;
 }
@@ -186,84 +173,24 @@ namespace sdur::workload {
 namespace {
 
 struct ChaosResult {
-  std::uint64_t state_digest = 0;   // replica state: sc/certified/dc + store
+  std::uint64_t digest = 0;         // replica state, network accounting, events, clock
   sim::NetworkStats net;            // full per-type message accounting
-  std::uint64_t events = 0;         // simulator events processed
-  sim::Time end_time = 0;
   std::uint64_t committed = 0;
   std::uint64_t deep_copies = 0;    // host-side fabric counters for this run
   std::uint64_t shares = 0;
 };
 
-/// A compressed torture run: 2 partitions, 3% loss, follower crash/recover
-/// churn, frequent checkpoints, reordering on. Returns a digest of all
-/// deterministic replica state plus the network/event accounting.
+/// The torture recipe (2 partitions, 3% loss, follower crash/recover
+/// churn, frequent checkpoints, reordering on) with payload buffer sharing
+/// on or off, digested at a protocol-stable point after the heal and
+/// drain. (Equality would hold at any fixed time; stability just makes
+/// failures readable.)
 ChaosResult run_chaos(bool sharing) {
   sim::SharingGuard guard(sharing);
   sim::fabric_counters().reset();
-
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.server.techniques.reorder_threshold = 48;
-  spec.server.checkpoint_interval = sim::msec(600);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.seed = 31;
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.03);
-
-  RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 31;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 60;
-  mc.global_fraction = 0.3;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  // Rolling follower crash/recover (never replica 0: contacts stay up).
-  util::Rng chaos(7);
-  for (sim::Time t = sim::sec(1); t < stop_at; t += sim::msec(700)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(2));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(450),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  // Quiesce so the digest is taken at a protocol-stable point. (Equality
-  // would hold at any fixed time; stability just makes failures readable.)
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();  // no-op if alive
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  ChaosResult out;
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);  // sorts keys: deterministic bytes
-    }
-  }
-  out.state_digest = digest_writer(w);
-  out.net = dep.network().stats();
-  out.events = dep.simulator().events_processed();
-  out.end_time = dep.simulator().now();
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-  out.deep_copies = sim::fabric_counters().payload_deep_copies;
-  out.shares = sim::fabric_counters().payload_shares;
-  return out;
+  const ScenarioResult r = run_scenario(torture_recipe());
+  return {r.digest, r.dep->network().stats(), r.committed,
+          sim::fabric_counters().payload_deep_copies, sim::fabric_counters().payload_shares};
 }
 
 TEST(FabricEquiv, BufferSharingDoesNotChangeSimulation) {
@@ -274,18 +201,15 @@ TEST(FabricEquiv, BufferSharingDoesNotChangeSimulation) {
   ASSERT_GT(shared.committed, 20u) << "the chaos run made real progress";
 
   // Sharing ON vs OFF: byte-identical replica state and identical message
-  // accounting — the zero-copy fabric is observationally equivalent to a
-  // deep-copying one.
-  EXPECT_EQ(shared.state_digest, copied.state_digest);
+  // accounting, event count and clock — the zero-copy fabric is
+  // observationally equivalent to a deep-copying one.
+  EXPECT_EQ(shared.digest, copied.digest);
   EXPECT_TRUE(shared.net == copied.net) << "NetworkStats diverged";
-  EXPECT_EQ(shared.events, copied.events);
-  EXPECT_EQ(shared.end_time, copied.end_time);
   EXPECT_EQ(shared.committed, copied.committed);
 
   // Same seed, same mode: bit-identical rerun.
-  EXPECT_EQ(shared.state_digest, again.state_digest);
+  EXPECT_EQ(shared.digest, again.digest);
   EXPECT_TRUE(shared.net == again.net);
-  EXPECT_EQ(shared.events, again.events);
 
 #if SDUR_FABRIC_COUNTERS
   // The acceptance criterion for the zero-copy fabric: with sharing on, no

@@ -27,8 +27,7 @@
 #include "util/bloom.h"
 #include "util/bytes.h"
 #include "util/rng.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
+#include "workload/scenario.h"
 
 namespace sdur {
 namespace {
@@ -259,56 +258,21 @@ TEST(ParallelCertification, InstallRebuildsPerCoreWindows) {
 
 workload::RunResult run_pdur_deployment(std::uint32_t cores, double cross_fraction,
                                         std::uint64_t seed) {
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kLan;
-  spec.partitions = 1;
-  const std::uint64_t items = 2'000;
-  spec.partitioning = workload::MicroWorkload::make_partitioning(1, items);
-  spec.server.pdur.cores = cores;
-  spec.seed = seed;
-  Deployment dep(spec);
+  workload::Scenario sc;
+  sc.spec.kind = DeploymentSpec::Kind::kLan;
+  sc.spec.partitions = 1;
+  sc.spec.server.pdur.cores = cores;
+  sc.spec.seed = seed;
+  sc.run = {.clients = 24, .warmup = sim::msec(300), .measure = sim::sec(2), .seed = seed};
+  sc.micro = {.items_per_partition = 2'000, .cross_core_fraction = cross_fraction};
+  sc.drain = sim::sec(10);
+  const workload::ScenarioResult r = workload::run_scenario(sc);
 
-  workload::RunConfig cfg;
-  cfg.clients = 24;
-  cfg.seed = seed;
-  cfg.settle = sim::msec(800);
-  cfg.warmup = sim::msec(300);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  workload::MicroConfig mc;
-  mc.items_per_partition = items;
-  mc.global_fraction = 0.0;
-  mc.cores = cores;
-  mc.cross_core_fraction = cross_fraction;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  workload::MicroWorkload wl(mc);
-
-  const workload::RunResult r = run_experiment(dep, wl, cfg);
-
-  // Quiesce and check the partition's replicas converged byte-identically.
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-  for (Server* s : dep.servers()) {
-    EXPECT_EQ(s->pending_count(), 0u) << s->name();
-  }
-  Server& ref = dep.server(0, 0);
-  for (Key k : ref.store().keys()) {
-    const auto* versions = ref.store().versions_of(k);
-    for (std::uint32_t rep = 1; rep < dep.replica_count(); ++rep) {
-      const auto* other = dep.server(0, rep).store().versions_of(k);
-      if (versions == nullptr || other == nullptr || versions->size() != other->size()) {
-        ADD_FAILURE() << "replica " << rep << " diverged on key " << k;
-        continue;
-      }
-      for (std::size_t i = 0; i < versions->size(); ++i) {
-        EXPECT_EQ((*versions)[i].version, (*other)[i].version) << "key " << k;
-      }
-    }
-  }
-#if SDUR_AUDIT_ON
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-#endif
-  return r;
+  // Quiesced, the partition's replicas converged byte-identically.
+  EXPECT_TRUE(r.drained);
+  EXPECT_TRUE(r.agree);
+  EXPECT_EQ(r.new_violations, 0u);
+  return r.run;
 }
 
 TEST(PdurDeployment, MultiCoreReplicaCommitsAndStaysClean) {
@@ -334,28 +298,14 @@ TEST(PdurDeployment, RepeatRunsAreBitIdentical) {
 TEST(PdurDeployment, SingleCoreConfigMatchesLegacyModel) {
   // cores = 1 must take the exact legacy path: the parallel machinery is
   // never constructed and per-delivery costs match the serial replica.
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kLan;
-  spec.partitions = 1;
-  spec.partitioning = workload::MicroWorkload::make_partitioning(1, 1000);
-  spec.seed = 5;
-  Deployment legacy(spec);
-  spec.server.pdur.cores = 1;  // explicit 1 == default
-  Deployment one_core(spec);
-  workload::RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 5;
-  cfg.settle = sim::msec(800);
-  cfg.warmup = sim::msec(200);
-  cfg.measure = sim::sec(1);
-
-  workload::MicroConfig mc;
-  mc.items_per_partition = 1000;
-  mc.global_fraction = 0.0;
-  workload::MicroWorkload wl1(mc);
-  workload::MicroWorkload wl2(mc);
-  const auto ra = run_experiment(legacy, wl1, cfg);
-  const auto rb = run_experiment(one_core, wl2, cfg);
+  workload::Scenario sc;
+  sc.spec.partitions = 1;
+  sc.spec.seed = 5;
+  sc.run = {.clients = 8, .warmup = sim::msec(200), .measure = sim::sec(1), .seed = 5};
+  sc.micro.items_per_partition = 1000;
+  const workload::RunResult ra = workload::run_scenario(sc).run;
+  sc.spec.server.pdur.cores = 1;  // explicit 1 == default
+  const workload::RunResult rb = workload::run_scenario(sc).run;
   EXPECT_EQ(ra.servers.delivered, rb.servers.delivered);
   EXPECT_EQ(ra.servers.committed_local, rb.servers.committed_local);
   EXPECT_EQ(ra.servers.pdur_single_core, 0u);

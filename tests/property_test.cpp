@@ -1,6 +1,7 @@
 // Property-based tests: one-copy serializability and replica determinism
 // over randomized contended workloads, swept across deployments, global
-// mixes, reorder thresholds, bloom certification and delaying.
+// mixes, reorder thresholds, bloom certification and delaying, and every
+// technique at once on serial and P-DUR replicas.
 //
 // Every committed transaction's reads (which writer's version it saw) and
 // writes are recorded; after the run the per-key version order is read
@@ -15,10 +16,8 @@
 // green localizes a bug to either the protocol or the checker itself.
 #include <gtest/gtest.h>
 
-#include "audit/audit.h"
-#include "workload/driver.h"
-#include "workload/history.h"
-#include "workload/microbench.h"
+#include "sdur/technique_config.h"
+#include "workload/scenario.h"
 
 namespace sdur::workload {
 namespace {
@@ -31,6 +30,10 @@ struct PropertyCase {
   std::uint32_t reorder_threshold = 0;
   bool bloom = false;
   bool delaying = false;
+  /// Every technique at once (the `all-on` preset) instead of the three
+  /// fields above.
+  bool all_on = false;
+  std::uint32_t cores = 1;
   std::uint64_t items = 40;  // tiny keyspace -> heavy contention
   std::uint32_t clients = 16;
   std::uint64_t seed = 7;
@@ -43,87 +46,42 @@ class SerializabilityProperty : public ::testing::TestWithParam<PropertyCase> {}
 TEST_P(SerializabilityProperty, HistoryIsSerializableAndReplicasAgree) {
   const PropertyCase& pc = GetParam();
 
-  DeploymentSpec spec;
-  spec.kind = pc.kind;
-  spec.partitions = pc.partitions;
-  spec.partitioning = MicroWorkload::make_partitioning(pc.partitions, pc.items);
-  spec.server.techniques.reorder_threshold = pc.reorder_threshold;
-  spec.server.techniques.bloom_readsets = pc.bloom;
-  spec.server.techniques.delaying_enabled = pc.delaying;
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.seed = pc.seed;
-  Deployment dep(spec);
-
-  SerializabilityChecker checker;
-  RunConfig cfg;
-  cfg.clients = pc.clients;
-  cfg.seed = pc.seed;
-  cfg.settle = pc.kind == DeploymentSpec::Kind::kLan ? sim::msec(800) : sim::msec(1500);
-  cfg.warmup = sim::msec(500);
-  cfg.measure = sim::sec(6);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = pc.items;
-  mc.global_fraction = pc.global_fraction;
-  mc.commit_hook = [&](TxId id, std::vector<std::pair<Key, TxId>> reads, std::vector<Key> writes) {
-    checker.add_committed(id, std::move(reads), std::move(writes));
-  };
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  // Quiesce: no new transactions start; drain everything in flight.
-  dep.run_until(dep.simulator().now() + sim::sec(20));
-  for (Server* s : dep.servers()) {
-    ASSERT_EQ(s->pending_count(), 0u) << s->name() << " still has pending transactions";
+  Scenario sc;
+  sc.spec.kind = pc.kind;
+  sc.spec.partitions = pc.partitions;
+  if (pc.all_on) {
+    sc.spec.server.techniques = *TechniqueConfig::preset("all-on");
+  } else {
+    sc.spec.server.techniques.reorder_threshold = pc.reorder_threshold;
+    sc.spec.server.techniques.bloom_readsets = pc.bloom;
+    sc.spec.server.techniques.delaying_enabled = pc.delaying;
   }
+  sc.spec.server.pdur.cores = pc.cores;
+  sc.spec.paxos.log_write_latency = sim::usec(300);
+  sc.spec.seed = pc.seed;
+  sc.run = {.clients = pc.clients,
+            .settle = pc.kind == DeploymentSpec::Kind::kLan ? sim::msec(800) : sim::msec(1500),
+            .warmup = sim::msec(500),
+            .measure = sim::sec(6),
+            .seed = pc.seed};
+  sc.micro = {.items_per_partition = pc.items, .global_fraction = pc.global_fraction};
+  sc.drain = sim::sec(20);  // no new transactions start; everything in flight ends
+  sc.history = true;
+  const ScenarioResult r = run_scenario(sc);
 
+  ASSERT_TRUE(r.drained) << "a replica still has pending transactions";
   // Sanity: the run did real, contended work.
-  ASSERT_GT(checker.committed_count(), 50u) << "workload barely ran";
-  std::uint64_t aborted = 0;
-  for (const auto& [cls, st] : r.classes) aborted += st.aborted;
+  ASSERT_GT(r.history_commits, 50u) << "workload barely ran";
   if (pc.items <= 50) {
-    EXPECT_GT(aborted, 0u) << "tiny keyspace should produce certification aborts";
+    EXPECT_GT(r.aborted, 0u) << "tiny keyspace should produce certification aborts";
   }
-
-  // Recover the per-key version order from replica 0 of each partition and
-  // cross-check every other replica against it (determinism).
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    Server& ref = dep.server(p, 0);
-    for (Key k : ref.store().keys()) {
-      const auto* versions = ref.store().versions_of(k);
-      ASSERT_NE(versions, nullptr);
-      std::vector<TxId> order;
-      for (const auto& vv : *versions) {
-        if (vv.version == 0) continue;  // initial load
-        order.push_back(MicroWorkload::decode_writer(vv.value));
-      }
-      checker.set_key_order(k, order);
-
-      for (std::uint32_t rep = 1; rep < dep.replica_count(); ++rep) {
-        const auto* other = dep.server(p, rep).store().versions_of(k);
-        ASSERT_NE(other, nullptr) << "key " << k;
-        ASSERT_EQ(versions->size(), other->size()) << "key " << k << " replica " << rep;
-        for (std::size_t i = 0; i < versions->size(); ++i) {
-          ASSERT_EQ((*versions)[i].version, (*other)[i].version);
-          ASSERT_EQ((*versions)[i].value, (*other)[i].value);
-        }
-      }
-    }
-  }
-
-  std::string why;
-  EXPECT_TRUE(checker.check(&why)) << "serializability violated: " << why;
-
-#if SDUR_AUDIT_ON
+  // Determinism: every replica of a partition holds the same version
+  // chains as replica 0, from which the MVSG's key orders were read.
+  EXPECT_TRUE(r.agree);
+  EXPECT_TRUE(r.serializable) << "serializability violated: " << r.why;
   // The online audit watched the same run the MVSG checker just validated;
   // both oracles must agree the history is healthy.
-  EXPECT_TRUE(audit::Auditor::instance().clean())
-      << "online audit disagrees with offline MVSG check:\n"
-      << audit::Auditor::instance().summary();
-#endif
+  EXPECT_EQ(r.new_violations, 0u) << "online audit disagrees with offline MVSG check";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -157,7 +115,14 @@ INSTANTIATE_TEST_SUITE_P(
                      .kind = DeploymentSpec::Kind::kWan2,
                      .reorder_threshold = 40,
                      .items = 60,
-                     .seed = 29}),
+                     .seed = 29},
+        PropertyCase{.name = "lan_all_on", .all_on = true, .seed = 31},
+        PropertyCase{.name = "wan1_all_on",
+                     .kind = DeploymentSpec::Kind::kWan1,
+                     .all_on = true,
+                     .items = 60,
+                     .seed = 37},
+        PropertyCase{.name = "lan_all_on_four_cores", .all_on = true, .cores = 4, .seed = 41}),
     [](const ::testing::TestParamInfo<PropertyCase>& param_info) { return param_info.param.name; });
 
 }  // namespace

@@ -13,102 +13,31 @@
 #include <functional>
 #include <memory>
 
-#include "audit/audit.h"
-#include "workload/driver.h"
-#include "workload/history.h"
-#include "workload/microbench.h"
+#include "workload/scenario.h"
 
 namespace sdur::workload {
 namespace {
 
 TEST(Torture, LossCrashesCheckpointsAndReorderingStaySerializable) {
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.server.techniques.reorder_threshold = 48;
-  spec.server.checkpoint_interval = sim::msec(600);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.seed = 31;
-  // Aggressive client retries: loss is frequent here, and retry latency
-  // dominates progress otherwise.
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.03);
+  // The torture recipe at full length: more clients, a 10 s window, the
+  // churn from 2 s (never replica 0: contacts stay reachable; never a
+  // majority of any group), a 40 s drain, and the history recorded.
+  Scenario sc = torture_recipe();
+  sc.run.clients = 12;
+  sc.run.warmup = sim::msec(500);
+  sc.run.measure = sim::sec(10);
+  sc.faults.churn = {.seed = 7, .from = sim::sec(2), .every = sim::msec(900), .down = sim::msec(600)};
+  sc.drain = sim::sec(40);
+  sc.history = true;
+  const ScenarioResult r = run_scenario(sc);
 
-  SerializabilityChecker checker;
-  RunConfig cfg;
-  cfg.clients = 12;
-  cfg.seed = 31;
-  cfg.warmup = sim::msec(500);
-  cfg.measure = sim::sec(10);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 60;
-  mc.global_fraction = 0.3;
-  mc.commit_hook = [&](TxId id, std::vector<std::pair<Key, TxId>> reads, std::vector<Key> writes) {
-    checker.add_committed(id, std::move(reads), std::move(writes));
-  };
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  // Crash/recover follower replicas on a rolling schedule (never replica 0:
-  // contacts stay reachable; never a majority of any group).
-  util::Rng chaos(7);
-  for (sim::Time t = sim::sec(2); t < stop_at; t += sim::msec(900)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(2));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(600),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  // Quiesce: heal the network and drain everything.
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();  // no-op if alive
-  dep.run_until(dep.simulator().now() + sim::sec(40));
-
-  ASSERT_GT(checker.committed_count(), 200u) << "the system made real progress under churn";
-  std::uint64_t unknown = 0;
-  for (const auto& [cls, st] : r.classes) unknown += st.unknown;
-  EXPECT_EQ(unknown, 0u) << "commit retries + outcome memory give exact answers under loss";
-
-  for (Server* s : dep.servers()) {
-    ASSERT_EQ(s->pending_count(), 0u) << s->name();
-  }
-
-  // Convergence: every replica of a partition holds identical data.
-  for (PartitionId p = 0; p < 2; ++p) {
-    Server& ref = dep.server(p, 0);
-    for (std::uint32_t rep = 1; rep < 3; ++rep) {
-      Server& other = dep.server(p, rep);
-      ASSERT_EQ(ref.sc(), other.sc()) << "partition " << p << " replica " << rep;
-    }
-    for (Key k : ref.store().keys()) {
-      const auto* versions = ref.store().versions_of(k);
-      std::vector<TxId> order;
-      for (const auto& vv : *versions) {
-        if (vv.version == 0) continue;
-        order.push_back(MicroWorkload::decode_writer(vv.value));
-      }
-      checker.set_key_order(k, order);
-      for (std::uint32_t rep = 1; rep < 3; ++rep) {
-        auto a = ref.store().get_latest(k);
-        auto b = dep.server(p, rep).store().get_latest(k);
-        ASSERT_TRUE(b.has_value()) << "key " << k;
-        ASSERT_EQ(a->value, b->value) << "partition " << p << " key " << k << " replica " << rep;
-        ASSERT_EQ(a->version, b->version);
-      }
-    }
-  }
-
-  std::string why;
-  EXPECT_TRUE(checker.check(&why)) << "serializability violated under churn: " << why;
+  ASSERT_GT(r.history_commits, 200u) << "the system made real progress under churn";
+  EXPECT_EQ(r.unknown, 0u) << "commit retries + outcome memory give exact answers under loss";
+  EXPECT_TRUE(r.drained);
+  EXPECT_TRUE(r.agree) << "every replica of a partition holds identical data";
+  EXPECT_TRUE(r.serializable) << "serializability violated under churn: " << r.why;
+  EXPECT_EQ(r.new_violations, 0u);
 }
-
 
 /// One closed-loop client of CrashedContactAndLeaderNeverRecovers: 20%
 /// read-only transactions over both partitions, the rest read and write
@@ -215,37 +144,16 @@ TEST(Torture, CrashedContactAndLeaderNeverRecovers) {
   EXPECT_GT(retries, 0u) << "clients failed over";
   EXPECT_TRUE(dep.server(0, 1).engine().is_leader() || dep.server(0, 2).engine().is_leader());
 
-  // The live replicas converge; the MVSG over their key orders is acyclic.
-  for (PartitionId p = 0; p < 2; ++p) {
-    Server& ref = dep.server(p, p == 0 ? 1 : 0);
-    for (std::uint32_t rep = 0; rep < 3; ++rep) {
-      Server& s = dep.server(p, rep);
-      if (s.crashed()) continue;
-      EXPECT_EQ(s.pending_count(), 0u) << s.name();
-      // Votes for globals whose part never reached this partition left no
-      // round behind (their clients' later transactions raised the floor).
-      EXPECT_EQ(s.round_count(), 0u) << s.name();
-      EXPECT_EQ(s.sc(), ref.sc()) << s.name();
-      EXPECT_EQ(s.certified(), ref.certified()) << s.name();
-      util::Writer a;
-      util::Writer b;
-      s.store().encode(a);
-      ref.store().encode(b);
-      EXPECT_EQ(a.data(), b.data()) << s.name() << " store differs from " << ref.name();
-    }
-    for (Key k : ref.store().keys()) {
-      std::vector<TxId> order;
-      for (const auto& vv : *ref.store().versions_of(k)) {
-        if (vv.version != 0) order.push_back(MicroWorkload::decode_writer(vv.value));
-      }
-      checker.set_key_order(k, order);
-    }
-  }
+  // The live replicas are drained and converge: votes for globals whose part
+  // never reached this partition left no round behind (their clients'
+  // later transactions raised the floor). The MVSG over their key orders
+  // is acyclic.
+  EXPECT_TRUE(drained(dep));
+  EXPECT_TRUE(replicas_agree(dep));
+  read_key_orders(dep, checker);
   std::string why;
   EXPECT_TRUE(checker.check(&why)) << "serializability violated after failover: " << why;
-#if SDUR_AUDIT_ON
-  EXPECT_TRUE(audit::Auditor::instance().clean()) << audit::Auditor::instance().summary();
-#endif
+  EXPECT_EQ(audit_violations(), 0u);
 }
 
 }  // namespace

@@ -28,19 +28,7 @@
 
 #include "trace/export.h"
 #include "trace/trace.h"
-#include "util/hash.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
-
-namespace {
-
-std::uint64_t digest_writer(const sdur::util::Writer& w) {
-  const sdur::util::Bytes& b = w.data();
-  return sdur::util::fnv1a(
-      std::string_view(reinterpret_cast<const char*>(b.data()), b.size()));
-}
-
-}  // namespace
+#include "workload/scenario.h"
 
 namespace sdur::trace {
 namespace {
@@ -121,77 +109,20 @@ using trace::Tracer;
 using trace::TraceGuard;
 
 struct ChaosResult {
-  std::uint64_t state_digest = 0;  // replica state: sc/certified/dc + store
+  std::uint64_t digest = 0;        // replica state, network accounting, events, clock
   sim::NetworkStats net;
-  std::uint64_t events = 0;
-  sim::Time end_time = 0;
   std::uint64_t committed = 0;
   std::uint64_t trace_digest = 0;  // digest of the full record stream
   std::uint64_t trace_records = 0;
 };
 
-/// The fabric_equiv chaos recipe (loss, follower churn, checkpoints,
-/// reordering, 30% globals) with trace recording armed or disarmed.
+/// The torture recipe (loss, follower churn, checkpoints, reordering, 30%
+/// globals) with trace recording armed or disarmed.
 ChaosResult run_chaos(bool traced) {
   TraceGuard guard(traced, 1u << 17);
+  const ScenarioResult r = run_scenario(torture_recipe());
 
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.paxos.log_write_latency = sim::usec(300);
-  spec.server.techniques.reorder_threshold = 48;
-  spec.server.checkpoint_interval = sim::msec(600);
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.seed = 31;
-  spec.client.commit_retry_interval = sim::msec(800);
-  Deployment dep(spec);
-  dep.network().set_loss_rate(0.03);
-
-  RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 31;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 60;
-  mc.global_fraction = 0.3;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  util::Rng chaos(7);
-  for (sim::Time t = sim::sec(1); t < stop_at; t += sim::msec(700)) {
-    const PartitionId p = static_cast<PartitionId>(chaos.below(2));
-    const std::uint32_t replica = 1 + static_cast<std::uint32_t>(chaos.below(2));
-    dep.simulator().schedule_at(t, [&dep, p, replica] { dep.server(p, replica).crash(); });
-    dep.simulator().schedule_at(t + sim::msec(450),
-                                [&dep, p, replica] { dep.server(p, replica).recover(); });
-  }
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-
-  dep.network().set_loss_rate(0);
-  for (Server* s : dep.servers()) s->recover();
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  ChaosResult out;
-  util::Writer w;
-  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
-    for (std::uint32_t rep = 0; rep < dep.replica_count(); ++rep) {
-      Server& s = dep.server(p, rep);
-      w.i64(s.sc());
-      w.i64(s.certified());
-      w.u64(s.dc());
-      s.store().encode(w);
-    }
-  }
-  out.state_digest = digest_writer(w);
-  out.net = dep.network().stats();
-  out.events = dep.simulator().events_processed();
-  out.end_time = dep.simulator().now();
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-
+  ChaosResult out{r.digest, r.dep->network().stats(), r.committed};
   util::Writer tw;
   for (const trace::Record& rec : Tracer::instance().records()) {
     tw.i64(rec.ts);
@@ -203,7 +134,7 @@ ChaosResult run_chaos(bool traced) {
     tw.u8(static_cast<std::uint8_t>(rec.point));
     tw.u8(static_cast<std::uint8_t>(rec.kind));
   }
-  out.trace_digest = digest_writer(tw);
+  out.trace_digest = hash_of(tw);
   out.trace_records = Tracer::instance().records_appended();
   return out;
 }
@@ -216,16 +147,15 @@ TEST(TraceEquiv, RecordingDoesNotChangeSimulation) {
   ASSERT_GT(traced.committed, 20u) << "the chaos run made real progress";
 
   // Armed vs disarmed: byte-identical replica state and identical
-  // message/event accounting — tracing never influences simulated results.
-  EXPECT_EQ(traced.state_digest, untraced.state_digest);
+  // message/event accounting and clock — tracing never influences
+  // simulated results.
+  EXPECT_EQ(traced.digest, untraced.digest);
   EXPECT_TRUE(traced.net == untraced.net) << "NetworkStats diverged";
-  EXPECT_EQ(traced.events, untraced.events);
-  EXPECT_EQ(traced.end_time, untraced.end_time);
   EXPECT_EQ(traced.committed, untraced.committed);
   EXPECT_EQ(untraced.trace_records, 0u) << "disarmed runs record nothing";
 
   // Same seed, armed twice: the record stream itself is bit-reproducible.
-  EXPECT_EQ(traced.state_digest, again.state_digest);
+  EXPECT_EQ(traced.digest, again.digest);
 #if SDUR_TRACE
   EXPECT_GT(traced.trace_records, 0u);
 #else
@@ -240,28 +170,14 @@ TEST(TraceEquiv, RecordingDoesNotChangeSimulation) {
 /// A clean traced run (no chaos) for structural checks: every invariant
 /// below must hold for serial and P-DUR deployments alike.
 void run_clean(PartitionId partitions, std::uint32_t cores, double global_fraction) {
-  DeploymentSpec spec;
-  spec.partitions = partitions;
-  spec.partitioning = MicroWorkload::make_partitioning(partitions, 200);
-  spec.server.pdur.cores = cores;
-  spec.seed = 5;
-  Deployment dep(spec);
-
-  RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 5;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 200;
-  mc.global_fraction = global_fraction;
-  mc.cores = cores;
-  mc.cross_core_fraction = cores > 1 ? 0.2 : 0.0;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-  (void)run_experiment(dep, wl, cfg);
+  Scenario sc;
+  sc.spec.partitions = partitions;
+  sc.spec.server.pdur.cores = cores;
+  sc.spec.seed = 5;
+  sc.run = {.clients = 8, .warmup = sim::msec(400), .measure = sim::sec(2), .seed = 5};
+  sc.micro = {.items_per_partition = 200, .global_fraction = global_fraction};
+  sc.micro.cross_core_fraction = 0.2;  // read only on P-DUR replicas
+  (void)run_scenario(sc);
 }
 
 TEST(TraceInvariants, SpansWellFormedAndTimestampsMonotonePerTrack) {

@@ -1,14 +1,14 @@
 // Vote-exchange batching & piggybacking tests (see DESIGN.md "Vote
 // exchange & batching").
 //
-//  1. Golden pin: with vote_batching off (the default) a chaos scenario
-//     (loss, follower churn, checkpoints, reordering, 40% globals over 3
-//     partitions) reproduces the pre-batching digest bit-for-bit — the
-//     batching layer is provably inert when disabled.
-//  2. Batching on, same chaos recipe: the run converges (all pending
-//     globals resolve, replicas of each partition agree byte-for-byte),
-//     with batched-vote delivery interleaving crash recovery and
-//     checkpoint/state-transfer installs.
+//  1. Golden pin: with vote_batching off (the default) the chaos recipe
+//     reproduces the pre-batching digest bit-for-bit — the batching layer
+//     is provably inert when disabled (tests/legacy_golden.h).
+//  2. Batching on, the chaos recipe (loss, follower churn, checkpoints,
+//     reordering, 40% globals over 3 partitions): the run converges (all
+//     pending globals resolve, replicas of each partition agree
+//     byte-for-byte), with batched-vote delivery interleaving crash
+//     recovery and checkpoint/state-transfer installs.
 //  3. Message collapse: against the identical clean workload, batching
 //     replaces the per-transaction vote fan-out with VoteBatchMsg flushes
 //     and piggybacked rides; the wire-level vote-message count drops.
@@ -23,78 +23,19 @@
 
 #include <string_view>
 
-#include "chaos_recipe.h"
+#include "legacy_golden.h"
 #include "sdur/messages.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
+#include "workload/scenario.h"
 
 namespace sdur::workload {
 namespace {
 
-/// Frozen pre-batching digest of the shared chaos recipe with batching off;
-/// captured on the commit preceding the batching layer. Any drift means the
-/// default-off configuration is no longer the legacy protocol.
-/// Re-pinned once when reads moved from the stable prefix to the per-key
-/// read frontier (DESIGN.md "Per-key read frontier"): fresher snapshots
-/// commit 84 transactions here instead of 60.
-/// Re-pinned once when the checkpoint's dedup sections became the
-/// per-client session table: StateTransfer bytes shrank (94864 -> 86110);
-/// replica state and every other counter are unchanged.
-/// Re-pinned once when an abort request for an undelivered transaction
-/// began completing it: the aborted id enters the checkpointed outcome
-/// history, so StateTransfer bytes grew (86110 -> 86119, same 17
-/// transfers); replica state and every message count are unchanged.
-/// Re-pinned once when retries began failing over (DESIGN.md "Failover"):
-/// attempt i of a request goes to the partition's replica i % 3, and a
-/// commit retry at a replica that delivered a global re-forwards a missing
-/// part. Under the recipe's loss and follower crashes the message schedule
-/// changes, and with it the fabric RNG stream: 98 commits instead of 84.
-/// Re-pinned once when clients began choosing replicas by miss count
-/// (DESIGN.md "Failover"): a read lost to the recipe's 2% loss charges
-/// its replica a miss, so the client's next requests go to another replica
-/// with a probe copy to the nearest one, and the message schedule and the
-/// fabric RNG stream change: 86 commits instead of 98. (Over 24 reseeded
-/// runs of this recipe the commits summed 2155 before and 2181 after.)
-/// Re-pinned once when contacts began choosing a remote partition's replica
-/// by silence (DESIGN.md "Failover"): a contact that heard another replica
-/// of a partition within ten gossip periods but nothing from replica 0
-/// forwards to that replica. Under the recipe's 2% loss a partition whose
-/// head stalls stops gossiping and a lost vote leaves replica 0 silent, so
-/// one forward goes to replica 1, which relays it (at 1.17 s), and the
-/// message schedule and the fabric RNG stream change: 85 commits instead
-/// of 86. (Over 24 runs reseeded 1..24 the commits summed 2209 before and
-/// 2331 after.) The derived election timing and forward parking move
-/// nothing here: the recipe crashes no leader.
-/// Re-pinned once when recovered replicas began answering clients only
-/// once caught up, catch-up kept one request outstanding, and contacts
-/// began re-sending a remote part on their own timer (DESIGN.md
-/// "Failover"): the recipe's recovering followers drop the clients' probe
-/// copies while they replay and ask for each catch-up chunk once, and a
-/// part lost to the 2% loss goes out again 2·δ + 100 ms after it was sent
-/// when nothing came from its replica in the last 100 ms, so the message
-/// schedule and the fabric RNG stream change: 100 commits instead of 85
-/// (94 with the recovery changes alone).
-/// Re-pinned once when reads began retrying after one round trip plus
-/// 20 ms (the recipe's own 300 ms went with the setting), a retry to a
-/// replica heard from since the request reached it charged it no miss,
-/// checkpoints began covering only applied deliveries, and followers
-/// began campaigning from a timer at their suspicion deadline: under the
-/// 2% loss a lost read goes out again some 280 ms sooner, and a follower
-/// that lost a heartbeat arms a timer that fires without campaigning (the
-/// run still holds one election per partition), so the message schedule,
-/// the event count and the fabric RNG stream change: 118 commits instead
-/// of 100. A scratch build with those four changes undone gave back every
-/// earlier pin. Over 24 runs reseeded 1..24 the commits summed 2307
-/// before and 2455 after; one of the 24 (seed 8) held a fourth election,
-/// two heartbeats lost in a row.
-constexpr std::uint64_t kLegacyDigest = 6145334633699082793ULL;
-constexpr std::uint64_t kLegacyCommitted = 118;
 /// Digest of the batching-on run: pins the batch and piggyback send order.
 /// Re-pinned once for the session-table checkpoint format: StateTransfer
 /// bytes shrank (49700 -> 45876); replica state and every other counter
 /// are unchanged.
-/// Re-pinned once when retries began failing over, on the legacy pin's
-/// terms.
+/// Re-pinned once when retries began failing over, on the terms of the
+/// legacy pin (tests/legacy_golden.h).
 /// Re-pinned once when clients began choosing replicas by miss count, on
 /// the legacy pin's terms.
 /// Re-pinned once when contacts began choosing a remote partition's replica
@@ -108,45 +49,35 @@ constexpr std::uint64_t kLegacyCommitted = 118;
 /// the legacy pin's terms.
 constexpr std::uint64_t kBatchingOnDigest = 0xb02bc38d4bfad486ULL;
 
-using chaos::ChaosOut;
-using chaos::replicas_agree;
-
-/// The shared chaos recipe (tests/chaos_recipe.h) at reorder threshold 24,
-/// vote batching on or off.
-ChaosOut run_chaos(bool batching) {
-  TechniqueConfig t;
-  t.reorder_threshold = 24;
-  t.vote_batching = batching;
-  return chaos::run_chaos(t);
-}
-
 TEST(VoteBatch, BatchingOffMatchesLegacyGolden) {
-  const ChaosOut r = run_chaos(false);
-  EXPECT_EQ(r.digest, kLegacyDigest)
-      << "vote_batching=false must stay bit-identical to the pre-batching protocol";
-  EXPECT_EQ(r.committed, kLegacyCommitted);
+  const ScenarioResult r = run_legacy_golden();
   // The batching layer is fully inert when off: no batch traffic, no
   // batching stats.
-  EXPECT_EQ(r.net.per_type_count.at(msgtype::kVoteBatch), 0u);
-  EXPECT_EQ(r.net.per_type_count.at(msgtype::kVotePiggyback), 0u);
-  EXPECT_EQ(r.stats.vote_batches_sent, 0u);
-  EXPECT_EQ(r.stats.votes_batched, 0u);
-  EXPECT_EQ(r.stats.votes_piggybacked, 0u);
+  const sim::NetworkStats& net = r.dep->network().stats();
+  EXPECT_EQ(net.per_type_count.at(msgtype::kVoteBatch), 0u);
+  EXPECT_EQ(net.per_type_count.at(msgtype::kVotePiggyback), 0u);
+  const Server::Stats st = r.dep->total_stats();
+  EXPECT_EQ(st.vote_batches_sent, 0u);
+  EXPECT_EQ(st.votes_batched, 0u);
+  EXPECT_EQ(st.votes_piggybacked, 0u);
 }
 
 TEST(VoteBatch, BatchingOnConvergesUnderChaosAndCheckpointInstalls) {
-  const ChaosOut r = run_chaos(true);
+  const ScenarioResult r =
+      run_scenario(chaos_recipe(TechniqueConfig{.reorder_threshold = 24, .vote_batching = true}));
   EXPECT_EQ(r.digest, kBatchingOnDigest) << "vote batch/piggyback send order changed";
   EXPECT_GT(r.committed, 20u) << "the chaos run made real progress";
   EXPECT_TRUE(r.agree) << "replicas of each partition converged byte-for-byte";
-  EXPECT_EQ(r.pending_total, 0u) << "every pending global resolved after heal";
+  EXPECT_TRUE(r.drained) << "every pending global resolved after heal";
   // The batcher actually carried the vote exchange: explicit batch
   // flushes and free rides both happened, and the legacy per-transaction
   // unicast fan-out is gone outside the resend/vote-request repair path.
-  EXPECT_GT(r.stats.votes_batched, 0u);
-  EXPECT_GT(r.stats.votes_piggybacked, 0u);
-  EXPECT_GT(r.net.per_type_count.at(msgtype::kVoteBatch), 0u);
-  EXPECT_GT(r.net.per_type_count.at(msgtype::kVotePiggyback), 0u);
+  const Server::Stats st = r.dep->total_stats();
+  const sim::NetworkStats& net = r.dep->network().stats();
+  EXPECT_GT(st.votes_batched, 0u);
+  EXPECT_GT(st.votes_piggybacked, 0u);
+  EXPECT_GT(net.per_type_count.at(msgtype::kVoteBatch), 0u);
+  EXPECT_GT(net.per_type_count.at(msgtype::kVotePiggyback), 0u);
 }
 
 struct CleanOut {
@@ -160,35 +91,21 @@ struct CleanOut {
 /// regime the paper's multi-partition experiments run in and the one the
 /// ISSUE acceptance bar (>= 4x vote-message reduction) targets.
 CleanOut run_clean(bool batching, std::uint32_t clients = 12, sim::Time interval = 0) {
-  DeploymentSpec spec;
-  spec.partitions = 3;
-  spec.partitioning = MicroWorkload::make_partitioning(3, 120);
-  spec.server.techniques.reorder_threshold = 16;
-  spec.server.techniques.vote_batching = batching;
-  if (interval > 0) spec.server.techniques.vote_batch_interval = interval;
-  spec.seed = 9;
-  Deployment dep(spec);
-
-  RunConfig cfg;
-  cfg.clients = clients;
-  cfg.seed = 9;
-  cfg.warmup = sim::msec(400);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 120;
-  mc.global_fraction = 0.15;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
-  const RunResult r = run_experiment(dep, wl, cfg);
-  dep.run_until(dep.simulator().now() + sim::sec(2));
+  Scenario sc;
+  sc.spec.partitions = 3;
+  sc.spec.server.techniques.reorder_threshold = 16;
+  sc.spec.server.techniques.vote_batching = batching;
+  if (interval > 0) sc.spec.server.techniques.vote_batch_interval = interval;
+  sc.spec.seed = 9;
+  sc.run = {.clients = clients, .warmup = sim::msec(400), .measure = sim::sec(2), .seed = 9};
+  sc.micro = {.items_per_partition = 120, .global_fraction = 0.15};
+  sc.drain = sim::sec(2);
+  const ScenarioResult r = run_scenario(sc);
 
   CleanOut out;
-  for (const auto& [cls, st] : r.classes) out.committed += st.committed;
-  out.stats = dep.total_stats();
-  out.net = dep.network().stats();
+  out.committed = r.committed;
+  out.stats = r.dep->total_stats();
+  out.net = r.dep->network().stats();
   // Piggybacked votes ride messages that were being sent anyway, so only
   // kVote unicasts and kVoteBatch flushes count as vote-exchange cost.
   out.vote_messages = out.net.per_type_count.at(msgtype::kVote) +
@@ -234,29 +151,15 @@ TEST(VoteBatch, BatchingCollapsesVoteMessages) {
 /// log and re-sends votes wholesale, adding more. Both the unicast and
 /// the batched delivery path share the check.
 void run_stale(bool batching) {
-  DeploymentSpec spec;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, 60);
-  spec.server.techniques.vote_batching = batching;
-  spec.seed = 21;
-  Deployment dep(spec);
-
-  RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 21;
-  cfg.warmup = sim::msec(300);
-  cfg.measure = sim::sec(1);
-
-  MicroConfig mc;
-  mc.items_per_partition = 60;
-  mc.global_fraction = 0.5;
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-  const RunResult r = run_experiment(dep, wl, cfg);
-  std::uint64_t committed = 0;
-  for (const auto& [cls, st] : r.classes) committed += st.committed;
-  ASSERT_GT(committed, 20u);
+  Scenario sc;
+  sc.spec.partitions = 2;
+  sc.spec.server.techniques.vote_batching = batching;
+  sc.spec.seed = 21;
+  sc.run = {.clients = 8, .warmup = sim::msec(300), .measure = sim::sec(1), .seed = 21};
+  sc.micro = {.items_per_partition = 60, .global_fraction = 0.5};
+  const ScenarioResult r = run_scenario(sc);
+  ASSERT_GT(r.committed, 20u);
+  Deployment& dep = *r.dep;
 
   const std::uint64_t steady = dep.total_stats().stale_votes_dropped;
   EXPECT_GT(steady, 0u) << "redundant replica votes arrive after completion and are dropped";
@@ -274,44 +177,24 @@ TEST(VoteBatch, StaleReplayedVotesDroppedLegacyPath) { run_stale(false); }
 TEST(VoteBatch, StaleReplayedVotesDroppedBatchedPath) { run_stale(true); }
 
 TEST(VoteBatch, ResendRepairsVotesLostWhilePartitioned) {
-  DeploymentSpec spec;
-  spec.partitions = 3;
-  spec.partitioning = MicroWorkload::make_partitioning(3, 60);
-  spec.server.techniques.reorder_threshold = 8;
-  spec.server.missing_vote_timeout = sim::msec(1500);
-  spec.server.techniques.vote_batching = true;
-  spec.seed = 13;
-  Deployment dep(spec);
-
-  RunConfig cfg;
-  cfg.clients = 8;
-  cfg.seed = 13;
-  cfg.warmup = sim::msec(300);
-  cfg.measure = sim::sec(2);
-  const sim::Time stop_at = cfg.settle + cfg.warmup + cfg.measure;
-
-  MicroConfig mc;
-  mc.items_per_partition = 60;
-  mc.global_fraction = 0.3;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  MicroWorkload wl(mc);
-
+  Scenario sc;
+  sc.spec.partitions = 3;
+  sc.spec.server.techniques.reorder_threshold = 8;
+  sc.spec.server.missing_vote_timeout = sim::msec(1500);
+  sc.spec.server.techniques.vote_batching = true;
+  sc.spec.seed = 13;
+  sc.run = {.clients = 8, .warmup = sim::msec(300), .measure = sim::sec(2), .seed = 13};
+  sc.micro = {.items_per_partition = 60, .global_fraction = 0.3};
   // A lossy window mid-run drops batched and piggybacked vote deliveries
   // wholesale; after it heals, the vote-resend / vote-request machinery
   // must re-source everything the outboxes lost.
-  dep.simulator().schedule_at(sim::sec(1), [&dep] { dep.network().set_loss_rate(0.5); });
-  dep.simulator().schedule_at(sim::sec(2), [&dep] { dep.network().set_loss_rate(0.0); });
+  sc.faults.loss_windows = {{.rate = 0.5, .from = sim::sec(1), .to = sim::sec(2)}};
+  sc.drain = sim::sec(10);
+  const ScenarioResult r = run_scenario(sc);
 
-  const RunResult r = run_experiment(dep, wl, cfg);
-  dep.run_until(dep.simulator().now() + sim::sec(10));
-
-  std::uint64_t committed = 0;
-  for (const auto& [cls, st] : r.classes) committed += st.committed;
-  EXPECT_GT(committed, 20u);
-  std::size_t pending = 0;
-  for (Server* s : dep.servers()) pending += s->pending_count();
-  EXPECT_EQ(pending, 0u) << "no global stays blocked on votes lost in the lossy window";
-  EXPECT_TRUE(replicas_agree(dep));
+  EXPECT_GT(r.committed, 20u);
+  EXPECT_TRUE(r.drained) << "no global stays blocked on votes lost in the lossy window";
+  EXPECT_TRUE(r.agree);
 }
 
 TEST(VoteBatch, CodecRoundTrip) {

@@ -26,6 +26,7 @@
 #include "util/logging.h"
 #include "workload/driver.h"
 #include "workload/microbench.h"
+#include "workload/scenario.h"
 #include "workload/social.h"
 #include "workload/ycsb.h"
 
@@ -34,14 +35,11 @@ using namespace sdur::workload;
 
 namespace {
 
-/// --crash P:R@SEC[+DOWN]: replica R of partition P crashes SEC seconds
-/// into the measurement window and, with DOWN, recovers DOWN seconds later.
-struct Crash {
-  PartitionId partition = 0;
-  std::uint32_t replica = 0;
-  double at = 0;
-  double down = 0;  // 0: never recovers
-};
+/// The settle and warm-up ahead of the measured window, which a fresh
+/// deployment starts at time 0.
+constexpr sim::Time kSettle = sim::msec(1200);
+constexpr sim::Time kWarmup = sim::sec(1);
+constexpr sim::Time kWindowStart = kSettle + kWarmup;
 
 struct Options {
   std::string deployment = "lan";
@@ -65,7 +63,9 @@ struct Options {
   bool breakdown = false;
   std::string csv;
   bool verbose = false;
-  std::vector<Crash> crashes;
+  /// --crash P:R@SEC[+DOWN]: replica R of partition P crashes SEC seconds
+  /// into the measured window and, with DOWN, recovers DOWN seconds later.
+  FaultSchedule faults;
 };
 
 void usage() {
@@ -114,7 +114,8 @@ void parse_number(const std::string& flag, const char* v, T& out) {
   if (!ok) bad_flag(flag, "cannot parse '" + std::string(v) + "'");
 }
 
-/// Parses P:R@SEC[+DOWN]; a malformed value exits 2.
+/// Parses P:R@SEC[+DOWN] into a crash at window start + SEC; a malformed
+/// value exits 2.
 Crash parse_crash(const std::string& flag, const std::string& v) {
   const std::size_t colon = v.find(':');
   const std::size_t at = v.find('@');
@@ -124,14 +125,18 @@ Crash parse_crash(const std::string& flag, const std::string& v) {
     bad_flag(flag, "expected P:R@SEC[+DOWN], got '" + v + "'");
   }
   Crash c;
+  double sec = 0;
+  double down = 0;
   parse_number(flag, v.substr(0, colon).c_str(), c.partition);
   parse_number(flag, v.substr(colon + 1, at - colon - 1).c_str(), c.replica);
-  parse_number(flag, v.substr(at + 1, plus - at - 1).c_str(), c.at);
+  parse_number(flag, v.substr(at + 1, plus - at - 1).c_str(), sec);
   if (plus != std::string::npos) {
-    parse_number(flag, v.substr(plus + 1).c_str(), c.down);
-    if (c.down <= 0) bad_flag(flag, "DOWN must be above 0");
+    parse_number(flag, v.substr(plus + 1).c_str(), down);
+    c.down = static_cast<sim::Time>(down * 1e6);
+    if (c.down <= 0) bad_flag(flag, "DOWN must be at least 1 us");
   }
-  if (c.at < 0) bad_flag(flag, "SEC must not be negative");
+  if (sec < 0) bad_flag(flag, "SEC must not be negative");
+  c.at = kWindowStart + static_cast<sim::Time>(sec * 1e6);
   return c;
 }
 
@@ -170,7 +175,7 @@ bool parse(int argc, char** argv, Options& o) {
     else if (a == "--seed") parse_number(a, need(i), o.seed);
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--verbose") o.verbose = true;
-    else if (a == "--crash") o.crashes.push_back(parse_crash(a, need(i)));
+    else if (a == "--crash") o.faults.crashes.push_back(parse_crash(a, need(i)));
     else if (a == "--help" || a == "-h") {
       usage();
       std::exit(0);
@@ -185,7 +190,7 @@ bool parse(int argc, char** argv, Options& o) {
   if (o.users < 1) bad_flag("--users", "must be at least 1");
   if (o.seconds <= 0) bad_flag("--seconds", "must be above 0");
   if (o.load_fraction <= 0 || o.load_fraction > 1) bad_flag("--auto-load", "must be in (0, 1]");
-  for (const Crash& c : o.crashes) {
+  for (const Crash& c : o.faults.crashes) {
     if (c.partition >= o.partitions || c.replica >= o.replicas) {
       bad_flag("--crash", "no replica " + std::to_string(c.replica) + " of partition " +
                               std::to_string(c.partition));
@@ -299,8 +304,8 @@ int main(int argc, char** argv) {
   };
 
   RunConfig cfg;
-  cfg.settle = sim::msec(1200);
-  cfg.warmup = sim::sec(1);
+  cfg.settle = kSettle;
+  cfg.warmup = kWarmup;
   cfg.measure = static_cast<sim::Time>(o.seconds * 1e6);
   cfg.seed = o.seed;
   cfg.clients = o.clients;
@@ -334,19 +339,7 @@ int main(int argc, char** argv) {
   sim::fabric_counters().reset();
   Deployment dep(make_spec());
   auto wl = make_workload();
-  const sim::Time window = dep.simulator().now() + cfg.settle + cfg.warmup;
-  auto crash_time = [window](const Crash& c) {
-    return window + static_cast<sim::Time>(c.at * 1e6);
-  };
-  for (const Crash& c : o.crashes) {
-    Server& victim = dep.server(c.partition, c.replica);
-    const sim::Time at = crash_time(c);
-    dep.simulator().schedule_at(at, [&victim] { victim.crash(); });
-    if (c.down > 0) {
-      dep.simulator().schedule_at(at + static_cast<sim::Time>(c.down * 1e6),
-                                  [&victim] { victim.recover(); });
-    }
-  }
+  schedule_faults(dep, o.faults, kWindowStart + cfg.measure);
   const std::string timing = derived_timing(dep);
   const RunResult r = run_experiment(dep, *wl, cfg);
 
@@ -354,11 +347,11 @@ int main(int argc, char** argv) {
               o.deployment.c_str(), o.workload.c_str(), o.partitions, o.replicas, cfg.clients,
               o.seconds, format_techniques(o.techniques).c_str());
   std::printf("%s", timing.c_str());
-  for (const Crash& c : o.crashes) {
+  for (const Crash& c : o.faults.crashes) {
     std::printf("crash: partition %u replica %u at %.3fs of the window, ", c.partition, c.replica,
-                c.at);
+                sim::to_sec(c.at - kWindowStart));
     if (c.down > 0) {
-      std::printf("recovers %.3fs later", c.down);
+      std::printf("recovers %.3fs later", sim::to_sec(c.down));
     } else {
       std::printf("never recovers");
     }
@@ -367,7 +360,7 @@ int main(int argc, char** argv) {
     std::uint32_t leader = 0;
     for (std::uint32_t rep = 0; rep < o.replicas; ++rep) {
       const sim::Time t = dep.server(c.partition, rep).engine().elected_at();
-      if (t > crash_time(c) && t < elected) {
+      if (t > c.at && t < elected) {
         elected = t;
         leader = rep;
       }
@@ -375,7 +368,7 @@ int main(int argc, char** argv) {
     if (elected == sim::kNever) {
       std::printf(", no leader change\n");
     } else {
-      std::printf(", takeover %.1f ms (replica %u leads)\n", sim::to_ms(elected - crash_time(c)),
+      std::printf(", takeover %.1f ms (replica %u leads)\n", sim::to_ms(elected - c.at),
                   leader);
     }
   }
