@@ -12,20 +12,12 @@ using namespace sdur::bench;
 namespace {
 
 void run_case(std::size_t max_batch, std::size_t pipeline) {
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kLan;
-  spec.partitions = 2;
-  const std::uint64_t items = 20'000;
-  spec.partitioning = MicroWorkload::make_partitioning(2, items);
-  spec.paxos.max_batch = max_batch;
-  spec.paxos.pipeline_window = pipeline;
-
-  MicroConfig mc;
-  mc.items_per_partition = items;
-  mc.global_fraction = 0.0;
-  MicroWorkload wl(mc);
-  Deployment dep(spec);
-  const RunResult r = workload::run_experiment(dep, wl, final_config(256));
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+  s.spec.paxos.max_batch = max_batch;
+  s.spec.paxos.pipeline_window = pipeline;
+  s.run.clients = 256;
+  s.micro = {.items_per_partition = 20'000, .global_fraction = 0.0};
+  const RunResult r = run_bench(s);
 
   std::printf("  batch=%3zu pipeline=%3zu: %8.0f tps   local p99=%7.1f ms avg=%6.1f ms\n",
               max_batch, pipeline, r.throughput(),

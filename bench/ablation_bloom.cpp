@@ -15,20 +15,11 @@ using namespace sdur::bench;
 namespace {
 
 void run_case(bool bloom, std::size_t ops) {
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kWan1;
-  spec.partitions = 2;
-  const std::uint64_t items = 100'000;
-  spec.partitioning = MicroWorkload::make_partitioning(2, items);
-  spec.server.techniques.bloom_readsets = bloom;
-
-  MicroConfig mc;
-  mc.items_per_partition = items;
-  mc.global_fraction = 0.10;
-  mc.ops_per_txn = ops;
-  MicroWorkload wl(mc);
-  Deployment dep(spec);
-  const RunResult r = workload::run_experiment(dep, wl, final_config(64));
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+  s.spec.server.techniques.bloom_readsets = bloom;
+  s.run.clients = 64;
+  s.micro = {.items_per_partition = 100'000, .global_fraction = 0.10, .ops_per_txn = ops};
+  const RunResult r = run_bench(s);
 
   const std::uint64_t committed = r.servers.committed_local + r.servers.committed_global;
   const double bytes_per_commit =

@@ -13,18 +13,10 @@ using namespace sdur::bench;
 namespace {
 
 void run_case(std::uint64_t items, double theta) {
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kLan;
-  spec.partitions = 2;
-  spec.partitioning = MicroWorkload::make_partitioning(2, items);
-
-  MicroConfig mc;
-  mc.items_per_partition = items;
-  mc.global_fraction = 0.1;
-  mc.zipf_theta = theta;
-  MicroWorkload wl(mc);
-  Deployment dep(spec);
-  const RunResult r = workload::run_experiment(dep, wl, final_config(128));
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+  s.run.clients = 128;
+  s.micro = {.items_per_partition = items, .global_fraction = 0.1, .zipf_theta = theta};
+  const RunResult r = run_bench(s);
 
   std::uint64_t committed = 0, aborted = 0;
   for (const auto& [cls, st] : r.classes) {

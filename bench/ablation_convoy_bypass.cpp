@@ -25,14 +25,10 @@
 //             >= 3x without raising the global end-to-end mean by more
 //             than 10% (with trace compiled out, only the bypass-counter
 //             bar applies).
-#include <cstring>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace sdur;
 using namespace sdur::bench;
@@ -45,50 +41,23 @@ struct ArmResult {
   double local_commit_wait_ms = -1;  // local-class stage mean; -1 = not attributed
   double local_e2e_ms = -1;
   double global_e2e_ms = -1;
-  std::uint64_t local_chains = 0;
   std::uint64_t bypassed = 0;
   std::uint64_t parked = 0;
 };
 
-#if SDUR_TRACE
-std::size_t commit_wait_stage() {
-  for (std::size_t s = 0; s < trace::Breakdown::kStages; ++s) {
-    if (std::string_view(trace::Breakdown::stage_name(s)) == "commit_wait") return s;
-  }
-  return trace::Breakdown::kStages;  // unreachable: the stage table names it
-}
-#endif
-
-ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ring) {
-#if SDUR_TRACE
-  auto& tracer = trace::Tracer::instance();
-  tracer.reset();
-  tracer.set_ring_capacity(ring);
-  tracer.set_enabled(true);
-#else
-  (void)ring;
-#endif
-  const RunResult r = run_micro(setup, clients);
-  ArmResult out;
-  out.tput = r.throughput();
-  const double committed =
-      static_cast<double>(r.servers.committed_local + r.servers.committed_global);
-  const double aborted = static_cast<double>(r.servers.aborted);
-  out.abort_rate = committed + aborted > 0 ? aborted / (committed + aborted) : 0.0;
-  out.bypassed = r.servers.bypassed_locals;
-  out.parked = r.servers.parked_locals;
-#if SDUR_TRACE
-  tracer.set_enabled(false);
-  const trace::Breakdown b = trace::build_breakdown(tracer);
-  tracer.reset();  // free the ring before the next arm
-  out.local_chains = b.local.chains;
-  if (b.local.chains > 0) {
-    out.local_commit_wait_ms = b.local.stage[commit_wait_stage()].mean() / 1000.0;
-    out.local_e2e_ms = b.local.e2e.mean() / 1000.0;
-  }
-  if (b.global.chains > 0) out.global_e2e_ms = b.global.e2e.mean() / 1000.0;
-#endif
-  return out;
+/// Runs one arm traced; reads its counters and stage means.
+ArmResult run_arm(const Scenario& s, std::size_t ring) {
+  const TracedRun t = run_traced(s, ring);
+  const Server::Stats& st = t.run.servers;
+  const double committed = static_cast<double>(st.committed_local + st.committed_global);
+  const double aborted = static_cast<double>(st.aborted);
+  return {.tput = t.run.throughput(),
+          .abort_rate = committed + aborted > 0 ? aborted / (committed + aborted) : 0.0,
+          .local_commit_wait_ms = mean_ms(t.breakdown.local, "commit_wait"),
+          .local_e2e_ms = mean_ms(t.breakdown.local, "e2e"),
+          .global_e2e_ms = mean_ms(t.breakdown.global, "e2e"),
+          .bypassed = st.bypassed_locals,
+          .parked = st.parked_locals};
 }
 
 }  // namespace
@@ -115,14 +84,12 @@ int main(int argc, char** argv) {
       std::printf("\n%u partitions, %.0f%% global, %u clients:\n", parts, gf * 100, clients);
       ArmResult off;
       for (const bool bypass : {false, true}) {
-        MicroSetup setup;
-        setup.kind = DeploymentSpec::Kind::kWan1;
-        setup.partitions = parts;
-        setup.global_fraction = gf;
-        setup.items_per_partition = 20'000;
-        setup.techniques.reorder_threshold = 0;
-        setup.techniques.ooo_bypass = bypass;
-        const ArmResult r = run_arm(setup, clients, ring);
+        Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+        s.spec.partitions = parts;
+        s.spec.server.techniques.ooo_bypass = bypass;
+        s.run.clients = clients;
+        s.micro = {.items_per_partition = 20'000, .global_fraction = gf};
+        const ArmResult r = run_arm(s, ring);
 
         std::printf(
             "  %-8s tput=%8.0f tps  local commit_wait=%8.2f ms  local e2e=%7.1f ms  "
@@ -188,15 +155,11 @@ int main(int argc, char** argv) {
     const std::uint32_t clients = smoke ? 24 : 48;
     std::printf("\n2 partitions, 20%% global, Zipf 0.99, %u clients:\n", clients);
     for (const bool bypass : {false, true}) {
-      MicroSetup setup;
-      setup.kind = DeploymentSpec::Kind::kWan1;
-      setup.partitions = 2;
-      setup.global_fraction = 0.2;
-      setup.items_per_partition = 2'000;
-      setup.zipf = 0.99;
-      setup.techniques.reorder_threshold = 0;
-      setup.techniques.ooo_bypass = bypass;
-      const ArmResult r = run_arm(setup, clients, ring);
+      Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+      s.spec.server.techniques.ooo_bypass = bypass;
+      s.run.clients = clients;
+      s.micro = {.items_per_partition = 2'000, .global_fraction = 0.2, .zipf_theta = 0.99};
+      const ArmResult r = run_arm(s, ring);
       std::printf(
           "  %-8s tput=%8.0f tps  local commit_wait=%8.2f ms  local e2e=%7.1f ms  "
           "global e2e=%7.1f ms  aborts=%5.2f%%  bypassed=%7llu  parked=%6llu\n",

@@ -18,17 +18,11 @@ using namespace sdur::bench;
 namespace {
 
 void run_mode(const char* label, bool certified) {
-  SocialConfig sc;
-  sc.users_per_partition = 5'000;
-  sc.certified_timeline = certified;
-
-  DeploymentSpec spec;
-  spec.kind = DeploymentSpec::Kind::kWan1;
-  spec.partitions = 2;
-  spec.partitioning = SocialWorkload::make_partitioning(2);
-  Deployment dep(spec);
-  SocialWorkload wl(sc);
-  const RunResult r = workload::run_experiment(dep, wl, final_config(128));
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+  s.run.clients = 128;
+  s.workload = WorkloadKind::kSocial;
+  s.social = {.users_per_partition = 5'000, .certified_timeline = certified};
+  const RunResult r = run_bench(s);
 
   const auto& tl = r.classes.at("timeline");
   const double abort_pct = tl.committed + tl.aborted == 0

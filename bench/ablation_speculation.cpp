@@ -27,14 +27,10 @@
 //             commit_wait stage mean by >= 2x while raising the abort
 //             rate by at most 1 percentage point (with trace compiled
 //             out, only the counter and abort-rate bars apply).
-#include <cstring>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace sdur;
 using namespace sdur::bench;
@@ -53,46 +49,21 @@ struct ArmResult {
   std::uint64_t rolled_back = 0;
 };
 
-#if SDUR_TRACE
-std::size_t stage_index(std::string_view name) {
-  for (std::size_t s = 0; s < trace::Breakdown::kStages; ++s) {
-    if (std::string_view(trace::Breakdown::stage_name(s)) == name) return s;
-  }
-  return trace::Breakdown::kStages;  // unreachable: the stage table names both
-}
-#endif
-
-ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ring) {
-#if SDUR_TRACE
-  auto& tracer = trace::Tracer::instance();
-  tracer.reset();
-  tracer.set_ring_capacity(ring);
-  tracer.set_enabled(true);
-#else
-  (void)ring;
-#endif
-  const RunResult r = run_micro(setup, clients);
-  ArmResult out;
-  out.tput = r.throughput();
-  const double committed =
-      static_cast<double>(r.servers.committed_local + r.servers.committed_global);
-  const double aborted = static_cast<double>(r.servers.aborted);
-  out.abort_rate = committed + aborted > 0 ? aborted / (committed + aborted) : 0.0;
-  out.speculated = r.servers.speculated_globals;
-  out.finalized = r.servers.spec_commits;
-  out.rolled_back = r.servers.spec_aborts;
-#if SDUR_TRACE
-  tracer.set_enabled(false);
-  const trace::Breakdown b = trace::build_breakdown(tracer);
-  tracer.reset();  // free the ring before the next arm
-  if (b.global.chains > 0) {
-    out.global_commit_wait_ms = b.global.stage[stage_index("commit_wait")].mean() / 1000.0;
-    out.global_spec_window_ms = b.global.stage[stage_index("spec_window")].mean() / 1000.0;
-    out.global_e2e_ms = b.global.e2e.mean() / 1000.0;
-  }
-  if (b.local.chains > 0) out.local_e2e_ms = b.local.e2e.mean() / 1000.0;
-#endif
-  return out;
+/// Runs one arm traced; reads its counters and stage means.
+ArmResult run_arm(const Scenario& s, std::size_t ring) {
+  const TracedRun t = run_traced(s, ring);
+  const Server::Stats& st = t.run.servers;
+  const double committed = static_cast<double>(st.committed_local + st.committed_global);
+  const double aborted = static_cast<double>(st.aborted);
+  return {.tput = t.run.throughput(),
+          .abort_rate = committed + aborted > 0 ? aborted / (committed + aborted) : 0.0,
+          .global_commit_wait_ms = mean_ms(t.breakdown.global, "commit_wait"),
+          .global_spec_window_ms = mean_ms(t.breakdown.global, "spec_window"),
+          .local_e2e_ms = mean_ms(t.breakdown.local, "e2e"),
+          .global_e2e_ms = mean_ms(t.breakdown.global, "e2e"),
+          .speculated = st.speculated_globals,
+          .finalized = st.spec_commits,
+          .rolled_back = st.spec_aborts};
 }
 
 }  // namespace
@@ -126,15 +97,13 @@ int main(int argc, char** argv) {
                 cell.global_fraction * 100, cell.conflict, clients);
     ArmResult off;
     for (const bool speculate : {false, true}) {
-      MicroSetup setup;
-      setup.kind = DeploymentSpec::Kind::kWan1;
-      setup.partitions = 2;
-      setup.global_fraction = cell.global_fraction;
-      setup.items_per_partition = cell.items;
-      setup.zipf = cell.zipf;
-      setup.techniques.reorder_threshold = 0;
-      setup.techniques.speculation = speculate;
-      const ArmResult r = run_arm(setup, clients, ring);
+      Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+      s.spec.server.techniques.speculation = speculate;
+      s.run.clients = clients;
+      s.micro = {.items_per_partition = cell.items,
+                 .global_fraction = cell.global_fraction,
+                 .zipf_theta = cell.zipf};
+      const ArmResult r = run_arm(s, ring);
 
       std::printf(
           "  %-8s tput=%8.0f tps  global commit_wait=%8.2f ms  spec_window=%7.2f ms  "

@@ -15,16 +15,14 @@ int main() {
   auto& rep = report_open("ablation_threshold");
   print_header("Ablation — reorder threshold sweep (WAN 1, 10% globals)");
 
-  MicroSetup base;
-  base.kind = DeploymentSpec::Kind::kWan1;
-  base.global_fraction = 0.10;
-  const std::uint32_t clients = find_clients(base);
-  std::printf("(constant load: %u clients)\n", clients);
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+  s.micro.global_fraction = 0.10;
+  s.run.clients = find_clients(s);
+  std::printf("(constant load: %u clients)\n", s.run.clients);
 
   for (std::uint32_t threshold : {0u, 20u, 40u, 80u, 160u, 320u, 640u}) {
-    MicroSetup setup = base;
-    setup.techniques.reorder_threshold = threshold;
-    const RunResult r = run_micro(setup, clients);
+    s.spec.server.techniques.reorder_threshold = threshold;
+    const RunResult r = run_bench(s);
     std::printf(
         "  R=%4u: local p99=%8.1f ms avg=%7.1f ms | global p99=%8.1f ms avg=%7.1f ms | "
         "reordered=%llu ticks=%llu\n",

@@ -22,15 +22,11 @@
 //             the acceptance bar breaks: some batching arm must move >= 4x
 //             fewer vote messages than legacy without increasing the
 //             global commit_wait mean by more than 5%.
-#include <cstring>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "common.h"
 #include "sdur/messages.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace sdur;
 using namespace sdur::bench;
@@ -54,43 +50,20 @@ struct ArmResult {
   std::uint64_t chains = 0;
 };
 
-#if SDUR_TRACE
-std::size_t commit_wait_stage() {
-  for (std::size_t s = 0; s < trace::Breakdown::kStages; ++s) {
-    if (std::string_view(trace::Breakdown::stage_name(s)) == "commit_wait") return s;
-  }
-  return trace::Breakdown::kStages;  // unreachable: the stage table names it
-}
-#endif
-
-ArmResult run_arm(const MicroSetup& setup, std::uint32_t clients, std::size_t ring) {
-#if SDUR_TRACE
-  auto& tracer = trace::Tracer::instance();
-  tracer.reset();
-  tracer.set_ring_capacity(ring);
-  tracer.set_enabled(true);
-#else
-  (void)ring;
-#endif
-  const RunResult r = run_micro(setup, clients);
-  ArmResult out;
-  out.tput = r.throughput();
-  out.vote_messages = r.net.per_type_count.at(msgtype::kVote) +
-                      r.net.per_type_count.at(msgtype::kVoteBatch);
-  out.messages_sent = r.net.messages_sent;
-  out.votes_batched = r.servers.votes_batched;
-  out.votes_piggybacked = r.servers.votes_piggybacked;
-  out.repair_unicasts = setup.techniques.vote_batching ? r.net.per_type_count.at(msgtype::kVote) : 0;
-#if SDUR_TRACE
-  tracer.set_enabled(false);
-  const trace::Breakdown b = trace::build_breakdown(tracer);
-  tracer.reset();  // free the ring before the next arm
-  out.chains = b.global.chains;
-  if (b.global.chains > 0) {
-    out.commit_wait_ms = b.global.stage[commit_wait_stage()].mean() / 1000.0;
-  }
-#endif
-  return out;
+/// Runs one arm traced; reads its message counts and the globals'
+/// commit_wait mean.
+ArmResult run_arm(const Scenario& s, std::size_t ring) {
+  const TracedRun t = run_traced(s, ring);
+  const sim::NetworkStats& net = t.run.net;
+  const std::uint64_t unicasts = net.per_type_count.at(msgtype::kVote);
+  return {.tput = t.run.throughput(),
+          .vote_messages = unicasts + net.per_type_count.at(msgtype::kVoteBatch),
+          .messages_sent = net.messages_sent,
+          .votes_batched = t.run.servers.votes_batched,
+          .votes_piggybacked = t.run.servers.votes_piggybacked,
+          .repair_unicasts = s.spec.server.techniques.vote_batching ? unicasts : 0,
+          .commit_wait_ms = mean_ms(t.breakdown.global, "commit_wait"),
+          .chains = t.breakdown.global.chains};
 }
 
 }  // namespace
@@ -129,15 +102,15 @@ int main(int argc, char** argv) {
       bool config_ok = false;
       double best_ratio = 0, best_ratio_wait = -1;
       for (const Arm& arm : arms) {
-        MicroSetup setup;
-        setup.kind = DeploymentSpec::Kind::kLan;
-        setup.partitions = parts;
-        setup.global_fraction = gf;
-        setup.items_per_partition = 20'000;
-        setup.techniques.reorder_threshold = 32;
-        setup.techniques.vote_batching = arm.batching;
-        if (arm.interval > 0) setup.techniques.vote_batch_interval = arm.interval;
-        const ArmResult r = run_arm(setup, clients, ring);
+        Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+        s.spec.partitions = parts;
+        TechniqueConfig& t = s.spec.server.techniques;
+        t.reorder_threshold = 32;
+        t.vote_batching = arm.batching;
+        if (arm.interval > 0) t.vote_batch_interval = arm.interval;
+        s.run.clients = clients;
+        s.micro = {.items_per_partition = 20'000, .global_fraction = gf};
+        const ArmResult r = run_arm(s, ring);
 
         const double ratio =
             arm.batching && r.vote_messages > 0

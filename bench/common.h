@@ -7,6 +7,9 @@
 // reused across technique settings, matching "controlling the load to
 // keep the throughput approximately constant").
 //
+// A bench describes each run as a `workload::Scenario`, most starting from
+// bench_scenario(), and runs it with the helpers below.
+//
 // Durations scale with the SDUR_BENCH_SCALE environment variable
 // (default 0.5; smaller = faster, noisier).
 //
@@ -19,24 +22,23 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "sdur/technique_config.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
-#include "workload/social.h"
+#include "trace/export.h"
+#include "trace/trace.h"
+#include "workload/scenario.h"
 
 namespace sdur::bench {
 
-using workload::MicroConfig;
-using workload::MicroWorkload;
-using workload::RunConfig;
 using workload::RunResult;
-using workload::SocialConfig;
-using workload::SocialWorkload;
+using workload::Scenario;
+using workload::WorkloadKind;
 
 /// Duration scale factor from SDUR_BENCH_SCALE. Defaults to 0.5, tuned so
 /// the full figure suite finishes in tens of minutes on one core; raise
@@ -181,100 +183,94 @@ inline sim::Time scaled(sim::Time t) {
   return static_cast<sim::Time>(static_cast<double>(t) * bench_scale());
 }
 
-/// Knobs a figure sweeps over. Technique knobs live in `techniques`
-/// (the single source of technique configuration, see
-/// sdur/technique_config.h) — benches toggle `setup.techniques.<knob>`
-/// or assign a whole `TechniqueConfig::preset(...)`.
-struct MicroSetup {
-  DeploymentSpec::Kind kind = DeploymentSpec::Kind::kWan1;
-  PartitionId partitions = 2;
-  double global_fraction = 0.1;
-  std::uint64_t items_per_partition = 100'000;
-  /// Key skew (Zipf theta; 0 = uniform) — contended cells shrink
-  /// items_per_partition and raise this.
-  double zipf = 0.0;
-  TechniqueConfig techniques;
-  std::uint64_t seed = 1;
-  /// P-DUR multi-core replica model (src/pdur/): > 1 gives every server
-  /// this many simulated cores and makes the workload core-aware.
-  std::uint32_t pdur_cores = 1;
-  /// Fraction of transactions whose keys deliberately span >= 2 cores
-  /// (only meaningful with pdur_cores > 1).
-  double cross_core_fraction = 0.0;
-};
+// --- Runs ---------------------------------------------------------------------
 
-inline std::unique_ptr<Deployment> make_micro_deployment(const MicroSetup& s) {
-  DeploymentSpec spec;
-  spec.kind = s.kind;
-  spec.partitions = s.partitions;
-  spec.partitioning = MicroWorkload::make_partitioning(s.partitions, s.items_per_partition);
-  spec.server.techniques = s.techniques;
-  spec.server.pdur.cores = s.pdur_cores;
-  spec.seed = s.seed;
-  return std::make_unique<Deployment>(spec);
+/// A bench run of the paper's micro workload (Section VI-A; 100K items per
+/// partition here, 10% globals) on 2 partitions of `kind`, measured after a
+/// 1.2 s settle and the scaled 1 s warm-up for the scaled 8 s window. The
+/// caller sets the client count, often from find_clients().
+inline Scenario bench_scenario(DeploymentSpec::Kind kind) {
+  Scenario s;
+  s.spec.kind = kind;
+  s.run = {
+      .settle = sim::msec(1200), .warmup = scaled(sim::sec(1)), .measure = scaled(sim::sec(8))};
+  return s;
 }
 
-inline MicroConfig micro_config(const MicroSetup& s) {
-  MicroConfig mc;
-  mc.items_per_partition = s.items_per_partition;
-  mc.global_fraction = s.global_fraction;
-  mc.zipf_theta = s.zipf;
-  mc.cores = s.pdur_cores;
-  mc.cross_core_fraction = s.cross_core_fraction;
-  return mc;
+/// Runs `s` once on a fresh build.
+inline RunResult run_bench(const Scenario& s) {
+  const workload::Built b = workload::build(s);
+  return workload::run_experiment(*b.dep, *b.workload, s.run);
 }
 
-inline RunConfig probe_config() {
-  RunConfig cfg;
-  cfg.settle = sim::msec(1200);
-  cfg.warmup = scaled(sim::sec(1));
-  cfg.measure = scaled(sim::sec(4));
-  return cfg;
-}
-
-inline RunConfig final_config(std::uint32_t clients) {
-  RunConfig cfg;
-  cfg.clients = clients;
-  cfg.settle = sim::msec(1200);
-  cfg.warmup = scaled(sim::sec(1));
-  cfg.measure = scaled(sim::sec(8));
-  return cfg;
-}
-
-/// Finds the ~75%-of-max client count for a microbenchmark setup.
-inline std::uint32_t find_clients(const MicroSetup& s, std::uint32_t start = 16,
+/// The ~75%-of-max client count for `s`, probed with half its window.
+inline std::uint32_t find_clients(const Scenario& s, std::uint32_t start = 16,
                                   std::uint32_t max = 2048) {
-  return workload::find_operating_point(
-      [&] { return make_micro_deployment(s); },
-      [&] { return std::make_unique<MicroWorkload>(micro_config(s)); }, probe_config(), 0.75,
-      start, max);
+  Scenario probe = s;
+  probe.run.measure = scaled(sim::sec(4));
+  return workload::find_operating_point(probe, 0.75, start, max);
 }
 
-/// Runs the microbenchmark at a given client count.
-inline RunResult run_micro(const MicroSetup& s, std::uint32_t clients) {
-  MicroWorkload wl(micro_config(s));
-  auto dep = make_micro_deployment(s);
-  return workload::run_experiment(*dep, wl, final_config(clients));
-}
-
-/// Runs the microbenchmark, adjusting the client count so total committed
-/// throughput lands within ~5% of `target_tput` (the paper holds load
-/// constant when comparing delaying/reordering against the baseline:
-/// an improved configuration serves the same load with fewer in-flight
-/// clients, so its latency drops instead of its throughput rising).
-inline RunResult run_micro_matched(const MicroSetup& s, std::uint32_t start_clients,
-                                   double target_tput, std::uint32_t* used_clients = nullptr) {
-  std::uint32_t clients = start_clients;
-  RunResult r = run_micro(s, clients);
-  for (int attempt = 0; attempt < 3; ++attempt) {
+/// Runs `s`, then re-runs it up to `reruns` times with the client count
+/// scaled by target / throughput until total committed throughput lands
+/// within 5% of `target_tput`. The paper holds the load constant when
+/// comparing a technique against the baseline: an improved configuration
+/// serves the same load with fewer in-flight clients, so its latency drops
+/// instead of its throughput rising.
+inline RunResult run_matched(Scenario s, double target_tput, std::uint32_t* used_clients = nullptr,
+                             int reruns = 3) {
+  RunResult r = run_bench(s);
+  for (int attempt = 0; attempt < reruns; ++attempt) {
     const double tput = r.throughput();
     if (tput <= 0 || std::abs(tput - target_tput) / target_tput < 0.05) break;
-    clients = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(static_cast<double>(clients) * target_tput / tput));
-    r = run_micro(s, clients);
+    s.run.clients = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(static_cast<double>(s.run.clients) * target_tput / tput));
+    r = run_bench(s);
   }
-  if (used_clients) *used_clients = clients;
+  if (used_clients) *used_clients = s.run.clients;
   return r;
+}
+
+/// A run and its latency attribution (empty with tracing compiled out).
+struct TracedRun {
+  RunResult run;
+  trace::Breakdown breakdown;
+};
+
+/// Runs `s` traced. The tracer is armed with a ring of `ring` records
+/// before the build (tracks register in the Server, Client and
+/// PaxosEngine constructors), disarmed after the run, and reset once the
+/// attribution is built, which frees the ring. `inspect`, when set, sees
+/// the disarmed tracer before that.
+inline TracedRun run_traced(const Scenario& s, std::size_t ring,
+                            const std::function<void(const trace::Tracer&)>& inspect = {}) {
+  TracedRun out;
+#if SDUR_TRACE
+  auto& tracer = trace::Tracer::instance();
+  tracer.reset();
+  tracer.set_ring_capacity(ring);
+  tracer.set_enabled(true);
+  out.run = run_bench(s);
+  tracer.set_enabled(false);
+  if (inspect) inspect(tracer);
+  out.breakdown = trace::build_breakdown(tracer);
+  tracer.reset();
+#else
+  (void)ring;
+  (void)inspect;
+  out.run = run_bench(s);
+#endif
+  return out;
+}
+
+/// Mean of the named stage ("e2e": the end-to-end latency) over a class's
+/// attributed chains, in ms; -1 when the class attributed none.
+inline double mean_ms(const trace::Breakdown::Class& c, std::string_view stage) {
+  if (c.chains == 0) return -1;
+  if (stage == "e2e") return c.e2e.mean() / 1000.0;
+  std::size_t i = 0;
+  while (i + 1 < trace::Breakdown::kStages && trace::Breakdown::stage_name(i) != stage) ++i;
+  return c.stage[i].mean() / 1000.0;
 }
 
 // --- Table formatting ---------------------------------------------------------

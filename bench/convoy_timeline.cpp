@@ -11,16 +11,12 @@ using namespace sdur::bench;
 namespace {
 
 void run_case(const char* label, std::uint32_t threshold) {
-  MicroSetup setup;
-  setup.kind = DeploymentSpec::Kind::kWan1;
-  setup.global_fraction = 0.01;
-  setup.techniques.reorder_threshold = threshold;
-
-  MicroWorkload wl(micro_config(setup));
-  auto dep = make_micro_deployment(setup);
-  RunConfig cfg = final_config(100);  // light load: isolate the convoy, not queueing
-  cfg.timeline_bucket = sim::msec(100);
-  const RunResult r = workload::run_experiment(*dep, wl, cfg);
+  Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+  s.spec.server.techniques.reorder_threshold = threshold;
+  s.run.clients = 100;  // light load: isolate the convoy, not queueing
+  s.run.timeline_bucket = sim::msec(100);
+  s.micro.global_fraction = 0.01;
+  const RunResult r = run_bench(s);
 
   std::printf("\n%s (local p99 %.1f ms, avg %.1f ms). Max local latency per 100ms window:\n",
               label, static_cast<double>(r.p99("local")) / 1000.0,

@@ -23,13 +23,12 @@ int main() {
     print_header(std::string("Figure 2 — baseline SDUR, ") + name);
 
     for (double mix : mixes) {
-      MicroSetup setup;
-      setup.kind = kind;
-      setup.global_fraction = mix;
-      const std::uint32_t clients = find_clients(setup);
-      const RunResult r = run_micro(setup, clients);
+      Scenario s = bench_scenario(kind);
+      s.micro.global_fraction = mix;
+      s.run.clients = find_clients(s);
+      const RunResult r = run_bench(s);
 
-      std::printf("\n%s, %2.0f%% globals (%u clients):\n", name, mix * 100, clients);
+      std::printf("\n%s, %2.0f%% globals (%u clients):\n", name, mix * 100, s.run.clients);
       print_class_row("local transactions", r, "local");
       if (mix > 0) print_class_row("global transactions", r, "global");
       if (mix == 0.0 || mix == 0.10) {

@@ -19,21 +19,20 @@ int main() {
   print_header("Figure 3 — delaying transactions, WAN 1");
 
   for (double mix : mixes) {
-    MicroSetup base;
-    base.kind = DeploymentSpec::Kind::kWan1;
-    base.global_fraction = mix;
+    Scenario base = bench_scenario(DeploymentSpec::Kind::kWan1);
+    base.micro.global_fraction = mix;
     // One load search per mix, reused for every delay setting so the local
     // throughput stays approximately constant across configurations.
-    const std::uint32_t clients = find_clients(base);
+    base.run.clients = find_clients(base);
 
-    const RunResult baseline = run_micro(base, clients);
+    const RunResult baseline = run_bench(base);
     const double target = baseline.throughput();
     std::printf("\n%2.0f%% globals (~%.0f tps held constant):\n", mix * 100, target);
     for (sim::Time d : delays) {
-      MicroSetup setup = base;
-      setup.techniques.delaying_enabled = d > 0;
-      setup.techniques.fixed_delay = d;
-      const RunResult r = d == 0 ? baseline : run_micro_matched(setup, clients, target);
+      Scenario s = base;
+      s.spec.server.techniques.delaying_enabled = d > 0;
+      s.spec.server.techniques.fixed_delay = d;
+      const RunResult r = d == 0 ? baseline : run_matched(s, target);
       char label[64];
       if (d == 0) {
         std::snprintf(label, sizeof(label), "baseline / locals");

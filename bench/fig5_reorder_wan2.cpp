@@ -19,18 +19,17 @@ int main() {
   print_header("Figure 5 — reordering transactions, WAN 2");
 
   for (double mix : mixes) {
-    MicroSetup base;
-    base.kind = DeploymentSpec::Kind::kWan2;
-    base.global_fraction = mix;
-    const std::uint32_t clients = find_clients(base);
+    Scenario base = bench_scenario(DeploymentSpec::Kind::kWan2);
+    base.micro.global_fraction = mix;
+    base.run.clients = find_clients(base);
 
-    const RunResult baseline = run_micro(base, clients);
+    const RunResult baseline = run_bench(base);
     const double target = baseline.throughput();
     std::printf("\n%2.0f%% globals (~%.0f tps held constant):\n", mix * 100, target);
     for (std::uint32_t threshold : thresholds) {
-      MicroSetup setup = base;
-      setup.techniques.reorder_threshold = threshold;
-      const RunResult r = threshold == 0 ? baseline : run_micro_matched(setup, clients, target);
+      Scenario s = base;
+      s.spec.server.techniques.reorder_threshold = threshold;
+      const RunResult r = threshold == 0 ? baseline : run_matched(s, target);
       char label[64];
       std::snprintf(label, sizeof(label), "%s / locals",
                     threshold == 0 ? "baseline" : ("R=" + std::to_string(threshold)).c_str());

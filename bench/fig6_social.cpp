@@ -13,23 +13,8 @@
 using namespace sdur;
 using namespace sdur::bench;
 
-namespace {
-
-std::unique_ptr<Deployment> make_social_dep(DeploymentSpec::Kind kind, std::uint32_t threshold) {
-  DeploymentSpec spec;
-  spec.kind = kind;
-  spec.partitions = 2;
-  spec.partitioning = SocialWorkload::make_partitioning(2);
-  spec.server.techniques.reorder_threshold = threshold;
-  return std::make_unique<Deployment>(spec);
-}
-
-}  // namespace
-
 int main() {
   report_open("fig6_social");
-  SocialConfig sc;
-  sc.users_per_partition = 20'000;  // paper: 100k/partition; see DESIGN.md
 
   struct Config {
     DeploymentSpec::Kind kind;
@@ -44,33 +29,24 @@ int main() {
   for (const Config& c : configs) {
     print_header(std::string("Figure 6 — social network, ") + c.name);
 
-    const std::uint32_t clients = workload::find_operating_point(
-        [&] { return make_social_dep(c.kind, 0); },
-        [&] { return std::make_unique<SocialWorkload>(sc); }, probe_config(), 0.75, 8, 2048);
+    Scenario s = bench_scenario(c.kind);
+    s.workload = WorkloadKind::kSocial;
+    s.social.users_per_partition = 20'000;  // paper: 100k/partition; see DESIGN.md
+    s.run.clients = find_clients(s, 8, 2048);
 
     double target_tput = 0;
     for (std::uint32_t threshold : {0u, c.threshold}) {
       // Hold the offered load constant across the comparison (paper
       // methodology): adjust clients until total throughput matches the
       // baseline's.
-      std::uint32_t n = clients;
-      RunResult r = [&] {
-        auto dep = make_social_dep(c.kind, threshold);
-        SocialWorkload wl(sc);
-        return workload::run_experiment(*dep, wl, final_config(n));
-      }();
+      s.spec.server.techniques.reorder_threshold = threshold;
+      std::uint32_t n = s.run.clients;
+      RunResult r;
       if (threshold == 0) {
+        r = run_bench(s);
         target_tput = r.throughput();
       } else {
-        for (int attempt = 0; attempt < 2; ++attempt) {
-          const double tput = r.throughput();
-          if (tput <= 0 || std::abs(tput - target_tput) / target_tput < 0.05) break;
-          n = std::max<std::uint32_t>(
-              1, static_cast<std::uint32_t>(static_cast<double>(n) * target_tput / tput));
-          auto dep = make_social_dep(c.kind, threshold);
-          SocialWorkload wl(sc);
-          r = workload::run_experiment(*dep, wl, final_config(n));
-        }
+        r = run_matched(s, target_tput, &n, 2);
       }
 
       std::printf("\n%s, %s (%u clients, total %.0f tps):\n", c.name,

@@ -24,13 +24,12 @@ int main() {
         std::printf("  %u partition(s): (skipped: no globals possible)\n", partitions);
         continue;
       }
-      MicroSetup setup;
-      setup.kind = DeploymentSpec::Kind::kLan;
-      setup.partitions = partitions;
-      setup.global_fraction = mix;
-      setup.items_per_partition = 20'000;
-      const std::uint32_t clients = find_clients(setup, 16, 4096);
-      const RunResult r = run_micro(setup, clients);
+      Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+      s.spec.partitions = partitions;
+      s.micro = {.items_per_partition = 20'000, .global_fraction = mix};
+      const std::uint32_t clients = find_clients(s, 16, 4096);
+      s.run.clients = clients;
+      const RunResult r = run_bench(s);
       const double tput = r.throughput();
       if (base_tput == 0) base_tput = tput / partitions;
       std::printf(

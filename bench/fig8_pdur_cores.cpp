@@ -29,15 +29,14 @@ int main(int argc, char** argv) {
     std::printf("\n%2.0f%% cross-core transactions:\n", cross * 100);
     double base_tput = 0;
     for (std::uint32_t cores : core_counts) {
-      MicroSetup setup;
-      setup.kind = DeploymentSpec::Kind::kLan;
-      setup.partitions = 1;
-      setup.global_fraction = 0.0;
-      setup.items_per_partition = 20'000;
-      setup.pdur_cores = cores;
-      setup.cross_core_fraction = cross;
-      const std::uint32_t clients = smoke ? 48 : find_clients(setup, 16, 4096);
-      const RunResult r = run_micro(setup, clients);
+      Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+      s.spec.partitions = 1;
+      s.spec.server.pdur.cores = cores;
+      s.micro = {
+          .items_per_partition = 20'000, .global_fraction = 0.0, .cross_core_fraction = cross};
+      const std::uint32_t clients = smoke ? 48 : find_clients(s, 16, 4096);
+      s.run.clients = clients;
+      const RunResult r = run_bench(s);
       const double tput = r.throughput();
       if (base_tput == 0) base_tput = tput;  // 1-core baseline of this mix
       std::printf(

@@ -149,39 +149,34 @@ void run_storm(std::uint32_t spokes, std::size_t payload_size, sim::Time horizon
 
 void run_e2e(const char* section, const TechniqueConfig& techniques, std::uint32_t cores,
              std::uint32_t clients, sim::Time measure) {
-  MicroSetup s;
-  s.techniques = techniques;
-  s.pdur_cores = cores;
-  s.cross_core_fraction = cores > 1 ? 0.2 : 0.0;
-  s.kind = DeploymentSpec::Kind::kLan;  // dense event stream, high msg rate
-  s.partitions = 2;
-  s.global_fraction = 0.3;  // vote fan-out between partitions
-  s.items_per_partition = 20'000;
-  s.seed = 5;
-
-  MicroConfig mc = micro_config(s);
-  mc.value_size = 256;  // wide writesets: payload cost matters
-  mc.ops_per_txn = 8;
-  MicroWorkload wl(mc);
-  auto dep = make_micro_deployment(s);
-
-  workload::RunConfig cfg;
-  cfg.clients = clients;
-  cfg.seed = 5;
-  cfg.settle = sim::msec(1200);
-  cfg.warmup = sim::msec(500);
-  cfg.measure = measure;
+  Scenario s;
+  s.spec.kind = DeploymentSpec::Kind::kLan;  // dense event stream, high msg rate
+  s.spec.server.techniques = techniques;
+  s.spec.server.pdur.cores = cores;
+  s.spec.seed = 5;
+  s.run = {.clients = clients,
+           .settle = sim::msec(1200),
+           .warmup = sim::msec(500),
+           .measure = measure,
+           .seed = 5};
+  s.micro = {.items_per_partition = 20'000,
+             .global_fraction = 0.3,  // vote fan-out between partitions
+             .value_size = 256,       // wide writesets: payload cost matters
+             .ops_per_txn = 8,
+             .cross_core_fraction = cores > 1 ? 0.2 : 0.0};
+  const workload::Built b = workload::build(s);
 
   sim::fabric_counters().reset();
   const auto t0 = Clock::now();
-  const RunResult r = workload::run_experiment(*dep, wl, cfg);
+  const RunResult r = workload::run_experiment(*b.dep, *b.workload, s.run);
   const double wall_sec = seconds_since(t0);
   std::printf("  %-15s sim tput=%.0f tps (sanity: committed work was done)\n", "",
               r.throughput());
   if (auto* rep = report()) {
     rep->row().str("section", std::string(section) + "_sim").num("tput_tps", r.throughput());
   }
-  report_metrics(section, wall_sec, dep->simulator().events_processed(), dep->network().stats());
+  report_metrics(section, wall_sec, b.dep->simulator().events_processed(),
+                 b.dep->network().stats());
 }
 
 }  // namespace

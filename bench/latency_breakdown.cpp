@@ -18,13 +18,10 @@
 //                      (used by the latency_breakdown_smoke ctest entry)
 //   --trace-json=PATH  additionally export the first sweep's raw trace as
 //                      Chrome trace-event JSON (Perfetto-loadable)
-#include <cstring>
 #include <string>
 #include <string_view>
 
 #include "common.h"
-#include "trace/export.h"
-#include "trace/trace.h"
 
 using namespace sdur;
 using namespace sdur::bench;
@@ -32,30 +29,23 @@ using namespace sdur::bench;
 #if SDUR_TRACE
 namespace {
 
-/// Runs one traced configuration and returns the attribution. The tracer
-/// is armed before the deployment is built (track registration happens in
-/// the Server/Client/PaxosEngine constructors) and disarmed right after.
-trace::Breakdown run_traced(const MicroSetup& setup, std::uint32_t clients,
-                            std::size_t ring_capacity, const std::string& chrome_path) {
-  auto& tracer = trace::Tracer::instance();
-  tracer.reset();
-  tracer.set_ring_capacity(ring_capacity);
-  tracer.set_enabled(true);
-  const RunResult r = run_micro(setup, clients);
-  (void)r;
-  tracer.set_enabled(false);
-  if (!chrome_path.empty()) {
-    if (trace::write_chrome_trace(tracer, chrome_path)) {
-      std::printf("  (chrome trace: %s, %llu records, %llu dropped)\n", chrome_path.c_str(),
-                  static_cast<unsigned long long>(tracer.records_appended()),
-                  static_cast<unsigned long long>(tracer.records_dropped()));
-    } else {
-      std::fprintf(stderr, "latency_breakdown: cannot write %s\n", chrome_path.c_str());
-    }
-  }
-  trace::Breakdown b = trace::build_breakdown(tracer);
-  tracer.reset();  // free the ring before the next sweep
-  return b;
+/// Runs one traced configuration and returns the attribution; with a
+/// `chrome_path`, also exports the raw trace there.
+trace::Breakdown attribute(const Scenario& s, std::size_t ring, const std::string& chrome_path) {
+  return run_traced(s, ring,
+                    [&](const trace::Tracer& tracer) {
+                      if (chrome_path.empty()) return;
+                      if (trace::write_chrome_trace(tracer, chrome_path)) {
+                        std::printf("  (chrome trace: %s, %llu records, %llu dropped)\n",
+                                    chrome_path.c_str(),
+                                    static_cast<unsigned long long>(tracer.records_appended()),
+                                    static_cast<unsigned long long>(tracer.records_dropped()));
+                      } else {
+                        std::fprintf(stderr, "latency_breakdown: cannot write %s\n",
+                                     chrome_path.c_str());
+                      }
+                    })
+      .breakdown;
 }
 
 /// Prints and reports one class's stage table; returns false if the
@@ -136,20 +126,18 @@ int main(int argc, char** argv) {
   const std::vector<PartitionId> partition_counts =
       smoke ? std::vector<PartitionId>{1, 2} : std::vector<PartitionId>{1, 2, 4};
   for (PartitionId parts : partition_counts) {
-    MicroSetup setup;
-    setup.kind = DeploymentSpec::Kind::kWan1;
-    setup.partitions = parts;
-    setup.global_fraction = parts > 1 ? 0.2 : 0.0;
-    setup.items_per_partition = 20'000;
-    const std::uint32_t clients = smoke ? 16 : 48;
+    Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+    s.spec.partitions = parts;
+    s.run.clients = smoke ? 16 : 48;
+    s.micro = {.items_per_partition = 20'000, .global_fraction = parts > 1 ? 0.2 : 0.0};
     const std::string label = std::to_string(parts) + "p";
-    std::printf("\n%u partition(s), %u clients, %.0f%% global:\n", parts, clients,
-                setup.global_fraction * 100);
+    std::printf("\n%u partition(s), %u clients, %.0f%% global:\n", parts, s.run.clients,
+                s.micro.global_fraction * 100);
     // The chrome export (if requested) captures the most interesting
     // sweep: the largest partition count, where globals exercise the
     // vote-exchange path.
     const bool last = parts == partition_counts.back();
-    const trace::Breakdown b = run_traced(setup, clients, ring, last ? chrome_path : "");
+    const trace::Breakdown b = attribute(s, ring, last ? chrome_path : "");
     ok = emit_class(rep, label, "local", b.local) && ok;
     ok = emit_class(rep, label, "global", b.global) && ok;
     any_chains = any_chains || b.local.chains > 0 || b.global.chains > 0;
@@ -161,16 +149,13 @@ int main(int argc, char** argv) {
   // P-DUR section: multi-core replica, where lane_exec (home-core work
   // deferred behind the dispatch) becomes a real stage.
   {
-    MicroSetup setup;
-    setup.kind = DeploymentSpec::Kind::kLan;
-    setup.partitions = 1;
-    setup.global_fraction = 0.0;
-    setup.items_per_partition = 20'000;
-    setup.pdur_cores = 4;
-    setup.cross_core_fraction = 0.2;
-    const std::uint32_t clients = smoke ? 24 : 64;
-    std::printf("\nP-DUR, 4 cores, %u clients, 20%% cross-core (LAN):\n", clients);
-    const trace::Breakdown b = run_traced(setup, clients, ring, "");
+    Scenario s = bench_scenario(DeploymentSpec::Kind::kLan);
+    s.spec.partitions = 1;
+    s.spec.server.pdur.cores = 4;
+    s.run.clients = smoke ? 24 : 64;
+    s.micro = {.items_per_partition = 20'000, .global_fraction = 0.0, .cross_core_fraction = 0.2};
+    std::printf("\nP-DUR, 4 cores, %u clients, 20%% cross-core (LAN):\n", s.run.clients);
+    const trace::Breakdown b = attribute(s, ring, "");
     ok = emit_class(rep, "pdur-4c", "local", b.local) && ok;
     any_chains = any_chains || b.local.chains > 0;
     std::printf("  (aborted %llu, incomplete %llu chains)\n",
@@ -184,18 +169,15 @@ int main(int argc, char** argv) {
   const std::vector<PartitionId> pdur_partition_counts =
       smoke ? std::vector<PartitionId>{2} : std::vector<PartitionId>{2, 4};
   for (PartitionId parts : pdur_partition_counts) {
-    MicroSetup setup;
-    setup.kind = DeploymentSpec::Kind::kWan1;
-    setup.partitions = parts;
-    setup.global_fraction = 0.2;
-    setup.items_per_partition = 20'000;
-    setup.pdur_cores = 4;
-    setup.cross_core_fraction = 0.2;
-    const std::uint32_t clients = (smoke ? 16 : 48) * parts / 2;
+    Scenario s = bench_scenario(DeploymentSpec::Kind::kWan1);
+    s.spec.partitions = parts;
+    s.spec.server.pdur.cores = 4;
+    s.run.clients = (smoke ? 16 : 48) * parts / 2;
+    s.micro = {.items_per_partition = 20'000, .global_fraction = 0.2, .cross_core_fraction = 0.2};
     const std::string label = "pdur-4c-" + std::to_string(parts) + "p";
     std::printf("\nP-DUR, 4 cores, %u partitions, %u clients, 20%% global (WAN1):\n", parts,
-                clients);
-    const trace::Breakdown b = run_traced(setup, clients, ring, "");
+                s.run.clients);
+    const trace::Breakdown b = attribute(s, ring, "");
     ok = emit_class(rep, label, "local", b.local) && ok;
     ok = emit_class(rep, label, "global", b.global) && ok;
     any_chains = any_chains || b.local.chains > 0 || b.global.chains > 0;

@@ -3,27 +3,19 @@
 // WAN 1 deployments. Single-key reads commit locally from a snapshot;
 // updates go through certification.
 #include "common.h"
-#include "workload/ycsb.h"
 
 using namespace sdur;
 using namespace sdur::bench;
 using workload::YcsbConfig;
-using workload::YcsbWorkload;
 
 namespace {
 
 void run_mix(DeploymentSpec::Kind kind, const char* kind_name, YcsbConfig::Mix mix) {
-  YcsbConfig yc;
-  yc.mix = mix;
-  yc.records_per_partition = 50'000;
-
-  DeploymentSpec spec;
-  spec.kind = kind;
-  spec.partitions = 2;
-  spec.partitioning = YcsbWorkload::make_partitioning(2, yc.records_per_partition);
-  Deployment dep(spec);
-  YcsbWorkload wl(yc);
-  const RunResult r = workload::run_experiment(dep, wl, final_config(128));
+  Scenario s = bench_scenario(kind);
+  s.run.clients = 128;
+  s.workload = WorkloadKind::kYcsb;
+  s.ycsb = {.mix = mix, .records_per_partition = 50'000};
+  const RunResult r = run_bench(s);
 
   const double update_aborts =
       static_cast<double>(r.classes.count("update") ? r.classes.at("update").aborted : 0);

@@ -9,8 +9,8 @@
 // not settings: the delaying technique's estimates and read routing come
 // from the server's topology (Server::delay_estimate, read_replica). The
 // serial CPU cost model (per-message, per-certification and per-write
-// costs) and the vote-resend and no-op-tick periods are constants beside
-// their reader in server.cpp; the P-DUR costs are constants in
+// costs) and the gossip, vote-resend and no-op-tick periods are constants
+// beside their reader in server.cpp; the P-DUR costs are constants in
 // pdur/config.h.
 #pragma once
 
@@ -38,12 +38,6 @@ struct ServerConfig {
   /// (the prototype's "last K bloom filters"). Transactions with snapshots
   /// older than the window abort.
   std::size_t window_capacity = 50'000;
-
-  // --- Read-only snapshots -------------------------------------------------
-
-  /// Period of the snapshot-counter gossip that builds globally-consistent
-  /// snapshots for read-only transactions.
-  sim::Time gossip_interval = sim::msec(10);
 
   // --- Liveness -----------------------------------------------------------
 

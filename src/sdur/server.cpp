@@ -24,6 +24,10 @@ constexpr sim::Time kCertificationCost = sim::usec(90);
 /// Additional CPU cost per written item at apply time.
 constexpr sim::Time kApplyCostPerWrite = sim::usec(10);
 
+/// Period of the snapshot-counter gossip that builds globally-consistent
+/// snapshots for read-only transactions.
+constexpr sim::Time kGossipInterval = sim::msec(10);
+
 /// Resend this partition's vote for a stuck pending global (lost votes);
 /// the liveness pass runs at half this period.
 constexpr sim::Time kVoteResendInterval = sim::msec(500);
@@ -31,7 +35,7 @@ constexpr sim::Time kVoteResendInterval = sim::msec(500);
 /// A contact re-forwards a remote part whose vote is still missing this
 /// long after a round trip to its partition, if the replica the part went
 /// to was silent this long too: nothing it sent after the part reached it
-/// arrived. Under load a live replica gossips every gossip_interval.
+/// arrived. Under load a live replica gossips every kGossipInterval.
 constexpr sim::Time kPartResendSlack = sim::msec(100);
 
 /// When a vote-complete global is blocked only by its reorder threshold
@@ -86,7 +90,7 @@ void Server::start() {
 }
 
 void Server::arm_timers() {
-  set_timer(cfg_.gossip_interval, [this] { gossip_tick(); });
+  set_timer(kGossipInterval, [this] { gossip_tick(); });
   set_timer(kVoteResendInterval / 2, [this] { liveness_tick(); });
   if (cfg_.checkpoint_interval > 0) {
     set_timer(cfg_.checkpoint_interval, [this] { checkpoint_tick(); });
@@ -370,10 +374,10 @@ sim::ProcessId Server::abcast(PartitionId p, const PartTx& t) {
 }
 
 sim::ProcessId Server::replica_for(PartitionId p) const {
-  // Under load every replica gossips each gossip_interval: one silent for
+  // Under load every replica gossips each kGossipInterval: one silent for
   // ten of them plus the one-way delay has most likely crashed.
   const std::vector<sim::ProcessId>& replicas = cfg_.partition_servers[p];
-  return replicas[chooser_.pick(replicas, now(), 10 * cfg_.gossip_interval + delay_estimate(p))];
+  return replicas[chooser_.pick(replicas, now(), 10 * kGossipInterval + delay_estimate(p))];
 }
 
 sim::Time Server::delay_estimate(PartitionId p) const {
@@ -1046,7 +1050,7 @@ void Server::gossip_tick() {
       for (sim::ProcessId peer : cfg_.partition_servers[p]) send(peer, maybe_piggyback(peer, msg));
     }
   }
-  set_timer(cfg_.gossip_interval, [this] { gossip_tick(); });
+  set_timer(kGossipInterval, [this] { gossip_tick(); });
 }
 
 void Server::liveness_tick() {

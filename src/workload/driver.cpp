@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace sdur::workload {
 
 void Recorder::record(const std::string& cls, Outcome outcome, sim::Time latency, sim::Time now) {
@@ -123,72 +121,6 @@ RunResult run_experiment(Deployment& dep, Workload& wl, const RunConfig& cfg) {
   result.servers = dep.total_stats();
   result.net = dep.network().stats();
   return result;
-}
-
-std::uint32_t find_operating_point(const DeploymentFactory& make_dep, const WorkloadFactory& make_wl,
-                                   const RunConfig& probe, double fraction,
-                                   std::uint32_t start_clients, std::uint32_t max_clients) {
-  struct Point {
-    std::uint32_t clients;
-    double tput;
-  };
-  std::vector<Point> points;
-  auto measure = [&](std::uint32_t clients) {
-    auto dep = make_dep();
-    auto wl = make_wl();
-    RunConfig cfg = probe;
-    cfg.clients = clients;
-    const RunResult r = run_experiment(*dep, *wl, cfg);
-    const double tput = r.throughput();
-    points.push_back({clients, tput});
-    SDUR_INFO("driver") << "probe clients=" << clients << " tput=" << tput;
-    return tput;
-  };
-
-  // Double the offered load until saturation or the cap. Mixed workloads
-  // have a convoy plateau (latency jumps once globals appear before
-  // throughput picks up again with more clients), so require two
-  // consecutive low-gain doublings before declaring saturation.
-  std::uint32_t clients = std::max(start_clients, 1u);
-  double best = measure(clients);
-  int flat_rounds = 0;
-  while (clients * 2 <= max_clients) {
-    const double t = measure(clients * 2);
-    clients *= 2;
-    if (t < best * 1.08) {
-      if (++flat_rounds >= 2) {
-        best = std::max(best, t);
-        break;
-      }
-    } else {
-      flat_rounds = 0;
-    }
-    best = std::max(best, t);
-  }
-
-  // Interpolate the client count whose throughput is ~fraction*best.
-  const double target = fraction * best;
-  std::uint32_t candidate = points.back().clients;
-  std::sort(points.begin(), points.end(),
-            [](const Point& a, const Point& b) { return a.clients < b.clients; });
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (points[i].tput >= target) {
-      if (i == 0) {
-        candidate = std::max<std::uint32_t>(
-            1, static_cast<std::uint32_t>(points[0].clients * target / std::max(points[0].tput, 1.0)));
-      } else {
-        const double span = points[i].tput - points[i - 1].tput;
-        const double alpha = span <= 0 ? 1.0 : (target - points[i - 1].tput) / span;
-        candidate = points[i - 1].clients +
-                    static_cast<std::uint32_t>(alpha * (points[i].clients - points[i - 1].clients));
-      }
-      break;
-    }
-  }
-  candidate = std::clamp<std::uint32_t>(candidate, 1, max_clients);
-  SDUR_INFO("driver") << "operating point: clients=" << candidate << " (target " << target
-                      << " tps of max " << best << ")";
-  return candidate;
 }
 
 }  // namespace sdur::workload

@@ -1,6 +1,6 @@
-// Experiment driver: closed-loop clients, measurement windows, and the
-// "75% of maximum performance" operating-point search used throughout the
-// paper's evaluation (Section VI-A).
+// Experiment driver: closed-loop clients and measurement windows. The
+// "75% of maximum performance" operating-point search of the paper's
+// evaluation (Section VI-A) runs scenarios, so it lives in scenario.h.
 #pragma once
 
 #include <functional>
@@ -115,18 +115,5 @@ struct RunResult {
 /// Runs `wl` on `dep` with cfg.clients closed-loop clients and returns the
 /// measured statistics. `dep` must be freshly built (the run pollutes it).
 RunResult run_experiment(Deployment& dep, Workload& wl, const RunConfig& cfg);
-
-using DeploymentFactory = std::function<std::unique_ptr<Deployment>()>;
-using WorkloadFactory = std::function<std::unique_ptr<Workload>()>;
-
-/// Finds the number of closed-loop clients at which committed throughput is
-/// roughly `fraction` of the saturation throughput (paper: results are
-/// reported at 75% of maximum performance). Uses short probe runs: client
-/// counts double until throughput stops improving, then the count is
-/// back-interpolated to the target.
-std::uint32_t find_operating_point(const DeploymentFactory& make_dep, const WorkloadFactory& make_wl,
-                                   const RunConfig& probe, double fraction = 0.75,
-                                   std::uint32_t start_clients = 8,
-                                   std::uint32_t max_clients = 4096);
 
 }  // namespace sdur::workload

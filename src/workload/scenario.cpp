@@ -1,11 +1,13 @@
 #include "workload/scenario.h"
 
+#include <algorithm>
 #include <optional>
 #include <string_view>
 #include <utility>
 
 #include "audit/audit.h"
 #include "util/hash.h"
+#include "util/logging.h"
 #include "util/rng.h"
 
 #if SDUR_AUDIT_ON
@@ -50,35 +52,133 @@ void schedule_faults(Deployment& dep, const FaultSchedule& faults, sim::Time sto
   }
 }
 
+Built build(const Scenario& s, sim::Time stop) {
+  DeploymentSpec spec = s.spec;
+  switch (s.workload) {
+    case WorkloadKind::kMicro:
+      spec.partitioning =
+          MicroWorkload::make_partitioning(spec.partitions, s.micro.items_per_partition);
+      break;
+    case WorkloadKind::kSocial:
+      spec.partitioning = SocialWorkload::make_partitioning(spec.partitions);
+      break;
+    case WorkloadKind::kYcsb:
+      spec.partitioning =
+          YcsbWorkload::make_partitioning(spec.partitions, s.ycsb.records_per_partition);
+      break;
+  }
+  Built b;
+  b.dep = std::make_unique<Deployment>(std::move(spec));
+  Deployment& dep = *b.dep;
+  std::function<bool()> keep_running;
+  if (stop != sim::kNever) keep_running = [&dep, stop] { return dep.simulator().now() < stop; };
+  switch (s.workload) {
+    case WorkloadKind::kMicro: {
+      MicroConfig mc = s.micro;
+      mc.cores = s.core_aware ? dep.spec().server.pdur.cores : 1;
+      if (keep_running) mc.keep_running = std::move(keep_running);
+      if (s.history) {
+        b.checker = std::make_shared<SerializabilityChecker>();
+        mc.commit_hook = [c = b.checker.get()](TxId id, std::vector<std::pair<Key, TxId>> reads,
+                                               std::vector<Key> writes) {
+          c->add_committed(id, std::move(reads), std::move(writes));
+        };
+      }
+      b.workload = std::make_shared<MicroWorkload>(std::move(mc));
+      break;
+    }
+    case WorkloadKind::kSocial: {
+      SocialConfig sc = s.social;
+      if (keep_running) sc.keep_running = std::move(keep_running);
+      b.workload = std::make_shared<SocialWorkload>(std::move(sc));
+      break;
+    }
+    case WorkloadKind::kYcsb: {
+      YcsbConfig yc = s.ycsb;
+      if (keep_running) yc.keep_running = std::move(keep_running);
+      b.workload = std::make_shared<YcsbWorkload>(std::move(yc));
+      break;
+    }
+  }
+  dep.retain(b.workload);
+  if (b.checker) dep.retain(b.checker);
+  return b;
+}
+
+std::uint32_t find_operating_point(const Scenario& probe, double fraction,
+                                   std::uint32_t start_clients, std::uint32_t max_clients) {
+  struct Point {
+    std::uint32_t clients;
+    double tput;
+  };
+  std::vector<Point> points;
+  auto measure = [&](std::uint32_t clients) {
+    Scenario s = probe;
+    s.run.clients = clients;
+    const Built b = build(s);
+    const double tput = run_experiment(*b.dep, *b.workload, s.run).throughput();
+    points.push_back({clients, tput});
+    SDUR_INFO("driver") << "probe clients=" << clients << " tput=" << tput;
+    return tput;
+  };
+  // Double the offered load until saturation or the cap. Mixed workloads
+  // have a convoy plateau (latency jumps once globals appear before
+  // throughput picks up again with more clients), so require two
+  // consecutive low-gain doublings before declaring saturation.
+  std::uint32_t clients = std::max(start_clients, 1u);
+  double best = measure(clients);
+  int flat_rounds = 0;
+  while (clients * 2 <= max_clients) {
+    const double t = measure(clients * 2);
+    clients *= 2;
+    if (t < best * 1.08) {
+      if (++flat_rounds >= 2) {
+        best = std::max(best, t);
+        break;
+      }
+    } else {
+      flat_rounds = 0;
+    }
+    best = std::max(best, t);
+  }
+
+  // Interpolate the client count whose throughput is ~fraction*best.
+  const double target = fraction * best;
+  std::uint32_t candidate = points.back().clients;
+  std::sort(points.begin(), points.end(),
+            [](const Point& a, const Point& b) { return a.clients < b.clients; });
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].tput >= target) {
+      if (i == 0) {
+        candidate = std::max<std::uint32_t>(
+            1, static_cast<std::uint32_t>(points[0].clients * target / std::max(points[0].tput, 1.0)));
+      } else {
+        const double span = points[i].tput - points[i - 1].tput;
+        const double alpha = span <= 0 ? 1.0 : (target - points[i - 1].tput) / span;
+        candidate = points[i - 1].clients +
+                    static_cast<std::uint32_t>(alpha * (points[i].clients - points[i - 1].clients));
+      }
+      break;
+    }
+  }
+  candidate = std::clamp<std::uint32_t>(candidate, 1, max_clients);
+  SDUR_INFO("driver") << "operating point: clients=" << candidate << " (target " << target
+                      << " tps of max " << best << ")";
+  return candidate;
+}
+
 ScenarioResult run_scenario(const Scenario& s,
                             const std::function<void(Deployment&)>& before_start) {
-  DeploymentSpec spec = s.spec;
-  spec.partitioning = MicroWorkload::make_partitioning(spec.partitions, s.micro.items_per_partition);
+  const sim::Time stop_at = s.run.settle + s.run.warmup + s.run.measure;
+  Built b = build(s, stop_at);
   ScenarioResult out;
-  out.dep = std::make_unique<Deployment>(std::move(spec));
+  out.dep = std::move(b.dep);
   Deployment& dep = *out.dep;
   if (before_start) before_start(dep);
   const std::uint64_t violations_before = audit_violations();
-  const sim::Time stop_at = s.run.settle + s.run.warmup + s.run.measure;
   schedule_faults(dep, s.faults, stop_at);
 
-  // The workload and the checker live as long as the deployment: its
-  // sessions read their config, and record commits, whenever it runs.
-  auto checker = std::make_shared<SerializabilityChecker>();
-  MicroConfig mc = s.micro;
-  mc.cores = s.core_aware ? dep.spec().server.pdur.cores : 1;
-  mc.keep_running = [&dep, stop_at] { return dep.simulator().now() < stop_at; };
-  if (s.history) {
-    mc.commit_hook = [c = checker.get()](TxId id, std::vector<std::pair<Key, TxId>> reads,
-                                         std::vector<Key> writes) {
-      c->add_committed(id, std::move(reads), std::move(writes));
-    };
-  }
-  auto wl = std::make_shared<MicroWorkload>(std::move(mc));
-  dep.retain(wl);
-  dep.retain(checker);
-
-  out.run = run_experiment(dep, *wl, s.run);
+  out.run = run_experiment(dep, *b.workload, s.run);
   // Heal: loss off, every replica up.
   dep.network().set_loss_rate(0);
   for (Server* srv : dep.servers()) srv->recover();
@@ -93,10 +193,10 @@ ScenarioResult run_scenario(const Scenario& s,
   out.new_violations = audit_violations() - violations_before;
   out.agree = replicas_agree(dep);
   out.drained = drained(dep);
-  if (s.history) {
-    read_key_orders(dep, *checker);
-    out.history_commits = checker->committed_count();
-    out.serializable = checker->check(&out.why);
+  if (b.checker) {
+    read_key_orders(dep, *b.checker);
+    out.history_commits = b.checker->committed_count();
+    out.serializable = b.checker->check(&out.why);
   }
   return out;
 }

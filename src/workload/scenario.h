@@ -1,9 +1,12 @@
-// One scenario runner: `run_scenario()` builds the deployment a
-// `Scenario` describes, schedules its faults, runs the micro workload,
-// heals (loss 0, every replica up), drains and returns one
-// `ScenarioResult` with the checks every end-to-end test asks of a run.
-// The checks are public helpers too, for tests that drive their own
-// clients or keep running a scenario's deployment:
+// One run description: a `Scenario` names a deployment, a workload (micro,
+// social or YCSB, each with its config), the measured run, faults and a
+// drain. `build()` is the one place that turns it into a deployment and a
+// workload; the benches and `sdur_sim` run what it builds, and
+// `run_scenario()` builds, schedules the faults, runs, heals (loss 0,
+// every replica up), drains and returns one `ScenarioResult` with the
+// checks every end-to-end test asks of a run. The checks are public
+// helpers too, for tests that drive their own clients or keep running a
+// scenario's deployment:
 //
 //  1. no new audit violation during the run (0 when audit is compiled out);
 //  2. the MVSG over committed updates is acyclic (history on);
@@ -29,6 +32,8 @@
 #include "workload/driver.h"
 #include "workload/history.h"
 #include "workload/microbench.h"
+#include "workload/social.h"
+#include "workload/ycsb.h"
 
 namespace sdur::workload {
 
@@ -73,23 +78,55 @@ struct FaultSchedule {
 /// then the loss windows.
 void schedule_faults(Deployment& dep, const FaultSchedule& faults, sim::Time stop);
 
+/// The workload a scenario drives; its config is the scenario's field of
+/// the same name.
+enum class WorkloadKind { kMicro, kSocial, kYcsb };
+
 struct Scenario {
-  /// The runner derives `spec.partitioning` from the micro key layout and
-  /// `micro.cores` from `spec.server.pdur.cores` (1 unless `core_aware`),
-  /// and sets `micro.keep_running` (no transaction starts after the
-  /// measured window) and, with `history`, `micro.commit_hook`.
+  /// `build()` derives `spec.partitioning` from the workload's key layout.
   DeploymentSpec spec;
   RunConfig run;
+  WorkloadKind workload = WorkloadKind::kMicro;
+  /// `build()` derives `micro.cores` from `spec.server.pdur.cores` (1
+  /// unless `core_aware`) and, with `history`, sets `micro.commit_hook`;
+  /// for `run_scenario()` it also sets the workload's `keep_running` (no
+  /// transaction starts after the measured window).
   MicroConfig micro;
+  SocialConfig social;
+  YcsbConfig ycsb;
   bool core_aware = true;
   FaultSchedule faults;
   /// Simulated time run after the heal; 0 runs nothing.
   sim::Time drain = 0;
-  /// Record committed updates for the MVSG check. Tags every written value
-  /// with its writer (8-byte values, a tagged initial load), so it changes
-  /// the digests of a run.
+  /// Record committed updates for the MVSG check (micro only). Tags every
+  /// written value with its writer (8-byte values, a tagged initial load),
+  /// so it changes the digests of a run.
   bool history = false;
 };
+
+/// A scenario's deployment and workload, built and not yet run.
+struct Built {
+  std::unique_ptr<Deployment> dep;
+  /// Retained by `dep`: its sessions read the config whenever it runs.
+  std::shared_ptr<Workload> workload;
+  /// With micro history: the checker its sessions report commits to, also
+  /// retained by `dep`; null otherwise.
+  std::shared_ptr<SerializabilityChecker> checker;
+};
+
+/// Builds the deployment and the workload `s` describes. With `stop` set,
+/// the workload's sessions start no transaction at or after it.
+Built build(const Scenario& s, sim::Time stop = sim::kNever);
+
+/// Finds the client count at which committed throughput is about
+/// `fraction` of the saturation throughput (paper Section VI-A: results
+/// are reported at 75% of maximum performance). Each probe runs a fresh
+/// build of `probe` for `probe.run` with the count under test: counts
+/// double from `start_clients` until throughput stops improving, then the
+/// count is interpolated back to the target.
+std::uint32_t find_operating_point(const Scenario& probe, double fraction = 0.75,
+                                   std::uint32_t start_clients = 8,
+                                   std::uint32_t max_clients = 4096);
 
 struct ScenarioResult {
   /// The run's deployment, as the drain left it; its sessions and workload

@@ -41,7 +41,7 @@ struct SocialConfig {
   bool certified_timeline = false;
 
   /// Sessions stop starting new operations once this returns false.
-  std::function<bool()> keep_running;
+  std::function<bool()> keep_running{};
 };
 
 /// Key layout: key = (user << 2) | field.

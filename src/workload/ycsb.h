@@ -29,7 +29,7 @@ struct YcsbConfig {
   std::size_t value_size = 100;  // YCSB default field size is ~100B
   double zipf_theta = 0.99;      // YCSB default request distribution
 
-  std::function<bool()> keep_running;
+  std::function<bool()> keep_running{};
 
   double update_fraction() const {
     switch (mix) {

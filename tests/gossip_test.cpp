@@ -16,7 +16,6 @@ struct Fixture {
     spec.partitions = 2;
     spec.partitioning = std::make_shared<RangePartitioning>(2, 1000);
     spec.paxos.log_write_latency = sim::usec(200);
-    spec.server.gossip_interval = sim::msec(5);
     dep = std::make_unique<Deployment>(spec);
     for (Key k = 0; k < 20; ++k) dep->load(k, "a");
     for (Key k = 1000; k < 1020; ++k) dep->load(k, "b");

@@ -4,6 +4,7 @@
 
 #include "workload/driver.h"
 #include "workload/microbench.h"
+#include "workload/scenario.h"
 #include "workload/social.h"
 
 namespace sdur::workload {
@@ -281,18 +282,11 @@ TEST(Integration, DelayingKeepsGlobalLatencyComparable) {
 }
 
 TEST(Integration, FindOperatingPointReturnsReasonableClientCount) {
-  MicroConfig mc;
-  mc.items_per_partition = 2'000;
-  mc.global_fraction = 0.0;
-
-  auto make_dep = [&]() { return make_micro_dep(DeploymentSpec::Kind::kLan, 2, mc.items_per_partition); };
-  auto make_wl = [&]() { return std::make_unique<MicroWorkload>(mc); };
-
-  RunConfig probe;
-  probe.clients = 4;
-  probe.warmup = sim::msec(500);
-  probe.measure = sim::sec(2);
-  const std::uint32_t clients = find_operating_point(make_dep, make_wl, probe, 0.75, 4, 64);
+  Scenario probe;
+  probe.spec.paxos.log_write_latency = sim::usec(300);
+  probe.run = {.clients = 4, .warmup = sim::msec(500), .measure = sim::sec(2)};
+  probe.micro = {.items_per_partition = 2'000, .global_fraction = 0.0};
+  const std::uint32_t clients = find_operating_point(probe, 0.75, 4, 64);
   EXPECT_GE(clients, 1u);
   EXPECT_LE(clients, 64u);
 }

@@ -33,6 +33,10 @@ struct PropertyCase {
   /// Every technique at once (the `all-on` preset) instead of the three
   /// fields above.
   bool all_on = false;
+  /// Speculation leaves a serial replica's pending list empty after every
+  /// drain (DESIGN.md "Completion"): expect globals speculated and no
+  /// local reordered, bypassed or parked.
+  bool spec_empties_pending = false;
   std::uint32_t cores = 1;
   std::uint64_t items = 40;  // tiny keyspace -> heavy contention
   std::uint32_t clients = 16;
@@ -82,6 +86,13 @@ TEST_P(SerializabilityProperty, HistoryIsSerializableAndReplicasAgree) {
   // The online audit watched the same run the MVSG checker just validated;
   // both oracles must agree the history is healthy.
   EXPECT_EQ(r.new_violations, 0u) << "online audit disagrees with offline MVSG check";
+  if (pc.spec_empties_pending) {
+    const Server::Stats st = r.dep->total_stats();
+    EXPECT_GT(st.speculated_globals, 0u);
+    EXPECT_EQ(st.reordered, 0u);
+    EXPECT_EQ(st.bypassed_locals, 0u);
+    EXPECT_EQ(st.parked_locals, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -116,10 +127,12 @@ INSTANTIATE_TEST_SUITE_P(
                      .reorder_threshold = 40,
                      .items = 60,
                      .seed = 29},
-        PropertyCase{.name = "lan_all_on", .all_on = true, .seed = 31},
+        PropertyCase{
+            .name = "lan_all_on", .all_on = true, .spec_empties_pending = true, .seed = 31},
         PropertyCase{.name = "wan1_all_on",
                      .kind = DeploymentSpec::Kind::kWan1,
                      .all_on = true,
+                     .spec_empties_pending = true,
                      .items = 60,
                      .seed = 37},
         PropertyCase{.name = "lan_all_on_four_cores", .all_on = true, .cores = 4, .seed = 41}),

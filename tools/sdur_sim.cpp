@@ -2,6 +2,8 @@
 //
 // Runs one SDUR experiment (deployment x workload x knobs) and prints the
 // per-class results; optionally dumps latency CDFs as CSV for plotting.
+// The run flags parse into one `workload::Scenario`, built and run without
+// a heal, so its counter lines stop at the end of the measured window.
 //
 // Examples:
 //   sdur_sim --deployment wan1 --workload micro --global-pct 10 --clients 600
@@ -16,7 +18,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sdur/technique_config.h"
@@ -24,11 +28,7 @@
 #include "trace/export.h"
 #include "trace/trace.h"
 #include "util/logging.h"
-#include "workload/driver.h"
-#include "workload/microbench.h"
 #include "workload/scenario.h"
-#include "workload/social.h"
-#include "workload/ycsb.h"
 
 using namespace sdur;
 using namespace sdur::workload;
@@ -41,32 +41,49 @@ constexpr sim::Time kSettle = sim::msec(1200);
 constexpr sim::Time kWarmup = sim::sec(1);
 constexpr sim::Time kWindowStart = kSettle + kWarmup;
 
+/// The flags that shape how a run is driven and reported, not the run: the
+/// run itself parses into a `Scenario`.
 struct Options {
-  std::string deployment = "lan";
-  std::string workload = "micro";
-  PartitionId partitions = 2;
-  std::uint32_t replicas = 3;
-  double global_pct = 10.0;
-  std::uint64_t items = 100'000;
-  std::uint64_t users = 20'000;
-  std::uint32_t clients = 64;
-  bool auto_load = false;
-  double load_fraction = 0.75;
-  /// All technique knobs, set by --techniques (single source, see
-  /// sdur/technique_config.h).
-  TechniqueConfig techniques;
-  bool certified_ro = false;
-  double zipf = 0.0;
-  double seconds = 10.0;
-  std::uint64_t seed = 1;
-  std::int64_t checkpoint_ms = 0;
+  /// --auto-load [FRACTION]: search the client count at FRACTION of the
+  /// maximum throughput; 0 keeps --clients.
+  double load_fraction = 0;
   bool breakdown = false;
   std::string csv;
   bool verbose = false;
-  /// --crash P:R@SEC[+DOWN]: replica R of partition P crashes SEC seconds
-  /// into the measured window and, with DOWN, recovers DOWN seconds later.
-  FaultSchedule faults;
 };
+
+/// The names --deployment and --workload take, and the header prints.
+constexpr std::pair<const char*, DeploymentSpec::Kind> kDeployments[] = {
+    {"lan", DeploymentSpec::Kind::kLan},
+    {"wan1", DeploymentSpec::Kind::kWan1},
+    {"wan2", DeploymentSpec::Kind::kWan2}};
+struct WorkloadName {
+  const char* name;
+  WorkloadKind kind;
+  YcsbConfig::Mix mix;  // YCSB only
+};
+constexpr WorkloadName kWorkloads[] = {
+    {"micro", WorkloadKind::kMicro, YcsbConfig::Mix::kA},
+    {"social", WorkloadKind::kSocial, YcsbConfig::Mix::kA},
+    {"ycsb-a", WorkloadKind::kYcsb, YcsbConfig::Mix::kA},
+    {"ycsb-b", WorkloadKind::kYcsb, YcsbConfig::Mix::kB},
+    {"ycsb-c", WorkloadKind::kYcsb, YcsbConfig::Mix::kC}};
+
+const char* deployment_name(const Scenario& s) {
+  for (const auto& [name, kind] : kDeployments) {
+    if (kind == s.spec.kind) return name;
+  }
+  return "?";
+}
+
+const char* workload_name(const Scenario& s) {
+  for (const WorkloadName& w : kWorkloads) {
+    if (w.kind == s.workload && (w.kind != WorkloadKind::kYcsb || w.mix == s.ycsb.mix)) {
+      return w.name;
+    }
+  }
+  return "?";
+}
 
 void usage() {
   std::printf(
@@ -140,7 +157,15 @@ Crash parse_crash(const std::string& flag, const std::string& v) {
   return c;
 }
 
-bool parse(int argc, char** argv, Options& o) {
+/// sdur_sim's run before any flag: the scenario defaults (LAN, 2
+/// partitions of 3 replicas, the micro workload) with 64 clients.
+Scenario default_scenario() {
+  Scenario s;
+  s.run = {.clients = 64, .settle = kSettle, .warmup = kWarmup};
+  return s;
+}
+
+bool parse(int argc, char** argv, Scenario& s, Options& o) {
   auto need = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "missing value for %s\n", argv[i]);
@@ -148,34 +173,56 @@ bool parse(int argc, char** argv, Options& o) {
     }
     return argv[++i];
   };
+  double global_pct = 10.0;
+  double seconds = 10.0;
+  std::int64_t checkpoint_ms = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--deployment") o.deployment = need(i);
-    else if (a == "--partitions") parse_number(a, need(i), o.partitions);
-    else if (a == "--replicas") parse_number(a, need(i), o.replicas);
-    else if (a == "--workload") o.workload = need(i);
-    else if (a == "--global-pct") parse_number(a, need(i), o.global_pct);
-    else if (a == "--items") parse_number(a, need(i), o.items);
-    else if (a == "--users") parse_number(a, need(i), o.users);
-    else if (a == "--zipf") parse_number(a, need(i), o.zipf);
-    else if (a == "--clients") parse_number(a, need(i), o.clients);
+    if (a == "--deployment") {
+      const std::string v = need(i);
+      const auto* it = std::find_if(std::begin(kDeployments), std::end(kDeployments),
+                                    [&](const auto& d) { return v == d.first; });
+      if (it == std::end(kDeployments)) {
+        std::fprintf(stderr, "unknown deployment '%s' (lan|wan1|wan2)\n", v.c_str());
+        std::exit(2);
+      }
+      s.spec.kind = it->second;
+    } else if (a == "--partitions") parse_number(a, need(i), s.spec.partitions);
+    else if (a == "--replicas") parse_number(a, need(i), s.spec.replicas);
+    else if (a == "--workload") {
+      const std::string v = need(i);
+      const auto* it = std::find_if(std::begin(kWorkloads), std::end(kWorkloads),
+                                    [&](const WorkloadName& w) { return v == w.name; });
+      if (it == std::end(kWorkloads)) {
+        std::fprintf(stderr, "unknown workload '%s' (micro|social|ycsb-a|ycsb-b|ycsb-c)\n",
+                     v.c_str());
+        std::exit(2);
+      }
+      s.workload = it->kind;
+      s.ycsb.mix = it->mix;
+    } else if (a == "--global-pct") parse_number(a, need(i), global_pct);
+    else if (a == "--items") parse_number(a, need(i), s.micro.items_per_partition);
+    else if (a == "--users") parse_number(a, need(i), s.social.users_per_partition);
+    else if (a == "--zipf") parse_number(a, need(i), s.micro.zipf_theta);
+    else if (a == "--clients") parse_number(a, need(i), s.run.clients);
     else if (a == "--auto-load") {
-      o.auto_load = true;
+      o.load_fraction = 0.75;
       if (i + 1 < argc && argv[i + 1][0] != '-') parse_number(a, need(i), o.load_fraction);
+      if (o.load_fraction <= 0 || o.load_fraction > 1) bad_flag(a, "must be in (0, 1]");
     } else if (a == "--techniques") {
       std::string err;
-      if (!parse_techniques(need(i), o.techniques, &err)) {
+      if (!parse_techniques(need(i), s.spec.server.techniques, &err)) {
         std::fprintf(stderr, "bad --techniques: %s\n", err.c_str());
         return false;
       }
-    } else if (a == "--certified-ro") o.certified_ro = true;
-    else if (a == "--checkpoint") parse_number(a, need(i), o.checkpoint_ms);
+    } else if (a == "--certified-ro") s.social.certified_timeline = true;
+    else if (a == "--checkpoint") parse_number(a, need(i), checkpoint_ms);
     else if (a == "--breakdown") o.breakdown = true;
-    else if (a == "--seconds") parse_number(a, need(i), o.seconds);
-    else if (a == "--seed") parse_number(a, need(i), o.seed);
+    else if (a == "--seconds") parse_number(a, need(i), seconds);
+    else if (a == "--seed") parse_number(a, need(i), s.spec.seed);
     else if (a == "--csv") o.csv = need(i);
     else if (a == "--verbose") o.verbose = true;
-    else if (a == "--crash") o.faults.crashes.push_back(parse_crash(a, need(i)));
+    else if (a == "--crash") s.faults.crashes.push_back(parse_crash(a, need(i)));
     else if (a == "--help" || a == "-h") {
       usage();
       std::exit(0);
@@ -184,18 +231,24 @@ bool parse(int argc, char** argv, Options& o) {
       return false;
     }
   }
-  if (o.partitions < 1) bad_flag("--partitions", "must be at least 1");
-  if (o.replicas < 1) bad_flag("--replicas", "must be at least 1");
-  if (o.items < 1) bad_flag("--items", "must be at least 1");
-  if (o.users < 1) bad_flag("--users", "must be at least 1");
-  if (o.seconds <= 0) bad_flag("--seconds", "must be above 0");
-  if (o.load_fraction <= 0 || o.load_fraction > 1) bad_flag("--auto-load", "must be in (0, 1]");
-  for (const Crash& c : o.faults.crashes) {
-    if (c.partition >= o.partitions || c.replica >= o.replicas) {
+  if (s.spec.partitions < 1) bad_flag("--partitions", "must be at least 1");
+  if (s.spec.replicas < 1) bad_flag("--replicas", "must be at least 1");
+  if (s.micro.items_per_partition < 1) bad_flag("--items", "must be at least 1");
+  if (s.social.users_per_partition < 1) bad_flag("--users", "must be at least 1");
+  if (seconds <= 0) bad_flag("--seconds", "must be above 0");
+  for (const Crash& c : s.faults.crashes) {
+    if (c.partition >= s.spec.partitions || c.replica >= s.spec.replicas) {
       bad_flag("--crash", "no replica " + std::to_string(c.replica) + " of partition " +
                               std::to_string(c.partition));
     }
   }
+  // One flag sets what each workload calls the same thing.
+  s.micro.global_fraction = global_pct / 100.0;
+  s.ycsb.records_per_partition = s.micro.items_per_partition;
+  if (s.micro.zipf_theta > 0) s.ycsb.zipf_theta = s.micro.zipf_theta;
+  s.spec.server.checkpoint_interval = checkpoint_ms > 0 ? sim::msec(checkpoint_ms) : 0;
+  s.run.measure = static_cast<sim::Time>(seconds * 1e6);
+  s.run.seed = s.spec.seed;
   return true;
 }
 
@@ -238,84 +291,26 @@ std::string derived_timing(Deployment& dep) {
   return out;
 }
 
-DeploymentSpec::Kind kind_of(const std::string& s) {
-  if (s == "lan") return DeploymentSpec::Kind::kLan;
-  if (s == "wan1") return DeploymentSpec::Kind::kWan1;
-  if (s == "wan2") return DeploymentSpec::Kind::kWan2;
-  std::fprintf(stderr, "unknown deployment '%s' (lan|wan1|wan2)\n", s.c_str());
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  Scenario sc = default_scenario();
   Options o;
-  if (!parse(argc, argv, o)) {
+  if (!parse(argc, argv, sc, o)) {
     usage();
     return 2;
   }
   if (o.verbose) util::Logger::instance().set_level(util::LogLevel::kInfo);
-  if (const std::string err = o.techniques.validate(); !err.empty()) {
+  if (const std::string err = sc.spec.server.techniques.validate(); !err.empty()) {
     std::fprintf(stderr, "bad technique config: %s\n", err.c_str());
     return 2;
   }
 
-  const DeploymentSpec::Kind kind = kind_of(o.deployment);
-  auto make_spec = [&] {
-    DeploymentSpec spec;
-    spec.kind = kind;
-    spec.partitions = o.partitions;
-    spec.replicas = o.replicas;
-    spec.server.techniques = o.techniques;
-    spec.server.checkpoint_interval = o.checkpoint_ms > 0 ? sim::msec(o.checkpoint_ms) : 0;
-    spec.seed = o.seed;
-    if (o.workload == "micro") {
-      spec.partitioning = MicroWorkload::make_partitioning(o.partitions, o.items);
-    } else if (o.workload.rfind("ycsb", 0) == 0) {
-      spec.partitioning = YcsbWorkload::make_partitioning(o.partitions, o.items);
-    } else {
-      spec.partitioning = SocialWorkload::make_partitioning(o.partitions);
-    }
-    return spec;
-  };
-
-  MicroConfig mc;
-  mc.items_per_partition = o.items;
-  mc.global_fraction = o.global_pct / 100.0;
-  mc.zipf_theta = o.zipf;
-  SocialConfig sc;
-  sc.users_per_partition = o.users;
-  sc.certified_timeline = o.certified_ro;
-
-  YcsbConfig yc;
-  yc.records_per_partition = o.items;
-  if (o.zipf > 0) yc.zipf_theta = o.zipf;
-  if (o.workload == "ycsb-a") yc.mix = YcsbConfig::Mix::kA;
-  if (o.workload == "ycsb-b") yc.mix = YcsbConfig::Mix::kB;
-  if (o.workload == "ycsb-c") yc.mix = YcsbConfig::Mix::kC;
-
-  auto make_workload = [&]() -> std::unique_ptr<Workload> {
-    if (o.workload == "micro") return std::make_unique<MicroWorkload>(mc);
-    if (o.workload == "social") return std::make_unique<SocialWorkload>(sc);
-    if (o.workload.rfind("ycsb", 0) == 0) return std::make_unique<YcsbWorkload>(yc);
-    std::fprintf(stderr, "unknown workload '%s' (micro|social|ycsb-a|ycsb-b|ycsb-c)\n",
-                 o.workload.c_str());
-    std::exit(2);
-  };
-
-  RunConfig cfg;
-  cfg.settle = kSettle;
-  cfg.warmup = kWarmup;
-  cfg.measure = static_cast<sim::Time>(o.seconds * 1e6);
-  cfg.seed = o.seed;
-  cfg.clients = o.clients;
-
-  if (o.auto_load) {
-    RunConfig probe = cfg;
-    probe.measure = sim::sec(4);
-    cfg.clients = find_operating_point([&] { return std::make_unique<Deployment>(make_spec()); },
-                                       make_workload, probe, o.load_fraction);
-    std::printf("operating point: %u clients (~%.0f%% of max throughput)\n", cfg.clients,
+  if (o.load_fraction > 0) {
+    Scenario probe = sc;
+    probe.run.measure = sim::sec(4);
+    sc.run.clients = find_operating_point(probe, o.load_fraction);
+    std::printf("operating point: %u clients (~%.0f%% of max throughput)\n", sc.run.clients,
                 o.load_fraction * 100);
   }
 
@@ -337,17 +332,18 @@ int main(int argc, char** argv) {
 
   // The fabric line counts the measured deployment only, not the probes.
   sim::fabric_counters().reset();
-  Deployment dep(make_spec());
-  auto wl = make_workload();
-  schedule_faults(dep, o.faults, kWindowStart + cfg.measure);
+  const Built built = build(sc);
+  Deployment& dep = *built.dep;
+  schedule_faults(dep, sc.faults, kWindowStart + sc.run.measure);
   const std::string timing = derived_timing(dep);
-  const RunResult r = run_experiment(dep, *wl, cfg);
+  const RunResult r = run_experiment(dep, *built.workload, sc.run);
 
   std::printf("\n%s / %s: %u partitions x %u replicas, %u clients, %.1fs measured [%s]\n",
-              o.deployment.c_str(), o.workload.c_str(), o.partitions, o.replicas, cfg.clients,
-              o.seconds, format_techniques(o.techniques).c_str());
+              deployment_name(sc), workload_name(sc), sc.spec.partitions, sc.spec.replicas,
+              sc.run.clients, sim::to_sec(sc.run.measure),
+              format_techniques(sc.spec.server.techniques).c_str());
   std::printf("%s", timing.c_str());
-  for (const Crash& c : o.faults.crashes) {
+  for (const Crash& c : sc.faults.crashes) {
     std::printf("crash: partition %u replica %u at %.3fs of the window, ", c.partition, c.replica,
                 sim::to_sec(c.at - kWindowStart));
     if (c.down > 0) {
@@ -358,7 +354,7 @@ int main(int argc, char** argv) {
     // Takeover: from the crash to the first election in the partition after it.
     sim::Time elected = sim::kNever;
     std::uint32_t leader = 0;
-    for (std::uint32_t rep = 0; rep < o.replicas; ++rep) {
+    for (std::uint32_t rep = 0; rep < sc.spec.replicas; ++rep) {
       const sim::Time t = dep.server(c.partition, rep).engine().elected_at();
       if (t > c.at && t < elected) {
         elected = t;
