@@ -8,10 +8,14 @@
 // delays acknowledgements by GroupConfig::log_write_latency.
 //
 // InMemoryDurableLog survives Process::crash()/recover() (the process
-// object keeps owning it) — it plays the role of the disk.
+// object keeps owning it) — it plays the role of the disk. It keeps one
+// dense record per instance, and a record's value is a slice of the
+// message that carried it (paxos::Value): the members of a group that
+// accepted one Phase 2A all hold that one buffer, never a copy of it.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 
@@ -86,13 +90,27 @@ class InMemoryDurableLog final : public DurableLog {
   std::uint64_t write_count() const override { return writes_; }
 
  private:
+  /// One instance. `value` holds the accepted bytes, or the decided ones
+  /// while nothing is accepted; a decision whose bytes differ from the
+  /// accepted record's (another ballot's value, learned by catchup, or one
+  /// whose accepted record was overwritten since) keeps them aside.
+  struct Entry {
+    Ballot ballot;
+    Value value;
+    bool accepted = false;
+    bool decided = false;
+    bool aside = false;  // the decided bytes are decided_aside_[instance]
+  };
+  const Entry* find(InstanceId inst) const;
+  /// The entry of `inst`, growing the log to cover it.
+  Entry& slot(InstanceId inst);
+
   Ballot promise_;
-  // One copy per instance: a decided instance holds its own bytes only
-  // when no accepted record here carries the same ones (a decision learned
-  // by catchup, or one whose accepted record was overwritten since);
-  // nullopt means "the bytes of accepted_[inst]".
-  std::map<InstanceId, LogRecord> accepted_;
-  std::map<InstanceId, std::optional<Value>> decided_;
+  /// entries_[i] is instance first_ + i. first_ is first_retained() unless
+  /// a record was saved below the truncation point since.
+  std::deque<Entry> entries_;
+  InstanceId first_ = 0;
+  std::map<InstanceId, Value> decided_aside_;
   std::optional<std::pair<Value, InstanceId>> checkpoint_;
   InstanceId truncated_below_ = 0;
   std::uint64_t writes_ = 0;

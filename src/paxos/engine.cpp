@@ -143,7 +143,8 @@ Time PaxosEngine::election_deadline() const {
 }
 
 void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
-  util::Reader r(m.payload);
+  // Value fields decode as slices of the payload's buffer, not copies.
+  util::Reader r(m.payload.buffer());
   switch (m.type) {
     case msgtype::kPhase1A:
       on_phase1a(Phase1A::decode(r), from);
@@ -163,9 +164,11 @@ void PaxosEngine::handle_message(const sim::Message& m, ProcessId from) {
     case msgtype::kHeartbeat:
       on_heartbeat(Heartbeat::decode(r), from);
       break;
-    case msgtype::kForward:
-      on_forward(Forward::decode(r), from);
+    case msgtype::kForward: {
+      Forward f = Forward::decode(r);
+      on_forward(Queued{value_hash(f.value), std::move(f.value)});
       break;
+    }
     case msgtype::kCatchupReq:
       on_catchup_req(CatchupReq::decode(r), from);
       break;
@@ -283,7 +286,7 @@ void PaxosEngine::become_leader() {
   // Values this replica forwarded to the previous leader go first, ahead of
   // those buffered during the election.
   redriven_for_ = promised_;
-  std::vector<Value> stranded = stranded_submissions(promised_);
+  std::vector<Queued> stranded = stranded_submissions(promised_);
   pending_.insert(pending_.begin(), std::make_move_iterator(stranded.begin()),
                   std::make_move_iterator(stranded.end()));
   broadcast(Heartbeat{promised_, next_deliver_}.to_message());
@@ -326,12 +329,12 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
     // any values buffered while leaderless.
     if (m.ballot > redriven_for_) {
       redriven_for_ = m.ballot;
-      for (Value& v : stranded_submissions(m.ballot)) {
-        send_to(from, Forward{std::move(v)}.to_message());
+      for (Queued& q : stranded_submissions(m.ballot)) {
+        send_to(from, Forward{std::move(q.value)}.to_message());
       }
     }
     if (!pending_.empty()) {
-      for (auto& v : pending_) send_to(from, Forward{std::move(v)}.to_message());
+      for (Queued& q : pending_) send_to(from, Forward{std::move(q.value)}.to_message());
       pending_.clear();
     }
     if (m.decided_upto <= next_deliver_ + kCatchupThreshold) caught_up_ = true;
@@ -359,7 +362,8 @@ void PaxosEngine::on_heartbeat(const Heartbeat& m, ProcessId from) {
 // --- Phase 2 ----------------------------------------------------------------
 
 void PaxosEngine::propose(Value v) {
-  auto& entry = submitted_[value_hash(v)];
+  const std::uint64_t hash = value_hash(v);
+  auto& entry = submitted_[hash];
   if (entry.count == 0) {
     entry.value = v;
     entry.order = next_submit_order_++;
@@ -367,12 +371,12 @@ void PaxosEngine::propose(Value v) {
   entry.sent_under = promised_;
   ++entry.count;
   entry.submitted_at = ep_.current_time();
-  on_forward(Forward{std::move(v)}, ep_.self());
+  on_forward(Queued{hash, std::move(v)});
 }
 
 bool PaxosEngine::value_in_flight(std::uint64_t hash) const {
-  for (const Value& v : pending_) {
-    if (value_hash(v) == hash) return true;
+  for (const Queued& q : pending_) {
+    if (q.hash == hash) return true;
   }
   // Open instances carry their item hashes (computed once at open time),
   // so this scan never re-decodes a batch.
@@ -384,9 +388,9 @@ bool PaxosEngine::value_in_flight(std::uint64_t hash) const {
   return false;
 }
 
-std::vector<Value> PaxosEngine::stranded_submissions(Ballot leader) {
+std::vector<PaxosEngine::Queued> PaxosEngine::stranded_submissions(Ballot leader) {
   const Time now = ep_.current_time();
-  std::vector<const SubmittedValue*> stranded;
+  std::vector<std::pair<std::uint64_t, const SubmittedValue*>> stranded;
   for (auto& [hash, sub] : submitted_) {
     // Sent under `leader` or later: it went to that leader or a candidate
     // that queued it, not to a dead one.
@@ -394,18 +398,17 @@ std::vector<Value> PaxosEngine::stranded_submissions(Ballot leader) {
     sub.sent_under = promised_;
     sub.submitted_at = now;
     ++stats_.resends;
-    stranded.push_back(&sub);
+    stranded.emplace_back(hash, &sub);
   }
-  std::ranges::sort(stranded, {}, &SubmittedValue::order);
-  std::vector<Value> values;
+  std::ranges::sort(stranded, {}, [](const auto& s) { return s.second->order; });
+  std::vector<Queued> values;
   values.reserve(stranded.size());
-  for (const SubmittedValue* sub : stranded) values.push_back(sub->value);
+  for (const auto& [hash, sub] : stranded) values.push_back(Queued{hash, sub->value});
   return values;
 }
 
-void PaxosEngine::on_forward(Forward m, ProcessId from) {
-  (void)from;
-  pending_.push_back(std::move(m.value));
+void PaxosEngine::on_forward(Queued item) {
+  pending_.push_back(std::move(item));
   if (role_ == Role::kLeader) {
     maybe_propose();
     return;
@@ -419,13 +422,13 @@ void PaxosEngine::on_forward(Forward m, ProcessId from) {
     ++stats_.forwards_parked;
     return;
   }
-  for (auto& v : pending_) {
+  for (Queued& q : pending_) {
     // A parked submission of this replica goes to `hint` now: a heartbeat
     // at this ballot must not re-drive it.
-    if (const auto sub = submitted_.find(value_hash(v)); sub != submitted_.end()) {
+    if (const auto sub = submitted_.find(q.hash); sub != submitted_.end()) {
       sub->second.sent_under = promised_;
     }
-    send_to(hint, Forward{std::move(v)}.to_message());
+    send_to(hint, Forward{std::move(q.value)}.to_message());
   }
   pending_.clear();
 }
@@ -437,16 +440,18 @@ bool PaxosEngine::leader_suspect() const {
 
 void PaxosEngine::maybe_propose() {
   while (role_ == Role::kLeader && !pending_.empty() && open_.size() < cfg_.pipeline_window) {
+    // The items' hashes travel with them, so open_instance need not decode
+    // the encoded batch back apart.
+    const std::size_t n = std::min(pending_.size(), cfg_.max_batch);
     std::vector<Value> batch;
-    while (!pending_.empty() && batch.size() < cfg_.max_batch) {
-      batch.push_back(std::move(pending_.front()));
+    std::vector<std::uint64_t> hashes;
+    batch.reserve(n);
+    hashes.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      hashes.push_back(pending_.front().hash);
+      batch.push_back(std::move(pending_.front().value));
       pending_.pop_front();
     }
-    // Hash the items while they are still in plain form — cheaper than
-    // decoding the encoded batch back apart in open_instance.
-    std::vector<std::uint64_t> hashes;
-    hashes.reserve(batch.size());
-    for (const Value& v : batch) hashes.push_back(value_hash(v));
     open_instance(next_instance_++, encode_batch(batch), std::move(hashes));
   }
 }
@@ -568,8 +573,12 @@ void PaxosEngine::try_deliver() {
     const std::vector<Value> batch = decode_batch(it->second);
     for (const Value& v : batch) {
       ++stats_.delivered_values;
-      auto sub = submitted_.find(value_hash(v));
-      if (sub != submitted_.end() && --sub->second.count == 0) submitted_.erase(sub);
+      // Only the replica that proposed a value tracks it: elsewhere the
+      // table is empty and the value needs no hash.
+      if (!submitted_.empty()) {
+        const auto sub = submitted_.find(value_hash(v));
+        if (sub != submitted_.end() && --sub->second.count == 0) submitted_.erase(sub);
+      }
       deliver_(v);
     }
     undelivered_.erase(it);
@@ -685,7 +694,7 @@ void PaxosEngine::tick() {
       if (value_in_flight(hash)) continue;
       ++stats_.resends;
       sub.sent_under = promised_;
-      on_forward(Forward{sub.value}, ep_.self());
+      on_forward(Queued{hash, sub.value});
     }
   }
   ep_.start_timer(kHeartbeatInterval / 2, [this] { tick(); });

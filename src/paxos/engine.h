@@ -152,6 +152,13 @@ class PaxosEngine {
  private:
   enum class Role { kFollower, kCandidate, kLeader };
 
+  /// A value waiting for a leader, beside its hash (computed once, when it
+  /// is queued, so value_in_flight() never re-hashes the queue).
+  struct Queued {
+    std::uint64_t hash = 0;
+    Value value;
+  };
+
   // Message handlers.
   void on_phase1a(const Phase1A& m, ProcessId from);
   void on_phase1b(const Phase1B& m, ProcessId from);
@@ -159,7 +166,8 @@ class PaxosEngine {
   void on_phase2b(const Phase2B& m, ProcessId from);
   void on_nack(const Nack& m);
   void on_heartbeat(const Heartbeat& m, ProcessId from);
-  void on_forward(Forward m, ProcessId from);
+  /// Queues a submitted or forwarded value for the leader.
+  void on_forward(Queued item);
   void on_catchup_req(const CatchupReq& m, ProcessId from);
   void on_catchup_resp(const CatchupResp& m, ProcessId from);
   /// Asks `to` for the decided values from `from_instance` on; at most one
@@ -186,7 +194,7 @@ class PaxosEngine {
   /// that are neither queued nor in an open instance here (forwarded to a
   /// leader that may have died with them), oldest first; marks them sent
   /// under the current ballot and restarts their resend clock.
-  std::vector<Value> stranded_submissions(Ballot leader);
+  std::vector<Queued> stranded_submissions(Ballot leader);
   std::uint32_t member_index(ProcessId pid) const;
   /// Base one-way delay from member i to member j (0 when i == j), at the
   /// region granularity of sim::Topology::distance().
@@ -238,7 +246,7 @@ class PaxosEngine {
   };
   InstanceId next_instance_ = 0;
   std::map<InstanceId, OpenInstance> open_;
-  std::deque<Value> pending_;
+  std::deque<Queued> pending_;
 
   /// Values submitted via propose() on this replica, tracked until they are
   /// delivered. Periodically re-proposed so that a value submitted by a

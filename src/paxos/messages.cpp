@@ -2,7 +2,7 @@
 
 namespace sdur::paxos {
 
-Value encode_batch(const std::vector<Value>& values) {
+util::Bytes encode_batch(const std::vector<Value>& values) {
   util::Writer w;
   util::encode(w, values);
   return std::move(w).take();

@@ -2,8 +2,10 @@
 //
 // Each struct lists its wire fields once, in wire order (fields()); the
 // encoder and decoder are both generated from that list (util/codec.h).
-// The engine decodes on receipt. Values are opaque byte strings supplied
-// by the layer above (SDUR encodes transactions into them).
+// The engine decodes on receipt, through the payload's buffer, so every
+// Value field is a slice of the message that carried it, not a copy.
+// Values are opaque byte strings supplied by the layer above (SDUR encodes
+// transactions into them).
 #pragma once
 
 #include <tuple>
@@ -135,8 +137,9 @@ struct StateTransfer {
 };
 
 /// Batch helpers: a Paxos value proposed by the leader is a batch of client
-/// values (possibly empty = no-op used for gap filling).
-Value encode_batch(const std::vector<Value>& values);
+/// values (possibly empty = no-op used for gap filling). The decoded items
+/// are slices of the batch's buffer.
+util::Bytes encode_batch(const std::vector<Value>& values);
 std::vector<Value> decode_batch(const Value& batch);
 
 }  // namespace sdur::paxos

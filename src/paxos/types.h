@@ -13,7 +13,9 @@ namespace sdur::paxos {
 
 using sim::ProcessId;
 using sim::Time;
-using Value = util::Bytes;
+/// A value is an immutable slice of the buffer that carried it (util::
+/// SharedBytes): decoded from a message, it shares that message's bytes.
+using Value = util::SharedBytes;
 
 /// Paxos log position.
 using InstanceId = std::uint64_t;

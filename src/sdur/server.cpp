@@ -1106,8 +1106,7 @@ void Server::install_state(const paxos::Value& blob) {
   };
   for (std::uint64_t n = r.varint(); n > 0; --n) {
     const Version v = r.i64();
-    const std::string tx_bytes = r.bytes();
-    PartTx tx = PartTx::decode(util::Bytes(tx_bytes.begin(), tx_bytes.end()));
+    PartTx tx = PartTx::decode(r.shared());
     // The transaction goes in first: a vote that settles the round needs it.
     Round& round = rounds_[tx.id];
     round.tx = std::move(tx);

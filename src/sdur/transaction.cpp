@@ -53,8 +53,8 @@ util::Bytes PartTx::encode() const {
   return std::move(w).take();
 }
 
-PartTx PartTx::decode(const util::Bytes& value) {
-  util::Reader r(value);
+PartTx PartTx::decode(std::span<const std::uint8_t> value) {
+  util::Reader r(value.data(), value.size());
   PartTx t;
   t.kind = static_cast<Kind>(r.u8());
   if (t.kind == Kind::kTick) return t;

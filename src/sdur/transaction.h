@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -103,7 +104,9 @@ struct PartTx {
   bool is_global() const { return involved.size() > 1; }
 
   util::Bytes encode() const;
-  static PartTx decode(const util::Bytes& value);
+  /// Reads a PartTx from its encoding: a Paxos value (util::SharedBytes)
+  /// or plain Bytes, without copying either.
+  static PartTx decode(std::span<const std::uint8_t> value);
 
   static PartTx make_tick();
   static PartTx make_abort_request(TxId id, std::vector<PartitionId> involved);

@@ -12,6 +12,11 @@
 // matter how many destinations receive it. Immutability is what makes the
 // sharing sound: no writer exists after construction, so aliasing can
 // never be observed (see DESIGN.md "Simulation fabric hot path").
+//
+// The sharing reaches past the message: a reader built over buffer()
+// decodes util::SharedBytes fields as slices of it, so a Paxos value
+// decoded from a Phase 2A is that message's buffer, held by every
+// member's log and delivered from there without a copy.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,9 @@ class Payload {
   }
   /// Lets util::Reader (and legacy call sites) see the payload as Bytes.
   operator const util::Bytes&() const { return bytes(); }  // NOLINT(google-explicit-constructor)
+  /// The refcounted buffer itself (null when empty): a util::Reader over it
+  /// decodes SharedBytes fields as slices that keep it alive.
+  const std::shared_ptr<const util::Bytes>& buffer() const { return buf_; }
 
   /// TEST KNOB — turns buffer sharing off (copies deep-copy) so the
   /// golden-digest equivalence test can prove sharing never changes

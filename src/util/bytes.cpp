@@ -18,7 +18,7 @@ void Writer::bytes(std::string_view s) {
   raw(s.data(), s.size());
 }
 
-void Writer::bytes(const Bytes& b) {
+void Writer::bytes(std::span<const std::uint8_t> b) {
   ensure(b.size() + 10);
   varint(b.size());
   raw(b.data(), b.size());
@@ -58,6 +58,16 @@ std::string_view Reader::view() {
   std::string_view out(reinterpret_cast<const char*>(data_ + pos_), n);
   pos_ += n;
   return out;
+}
+
+SharedBytes Reader::shared() {
+  const std::uint64_t n = varint();
+  need(n);
+  const std::uint8_t* p = data_ + pos_;
+  pos_ += n;
+  if (n == 0) return {};
+  if (owner_ != nullptr && *owner_) return SharedBytes(*owner_, p, n);
+  return SharedBytes(Bytes(p, p + n));
 }
 
 void Reader::raw(void* out, std::size_t n) {

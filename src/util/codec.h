@@ -10,7 +10,9 @@
 //
 //   bool, 1-byte enums          u8
 //   uint8/16/32/64, int64       little-endian at their width
-//   std::string, Bytes          varint length, then the bytes
+//   std::string, Bytes,         varint length, then the bytes (a
+//   SharedBytes                 SharedBytes decodes as a slice of the
+//                               reader's owner buffer, if it has one)
 //   std::vector<T>              varint count, then each element
 //   std::pair<A, B>             A, then B
 //   a struct with fields()      its fields, in order
@@ -77,7 +79,8 @@ void encode(Writer& w, const T& v) {
     w.u64(v);
   } else if constexpr (std::same_as<T, std::int64_t>) {
     w.i64(v);
-  } else if constexpr (std::same_as<T, std::string> || std::same_as<T, Bytes>) {
+  } else if constexpr (std::same_as<T, std::string> || std::same_as<T, Bytes> ||
+                       std::same_as<T, SharedBytes>) {
     w.bytes(v);
   } else if constexpr (is_vector<T>::value) {
     w.varint(v.size());
@@ -116,6 +119,8 @@ void decode(Reader& r, T& v) {
     v = r.bytes();
   } else if constexpr (std::same_as<T, Bytes>) {
     r.bytes(v);
+  } else if constexpr (std::same_as<T, SharedBytes>) {
+    v = r.shared();
   } else if constexpr (is_vector<T>::value) {
     const std::uint64_t n = r.varint();
     // Every element takes at least one byte, so a larger count is

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sdur/deployment.h"
 #include "util/bytes.h"
@@ -18,8 +19,8 @@ using paxos::InMemoryDurableLog;
 using paxos::Value;
 
 Value bytes_of(const char* s) {
-  return Value(reinterpret_cast<const std::uint8_t*>(s),
-               reinterpret_cast<const std::uint8_t*>(s) + std::strlen(s));
+  return util::Bytes(reinterpret_cast<const std::uint8_t*>(s),
+                     reinterpret_cast<const std::uint8_t*>(s) + std::strlen(s));
 }
 
 TEST(DurableLogCheckpoint, SaveLoadAndTruncate) {
@@ -92,6 +93,60 @@ TEST(DurableLogCheckpoint, DecidedBytesSurviveTruncation) {
   for (paxos::InstanceId i = 0; i < 4; ++i) EXPECT_FALSE(log.load_decided(i).has_value());
   for (paxos::InstanceId i = 4; i < 10; ++i) EXPECT_EQ(log.load_decided(i), value(i)) << i;
   EXPECT_EQ(log.decided_prefix(), 10u);
+}
+
+std::vector<paxos::InstanceId> accepted_instances(const InMemoryDurableLog& log,
+                                                  paxos::InstanceId low) {
+  std::vector<paxos::InstanceId> out;
+  for (const auto& [inst, rec] : log.accepted_from(low)) out.push_back(inst);
+  return out;
+}
+
+// The log is dense from its truncation point: instances 1-4 below are holes
+// in it, and must read as absent, not as empty records.
+TEST(DenseDurableLog, GapsTruncationAndLateAccepts) {
+  InMemoryDurableLog log;
+  const paxos::Ballot b1 = paxos::Ballot::make(1, 0);
+  const paxos::Ballot b2 = paxos::Ballot::make(2, 1);
+  log.save_accepted(0, b1, bytes_of("a"));
+  log.save_accepted(5, b1, bytes_of("f"));
+  EXPECT_EQ(accepted_instances(log, 0), (std::vector<paxos::InstanceId>{0, 5}));
+  EXPECT_EQ(log.accepted_from(0).at(5).value, bytes_of("f"));
+  for (paxos::InstanceId i = 1; i < 5; ++i) {
+    EXPECT_FALSE(log.load_accepted(i).has_value()) << i;
+    EXPECT_FALSE(log.load_decided(i).has_value()) << i;
+  }
+  EXPECT_FALSE(log.load_accepted(6).has_value());
+  log.save_decided(0, bytes_of("a"));
+  log.save_decided(5, bytes_of("f"));
+  EXPECT_EQ(log.decided_prefix(), 1u) << "the prefix stops at the gap";
+
+  // Truncating past the last entry empties the log and moves its base.
+  log.truncate_below(9);
+  EXPECT_EQ(log.first_retained(), 9u);
+  EXPECT_TRUE(log.accepted_from(0).empty());
+  EXPECT_FALSE(log.load_decided(5).has_value());
+  EXPECT_EQ(log.decided_prefix(), 9u);
+
+  // An accept after it lands at the new base.
+  log.save_accepted(9, b2, bytes_of("j"));
+  log.save_decided(9, bytes_of("j"));
+  EXPECT_EQ(log.load_accepted(9)->ballot, b2);
+  EXPECT_EQ(log.load_decided(9), bytes_of("j"));
+  EXPECT_EQ(log.decided_prefix(), 10u);
+
+  // An accept below the truncation point is kept until the next truncation
+  // covers it; the retained range and the decided prefix do not move.
+  log.save_accepted(3, b2, bytes_of("d"));
+  EXPECT_EQ(log.load_accepted(3)->value, bytes_of("d"));
+  EXPECT_EQ(log.first_retained(), 9u);
+  EXPECT_EQ(log.decided_prefix(), 10u);
+  EXPECT_EQ(accepted_instances(log, 0), (std::vector<paxos::InstanceId>{3, 9}));
+  EXPECT_EQ(accepted_instances(log, 4), (std::vector<paxos::InstanceId>{9}));
+  log.truncate_below(9);
+  EXPECT_FALSE(log.load_accepted(3).has_value());
+  EXPECT_EQ(accepted_instances(log, 0), (std::vector<paxos::InstanceId>{9}));
+  EXPECT_EQ(log.load_decided(9), bytes_of("j"));
 }
 
 TEST(CertifierCheckpoint, EncodeInstallRoundTrip) {

@@ -281,6 +281,29 @@ TEST_F(PaxosGroup, AcceptorPersistsBeforeAcknowledging) {
   }
 }
 
+// A value is a slice of the Phase 2A that carried it, and every member
+// (the leader too, which receives its own 2A) accepts that one message: the
+// three logs hold one buffer per instance, not three copies.
+TEST_F(PaxosGroup, MembersLogOneSharedBufferPerInstance) {
+  sim.run_until(sim::msec(200));
+  for (std::uint64_t v = 0; v < 60; ++v) propose_at(static_cast<int>(v % 3), 500 + v);
+  sim.run_until(sim::sec(2));
+  const DurableLog& first = hosts[0]->engine().log();
+  const InstanceId decided = first.decided_prefix();
+  ASSERT_GT(decided, 1u);
+  for (InstanceId i = 0; i < decided; ++i) {
+    const auto mine = first.load_decided(i);
+    ASSERT_TRUE(mine.has_value()) << i;
+    ASSERT_FALSE(mine->empty()) << i;
+    for (int h = 1; h < kN; ++h) {
+      const auto theirs = hosts[h]->engine().log().load_decided(i);
+      ASSERT_TRUE(theirs.has_value()) << "instance " << i << " host " << h;
+      EXPECT_EQ(theirs->data(), mine->data()) << "instance " << i << " host " << h;
+    }
+  }
+  for (auto& h : hosts) EXPECT_EQ(h->delivered.size(), 60u);
+}
+
 TEST_F(PaxosGroup, SafetyUnderChurn) {
   // Random loss + repeated leader crashes and recoveries must never cause
   // divergent delivery — the core Paxos safety property.

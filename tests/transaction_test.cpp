@@ -188,7 +188,7 @@ std::vector<WirePin> wire_pins() {
   ptx.writes = {{11, "x"}};
 
   const paxos::Ballot ballot = paxos::Ballot::make(3, 1);
-  const paxos::Value val{0xAA, 0xBB};
+  const paxos::Value val = util::Bytes{0xAA, 0xBB};
 
   const std::string tx_hex =
       "08070605040302010900000002000000000c0000000000000003000000ffffff"

@@ -1,11 +1,14 @@
-// Unit tests for util: byte codec, bloom filters, key sets, histograms,
+// Unit tests for util: byte codec, shared byte slices, bloom filters, key sets, histograms,
 // Zipf generator, RNG determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <string>
 
 #include "util/bloom.h"
 #include "util/bytes.h"
+#include "util/codec.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/zipf.h"
@@ -59,17 +62,72 @@ TEST(Bytes, TruncatedBufferThrows) {
 }
 
 TEST(Bytes, TruncatedStringThrows) {
-  Writer w;
-  w.varint(100);  // claims 100 bytes follow
-  w.raw("abc", 3);
-  Reader r(w.data());
-  EXPECT_THROW(r.bytes(), CodecError);
+  // Claims 100 bytes follow; then a length so large that the read position
+  // plus it wraps around.
+  for (const std::uint64_t claimed : {std::uint64_t{100}, ~std::uint64_t{0}}) {
+    Writer w;
+    w.varint(claimed);
+    w.raw("abc", 3);
+    Reader r(w.data());
+    EXPECT_THROW(r.bytes(), CodecError) << claimed;
+    Reader s(w.data());
+    EXPECT_THROW(s.shared(), CodecError) << claimed;
+  }
 }
 
 TEST(Bytes, MalformedVarintThrows) {
   Bytes bad(11, 0xFF);  // 11 continuation bytes > max varint length
   Reader r(bad);
   EXPECT_THROW(r.varint(), CodecError);
+}
+
+TEST(SharedBytes, DecodedFromPlainBytesOutlivesThem) {
+  SharedBytes kept;
+  {
+    Writer w;
+    w.bytes(std::string_view("payload"));
+    const Bytes buf = std::move(w).take();
+    Reader r(buf);
+    kept = r.shared();
+  }
+  // The reader had no owner, so the value copied its bytes: reading them
+  // after the buffer is gone is sound (the ASan stage checks this).
+  EXPECT_EQ(std::string(kept.begin(), kept.end()), "payload");
+}
+
+TEST(SharedBytes, DecodedFromAnOwnerIsASliceOfIt) {
+  Writer w;
+  w.bytes(std::string_view("abc"));
+  w.bytes(std::string_view(""));
+  const auto owner = std::make_shared<const Bytes>(std::move(w).take());
+  Reader r(owner);
+  const SharedBytes abc = r.shared();
+  EXPECT_EQ(abc.owner(), owner);
+  EXPECT_EQ(abc.data(), owner->data() + 1) << "after the one-byte length prefix";
+  EXPECT_TRUE(r.shared().empty());
+  EXPECT_TRUE(r.done());
+  // A reader over the slice slices the same buffer again.
+  Writer inner;
+  inner.bytes(abc);
+  const SharedBytes framed = std::move(inner).take();
+  Reader r2(framed);
+  const SharedBytes again = r2.shared();
+  EXPECT_EQ(again.owner(), framed.owner());
+  EXPECT_EQ(again, abc) << "equal bytes in different buffers";
+  EXPECT_NE(again.data(), abc.data());
+}
+
+TEST(SharedBytes, EncodesLikeBytes) {
+  const Bytes raw = {1, 2, 3};
+  Writer a;
+  encode(a, raw);
+  Writer b;
+  encode(b, SharedBytes(raw));
+  EXPECT_EQ(a.data(), b.data());
+  Reader r(a.data());
+  EXPECT_EQ(decode<SharedBytes>(r), SharedBytes(raw));
+  EXPECT_NE(SharedBytes(raw), SharedBytes(Bytes{1, 2}));
+  EXPECT_EQ(SharedBytes(), SharedBytes(Bytes{}));
 }
 
 TEST(Bloom, NoFalseNegatives) {

@@ -35,7 +35,10 @@ any more, the prefix stays so that one cannot return unchecked) runs
 per speculated global and per completion; and
 the read frontier (anything
 containing `frontier` under src/sdur/: read_frontier, scan_frontier)
-runs once per served read. Under src/trace/ the
+runs once per served read. Under src/paxos/ the value path is hot:
+`on_phase2a` (once per accepted value on every member), `record_ack`
+(once per acknowledgement), `decide` and `try_deliver` (once per decided
+instance). Under src/trace/ the
 span-emit path is hot: every
 instrumented protocol step calls Tracer::record_*/append per delivered
 transaction, and the tracer's zero-allocation-at-steady-state contract
@@ -51,8 +54,10 @@ from cpplex import TOK_IDENT, Token
 from cppmodel import FunctionDef, skip_balanced, skip_template_args, _split_top_level
 from engine import Context, Finding, Rule
 
+# paxos::Value is not here: it is a refcounted slice (util::SharedBytes),
+# so copying one bumps a count and never copies bytes.
 _CONTAINERS = {"vector", "deque", "string", "map", "set", "unordered_map",
-               "unordered_set", "KeySet", "Bytes", "Value"}
+               "unordered_set", "KeySet", "Bytes"}
 _ALLOC_CALLS = {"make_unique", "make_shared"}
 _CHAIN_OK = {".", "->", "::"}
 
@@ -98,6 +103,14 @@ def _is_hot(name: str, rel: str) -> bool:
     # probe runs once per served or deferred read — see DESIGN.md
     # "Per-key read frontier".
     if rel.startswith("src/sdur/") and "frontier" in name:
+        return True
+    # The Paxos value path (src/paxos/): on_phase2a runs once per accepted
+    # value on every member, record_ack once per acknowledgement, decide
+    # and try_deliver once per decided instance — see DESIGN.md
+    # "Simulation fabric hot path". A value travels there as one shared
+    # buffer; a Bytes deep copy or a fresh buffer would copy it again.
+    if rel.startswith("src/paxos/") and name in (
+            "on_phase2a", "record_ack", "decide", "try_deliver"):
         return True
     # The tracer's record/emit/append path runs once per instrumented
     # protocol step; its zero-alloc contract is load-bearing.
@@ -216,7 +229,8 @@ RULES = [
          "vote-exchange, drain*/head_stall* completion-loop, "
          "*bypass*/park*/unpark* out-of-order-commit, *frontier* read, and "
          "speculate*/finalize*/rollback* speculation bodies (also "
-         "src/storage/), or src/trace/ record*/emit*/append* span-emit bodies",
+         "src/storage/), src/paxos/ on_phase2a/record_ack/decide/try_deliver "
+         "value-path bodies, or src/trace/ record*/emit*/append* span-emit bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-alloc"),
          suggestion="preallocate outside the certification path (reuse a "
                     "scratch buffer the caller owns, or a recycled slab like "
@@ -225,13 +239,14 @@ RULES = [
          "no container deep-copies (locals copy-initialized from lvalues, "
          "by-value container parameters) in hot certification, "
          "vote-exchange, completion-loop, out-of-order-commit, "
-         "read-frontier, or speculation bodies",
+         "read-frontier, speculation, or Paxos value-path bodies",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-container-copy"),
          suggestion="take const&, or reuse a scratch buffer owned by the caller"),
     Rule("hotpath-throw",
          "no throwing constructs in audit-off protocol hot paths "
          "(certification, vote exchange, completion loop, out-of-order "
-         "commit, read frontier, speculation, and trace span-emit)",
+         "commit, read frontier, speculation, Paxos value path, and trace "
+         "span-emit)",
          lambda ctx: (f for f in run_hotpath_hygiene(ctx) if f.rule == "hotpath-throw"),
          suggestion="return a verdict, or guard the invariant with SDUR_AUDIT_CHECK "
                     "(compiled out in benchmark builds)"),
