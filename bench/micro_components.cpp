@@ -3,6 +3,7 @@
 // wire codec and the latency histogram.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 
 #include "sdur/certifier.h"
@@ -110,9 +111,27 @@ void BM_MVStoreSnapshotRead(benchmark::State& state) {
 }
 BENCHMARK(BM_MVStoreSnapshotRead);
 
-// Initial population as every replica runs it at start-up: 100K keys of
-// 64 B into a fresh store, one load() per key (no reserve), the store's
-// own growth included.
+// A get() that misses the own layer and hits the shared initial image:
+// a replica's read of a key no transaction has written yet. The own layer
+// holds 50K versions over the lower half of the keys; reads draw from the
+// upper half.
+void BM_MVStoreImageRead(benchmark::State& state) {
+  auto image = std::make_shared<storage::MVStore>();
+  for (Key k = 0; k < 100'000; ++k) image->load(k, "init");
+  storage::MVStore store(image);
+  util::Rng rng(4);
+  for (Version v = 1; v <= 50'000; ++v) store.put(rng.below(50'000), "upd", v);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store.get(50'000 + rng.below(50'000), 25'000));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MVStoreImageRead);
+
+// Initial population as a deployment runs it at start-up, once per
+// partition into the image its replicas share: 100K keys of 64 B into a
+// fresh store, one load() per key (no reserve), the store's own growth
+// included.
 void BM_MVStoreLoad(benchmark::State& state) {
   constexpr Key kKeys = 100'000;
   const std::string value(64, 'x');

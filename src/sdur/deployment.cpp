@@ -22,6 +22,7 @@ Deployment::Deployment(DeploymentSpec spec) : spec_(std::move(spec)) {
 
   partition_servers_.resize(spec_.partitions);
   for (PartitionId p = 0; p < spec_.partitions; ++p) {
+    images_.push_back(std::make_shared<storage::MVStore>());
     for (std::uint32_t r = 0; r < spec_.replicas; ++r) {
       partition_servers_[p].push_back(server_pid(p, r));
     }
@@ -110,13 +111,16 @@ std::vector<Client*> Deployment::clients() {
   return out;
 }
 
-void Deployment::load(Key k, std::string v) {
-  const PartitionId p = spec_.partitioning->partition_of(k);
-  for (std::uint32_t r = 0; r < spec_.replicas; ++r) server(p, r).load(k, v);
+void Deployment::load(Key k, std::string_view v) {
+  if (started_) throw std::logic_error("Deployment::load after start()");
+  images_.at(spec_.partitioning->partition_of(k))->load(k, v);
 }
 
 void Deployment::start() {
-  for (auto& s : servers_) s->start();
+  started_ = true;
+  for (PartitionId p = 0; p < spec_.partitions; ++p) {
+    for (std::uint32_t r = 0; r < spec_.replicas; ++r) server(p, r).start(images_[p]);
+  }
 }
 
 Server::Stats Deployment::total_stats() const {

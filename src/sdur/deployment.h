@@ -17,6 +17,7 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "sdur/client.h"
@@ -73,11 +74,14 @@ class Deployment {
   Client& add_client(PartitionId home);
   std::vector<Client*> clients();
 
-  /// Loads a key/value into every replica of the key's partition. Must be
-  /// called before start().
-  void load(Key k, std::string v);
+  /// Loads a key/value at version 0 into the key's partition: into the
+  /// partition's one initial image, which every replica's store reads
+  /// through (storage/mvstore.h, LAYERS). Throws std::logic_error after
+  /// start(), when the image is shared and no longer written.
+  void load(Key k, std::string_view v);
 
-  /// Starts all servers (Paxos leader election, gossip, liveness timers).
+  /// Hands each replica its partition's image, then starts all servers
+  /// (Paxos leader election, gossip, liveness timers).
   void start();
 
   /// Runs the simulation until time t.
@@ -106,6 +110,9 @@ class Deployment {
   /// Every partition's server pids, replica 0 (the bootstrap leader) first.
   std::vector<std::vector<sim::ProcessId>> partition_servers_;
   std::vector<std::unique_ptr<Server>> servers_;
+  /// One initial image per partition, filled by load() until start().
+  std::vector<std::shared_ptr<storage::MVStore>> images_;
+  bool started_ = false;
   std::vector<std::unique_ptr<Client>> clients_;
   std::vector<std::shared_ptr<void>> retained_;
   sim::ProcessId next_client_pid_ = 10'000;

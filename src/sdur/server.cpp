@@ -84,7 +84,8 @@ Server::Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerC
   }
 }
 
-void Server::start() {
+void Server::start(std::shared_ptr<const storage::MVStore> image) {
+  store_ = storage::MVStore(std::move(image));
   engine_->start();
   arm_timers();
 }

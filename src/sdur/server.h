@@ -89,18 +89,16 @@ class Server : public sim::Process {
   Server(sim::Network& net, sim::ProcessId pid, sim::Location loc, ServerConfig cfg,
          paxos::GroupConfig paxos_cfg, PartitioningPtr partitioning);
 
-  /// Starts Paxos timers, gossip and liveness timers.
-  void start();
+  /// Sets the store up as an own layer over `image`, the partition's
+  /// shared initial load (null: an empty store), then starts Paxos timers,
+  /// gossip and liveness timers.
+  void start(std::shared_ptr<const storage::MVStore> image);
 
   /// Atomically broadcasts a new reorder threshold to this partition; all
   /// replicas switch at the same point in the delivery sequence (Section
   /// IV-E: "replicas can change the reordering threshold by broadcasting a
   /// new value of k").
   void broadcast_reorder_threshold(std::uint32_t k);
-
-  /// Bulk-loads a key at version 0 (initial database population; done on
-  /// every replica of the partition before start()).
-  void load(Key k, std::string_view v) { store_.load(k, v); }
 
   PartitionId partition() const { return cfg_.partition; }
   /// Stable snapshot version (everything at or below it resolved): the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -64,6 +63,12 @@ void VersionChain::drop_front(std::size_t n) {
   rest_.erase(rest_.begin(), rest_.begin() + static_cast<std::ptrdiff_t>(n));
 }
 
+MVStore::MVStore(std::shared_ptr<const MVStore> image) : image_(std::move(image)) {
+  if (image_ && (image_->image_ || image_->version_count() != image_->key_count())) {
+    throw std::invalid_argument("MVStore: an image must be a plain store of one load per key");
+  }
+}
+
 std::optional<VersionedValue> MVStore::get(Key k, Version snapshot) const {
   const VersionChain* chain = versions_of(k);
   if (chain == nullptr) return std::nullopt;
@@ -82,14 +87,23 @@ std::optional<VersionedValue> MVStore::get_latest(Key k) const {
 }
 
 void MVStore::put(Key k, std::string_view value, Version version) {
-  if (chains_.size() > std::numeric_limits<std::uint32_t>::max()) {
+  if (chains_.size() >= kErased) {
     throw std::length_error("MVStore::put: more keys than 32-bit chain ids");
   }
-  const auto [id, inserted] = index_.try_emplace(k, static_cast<std::uint32_t>(chains_.size()));
-  if (inserted) {
-    chains_.emplace_back(k, VersionRef{version, arena_.append(value)});
+  const auto next = static_cast<std::uint32_t>(chains_.size());
+  const auto [id, inserted] = index_.try_emplace(k, next);
+  if (inserted || *id == kErased) {
+    const VersionChain* image = inserted ? image_chain(k) : nullptr;
+    *id = next;
     ++versions_;
-    return;
+    if (image == nullptr) {
+      chains_.emplace_back(k, VersionRef{version, arena_.append(value)});
+      return;
+    }
+    // Copy-on-write: the key's own chain starts from a view of the image's
+    // version 0, then takes this write like any existing chain.
+    chains_.emplace_back(k, image->front());
+    ++shadowed_;
   }
   VersionChain& chain = chains_[*id];
   // Commits are applied in snapshot-counter order, so per-key versions are
@@ -110,7 +124,7 @@ void MVStore::put(Key k, std::string_view value, Version version) {
 
 void MVStore::insert(Key k, std::string_view value, Version version) {
   const std::uint32_t* id = index_.find(k);
-  if (id == nullptr || chains_[*id].back().version <= version) {
+  if (id == nullptr || *id == kErased || chains_[*id].back().version <= version) {
     put(k, value, version);
     return;
   }
@@ -132,9 +146,13 @@ void MVStore::truncate_above(Version horizon) {
     const std::size_t keep = chain.upper_bound(horizon);
     versions_ -= chain.size() - keep;
     if (keep == 0) {
-      erase_chain(id);
-    } else {
-      chain.truncate(keep);
+      erase_chain(id, /*to_image=*/false);
+      continue;
+    }
+    chain.truncate(keep);
+    if (keep == 1 && borrows_image(chain)) {  // nothing left but the image's
+      --versions_;
+      erase_chain(id, /*to_image=*/true);
     }
   }
   compact();
@@ -160,13 +178,34 @@ std::optional<Version> MVStore::gc_horizon(Version before, Version after, Versio
 
 std::vector<Key> MVStore::keys() const {
   std::vector<Key> out;
-  out.reserve(chains_.size());
+  out.reserve(key_count());
   for (const VersionChain& chain : chains_) out.push_back(chain.key_);
+  if (image_) {
+    for (const VersionChain& chain : image_->chains_) {
+      if (index_.find(chain.key_) == nullptr) out.push_back(chain.key_);
+    }
+  }
   return out;
 }
 
-void MVStore::erase_chain(std::size_t id) {
-  index_.erase(chains_[id].key_);
+bool MVStore::borrows_image(const VersionChain& chain) const {
+  if (chain.first_.version != 0) return false;
+  const VersionChain* image = image_chain(chain.key_);
+  if (image == nullptr) return false;
+  const std::string_view bytes = image->front().value;
+  return chain.first_.value.data() == bytes.data() && chain.first_.value.size() == bytes.size();
+}
+
+void MVStore::erase_chain(std::size_t id, bool to_image) {
+  const Key k = chains_[id].key_;
+  if (to_image) {
+    index_.erase(k);
+    --shadowed_;
+  } else if (image_chain(k) != nullptr) {
+    *index_.find(k) = kErased;  // absent, as in a plain store
+  } else {
+    index_.erase(k);
+  }
   if (id + 1 != chains_.size()) {
     chains_[id] = std::move(chains_.back());
     *index_.find(chains_[id].key_) = static_cast<std::uint32_t>(id);
@@ -175,15 +214,18 @@ void MVStore::erase_chain(std::size_t id) {
 }
 
 void MVStore::compact() {
+  // A view of the image's bytes is not the own arena's: neither counted
+  // nor copied.
   std::size_t live = 0;
   for (const VersionChain& chain : chains_) {
     for (const VersionRef& v : chain) live += v.value.size();
+    if (borrows_image(chain)) live -= chain.first_.value.size();
   }
   if (arena_.used() == live) return;
   ValueArena fresh;
   fresh.reset(live);
   for (VersionChain& chain : chains_) {
-    chain.first_.value = fresh.append(chain.first_.value);
+    if (!borrows_image(chain)) chain.first_.value = fresh.append(chain.first_.value);
     for (VersionRef& v : chain.rest_) v.value = fresh.append(v.value);
   }
   arena_ = std::move(fresh);
@@ -192,19 +234,22 @@ void MVStore::compact() {
 void MVStore::encode(util::Writer& w) const {
   // Keys are serialized sorted so a checkpoint blob is a canonical function
   // of the store's contents — byte-identical across replicas regardless of
-  // the order keys were inserted and erased in.
-  std::vector<std::pair<Key, std::uint32_t>> order;
-  order.reserve(chains_.size());
-  for (std::size_t id = 0; id < chains_.size(); ++id) {
-    order.emplace_back(chains_[id].key_, static_cast<std::uint32_t>(id));
+  // the order keys were inserted and erased in, and of which layer holds
+  // them.
+  std::vector<std::pair<Key, const VersionChain*>> order;
+  order.reserve(key_count());
+  for (const VersionChain& chain : chains_) order.emplace_back(chain.key_, &chain);
+  if (image_) {
+    for (const VersionChain& chain : image_->chains_) {
+      if (index_.find(chain.key_) == nullptr) order.emplace_back(chain.key_, &chain);
+    }
   }
   std::sort(order.begin(), order.end());
   w.varint(order.size());
-  for (const auto& [k, id] : order) {
-    const VersionChain& chain = chains_[id];
+  for (const auto& [k, chain] : order) {
     w.u64(k);
-    w.varint(chain.size());
-    for (const VersionRef& v : chain) {
+    w.varint(chain->size());
+    for (const VersionRef& v : *chain) {
       w.i64(v.version);
       w.bytes(v.value);
     }
@@ -216,6 +261,8 @@ void MVStore::install(util::Reader& r) {
   chains_.clear();
   arena_.reset();
   versions_ = 0;
+  image_.reset();
+  shadowed_ = 0;
   const std::uint64_t nkeys = r.varint();
   index_.reserve(nkeys);
   chains_.reserve(nkeys);

@@ -11,22 +11,41 @@
 // snapshot SC never observes t's writes.
 //
 // HOT PATH. get()/put() run once per read / per committed write across
-// every simulated server, and every replica loads its whole partition at
-// start-up, so each stored byte has one compact home:
+// every simulated server, so each stored byte has one compact home:
 //   - an index FlatTable<std::uint32_t> (storage/flat_table.h) maps a key
 //     to its chain id — a 16 B slot, so growth rehashes small slots (and a
-//     store holds at most 2^32 keys; put() throws past that);
+//     store holds fewer than 2^32 - 1 keys; put() throws past that);
 //   - a dense std::vector of VersionChains, one per key, erased by
 //     swap-with-last plus one index fix-up;
 //   - a per-store, chunked, append-only value arena. A version is a
 //     {Version, std::string_view} into it, the first one held in the chain
 //     and only later ones spilled to a vector, so loading a key allocates
 //     nothing of its own.
+//
+// LAYERS. Every replica of a partition starts from the same initial load,
+// so a partition is loaded once, into one immutable image (a plain store
+// holding only version-0 loads), and each replica's store is its own
+// layer — the index, chains and arena above — over a shared_ptr to that
+// image. Reads (get(), get_latest(), versions_of()) check the own layer
+// first, then the image; a key's own chain, once it exists, is
+// authoritative. Copy-on-write per key: the first put() or insert() of a
+// key only the image holds creates its own chain, whose version 0 is a
+// view of the image's bytes, never a copy. truncate_above() erases an own
+// chain when all it keeps is that view, so a rollback to 0 falls back to
+// the bare image; an own chain of an image key that truncation empties
+// leaves an erased mark in the index, so the key stays absent as it would
+// in a plain store. A store over an image answers every read, and
+// encode()s, exactly as a plain store given the same loads and the same
+// mutations; install() drops the image.
+//
 // Arena rule: bytes a version stops referencing (a same-version overwrite,
 // a truncated or collected version) stay in the arena as garbage
 // until the next gc() or truncate_above(), which then copy the live values
 // into one fresh block sized to fit — after either, the arena holds exactly
-// the live value bytes. install() starts from an empty arena.
+// the live value bytes. Image bytes are never the own arena's: views of
+// them are neither counted nor copied, and the shared_ptr keeps the
+// image's arena alive for as long as any layer views it. install() starts
+// from an empty arena.
 #pragma once
 
 #include <cstddef>
@@ -52,9 +71,9 @@ struct VersionedValue {
   std::string value;
 };
 
-/// A version as the store holds it: `value` views the store's arena and is
-/// valid until the store's next mutation that may compact it (gc(),
-/// truncate_above(), install()).
+/// A version as the store holds it: `value` views the store's arena (or
+/// its image's) and is valid until the store's next mutation that may
+/// compact it (gc(), truncate_above(), install()).
 struct VersionRef {
   Version version = 0;
   std::string_view value;
@@ -141,6 +160,13 @@ class VersionChain {
 
 class MVStore {
  public:
+  /// A plain store: no image.
+  MVStore() = default;
+  /// An empty own layer over `image` (see LAYERS in the header comment).
+  /// The image must be a plain store holding one version-0 load per key;
+  /// throws std::invalid_argument otherwise. A null image is a plain store.
+  explicit MVStore(std::shared_ptr<const MVStore> image);
+
   /// Most recent version of `k` with version <= snapshot.
   std::optional<VersionedValue> get(Key k, Version snapshot) const;
 
@@ -182,19 +208,34 @@ class MVStore {
   static constexpr Version kGcPeriod = Version{1} << 18;
   static std::optional<Version> gc_horizon(Version before, Version after, Version keep);
 
-  std::size_t key_count() const { return chains_.size(); }
-  std::size_t version_count() const { return versions_; }
-  /// Bytes the value arena holds (live values plus garbage awaiting the
-  /// next gc(); see the arena rule in the header comment).
+  /// Keys and versions readable here, both layers' (an image key counts
+  /// once, from the layer that answers for it, and not at all once its
+  /// erased mark hides it).
+  std::size_t key_count() const {
+    return chains_.size() + (image_ ? image_->key_count() : 0) - shadowed_;
+  }
+  std::size_t version_count() const {
+    return versions_ + (image_ ? image_->version_count() : 0) - shadowed_;
+  }
+  /// The own layer alone: its chains and their versions.
+  std::size_t own_key_count() const { return chains_.size(); }
+  std::size_t own_version_count() const { return versions_; }
+  /// Bytes the own value arena holds (live values plus garbage awaiting
+  /// the next gc(); see the arena rule in the header comment). The
+  /// image's bytes are its own arena_bytes().
   std::size_t arena_bytes() const { return arena_.capacity(); }
+  /// The shared initial image, or nullptr for a plain store.
+  const MVStore* image() const { return image_.get(); }
 
-  /// Serializes the full store into a checkpoint / replaces it from one.
+  /// Serializes the full store, both layers merged in key order, into a
+  /// checkpoint / replaces it from one (dropping the image).
   void encode(util::Writer& w) const;
   void install(util::Reader& r);
 
-  /// All keys present in the store, in chain order: insertion order,
-  /// except that erasing a key moves the last-inserted one into its place.
-  /// Every caller sorts (encode() does) or is order-insensitive.
+  /// All keys present in the store: the own layer's in chain order
+  /// (insertion order, except that erasing a key moves the last-inserted
+  /// one into its place), then the image-only ones in the image's. Every
+  /// caller sorts (encode() does) or is order-insensitive.
   std::vector<Key> keys() const;
 
   /// All versions of a key in ascending version order (nullptr if absent;
@@ -202,20 +243,34 @@ class MVStore {
   /// per-key write order for the serializability checker).
   const VersionChain* versions_of(Key k) const {
     const std::uint32_t* id = index_.find(k);
-    return id == nullptr ? nullptr : &chains_[*id];
+    if (id != nullptr) return *id == kErased ? nullptr : &chains_[*id];
+    return image_chain(k);
   }
 
  private:
-  /// Removes chain `id` (swap-with-last, then one index fix-up).
-  void erase_chain(std::size_t id);
+  /// Index value of an image key whose own chain truncation emptied: the
+  /// key is absent, not the image's.
+  static constexpr std::uint32_t kErased = ~std::uint32_t{0};
+
+  /// The image's chain of `k` (nullptr without an image or if absent).
+  const VersionChain* image_chain(Key k) const {
+    return image_ ? image_->versions_of(k) : nullptr;
+  }
+  /// True if `chain`'s first version is the image's version 0, viewed.
+  bool borrows_image(const VersionChain& chain) const;
+  /// Removes chain `id` (swap-with-last, then one index fix-up). An image
+  /// key falls back to the image if `to_image`, else is marked kErased.
+  void erase_chain(std::size_t id, bool to_image);
   /// Copies every live value into one fresh block if the arena holds any
   /// garbage, then frees the old blocks.
   void compact();
 
-  FlatTable<std::uint32_t> index_;  // key -> position in chains_
+  std::shared_ptr<const MVStore> image_;
+  FlatTable<std::uint32_t> index_;  // key -> position in chains_, or kErased
   std::vector<VersionChain> chains_;
   ValueArena arena_;
-  std::size_t versions_ = 0;
+  std::size_t versions_ = 0;  // own layer's
+  std::size_t shadowed_ = 0;  // image keys with an index entry here
 };
 
 }  // namespace sdur::storage

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -15,6 +16,7 @@
 
 #include "sdur/deployment.h"
 #include "sim/fabric_stats.h"
+#include "workload/scenario.h"
 
 namespace sdur {
 namespace {
@@ -223,6 +225,72 @@ TEST(Deployment, ClientReadRetryFollowsTheRoundTrip) {
     EXPECT_EQ(c.read_retry_period(dep.server(0, 0).read_replica(1)), near)
         << "nearest replica";
   }
+}
+
+// A partition is loaded once, into an image every replica reads through;
+// once it is shared, a load would reach no replica, so it throws.
+TEST(Deployment, LoadAfterStartThrows) {
+  Deployment dep(spec_for(DeploymentSpec::Kind::kLan));
+  dep.load(1, "one");
+  dep.start();
+  EXPECT_THROW(dep.load(2, "two"), std::logic_error);
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(dep.server(0, r).store().get_latest(1)->value, "one");
+    EXPECT_FALSE(dep.server(0, r).store().get_latest(2).has_value());
+  }
+}
+
+/// Checks that every replica of each partition reads each key no replica
+/// wrote (latest version 0 everywhere) from one buffer; returns how many
+/// keys it checked.
+std::size_t expect_unwritten_keys_shared(Deployment& dep) {
+  std::size_t checked = 0;
+  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
+    const storage::MVStore& first = dep.server(p, 0).store();
+    for (Key k : first.keys()) {
+      bool unwritten = true;
+      for (std::uint32_t r = 0; r < dep.replica_count(); ++r) {
+        const auto v = dep.server(p, r).store().get_latest(k);
+        unwritten = unwritten && v && v->version == 0;
+      }
+      if (!unwritten) continue;
+      ++checked;
+      const char* bytes = first.versions_of(k)->front().value.data();
+      for (std::uint32_t r = 1; r < dep.replica_count(); ++r) {
+        EXPECT_EQ(dep.server(p, r).store().versions_of(k)->front().value.data(), bytes)
+            << "partition " << p << " replica " << r << " key " << k;
+      }
+    }
+  }
+  return checked;
+}
+
+TEST(Deployment, ReplicasOfAPartitionShareOneImage) {
+  {
+    Deployment dep(spec_for(DeploymentSpec::Kind::kWan1));
+    for (Key k = 0; k < 100; ++k) dep.load(k, "a" + std::to_string(k));
+    for (Key k = 1000; k < 1100; ++k) dep.load(k, "b" + std::to_string(k));
+    dep.start();
+    EXPECT_EQ(expect_unwritten_keys_shared(dep), 200u);
+    for (Server* s : dep.servers()) EXPECT_EQ(s->store().own_key_count(), 0u) << s->name();
+  }
+  // A run in which replica 1 of partition 0 crashes and recovers: its
+  // rollback to the initial load falls back to the shared image, and the
+  // replay copies only the keys it writes.
+  workload::Scenario sc;
+  sc.spec.partitions = 2;
+  sc.run = {.clients = 8, .warmup = sim::msec(200), .measure = sim::sec(2)};
+  sc.micro = {.items_per_partition = 5000, .global_fraction = 0.2};
+  sc.faults.crashes = {{.partition = 0, .replica = 1, .at = sim::sec(2), .down = sim::msec(500)}};
+  sc.drain = sim::sec(5);
+  const workload::ScenarioResult r = workload::run_scenario(sc);
+  ASSERT_TRUE(r.drained);
+  ASSERT_TRUE(r.agree);
+  EXPECT_GT(r.committed, 0u);
+  EXPECT_GT(expect_unwritten_keys_shared(*r.dep), 0u);
+  const storage::MVStore& recovered = r.dep->server(0, 1).store();
+  EXPECT_EQ(recovered.image(), r.dep->server(0, 0).store().image());
+  EXPECT_EQ(recovered.own_key_count(), r.dep->server(0, 0).store().own_key_count());
 }
 
 // Whole-run determinism: two deployments driven by identical seeds produce

@@ -4,8 +4,10 @@
 
 #include <cstdint>
 #include <iterator>
+#include <algorithm>
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "storage/flat_table.h"
 #include "storage/mvstore.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 
 namespace sdur::storage {
 namespace {
@@ -472,6 +475,209 @@ TEST(MVStore, EncodeInstallRoundTripsSpilledAndSpeculativeChains) {
   util::Writer w2;
   t.encode(w2);
   EXPECT_EQ(w1.data(), w2.data());
+}
+
+// --- A store over a shared initial image ----------------------------------
+
+/// An image holding keys [0, n) at version 0.
+std::shared_ptr<const MVStore> image_of(Key n) {
+  auto image = std::make_shared<MVStore>();
+  for (Key k = 0; k < n; ++k) image->load(k, "init" + std::to_string(k));
+  return image;
+}
+
+std::vector<std::uint8_t> encoded(const MVStore& s) {
+  util::Writer w;
+  s.encode(w);
+  return w.data();
+}
+
+std::vector<Key> sorted_keys(const MVStore& s) {
+  std::vector<Key> keys = s.keys();
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+/// `layered` answers every read, counts and encodes as `plain` does.
+void expect_same_store(const MVStore& layered, const MVStore& plain, Key keys, Version newest) {
+  ASSERT_EQ(layered.key_count(), plain.key_count());
+  ASSERT_EQ(layered.version_count(), plain.version_count());
+  ASSERT_EQ(sorted_keys(layered), sorted_keys(plain));
+  ASSERT_EQ(encoded(layered), encoded(plain));
+  for (Key k = 0; k < keys; ++k) {
+    for (Version st = 0; st <= newest; st += 3) {
+      const auto a = layered.get(k, st);
+      const auto b = plain.get(k, st);
+      ASSERT_EQ(a.has_value(), b.has_value()) << "key " << k << " snapshot " << st;
+      if (a) {
+        ASSERT_EQ(a->version, b->version) << "key " << k << " snapshot " << st;
+        ASSERT_EQ(a->value, b->value) << "key " << k << " snapshot " << st;
+      }
+    }
+    const auto* a = layered.versions_of(k);
+    const auto* b = plain.versions_of(k);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "key " << k;
+    if (a != nullptr) {
+      ASSERT_EQ(a->size(), b->size()) << "key " << k;
+    }
+  }
+}
+
+// The same loads and the same random mutations, one store over an image
+// and one plain: every read, count and checkpoint byte agrees throughout,
+// through copy-on-write, same-version overwrites of loads, GC of version 0,
+// and rollbacks that fall back to the image or erase a collected key.
+TEST(MVStoreImage, AnswersLikeAPlainStoreUnderRandomMutations) {
+  constexpr Key kLoaded = 48;
+  constexpr Key kKeys = 64;  // keys >= kLoaded exist only once written
+  const auto image = image_of(kLoaded);
+  MVStore layered(image);
+  MVStore plain;
+  for (Key k = 0; k < kLoaded; ++k) plain.load(k, "init" + std::to_string(k));
+  ASSERT_NO_FATAL_FAILURE(expect_same_store(layered, plain, kKeys, 0));
+
+  // Loaded keys the layered store reads straight from the image.
+  const auto on_image = [&] {
+    std::size_t n = 0;
+    for (Key k = 0; k < kLoaded; ++k) n += layered.versions_of(k) == image->versions_of(k);
+    return n;
+  };
+  const auto below = [](util::Rng& rng, Version bound) {
+    return static_cast<Version>(rng.below(static_cast<std::uint64_t>(bound)));
+  };
+  util::Rng rng(11);
+  Version newest = 0;
+  std::size_t fallbacks = 0, erased_steps = 0;
+  for (int step = 0; step < 3000; ++step) {
+    const Key k = rng.below(kKeys);
+    const std::string value = "s" + std::to_string(step);
+    switch (rng.below(16)) {
+      case 0:  // roll back to a random horizon, often to the initial load
+      case 1: {
+        const Version horizon = rng.below(2) == 0 ? 0 : below(rng, newest + 1);
+        const std::size_t before = on_image();
+        layered.truncate_above(horizon);
+        plain.truncate_above(horizon);
+        fallbacks += on_image() - before;
+        break;
+      }
+      case 2: {
+        const Version horizon = below(rng, newest + 1);
+        layered.gc(horizon);
+        plain.gc(horizon);
+        break;
+      }
+      case 3: {  // a same-version overwrite of the load, where legal
+        const auto latest = plain.get_latest(k);
+        if (latest && latest->version != 0) break;
+        layered.put(k, value, 0);
+        plain.put(k, value, 0);
+        break;
+      }
+      case 4:
+      case 5: {
+        const Version v = below(rng, newest + 1);
+        layered.insert(k, value, v);
+        plain.insert(k, value, v);
+        break;
+      }
+      default:
+        newest += below(rng, 2);
+        layered.put(k, value, newest);
+        plain.put(k, value, newest);
+        break;
+    }
+    if (k < kLoaded && plain.versions_of(k) == nullptr) ++erased_steps;
+    if (step % 50 == 0) {
+      ASSERT_NO_FATAL_FAILURE(expect_same_store(layered, plain, kKeys, newest + 1));
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(expect_same_store(layered, plain, kKeys, newest + 1));
+  EXPECT_GT(fallbacks, 0u) << "no rollback fell back to the image";
+  EXPECT_GT(erased_steps, 0u) << "no loaded key was erased by GC then rollback";
+  EXPECT_EQ(image->version_count(), kLoaded) << "the image is never written";
+}
+
+// Two stores over one image diverge per key; the image stays as loaded,
+// and an unwritten key reads the image's own bytes in both.
+TEST(MVStoreImage, StoresOverOneImageDivergePerKey) {
+  const auto image = image_of(8);
+  const std::vector<std::uint8_t> before = encoded(*image);
+  MVStore a(image);
+  MVStore b(image);
+  a.put(1, "a1", 1);
+  b.put(2, "b2", 1);
+  b.put(1, "b1", 2);
+  a.insert(9, "new", 1);
+
+  EXPECT_EQ(a.get_latest(1)->value, "a1");
+  EXPECT_EQ(b.get_latest(1)->value, "b1");
+  EXPECT_EQ(a.get_latest(2)->value, "init2");
+  EXPECT_EQ(b.get_latest(2)->value, "b2");
+  EXPECT_EQ(a.get(1, 0)->value, "init1") << "the written key keeps its load below";
+  EXPECT_EQ(a.key_count(), 9u);
+  EXPECT_EQ(b.key_count(), 8u);
+  EXPECT_EQ(a.own_key_count(), 2u);
+  EXPECT_EQ(encoded(*image), before);
+  EXPECT_EQ(image->get_latest(1)->value, "init1");
+
+  // Copy-on-write views the image's bytes rather than copying them.
+  const char* bytes = image->versions_of(1)->front().value.data();
+  EXPECT_EQ(a.versions_of(1)->front().value.data(), bytes);
+  EXPECT_EQ(b.versions_of(1)->front().value.data(), bytes);
+  EXPECT_EQ(a.versions_of(5)->front().value.data(), image->versions_of(5)->front().value.data());
+  EXPECT_EQ(a.arena_bytes(), b.arena_bytes()) << "own arenas hold only their writes";
+}
+
+// Recovery's rollback to the initial load leaves an unwritten key's chain,
+// and a written one's, as the image's own chain: the own layer is empty.
+TEST(MVStoreImage, TruncateToZeroFallsBackToTheImage) {
+  const auto image = image_of(4);
+  MVStore s(image);
+  s.put(1, "v1", 1);
+  s.put(1, "v2", 2);
+  s.put(7, "new", 2);
+  s.gc(2);  // key 1 keeps v2 only; its load stays in the image
+  s.put(2, "v3", 3);
+  s.truncate_above(0);
+  for (Key k = 0; k < 4; ++k) {
+    if (k == 1) continue;
+    EXPECT_EQ(s.versions_of(k), image->versions_of(k)) << "key " << k;
+  }
+  EXPECT_EQ(s.versions_of(1), nullptr) << "GC collected key 1's load; rollback erases it";
+  EXPECT_EQ(s.versions_of(7), nullptr);
+  EXPECT_EQ(s.own_key_count(), 0u);
+  EXPECT_EQ(s.key_count(), 3u);
+  EXPECT_EQ(s.arena_bytes(), 0u) << "compaction copies no image bytes";
+  s.put(1, "reborn", 4);
+  EXPECT_EQ(s.versions_of(1)->size(), 1u) << "an erased key is written afresh";
+  EXPECT_EQ(s.get_latest(1)->value, "reborn");
+}
+
+TEST(MVStoreImage, InstallDropsTheImage) {
+  const auto image = image_of(4);
+  MVStore s(image);
+  s.put(1, "v1", 1);
+  const std::vector<std::uint8_t> blob = encoded(s);
+
+  MVStore t(image);
+  util::Reader r(blob);
+  t.install(r);
+  EXPECT_EQ(t.image(), nullptr);
+  EXPECT_EQ(t.own_key_count(), 4u);
+  EXPECT_NE(t.versions_of(2)->front().value.data(), image->versions_of(2)->front().value.data());
+  EXPECT_EQ(encoded(t), blob);
+  t.truncate_above(0);
+  EXPECT_EQ(t.get_latest(1)->value, "init1") << "the installed load is the rollback target";
+}
+
+TEST(MVStoreImage, RejectsAnImageWithWrites) {
+  auto image = std::make_shared<MVStore>();
+  image->load(1, "a");
+  image->put(1, "b", 1);
+  EXPECT_THROW(MVStore{image}, std::invalid_argument);
+  EXPECT_THROW(MVStore{std::make_shared<const MVStore>(image_of(2))}, std::invalid_argument)
+      << "an image has no image of its own";
 }
 
 }  // namespace

@@ -400,6 +400,32 @@ int main(int argc, char** argv) {
   std::printf("dedup: sessions=%zu outcomes=%zu rounds=%zu (max per replica)\n", sessions,
               outcomes, rounds);
 
+  // Store: each partition's shared initial image, then the largest own
+  // layer (the keys a replica wrote, or every key once a checkpoint
+  // install dropped its image).
+  std::string image_keys;
+  std::string image_bytes;
+  for (PartitionId p = 0; p < dep.partition_count(); ++p) {
+    const storage::MVStore* image = nullptr;
+    for (std::uint32_t i = 0; i < dep.replica_count() && image == nullptr; ++i) {
+      image = dep.server(p, i).store().image();
+    }
+    const char* sep = p == 0 ? "" : "/";
+    image_keys += sep + std::to_string(image ? image->key_count() : 0);
+    image_bytes += sep + std::to_string(image ? image->arena_bytes() : 0);
+  }
+  std::size_t chains = 0;
+  std::size_t versions = 0;
+  std::size_t arena = 0;
+  for (const Server* s : dep.servers()) {
+    chains = std::max(chains, s->store().own_key_count());
+    versions = std::max(versions, s->store().own_version_count());
+    arena = std::max(arena, s->store().arena_bytes());
+  }
+  std::printf("store: image keys=%s arena_bytes=%s (per partition) own chains=%zu versions=%zu "
+              "arena_bytes=%zu (max per replica)\n",
+              image_keys.c_str(), image_bytes.c_str(), chains, versions, arena);
+
 #if SDUR_TRACE
   if (o.breakdown) {
     auto& tracer = trace::Tracer::instance();
